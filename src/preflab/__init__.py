@@ -26,7 +26,6 @@ from .losses import (
     cadpo_loss,
     dpo_loss,
     implicit_rewards,
-    segment_log_ratio,
 )
 from .oracle import (
     EnumSpace,
@@ -67,7 +66,6 @@ __all__ = [
     "reparameterize",
     "save_checkpoint",
     "save_jsonl",
-    "segment_log_ratio",
     "segment_pair",
     "seq_logprob",
     "token_logprobs",

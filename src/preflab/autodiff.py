@@ -12,10 +12,18 @@ which removes a whole class of silently misaligned operands.
 Operands that are not ``Node`` instances are treated as untracked
 constants: they participate in the forward value but accumulate no
 gradient.
+
+A graph owns its nodes; a node refers back to its graph only weakly, so a
+tape is freed by reference counting as soon as the caller drops it.
+
+Segment reductions (DPO, ADPO and cADPO logits alike) go through one op,
+``weighted_segment_sum``: a ``np.bincount`` over the concatenated side
+vectors of a whole batch, with per-position segment ids and weights.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -93,15 +101,20 @@ class Node:
     forward-only graphs never allocate one.
     """
 
-    __slots__ = ("value", "_grad", "graph", "_parents", "_backward")
+    __slots__ = ("value", "_grad", "_graph", "_parents", "_backward")
 
     def __init__(self, graph: "Graph", value, parents=(), backward=None):
         self.value = np.asarray(value, dtype=np.float64)
         self._grad = None
-        self.graph = graph
+        self._graph = weakref.ref(graph)
         self._parents = parents
         self._backward = backward
         graph._nodes.append(self)
+
+    @property
+    def graph(self) -> "Graph | None":
+        """The owning graph, or None once the graph has been freed."""
+        return self._graph()
 
     @property
     def grad(self) -> Array:
@@ -142,6 +155,9 @@ class Node:
 
 class Graph:
     """Tape of nodes for one forward pass.
+
+    Nodes point back to their graph only weakly, so dropping the graph
+    frees the tape by reference counting, without the cycle collector.
 
     Single-threaded per graph; independent graphs may live on separate
     threads since no state is shared between them.
@@ -190,9 +206,12 @@ def _graph_of(op: str, *operands) -> Graph:
     graph = None
     for x in operands:
         if isinstance(x, Node):
+            owner = x.graph
+            if owner is None:
+                raise ValueError(f"{op}: operand's graph has been freed")
             if graph is None:
-                graph = x.graph
-            elif x.graph is not graph:
+                graph = owner
+            elif owner is not graph:
                 raise ValueError(f"{op}: operands belong to different graphs")
     if graph is None:
         raise ValueError(f"{op}: at least one operand must be a Node")
@@ -405,101 +424,48 @@ def slice1d(a, start: int, stop: int) -> Node:
     return Node(graph, va[start:stop].copy(), (a,), backward)
 
 
-def segment_sum(a, start: int, stop: int, mask=None) -> Node:
-    """Sum a[start:stop], optionally restricted to mask's true positions.
+def weighted_segment_sum(nodes: Sequence, ids, n_segments: int, weights=None) -> Node:
+    """out[s] = sum of w[i] * x[i] over positions i with ids[i] == s.
 
-    ``mask`` is a bool array covering the whole of ``a``; an empty or fully
-    masked-out segment sums to 0. Masked-out positions receive no gradient.
+    ``nodes`` are 1-D vectors read as one concatenation; ``ids`` (and
+    ``weights``, default all ones) give one entry per position of that
+    concatenation. Id -1 drops a position: it adds nothing and receives no
+    gradient. A segment no position maps to sums to 0. Positions are
+    accumulated in order (``np.bincount``), so the result is deterministic.
     """
-    va = a.value
-    if va.ndim != 1 or not (0 <= start <= stop <= va.shape[0]):
-        raise IndexBoundsError("segment_sum", stop, va.shape[0])
-    graph = _graph_of("segment_sum", a)
-    if mask is None:
-        value = np.sum(va[start:stop])
-
-        def backward(g):
-            a.grad[start:stop] += g
-
-    else:
-        seg_mask = np.asarray(mask, dtype=bool)[start:stop]
-        value = np.sum(va[start:stop][seg_mask])
-
-        def backward(g):
-            a.grad[start:stop][seg_mask] += g
-
-    return Node(graph, value, (a,), backward)
-
-
-def segment_sums(a, bounds, mask=None) -> Node:
-    """Masked sums of several [start, stop) segments of a 1-D array.
-
-    Each output entry matches segment_sum on the same bounds and mask
-    bit-for-bit (identical per-segment summation). Width-<=1 segments take
-    a vectorized path; the general case loops per segment.
-    """
-    va = a.value
-    if va.ndim != 1:
-        raise ShapeMismatchError("segment_sums", va.shape, ())
-    n = va.shape[0]
-    starts = np.fromiter((b[0] for b in bounds), dtype=np.intp, count=len(bounds))
-    stops = np.fromiter((b[1] for b in bounds), dtype=np.intp, count=len(bounds))
-    if np.any(starts < 0) or np.any(stops < starts) or np.any(stops > n):
-        raise IndexBoundsError("segment_sums", int(np.max(stops, initial=0)), n)
-    seg_mask = None if mask is None else np.asarray(mask, dtype=bool)
-    graph = _graph_of("segment_sums", a)
-
-    if n > 0 and np.all(stops - starts <= 1):
-        # token-level segments: a masked pick (sum of 0 or 1 entries)
-        idx = np.minimum(starts, n - 1)
-        live = stops > starts
-        if seg_mask is not None:
-            live = live & seg_mask[idx]
-        values = np.where(live, va[idx], 0.0)
-
-        def backward(g):
-            np.add.at(a.grad, idx[live], g[live])
-
-        return Node(graph, values, (a,), backward)
-
-    values = np.empty(len(bounds), dtype=np.float64)
-    for i, (start, stop) in enumerate(bounds):
-        if seg_mask is None:
-            values[i] = np.sum(va[start:stop])
-        else:
-            values[i] = np.sum(va[start:stop][seg_mask[start:stop]])
-
-    def backward(g):
-        for i, (start, stop) in enumerate(bounds):
-            if seg_mask is None:
-                a.grad[start:stop] += g[i]
-            else:
-                a.grad[start:stop][seg_mask[start:stop]] += g[i]
-
-    return Node(graph, values, (a,), backward)
-
-
-def add_n(nodes: Sequence) -> Node:
-    """Sum of same-shape nodes, accumulated left-to-right in given order."""
     if not nodes:
-        raise ValueError("add_n: empty node list")
-    graph = _graph_of("add_n", *nodes)
-    total = np.array(_value(nodes[0]), dtype=np.float64)
-    for x in nodes[1:]:
-        vx = _value(x)
-        _check_elementwise("add_n", total, vx)
-        total = total + vx
+        raise ValueError("weighted_segment_sum: empty node list")
+    parts = [_value(x) for x in nodes]
+    for v in parts:
+        if v.ndim != 1:
+            raise ShapeMismatchError("weighted_segment_sum", v.shape, ())
+    values = np.concatenate(parts)
+    idx = np.asarray(ids, dtype=np.intp)
+    if idx.shape != values.shape:
+        raise ShapeMismatchError("weighted_segment_sum", values.shape, idx.shape)
+    bad = (idx < -1) | (idx >= n_segments)
+    if bad.any():
+        raise IndexBoundsError("weighted_segment_sum", int(idx[bad][0]), n_segments)
+    if weights is None:
+        w = np.ones_like(values)
+    else:
+        w = np.asarray(weights, dtype=np.float64)
+        if w.shape != values.shape:
+            raise ShapeMismatchError("weighted_segment_sum", values.shape, w.shape)
+    keep = idx >= 0
+    kept_ids, kept_w = idx[keep], w[keep]
+    out = np.bincount(kept_ids, weights=kept_w * values[keep], minlength=n_segments)
+    stops = np.cumsum([v.shape[0] for v in parts])
+    graph = _graph_of("weighted_segment_sum", *nodes)
 
     def backward(g):
-        for x in nodes:
-            _accumulate(x, g)
+        per_position = np.zeros_like(values)
+        per_position[keep] = g[kept_ids] * kept_w
+        for x, stop, v in zip(nodes, stops, parts):
+            if isinstance(x, Node):
+                x.grad += per_position[stop - v.shape[0] : stop]
 
-    return Node(graph, total, tuple(nodes), backward)
-
-
-def mean_n(nodes: Sequence) -> Node:
-    """Arithmetic mean of same-shape nodes (fixed order, deterministic)."""
-    return mul(add_n(nodes), 1.0 / len(nodes))
+    return Node(graph, out, tuple(nodes), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,6 @@ _SCHEMA: dict[str, dict[str, _Field]] = {
         "batch_size": _Field(default=32, types=(int,)),
         "eval_every": _Field(default=50, types=(int,)),
         "checkpoint_every": _Field(default=500, types=(int,)),
-        "cache_ref": _Field(default=False, types=(bool,)),
     },
     "data": {
         "path": _Field(default=None, types=(str,), nullable=True),
@@ -280,5 +279,4 @@ def build_train_config(resolved: dict) -> TrainConfig:
         seed=resolved["seed"],
         eval_every=train["eval_every"],
         checkpoint_every=train["checkpoint_every"],
-        cache_ref=train["cache_ref"],
     ).validate()

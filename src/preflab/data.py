@@ -41,7 +41,7 @@ class PreferencePair:
                     f"{scores.size} rejected_scores for "
                     f"{len(self.rejected)} rejected tokens"
                 )
-            if np.any(scores < 0.0) or np.any(scores > 1.0):
+            if not np.all((scores >= 0.0) & (scores <= 1.0)):
                 raise ValidationError("rejected_scores must lie in [0, 1]")
             self.rejected_scores = scores
 

@@ -1,21 +1,28 @@
 """Preference losses as differentiable scalar graphs over token log-ratios.
 
 Every loss consumes per-token log-ratios log(pi_theta / pi_ref), not
-policies, so reference log-probabilities can be precomputed. Three
-objectives are provided:
+policies, so reference log-probabilities can be precomputed. All three
+objectives are one formula, a sum over segments of
 
-* dpo_loss: one Bradley-Terry comparison per pair on the total log-ratio;
-* adpo_loss: one comparison per segment, summed outside the log-sigmoid,
-  for any segmentation produced by the composition module;
-* cadpo_loss: adpo_loss with per-token weights 1 - s_j applied to the
-  rejected side before segment summation.
+    -log sigmoid(beta * sum_{i in seg} w_i * logratio_i),
 
-Batch reduction is the mean over pairs (in fixed pair order); per-pair
-segment reduction is a plain sum with no length normalization.
+divided by the number of pairs, with w_i = +1 on the chosen side and -1
+(cADPO: -(1 - s_j)) on the rejected side:
+
+* dpo_loss: one segment per pair covering both whole sides;
+* adpo_loss: the segments of a composition-module segmentation, summed
+  outside the log-sigmoid;
+* cadpo_loss: adpo_loss with rejected-side weights -(1 - s_j).
+
+Each wrapper only lays out segment ids and weights; one shared function
+turns them into a fixed five-node graph (a ``weighted_segment_sum`` over
+the whole batch, then scale, log-sigmoid, sum and mean) whatever the
+batch size. There is no length normalization.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +46,8 @@ class LossConfig:
     def validate(self) -> "LossConfig":
         if self.method not in ("dpo", "adpo"):
             raise ValidationError(f"loss.method must be dpo or adpo, got {self.method!r}")
-        if self.beta <= 0:
-            raise ValidationError(f"loss.beta must be positive, got {self.beta}")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValidationError(f"loss.beta must be finite and positive, got {self.beta}")
         if self.method == "adpo":
             if self.family not in ("static", "adaptive"):
                 raise ValidationError(
@@ -77,8 +84,8 @@ class LogRatioBatch:
     beta: float
 
     def validate(self) -> "LogRatioBatch":
-        if self.beta <= 0:
-            raise ValidationError(f"beta must be positive, got {self.beta}")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValidationError(f"beta must be finite and positive, got {self.beta}")
         for i, pair in enumerate(self.pairs):
             if pair.chosen.value.shape != pair.chosen_mask.shape:
                 raise ValidationError(
@@ -91,15 +98,6 @@ class LogRatioBatch:
                     f"!= log-ratio shape {pair.rejected.value.shape}"
                 )
         return self
-
-
-def segment_log_ratio(side_log_ratios: Node, segment: tuple[int, int], mask=None) -> Node:
-    """Cumulative log-ratio of one segment: sum of its unmasked entries.
-
-    An empty or fully masked-out segment sums to 0.
-    """
-    start, stop = segment
-    return ad.segment_sum(side_log_ratios, start, stop, mask)
 
 
 def _check_alignment(index: int, pair: PairLogRatios, seg: SegmentedPair) -> None:
@@ -125,72 +123,80 @@ def _rejected_weights(index: int, pair: PairLogRatios, scores) -> np.ndarray:
             f"pair {index}: got {scores.shape[0] if scores.ndim == 1 else scores.shape} "
             f"scores for {true_len} rejected tokens"
         )
-    if np.any(scores < 0.0) or np.any(scores > 1.0):
-        bad = scores[(scores < 0.0) | (scores > 1.0)][0]
-        raise ValidationError(f"pair {index}: score {bad} outside [0, 1]")
+    inside = (scores >= 0.0) & (scores <= 1.0)
+    if not np.all(inside):
+        raise ValidationError(f"pair {index}: score {scores[~inside][0]} outside [0, 1]")
     weights = np.ones(pair.rejected.value.shape[0])
     weights[:true_len] = 1.0 - scores
     return weights
 
 
-def _pair_loss(
-    pair: PairLogRatios,
-    w_bounds,
-    l_bounds,
-    beta: float,
-    apply_mask: bool,
-    l_weights: np.ndarray | None = None,
-) -> Node:
-    w_mask = pair.chosen_mask if apply_mask else None
-    l_mask = pair.rejected_mask if apply_mask else None
-    rejected = pair.rejected
-    if l_weights is not None:
-        rejected = ad.mul(rejected, l_weights)
-    s_w = ad.segment_sums(pair.chosen, w_bounds, w_mask)
-    s_l = ad.segment_sums(rejected, l_bounds, l_mask)
-    logits = ad.mul(ad.sub(s_w, s_l), beta)
-    return ad.neg(ad.sum(ad.log_sigmoid(logits)))
+def _side_ids(bounds, rank: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    """Batch segment id of every position of one side (-1 = dropped).
+
+    ``bounds`` tile the side's vector; ``rank`` maps each of its segments
+    to a batch segment id, or -1 for segments that are not kept.
+    """
+    sizes = [stop - start for start, stop in bounds]
+    ids = rank[np.repeat(np.arange(len(bounds)), sizes)]
+    return ids if mask is None else np.where(mask, ids, -1)
+
+
+def _segment_loss(batch: LogRatioBatch, layouts, mask_padding: bool, l_weights=None) -> Node:
+    """Mean over pairs of sum over kept segments of -log sigmoid(beta * z).
+
+    z is a segment's chosen sum minus its (weighted) rejected sum. ``layouts``
+    holds one (w_bounds, l_bounds, kept) triple per pair; ``l_weights`` holds
+    optional per-pair rejected-side weights (default 1).
+    """
+    nodes, ids, weights = [], [], []
+    n_segments = 0
+    for i, (pair, (w_bounds, l_bounds, kept)) in enumerate(zip(batch.pairs, layouts)):
+        rank = np.full(len(w_bounds), -1, dtype=np.intp)
+        rank[list(kept)] = n_segments + np.arange(len(kept))
+        n_segments += len(kept)
+        l_weight = np.ones(pair.rejected.value.shape[0]) if l_weights is None else l_weights[i]
+        nodes += [pair.chosen, pair.rejected]
+        ids += [
+            _side_ids(w_bounds, rank, pair.chosen_mask if mask_padding else None),
+            _side_ids(l_bounds, rank, pair.rejected_mask if mask_padding else None),
+        ]
+        weights += [np.ones(pair.chosen.value.shape[0]), -l_weight]
+    logits = ad.weighted_segment_sum(
+        nodes, np.concatenate(ids), n_segments, np.concatenate(weights)
+    )
+    total = ad.sum(ad.log_sigmoid(ad.mul(logits, batch.beta)))
+    return ad.mul(total, -1.0 / len(batch.pairs))
+
+
+def _adpo_layouts(batch: LogRatioBatch, segmentation: list[SegmentedPair], mask_padding: bool):
+    if len(segmentation) != len(batch.pairs):
+        raise ValidationError(
+            f"{len(segmentation)} segmentations for {len(batch.pairs)} pairs"
+        )
+    layouts = []
+    for i, (pair, seg) in enumerate(zip(batch.pairs, segmentation)):
+        _check_alignment(i, pair, seg)
+        layouts.append((seg.w_bounds, seg.l_bounds, seg.kept_segments(mask_padding)))
+    return layouts
 
 
 def dpo_loss(batch: LogRatioBatch, mask_padding: bool = True) -> Node:
     """Mean over pairs of -log sigmoid(beta * (total_w - total_l))."""
     batch.validate()
-    losses = []
-    for pair in batch.pairs:
-        w_bounds = ((0, pair.chosen.value.shape[0]),)
-        l_bounds = ((0, pair.rejected.value.shape[0]),)
-        losses.append(_pair_loss(pair, w_bounds, l_bounds, batch.beta, mask_padding))
-    return ad.mean_n(losses)
-
-
-def adpo_pair_loss(
-    pair: PairLogRatios,
-    seg: SegmentedPair,
-    beta: float,
-    mask_padding: bool = True,
-    l_weights: np.ndarray | None = None,
-) -> Node:
-    """Sum over kept segments of -log sigmoid(beta * (S_w(i) - S_l(i)))."""
-    kept = seg.kept_segments(mask_padding)
-    w_bounds = tuple(seg.w_bounds[i] for i in kept)
-    l_bounds = tuple(seg.l_bounds[i] for i in kept)
-    return _pair_loss(pair, w_bounds, l_bounds, beta, mask_padding, l_weights)
+    layouts = [
+        (((0, p.chosen.value.shape[0]),), ((0, p.rejected.value.shape[0]),), (0,))
+        for p in batch.pairs
+    ]
+    return _segment_loss(batch, layouts, mask_padding)
 
 
 def adpo_loss(
     batch: LogRatioBatch, segmentation: list[SegmentedPair], mask_padding: bool = True
 ) -> Node:
-    """Mean over pairs of the segment-wise comparison loss."""
+    """Mean over pairs of sum over kept segments of -log sigmoid(beta * (S_w(i) - S_l(i)))."""
     batch.validate()
-    if len(segmentation) != len(batch.pairs):
-        raise ValidationError(
-            f"{len(segmentation)} segmentations for {len(batch.pairs)} pairs"
-        )
-    losses = []
-    for i, (pair, seg) in enumerate(zip(batch.pairs, segmentation)):
-        _check_alignment(i, pair, seg)
-        losses.append(adpo_pair_loss(pair, seg, batch.beta, mask_padding))
-    return ad.mean_n(losses)
+    return _segment_loss(batch, _adpo_layouts(batch, segmentation, mask_padding), mask_padding)
 
 
 def cadpo_loss(
@@ -205,21 +211,18 @@ def cadpo_loss(
     pair's own ``rejected_scores`` field. The chosen side is unweighted.
     """
     batch.validate()
-    if len(segmentation) != len(batch.pairs):
-        raise ValidationError(
-            f"{len(segmentation)} segmentations for {len(batch.pairs)} pairs"
-        )
+    layouts = _adpo_layouts(batch, segmentation, mask_padding)
     if rejected_scores is not None and len(rejected_scores) != len(batch.pairs):
         raise ValidationError(
             f"{len(rejected_scores)} score vectors for {len(batch.pairs)} pairs"
         )
-    losses = []
-    for i, (pair, seg) in enumerate(zip(batch.pairs, segmentation)):
-        _check_alignment(i, pair, seg)
-        scores = rejected_scores[i] if rejected_scores is not None else pair.rejected_scores
-        weights = _rejected_weights(i, pair, scores)
-        losses.append(adpo_pair_loss(pair, seg, batch.beta, mask_padding, weights))
-    return ad.mean_n(losses)
+    weights = [
+        _rejected_weights(
+            i, pair, rejected_scores[i] if rejected_scores is not None else pair.rejected_scores
+        )
+        for i, pair in enumerate(batch.pairs)
+    ]
+    return _segment_loss(batch, layouts, mask_padding, weights)
 
 
 def implicit_rewards(batch: LogRatioBatch) -> list[tuple[np.ndarray, np.ndarray]]:

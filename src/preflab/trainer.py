@@ -1,7 +1,8 @@
 """Deterministic training loop and diagnostics.
 
-The trainer freezes a reference copy of the initial policy, then runs
-seeded minibatch optimization of the configured preference loss. All
+The trainer freezes a reference copy of the initial policy, forwards it
+once over the whole dataset (its log-probabilities never change), then
+runs seeded minibatch optimization of the configured preference loss. All
 reductions happen in fixed order, so identical (dataset, config, seed)
 produce bit-identical logs and checkpoints.
 
@@ -13,6 +14,7 @@ profile of the per-token implicit rewards across checkpoints.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,14 +44,13 @@ class TrainConfig:
     seed: int = 0
     eval_every: int = 50
     checkpoint_every: int = 500
-    cache_ref: bool = False
 
     def validate(self) -> "TrainConfig":
         self.loss.validate()
         if self.optimizer not in ("sgd", "adam"):
             raise ValidationError(f"optimizer must be sgd or adam, got {self.optimizer!r}")
-        if self.lr < 0:
-            raise ValidationError(f"lr must be >= 0, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ValidationError(f"lr must be finite and >= 0, got {self.lr}")
         if self.steps < 1:
             raise ValidationError(f"steps must be >= 1, got {self.steps}")
         if self.batch_size < 1:
@@ -165,6 +166,8 @@ class _PairPlan:
     l_mask: np.ndarray
     seg: object  # SegmentedPair | None
     scores: np.ndarray | None
+    ref_w: np.ndarray | None = None  # reference log-probs, chosen side
+    ref_l: np.ndarray | None = None  # reference log-probs, rejected side
     _rows: dict = field(default_factory=dict)
 
     def side_rows(self, policy: Policy):
@@ -209,8 +212,18 @@ def _plan_pair(index: int, pair: PreferencePair, cfg: LossConfig, pad_id: int) -
     )
 
 
-def plan_dataset(dataset: list[PreferencePair], cfg: LossConfig, pad_id: int):
-    return [_plan_pair(i, pair, cfg, pad_id) for i, pair in enumerate(dataset)]
+def plan_dataset(dataset: list[PreferencePair], cfg: LossConfig, ref: Policy):
+    """Plan every pair and attach its reference log-probs.
+
+    The frozen reference is forwarded once, over the stacked rows of the
+    whole dataset; each plan keeps its two slices of the result.
+    """
+    plans = [_plan_pair(i, pair, cfg, ref.vocab.pad) for i, pair in enumerate(dataset)]
+    rows, targets, spans = _stack_rows(ref, plans)
+    ref_vals = ref.row_logprobs(rows, targets)
+    for plan, ((ws, we), (ls, le)) in zip(plans, spans):
+        plan.ref_w, plan.ref_l = ref_vals[ws:we], ref_vals[ls:le]
+    return plans
 
 
 def _stack_rows(policy: Policy, plans: list[_PairPlan]):
@@ -235,34 +248,30 @@ def _stack_rows(policy: Policy, plans: list[_PairPlan]):
 
 def _build_batch(
     policy: Policy,
-    ref: Policy,
     plans: list[_PairPlan],
     cfg: LossConfig,
     graph: ad.Graph,
     leaves: dict | None,
-    ref_vals: np.ndarray | None = None,
 ):
     """Forward the whole batch once and slice per-pair log-ratio vectors.
 
     With ``leaves`` given, the policy side is tracked for gradients;
-    otherwise a fresh untracked forward is used (evaluation).
+    otherwise a fresh untracked forward is used (evaluation). Reference
+    log-probs come precomputed from the plans.
     """
     rows, targets, spans = _stack_rows(policy, plans)
     if leaves is None:
         leaves = {name: graph.leaf(value) for name, value in policy.params.items()}
     theta = policy.rows_forward(graph, leaves, rows, targets)
-    if ref_vals is None:
-        ref_rows, ref_targets, _ = _stack_rows(ref, plans)
-        ref_vals = ref.row_logprobs(ref_rows, ref_targets)
+    ref_stack = np.concatenate([v for plan in plans for v in (plan.ref_w, plan.ref_l)])
+    log_ratios = ad.sub(theta, ref_stack)
     pairs = []
     segs = []
     for plan, ((ws, we), (ls, le)) in zip(plans, spans):
-        chosen = ad.sub(ad.slice1d(theta, ws, we), ref_vals[ws:we])
-        rejected = ad.sub(ad.slice1d(theta, ls, le), ref_vals[ls:le])
         pairs.append(
             PairLogRatios(
-                chosen=chosen,
-                rejected=rejected,
+                chosen=ad.slice1d(log_ratios, ws, we),
+                rejected=ad.slice1d(log_ratios, ls, le),
                 chosen_mask=plan.w_mask,
                 rejected_mask=plan.l_mask,
                 rejected_scores=plan.scores,
@@ -271,7 +280,7 @@ def _build_batch(
         segs.append(plan.seg)
     batch = LogRatioBatch(pairs=pairs, beta=cfg.beta)
     segmentation = None if segs and segs[0] is None else segs
-    return batch, segmentation, theta, ref_vals, spans
+    return batch, segmentation, theta, spans
 
 
 def _pair_metrics(batch: LogRatioBatch, theta_vals, spans, plans):
@@ -298,15 +307,19 @@ def eval_pairs(
     step: int = 0,
     plans: list[_PairPlan] | None = None,
 ) -> TrainLogRow:
-    """One diagnostics row over the full dataset; mutates nothing."""
+    """One diagnostics row over the full dataset; mutates nothing.
+
+    ``plans`` (from ``plan_dataset`` with the same config and reference)
+    skip re-planning and re-forwarding the reference.
+    """
     loss_cfg.validate()
     if not dataset:
         raise ValidationError("dataset is empty")
     if plans is None:
-        plans = plan_dataset(dataset, loss_cfg, policy.vocab.pad)
+        plans = plan_dataset(dataset, loss_cfg, ref)
     graph = ad.Graph()
-    batch, segmentation, theta, ref_vals, spans = _build_batch(
-        policy, ref, plans, loss_cfg, graph, leaves=None
+    batch, segmentation, theta, spans = _build_batch(
+        policy, plans, loss_cfg, graph, leaves=None
     )
     loss = float(batch_loss(batch, segmentation, loss_cfg).value)
     chosen_logp, rejected_logp, margins = _pair_metrics(
@@ -345,20 +358,9 @@ def train(dataset: list[PreferencePair], policy: Policy, cfg: TrainConfig) -> Tr
         raise ValidationError("weighted loss requires rejected_scores on every pair")
 
     ref = clone_frozen(policy)
-    plans = plan_dataset(dataset, cfg.loss, policy.vocab.pad)
+    plans = plan_dataset(dataset, cfg.loss, ref)
     optimizer = make_optimizer(cfg)
     rng = child_rng(cfg.seed, "shuffle")
-
-    ref_cache: dict[int, np.ndarray] | None = {} if cfg.cache_ref else None
-
-    def ref_values(batch_plans):
-        if ref_cache is None:
-            return None
-        for plan in batch_plans:
-            if plan.index not in ref_cache:
-                rows, targets, _ = _stack_rows(ref, [plan])
-                ref_cache[plan.index] = ref.row_logprobs(rows, targets)
-        return np.concatenate([ref_cache[p.index] for p in batch_plans])
 
     log = [eval_pairs(policy, ref, dataset, cfg.loss, step=0, plans=plans)]
     checkpoints: list[tuple[int, Policy]] = []
@@ -373,9 +375,7 @@ def train(dataset: list[PreferencePair], policy: Policy, cfg: TrainConfig) -> Tr
 
         graph = ad.Graph()
         leaves = {name: graph.leaf(value) for name, value in policy.params.items()}
-        batch, segmentation, _, _, _ = _build_batch(
-            policy, ref, batch_plans, cfg.loss, graph, leaves, ref_values(batch_plans)
-        )
+        batch, segmentation, _, _ = _build_batch(policy, batch_plans, cfg.loss, graph, leaves)
         loss = batch_loss(batch, segmentation, cfg.loss)
         if not np.isfinite(loss.value):
             raise TrainingDivergedError(step, [p.index for p in batch_plans])
@@ -415,14 +415,16 @@ def prefix_reward_profile(
         raise ValidationError("at least one checkpoint is required")
     if bins < 1:
         raise ValidationError(f"bins must be >= 1, got {bins}")
-    if beta <= 0:
-        raise ValidationError(f"beta must be positive, got {beta}")
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValidationError(f"beta must be finite and positive, got {beta}")
+    if not dataset:
+        raise ValidationError("dataset is empty")
     eval_cfg = LossConfig(method="dpo", beta=beta)
+    plans = plan_dataset(dataset, eval_cfg, ref)
     rows: list[ProfileRow] = []
     for step, policy in checkpoints:
-        plans = plan_dataset(dataset, eval_cfg, policy.vocab.pad)
         graph = ad.Graph()
-        batch, _, _, _, _ = _build_batch(policy, ref, plans, eval_cfg, graph, leaves=None)
+        batch, _, _, _ = _build_batch(policy, plans, eval_cfg, graph, leaves=None)
         bucket_rewards: list[list[float]] = [[] for _ in range(bins)]
         bucket_margin = np.zeros(bins)
         for pair in batch.pairs:

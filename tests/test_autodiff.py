@@ -1,6 +1,8 @@
 """Unit tests for the reverse-mode autodiff core."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -191,42 +193,56 @@ class TestSegments:
     def test_segment_sum_masked(self):
         g = ad.Graph()
         a = g.leaf([0.2, -0.5, 9.0])
-        mask = np.array([True, True, False])
-        out = ad.segment_sum(a, 0, 3, mask)
-        assert float(out.value) == pytest.approx(-0.3, abs=1e-15)
-        g.backward(out)
+        out = ad.weighted_segment_sum([a], [0, 0, -1], 1)
+        assert float(out.value[0]) == pytest.approx(-0.3, abs=1e-15)
+        g.backward(ad.sum(out))
         assert np.array_equal(a.grad, [1.0, 1.0, 0.0])
 
-    def test_segment_sums_match_segment_sum_bitwise(self):
+    def test_segments_accumulate_in_position_order(self):
         rng = np.random.default_rng(4)
         for trial in range(50):
-            n = int(rng.integers(1, 40))
-            values = rng.standard_normal(n)
-            mask = rng.random(n) < 0.8 if trial % 2 else None
-            cuts = np.sort(rng.integers(0, n + 1, size=5))
-            bounds = list(zip(cuts[:-1], cuts[1:]))
+            sizes = rng.integers(0, 20, size=3)
+            parts = [rng.standard_normal(int(k)) for k in sizes]
+            total = int(np.sum(sizes))
+            ids = rng.integers(-1, 5, size=total)
+            weights = rng.standard_normal(total) if trial % 2 else None
             g = ad.Graph()
-            a = g.leaf(values)
-            together = ad.segment_sums(a, bounds, mask)
-            singles = [float(ad.segment_sum(g.leaf(values), s, e, mask).value) for s, e in bounds]
-            assert together.value.tolist() == singles
+            out = ad.weighted_segment_sum([g.leaf(p) for p in parts], ids, 5, weights)
+            values = np.concatenate(parts)
+            w = np.ones(total) if weights is None else weights
+            expected = [0.0] * 5
+            for i in range(total):
+                if ids[i] >= 0:
+                    expected[ids[i]] += w[i] * values[i]
+            assert out.value.tolist() == expected
 
-    def test_segment_sums_token_level_path(self):
+    def test_empty_segment_sums_to_zero(self):
         g = ad.Graph()
         a = g.leaf([1.0, 2.0, 3.0])
-        mask = np.array([True, False, True])
-        out = ad.segment_sums(a, [(0, 1), (1, 2), (2, 3), (3, 3)], mask)
+        out = ad.weighted_segment_sum([a], [0, -1, 2], 4)
         assert out.value.tolist() == [1.0, 0.0, 3.0, 0.0]
-        g.backward(ad.sum(out))
-        assert np.array_equal(a.grad, [1.0, 0.0, 1.0])
+
+    def test_gradient_split_across_parents_zero_at_dropped(self):
+        g = ad.Graph()
+        a = g.leaf([1.0, 2.0])
+        b = g.leaf([3.0, 4.0, 5.0])
+        out = ad.weighted_segment_sum([a, b], [0, 1, 1, -1, 0], 2, [1.0, 2.0, -1.0, 7.0, 0.5])
+        assert out.value.tolist() == [1.0 + 2.5, 4.0 - 3.0]
+        g.backward(ad.sum(ad.mul(out, np.array([10.0, 100.0]))))
+        assert np.array_equal(a.grad, [10.0, 200.0])
+        assert np.array_equal(b.grad, [-100.0, 0.0, 5.0])
 
     def test_segment_bounds_validated(self):
         g = ad.Graph()
         a = g.leaf(np.zeros(3))
         with pytest.raises(ad.IndexBoundsError):
-            ad.segment_sum(a, 0, 4)
+            ad.weighted_segment_sum([a], [0, 1, 2], 2)
         with pytest.raises(ad.IndexBoundsError):
-            ad.segment_sums(a, [(0, 4)])
+            ad.weighted_segment_sum([a], [0, -2, 0], 2)
+        with pytest.raises(ad.ShapeMismatchError):
+            ad.weighted_segment_sum([a], [0, 0], 2)
+        with pytest.raises(ad.ShapeMismatchError):
+            ad.weighted_segment_sum([a], [0, 0, 0], 2, [1.0])
 
 
 class TestGraph:
@@ -266,6 +282,23 @@ class TestGraph:
         with pytest.raises(ValueError):
             ad.add(g1.leaf(1.0), g2.leaf(2.0))
 
+    def test_dropped_graph_freed_without_cycle_collector(self):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            g = ad.Graph()
+            a = g.leaf([1.0, 2.0])
+            g.backward(ad.sum(ad.mul(a, a)))
+            alive = weakref.ref(g)
+            del g
+            assert alive() is None
+            assert a.graph is None
+            with pytest.raises(ValueError, match="freed"):
+                ad.sum(a)
+        finally:
+            if was_enabled:
+                gc.enable()
+
 
 def _op_cases(rng):
     """(name, builder, params) triples covering every registered op."""
@@ -278,10 +311,10 @@ def _op_cases(rng):
     table = rng.standard_normal((4, 3))
     ids = rng.integers(0, 4, size=(3, 2))
     idx1 = rng.integers(0, 4, size=3)
-    mask = rng.random(n) < 0.7
-    bounds = [(0, 2), (2, 2), (2, n)]
+    seg_ids = rng.integers(-1, 3, size=2 * n)  # segment 3 stays empty
+    seg_w = rng.standard_normal(2 * n)
     flat_const = rng.standard_normal(12)
-    seg_const = rng.standard_normal(len(bounds))
+    seg_const = rng.standard_normal(4)
     gather_mat = rng.standard_normal((3, 4))
     return [
         ("add", lambda g, p: ad.sum(ad.add(p[0], p[1])), [v, w]),
@@ -298,9 +331,8 @@ def _op_cases(rng):
         ("embed_lookup", lambda g, p: ad.sum(ad.embed_lookup(p[0], ids)), [table]),
         ("reshape", lambda g, p: ad.sum(ad.mul(ad.reshape(p[0], (12,)), flat_const)), [mat]),
         ("slice1d", lambda g, p: ad.sum(ad.slice1d(p[0], 1, 4)), [v]),
-        ("segment_sum", lambda g, p: ad.segment_sum(p[0], 1, n, mask), [v]),
-        ("segment_sums", lambda g, p: ad.sum(ad.mul(ad.segment_sums(p[0], bounds, mask), seg_const)), [v]),
-        ("add_n", lambda g, p: ad.add_n([ad.sum(p[0]), ad.sum(ad.mul(p[0], p[0])), ad.sum(p[1])]), [v, w]),
+        ("weighted_segment_sum", lambda g, p: ad.sum(ad.mul(ad.weighted_segment_sum([p[0], p[1]], seg_ids, 4, seg_w), seg_const)), [v, w]),
+        ("unweighted_segment_sum", lambda g, p: ad.sum(ad.mul(ad.weighted_segment_sum([p[0], ad.mul(p[0], p[1])], seg_ids, 4), seg_const)), [v, w]),
     ]
 
 

@@ -124,6 +124,15 @@ class TestTrain:
         cfg = write_config(tmp_path / "noout.json", doc)
         assert main(["train", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("override", ["loss.beta=Infinity", "loss.beta=NaN", "train.lr=NaN"])
+    def test_non_finite_override_exits_2(self, tmp_path, dataset_path, capsys, override):
+        out_dir = tmp_path / "run"
+        cfg = train_config(tmp_path, out_dir, dataset_path)
+        assert main(["train", "--config", cfg, "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err
+        assert not out_dir.exists()
+
     def test_adaptive_one_equals_dpo_loss_column(self, tmp_path, dataset_path):
         losses = {}
         for name, loss in (

@@ -41,6 +41,12 @@ class TestResolve:
         with pytest.raises(ValidationError, match="loss.*gamma"):
             cfgmod.resolve(doc)
 
+    def test_removed_cache_ref_is_unknown(self):
+        doc = minimal_train_config()
+        doc["train"] = {"cache_ref": True}
+        with pytest.raises(ValidationError, match="train.*cache_ref"):
+            cfgmod.resolve(doc)
+
     def test_missing_model_vocab_size_named(self):
         doc = minimal_train_config()
         del doc["model"]["vocab_size"]

@@ -156,6 +156,10 @@ class TestPairValidation:
             D.PreferencePair(
                 prompt=(3,), chosen=(4,), rejected=(5, 6), rejected_scores=[0.5, 1.5]
             )
+        with pytest.raises(ValidationError):
+            D.PreferencePair(
+                prompt=(3,), chosen=(4,), rejected=(5, 6), rejected_scores=[0.5, float("nan")]
+            )
 
 
 class TestJsonl:

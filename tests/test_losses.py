@@ -34,24 +34,32 @@ def random_batch(graph, rng, n_pairs, beta=1.0, max_len=12, scale=1.0):
     return losses.LogRatioBatch(pairs=pairs, beta=beta)
 
 
+def segment_sums(graph, values, bounds):
+    """Per-segment sums of one side vector through the batched segment op."""
+    sizes = [stop - start for start, stop in bounds]
+    ids = np.repeat(np.arange(len(bounds)), sizes)
+    return ad.weighted_segment_sum([graph.leaf(values)], ids, len(bounds)).value
+
+
 class TestSegmentLogRatio:
     def test_zero_log_ratios_give_zero(self):
         g = ad.Graph()
-        vec = g.leaf(np.zeros(5))
-        out = losses.segment_log_ratio(vec, (1, 4))
-        assert float(out.value) == 0.0
+        assert segment_sums(g, np.zeros(5), [(0, 1), (1, 4), (4, 5)])[1] == 0.0
 
     def test_single_token_segment(self):
         g = ad.Graph()
-        vec = g.leaf([0.3, -1.2, 0.9])
-        assert float(losses.segment_log_ratio(vec, (1, 2)).value) == -1.2
+        assert segment_sums(g, [0.3, -1.2, 0.9], [(0, 1), (1, 2), (2, 3)])[1] == -1.2
 
     def test_masked_pad_excluded(self):
+        # a single-pair DPO loss sees only the unmasked chosen entries
         g = ad.Graph()
-        vec = g.leaf([0.2, -0.5, 77.0])
-        mask = np.array([True, True, False])
-        out = losses.segment_log_ratio(vec, (0, 3), mask)
-        assert float(out.value) == pytest.approx(-0.3, abs=1e-15)
+        masked = losses.LogRatioBatch(
+            [make_pair(g, [0.2, -0.5, 77.0], [0.0], chosen_mask=[True, True, False])], beta=1.0
+        )
+        plain = losses.LogRatioBatch([make_pair(g, [0.2, -0.5], [0.0])], beta=1.0)
+        assert float(losses.dpo_loss(masked).value) == float(losses.dpo_loss(plain).value)
+        expected = float(-ad.log_sigmoid_values(0.2 - 0.5))
+        assert float(losses.dpo_loss(masked).value) == pytest.approx(expected, abs=1e-15)
 
 
 class TestDpoLoss:
@@ -139,10 +147,10 @@ class TestAdpoLoss:
         seg = segment_pair((6, 9), "adaptive", 4)
         swapped = segment_pair((9, 6), "adaptive", 4)
         g = ad.Graph()
-        s_w = ad.segment_sums(g.leaf(chosen), seg.w_bounds).value
-        s_l = ad.segment_sums(g.leaf(rejected), seg.l_bounds).value
-        s_w2 = ad.segment_sums(g.leaf(rejected), swapped.w_bounds).value
-        s_l2 = ad.segment_sums(g.leaf(chosen), swapped.l_bounds).value
+        s_w = segment_sums(g, chosen, seg.w_bounds)
+        s_l = segment_sums(g, rejected, seg.l_bounds)
+        s_w2 = segment_sums(g, rejected, swapped.w_bounds)
+        s_l2 = segment_sums(g, chosen, swapped.l_bounds)
         forward = beta * (s_w - s_l)
         backward = beta * (s_w2 - s_l2)
         assert np.allclose(forward, -backward, atol=1e-15)
@@ -235,7 +243,7 @@ class TestCadpoLoss:
         c = float(losses.cadpo_loss(batch, segs, ones).value)
         expected = 0.0
         for p, seg in zip(batch.pairs, segs):
-            s_w = ad.segment_sums(p.chosen, seg.w_bounds).value
+            s_w = np.array([np.sum(p.chosen.value[a:b]) for a, b in seg.w_bounds])
             expected += float(np.sum(-ad.log_sigmoid_values(batch.beta * s_w)))
         expected /= len(batch.pairs)
         assert abs(c - expected) <= 1e-12
@@ -258,6 +266,8 @@ class TestCadpoLoss:
             losses.cadpo_loss(batch, seg, [np.array([0.5])])
         with pytest.raises(ValidationError):
             losses.cadpo_loss(batch, seg, [np.array([0.5, 1.5])])
+        with pytest.raises(ValidationError, match="nan"):
+            losses.cadpo_loss(batch, seg, [np.array([0.5, np.nan])])
         with pytest.raises(ValidationError):
             losses.cadpo_loss(batch, seg, None)
 
@@ -370,3 +380,56 @@ class TestLossGradients:
             params.extend([rng.standard_normal(lw), rng.standard_normal(ll)])
         report = ad.grad_check(build, params, h=1e-5, tol=1e-6)
         assert report.max_rel_error < 1e-6
+
+
+class TestNonFiniteBeta:
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, 0.0])
+    def test_loss_config_rejects(self, beta):
+        with pytest.raises(ValidationError, match="finite and positive"):
+            losses.LossConfig(method="dpo", beta=beta).validate()
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf])
+    def test_batch_rejects(self, beta):
+        g = ad.Graph()
+        batch = losses.LogRatioBatch([make_pair(g, [0.1], [0.2])], beta=beta)
+        with pytest.raises(ValidationError, match="finite and positive"):
+            losses.dpo_loss(batch)
+
+
+class TestSingleLossNode:
+    CONFIGS = {
+        "dpo": losses.LossConfig(method="dpo"),
+        "static": losses.LossConfig(method="adpo", family="static", k=2),
+        "adaptive": losses.LossConfig(method="adpo", family="adaptive", m=3),
+        "cadpo": losses.LossConfig(method="adpo", family="static", k=1, weighted=True),
+    }
+
+    @staticmethod
+    def nodes_added(cfg, n_pairs):
+        rng = np.random.default_rng(12)
+        g = ad.Graph()
+        pairs, segs = [], []
+        for _ in range(n_pairs):
+            lw, ll = (int(x) for x in rng.integers(1, 12, size=2))
+            # dpo: the default adaptive family with m=1, i.e. unpadded sides
+            seg = segment_pair((lw, ll), cfg.family, cfg.segment_param() or 1)
+            pairs.append(
+                make_pair(
+                    g,
+                    rng.standard_normal(seg.padded_len or lw),
+                    rng.standard_normal(seg.padded_len or ll),
+                    seg.w_mask,
+                    seg.l_mask,
+                    scores=rng.uniform(0, 1, size=ll),
+                )
+            )
+            segs.append(seg)
+        batch = losses.LogRatioBatch(pairs, beta=1.0)
+        before = len(g)
+        losses.batch_loss(batch, None if cfg.method == "dpo" else segs, cfg)
+        return len(g) - before
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_node_count_independent_of_batch_size(self, name):
+        cfg = self.CONFIGS[name].validate()
+        assert self.nodes_added(cfg, 1) == self.nodes_added(cfg, 32) == 5

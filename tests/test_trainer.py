@@ -50,13 +50,22 @@ class TestDeterminism:
         for name in params[0]:
             assert np.array_equal(params[0][name], params[1][name])
 
-    def test_cached_ref_changes_nothing(self):
-        outs = []
-        for cache in (False, True):
+    def test_plan_reference_values_equal_fresh_forward(self):
+        # dpo plans raw sides; adpo static k=1 plans padded ones
+        for method in ("dpo", "adpo"):
             _, dataset, policy = small_setup()
-            result = trainer.train(dataset, policy, quick_config(cache_ref=cache))
-            outs.append(trainer.trainlog_to_csv(result.log))
-        assert outs[0] == outs[1]
+            ref = lm.clone_frozen(policy)
+            plans = trainer.plan_dataset(dataset, quick_config(method).loss, ref)
+            rows = [
+                ref.context_rows(p.prompt, side)
+                for p in plans
+                for side in (p.w_tokens, p.l_tokens)
+            ]
+            fresh = ref.row_logprobs(
+                np.concatenate([r for r, _ in rows]), np.concatenate([t for _, t in rows])
+            )
+            stacked = np.concatenate([v for p in plans for v in (p.ref_w, p.ref_l)])
+            assert np.array_equal(stacked, fresh)
 
 
 class TestTrainBasics:
@@ -88,6 +97,12 @@ class TestTrainBasics:
         _, _, policy = small_setup()
         with pytest.raises(ValidationError):
             trainer.train([], policy, quick_config())
+
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_lr_rejected(self, lr):
+        _, dataset, policy = small_setup()
+        with pytest.raises(ValidationError, match="lr must be finite"):
+            trainer.train(dataset, policy, quick_config(lr=lr))
 
     def test_nan_loss_aborts_with_step_and_pairs(self):
         _, dataset, policy = small_setup()
@@ -152,7 +167,6 @@ class TestEvalPairs:
         ))
         row = trainer.eval_pairs(result.policy, ref, dataset, losses.LossConfig(method="dpo"))
         if row.accuracy == 1.0:
-            plans = trainer.plan_dataset(dataset, losses.LossConfig(method="dpo"), 2)
             assert all(
                 lm.seq_logprob(result.policy, p.prompt, p.chosen)
                 - lm.seq_logprob(ref, p.prompt, p.chosen)
@@ -246,6 +260,10 @@ class TestPrefixRewardProfile:
             trainer.prefix_reward_profile([], ref, dataset, beta=1.0)
         with pytest.raises(ValidationError):
             trainer.prefix_reward_profile([(0, policy)], ref, dataset, beta=1.0, bins=0)
+        with pytest.raises(ValidationError):
+            trainer.prefix_reward_profile([(0, policy)], ref, dataset, beta=math.nan)
+        with pytest.raises(ValidationError):
+            trainer.prefix_reward_profile([(0, policy)], ref, [], beta=1.0)
 
 
 class TestCsv:
@@ -304,7 +322,6 @@ class TestLossDecreaseSmoke:
             seed=seed,
             eval_every=2000,
             checkpoint_every=0,
-            cache_ref=True,
         )
         result = trainer.train(dataset, policy, cfg)
         assert result.log[-1].step == 2000
