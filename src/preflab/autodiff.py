@@ -73,11 +73,12 @@ def log_sigmoid_values(z):
     return -softplus_values(-np.asarray(z, dtype=np.float64))
 
 
-def logsumexp_values(z):
-    """Max-shifted log-sum-exp of a 1-D array."""
+def logsumexp_values(z, axis: int = -1):
+    """Max-shifted log-sum-exp along ``axis``."""
     z = np.asarray(z, dtype=np.float64)
-    m = np.max(z)
-    return float(m + np.log(np.sum(np.exp(z - m))))
+    m = np.max(z, axis=axis, keepdims=True)
+    lse = m + np.log(np.sum(np.exp(z - m), axis=axis, keepdims=True))
+    return np.squeeze(lse, axis=axis)
 
 
 def log_softmax_values(z, axis: int = -1):
@@ -387,13 +388,18 @@ def gather(a, indices) -> Node:
     graph = _graph_of("gather", a)
 
     def backward(g):
-        np.add.at(a.grad, (rows, idx), g)
+        # one (row, index) pair per row: a plain fancy-index add is exact
+        a.grad[rows, idx] += g
 
     return Node(graph, va[rows, idx], (a,), backward)
 
 
 def embed_lookup(table, ids) -> Node:
-    """Select rows of a (v, d) table by integer id; repeated ids accumulate."""
+    """Select rows of a (v, d) table by integer id; repeated ids accumulate.
+
+    Backward sums each id's gradient rows in position order (one
+    ``np.bincount`` per column), then adds the sums to the table's gradient.
+    """
     vt = table.value
     idx = np.asarray(ids, dtype=np.intp)
     if vt.ndim != 2:
@@ -406,7 +412,9 @@ def embed_lookup(table, ids) -> Node:
     graph = _graph_of("embed_lookup", table)
 
     def backward(g):
-        np.add.at(table.grad, flat, g.reshape(-1, vt.shape[1]))
+        cols = g.reshape(-1, vt.shape[1])
+        for j in range(vt.shape[1]):
+            table.grad[:, j] += np.bincount(flat, weights=cols[:, j], minlength=size)
 
     return Node(graph, vt[idx], (table,), backward)
 

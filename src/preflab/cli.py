@@ -100,6 +100,19 @@ def _loss_config_near(args, checkpoint_path):
     return cfgmod.build_loss_config({"seed": 0})
 
 
+def _describe(policy) -> str:
+    hyper = ", ".join(f"{k}={v}" for k, v in sorted(policy.hyper.items()))
+    return f"{policy.kind} model (vocab {policy.vocab.size}, {hyper})"
+
+
+def _require_reference_match(policy, ref, path) -> None:
+    """A log-ratio is only meaningful between two models of one family."""
+    if (policy.kind, policy.vocab, policy.hyper) != (ref.kind, ref.vocab, ref.hyper):
+        raise ValidationError(
+            f"checkpoint {path} is a {_describe(policy)} but the reference is a {_describe(ref)}"
+        )
+
+
 def cmd_eval(args) -> int:
     policy = load_checkpoint(args.checkpoint)
     ref_path = args.ref or os.path.join(
@@ -110,6 +123,7 @@ def cmd_eval(args) -> int:
             f"reference checkpoint not found at {ref_path}; pass --ref"
         )
     ref = load_checkpoint(ref_path)
+    _require_reference_match(policy, ref, args.checkpoint)
     dataset = load_jsonl(args.data)
     check_dataset(dataset, policy.vocab)
     loss_cfg = _loss_config_near(args, args.checkpoint)
@@ -142,6 +156,8 @@ def cmd_analyze(args) -> int:
         (_checkpoint_step(path, i), load_checkpoint(path))
         for i, path in enumerate(args.checkpoints)
     ]
+    for path, (_, policy) in zip(args.checkpoints, checkpoints):
+        _require_reference_match(policy, ref, path)
     rows = prefix_reward_profile(checkpoints, ref, dataset, beta, bins=args.bins)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(profile_to_csv(rows))

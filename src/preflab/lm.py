@@ -114,19 +114,33 @@ class NGramPolicy:
         self, prompt: Sequence[int], response: Sequence[int]
     ) -> tuple[np.ndarray, np.ndarray]:
         """Context-row index and target id for every response position."""
-        prompt = check_tokens(self.vocab, prompt)
         response = check_tokens(self.vocab, response)
         targets = np.asarray(response, dtype=np.intp)
+        return self.batch_context_rows(prompt, targets[None, :])[0], targets
+
+    def batch_context_rows(
+        self, prompt: Sequence[int], responses: np.ndarray
+    ) -> np.ndarray:
+        """Context-row index of every position of equal-length responses.
+
+        ``responses`` is an (n, T) id array; the row at position i depends
+        only on the tokens before i, so columns past a shorter response's
+        end may hold any valid id.
+        """
+        prompt = check_tokens(self.vocab, prompt)
+        responses = np.asarray(responses, dtype=np.intp)
+        bad = (responses < 0) | (responses >= self.vocab.size)
+        if bad.any():
+            raise TokenIdError(int(responses[bad][0]), self.vocab.size)
+        n, length = responses.shape
         width = self.order - 1
-        if width == 0 or not response:
-            return np.zeros(len(response), dtype=np.intp), targets
-        fill = (self.vocab.bos,) * width
-        history = np.asarray(fill + prompt + response, dtype=np.intp)
-        start = width + len(prompt)
-        windows = np.lib.stride_tricks.sliding_window_view(history, width)
+        if width == 0 or length == 0:
+            return np.zeros((n, length), dtype=np.intp)
+        fill = np.asarray((self.vocab.bos,) * width + prompt, dtype=np.intp)
+        history = np.concatenate([np.broadcast_to(fill, (n, fill.size)), responses], axis=1)
+        windows = np.lib.stride_tricks.sliding_window_view(history, width, axis=1)
         powers = self.vocab.size ** np.arange(width - 1, -1, -1, dtype=np.intp)
-        rows = windows[start - width : start - width + len(response)] @ powers
-        return rows, targets
+        return windows[:, len(prompt) : len(prompt) + length] @ powers
 
     def rows_forward(self, graph: ad.Graph, leaves, rows, targets) -> ad.Node:
         table = ad.log_softmax(leaves["logits"], axis=1)

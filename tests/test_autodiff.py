@@ -163,6 +163,27 @@ class TestStructural:
         # row 1 referenced twice: gradient 2 per entry; row 2 once; row 0 never
         assert np.array_equal(table.grad, [[0, 0], [2, 2], [1, 1]])
 
+    def test_scatter_backward_bitwise_equals_add_at(self):
+        # A7-sized ids: repeated ids sum in position order, as np.add.at does
+        rng = np.random.default_rng(4)
+        ids = rng.integers(0, 12, size=(640, 26))
+        up = rng.standard_normal((640, 26, 8))
+        g = ad.Graph()
+        table = g.leaf(rng.standard_normal((12, 8)))
+        g.backward(ad.sum(ad.mul(ad.embed_lookup(table, ids), up)))
+        expected = np.zeros((12, 8))
+        np.add.at(expected, ids.reshape(-1), up.reshape(-1, 8))
+        assert np.array_equal(table.grad, expected)
+
+        idx = rng.integers(0, 12, size=640)
+        up = rng.standard_normal(640)
+        g = ad.Graph()
+        a = g.leaf(rng.standard_normal((640, 12)))
+        g.backward(ad.sum(ad.mul(ad.gather(a, idx), up)))
+        expected = np.zeros((640, 12))
+        np.add.at(expected, (np.arange(640), idx), up)
+        assert np.array_equal(a.grad, expected)
+
     def test_embed_lookup_bounds(self):
         g = ad.Graph()
         table = g.leaf(np.zeros((3, 2)))

@@ -172,6 +172,31 @@ class TestEvalAnalyze:
         lone.write_bytes((run_dir / "final.json").read_bytes())
         assert main(["eval", "--checkpoint", str(lone), "--data", str(dataset_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "model", [{"vocab_size": 13}, {"context": 3}], ids=["vocab", "hyper"]
+    )
+    def test_mismatched_reference_exits_2(
+        self, tmp_path, dataset_path, run_dir, capsys, model
+    ):
+        # a reference of another vocab or shape scores the same tokens under
+        # a different model: refuse it instead of printing metrics
+        other = tmp_path / "other"
+        spec = {"vocab_size": 12, "context": 4, "embed_dim": 4, "hidden_dim": 8, **model}
+        cfg = train_config(tmp_path, other, dataset_path, model=spec)
+        doc = json.loads(open(cfg).read())
+        doc["data"]["vocab_size"] = spec["vocab_size"]
+        cfg = write_config(tmp_path / "other.json", doc)
+        assert main(["train", "--config", cfg, "--set", "train.steps=1"]) == 0
+        capsys.readouterr()
+        ckpt, ref = run_dir / "final.json", other / "ref.json"
+        base = ["--data", str(dataset_path), "--ref", str(ref)]
+        assert main(["eval", "--checkpoint", str(ckpt), *base]) == 2
+        err = capsys.readouterr()
+        assert err.out == "" and err.err.startswith("error: ") and err.err.count("\n") == 1
+        out = tmp_path / "profile.csv"
+        assert main(["analyze", "--checkpoints", str(ckpt), *base, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ") and not out.exists()
+
     def test_analyze_writes_profile(self, tmp_path, run_dir, dataset_path):
         out = tmp_path / "profile.csv"
         code = main(

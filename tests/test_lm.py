@@ -84,6 +84,18 @@ class TestNGram:
         policy = lm.NGramPolicy.uniform(vocab, 2)
         with pytest.raises(lm.TokenIdError):
             lm.token_logprobs(policy, (3,), (4, 99))
+        with pytest.raises(lm.TokenIdError):
+            policy.batch_context_rows((3,), np.array([[4, 5], [6, 0]]))
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_batch_context_rows_match_per_response_rows(self, vocab, order):
+        policy = lm.NGramPolicy.uniform(vocab, order)
+        responses = np.random.default_rng(4).integers(0, vocab.size, size=(7, 5))
+        for prompt in ((), (4,), (3, 5, 4)):
+            batch = policy.batch_context_rows(prompt, responses)
+            for row, response in zip(batch, responses):
+                rows, _ = policy.context_rows(prompt, tuple(response))
+                assert np.array_equal(row, rows)
 
 
 class TestNeural:

@@ -1,13 +1,14 @@
 """Unit tests for the brute-force theory oracle."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from preflab import oracle
+from preflab import lm, oracle
 from preflab.errors import ValidationError
-from preflab.lm import NGramPolicy, Vocab
+from preflab.lm import NGramPolicy
 
 
 def eos_space(v=3, L=3):
@@ -23,13 +24,26 @@ def reference(space, seed=0):
     return NGramPolicy.random(space.vocab, 2, rng)
 
 
+def seq_tuples(space):
+    return [tuple(y[:n].tolist()) for y, n in zip(space.sequences, space.lengths)]
+
+
+def ctx_tuples(space):
+    return [tuple(c[:n].tolist()) for c, n in zip(space.contexts, space.ctx_len)]
+
+
+def renormalized(logmass):
+    m = np.max(logmass)
+    return np.exp(logmass - (m + math.log(np.sum(np.exp(logmass - m)))))
+
+
 class TestEnumSpace:
     def test_eos_mode_counts(self):
         space = eos_space(3, 3)
         # interiors over 2 non-EOS ids: 1 + 2 + 4 EOS-terminated sequences
         assert len(space.sequences) == 7
-        assert all(y[-1] == space.vocab.eos for y in space.sequences)
-        assert all(space.vocab.eos not in y[:-1] for y in space.sequences)
+        assert all(y[-1] == space.vocab.eos for y in seq_tuples(space))
+        assert all(space.vocab.eos not in y[:-1] for y in seq_tuples(space))
 
     def test_fixed_mode_counts(self):
         space = fixed_space(3, 2)
@@ -38,13 +52,35 @@ class TestEnumSpace:
 
     def test_prefix_free(self):
         for space in (eos_space(4, 3), fixed_space(3, 3)):
-            seqs = set(space.sequences)
-            for y in space.sequences:
+            seqs = set(seq_tuples(space))
+            for y in seqs:
                 for i in range(1, len(y)):
                     assert y[:i] not in seqs
 
+    def test_sequences_unique(self):
+        for space in (eos_space(4, 3), fixed_space(3, 3), eos_space(6, 5)):
+            assert len(set(seq_tuples(space))) == len(space.sequences)
+            assert len(set(ctx_tuples(space))) == len(space.contexts)
+
+    def test_enumeration_order(self):
+        # length-major then lexicographic, the order random draws are laid in
+        for v, L in ((3, 3), (5, 4)):
+            space = eos_space(v, L)
+            interiors = [t for t in range(v) if t != space.vocab.eos]
+            contexts = [c for n in range(L) for c in itertools.product(interiors, repeat=n)]
+            assert ctx_tuples(space) == contexts
+            assert seq_tuples(space) == [c + (space.vocab.eos,) for c in contexts]
+            space = fixed_space(v, L)
+            assert seq_tuples(space) == list(itertools.product(range(v), repeat=L))
+            assert ctx_tuples(space) == [
+                c for n in range(L) for c in itertools.product(range(v), repeat=n)
+            ]
+
     def test_prefix_closure_contains_empty(self):
-        assert () in eos_space().prefix_closure()
+        # the empty prefix is context 0, and every sequence starts there
+        space = eos_space()
+        assert space.ctx_len[0] == 0
+        assert np.all(space.seq_ctx[:, 0] == 0)
 
     def test_caps_enforced(self):
         with pytest.raises(ValidationError):
@@ -55,34 +91,80 @@ class TestEnumSpace:
             oracle.EnumSpace.build(4, 3, mode="banana")
 
     def test_scoring_domain_covers_prefix_closure(self):
+        # every nonempty prefix y[:i+1] is the table entry (seq_ctx[y, i], y[i])
         space = eos_space(3, 3)
-        domain = set(space.scoring_domain())
-        closure = space.prefix_closure() - {()}
-        assert closure <= domain
+        contexts = ctx_tuples(space)
+        for k, y in enumerate(seq_tuples(space)):
+            for i in range(len(y)):
+                c = space.seq_ctx[k, i]
+                assert contexts[c] == y[:i]
+                if i + 1 < len(y):
+                    assert contexts[space.child[c, y[i]]] == y[: i + 1]
+                else:
+                    assert space.seq_at[c, y[i]] == k
+
+    def test_tables_agree(self):
+        for space in (eos_space(4, 3), fixed_space(3, 3), eos_space(3, 1)):
+            contexts = ctx_tuples(space)
+            code = {c: i for i, c in enumerate(contexts)}
+            seqs = {y: k for k, y in enumerate(seq_tuples(space))}
+            assert np.array_equal(space.ctx_len, [len(c) for c in contexts])
+            for c, ctx in enumerate(contexts):
+                for t in range(space.vocab.size):
+                    assert space.child[c, t] == code.get(ctx + (t,), -1)
+                    assert space.seq_at[c, t] == seqs.get(ctx + (t,), -1)
+            for y, k in seqs.items():
+                assert space.lengths[k] == len(y)
+                expected = [code[y[:i]] for i in range(len(y))]
+                expected += [-1] * (space.max_len - len(y))
+                assert space.seq_ctx[k].tolist() == expected
+
+    @pytest.mark.parametrize("v,L,mode", [(4, 3, "eos"), (3, 3, "fixed")])
+    def test_reference_table_matches_conditional_row(self, v, L, mode):
+        space = oracle.EnumSpace.build(v, L, mode=mode)
+        rng = np.random.default_rng(20)
+        for order, prompt in ((2, ()), (2, (2,)), (3, (0, 2))):
+            ref = NGramPolicy.random(space.vocab, order, rng)
+            table = oracle.reference_table(space, ref, prompt)
+            for c, ctx in enumerate(ctx_tuples(space)):
+                assert np.array_equal(table[c], ref.conditional_row(prompt, ctx))
+
+    @pytest.mark.parametrize("v,L,mode", [(4, 3, "eos"), (3, 3, "fixed")])
+    def test_ref_logmass_matches_seq_logprob(self, v, L, mode):
+        space = oracle.EnumSpace.build(v, L, mode=mode)
+        ref = reference(space, seed=21)
+        logmass = oracle.ref_logmass(space, ref)
+        # both sum the same token log-probs first position first: bitwise
+        expected = [lm.seq_logprob(ref, (), y) for y in seq_tuples(space)]
+        assert np.array_equal(logmass, expected)
+
+    def test_reference_must_be_ngram_over_the_vocab(self):
+        space = eos_space(4, 3)
+        with pytest.raises(ValidationError):
+            oracle.ref_logmass(space, NGramPolicy.uniform(lm.Vocab(5), 2))
+        neural = lm.NeuralPolicy.init(space.vocab, np.random.default_rng(0), context=2)
+        with pytest.raises(ValidationError):
+            oracle.ref_logmass(space, neural)
 
 
 class TestBoltzmann:
     def test_zero_reward_recovers_renormalized_reference(self):
         space = eos_space(4, 3)
         ref = reference(space)
-        zero = {y: 0.0 for y in space.sequences}
+        zero = np.zeros(len(space.sequences))
         p = oracle.boltzmann_distribution(space, zero, ref, beta=1.0)
-        logmass = oracle.ref_logmass(space, ref)
-        renorm = np.exp(logmass - (np.max(logmass) + math.log(np.sum(np.exp(logmass - np.max(logmass))))))
+        renorm = renormalized(oracle.ref_logmass(space, ref))
         assert np.max(np.abs(p - renorm)) <= 1e-12
 
-    def test_two_sequence_space_hand_value(self):
-        # uniform reference over two fixed sequences, rewards (0, beta ln 3)
-        vocab = Vocab(3)
-        space = oracle.EnumSpace(
-            vocab=vocab, max_len=1, mode="fixed",
-            sequences=((0,), (2,)), contexts=((),),
-        )
-        ref = NGramPolicy.uniform(vocab, 2)
+    def test_length_one_space_hand_value(self):
+        # uniform reference over the three length-1 sequences, rewards
+        # (0, 0, beta ln 3): weights 1 : 1 : 3
+        space = oracle.EnumSpace.build(3, 1, "fixed")
+        ref = NGramPolicy.uniform(space.vocab, 2)
         beta = 1.3
-        reward = {(0,): 0.0, (2,): beta * math.log(3.0)}
+        reward = np.array([0.0, 0.0, beta * math.log(3.0)])
         p = oracle.boltzmann_distribution(space, reward, ref, beta)
-        assert np.allclose(p, [0.25, 0.75], atol=1e-12)
+        assert np.allclose(p, [0.2, 0.2, 0.6], atol=1e-12)
 
     def test_normalization(self):
         space = eos_space(4, 3)
@@ -100,14 +182,39 @@ class TestBoltzmann:
         rng = np.random.default_rng(2)
         reward = oracle.random_reward(space, rng)
         p = oracle.boltzmann_distribution(space, reward, ref, beta=1e6)
-        logmass = oracle.ref_logmass(space, ref)
-        renorm = np.exp(logmass - (np.max(logmass) + math.log(np.sum(np.exp(logmass - np.max(logmass))))))
+        renorm = renormalized(oracle.ref_logmass(space, ref))
         assert np.max(np.abs(p - renorm)) <= 1e-5
 
     def test_beta_must_be_positive(self):
         space = eos_space()
         with pytest.raises(ValidationError):
-            oracle.boltzmann_distribution(space, {y: 0.0 for y in space.sequences}, reference(space), 0.0)
+            oracle.boltzmann_distribution(space, np.zeros(len(space.sequences)), reference(space), 0.0)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_beta_rejected(self, beta):
+        space = eos_space(4, 3)
+        ref = reference(space)
+        reward = np.zeros(len(space.sequences))
+        rstar = np.zeros(space.child.shape)
+        policies = oracle.random_policies(space, 2, np.random.default_rng(0))
+        calls = [
+            lambda: oracle.boltzmann_distribution(space, reward, ref, beta),
+            lambda: oracle.kl_objective(space, policies[0], reward, ref, beta),
+            lambda: oracle.kl_objective_batch(space, policies, reward, ref, beta),
+            lambda: oracle.reparameterize(space, rstar, ref, beta),
+            lambda: oracle.additive_decompose(space, reward, "soft_value", ref, beta),
+            lambda: oracle.energy_additivity_residual(space, rstar, ref, beta),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError):
+                call()
+
+    def test_wrong_reward_shape_rejected(self):
+        space = eos_space(4, 3)
+        with pytest.raises(ValidationError):
+            oracle.boltzmann_distribution(space, np.zeros(3), reference(space), 1.0)
+        with pytest.raises(ValidationError):
+            oracle.reparameterize(space, np.zeros(len(space.sequences)), reference(space), 1.0)
 
 
 class TestKlObjective:
@@ -120,17 +227,16 @@ class TestKlObjective:
         assert abs(float(np.sum(masses)) - 1.0) <= 1e-12
         rng = np.random.default_rng(3)
         reward = oracle.random_reward(space, rng)
-        r = np.array([reward[y] for y in space.sequences])
         j = oracle.kl_objective(space, masses, reward, ref, beta=1.0)
-        assert j == pytest.approx(float(masses @ r), abs=1e-12)
-        zero = {y: 0.0 for y in space.sequences}
+        assert j == pytest.approx(float(masses @ reward), abs=1e-12)
+        zero = np.zeros(len(space.sequences))
         assert oracle.kl_objective(space, masses, zero, ref, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_unnormalized_policy_rejected(self):
         space = fixed_space(3, 2)
         bad = np.full(len(space.sequences), 0.2)
         with pytest.raises(ValidationError):
-            oracle.kl_objective(space, bad, {y: 0.0 for y in space.sequences}, reference(space), 1.0)
+            oracle.kl_objective(space, bad, np.zeros(len(space.sequences)), reference(space), 1.0)
 
     def test_optimality_of_boltzmann(self):
         space = eos_space(4, 3)
@@ -169,21 +275,23 @@ class TestDecomposition:
         rng = np.random.default_rng(9)
         reward = oracle.random_reward(space, rng)
         rstar = oracle.additive_decompose(space, reward)
-        for y in space.sequences:
-            if len(y) == 1:
-                assert rstar[y] == reward[y]
+        ones = np.flatnonzero(space.lengths == 1)
+        assert ones.size > 0
+        for k in ones:
+            assert rstar[space.seq_ctx[k, 0], space.sequences[k, 0]] == reward[k]
 
     def test_uniform_round_trips_per_sequence(self):
         space = fixed_space(3, 3)
         rng = np.random.default_rng(10)
         reward = oracle.random_reward(space, rng)
-        parts = oracle.uniform_decomposition(reward)
-        for y, values in parts.items():
-            assert len(values) == len(y)
+        parts = oracle.uniform_decomposition(space, reward)
+        for k, n in enumerate(space.lengths):
+            assert np.all(parts[k, n:] == 0.0)
             total = 0.0
-            for v in values:
-                total += v
-            assert abs(total - reward[y]) <= 1e-12
+            for value in parts[k, :n]:
+                assert value == reward[k] / n
+                total += value
+            assert abs(total - reward[k]) <= 1e-12
 
     def test_soft_value_round_trips_up_to_constant(self):
         space = eos_space(3, 3)
@@ -194,17 +302,17 @@ class TestDecomposition:
             space, reward, scheme="soft_value", ref=ref, beta=1.0
         )
         deviations = []
-        for y in space.sequences:
+        for k, n in enumerate(space.lengths):
             total = 0.0
-            for i in range(1, len(y) + 1):
-                total += rstar[y[:i]]
-            deviations.append(total - reward[y])
+            for i in range(n):
+                total += rstar[space.seq_ctx[k, i], space.sequences[k, i]]
+            deviations.append(total - reward[k])
         assert max(deviations) - min(deviations) <= 1e-10
 
     def test_unknown_scheme(self):
         space = eos_space()
         with pytest.raises(ValidationError):
-            oracle.additive_decompose(space, {y: 0.0 for y in space.sequences}, scheme="magic")
+            oracle.additive_decompose(space, np.zeros(len(space.sequences)), scheme="magic")
 
     def test_energy_additivity(self):
         space = eos_space(4, 3)
@@ -219,11 +327,11 @@ class TestReparameterize:
     def test_zero_reward_returns_reference(self):
         space = eos_space(3, 3)
         ref = reference(space, seed=13)
-        rstar = {key: 0.0 for key in space.scoring_domain()}
+        rstar = np.zeros(space.child.shape)
         result = oracle.reparameterize(space, rstar, ref, beta=1.0)
-        for ctx in space.contexts:
-            assert np.max(np.abs(result.policy[ctx] - ref.conditional_row((), ctx))) <= 1e-12
-            assert abs(result.shift[ctx]) <= 1e-12
+        for c, ctx in enumerate(ctx_tuples(space)):
+            assert np.max(np.abs(result.policy[c] - ref.conditional_row((), ctx))) <= 1e-12
+            assert abs(result.shift[c]) <= 1e-12
 
     def test_rows_normalize(self):
         space = eos_space(4, 3)
@@ -232,7 +340,8 @@ class TestReparameterize:
         result = oracle.reparameterize(
             space, oracle.random_prefix_reward(space, rng), ref, beta=0.7
         )
-        for row in result.policy.values():
+        assert result.policy.shape == (len(space.contexts), space.vocab.size)
+        for row in result.policy:
             assert abs(float(np.sum(np.exp(row))) - 1.0) <= 1e-12
 
     def test_representative_residual_tiny(self):
@@ -260,6 +369,18 @@ class TestReparameterize:
                 reward = oracle.random_reward(space, rng)
                 assert oracle.reconstruction_spread(space, reward, ref, 1.0) <= 1e-9
 
+    def test_nan_prefix_reward_gives_nan_residual(self):
+        space = eos_space(4, 3)
+        ref = reference(space, seed=18)
+        rstar = oracle.random_prefix_reward(space, np.random.default_rng(18))
+        # the last prefix of the last sequence: Python's max(0.0, nan) would
+        # have hidden it behind the finite residuals before it
+        rstar[space.seq_ctx[-1, -1], space.sequences[-1, -1]] = math.nan
+        assert math.isnan(oracle.reparameterize(space, rstar, ref, 1.0).max_residual)
+        assert math.isnan(oracle.energy_additivity_residual(space, rstar, ref, 1.0))
+        reward = np.zeros(len(space.sequences))
+        assert math.isnan(oracle.decomposition_residual(space, reward, rstar))
+
 
 class TestCertificates:
     def test_all_checks_pass(self):
@@ -282,3 +403,18 @@ class TestCertificates:
         a = oracle.run_checks(3, 3, seed=5, which="all")
         b = oracle.run_checks(3, 3, seed=5, which="all")
         assert a == b
+
+    def test_nan_residual_does_not_certify(self, monkeypatch):
+        real = oracle.reparameterize
+        calls = []
+
+        def later_draw_nan(*args, **kwargs):
+            result = real(*args, **kwargs)
+            calls.append(None)
+            if len(calls) == 4:
+                result.max_residual = math.nan
+            return result
+
+        monkeypatch.setattr(oracle, "reparameterize", later_draw_nan)
+        cert = oracle.run_checks(3, 2, seed=0, which="reparam")[0]
+        assert math.isnan(cert["max_residual"]) and cert["pass"] is False
