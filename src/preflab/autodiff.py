@@ -437,9 +437,9 @@ def weighted_segment_sum(nodes: Sequence, ids, n_segments: int, weights=None) ->
 
     ``nodes`` are 1-D vectors read as one concatenation; ``ids`` (and
     ``weights``, default all ones) give one entry per position of that
-    concatenation. Id -1 drops a position: it adds nothing and receives no
-    gradient. A segment no position maps to sums to 0. Positions are
-    accumulated in order (``np.bincount``), so the result is deterministic.
+    concatenation; ids must lie in [0, n_segments). A segment no position
+    maps to sums to 0. Positions are accumulated in order (``np.bincount``),
+    so the result is deterministic.
     """
     if not nodes:
         raise ValueError("weighted_segment_sum: empty node list")
@@ -451,7 +451,7 @@ def weighted_segment_sum(nodes: Sequence, ids, n_segments: int, weights=None) ->
     idx = np.asarray(ids, dtype=np.intp)
     if idx.shape != values.shape:
         raise ShapeMismatchError("weighted_segment_sum", values.shape, idx.shape)
-    bad = (idx < -1) | (idx >= n_segments)
+    bad = (idx < 0) | (idx >= n_segments)
     if bad.any():
         raise IndexBoundsError("weighted_segment_sum", int(idx[bad][0]), n_segments)
     if weights is None:
@@ -460,15 +460,12 @@ def weighted_segment_sum(nodes: Sequence, ids, n_segments: int, weights=None) ->
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != values.shape:
             raise ShapeMismatchError("weighted_segment_sum", values.shape, w.shape)
-    keep = idx >= 0
-    kept_ids, kept_w = idx[keep], w[keep]
-    out = np.bincount(kept_ids, weights=kept_w * values[keep], minlength=n_segments)
+    out = np.bincount(idx, weights=w * values, minlength=n_segments)
     stops = np.cumsum([v.shape[0] for v in parts])
     graph = _graph_of("weighted_segment_sum", *nodes)
 
     def backward(g):
-        per_position = np.zeros_like(values)
-        per_position[keep] = g[kept_ids] * kept_w
+        per_position = g[idx] * w
         for x, stop, v in zip(nodes, stops, parts):
             if isinstance(x, Node):
                 x.grad += per_position[stop - v.shape[0] : stop]

@@ -1,14 +1,14 @@
 """Strong-composition segmentation of paired responses.
 
-A strong composition splits the positions 1..n of a (possibly padded)
-sequence into ordered contiguous segments. Two families are provided:
+A strong composition splits the positions 1..n of a sequence into ordered
+contiguous segments. Two families are provided:
 
-* static: a fixed window of ``k`` tokens on a shared padded grid, so both
-  sides of a pair are cut at the same absolute positions, with padding
-  positions marked in a mask;
+* static: fixed windows of ``k`` tokens at the same absolute positions on
+  both sides of a pair, each clipped to its own side's length (windows
+  past the end of the shorter side are empty there);
 * adaptive: each side is split into exactly ``m`` near-equal segments of
-  its own length, with no padding (segments may be empty when the side is
-  shorter than ``m``).
+  its own length (segments may be empty when the side is shorter than
+  ``m``).
 
 Pure functions throughout; safe to call from any thread.
 """
@@ -16,8 +16,8 @@ Pure functions throughout; safe to call from any thread.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
+from itertools import accumulate
 
 from .errors import ValidationError
 
@@ -29,7 +29,7 @@ class StrongComposition:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        if any(p < 0 for p in self.parts):
+        if self.parts and min(self.parts) < 0:
             raise ValidationError(f"negative segment size in {self.parts}")
 
     @property
@@ -38,22 +38,18 @@ class StrongComposition:
 
     def bounds(self) -> tuple[tuple[int, int], ...]:
         """Half-open [start, stop) ranges of each segment, 0-based."""
-        out = []
-        start = 0
-        for p in self.parts:
-            out.append((start, start + p))
-            start += p
-        return tuple(out)
+        stops = tuple(accumulate(self.parts))
+        return tuple(zip((0,) + stops[:-1], stops))
 
 
 def xi_static(
     len_w: int, len_l: int, k: int
-) -> tuple[StrongComposition, StrongComposition, tuple[np.ndarray, np.ndarray]]:
-    """Fixed-window segmentation on the padded grid shared by both sides.
+) -> tuple[StrongComposition, StrongComposition]:
+    """Fixed windows of ``k`` tokens at the same absolute positions on both sides.
 
-    Both sides are padded to T = max(len_w, len_l) and cut into ceil(T/k)
-    windows of size min(k, remaining). The returned masks mark positions
-    beyond each side's true length as padding.
+    Window i covers positions [i*k, (i+1)*k), clipped to each side's own
+    length; there are ceil(max(len_w, len_l) / k) windows, so the windows
+    past the end of the shorter side are empty on that side.
     """
     if k < 1:
         raise ValidationError(f"static window size must be >= 1, got {k}")
@@ -61,13 +57,14 @@ def xi_static(
         raise ValidationError(
             f"both sides must be non-empty, got lengths ({len_w}, {len_l})"
         )
-    padded = max(len_w, len_l)
-    n_segments = -(-padded // k)
-    parts = tuple(min(k, padded - k * i) for i in range(n_segments))
-    comp = StrongComposition(parts)
-    mask_w = np.arange(padded) < len_w
-    mask_l = np.arange(padded) < len_l
-    return comp, comp, (mask_w, mask_l)
+    n_windows = -(-max(len_w, len_l) // k)
+
+    def clipped(length: int) -> StrongComposition:
+        full, rest = divmod(length, k)
+        parts = (k,) * full + ((rest,) if rest else ())
+        return StrongComposition(parts + (0,) * (n_windows - len(parts)))
+
+    return clipped(len_w), clipped(len_l)
 
 
 def xi_adaptive(length: int, m: int) -> StrongComposition:
@@ -90,9 +87,8 @@ class SegmentedPair:
     """Aligned segmentation of one preference pair.
 
     Segment i of the chosen side is compared against segment i of the
-    rejected side. Bounds index into each side's (padded, for the static
-    family) token-logprob vector; masks are True at real tokens and False
-    at padding.
+    rejected side. Each side's bounds tile that side's own token-logprob
+    vector; a segment may be empty on one side.
     """
 
     family: str
@@ -100,85 +96,43 @@ class SegmentedPair:
     n_segments: int
     w_bounds: tuple[tuple[int, int], ...]
     l_bounds: tuple[tuple[int, int], ...]
-    w_mask: np.ndarray
-    l_mask: np.ndarray
-    padded_len: int | None
 
-    def scored_sizes(self, side: str, apply_mask: bool) -> np.ndarray:
-        """Number of positions each segment contributes on one side."""
-        bounds = self.w_bounds if side == "w" else self.l_bounds
-        mask = self.w_mask if side == "w" else self.l_mask
-        starts = np.fromiter((b[0] for b in bounds), dtype=np.intp, count=len(bounds))
-        stops = np.fromiter((b[1] for b in bounds), dtype=np.intp, count=len(bounds))
-        if not apply_mask:
-            return stops - starts
-        running = np.concatenate(([0], np.cumsum(mask.astype(np.intp))))
-        return running[stops] - running[starts]
+    @cached_property
+    def kept_segments(self) -> tuple[int, ...]:
+        """Indices of segments non-empty on at least one side.
 
-    def kept_segments(self, apply_mask: bool) -> tuple[int, ...]:
-        """Indices of segments with scored content on at least one side.
-
-        A segment empty (or fully padded) on both sides would contribute a
-        constant with zero gradient, so it is skipped. Memoized; the
-        segmentation is immutable.
+        A segment empty on both sides would contribute a constant with zero
+        gradient, so it is skipped.
         """
-        cache = getattr(self, "_kept_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_kept_cache", cache)
-        if apply_mask not in cache:
-            live = (self.scored_sizes("w", apply_mask) > 0) | (
-                self.scored_sizes("l", apply_mask) > 0
-            )
-            cache[apply_mask] = tuple(int(i) for i in np.nonzero(live)[0])
-        return cache[apply_mask]
+        return tuple(
+            i
+            for i, ((ws, we), (ls, le)) in enumerate(zip(self.w_bounds, self.l_bounds))
+            if we > ws or le > ls
+        )
 
 
 def segment_pair(lengths: tuple[int, int], family: str, param: int) -> SegmentedPair:
     """Segment both sides of a pair by one composition family.
 
-    ``lengths`` are the true token counts of the chosen and rejected
-    responses (their token-logprob vector lengths before any padding).
+    ``lengths`` are the token counts of the chosen and rejected responses.
     """
     len_w, len_l = lengths
     if family == "static":
-        comp, _, (mask_w, mask_l) = xi_static(len_w, len_l, param)
-        bounds = comp.bounds()
-        return SegmentedPair(
-            family="static",
-            param=param,
-            n_segments=len(bounds),
-            w_bounds=bounds,
-            l_bounds=bounds,
-            w_mask=mask_w,
-            l_mask=mask_l,
-            padded_len=comp.total,
-        )
-    if family == "adaptive":
+        comp_w, comp_l = xi_static(len_w, len_l, param)
+    elif family == "adaptive":
         if len_w < 1 or len_l < 1:
             raise ValidationError(
                 f"both sides must be non-empty, got lengths ({len_w}, {len_l})"
             )
-        comp_w = xi_adaptive(len_w, param)
-        comp_l = xi_adaptive(len_l, param)
-        return SegmentedPair(
-            family="adaptive",
-            param=param,
-            n_segments=param,
-            w_bounds=comp_w.bounds(),
-            l_bounds=comp_l.bounds(),
-            w_mask=np.ones(len_w, dtype=bool),
-            l_mask=np.ones(len_l, dtype=bool),
-            padded_len=None,
-        )
-    raise ValidationError(f"unknown composition family {family!r}")
+        comp_w, comp_l = xi_adaptive(len_w, param), xi_adaptive(len_l, param)
+    else:
+        raise ValidationError(f"unknown composition family {family!r}")
+    return SegmentedPair(family, param, len(comp_w.parts), comp_w.bounds(), comp_l.bounds())
 
 
-def pad_tokens(tokens, padded_len: int, pad_id: int) -> tuple[int, ...]:
-    """Right-pad a token sequence to ``padded_len`` with the PAD id."""
+def pad_tokens(tokens, length: int, pad_id: int) -> tuple[int, ...]:
+    """Right-pad a token sequence to ``length`` with the PAD id."""
     tokens = tuple(tokens)
-    if len(tokens) > padded_len:
-        raise ValidationError(
-            f"sequence of length {len(tokens)} longer than padded length {padded_len}"
-        )
-    return tokens + (pad_id,) * (padded_len - len(tokens))
+    if len(tokens) > length:
+        raise ValidationError(f"sequence of length {len(tokens)} longer than {length}")
+    return tokens + (pad_id,) * (length - len(tokens))

@@ -49,7 +49,6 @@ _SCHEMA: dict[str, dict[str, _Field]] = {
         "m": _Field(default=None, types=(int,), nullable=True),
         "beta": _Field(default=1.0, types=(int, float)),
         "weighted": _Field(default=False, types=(bool,)),
-        "mask_padding": _Field(default=True, types=(bool,)),
     },
     "train": {
         "optimizer": _Field(default="adam", types=(str,), choices=("sgd", "adam")),
@@ -88,8 +87,8 @@ def load_config(path) -> dict:
             doc = json.load(fh)
     except OSError as err:
         raise ValidationError(f"cannot read config {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ValidationError(f"config {path} is not valid JSON: {err.msg}") from err
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise ValidationError(f"config {path} is not valid JSON: {err}") from err
     if not isinstance(doc, dict):
         raise ValidationError("config root must be a JSON object")
     return doc
@@ -264,7 +263,6 @@ def build_loss_config(resolved: dict) -> LossConfig:
         m=loss["m"],
         beta=loss["beta"],
         weighted=loss["weighted"],
-        mask_padding=loss["mask_padding"],
     ).validate()
 
 

@@ -208,33 +208,41 @@ def _int_list(doc: dict, name: str, lineno: int) -> tuple[int, ...]:
     if name not in doc:
         raise DataFormatError(f"line {lineno}: missing required field {name!r}")
     value = doc[name]
-    if not isinstance(value, list) or not all(isinstance(t, int) for t in value):
+    if not isinstance(value, list) or not all(type(t) is int for t in value):
         raise DataFormatError(f"line {lineno}: field {name!r} must be a list of ints")
     return tuple(value)
 
 
+def _scores(doc: dict, lineno: int) -> list | None:
+    value = doc.get("rejected_scores")
+    if value is None:
+        return None
+    if not isinstance(value, list) or not all(type(s) in (int, float) for s in value):
+        raise DataFormatError(f"line {lineno}: field 'rejected_scores' must be a list of numbers")
+    return value
+
+
 def load_jsonl(path) -> list[PreferencePair]:
-    """Parse one pair per line; an empty file is an empty dataset."""
+    """Parse one JSON object per line; an empty file is an empty dataset."""
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.strip():
                 continue
             try:
-                doc = json.loads(line)
+                doc = json.loads(raw.decode("utf-8"))
+            except UnicodeDecodeError as err:
+                raise DataFormatError(f"line {lineno}: not UTF-8 text ({err.reason})") from err
             except json.JSONDecodeError as err:
                 raise DataFormatError(f"line {lineno}: invalid JSON ({err.msg})") from err
-            scores = doc.get("rejected_scores")
-            try:
-                pairs.append(
-                    PreferencePair(
-                        prompt=_int_list(doc, "prompt", lineno),
-                        chosen=_int_list(doc, "chosen", lineno),
-                        rejected=_int_list(doc, "rejected", lineno),
-                        rejected_scores=None if scores is None else scores,
-                    )
+            if not isinstance(doc, dict):
+                raise DataFormatError(
+                    f"line {lineno}: expected a JSON object, got {type(doc).__name__}"
                 )
+            fields = [_int_list(doc, name, lineno) for name in ("prompt", "chosen", "rejected")]
+            scores = _scores(doc, lineno)
+            try:
+                pairs.append(PreferencePair(*fields, rejected_scores=scores))
             except ValidationError as err:
                 raise DataFormatError(f"line {lineno}: {err}") from err
     return pairs

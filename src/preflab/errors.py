@@ -1,7 +1,7 @@
 """Shared exception types.
 
-The CLI maps ValidationError to exit code 2 (bad input/config) and every
-other failure to exit code 1.
+The CLI maps ValidationError, and so DataFormatError, to exit code 2 (bad
+input/config) and every other failure to exit code 1.
 """
 
 
@@ -13,7 +13,7 @@ class ValidationError(PreflabError, ValueError):
     """A config value, argument, or input failed validation."""
 
 
-class DataFormatError(PreflabError, ValueError):
+class DataFormatError(ValidationError):
     """A dataset file is malformed; message carries the line number."""
 
 

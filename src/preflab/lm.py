@@ -25,6 +25,9 @@ from .errors import ValidationError
 
 TokenSeq = tuple[int, ...]
 
+# Largest n-gram logit table, in float64 entries (128 MiB).
+MAX_NGRAM_ENTRIES = 1 << 24
+
 
 @dataclass(frozen=True)
 class Vocab:
@@ -70,15 +73,31 @@ def check_tokens(vocab: Vocab, tokens: Sequence[int]) -> TokenSeq:
     return out
 
 
+def ngram_table_shape(vocab: Vocab, order: int) -> tuple[int, int]:
+    """(contexts, vocab) shape of an order-n logit table, checked against
+    MAX_NGRAM_ENTRIES in integer arithmetic before anything is allocated."""
+    if order < 1:
+        raise ValidationError(f"n-gram order must be >= 1, got {order}")
+    rows = 1
+    for _ in range(order - 1):
+        rows *= vocab.size
+        if rows > MAX_NGRAM_ENTRIES:  # reached within log_3(MAX_NGRAM_ENTRIES) rounds
+            break
+    if rows * vocab.size > MAX_NGRAM_ENTRIES:
+        raise ValidationError(
+            f"an order-{order} n-gram over {vocab.size} tokens needs more than "
+            f"{MAX_NGRAM_ENTRIES} table entries"
+        )
+    return rows, vocab.size
+
+
 class NGramPolicy:
     """Tabular order-n policy: one logit row per length-(n-1) context."""
 
     kind = "ngram"
 
     def __init__(self, vocab: Vocab, order: int, logits: np.ndarray, frozen=False):
-        if order < 1:
-            raise ValidationError(f"n-gram order must be >= 1, got {order}")
-        expected = (vocab.size ** (order - 1), vocab.size)
+        expected = ngram_table_shape(vocab, order)
         logits = np.asarray(logits, dtype=np.float64)
         if logits.shape != expected:
             raise ValidationError(
@@ -91,14 +110,14 @@ class NGramPolicy:
 
     @classmethod
     def uniform(cls, vocab: Vocab, order: int = 2) -> "NGramPolicy":
-        return cls(vocab, order, np.zeros((vocab.size ** (order - 1), vocab.size)))
+        return cls(vocab, order, np.zeros(ngram_table_shape(vocab, order)))
 
     @classmethod
     def random(
         cls, vocab: Vocab, order: int, rng: np.random.Generator, scale: float = 1.0
     ) -> "NGramPolicy":
-        logits = scale * rng.standard_normal((vocab.size ** (order - 1), vocab.size))
-        return cls(vocab, order, logits)
+        shape = ngram_table_shape(vocab, order)
+        return cls(vocab, order, scale * rng.standard_normal(shape))
 
     @property
     def hyper(self) -> dict:
@@ -164,6 +183,13 @@ class NGramPolicy:
         return ad.log_softmax_values(row, axis=-1)
 
 
+def _check_widths(context: int, embed_dim: int, hidden_dim: int) -> None:
+    widths = {"context": context, "embed_dim": embed_dim, "hidden_dim": hidden_dim}
+    for name, value in widths.items():
+        if value < 1:
+            raise ValidationError(f"{name} must be >= 1, got {value}")
+
+
 class NeuralPolicy:
     """Windowed neural policy: embeddings -> tanh hidden -> vocab logits.
 
@@ -184,8 +210,7 @@ class NeuralPolicy:
         params: dict[str, np.ndarray],
         frozen=False,
     ):
-        if context < 1:
-            raise ValidationError(f"context width must be >= 1, got {context}")
+        _check_widths(context, embed_dim, hidden_dim)
         self.vocab = vocab
         self.context = context
         self.embed_dim = embed_dim
@@ -216,6 +241,8 @@ class NeuralPolicy:
         embed_dim: int = 8,
         hidden_dim: int = 32,
     ) -> "NeuralPolicy":
+        _check_widths(context, embed_dim, hidden_dim)
+
         def uniform(shape):
             return rng.uniform(-0.1, 0.1, size=shape)
 
@@ -333,21 +360,42 @@ def save_checkpoint(policy: Policy, path, config_hash: str = "") -> None:
 
 
 def load_checkpoint(path) -> Policy:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """Read a checkpoint; a malformed file raises ValidationError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise ValidationError(f"checkpoint {path} is not valid JSON: {err}") from err
+    try:
+        return _policy_from_doc(doc)
+    except KeyError as err:
+        raise ValidationError(f"checkpoint {path} lacks key {err}") from err
+    except (TypeError, ValueError, AttributeError) as err:
+        raise ValidationError(f"checkpoint {path} is malformed: {err}") from err
+
+
+def _policy_from_doc(doc) -> Policy:
+    if not isinstance(doc, dict):
+        raise TypeError("the root is not a JSON object")
+    for section in ("vocab", "hyper"):
+        if not all(type(v) is int for v in doc[section].values()):
+            raise TypeError(f"{section!r} entries must be integers")
     vocab = Vocab(**doc["vocab"])
-    params = {
-        name: np.asarray(spec["data"], dtype=np.float64).reshape(spec["shape"])
-        for name, spec in doc["params"].items()
-    }
+    hyper = doc["hyper"]
+    params = {}
+    for name, spec in doc["params"].items():
+        shape, data = spec["shape"], spec["data"]
+        if not (isinstance(shape, list) and all(type(n) is int for n in shape)):
+            raise TypeError(f"parameter {name!r} shape must be a list of integers")
+        if not (isinstance(data, list) and all(type(x) in (int, float) for x in data)):
+            raise TypeError(f"parameter {name!r} data must be a list of numbers")
+        params[name] = np.asarray(data, dtype=np.float64).reshape(shape)
+        if not np.all(np.isfinite(params[name])):
+            raise ValueError(f"parameter {name!r} holds non-finite values")
     if doc["kind"] == "ngram":
-        return NGramPolicy(vocab, doc["hyper"]["order"], params["logits"])
+        return NGramPolicy(vocab, hyper["order"], params["logits"])
     if doc["kind"] == "neural":
         return NeuralPolicy(
-            vocab,
-            doc["hyper"]["context"],
-            doc["hyper"]["embed_dim"],
-            doc["hyper"]["hidden_dim"],
-            params,
+            vocab, hyper["context"], hyper["embed_dim"], hyper["hidden_dim"], params
         )
     raise ValidationError(f"unknown model kind {doc['kind']!r}")

@@ -41,7 +41,6 @@ class LossConfig:
     m: int | None = None
     beta: float = 1.0
     weighted: bool = False
-    mask_padding: bool = True
 
     def validate(self) -> "LossConfig":
         if self.method not in ("dpo", "adpo"):
@@ -65,16 +64,10 @@ class LossConfig:
 
 @dataclass
 class PairLogRatios:
-    """Token log-ratio vectors of one pair, beta-free, as graph nodes.
-
-    Masks are True at real tokens; for the static family the vectors cover
-    the padded grid and the mask marks the padding tail.
-    """
+    """Token log-ratio vectors of one pair, beta-free, as graph nodes."""
 
     chosen: Node
     rejected: Node
-    chosen_mask: np.ndarray
-    rejected_mask: np.ndarray
     rejected_scores: np.ndarray | None = None
 
 
@@ -86,23 +79,12 @@ class LogRatioBatch:
     def validate(self) -> "LogRatioBatch":
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise ValidationError(f"beta must be finite and positive, got {self.beta}")
-        for i, pair in enumerate(self.pairs):
-            if pair.chosen.value.shape != pair.chosen_mask.shape:
-                raise ValidationError(
-                    f"pair {i}: chosen mask shape {pair.chosen_mask.shape} "
-                    f"!= log-ratio shape {pair.chosen.value.shape}"
-                )
-            if pair.rejected.value.shape != pair.rejected_mask.shape:
-                raise ValidationError(
-                    f"pair {i}: rejected mask shape {pair.rejected_mask.shape} "
-                    f"!= log-ratio shape {pair.rejected.value.shape}"
-                )
         return self
 
 
 def _check_alignment(index: int, pair: PairLogRatios, seg: SegmentedPair) -> None:
-    want_w = seg.w_mask.shape[0]
-    want_l = seg.l_mask.shape[0]
+    want_w = seg.w_bounds[-1][1]
+    want_l = seg.l_bounds[-1][1]
     got_w = pair.chosen.value.shape[0]
     got_l = pair.rejected.value.shape[0]
     if got_w != want_w or got_l != want_l:
@@ -113,36 +95,34 @@ def _check_alignment(index: int, pair: PairLogRatios, seg: SegmentedPair) -> Non
 
 
 def _rejected_weights(index: int, pair: PairLogRatios, scores) -> np.ndarray:
-    """Per-position weights 1 - s_j on the rejected vector (padding kept at 1)."""
+    """Per-position weights 1 - s_j on the rejected vector."""
     if scores is None:
         raise ValidationError(f"pair {index}: weighted loss requires rejected scores")
     scores = np.asarray(scores, dtype=np.float64)
-    true_len = int(np.sum(pair.rejected_mask))
-    if scores.shape != (true_len,):
+    n_rejected = pair.rejected.value.shape[0]
+    if scores.shape != (n_rejected,):
         raise ValidationError(
             f"pair {index}: got {scores.shape[0] if scores.ndim == 1 else scores.shape} "
-            f"scores for {true_len} rejected tokens"
+            f"scores for {n_rejected} rejected tokens"
         )
     inside = (scores >= 0.0) & (scores <= 1.0)
     if not np.all(inside):
         raise ValidationError(f"pair {index}: score {scores[~inside][0]} outside [0, 1]")
-    weights = np.ones(pair.rejected.value.shape[0])
-    weights[:true_len] = 1.0 - scores
-    return weights
+    return 1.0 - scores
 
 
-def _side_ids(bounds, rank: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    """Batch segment id of every position of one side (-1 = dropped).
+def _side_ids(bounds, rank: np.ndarray) -> np.ndarray:
+    """Batch segment id of every position of one side.
 
     ``bounds`` tile the side's vector; ``rank`` maps each of its segments
-    to a batch segment id, or -1 for segments that are not kept.
+    to a batch segment id (-1 for segments that are not kept, which are
+    empty on both sides, so no position takes it).
     """
     sizes = [stop - start for start, stop in bounds]
-    ids = rank[np.repeat(np.arange(len(bounds)), sizes)]
-    return ids if mask is None else np.where(mask, ids, -1)
+    return rank[np.repeat(np.arange(len(bounds)), sizes)]
 
 
-def _segment_loss(batch: LogRatioBatch, layouts, mask_padding: bool, l_weights=None) -> Node:
+def _segment_loss(batch: LogRatioBatch, layouts, l_weights=None) -> Node:
     """Mean over pairs of sum over kept segments of -log sigmoid(beta * z).
 
     z is a segment's chosen sum minus its (weighted) rejected sum. ``layouts``
@@ -157,10 +137,7 @@ def _segment_loss(batch: LogRatioBatch, layouts, mask_padding: bool, l_weights=N
         n_segments += len(kept)
         l_weight = np.ones(pair.rejected.value.shape[0]) if l_weights is None else l_weights[i]
         nodes += [pair.chosen, pair.rejected]
-        ids += [
-            _side_ids(w_bounds, rank, pair.chosen_mask if mask_padding else None),
-            _side_ids(l_bounds, rank, pair.rejected_mask if mask_padding else None),
-        ]
+        ids += [_side_ids(w_bounds, rank), _side_ids(l_bounds, rank)]
         weights += [np.ones(pair.chosen.value.shape[0]), -l_weight]
     logits = ad.weighted_segment_sum(
         nodes, np.concatenate(ids), n_segments, np.concatenate(weights)
@@ -169,7 +146,7 @@ def _segment_loss(batch: LogRatioBatch, layouts, mask_padding: bool, l_weights=N
     return ad.mul(total, -1.0 / len(batch.pairs))
 
 
-def _adpo_layouts(batch: LogRatioBatch, segmentation: list[SegmentedPair], mask_padding: bool):
+def _adpo_layouts(batch: LogRatioBatch, segmentation: list[SegmentedPair]):
     if len(segmentation) != len(batch.pairs):
         raise ValidationError(
             f"{len(segmentation)} segmentations for {len(batch.pairs)} pairs"
@@ -177,33 +154,30 @@ def _adpo_layouts(batch: LogRatioBatch, segmentation: list[SegmentedPair], mask_
     layouts = []
     for i, (pair, seg) in enumerate(zip(batch.pairs, segmentation)):
         _check_alignment(i, pair, seg)
-        layouts.append((seg.w_bounds, seg.l_bounds, seg.kept_segments(mask_padding)))
+        layouts.append((seg.w_bounds, seg.l_bounds, seg.kept_segments))
     return layouts
 
 
-def dpo_loss(batch: LogRatioBatch, mask_padding: bool = True) -> Node:
+def dpo_loss(batch: LogRatioBatch) -> Node:
     """Mean over pairs of -log sigmoid(beta * (total_w - total_l))."""
     batch.validate()
     layouts = [
         (((0, p.chosen.value.shape[0]),), ((0, p.rejected.value.shape[0]),), (0,))
         for p in batch.pairs
     ]
-    return _segment_loss(batch, layouts, mask_padding)
+    return _segment_loss(batch, layouts)
 
 
-def adpo_loss(
-    batch: LogRatioBatch, segmentation: list[SegmentedPair], mask_padding: bool = True
-) -> Node:
+def adpo_loss(batch: LogRatioBatch, segmentation: list[SegmentedPair]) -> Node:
     """Mean over pairs of sum over kept segments of -log sigmoid(beta * (S_w(i) - S_l(i)))."""
     batch.validate()
-    return _segment_loss(batch, _adpo_layouts(batch, segmentation, mask_padding), mask_padding)
+    return _segment_loss(batch, _adpo_layouts(batch, segmentation))
 
 
 def cadpo_loss(
     batch: LogRatioBatch,
     segmentation: list[SegmentedPair],
     rejected_scores: list | None = None,
-    mask_padding: bool = True,
 ) -> Node:
     """adpo_loss with rejected log-ratios scaled by 1 - s_j per token.
 
@@ -211,7 +185,7 @@ def cadpo_loss(
     pair's own ``rejected_scores`` field. The chosen side is unweighted.
     """
     batch.validate()
-    layouts = _adpo_layouts(batch, segmentation, mask_padding)
+    layouts = _adpo_layouts(batch, segmentation)
     if rejected_scores is not None and len(rejected_scores) != len(batch.pairs):
         raise ValidationError(
             f"{len(rejected_scores)} score vectors for {len(batch.pairs)} pairs"
@@ -222,22 +196,17 @@ def cadpo_loss(
         )
         for i, pair in enumerate(batch.pairs)
     ]
-    return _segment_loss(batch, layouts, mask_padding, weights)
+    return _segment_loss(batch, layouts, weights)
 
 
 def implicit_rewards(batch: LogRatioBatch) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-position rewards beta * log-ratio, masked positions excluded.
+    """Per-position rewards beta * log-ratio.
 
     Returns one (chosen, rejected) array pair per batch pair; entries line
-    up with the real (unpadded) tokens of each side.
+    up with the tokens of each side.
     """
     batch.validate()
-    out = []
-    for pair in batch.pairs:
-        chosen = batch.beta * pair.chosen.value[pair.chosen_mask]
-        rejected = batch.beta * pair.rejected.value[pair.rejected_mask]
-        out.append((chosen, rejected))
-    return out
+    return [(batch.beta * p.chosen.value, batch.beta * p.rejected.value) for p in batch.pairs]
 
 
 def batch_loss(
@@ -249,9 +218,9 @@ def batch_loss(
     if cfg.weighted:
         if segmentation is None:
             raise ValidationError("weighted loss requires a segmentation")
-        return cadpo_loss(batch, segmentation, mask_padding=cfg.mask_padding)
+        return cadpo_loss(batch, segmentation)
     if cfg.method == "dpo":
-        return dpo_loss(batch, mask_padding=cfg.mask_padding)
+        return dpo_loss(batch)
     if segmentation is None:
         raise ValidationError("adpo loss requires a segmentation")
-    return adpo_loss(batch, segmentation, mask_padding=cfg.mask_padding)
+    return adpo_loss(batch, segmentation)

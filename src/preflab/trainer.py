@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .composition import pad_tokens, segment_pair
+# unused pad_tokens kept: the benchmark's traced run wraps trainer.pad_tokens
+from .composition import pad_tokens, segment_pair  # noqa: F401
 from .data import PreferencePair
 from .errors import TrainingDivergedError, ValidationError
 from .lm import Policy, clone_frozen
@@ -162,8 +163,6 @@ class _PairPlan:
     prompt: tuple
     w_tokens: tuple
     l_tokens: tuple
-    w_mask: np.ndarray
-    l_mask: np.ndarray
     seg: object  # SegmentedPair | None
     scores: np.ndarray | None
     ref_w: np.ndarray | None = None  # reference log-probs, chosen side
@@ -184,29 +183,18 @@ class _PairPlan:
         return self._rows[key]
 
 
-def _plan_pair(index: int, pair: PreferencePair, cfg: LossConfig, pad_id: int) -> _PairPlan:
-    len_w, len_l = len(pair.chosen), len(pair.rejected)
+def _plan_pair(index: int, pair: PreferencePair, cfg: LossConfig) -> _PairPlan:
     if cfg.method == "adpo" or cfg.weighted:
         family = "adaptive" if cfg.method == "dpo" else cfg.family
         param = 1 if cfg.method == "dpo" else cfg.segment_param()
-        seg = segment_pair((len_w, len_l), family, param)
+        seg = segment_pair((len(pair.chosen), len(pair.rejected)), family, param)
     else:
         seg = None
-    if seg is not None and seg.padded_len is not None:
-        w_tokens = pad_tokens(pair.chosen, seg.padded_len, pad_id)
-        l_tokens = pad_tokens(pair.rejected, seg.padded_len, pad_id)
-        w_mask, l_mask = seg.w_mask, seg.l_mask
-    else:
-        w_tokens, l_tokens = pair.chosen, pair.rejected
-        w_mask = np.ones(len_w, dtype=bool)
-        l_mask = np.ones(len_l, dtype=bool)
     return _PairPlan(
         index=index,
         prompt=pair.prompt,
-        w_tokens=w_tokens,
-        l_tokens=l_tokens,
-        w_mask=w_mask,
-        l_mask=l_mask,
+        w_tokens=pair.chosen,
+        l_tokens=pair.rejected,
         seg=seg,
         scores=pair.rejected_scores,
     )
@@ -218,7 +206,7 @@ def plan_dataset(dataset: list[PreferencePair], cfg: LossConfig, ref: Policy):
     The frozen reference is forwarded once, over the stacked rows of the
     whole dataset; each plan keeps its two slices of the result.
     """
-    plans = [_plan_pair(i, pair, cfg, ref.vocab.pad) for i, pair in enumerate(dataset)]
+    plans = [_plan_pair(i, pair, cfg) for i, pair in enumerate(dataset)]
     rows, targets, spans = _stack_rows(ref, plans)
     ref_vals = ref.row_logprobs(rows, targets)
     for plan, ((ws, we), (ls, le)) in zip(plans, spans):
@@ -272,8 +260,6 @@ def _build_batch(
             PairLogRatios(
                 chosen=ad.slice1d(log_ratios, ws, we),
                 rejected=ad.slice1d(log_ratios, ls, le),
-                chosen_mask=plan.w_mask,
-                rejected_mask=plan.l_mask,
                 rejected_scores=plan.scores,
             )
         )
@@ -283,18 +269,16 @@ def _build_batch(
     return batch, segmentation, theta, spans
 
 
-def _pair_metrics(batch: LogRatioBatch, theta_vals, spans, plans):
-    """Masked per-pair totals for the training curves."""
+def _pair_metrics(batch: LogRatioBatch, theta_vals, spans):
+    """Per-pair totals for the training curves."""
     chosen_logp = []
     rejected_logp = []
     margins = []
-    for pair, ((ws, we), (ls, le)), plan in zip(batch.pairs, spans, plans):
-        w_real = plan.w_mask
-        l_real = plan.l_mask
-        chosen_logp.append(float(np.sum(theta_vals[ws:we][w_real])))
-        rejected_logp.append(float(np.sum(theta_vals[ls:le][l_real])))
-        total_w = float(np.sum(pair.chosen.value[w_real]))
-        total_l = float(np.sum(pair.rejected.value[l_real]))
+    for pair, ((ws, we), (ls, le)) in zip(batch.pairs, spans):
+        chosen_logp.append(float(np.sum(theta_vals[ws:we])))
+        rejected_logp.append(float(np.sum(theta_vals[ls:le])))
+        total_w = float(np.sum(pair.chosen.value))
+        total_l = float(np.sum(pair.rejected.value))
         margins.append(batch.beta * (total_w - total_l))
     return chosen_logp, rejected_logp, margins
 
@@ -322,9 +306,7 @@ def eval_pairs(
         policy, plans, loss_cfg, graph, leaves=None
     )
     loss = float(batch_loss(batch, segmentation, loss_cfg).value)
-    chosen_logp, rejected_logp, margins = _pair_metrics(
-        batch, theta.value, spans, plans
-    )
+    chosen_logp, rejected_logp, margins = _pair_metrics(batch, theta.value, spans)
     hits = [1.0 if m > 0 else (0.5 if m == 0 else 0.0) for m in margins]
     n = len(dataset)
     return TrainLogRow(

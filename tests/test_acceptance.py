@@ -45,14 +45,8 @@ def random_pair_population(seed: int, n_pairs: int = 1000, max_len: int = 64):
     return population
 
 
-def one_pair_batch(graph, chosen, rejected, beta, w_mask=None, l_mask=None, scores=None):
-    pair = losses.PairLogRatios(
-        chosen=graph.leaf(chosen),
-        rejected=graph.leaf(rejected),
-        chosen_mask=np.ones(len(chosen), bool) if w_mask is None else w_mask,
-        rejected_mask=np.ones(len(rejected), bool) if l_mask is None else l_mask,
-        rejected_scores=scores,
-    )
+def one_pair_batch(graph, chosen, rejected, beta):
+    pair = losses.PairLogRatios(chosen=graph.leaf(chosen), rejected=graph.leaf(rejected))
     return losses.LogRatioBatch([pair], beta=beta)
 
 
@@ -78,18 +72,11 @@ class TestA2StaticCollapse:
         worst = 0.0
         for chosen, rejected, beta in random_pair_population(seed=101):
             seg = segment_pair((len(chosen), len(rejected)), "static", 64)
-            assert seg.n_segments == 1  # k >= padded length
-            padded_chosen = np.zeros(seg.padded_len)
-            padded_chosen[: len(chosen)] = chosen
-            padded_rejected = np.zeros(seg.padded_len)
-            padded_rejected[: len(rejected)] = rejected
+            assert seg.n_segments == 1  # k >= the longer side
             g = ad.Graph()
-            padded = one_pair_batch(
-                g, padded_chosen, padded_rejected, beta, seg.w_mask, seg.l_mask
-            )
-            raw = one_pair_batch(g, chosen, rejected, beta)
-            a = float(losses.adpo_loss(padded, [seg], mask_padding=True).value)
-            d = float(losses.dpo_loss(raw).value)
+            batch = one_pair_batch(g, chosen, rejected, beta)
+            a = float(losses.adpo_loss(batch, [seg]).value)
+            d = float(losses.dpo_loss(batch).value)
             worst = max(worst, abs(a - d))
         elapsed = time.perf_counter() - start
         ok = worst <= 1e-12
@@ -122,17 +109,9 @@ class TestA3GradientFidelity:
                 seg = None
             else:
                 seg = segment_pair((lw, ll), family, param)
-            if seg is not None and seg.padded_len is not None:
-                shapes = (seg.padded_len, seg.padded_len)
-                masks = (seg.w_mask, seg.l_mask)
-            else:
-                shapes = (lw, ll)
-                masks = (np.ones(lw, bool), np.ones(ll, bool))
 
             def build(graph, leaves):
-                pair = losses.PairLogRatios(
-                    leaves[0], leaves[1], masks[0], masks[1], rejected_scores=scores
-                )
+                pair = losses.PairLogRatios(leaves[0], leaves[1], rejected_scores=scores)
                 batch = losses.LogRatioBatch([pair], beta=beta)
                 if method == "dpo":
                     return losses.dpo_loss(batch)
@@ -140,7 +119,7 @@ class TestA3GradientFidelity:
                     return losses.cadpo_loss(batch, [seg])
                 return losses.adpo_loss(batch, [seg])
 
-            params = [0.5 * rng.standard_normal(s) for s in shapes]
+            params = [0.5 * rng.standard_normal(s) for s in (lw, ll)]
             report = ad.grad_check(build, params, h=1e-5, tol=1e-6)
             worst = max(worst, report.max_rel_error)
         elapsed = time.perf_counter() - start
@@ -381,7 +360,7 @@ class TestA10CadpoLimits:
             unit_scores = float(
                 losses.cadpo_loss(batch, [seg], [np.ones(len(rejected))]).value
             )
-            kept = seg.kept_segments(True)
+            kept = seg.kept_segments
             s_w = np.array([np.sum(chosen[a:b]) for a, b in (seg.w_bounds[j] for j in kept)])
             rejected_free = float(np.sum(-ad.log_sigmoid_values(beta * s_w)))
             worst_unit = max(worst_unit, abs(unit_scores - rejected_free))

@@ -36,6 +36,15 @@ def train_config(tmp_path, out_dir, data_path, **extra):
     return write_config(tmp_path / "train.json", doc)
 
 
+def one_error_line(capsys) -> str:
+    """The stderr of an invalid-input exit: one `error:` line, no traceback."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    return captured.err
+
+
 @pytest.fixture
 def dataset_path(tmp_path):
     out = tmp_path / "data.jsonl"
@@ -133,6 +142,47 @@ class TestTrain:
         assert err.startswith("error: ") and "finite" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "overrides,match",
+        [
+            (["loss.mask_padding=true"], "unknown config key loss.'mask_padding'"),
+            (["model.hidden_dim=0"], "hidden_dim must be >= 1"),
+            (["model.embed_dim=0"], "embed_dim must be >= 1"),
+            (["model.embed_dim=0", "model.hidden_dim=0"], "embed_dim must be >= 1"),
+            (["model.kind=ngram", "model.order=0"], "order must be >= 1"),
+            (["model.kind=ngram", "model.order=1000000000000"], "table entries"),
+        ],
+    )
+    def test_bad_model_or_loss_override_exits_2(
+        self, tmp_path, dataset_path, capsys, overrides, match
+    ):
+        out_dir = tmp_path / "run"
+        cfg = train_config(tmp_path, out_dir, dataset_path)
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        assert main(["train", "--config", cfg, *sets]) == 2
+        assert match in one_error_line(capsys)
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "line,match",
+        [
+            ("[1, 2, 3]", "line 1: expected a JSON object, got list"),
+            (
+                '{"prompt": [3], "chosen": [4], "rejected": [5], "rejected_scores": ["a"]}',
+                "line 1: field 'rejected_scores' must be a list of numbers",
+            ),
+            ('{"prompt": [3], "chosen": [4]}', "line 1: missing required field 'rejected'"),
+        ],
+    )
+    def test_malformed_data_file_exits_2(self, tmp_path, capsys, line, match):
+        data = tmp_path / "bad.jsonl"
+        data.write_text(line + "\n")
+        out_dir = tmp_path / "run"
+        cfg = train_config(tmp_path, out_dir, data)
+        assert main(["train", "--config", cfg]) == 2
+        assert match in one_error_line(capsys)
+        assert not out_dir.exists()
+
     def test_adaptive_one_equals_dpo_loss_column(self, tmp_path, dataset_path):
         losses = {}
         for name, loss in (
@@ -196,6 +246,25 @@ class TestEvalAnalyze:
         out = tmp_path / "profile.csv"
         assert main(["analyze", "--checkpoints", str(ckpt), *base, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ") and not out.exists()
+
+    @pytest.mark.parametrize(
+        "text,match",
+        [
+            ("not json", "not valid JSON"),
+            ('{"kind": "neural"}', "lacks key 'vocab'"),
+            ('{"kind": "neural", "vocab": {"size": "12"}, "hyper": {}, "params": {}}', "malformed"),
+        ],
+    )
+    def test_malformed_checkpoint_exits_2(
+        self, tmp_path, dataset_path, run_dir, capsys, text, match
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        for ckpt, ref in ((bad, run_dir / "ref.json"), (run_dir / "final.json", bad)):
+            data = ["--data", str(dataset_path)]
+            assert main(["eval", "--checkpoint", str(ckpt), "--ref", str(ref), *data]) == 2
+            err = one_error_line(capsys)
+            assert match in err and str(bad) in err
 
     def test_analyze_writes_profile(self, tmp_path, run_dir, dataset_path):
         out = tmp_path / "profile.csv"

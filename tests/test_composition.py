@@ -1,6 +1,5 @@
 """Unit tests for strong-composition segmentation."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,23 +10,24 @@ from preflab.errors import ValidationError
 
 class TestStatic:
     def test_window_four_over_ten(self):
-        c, c2, (mask_w, mask_l) = comp.xi_static(10, 10, 4)
-        assert c.parts == (4, 4, 2)
-        assert c2.parts == c.parts
-        assert mask_w.all() and mask_l.all()
+        c_w, c_l = comp.xi_static(10, 10, 4)
+        assert c_w.parts == (4, 4, 2)
+        assert c_l.parts == c_w.parts
 
     def test_window_one_is_token_level(self):
-        c, _, _ = comp.xi_static(10, 10, 1)
-        assert c.parts == (1,) * 10
+        c_w, _ = comp.xi_static(10, 10, 1)
+        assert c_w.parts == (1,) * 10
 
     def test_giant_window_collapses_to_one_segment(self):
-        c, _, _ = comp.xi_static(7, 5, 100)
-        assert c.parts == (7,)
+        c_w, c_l = comp.xi_static(7, 5, 100)
+        assert c_w.parts == (7,)
+        assert c_l.parts == (5,)
 
-    def test_masks_mark_padding(self):
-        _, _, (mask_w, mask_l) = comp.xi_static(3, 5, 2)
-        assert mask_w.tolist() == [True] * 3 + [False] * 2
-        assert mask_l.tolist() == [True] * 5
+    def test_short_side_windows_clip_to_its_length(self):
+        c_w, c_l = comp.xi_static(3, 5, 2)
+        # windows [0,2), [2,4), [4,6) clipped to each side
+        assert c_w.parts == (2, 1, 0)
+        assert c_l.parts == (2, 2, 1)
 
     def test_bad_window_rejected(self):
         with pytest.raises(ValidationError):
@@ -59,17 +59,16 @@ class TestSegmentPair:
         assert seg.n_segments == 1
         assert seg.w_bounds == ((0, 5),)
         assert seg.l_bounds == ((0, 7),)
-        assert seg.kept_segments(True) == (0,)
+        assert seg.kept_segments == (0,)
 
-    def test_static_token_level_masks_short_side(self):
+    def test_static_token_level_short_side_gets_empty_segments(self):
         seg = comp.segment_pair((3, 5), "static", 1)
         assert seg.n_segments == 5
-        assert seg.padded_len == 5
-        sizes = seg.scored_sizes("w", apply_mask=True)
-        assert sizes.tolist() == [1, 1, 1, 0, 0]
-        # segments 4-5 are fully masked on the chosen side but kept: the
-        # rejected side still has content there
-        assert seg.kept_segments(True) == (0, 1, 2, 3, 4)
+        assert seg.w_bounds == ((0, 1), (1, 2), (2, 3), (3, 3), (3, 3))
+        assert seg.l_bounds == ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5))
+        # segments 4-5 are empty on the chosen side but kept: the rejected
+        # side still has content there
+        assert seg.kept_segments == (0, 1, 2, 3, 4)
 
     def test_adaptive_two_segments_both_sides(self):
         seg = comp.segment_pair((4, 6), "adaptive", 2)
@@ -79,7 +78,7 @@ class TestSegmentPair:
     def test_both_empty_segment_skipped(self):
         seg = comp.segment_pair((2, 2), "adaptive", 3)
         # parts (0,1,1) on both sides: first segment empty on both
-        assert seg.kept_segments(True) == (1, 2)
+        assert seg.kept_segments == (1, 2)
 
     def test_unknown_family(self):
         with pytest.raises(ValidationError):
@@ -108,15 +107,19 @@ class TestProperties:
     )
     @settings(max_examples=200, deadline=None)
     def test_static_partitions_padded_grid(self, len_w, len_l, k):
-        c, _, (mask_w, mask_l) = comp.xi_static(len_w, len_l, k)
-        padded = max(len_w, len_l)
-        assert c.total == padded
-        assert all(p >= 1 for p in c.parts)
-        assert_partition(c.parts, padded)
-        assert int(np.sum(mask_w)) == len_w
-        assert int(np.sum(mask_l)) == len_l
-        if k >= padded:
-            assert len(c.parts) == 1
+        # the windows of the shared grid 0..max(len_w, len_l), each side
+        # clipped to its own length
+        c_w, c_l = comp.xi_static(len_w, len_l, k)
+        grid = max(len_w, len_l)
+        n = -(-grid // k)
+        for c, length in ((c_w, len_w), (c_l, len_l)):
+            assert len(c.parts) == n
+            assert_partition(c.parts, length)
+            for i, (start, stop) in enumerate(c.bounds()):
+                assert (start, stop) == (min(i * k, length), min((i + 1) * k, length))
+        assert all(max(a, b) >= 1 for a, b in zip(c_w.parts, c_l.parts))
+        if k >= grid:
+            assert n == 1
 
     @given(length=st.integers(0, 512), m=st.integers(1, 512))
     @settings(max_examples=200, deadline=None)
@@ -137,11 +140,13 @@ class TestProperties:
     )
     @settings(max_examples=100, deadline=None)
     def test_segment_pair_alignment(self, len_w, len_l, m):
-        seg = comp.segment_pair((len_w, len_l), "adaptive", m)
-        assert len(seg.w_bounds) == len(seg.l_bounds) == seg.n_segments == m
-        kept = seg.kept_segments(True)
-        w_sizes = seg.scored_sizes("w", True)
-        l_sizes = seg.scored_sizes("l", True)
-        for i in range(m):
-            if i not in kept:
-                assert w_sizes[i] == 0 and l_sizes[i] == 0
+        for family in ("adaptive", "static"):
+            seg = comp.segment_pair((len_w, len_l), family, m)
+            assert len(seg.w_bounds) == len(seg.l_bounds) == seg.n_segments
+            if family == "adaptive":
+                assert seg.n_segments == m
+            assert seg.w_bounds[-1][1] == len_w and seg.l_bounds[-1][1] == len_l
+            w_sizes = [b - a for a, b in seg.w_bounds]
+            l_sizes = [b - a for a, b in seg.l_bounds]
+            live = [i for i in range(seg.n_segments) if w_sizes[i] or l_sizes[i]]
+            assert seg.kept_segments == tuple(live)

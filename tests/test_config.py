@@ -47,6 +47,18 @@ class TestResolve:
         with pytest.raises(ValidationError, match="train.*cache_ref"):
             cfgmod.resolve(doc)
 
+    def test_removed_mask_padding_is_unknown(self):
+        doc = minimal_train_config()
+        doc["loss"]["mask_padding"] = True
+        with pytest.raises(ValidationError, match="loss.*mask_padding"):
+            cfgmod.resolve(doc)
+
+    def test_non_utf8_config_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"seed": "\xff"}')
+        with pytest.raises(ValidationError, match="not valid JSON"):
+            cfgmod.load_config(path)
+
     def test_missing_model_vocab_size_named(self):
         doc = minimal_train_config()
         del doc["model"]["vocab_size"]

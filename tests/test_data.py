@@ -206,6 +206,35 @@ class TestJsonl:
         with pytest.raises(DataFormatError, match="line 1"):
             D.load_jsonl(path)
 
+    @pytest.mark.parametrize(
+        "line,match",
+        [
+            ("[1, 2, 3]", "line 2: expected a JSON object, got list"),
+            ('"text"', "line 2: expected a JSON object, got str"),
+            (
+                '{"prompt": [3], "chosen": [4], "rejected": [5], "rejected_scores": ["a"]}',
+                "line 2: field 'rejected_scores' must be a list of numbers",
+            ),
+            (
+                '{"prompt": [3], "chosen": [4], "rejected": [5], "rejected_scores": 0.5}',
+                "line 2: field 'rejected_scores' must be a list of numbers",
+            ),
+            ('{"prompt": [3], "chosen": [true], "rejected": [5]}', "line 2: field 'chosen'"),
+            ("null", "line 2: expected a JSON object, got NoneType"),
+        ],
+    )
+    def test_malformed_document_reports_line(self, tmp_path, line, match):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"prompt": [3], "chosen": [4], "rejected": [5]}\n' + line + "\n")
+        with pytest.raises(DataFormatError, match=match):
+            D.load_jsonl(path)
+
+    def test_non_utf8_line_reports_number(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"prompt": [3], "chosen": [4], "rejected": [5]}\n\xff\xfe\n')
+        with pytest.raises(DataFormatError, match="line 2: not UTF-8"):
+            D.load_jsonl(path)
+
     def test_manifest_contents(self, task, tmp_path):
         path = tmp_path / "data.manifest.json"
         D.write_manifest(path, task, 10, "deterministic")

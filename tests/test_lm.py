@@ -1,6 +1,7 @@
 """Unit tests for the tiny autoregressive policies."""
 
 import copy
+import json
 import math
 
 import numpy as np
@@ -195,3 +196,106 @@ class TestCheckpoint:
         )
         with pytest.raises(ValidationError):
             lm.load_checkpoint(path)
+
+
+def _saved_doc(policy, tmp_path):
+    path = tmp_path / "ckpt.json"
+    lm.save_checkpoint(policy, path)
+    return json.loads(path.read_text())
+
+
+class TestCheckpointBoundary:
+    @pytest.fixture
+    def docs(self, vocab, tmp_path):
+        ngram = lm.NGramPolicy.random(vocab, 2, np.random.default_rng(5))
+        neural = lm.NeuralPolicy.init(vocab, child_rng(3, "init"), context=2, hidden_dim=4)
+        return [_saved_doc(ngram, tmp_path), _saved_doc(neural, tmp_path)]
+
+    def check_rejected(self, tmp_path, text, match):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=match) as info:
+            lm.load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    def test_non_json_file(self, tmp_path):
+        self.check_rejected(tmp_path, "step,loss\n0,0.69\n", "not valid JSON")
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(ValidationError, match="not valid JSON"):
+            lm.load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["kind", "vocab", "hyper", "params"])
+    def test_missing_key(self, tmp_path, docs, key):
+        for doc in docs:
+            del doc[key]
+            self.check_rejected(tmp_path, json.dumps(doc), "lacks key|malformed")
+
+    def test_missing_nested_keys(self, tmp_path, docs):
+        ngram, neural = docs
+        del ngram["hyper"]["order"]
+        self.check_rejected(tmp_path, json.dumps(ngram), "lacks key 'order'")
+        del neural["params"]["w1"]["shape"]
+        self.check_rejected(tmp_path, json.dumps(neural), "lacks key 'shape'")
+        del neural["params"]["w1"]
+        self.check_rejected(tmp_path, json.dumps(neural), "malformed")
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            (("vocab", "size"), 6.0),
+            (("vocab", "pad"), "2"),
+            (("vocab",), [6]),
+            (("hyper", "context"), 2.5),
+            (("hyper", "hidden_dim"), True),
+            (("params",), []),
+            (("params", "w1", "data"), "0.1"),
+            (("params", "w1", "data"), [[0.1]]),
+            (("params", "w1", "shape"), "2,4"),
+            (("params", "w1", "shape"), [3, 3]),
+            (("params", "b1", "data"), [None] * 4),
+            (("params", "b2", "data"), [float("nan")] * 6),
+        ],
+    )
+    def test_mistyped_field(self, tmp_path, docs, path, value):
+        doc = docs[1]
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        self.check_rejected(tmp_path, json.dumps(doc), "malformed")
+
+    def test_root_not_an_object(self, tmp_path):
+        self.check_rejected(tmp_path, "[1, 2]", "malformed")
+
+
+class TestModelBounds:
+    class UnusableRng:
+        """Any draw fails the test: bounds must be checked before allocating."""
+
+        def __getattr__(self, name):
+            raise AssertionError(f"rng.{name} used before the bounds check")
+
+    @pytest.mark.parametrize("order", [0, -3])
+    def test_order_below_one(self, vocab, order):
+        with pytest.raises(ValidationError, match="order must be >= 1"):
+            lm.NGramPolicy.random(vocab, order, self.UnusableRng())
+
+    def test_table_bound_checked_before_allocation(self, vocab):
+        # vocab 6: order 10 is just over 2**24 entries; a huge order must
+        # fail as fast, without building vocab**(order - 1)
+        assert 6**9 * 6 > lm.MAX_NGRAM_ENTRIES >= 6**8 * 6
+        for order in (10, 10**12):
+            with pytest.raises(ValidationError, match="table entries"):
+                lm.NGramPolicy.random(vocab, order, self.UnusableRng())
+            with pytest.raises(ValidationError, match="table entries"):
+                lm.NGramPolicy.uniform(vocab, order)
+        assert lm.ngram_table_shape(vocab, 9) == (6**8, 6)
+
+    @pytest.mark.parametrize(
+        "widths", [{"hidden_dim": 0}, {"embed_dim": 0}, {"embed_dim": 0, "hidden_dim": 0},
+                   {"context": 0}, {"hidden_dim": -2}]
+    )
+    def test_neural_widths_at_least_one(self, vocab, widths):
+        with pytest.raises(ValidationError, match="must be >= 1"):
+            lm.NeuralPolicy.init(vocab, self.UnusableRng(), **widths)

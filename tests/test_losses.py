@@ -11,14 +11,10 @@ from preflab.composition import segment_pair
 from preflab.errors import ValidationError
 
 
-def make_pair(graph, chosen, rejected, chosen_mask=None, rejected_mask=None, scores=None):
-    chosen = np.asarray(chosen, dtype=np.float64)
-    rejected = np.asarray(rejected, dtype=np.float64)
+def make_pair(graph, chosen, rejected, scores=None):
     return losses.PairLogRatios(
-        chosen=graph.leaf(chosen),
-        rejected=graph.leaf(rejected),
-        chosen_mask=np.ones(len(chosen), bool) if chosen_mask is None else np.asarray(chosen_mask, bool),
-        rejected_mask=np.ones(len(rejected), bool) if rejected_mask is None else np.asarray(rejected_mask, bool),
+        chosen=graph.leaf(np.asarray(chosen, dtype=np.float64)),
+        rejected=graph.leaf(np.asarray(rejected, dtype=np.float64)),
         rejected_scores=scores,
     )
 
@@ -49,17 +45,6 @@ class TestSegmentLogRatio:
     def test_single_token_segment(self):
         g = ad.Graph()
         assert segment_sums(g, [0.3, -1.2, 0.9], [(0, 1), (1, 2), (2, 3)])[1] == -1.2
-
-    def test_masked_pad_excluded(self):
-        # a single-pair DPO loss sees only the unmasked chosen entries
-        g = ad.Graph()
-        masked = losses.LogRatioBatch(
-            [make_pair(g, [0.2, -0.5, 77.0], [0.0], chosen_mask=[True, True, False])], beta=1.0
-        )
-        plain = losses.LogRatioBatch([make_pair(g, [0.2, -0.5], [0.0])], beta=1.0)
-        assert float(losses.dpo_loss(masked).value) == float(losses.dpo_loss(plain).value)
-        expected = float(-ad.log_sigmoid_values(0.2 - 0.5))
-        assert float(losses.dpo_loss(masked).value) == pytest.approx(expected, abs=1e-15)
 
 
 class TestDpoLoss:
@@ -119,25 +104,16 @@ class TestAdpoLoss:
             3 * math.log(2), abs=1e-14
         )
 
-    def test_static_collapse_to_dpo_under_masking(self):
+    def test_static_collapse_to_dpo_on_unequal_lengths(self):
         rng = np.random.default_rng(2)
         g = ad.Graph()
-        raw = random_batch(g, rng, 8, beta=1.5, max_len=20)
-        padded_pairs, segs = [], []
-        for pair in raw.pairs:
-            lw, ll = pair.chosen.value.shape[0], pair.rejected.value.shape[0]
-            seg = segment_pair((lw, ll), "static", 4096)
-            chosen = np.zeros(seg.padded_len)
-            chosen[:lw] = pair.chosen.value
-            rejected = np.zeros(seg.padded_len)
-            rejected[:ll] = pair.rejected.value
-            padded_pairs.append(
-                make_pair(g, chosen, rejected, seg.w_mask, seg.l_mask)
-            )
-            segs.append(seg)
-        padded = losses.LogRatioBatch(padded_pairs, beta=raw.beta)
-        a = float(losses.adpo_loss(padded, segs, mask_padding=True).value)
-        d = float(losses.dpo_loss(raw).value)
+        batch = random_batch(g, rng, 8, beta=1.5, max_len=20)
+        segs = [
+            segment_pair((p.chosen.value.shape[0], p.rejected.value.shape[0]), "static", 4096)
+            for p in batch.pairs
+        ]
+        a = float(losses.adpo_loss(batch, segs).value)
+        d = float(losses.dpo_loss(batch).value)
         assert abs(a - d) <= 1e-12
 
     def test_swap_antisymmetry_of_segment_logits(self):
@@ -172,40 +148,14 @@ class TestAdpoLoss:
 
     def test_gradient_signs_strict(self):
         rng = np.random.default_rng(5)
-        g = ad.Graph()
-        pair = make_pair(
-            g,
-            rng.standard_normal(6),
-            rng.standard_normal(8),
-            chosen_mask=[True] * 5 + [False],
-            rejected_mask=[True] * 8,
-        )
-        batch = losses.LogRatioBatch([pair], beta=1.0)
-        seg = segment_pair((5, 8), "adaptive", 3)
-        # vectors longer than the true lengths are a mismatch; re-make aligned
-        g = ad.Graph()
-        pair = make_pair(
-            g,
-            rng.standard_normal(5),
-            rng.standard_normal(8),
-        )
-        batch = losses.LogRatioBatch([pair], beta=1.0)
-        out = losses.adpo_loss(batch, [seg])
-        g.backward(out)
-        assert np.all(pair.chosen.grad < 0)
-        assert np.all(pair.rejected.grad > 0)
-
-    def test_masked_positions_get_zero_gradient(self):
-        g = ad.Graph()
-        seg = segment_pair((2, 4), "static", 2)
-        pair = make_pair(
-            g, [0.5, -0.2, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4], seg.w_mask, seg.l_mask
-        )
-        batch = losses.LogRatioBatch([pair], beta=1.0)
-        out = losses.adpo_loss(batch, [seg])
-        g.backward(out)
-        assert np.all(pair.chosen.grad[:2] < 0)
-        assert np.all(pair.chosen.grad[2:] == 0.0)
+        for family, param in (("adaptive", 3), ("static", 2)):
+            g = ad.Graph()
+            pair = make_pair(g, rng.standard_normal(5), rng.standard_normal(8))
+            batch = losses.LogRatioBatch([pair], beta=1.0)
+            out = losses.adpo_loss(batch, [segment_pair((5, 8), family, param)])
+            g.backward(out)
+            assert np.all(pair.chosen.grad < 0)
+            assert np.all(pair.rejected.grad > 0)
 
     def test_segmentation_mismatch_rejected(self):
         g = ad.Graph()
@@ -303,12 +253,6 @@ class TestImplicitRewards:
         )
         assert np.allclose(2 * one[0][0], two[0][0], atol=1e-15)
 
-    def test_masked_positions_excluded(self):
-        g = ad.Graph()
-        pair = make_pair(g, [1.0, 2.0, 9.0], [3.0], chosen_mask=[True, True, False])
-        rewards = losses.implicit_rewards(losses.LogRatioBatch([pair], beta=1.0))
-        assert rewards[0][0].tolist() == [1.0, 2.0]
-
 
 class TestLossGradients:
     def test_grad_check_all_losses(self):
@@ -319,45 +263,30 @@ class TestLossGradients:
         scores = rng.uniform(0, 1, size=ll)
 
         def dpo_build(graph, leaves):
-            pair = losses.PairLogRatios(
-                leaves[0], leaves[1], np.ones(lw, bool), np.ones(ll, bool)
-            )
+            pair = losses.PairLogRatios(leaves[0], leaves[1])
             return losses.dpo_loss(losses.LogRatioBatch([pair], beta=1.0))
 
         def adpo_build(graph, leaves):
-            pair = losses.PairLogRatios(
-                leaves[0], leaves[1], np.ones(lw, bool), np.ones(ll, bool)
-            )
+            pair = losses.PairLogRatios(leaves[0], leaves[1])
             return losses.adpo_loss(
                 losses.LogRatioBatch([pair], beta=1.0), [seg_adaptive]
             )
 
         def adpo_static_build(graph, leaves):
-            pair = losses.PairLogRatios(
-                leaves[0], leaves[1], seg_static.w_mask, seg_static.l_mask
-            )
+            pair = losses.PairLogRatios(leaves[0], leaves[1])
             return losses.adpo_loss(
                 losses.LogRatioBatch([pair], beta=1.0), [seg_static]
             )
 
         def cadpo_build(graph, leaves):
-            pair = losses.PairLogRatios(
-                leaves[0], leaves[1], np.ones(lw, bool), np.ones(ll, bool),
-                rejected_scores=scores,
-            )
+            pair = losses.PairLogRatios(leaves[0], leaves[1], rejected_scores=scores)
             return losses.cadpo_loss(
                 losses.LogRatioBatch([pair], beta=1.0), [seg_adaptive]
             )
 
         params = [rng.standard_normal(lw), rng.standard_normal(ll)]
-        static_params = [rng.standard_normal(seg_static.padded_len) for _ in range(2)]
-        for build, ps in (
-            (dpo_build, params),
-            (adpo_build, params),
-            (adpo_static_build, static_params),
-            (cadpo_build, params),
-        ):
-            report = ad.grad_check(build, ps, h=1e-5, tol=1e-6)
+        for build in (dpo_build, adpo_build, adpo_static_build, cadpo_build):
+            report = ad.grad_check(build, params, h=1e-5, tol=1e-6)
             assert report.passed, report
 
     def test_grad_check_two_pair_batch(self):
@@ -366,13 +295,7 @@ class TestLossGradients:
         segs = [segment_pair(pair, "adaptive", 2) for pair in lens]
 
         def build(graph, leaves):
-            pairs = [
-                losses.PairLogRatios(
-                    leaves[2 * i], leaves[2 * i + 1],
-                    np.ones(lens[i][0], bool), np.ones(lens[i][1], bool),
-                )
-                for i in range(2)
-            ]
+            pairs = [losses.PairLogRatios(leaves[2 * i], leaves[2 * i + 1]) for i in range(2)]
             return losses.adpo_loss(losses.LogRatioBatch(pairs, beta=1.0), segs)
 
         params = []
@@ -411,19 +334,16 @@ class TestSingleLossNode:
         pairs, segs = [], []
         for _ in range(n_pairs):
             lw, ll = (int(x) for x in rng.integers(1, 12, size=2))
-            # dpo: the default adaptive family with m=1, i.e. unpadded sides
-            seg = segment_pair((lw, ll), cfg.family, cfg.segment_param() or 1)
             pairs.append(
                 make_pair(
                     g,
-                    rng.standard_normal(seg.padded_len or lw),
-                    rng.standard_normal(seg.padded_len or ll),
-                    seg.w_mask,
-                    seg.l_mask,
+                    rng.standard_normal(lw),
+                    rng.standard_normal(ll),
                     scores=rng.uniform(0, 1, size=ll),
                 )
             )
-            segs.append(seg)
+            # dpo: the default adaptive family with m=1
+            segs.append(segment_pair((lw, ll), cfg.family, cfg.segment_param() or 1))
         batch = losses.LogRatioBatch(pairs, beta=1.0)
         before = len(g)
         losses.batch_loss(batch, None if cfg.method == "dpo" else segs, cfg)
@@ -433,3 +353,51 @@ class TestSingleLossNode:
     def test_node_count_independent_of_batch_size(self, name):
         cfg = self.CONFIGS[name].validate()
         assert self.nodes_added(cfg, 1) == self.nodes_added(cfg, 32) == 5
+
+
+def windowed_reference(chosen, rejected, k, beta, scores=None):
+    """Static-window loss of one pair in plain numpy: window i covers
+    positions [i*k, (i+1)*k) of each side, clipped to that side; windows
+    empty on both sides are skipped."""
+    weights = np.ones(len(rejected)) if scores is None else 1.0 - np.asarray(scores)
+    total = 0.0
+    for start in range(0, max(len(chosen), len(rejected)) + 2 * k, k):
+        w = chosen[start : start + k]
+        l_vals = rejected[start : start + k]
+        if len(w) == 0 and len(l_vals) == 0:
+            continue
+        z = np.sum(w) - np.sum(weights[start : start + k] * l_vals)
+        total += float(-ad.log_sigmoid_values(beta * z))
+    return total
+
+
+class TestStaticWindowsReference:
+    """Static windows on unequal lengths against a per-window numpy loop."""
+
+    @pytest.mark.parametrize(
+        "k,weighted", [(1, False), (2, False), (3, False), (64, False), (1, True)]
+    )
+    def test_matches_per_window_reference(self, k, weighted):
+        rng = np.random.default_rng(13)
+        worst = 0.0
+        for trial in range(200):
+            lw = int(rng.integers(1, 40))
+            ll = int(rng.integers(1, 40))
+            if lw == ll:
+                ll += int(rng.integers(1, 9))
+            chosen, rejected = rng.standard_normal(lw), rng.standard_normal(ll)
+            scores = rng.uniform(0.0, 1.0, size=ll)
+            beta = (0.5, 1.0, 1.5)[trial % 3]
+            g = ad.Graph()
+            batch = losses.LogRatioBatch(
+                [make_pair(g, chosen, rejected, scores=scores)], beta=beta
+            )
+            seg = [segment_pair((lw, ll), "static", k)]
+            if weighted:
+                got = float(losses.cadpo_loss(batch, seg).value)
+                want = windowed_reference(chosen, rejected, k, beta, scores)
+            else:
+                got = float(losses.adpo_loss(batch, seg).value)
+                want = windowed_reference(chosen, rejected, k, beta)
+            worst = max(worst, abs(got - want))
+        assert worst <= 1e-12

@@ -51,7 +51,7 @@ class TestDeterminism:
             assert np.array_equal(params[0][name], params[1][name])
 
     def test_plan_reference_values_equal_fresh_forward(self):
-        # dpo plans raw sides; adpo static k=1 plans padded ones
+        # without a segmentation (dpo) and with one (adpo static k=1)
         for method in ("dpo", "adpo"):
             _, dataset, policy = small_setup()
             ref = lm.clone_frozen(policy)
@@ -66,6 +66,15 @@ class TestDeterminism:
             )
             stacked = np.concatenate([v for p in plans for v in (p.ref_w, p.ref_l)])
             assert np.array_equal(stacked, fresh)
+
+
+class TestPlans:
+    def test_static_plans_forward_only_response_tokens(self):
+        _, dataset, policy = small_setup()
+        plans = trainer.plan_dataset(dataset, quick_config("adpo").loss, lm.clone_frozen(policy))
+        _, targets, _ = trainer._stack_rows(policy, plans)
+        assert len(targets) == sum(len(p.chosen) + len(p.rejected) for p in dataset)
+        assert policy.vocab.pad not in targets.tolist()
 
 
 class TestTrainBasics:
@@ -146,7 +155,7 @@ class TestEvalPairs:
         expected = 0.0
         for pair in dataset:
             seg = segment_pair((len(pair.chosen), len(pair.rejected)), "adaptive", 3)
-            expected += len(seg.kept_segments(True)) * math.log(2)
+            expected += len(seg.kept_segments) * math.log(2)
         expected /= len(dataset)
         assert row.loss == pytest.approx(expected, abs=1e-12)
 
@@ -195,15 +204,8 @@ class TestEvalPairs:
                 ref, pair.prompt, pair.rejected
             )
             g = ad.Graph()
-            batch = losses.LogRatioBatch(
-                [
-                    losses.PairLogRatios(
-                        g.leaf(lw), g.leaf(ll),
-                        np.ones(len(lw), bool), np.ones(len(ll), bool),
-                    )
-                ],
-                beta=beta,
-            )
+            pair_ratios = losses.PairLogRatios(g.leaf(lw), g.leaf(ll))
+            batch = losses.LogRatioBatch([pair_ratios], beta=beta)
             (r_w, r_l), = losses.implicit_rewards(batch)
             total = float(np.sum(r_w) - np.sum(r_l))
             logit = beta * (float(np.sum(lw)) - float(np.sum(ll)))
