@@ -10,6 +10,8 @@ contiguous segments. Two families are provided:
   its own length (segments may be empty when the side is shorter than
   ``m``).
 
+A ``SegmentedPair`` caches, per side, the rank of every position's
+segment among the kept (non-empty) segments: the ids the loss sums by.
 Pure functions throughout; safe to call from any thread.
 """
 
@@ -18,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -109,6 +113,20 @@ class SegmentedPair:
             for i, ((ws, we), (ls, le)) in enumerate(zip(self.w_bounds, self.l_bounds))
             if we > ws or le > ls
         )
+
+    @cached_property
+    def kept_ranks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rank among ``kept_segments`` of every position's segment, per side.
+
+        Segments that are not kept are empty on both sides, so no position
+        takes their rank.
+        """
+        w_sizes, l_sizes = (
+            np.array([stop - start for start, stop in b], dtype=np.intp)
+            for b in (self.w_bounds, self.l_bounds)
+        )
+        rank = np.cumsum(w_sizes + l_sizes > 0) - 1
+        return np.repeat(rank, w_sizes), np.repeat(rank, l_sizes)
 
 
 def segment_pair(lengths: tuple[int, int], family: str, param: int) -> SegmentedPair:

@@ -225,7 +225,11 @@ def _scores(doc: dict, lineno: int) -> list | None:
 def load_jsonl(path) -> list[PreferencePair]:
     """Parse one JSON object per line; an empty file is an empty dataset."""
     pairs = []
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as err:
+        raise ValidationError(f"cannot read dataset {path}: {err.strerror}") from err
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.strip():
                 continue

@@ -73,6 +73,14 @@ def check_tokens(vocab: Vocab, tokens: Sequence[int]) -> TokenSeq:
     return out
 
 
+def _conditional_row(policy, prompt: Sequence[int], prefix: Sequence[int]) -> np.ndarray:
+    """Log-probability row over the vocab for the token after ``prefix``: the
+    last context row of ``prefix`` plus any token, scored for every id."""
+    rows, _ = policy.context_rows(prompt, tuple(prefix) + (policy.vocab.bos,))
+    size = policy.vocab.size
+    return policy.row_logprobs(np.repeat(rows[-1:], size, axis=0), np.arange(size))
+
+
 def ngram_table_shape(vocab: Vocab, order: int) -> tuple[int, int]:
     """(contexts, vocab) shape of an order-n logit table, checked against
     MAX_NGRAM_ENTRIES in integer arithmetic before anything is allocated."""
@@ -123,12 +131,6 @@ class NGramPolicy:
     def hyper(self) -> dict:
         return {"order": self.order}
 
-    def _context_index(self, context: Sequence[int]) -> int:
-        idx = 0
-        for t in context:
-            idx = idx * self.vocab.size + int(t)
-        return idx
-
     def context_rows(
         self, prompt: Sequence[int], response: Sequence[int]
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -170,17 +172,7 @@ class NGramPolicy:
         table = ad.log_softmax_values(self.params["logits"], axis=1)
         return table[np.asarray(rows, dtype=np.intp), np.asarray(targets, dtype=np.intp)]
 
-    def conditional_row(
-        self, prompt: Sequence[int], prefix: Sequence[int]
-    ) -> np.ndarray:
-        """Log-probability row over the vocab for the next token."""
-        prompt = check_tokens(self.vocab, prompt)
-        prefix = check_tokens(self.vocab, prefix)
-        fill = (self.vocab.bos,) * max(self.order - 1, 0)
-        history = fill + prompt + prefix
-        context = history[len(history) - (self.order - 1) : len(history)]
-        row = self.params["logits"][self._context_index(context)]
-        return ad.log_softmax_values(row, axis=-1)
+    conditional_row = _conditional_row
 
 
 def _check_widths(context: int, embed_dim: int, hidden_dim: int) -> None:
@@ -286,33 +278,17 @@ class NeuralPolicy:
         logits = ad.add_bias(ad.matmul(hidden, leaves["w2"]), leaves["b2"])
         return ad.gather(ad.log_softmax(logits, axis=1), targets)
 
-    def _fresh_leaves(self, graph: ad.Graph) -> dict[str, ad.Node]:
-        return {name: graph.leaf(value) for name, value in self.params.items()}
-
     def row_logprobs(self, rows, targets) -> np.ndarray:
         # evaluate through a throwaway graph so untracked values are
         # bit-identical to the tracked training path
         if len(targets) == 0:
             return np.zeros(0)
         graph = ad.Graph()
-        node = self.rows_forward(graph, self._fresh_leaves(graph), rows, targets)
+        leaves = {name: graph.leaf(value) for name, value in self.params.items()}
+        node = self.rows_forward(graph, leaves, rows, targets)
         return node.value.copy()
 
-    def conditional_row(
-        self, prompt: Sequence[int], prefix: Sequence[int]
-    ) -> np.ndarray:
-        prompt = check_tokens(self.vocab, prompt)
-        prefix = check_tokens(self.vocab, prefix)
-        fill = (self.vocab.bos,) * self.context
-        history = fill + prompt + prefix
-        window = np.asarray(history[len(history) - self.context :], dtype=np.intp)
-        graph = ad.Graph()
-        leaves = self._fresh_leaves(graph)
-        emb = ad.embed_lookup(leaves["emb"], window[None, :])
-        flat = ad.reshape(emb, (1, self.context * self.embed_dim))
-        hidden = ad.tanh(ad.add_bias(ad.matmul(flat, leaves["w1"]), leaves["b1"]))
-        logits = ad.add_bias(ad.matmul(hidden, leaves["w2"]), leaves["b2"])
-        return ad.log_softmax(logits, axis=1).value[0].copy()
+    conditional_row = _conditional_row
 
 
 Policy = NGramPolicy | NeuralPolicy
@@ -364,6 +340,8 @@ def load_checkpoint(path) -> Policy:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+    except OSError as err:
+        raise ValidationError(f"cannot read checkpoint {path}: {err.strerror}") from err
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ValidationError(f"checkpoint {path} is not valid JSON: {err}") from err
     try:

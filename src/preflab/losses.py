@@ -9,15 +9,18 @@ objectives are one formula, a sum over segments of
 divided by the number of pairs, with w_i = +1 on the chosen side and -1
 (cADPO: -(1 - s_j)) on the rejected side:
 
-* dpo_loss: one segment per pair covering both whole sides;
+* dpo_loss: adpo_loss with one adaptive segment per side (m=1), which
+  covers both whole sides (Corollary 1);
 * adpo_loss: the segments of a composition-module segmentation, summed
   outside the log-sigmoid;
 * cadpo_loss: adpo_loss with rejected-side weights -(1 - s_j).
 
-Each wrapper only lays out segment ids and weights; one shared function
-turns them into a fixed five-node graph (a ``weighted_segment_sum`` over
-the whole batch, then scale, log-sigmoid, sum and mean) whatever the
-batch size. There is no length normalization.
+Every loss takes one ``SegmentedPair`` per pair (dpo builds its m=1
+segmentation; the trainer plans it once per dataset). One shared function
+reads each pair's cached kept-segment ranks as segment ids and turns them
+into a fixed five-node graph (a ``weighted_segment_sum`` over the whole
+batch, then scale, log-sigmoid, sum and mean) whatever the batch size.
+There is no length normalization.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-from .composition import SegmentedPair
+from .composition import SegmentedPair, segment_pair
 from .errors import ValidationError
 
 
@@ -111,34 +114,31 @@ def _rejected_weights(index: int, pair: PairLogRatios, scores) -> np.ndarray:
     return 1.0 - scores
 
 
-def _side_ids(bounds, rank: np.ndarray) -> np.ndarray:
-    """Batch segment id of every position of one side.
-
-    ``bounds`` tile the side's vector; ``rank`` maps each of its segments
-    to a batch segment id (-1 for segments that are not kept, which are
-    empty on both sides, so no position takes it).
-    """
-    sizes = [stop - start for start, stop in bounds]
-    return rank[np.repeat(np.arange(len(bounds)), sizes)]
-
-
-def _segment_loss(batch: LogRatioBatch, layouts, l_weights=None) -> Node:
+def _segment_loss(
+    batch: LogRatioBatch, segmentation: list[SegmentedPair], l_weights=None
+) -> Node:
     """Mean over pairs of sum over kept segments of -log sigmoid(beta * z).
 
-    z is a segment's chosen sum minus its (weighted) rejected sum. ``layouts``
-    holds one (w_bounds, l_bounds, kept) triple per pair; ``l_weights`` holds
-    optional per-pair rejected-side weights (default 1).
+    z is a segment's chosen sum minus its (weighted) rejected sum. Each
+    pair's ids are its segmentation's cached kept-segment ranks, offset by
+    the segments of the pairs before it; ``l_weights`` holds optional
+    per-pair rejected-side weights (default 1).
     """
+    batch.validate()
+    if len(segmentation) != len(batch.pairs):
+        raise ValidationError(
+            f"{len(segmentation)} segmentations for {len(batch.pairs)} pairs"
+        )
     nodes, ids, weights = [], [], []
     n_segments = 0
-    for i, (pair, (w_bounds, l_bounds, kept)) in enumerate(zip(batch.pairs, layouts)):
-        rank = np.full(len(w_bounds), -1, dtype=np.intp)
-        rank[list(kept)] = n_segments + np.arange(len(kept))
-        n_segments += len(kept)
-        l_weight = np.ones(pair.rejected.value.shape[0]) if l_weights is None else l_weights[i]
+    for i, (pair, seg) in enumerate(zip(batch.pairs, segmentation)):
+        _check_alignment(i, pair, seg)
+        w_rank, l_rank = seg.kept_ranks
         nodes += [pair.chosen, pair.rejected]
-        ids += [_side_ids(w_bounds, rank), _side_ids(l_bounds, rank)]
-        weights += [np.ones(pair.chosen.value.shape[0]), -l_weight]
+        ids += [w_rank + n_segments, l_rank + n_segments]
+        l_weight = np.ones(l_rank.size) if l_weights is None else l_weights[i]
+        weights += [np.ones(w_rank.size), -l_weight]
+        n_segments += len(seg.kept_segments)
     logits = ad.weighted_segment_sum(
         nodes, np.concatenate(ids), n_segments, np.concatenate(weights)
     )
@@ -146,32 +146,21 @@ def _segment_loss(batch: LogRatioBatch, layouts, l_weights=None) -> Node:
     return ad.mul(total, -1.0 / len(batch.pairs))
 
 
-def _adpo_layouts(batch: LogRatioBatch, segmentation: list[SegmentedPair]):
-    if len(segmentation) != len(batch.pairs):
-        raise ValidationError(
-            f"{len(segmentation)} segmentations for {len(batch.pairs)} pairs"
-        )
-    layouts = []
-    for i, (pair, seg) in enumerate(zip(batch.pairs, segmentation)):
-        _check_alignment(i, pair, seg)
-        layouts.append((seg.w_bounds, seg.l_bounds, seg.kept_segments))
-    return layouts
-
-
 def dpo_loss(batch: LogRatioBatch) -> Node:
-    """Mean over pairs of -log sigmoid(beta * (total_w - total_l))."""
-    batch.validate()
-    layouts = [
-        (((0, p.chosen.value.shape[0]),), ((0, p.rejected.value.shape[0]),), (0,))
-        for p in batch.pairs
-    ]
-    return _segment_loss(batch, layouts)
+    """Mean over pairs of -log sigmoid(beta * (total_w - total_l)): adpo_loss
+    with one adaptive segment per side (Corollary 1)."""
+    return adpo_loss(
+        batch,
+        [
+            segment_pair((p.chosen.value.shape[0], p.rejected.value.shape[0]), "adaptive", 1)
+            for p in batch.pairs
+        ],
+    )
 
 
 def adpo_loss(batch: LogRatioBatch, segmentation: list[SegmentedPair]) -> Node:
     """Mean over pairs of sum over kept segments of -log sigmoid(beta * (S_w(i) - S_l(i)))."""
-    batch.validate()
-    return _segment_loss(batch, _adpo_layouts(batch, segmentation))
+    return _segment_loss(batch, segmentation)
 
 
 def cadpo_loss(
@@ -184,8 +173,6 @@ def cadpo_loss(
     Scores come from ``rejected_scores`` when given, otherwise from each
     pair's own ``rejected_scores`` field. The chosen side is unweighted.
     """
-    batch.validate()
-    layouts = _adpo_layouts(batch, segmentation)
     if rejected_scores is not None and len(rejected_scores) != len(batch.pairs):
         raise ValidationError(
             f"{len(rejected_scores)} score vectors for {len(batch.pairs)} pairs"
@@ -196,7 +183,7 @@ def cadpo_loss(
         )
         for i, pair in enumerate(batch.pairs)
     ]
-    return _segment_loss(batch, layouts, weights)
+    return _segment_loss(batch, segmentation, weights)
 
 
 def implicit_rewards(batch: LogRatioBatch) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -211,16 +198,10 @@ def implicit_rewards(batch: LogRatioBatch) -> list[tuple[np.ndarray, np.ndarray]
 
 def batch_loss(
     batch: LogRatioBatch,
-    segmentation: list[SegmentedPair] | None,
+    segmentation: list[SegmentedPair],
     cfg: LossConfig,
 ) -> Node:
-    """Dispatch to the configured loss."""
+    """The configured loss over a planned segmentation (dpo: adaptive m=1)."""
     if cfg.weighted:
-        if segmentation is None:
-            raise ValidationError("weighted loss requires a segmentation")
         return cadpo_loss(batch, segmentation)
-    if cfg.method == "dpo":
-        return dpo_loss(batch)
-    if segmentation is None:
-        raise ValidationError("adpo loss requires a segmentation")
     return adpo_loss(batch, segmentation)

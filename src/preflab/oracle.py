@@ -32,6 +32,7 @@ import numpy as np
 from .autodiff import logsumexp_values
 from .errors import ValidationError
 from .lm import NGramPolicy, TokenSeq, Vocab
+from .seeds import seed_sequence
 
 MAX_VOCAB = 6
 MAX_LEN = 5
@@ -453,7 +454,7 @@ def reconstruction_spread(
 
 
 def _rng(seed: int, salt: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(salt,)))
+    return np.random.default_rng(seed_sequence(seed, salt))
 
 
 def _reference(space: EnumSpace, rng) -> NGramPolicy:

@@ -20,9 +20,14 @@ STREAMS = {
 }
 
 
+def seed_sequence(seed: int, key: int) -> np.random.SeedSequence:
+    """Child ``key`` of the root ``seed``; a negative seed is refused."""
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    return np.random.SeedSequence(seed, spawn_key=(key,))
+
+
 def child_rng(seed: int, stream: str) -> np.random.Generator:
     if stream not in STREAMS:
         raise ValidationError(f"unknown seed stream {stream!r}")
-    return np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(STREAMS[stream],))
-    )
+    return np.random.default_rng(seed_sequence(seed, STREAMS[stream]))

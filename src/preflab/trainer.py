@@ -1,14 +1,18 @@
 """Deterministic training loop and diagnostics.
 
-The trainer freezes a reference copy of the initial policy, forwards it
-once over the whole dataset (its log-probabilities never change), then
-runs seeded minibatch optimization of the configured preference loss. All
-reductions happen in fixed order, so identical (dataset, config, seed)
+The trainer freezes a reference copy of the initial policy and plans the
+dataset once (``plan_dataset``): every side of every pair is stacked,
+chosen then rejected, with its context rows, targets, the reference's
+log-probs (forwarded once; they never change), the side offsets and one
+segmentation per pair (dpo as adaptive m=1). A train step indexes its
+pairs' positions in that stack; evaluation and the profile use it whole.
+All reductions happen in fixed order, so identical (dataset, config, seed)
 produce bit-identical logs and checkpoints.
 
 Diagnostics cover the usual training curves (chosen/rejected sequence
 log-probabilities, pairwise margin and accuracy) plus a prefix-position
-profile of the per-token implicit rewards across checkpoints.
+profile of the per-token implicit rewards across checkpoints, binned for
+every token at once.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 # unused pad_tokens kept: the benchmark's traced run wraps trainer.pad_tokens
-from .composition import pad_tokens, segment_pair  # noqa: F401
+from .composition import SegmentedPair, pad_tokens, segment_pair  # noqa: F401
 from .data import PreferencePair
 from .errors import TrainingDivergedError, ValidationError
 from .lm import Policy, clone_frozen
@@ -153,134 +157,101 @@ def make_optimizer(cfg: TrainConfig):
 
 
 # ---------------------------------------------------------------------------
-# per-pair plans and batched forwards
+# the dataset plan
 # ---------------------------------------------------------------------------
 
 
+def _describe(policy: Policy) -> str:
+    hyper = ", ".join(f"{k}={v}" for k, v in sorted(policy.hyper.items()))
+    return f"{policy.kind} model (vocab {policy.vocab.size}, {hyper})"
+
+
 @dataclass
-class _PairPlan:
-    index: int
-    prompt: tuple
-    w_tokens: tuple
-    l_tokens: tuple
-    seg: object  # SegmentedPair | None
-    scores: np.ndarray | None
-    ref_w: np.ndarray | None = None  # reference log-probs, chosen side
-    ref_l: np.ndarray | None = None  # reference log-probs, rejected side
-    _rows: dict = field(default_factory=dict)
+class DatasetPlan:
+    """Every side of every pair stacked once: chosen then rejected, pair by pair.
 
-    def side_rows(self, policy: Policy):
-        """Context rows/targets per side; cached per policy geometry (the
-        plan's tokens never change, so rows are static across steps)."""
-        key = (policy.kind, policy.vocab.size) + tuple(
-            sorted(policy.hyper.items())
-        )
-        if key not in self._rows:
-            self._rows[key] = (
-                policy.context_rows(self.prompt, self.w_tokens),
-                policy.context_rows(self.prompt, self.l_tokens),
+    Side s covers positions [offsets[s], offsets[s + 1]) of ``rows``,
+    ``targets`` and ``ref_logp`` (the frozen reference's log-probs), so pair
+    j's sides are 2j and 2j + 1. The rows are the reference's, so the plan
+    serves only policies of the reference's kind, vocab and hyperparameters.
+    """
+
+    reference: Policy
+    rows: np.ndarray
+    targets: np.ndarray
+    ref_logp: np.ndarray
+    offsets: np.ndarray
+    segmentation: list[SegmentedPair]
+    scores: list
+
+    def log_ratios(self, policy: Policy, graph: ad.Graph, leaves=None, pair_ids=None,
+                   what="the policy"):
+        """Policy forward and log-ratio nodes over the positions of ``pair_ids``
+        (default: the whole stack, as it is), with their side offsets.
+
+        With ``leaves`` given, the policy side is tracked for gradients;
+        otherwise fresh leaves of its current parameters are used.
+        """
+        ref = self.reference
+        if (policy.kind, policy.vocab, policy.hyper) != (ref.kind, ref.vocab, ref.hyper):
+            raise ValidationError(
+                f"{what} is a {_describe(policy)} but the reference is a {_describe(ref)}"
             )
-        return self._rows[key]
+        rows, targets, ref_logp, offsets = self.rows, self.targets, self.ref_logp, self.offsets
+        if pair_ids is not None:
+            sides = (2 * np.asarray(pair_ids)[:, None] + (0, 1)).ravel()
+            lengths = np.diff(offsets)[sides]
+            start = offsets[sides]
+            offsets = np.concatenate(([0], np.cumsum(lengths)))
+            index = np.arange(offsets[-1]) + np.repeat(start - offsets[:-1], lengths)
+            rows, targets, ref_logp = rows[index], targets[index], ref_logp[index]
+        if leaves is None:
+            leaves = {name: graph.leaf(value) for name, value in policy.params.items()}
+        theta = policy.rows_forward(graph, leaves, rows, targets)
+        return theta, ad.sub(theta, ref_logp), offsets
 
 
-def _plan_pair(index: int, pair: PreferencePair, cfg: LossConfig) -> _PairPlan:
-    if cfg.method == "adpo" or cfg.weighted:
-        family = "adaptive" if cfg.method == "dpo" else cfg.family
-        param = 1 if cfg.method == "dpo" else cfg.segment_param()
-        seg = segment_pair((len(pair.chosen), len(pair.rejected)), family, param)
-    else:
-        seg = None
-    return _PairPlan(
-        index=index,
-        prompt=pair.prompt,
-        w_tokens=pair.chosen,
-        l_tokens=pair.rejected,
-        seg=seg,
-        scores=pair.rejected_scores,
+def plan_dataset(dataset: list[PreferencePair], cfg: LossConfig, ref: Policy) -> DatasetPlan:
+    """Stack the dataset once and forward the frozen reference over it.
+
+    Each pair is segmented by the configured family; dpo is planned as its
+    one-segment case, the adaptive family with m=1.
+    """
+    if not dataset:
+        raise ValidationError("dataset is empty")
+    family, param = (cfg.family, cfg.segment_param()) if cfg.method == "adpo" else ("adaptive", 1)
+    sides = [ref.context_rows(p.prompt, side) for p in dataset for side in (p.chosen, p.rejected)]
+    rows = np.concatenate([r for r, _ in sides], axis=0)
+    targets = np.concatenate([t for _, t in sides])
+    return DatasetPlan(
+        reference=ref,
+        rows=rows,
+        targets=targets,
+        ref_logp=ref.row_logprobs(rows, targets),
+        offsets=np.concatenate(([0], np.cumsum([len(t) for _, t in sides]))),
+        segmentation=[
+            segment_pair((len(p.chosen), len(p.rejected)), family, param) for p in dataset
+        ],
+        scores=[p.rejected_scores for p in dataset],
     )
 
 
-def plan_dataset(dataset: list[PreferencePair], cfg: LossConfig, ref: Policy):
-    """Plan every pair and attach its reference log-probs.
-
-    The frozen reference is forwarded once, over the stacked rows of the
-    whole dataset; each plan keeps its two slices of the result.
-    """
-    plans = [_plan_pair(i, pair, cfg) for i, pair in enumerate(dataset)]
-    rows, targets, spans = _stack_rows(ref, plans)
-    ref_vals = ref.row_logprobs(rows, targets)
-    for plan, ((ws, we), (ls, le)) in zip(plans, spans):
-        plan.ref_w, plan.ref_l = ref_vals[ws:we], ref_vals[ls:le]
-    return plans
-
-
-def _stack_rows(policy: Policy, plans: list[_PairPlan]):
-    """One (rows, targets) stack covering every side of every plan, plus the
-    [start, stop) span of each side within the stack."""
-    rows_parts = []
-    target_parts = []
-    spans = []
-    offset = 0
-    for plan in plans:
-        pair_spans = []
-        for rows, targets in plan.side_rows(policy):
-            rows_parts.append(rows)
-            target_parts.append(targets)
-            pair_spans.append((offset, offset + len(targets)))
-            offset += len(targets)
-        spans.append(tuple(pair_spans))
-    rows = np.concatenate(rows_parts, axis=0)
-    targets = np.concatenate(target_parts, axis=0)
-    return rows, targets, spans
-
-
-def _build_batch(
-    policy: Policy,
-    plans: list[_PairPlan],
-    cfg: LossConfig,
-    graph: ad.Graph,
-    leaves: dict | None,
-):
-    """Forward the whole batch once and slice per-pair log-ratio vectors.
-
-    With ``leaves`` given, the policy side is tracked for gradients;
-    otherwise a fresh untracked forward is used (evaluation). Reference
-    log-probs come precomputed from the plans.
-    """
-    rows, targets, spans = _stack_rows(policy, plans)
-    if leaves is None:
-        leaves = {name: graph.leaf(value) for name, value in policy.params.items()}
-    theta = policy.rows_forward(graph, leaves, rows, targets)
-    ref_stack = np.concatenate([v for plan in plans for v in (plan.ref_w, plan.ref_l)])
-    log_ratios = ad.sub(theta, ref_stack)
-    pairs = []
-    segs = []
-    for plan, ((ws, we), (ls, le)) in zip(plans, spans):
-        pairs.append(
-            PairLogRatios(
-                chosen=ad.slice1d(log_ratios, ws, we),
-                rejected=ad.slice1d(log_ratios, ls, le),
-                rejected_scores=plan.scores,
-            )
+def _build_batch(plan: DatasetPlan, policy: Policy, beta: float, graph: ad.Graph,
+                 leaves=None, pair_ids=None):
+    """Forward the pairs once and slice per-pair log-ratio vectors."""
+    theta, log_ratios, offsets = plan.log_ratios(policy, graph, leaves, pair_ids)
+    if pair_ids is None:
+        pair_ids = range(len(plan.segmentation))
+    pairs = [
+        PairLogRatios(
+            chosen=ad.slice1d(log_ratios, offsets[2 * k], offsets[2 * k + 1]),
+            rejected=ad.slice1d(log_ratios, offsets[2 * k + 1], offsets[2 * k + 2]),
+            rejected_scores=plan.scores[i],
         )
-        segs.append(plan.seg)
-    batch = LogRatioBatch(pairs=pairs, beta=cfg.beta)
-    segmentation = None if segs and segs[0] is None else segs
-    return batch, segmentation, theta, spans
-
-
-def _pair_metrics(batch: LogRatioBatch, theta_vals, spans):
-    """Per-pair totals for the training curves."""
-    chosen_logp = []
-    rejected_logp = []
-    margins = []
-    for pair, ((ws, we), (ls, le)) in zip(batch.pairs, spans):
-        chosen_logp.append(float(np.sum(theta_vals[ws:we])))
-        rejected_logp.append(float(np.sum(theta_vals[ls:le])))
-        total_w = float(np.sum(pair.chosen.value))
-        total_l = float(np.sum(pair.rejected.value))
-        margins.append(batch.beta * (total_w - total_l))
-    return chosen_logp, rejected_logp, margins
+        for k, i in enumerate(pair_ids)
+    ]
+    segmentation = [plan.segmentation[i] for i in pair_ids]
+    return LogRatioBatch(pairs=pairs, beta=beta), segmentation, theta, offsets
 
 
 def eval_pairs(
@@ -289,31 +260,32 @@ def eval_pairs(
     dataset: list[PreferencePair],
     loss_cfg: LossConfig,
     step: int = 0,
-    plans: list[_PairPlan] | None = None,
+    plan: DatasetPlan | None = None,
 ) -> TrainLogRow:
     """One diagnostics row over the full dataset; mutates nothing.
 
-    ``plans`` (from ``plan_dataset`` with the same config and reference)
-    skip re-planning and re-forwarding the reference.
+    ``plan`` (from ``plan_dataset`` with the same config and reference)
+    skips re-planning and re-forwarding the reference. A policy of another
+    kind, vocab or shape than the reference raises ValidationError.
     """
     loss_cfg.validate()
-    if not dataset:
-        raise ValidationError("dataset is empty")
-    if plans is None:
-        plans = plan_dataset(dataset, loss_cfg, ref)
+    if plan is None:
+        plan = plan_dataset(dataset, loss_cfg, ref)
     graph = ad.Graph()
-    batch, segmentation, theta, spans = _build_batch(
-        policy, plans, loss_cfg, graph, leaves=None
-    )
+    batch, segmentation, theta, offsets = _build_batch(plan, policy, loss_cfg.beta, graph)
     loss = float(batch_loss(batch, segmentation, loss_cfg).value)
-    chosen_logp, rejected_logp, margins = _pair_metrics(batch, theta.value, spans)
+    side_logp = [float(np.sum(theta.value[a:b])) for a, b in zip(offsets[:-1], offsets[1:])]
+    margins = [
+        batch.beta * (float(np.sum(p.chosen.value)) - float(np.sum(p.rejected.value)))
+        for p in batch.pairs
+    ]
     hits = [1.0 if m > 0 else (0.5 if m == 0 else 0.0) for m in margins]
-    n = len(dataset)
+    n = len(batch.pairs)
     return TrainLogRow(
         step=step,
         loss=loss,
-        chosen_logp=float(np.sum(chosen_logp) / n),
-        rejected_logp=float(np.sum(rejected_logp) / n),
+        chosen_logp=float(np.sum(side_logp[0::2]) / n),
+        rejected_logp=float(np.sum(side_logp[1::2]) / n),
         margin=float(np.sum(margins) / n),
         accuracy=float(np.sum(hits) / n),
     )
@@ -332,41 +304,39 @@ def train(dataset: list[PreferencePair], policy: Policy, cfg: TrainConfig) -> Tr
     intermediate snapshots) plus always at the final step.
     """
     cfg.validate()
-    if not dataset:
-        raise ValidationError("dataset is empty")
     if getattr(policy, "frozen", False):
         raise ValidationError("cannot train a frozen policy")
     if cfg.loss.weighted and any(p.rejected_scores is None for p in dataset):
         raise ValidationError("weighted loss requires rejected_scores on every pair")
 
     ref = clone_frozen(policy)
-    plans = plan_dataset(dataset, cfg.loss, ref)
+    plan = plan_dataset(dataset, cfg.loss, ref)
     optimizer = make_optimizer(cfg)
     rng = child_rng(cfg.seed, "shuffle")
 
-    log = [eval_pairs(policy, ref, dataset, cfg.loss, step=0, plans=plans)]
+    log = [eval_pairs(policy, ref, dataset, cfg.loss, step=0, plan=plan)]
     checkpoints: list[tuple[int, Policy]] = []
 
-    order: list[int] = []
+    order = np.empty(0, dtype=np.intp)
     for step in range(1, cfg.steps + 1):
-        if not order:
-            order = list(rng.permutation(len(dataset)))
-        take = min(cfg.batch_size, len(order))
-        batch_ids, order = order[:take], order[take:]
-        batch_plans = [plans[i] for i in batch_ids]
+        if not order.size:
+            order = rng.permutation(len(dataset))
+        batch_ids, order = order[: cfg.batch_size], order[cfg.batch_size :]
 
         graph = ad.Graph()
         leaves = {name: graph.leaf(value) for name, value in policy.params.items()}
-        batch, segmentation, _, _ = _build_batch(policy, batch_plans, cfg.loss, graph, leaves)
+        batch, segmentation, _, _ = _build_batch(
+            plan, policy, cfg.loss.beta, graph, leaves, batch_ids
+        )
         loss = batch_loss(batch, segmentation, cfg.loss)
         if not np.isfinite(loss.value):
-            raise TrainingDivergedError(step, [p.index for p in batch_plans])
+            raise TrainingDivergedError(step, batch_ids.tolist())
         graph.backward(loss)
         grads = {name: leaves[name].grad for name in policy.params}
         optimizer.update(policy.params, grads)
 
         if step % cfg.eval_every == 0 or step == cfg.steps:
-            log.append(eval_pairs(policy, ref, dataset, cfg.loss, step=step, plans=plans))
+            log.append(eval_pairs(policy, ref, dataset, cfg.loss, step=step, plan=plan))
         at_interval = cfg.checkpoint_every > 0 and step % cfg.checkpoint_every == 0
         if at_interval or step == cfg.steps:
             checkpoints.append((step, copy.deepcopy(policy)))
@@ -399,36 +369,29 @@ def prefix_reward_profile(
         raise ValidationError(f"bins must be >= 1, got {bins}")
     if not (math.isfinite(beta) and beta > 0):
         raise ValidationError(f"beta must be finite and positive, got {beta}")
-    if not dataset:
-        raise ValidationError("dataset is empty")
-    eval_cfg = LossConfig(method="dpo", beta=beta)
-    plans = plan_dataset(dataset, eval_cfg, ref)
+    plan = plan_dataset(dataset, LossConfig(method="dpo", beta=beta), ref)
+    lengths = np.diff(plan.offsets)
+    # normalized position i/n of every stacked token; exact integer floor
+    position = np.arange(1, plan.offsets[-1] + 1) - np.repeat(plan.offsets[:-1], lengths)
+    bin_of = np.minimum(position * bins // np.repeat(lengths, lengths), bins - 1)
+    sign = np.repeat(np.tile([1.0, -1.0], len(dataset)), lengths)
+    by_bin = np.argsort(bin_of, kind="stable")
+    bin_stops = np.cumsum(np.bincount(bin_of, minlength=bins))
     rows: list[ProfileRow] = []
     for step, policy in checkpoints:
-        graph = ad.Graph()
-        batch, _, _, _ = _build_batch(policy, plans, eval_cfg, graph, leaves=None)
-        bucket_rewards: list[list[float]] = [[] for _ in range(bins)]
-        bucket_margin = np.zeros(bins)
-        for pair in batch.pairs:
-            for sign, node in ((1.0, pair.chosen), (-1.0, pair.rejected)):
-                values = beta * node.value
-                n = values.shape[0]
-                for i, r in enumerate(values, start=1):
-                    # normalized position i/n in (0, 1]; exact integer floor
-                    b = min(i * bins // n, bins - 1)
-                    bucket_rewards[b].append(float(r))
-                    bucket_margin[b] += sign * float(r)
-        n_pairs = len(batch.pairs)
-        for b in range(bins):
-            if not bucket_rewards[b]:
-                continue
-            rows.append(
-                ProfileRow(
-                    checkpoint=step,
-                    bin_lo=b / bins,
-                    bin_hi=(b + 1) / bins,
-                    variance=float(np.var(np.asarray(bucket_rewards[b]))),
-                    margin=float(bucket_margin[b] / n_pairs),
+        _, log_ratios, _ = plan.log_ratios(policy, ad.Graph(), what=f"checkpoint {step}")
+        rewards = beta * log_ratios.value
+        # np.bincount adds in stack order, as a per-token loop over the pairs would
+        margin = np.bincount(bin_of, weights=sign * rewards, minlength=bins)
+        for b, values in enumerate(np.split(rewards[by_bin], bin_stops[:-1])):
+            if values.size:
+                rows.append(
+                    ProfileRow(
+                        checkpoint=step,
+                        bin_lo=b / bins,
+                        bin_hi=(b + 1) / bins,
+                        variance=float(np.var(values)),
+                        margin=float(margin[b] / len(dataset)),
+                    )
                 )
-            )
     return rows

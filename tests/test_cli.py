@@ -80,6 +80,13 @@ class TestGenData:
         assert main(["gen-data", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "a.jsonl"
+        argv = ["gen-data", "--config", gen_config(tmp_path), "--set", "seed=-1"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "seed must be >= 0" in one_error_line(capsys)
+        assert not out.exists()
+
     def test_set_override(self, tmp_path):
         cfg = gen_config(tmp_path)
         out = tmp_path / "a.jsonl"
@@ -183,6 +190,19 @@ class TestTrain:
         assert match in one_error_line(capsys)
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "override,match",
+        [("data.path={missing}", "cannot read dataset {missing}"), ("seed=-1", "seed must be >= 0")],
+        ids=["missing-data", "negative-seed"],
+    )
+    def test_bad_input_exits_2(self, tmp_path, dataset_path, capsys, override, match):
+        missing = str(tmp_path / "missing.jsonl")
+        out_dir = tmp_path / "run"
+        cfg = train_config(tmp_path, out_dir, dataset_path)
+        assert main(["train", "--config", cfg, "--set", override.format(missing=missing)]) == 2
+        assert match.format(missing=missing) in one_error_line(capsys)
+        assert not out_dir.exists()
+
     def test_adaptive_one_equals_dpo_loss_column(self, tmp_path, dataset_path):
         losses = {}
         for name, loss in (
@@ -266,6 +286,31 @@ class TestEvalAnalyze:
             err = one_error_line(capsys)
             assert match in err and str(bad) in err
 
+    @pytest.mark.parametrize(
+        "command,missing_arg",
+        [
+            ("eval", "--checkpoint"), ("eval", "--ref"), ("eval", "--data"),
+            ("analyze", "--checkpoints"), ("analyze", "--ref"), ("analyze", "--data"),
+        ],
+    )
+    def test_missing_input_file_exits_2(
+        self, tmp_path, dataset_path, run_dir, capsys, command, missing_arg
+    ):
+        out = tmp_path / "profile.csv"
+        args = {
+            "--checkpoint" if command == "eval" else "--checkpoints": str(run_dir / "final.json"),
+            "--ref": str(run_dir / "ref.json"),
+            "--data": str(dataset_path),
+        }
+        args[missing_arg] = str(tmp_path / "missing")
+        argv = [command, *(x for item in args.items() for x in item)]
+        if command == "analyze":
+            argv += ["--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "cannot read " in one_error_line(capsys)
+        assert not out.exists()
+
     def test_analyze_writes_profile(self, tmp_path, run_dir, dataset_path):
         out = tmp_path / "profile.csv"
         code = main(
@@ -300,6 +345,10 @@ class TestOracleCheckCommand:
 
     def test_bad_space_format_exits_2(self):
         assert main(["oracle-check", "--space", "abc"]) == 2
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["oracle-check", "--space", "3,2", "--seed", "-1"]) == 2
+        assert "seed must be >= 0" in one_error_line(capsys)
 
     def test_repeat_identical_bytes(self, capsys):
         assert main(["oracle-check", "--space", "3,2", "--seed", "4"]) == 0

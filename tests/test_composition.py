@@ -1,5 +1,6 @@
 """Unit tests for strong-composition segmentation."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -88,6 +89,22 @@ class TestSegmentPair:
         assert comp.pad_tokens((3, 4), 4, pad_id=2) == (3, 4, 2, 2)
         with pytest.raises(ValidationError):
             comp.pad_tokens((3, 4, 5), 2, pad_id=2)
+
+
+class TestKeptRanks:
+    @pytest.mark.parametrize(
+        "family,param", [("static", 1), ("static", 3), ("adaptive", 1), ("adaptive", 4), ("adaptive", 9)]
+    )
+    def test_match_direct_computation(self, family, param):
+        # m=9 exceeds every length here: segments empty on both sides are dropped
+        for len_w in range(1, 8):
+            for len_l in range(1, 8):
+                seg = comp.segment_pair((len_w, len_l), family, param)
+                kept = seg.kept_segments
+                for bounds, ranks in zip((seg.w_bounds, seg.l_bounds), seg.kept_ranks):
+                    direct = [kept.index(i) for i, (a, b) in enumerate(bounds) for _ in range(a, b)]
+                    assert ranks.dtype == np.intp and ranks.tolist() == direct
+                assert seg.kept_ranks is seg.kept_ranks
 
 
 def assert_partition(parts, length):

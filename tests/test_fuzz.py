@@ -150,9 +150,14 @@ def _wrong_type(field) -> st.SearchStrategy:
 def test_malformed_config_exits_2(files, data):
     doc = _train_doc(files["root"])
     bad = files["root"] / "bad_config.json"
-    how = data.draw(st.sampled_from(["text", "unknown", "section", "field"]))
+    how = data.draw(st.sampled_from(["text", "unknown", "section", "field", "seed"]))
     sections = sorted(cfgmod._SCHEMA)
-    if how == "text":
+    if how == "seed":
+        # well-typed but negative: refused before any stream is drawn
+        doc["seed"] = data.draw(st.integers(max_value=-1))
+        doc["data"]["path"] = str(files["data"])
+        text = json.dumps(doc)
+    elif how == "text":
         text = data.draw(one_line_text.filter(lambda t: not _parses_to_object(t)))
     else:
         section = data.draw(st.sampled_from(sections))
@@ -168,7 +173,8 @@ def test_malformed_config_exits_2(files, data):
             body[name] = data.draw(_wrong_type(cfgmod._SCHEMA[section][name]))
         text = json.dumps(doc)
     bad.write_text(text)
-    assert_refused(["train", "--config", str(bad)])
+    err = assert_refused(["train", "--config", str(bad)])
+    assert how != "seed" or "seed must be >= 0" in err
     assert not (files["root"] / "run").exists()
 
 

@@ -342,11 +342,11 @@ class TestSingleLossNode:
                     scores=rng.uniform(0, 1, size=ll),
                 )
             )
-            # dpo: the default adaptive family with m=1
+            # dpo is planned as the default adaptive family with m=1
             segs.append(segment_pair((lw, ll), cfg.family, cfg.segment_param() or 1))
         batch = losses.LogRatioBatch(pairs, beta=1.0)
         before = len(g)
-        losses.batch_loss(batch, None if cfg.method == "dpo" else segs, cfg)
+        losses.batch_loss(batch, segs, cfg)
         return len(g) - before
 
     @pytest.mark.parametrize("name", list(CONFIGS))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from preflab import autodiff as ad
 from preflab import data as D
 from preflab import lm, losses, trainer
 from preflab.errors import TrainingDivergedError, ValidationError
@@ -51,30 +52,68 @@ class TestDeterminism:
             assert np.array_equal(params[0][name], params[1][name])
 
     def test_plan_reference_values_equal_fresh_forward(self):
-        # without a segmentation (dpo) and with one (adpo static k=1)
+        # dpo (planned as adaptive m=1) and adpo static k=1
         for method in ("dpo", "adpo"):
             _, dataset, policy = small_setup()
             ref = lm.clone_frozen(policy)
-            plans = trainer.plan_dataset(dataset, quick_config(method).loss, ref)
-            rows = [
-                ref.context_rows(p.prompt, side)
-                for p in plans
-                for side in (p.w_tokens, p.l_tokens)
-            ]
-            fresh = ref.row_logprobs(
-                np.concatenate([r for r, _ in rows]), np.concatenate([t for _, t in rows])
-            )
-            stacked = np.concatenate([v for p in plans for v in (p.ref_w, p.ref_l)])
-            assert np.array_equal(stacked, fresh)
+            plan = trainer.plan_dataset(dataset, quick_config(method).loss, ref)
+            sides = [ref.context_rows(p.prompt, s) for p in dataset for s in (p.chosen, p.rejected)]
+            rows = np.concatenate([r for r, _ in sides])
+            targets = np.concatenate([t for _, t in sides])
+            assert np.array_equal(plan.rows, rows) and np.array_equal(plan.targets, targets)
+            assert np.array_equal(plan.ref_logp, ref.row_logprobs(rows, targets))
 
 
 class TestPlans:
     def test_static_plans_forward_only_response_tokens(self):
         _, dataset, policy = small_setup()
-        plans = trainer.plan_dataset(dataset, quick_config("adpo").loss, lm.clone_frozen(policy))
-        _, targets, _ = trainer._stack_rows(policy, plans)
-        assert len(targets) == sum(len(p.chosen) + len(p.rejected) for p in dataset)
-        assert policy.vocab.pad not in targets.tolist()
+        plan = trainer.plan_dataset(dataset, quick_config("adpo").loss, lm.clone_frozen(policy))
+        lengths = [len(s) for p in dataset for s in (p.chosen, p.rejected)]
+        assert np.diff(plan.offsets).tolist() == lengths
+        assert len(plan.targets) == sum(lengths)
+        assert policy.vocab.pad not in plan.targets.tolist()
+
+    def test_dpo_is_planned_as_one_adaptive_segment(self):
+        _, dataset, policy = small_setup()
+        plan = trainer.plan_dataset(dataset, quick_config("dpo").loss, lm.clone_frozen(policy))
+        for pair, seg in zip(dataset, plan.segmentation):
+            assert (seg.family, seg.param) == ("adaptive", 1)
+            assert seg.w_bounds == ((0, len(pair.chosen)),)
+            assert seg.l_bounds == ((0, len(pair.rejected)),)
+
+    def test_batch_positions_index_the_stack(self):
+        # an n-gram forward is a table lookup, so sub-batches are exact slices
+        vocab, dataset, _ = small_setup()
+        policy = lm.NGramPolicy.random(vocab, 2, np.random.default_rng(0))
+        plan = trainer.plan_dataset(dataset, quick_config("adpo").loss, lm.clone_frozen(policy))
+        policy.params["logits"] += np.random.default_rng(1).standard_normal((12, 12))
+        _, whole, _ = plan.log_ratios(policy, ad.Graph())
+        ids = np.array([5, 0, 17, 5])
+        _, part, offsets = plan.log_ratios(policy, ad.Graph(), pair_ids=ids)
+        want = [whole.value[plan.offsets[2 * i] : plan.offsets[2 * i + 2]] for i in ids]
+        assert np.array_equal(part.value, np.concatenate(want))
+        assert offsets[-1] == len(part.value) and len(offsets) == 2 * len(ids) + 1
+
+
+class TestPlanRefusesOtherModels:
+    """A plan's rows and reference log-probs belong to its reference's
+    geometry; scoring another model against them must fail, not report."""
+
+    @pytest.mark.parametrize("other", ["context", "vocab", "kind"])
+    def test_eval_and_profile_refuse(self, other):
+        vocab, dataset, policy = small_setup()
+        ref = lm.clone_frozen(policy)
+        if other == "kind":
+            stranger = lm.NGramPolicy.random(vocab, 2, np.random.default_rng(0))
+        else:
+            stranger = lm.NeuralPolicy.init(
+                lm.Vocab(13) if other == "vocab" else vocab, child_rng(1, "init"),
+                context=3 if other == "context" else 6, embed_dim=4, hidden_dim=12,
+            )
+        with pytest.raises(ValidationError, match="but the reference is a neural model"):
+            trainer.eval_pairs(stranger, ref, dataset, losses.LossConfig(method="dpo"))
+        with pytest.raises(ValidationError, match="^checkpoint 7 is a"):
+            trainer.prefix_reward_profile([(0, policy), (7, stranger)], ref, dataset, beta=1.0)
 
 
 class TestTrainBasics:
@@ -194,8 +233,6 @@ class TestEvalPairs:
             lm.Vocab(12), child_rng(0, "init"), context=6, embed_dim=4, hidden_dim=12
         )
         beta = 1.7
-        from preflab import autodiff as ad
-
         for pair in dataset[:8]:
             lw = lm.token_logprobs(result.policy, pair.prompt, pair.chosen) - lm.token_logprobs(
                 ref, pair.prompt, pair.chosen
@@ -255,6 +292,21 @@ class TestPrefixRewardProfile:
         rows = trainer.prefix_reward_profile([(0, policy)], ref, dataset, beta=1.0, bins=20)
         assert 0 < len(rows) < 20
 
+    @pytest.mark.parametrize("bins", [1, 3, 7, 20])
+    def test_matches_per_token_loop(self, bins):
+        _, dataset, policy = small_setup(min_len=2, max_len=13)
+        assert any(len(p.chosen) != len(p.rejected) for p in dataset)
+        ref = lm.clone_frozen(policy)
+        checkpoints = [
+            (step, lm.NeuralPolicy.init(
+                lm.Vocab(12), child_rng(step, "init"), context=6, embed_dim=4, hidden_dim=12
+            ))
+            for step in (3, 9)
+        ]
+        got = trainer.prefix_reward_profile(checkpoints, ref, dataset, beta=0.7, bins=bins)
+        want = profile_by_token_loop(checkpoints, ref, dataset, beta=0.7, bins=bins)
+        assert trainer.profile_to_csv(got) == trainer.profile_to_csv(want)
+
     def test_requires_checkpoints_and_valid_bins(self):
         _, dataset, policy = small_setup()
         ref = lm.clone_frozen(policy)
@@ -266,6 +318,32 @@ class TestPrefixRewardProfile:
             trainer.prefix_reward_profile([(0, policy)], ref, dataset, beta=math.nan)
         with pytest.raises(ValidationError):
             trainer.prefix_reward_profile([(0, policy)], ref, [], beta=1.0)
+
+
+def profile_by_token_loop(checkpoints, ref, dataset, beta, bins):
+    """The profile binned one token at a time, over the same log-ratios."""
+    plan = trainer.plan_dataset(dataset, losses.LossConfig(method="dpo", beta=beta), ref)
+    rows = []
+    for step, policy in checkpoints:
+        _, log_ratios, offsets = plan.log_ratios(policy, ad.Graph())
+        bucket_rewards = [[] for _ in range(bins)]
+        bucket_margin = np.zeros(bins)
+        for side in range(len(offsets) - 1):
+            sign = 1.0 if side % 2 == 0 else -1.0
+            values = beta * log_ratios.value[offsets[side] : offsets[side + 1]]
+            n = values.shape[0]
+            for i, r in enumerate(values, start=1):
+                b = min(i * bins // n, bins - 1)
+                bucket_rewards[b].append(float(r))
+                bucket_margin[b] += sign * float(r)
+        for b in range(bins):
+            if bucket_rewards[b]:
+                rows.append(trainer.ProfileRow(
+                    step, b / bins, (b + 1) / bins,
+                    float(np.var(np.asarray(bucket_rewards[b]))),
+                    float(bucket_margin[b] / len(dataset)),
+                ))
+    return rows
 
 
 class TestCsv:
