@@ -397,8 +397,10 @@ def gather(a, indices) -> Node:
 def embed_lookup(table, ids) -> Node:
     """Select rows of a (v, d) table by integer id; repeated ids accumulate.
 
-    Backward sums each id's gradient rows in position order (one
-    ``np.bincount`` per column), then adds the sums to the table's gradient.
+    Backward sums each id's gradient rows in position order, all columns in
+    one ``np.bincount`` over (id, column) bins (each entry's bin is gathered
+    from a table of flat indices, as the forward gathers its value), then
+    adds the sums to the table's gradient.
     """
     vt = table.value
     idx = np.asarray(ids, dtype=np.intp)
@@ -408,15 +410,15 @@ def embed_lookup(table, ids) -> Node:
     bad = (idx < 0) | (idx >= size)
     if bad.any():
         raise IndexBoundsError("embed_lookup", int(idx[bad.nonzero()][0]), size)
-    flat = idx.reshape(-1)
     graph = _graph_of("embed_lookup", table)
 
     def backward(g):
-        cols = g.reshape(-1, vt.shape[1])
-        for j in range(vt.shape[1]):
-            table.grad[:, j] += np.bincount(flat, weights=cols[:, j], minlength=size)
+        # bin of each gradient entry: the flat table index its value was read from
+        bins = np.take(np.arange(vt.size).reshape(vt.shape), idx, axis=0)
+        sums = np.bincount(bins.reshape(-1), weights=g.reshape(-1), minlength=vt.size)
+        table.grad += sums.reshape(vt.shape)
 
-    return Node(graph, vt[idx], (table,), backward)
+    return Node(graph, np.take(vt, idx, axis=0), (table,), backward)
 
 
 def slice1d(a, start: int, stop: int) -> Node:

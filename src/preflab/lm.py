@@ -8,7 +8,12 @@ so they normalize by construction and every conditional probability is
 strictly positive.
 
 Prompt tokens are never scored; only response tokens produce
-log-probabilities.
+log-probabilities. Every model conditions on a fixed-width window of the
+ids before each response position, BOS-filled where the window starts
+before its side. ``side_windows`` builds the windows of any number of
+sides (a prompt and a response each) in one pass over one id stream, with
+one vectorized bounds check; the neural model reads the windows as they
+are, the n-gram reads each window's base-v code as its table row.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -27,6 +33,8 @@ TokenSeq = tuple[int, ...]
 
 # Largest n-gram logit table, in float64 entries (128 MiB).
 MAX_NGRAM_ENTRIES = 1 << 24
+# Largest neural model, in float64 parameters (128 MiB).
+MAX_NEURAL_PARAMS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -71,6 +79,49 @@ def check_tokens(vocab: Vocab, tokens: Sequence[int]) -> TokenSeq:
         if not (0 <= t < vocab.size):
             raise TokenIdError(t, vocab.size)
     return out
+
+
+def _lengths(sides) -> np.ndarray:
+    return np.fromiter(map(len, sides), dtype=np.intp, count=len(sides))
+
+
+def side_windows(vocab: Vocab, width: int, prompts, responses) -> tuple[np.ndarray, np.ndarray]:
+    """The ``width`` ids before every response position of every side, and
+    the id at that position, stacked side by side.
+
+    Side s is ``prompts[s]`` followed by ``responses[s]``: two lists of id
+    sequences, or two 2-D id arrays for sides of equal lengths. Its windows
+    are BOS-filled where they start before the side. Every id is checked
+    once, in side order, prompt before response; the first out of range
+    raises TokenIdError.
+    """
+    if isinstance(responses, np.ndarray):
+        n = len(responses)
+        p_len, r_len = np.full(n, prompts.shape[1]), np.full(n, responses.shape[1])
+        fill = np.full((n, width), vocab.bos)
+        stream = np.concatenate([fill, prompts, responses], axis=1, dtype=np.intp).reshape(-1)
+    else:
+        p_len, r_len = _lengths(prompts), _lengths(responses)
+        fill = (vocab.bos,) * width
+        ids = chain.from_iterable(x for side in zip(prompts, responses) for x in (fill, *side))
+        count = int(width * len(p_len) + p_len.sum() + r_len.sum())
+        try:
+            stream = np.fromiter(ids, dtype=np.intp, count=count)
+        except OverflowError:  # an id beyond the machine's integers: name it
+            for seq in chain.from_iterable(zip(prompts, responses)):
+                check_tokens(vocab, seq)
+            raise
+    bad = (stream < 0) | (stream >= vocab.size)
+    if bad.any():
+        raise TokenIdError(int(stream[bad][0]), vocab.size)
+    # stream: (width BOS, prompt, response) per side; position i of a side's
+    # response has its window at stream[first : first + width]
+    ends = np.cumsum(width + p_len + r_len)
+    skip = ends - np.cumsum(r_len) - width
+    first = np.arange(int(r_len.sum())) + np.repeat(skip, r_len)
+    shape = (max(stream.size - width + 1, 0), width)
+    windows = np.lib.stride_tricks.as_strided(stream, shape, stream.strides * 2, writeable=False)
+    return windows[first], stream[first + width]
 
 
 def _conditional_row(policy, prompt: Sequence[int], prefix: Sequence[int]) -> np.ndarray:
@@ -131,13 +182,19 @@ class NGramPolicy:
     def hyper(self) -> dict:
         return {"order": self.order}
 
+    def stacked_rows(self, prompts, responses) -> tuple[np.ndarray, np.ndarray]:
+        """Table row (the base-v code of the context window) and target id of
+        every response position of every side, stacked (see side_windows)."""
+        width = self.order - 1
+        windows, targets = side_windows(self.vocab, width, prompts, responses)
+        powers = self.vocab.size ** np.arange(width - 1, -1, -1, dtype=np.intp)
+        return windows @ powers, targets
+
     def context_rows(
         self, prompt: Sequence[int], response: Sequence[int]
     ) -> tuple[np.ndarray, np.ndarray]:
         """Context-row index and target id for every response position."""
-        response = check_tokens(self.vocab, response)
-        targets = np.asarray(response, dtype=np.intp)
-        return self.batch_context_rows(prompt, targets[None, :])[0], targets
+        return self.stacked_rows([prompt], [response])
 
     def batch_context_rows(
         self, prompt: Sequence[int], responses: np.ndarray
@@ -148,20 +205,11 @@ class NGramPolicy:
         only on the tokens before i, so columns past a shorter response's
         end may hold any valid id.
         """
-        prompt = check_tokens(self.vocab, prompt)
         responses = np.asarray(responses, dtype=np.intp)
-        bad = (responses < 0) | (responses >= self.vocab.size)
-        if bad.any():
-            raise TokenIdError(int(responses[bad][0]), self.vocab.size)
-        n, length = responses.shape
-        width = self.order - 1
-        if width == 0 or length == 0:
-            return np.zeros((n, length), dtype=np.intp)
-        fill = np.asarray((self.vocab.bos,) * width + prompt, dtype=np.intp)
-        history = np.concatenate([np.broadcast_to(fill, (n, fill.size)), responses], axis=1)
-        windows = np.lib.stride_tricks.sliding_window_view(history, width, axis=1)
-        powers = self.vocab.size ** np.arange(width - 1, -1, -1, dtype=np.intp)
-        return windows[:, len(prompt) : len(prompt) + length] @ powers
+        prompt = np.asarray(prompt, dtype=np.intp)
+        prompts = np.broadcast_to(prompt, (len(responses), prompt.size))
+        rows, _ = self.stacked_rows(prompts, responses)
+        return rows.reshape(responses.shape)
 
     def rows_forward(self, graph: ad.Graph, leaves, rows, targets) -> ad.Node:
         table = ad.log_softmax(leaves["logits"], axis=1)
@@ -175,11 +223,21 @@ class NGramPolicy:
     conditional_row = _conditional_row
 
 
-def _check_widths(context: int, embed_dim: int, hidden_dim: int) -> None:
+def neural_param_count(vocab: Vocab, context: int, embed_dim: int, hidden_dim: int) -> int:
+    """Parameter count of a neural model, checked against MAX_NEURAL_PARAMS
+    in integer arithmetic before anything is allocated."""
     widths = {"context": context, "embed_dim": embed_dim, "hidden_dim": hidden_dim}
     for name, value in widths.items():
         if value < 1:
             raise ValidationError(f"{name} must be >= 1, got {value}")
+    v, c, e, h = (int(n) for n in (vocab.size, context, embed_dim, hidden_dim))
+    count = v * e + c * e * h + h + h * v + v
+    if count > MAX_NEURAL_PARAMS:
+        raise ValidationError(
+            f"a neural model with vocab {v}, context {c}, embed_dim {e} and "
+            f"hidden_dim {h} needs {count} parameters, more than {MAX_NEURAL_PARAMS}"
+        )
+    return count
 
 
 class NeuralPolicy:
@@ -202,7 +260,7 @@ class NeuralPolicy:
         params: dict[str, np.ndarray],
         frozen=False,
     ):
-        _check_widths(context, embed_dim, hidden_dim)
+        neural_param_count(vocab, context, embed_dim, hidden_dim)
         self.vocab = vocab
         self.context = context
         self.embed_dim = embed_dim
@@ -233,7 +291,7 @@ class NeuralPolicy:
         embed_dim: int = 8,
         hidden_dim: int = 32,
     ) -> "NeuralPolicy":
-        _check_widths(context, embed_dim, hidden_dim)
+        neural_param_count(vocab, context, embed_dim, hidden_dim)
 
         def uniform(shape):
             return rng.uniform(-0.1, 0.1, size=shape)
@@ -259,17 +317,12 @@ class NeuralPolicy:
         self, prompt: Sequence[int], response: Sequence[int]
     ) -> tuple[np.ndarray, np.ndarray]:
         """Context window and target id for every response position."""
-        prompt = check_tokens(self.vocab, prompt)
-        response = check_tokens(self.vocab, response)
-        targets = np.asarray(response, dtype=np.intp)
-        if not response:
-            return np.zeros((0, self.context), dtype=np.intp), targets
-        fill = (self.vocab.bos,) * self.context
-        history = np.asarray(fill + prompt + response, dtype=np.intp)
-        start = self.context + len(prompt)
-        windows = np.lib.stride_tricks.sliding_window_view(history, self.context)
-        rows = windows[start - self.context : start - self.context + len(response)]
-        return np.ascontiguousarray(rows), targets
+        return self.stacked_rows([prompt], [response])
+
+    def stacked_rows(self, prompts, responses) -> tuple[np.ndarray, np.ndarray]:
+        """Context window and target id of every response position of every
+        side, stacked (see side_windows)."""
+        return side_windows(self.vocab, self.context, prompts, responses)
 
     def rows_forward(self, graph: ad.Graph, leaves, rows, targets) -> ad.Node:
         emb = ad.embed_lookup(leaves["emb"], rows)
@@ -296,8 +349,6 @@ Policy = NGramPolicy | NeuralPolicy
 
 def token_logprobs(policy: Policy, prompt, response) -> np.ndarray:
     """Per-token conditional log-probabilities of the response."""
-    if len(response) == 0:
-        return np.zeros(0)
     rows, targets = policy.context_rows(prompt, response)
     return policy.row_logprobs(rows, targets)
 
@@ -330,9 +381,10 @@ def save_checkpoint(policy: Policy, path, config_hash: str = "") -> None:
         },
         "config_hash": config_hash,
     }
+    # json.dumps runs the C encoder; json.dump the pure-Python one (same bytes)
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_checkpoint(path) -> Policy:

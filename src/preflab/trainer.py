@@ -214,21 +214,22 @@ class DatasetPlan:
 def plan_dataset(dataset: list[PreferencePair], cfg: LossConfig, ref: Policy) -> DatasetPlan:
     """Stack the dataset once and forward the frozen reference over it.
 
-    Each pair is segmented by the configured family; dpo is planned as its
-    one-segment case, the adaptive family with m=1.
+    The context rows of every side come from one ``stacked_rows`` call
+    (``lm.side_windows``). Each pair is segmented by the configured family;
+    dpo is planned as its one-segment case, the adaptive family with m=1.
     """
     if not dataset:
         raise ValidationError("dataset is empty")
     family, param = (cfg.family, cfg.segment_param()) if cfg.method == "adpo" else ("adaptive", 1)
-    sides = [ref.context_rows(p.prompt, side) for p in dataset for side in (p.chosen, p.rejected)]
-    rows = np.concatenate([r for r, _ in sides], axis=0)
-    targets = np.concatenate([t for _, t in sides])
+    responses = [side for p in dataset for side in (p.chosen, p.rejected)]
+    prompts = [p.prompt for p in dataset for _ in (p.chosen, p.rejected)]
+    rows, targets = ref.stacked_rows(prompts, responses)
     return DatasetPlan(
         reference=ref,
         rows=rows,
         targets=targets,
         ref_logp=ref.row_logprobs(rows, targets),
-        offsets=np.concatenate(([0], np.cumsum([len(t) for _, t in sides]))),
+        offsets=np.concatenate(([0], np.cumsum([len(side) for side in responses]))),
         segmentation=[
             segment_pair((len(p.chosen), len(p.rejected)), family, param) for p in dataset
         ],

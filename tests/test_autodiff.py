@@ -165,15 +165,19 @@ class TestStructural:
 
     def test_scatter_backward_bitwise_equals_add_at(self):
         # A7-sized ids: repeated ids sum in position order, as np.add.at does
+        # (a neural window batch, and an n-gram's rows of a wide table)
         rng = np.random.default_rng(4)
-        ids = rng.integers(0, 12, size=(640, 26))
-        up = rng.standard_normal((640, 26, 8))
-        g = ad.Graph()
-        table = g.leaf(rng.standard_normal((12, 8)))
-        g.backward(ad.sum(ad.mul(ad.embed_lookup(table, ids), up)))
-        expected = np.zeros((12, 8))
-        np.add.at(expected, ids.reshape(-1), up.reshape(-1, 8))
-        assert np.array_equal(table.grad, expected)
+        for (v, d), id_shape in (((12, 8), (640, 26)), ((144, 12), (900,))):
+            ids = rng.integers(0, v, size=id_shape)
+            up = rng.standard_normal(id_shape + (d,))
+            g = ad.Graph()
+            table = g.leaf(rng.standard_normal((v, d)))
+            picked = ad.embed_lookup(table, ids)
+            assert np.array_equal(picked.value, table.value[ids])
+            g.backward(ad.sum(ad.mul(picked, up)))
+            expected = np.zeros((v, d))
+            np.add.at(expected, ids.reshape(-1), up.reshape(-1, d))
+            assert np.array_equal(table.grad, expected)
 
         idx = rng.integers(0, 12, size=640)
         up = rng.standard_normal(640)

@@ -158,6 +158,9 @@ class TestTrain:
             (["model.embed_dim=0", "model.hidden_dim=0"], "embed_dim must be >= 1"),
             (["model.kind=ngram", "model.order=0"], "order must be >= 1"),
             (["model.kind=ngram", "model.order=1000000000000"], "table entries"),
+            (["model.context=1000000000000"], "parameters, more than"),
+            (["model.embed_dim=1000000000000"], "parameters, more than"),
+            (["model.hidden_dim=1000000000000"], "parameters, more than"),
         ],
     )
     def test_bad_model_or_loss_override_exits_2(

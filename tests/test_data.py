@@ -162,6 +162,19 @@ class TestPairValidation:
             )
 
 
+class TestCheckDataset:
+    @pytest.mark.parametrize("bad", [12, 10**6, -1, -(2**70), 2**70])
+    @pytest.mark.parametrize("where", ["prompt", "chosen", "rejected"])
+    def test_names_first_bad_pair(self, vocab, where, bad):
+        pairs = [D.PreferencePair((3, 4), (4, 5), (5, 3)) for _ in range(7)]
+        sides = {"prompt": (3, 4), "chosen": (4, 5), "rejected": (5, 3), where: (3, bad)}
+        pairs[4] = D.PreferencePair(**sides)
+        D.check_dataset(pairs[:4] + pairs[5:], vocab)
+        with pytest.raises(ValidationError) as info:
+            D.check_dataset(pairs, vocab)
+        assert str(info.value) == f"pair 4: token id {bad} out of range for vocab size {vocab.size}"
+
+
 class TestJsonl:
     def test_round_trip_byte_identical(self, task, tmp_path):
         pairs = D.generate_dataset(task, 20)

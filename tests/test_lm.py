@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from preflab import autodiff as ad
-from preflab import lm
+from preflab import data, lm, oracle, trainer
 from preflab.errors import ValidationError
+from preflab.losses import LossConfig
 from preflab.seeds import child_rng
 
 
@@ -167,6 +168,126 @@ class TestCloneFrozen:
         assert np.array_equal(a, b)
 
 
+def windows_per_side(vocab, width, prompt, response):
+    """Reference: the BOS-filled window before every response position of one
+    side, cut from a sliding window over that side alone."""
+    history = np.asarray((vocab.bos,) * width + tuple(prompt) + tuple(response), dtype=np.intp)
+    view = np.lib.stride_tricks.sliding_window_view(history, width)
+    return view[len(prompt) : len(prompt) + len(response)]
+
+
+def codes_per_side(vocab, order, prompt, response):
+    """Reference: each n-gram row as the base-v code of its window, by hand."""
+    width = order - 1
+    history = (vocab.bos,) * width + tuple(prompt) + tuple(response)
+    codes = []
+    for i in range(len(response)):
+        code = 0
+        for t in history[len(prompt) + i : len(prompt) + i + width]:
+            code = code * vocab.size + t
+        codes.append(code)
+    return codes
+
+
+def reference_table_per_row(space, ref, prompt):
+    """Reference: the oracle's table from windows built one context at a time."""
+    rows = []
+    for context, n in zip(space.contexts, space.ctx_len):
+        ctx = tuple(int(t) for t in context[:n])
+        # the row of the position after the context (its target id is irrelevant)
+        rows.append(codes_per_side(space.vocab, ref.order, prompt, ctx + (0,))[-1])
+    rows = np.asarray(rows, dtype=np.intp)
+    return ref.row_logprobs(rows[:, None], np.arange(space.vocab.size)[None, :])
+
+
+class TestSideWindows:
+    """One window builder for every side of a dataset, against per-side references."""
+
+    SIDES = [  # (prompt, response): prompts longer than any window, length-1 responses
+        ((3, 4, 5, 3, 4, 5, 3, 4), (5,)),
+        ((3,), (4, 5, 3, 4, 5, 3, 4, 5, 3)),
+        ((4, 4), (3,)),
+        ((5, 3, 4, 5, 3), (4, 4)),
+    ]
+
+    def policies(self, vocab):
+        for context in (1, 2, 4, 9):
+            yield lm.NeuralPolicy.init(vocab, child_rng(context, "init"), context=context)
+        for order in (1, 2, 3, 4):
+            yield lm.NGramPolicy.random(vocab, order, np.random.default_rng(order))
+
+    def reference(self, policy, prompt, response):
+        if policy.kind == "neural":
+            return windows_per_side(policy.vocab, policy.context, prompt, response)
+        codes = codes_per_side(policy.vocab, policy.order, prompt, response)
+        return np.asarray(codes, dtype=np.intp)
+
+    def test_stacked_rows_equal_per_side_windows(self, vocab):
+        prompts = [p for p, _ in self.SIDES]
+        responses = [r for _, r in self.SIDES]
+        for policy in self.policies(vocab):
+            rows, targets = policy.stacked_rows(prompts, responses)
+            expected = np.concatenate([self.reference(policy, p, r) for p, r in self.SIDES])
+            assert np.array_equal(rows, expected) and rows.dtype == np.intp
+            assert targets.tolist() == [t for r in responses for t in r]
+            for prompt, response in self.SIDES:
+                one, _ = policy.context_rows(prompt, response)
+                assert np.array_equal(one, self.reference(policy, prompt, response))
+
+    def test_empty_response(self, vocab):
+        for policy in self.policies(vocab):
+            assert lm.token_logprobs(policy, (3, 4), ()).shape == (0,)
+            rows, targets = policy.stacked_rows([(3,), (4,), (5,)], [(4,), (), (3, 3)])
+            assert np.array_equal(rows[:1], self.reference(policy, (3,), (4,)))
+            assert np.array_equal(rows[1:], self.reference(policy, (5,), (3, 3)))
+            assert targets.tolist() == [4, 3, 3]
+
+    def test_generated_dataset_plan(self):
+        vocab = lm.Vocab(12)
+        pairs = data.generate_dataset(data.BigramMatchTask(vocab=vocab, max_len=64, seed=5), 1024)
+        sides = [(p.prompt, s) for p in pairs for s in (p.chosen, p.rejected)]
+        assert min(len(s) for _, s in sides) == 4 and max(len(s) for _, s in sides) == 64
+        policies = [lm.NeuralPolicy.init(vocab, child_rng(0, "init"), context=26)]
+        policies += [lm.NGramPolicy.random(vocab, order, np.random.default_rng(order))
+                     for order in (1, 2, 3, 4)]
+        for ref in policies:
+            plan = trainer.plan_dataset(pairs, LossConfig(method="adpo", family="static", k=1), ref)
+            expected = np.concatenate([self.reference(ref, p, s) for p, s in sides])
+            assert np.array_equal(plan.rows, expected)
+            assert plan.targets.tolist() == [t for _, s in sides for t in s]
+
+    @pytest.mark.parametrize("bad", [6, 99, -1])
+    @pytest.mark.parametrize("where", ["prompt", "chosen", "rejected"])
+    def test_bad_id_in_any_side_is_named(self, vocab, where, bad):
+        pairs = [data.PreferencePair((3, 4), (4, 5), (5, 3)) for _ in range(5)]
+        sides = {"prompt": (3, 4), "chosen": (4, 5), "rejected": (5, 3), where: (3, bad)}
+        pairs[2] = data.PreferencePair(**sides)
+        for ref in self.policies(vocab):
+            with pytest.raises(lm.TokenIdError, match=f"token id {bad} out of range") as info:
+                trainer.plan_dataset(pairs, LossConfig(method="dpo"), ref)
+            assert info.value.token == bad
+            response = pairs[2].rejected if where == "rejected" else pairs[2].chosen
+            with pytest.raises(lm.TokenIdError, match=f"token id {bad} "):
+                ref.context_rows(pairs[2].prompt, response)
+        with pytest.raises(lm.TokenIdError, match=f"token id {2**70} "):
+            lm.token_logprobs(lm.NGramPolicy.uniform(vocab, 2), (3,), (4, 2**70))
+
+    @pytest.mark.parametrize(
+        "v,n,mode",
+        [(3, 1, "eos"), (3, 4, "eos"), (5, 3, "eos"), (6, 5, "eos"),
+         (3, 1, "fixed"), (4, 3, "fixed"), (6, 4, "fixed")],
+    )
+    def test_reference_table_bitwise_unchanged(self, v, n, mode):
+        space = oracle.EnumSpace.build(v, n, mode)
+        for order in range(1, n + 2):
+            ref = lm.NGramPolicy.random(space.vocab, order, np.random.default_rng(order))
+            for prompt in ((), (space.vocab.eos,), (v - 1, 2, v - 1)):
+                assert np.array_equal(
+                    oracle.reference_table(space, ref, prompt),
+                    reference_table_per_row(space, ref, prompt),
+                )
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, vocab, tmp_path):
         for policy in (
@@ -187,6 +308,33 @@ class TestCheckpoint:
         lm.save_checkpoint(policy, p1)
         lm.save_checkpoint(policy, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_bytes_equal_the_json_dump_writer(self, vocab, tmp_path):
+        def json_dump_writer(policy, path, config_hash):
+            # the former writer: the same document through json.dump's
+            # pure-Python encoder
+            doc = {
+                "kind": policy.kind,
+                "vocab": {"size": policy.vocab.size, "bos": policy.vocab.bos,
+                          "eos": policy.vocab.eos, "pad": policy.vocab.pad},
+                "hyper": policy.hyper,
+                "params": {
+                    name: {"shape": list(value.shape), "data": value.reshape(-1).tolist()}
+                    for name, value in policy.params.items()
+                },
+                "config_hash": config_hash,
+            }
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+                fh.write("\n")
+
+        for policy in (
+            lm.NGramPolicy.random(vocab, 3, np.random.default_rng(7)),
+            lm.NeuralPolicy.init(vocab, child_rng(7, "init"), context=5, hidden_dim=16),
+        ):
+            lm.save_checkpoint(policy, tmp_path / "new.json", config_hash="0f" * 32)
+            json_dump_writer(policy, tmp_path / "old.json", "0f" * 32)
+            assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
 
     def test_unknown_kind_rejected(self, vocab, tmp_path):
         path = tmp_path / "bad.json"
@@ -299,3 +447,25 @@ class TestModelBounds:
     def test_neural_widths_at_least_one(self, vocab, widths):
         with pytest.raises(ValidationError, match="must be >= 1"):
             lm.NeuralPolicy.init(vocab, self.UnusableRng(), **widths)
+
+    @pytest.mark.parametrize(
+        "widths", [{"context": 10**12}, {"embed_dim": 10**12}, {"hidden_dim": 10**12},
+                   {"context": 2**40, "embed_dim": 2**40, "hidden_dim": 2**40}]
+    )
+    def test_neural_size_bound_checked_before_allocation(self, vocab, widths):
+        with pytest.raises(ValidationError, match="parameters, more than"):
+            lm.NeuralPolicy.init(vocab, self.UnusableRng(), **widths)
+        # a checkpoint's hyperparameters are bounded before its params are read
+        shape = {"context": 8, "embed_dim": 8, "hidden_dim": 32, **widths}
+        with pytest.raises(ValidationError, match="parameters, more than"):
+            lm.NeuralPolicy(vocab, params={}, **shape)
+
+    def test_neural_size_bound_is_exact(self, vocab):
+        # vocab 6, embed 1, hidden 1: context + 19 parameters
+        edge = lm.MAX_NEURAL_PARAMS - 19
+        assert lm.neural_param_count(vocab, edge, 1, 1) == lm.MAX_NEURAL_PARAMS
+        with pytest.raises(ValidationError, match="parameters, more than"):
+            lm.neural_param_count(vocab, edge + 1, 1, 1)
+        with pytest.raises(ValidationError, match="parameters, more than"):
+            lm.NeuralPolicy.init(lm.Vocab(10**9), self.UnusableRng())
+        assert lm.neural_param_count(vocab, 8, 8, 32) == 6 * 8 + 8 * 8 * 32 + 32 + 32 * 6 + 6
