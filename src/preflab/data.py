@@ -9,6 +9,7 @@ Datasets round-trip losslessly through JSONL, one pair per line.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -76,8 +77,10 @@ class BigramMatchTask:
             )
         if not (0.0 <= self.bigram_rate <= 1.0):
             raise ValidationError(f"bigram_rate {self.bigram_rate} outside [0, 1]")
-        if self.temperature <= 0:
-            raise ValidationError(f"temperature must be positive, got {self.temperature}")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ValidationError(
+                f"temperature must be finite and positive, got {self.temperature}"
+            )
         if not self.vocab.content_ids():
             raise ValidationError("vocab has no content tokens")
 
@@ -98,21 +101,32 @@ class BigramMatchTask:
         target bigram; deterministic per task seed."""
         rng = child_rng(self.seed, "task")
         bias = rng.standard_normal(len(self.vocab.content_ids()))
-        scaled = bias / self.temperature
-        weights = np.exp(scaled - np.max(scaled))
-        return weights / np.sum(weights)
+        # a temperature near zero overflows the scaled logits to inf - inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = bias / self.temperature
+            weights = np.exp(scaled - np.max(scaled))
+            probs = weights / np.sum(weights)
+        if not (np.all(np.isfinite(probs)) and abs(float(np.sum(probs)) - 1.0) <= 1e-8):
+            raise ValidationError(
+                f"temperature {self.temperature} gives no finite background distribution"
+            )
+        return probs
 
 
-def _sample_response(task: BigramMatchTask, prompt, rng, background) -> TokenSeq:
+def _sample_response(task: BigramMatchTask, prompt, rng, cdf) -> TokenSeq:
+    """One response. Each background token is the draw of
+    ``rng.choice(len(cdf), p=background)``, made as ``choice`` makes it
+    (one ``rng.random()`` located in the cumulative table ``cdf``) but
+    without re-validating ``p`` on every token."""
     content = task.vocab.content_ids()
     u, v = task.target_bigram(prompt)
     length = int(rng.integers(task.min_len, task.max_len + 1))
-    out = [int(content[rng.choice(len(content), p=background)])]
+    out = [int(content[cdf.searchsorted(rng.random(), side="right")])]
     for _ in range(length - 1):
         if rng.random() < task.bigram_rate:
             out.append(v if out[-1] == u else u)
         else:
-            out.append(int(content[rng.choice(len(content), p=background)]))
+            out.append(int(content[cdf.searchsorted(rng.random(), side="right")]))
     return tuple(out)
 
 
@@ -135,17 +149,18 @@ def generate_dataset(
     if labeling not in ("deterministic", "bt"):
         raise ValidationError(f"unknown labeling {labeling!r}")
     rng = child_rng(task.seed, "data")
-    background = task.background_probs()
+    cdf = np.cumsum(task.background_probs())
+    cdf /= cdf[-1]
     content = task.vocab.content_ids()
     pairs = []
     for _ in range(n_pairs):
         prompt = tuple(
             int(content[rng.integers(len(content))]) for _ in range(task.prompt_len)
         )
-        first = _sample_response(task, prompt, rng, background)
-        second = _sample_response(task, prompt, rng, background)
+        first = _sample_response(task, prompt, rng, cdf)
+        second = _sample_response(task, prompt, rng, cdf)
         while second == first:
-            second = _sample_response(task, prompt, rng, background)
+            second = _sample_response(task, prompt, rng, cdf)
         r_first = task.reward(prompt, first)
         r_second = task.reward(prompt, second)
         if labeling == "bt":

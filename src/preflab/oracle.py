@@ -15,6 +15,13 @@ is a gather from such a table at (seq_ctx, sequences) plus a masked sum
 over at most ``MAX_LEN`` positions, a row-wise log-softmax, or a soft-value
 recursion of ``MAX_LEN`` vectorized levels.
 
+The reference enters every check as data: ``reference_table`` is the one
+function that reads an ``NGramPolicy`` (and a prompt), and each
+certificate calls it once. Prefix-level functions take that table;
+response-level ones take its chain-rule sum, ``ref_logmass``. Random
+policies are drawn and scored in blocks of about 256 KiB, so every pass
+after the Gaussian draw runs in cache.
+
 Spaces are hard-capped at vocab size 6 and length 5. Variable-length
 spaces are realized as EOS-terminated sequences, which makes the output
 space prefix-free (no response is a proper prefix of another); the
@@ -143,6 +150,14 @@ def _table(space: EnumSpace, rstar) -> np.ndarray:
     return _shaped("prefix reward", rstar, space.child.shape)
 
 
+def _ref_table(space: EnumSpace, ref_table) -> np.ndarray:
+    return _shaped("reference table", ref_table, space.child.shape)
+
+
+def _ref_mass(space: EnumSpace, ref_mass) -> np.ndarray:
+    return _shaped("reference log mass", ref_mass, space.lengths.shape)
+
+
 def _check_beta(beta) -> None:
     if not (math.isfinite(beta) and beta > 0):
         raise ValidationError(f"beta must be finite and positive, got {beta}")
@@ -157,7 +172,10 @@ def along_sequences(space: EnumSpace, table: np.ndarray) -> np.ndarray:
 
 def reference_table(space: EnumSpace, ref: NGramPolicy, prompt: TokenSeq = ()) -> np.ndarray:
     """log pi_ref(t | prompt + context) for every context and token: one
-    gather from the n-gram's log-softmax table at the rows ``lm`` assigns."""
+    gather from the n-gram's log-softmax table at the rows ``lm`` assigns.
+
+    The only function here that reads a policy; everything downstream takes
+    this table, or its ``ref_logmass``, as data."""
     if not isinstance(ref, NGramPolicy) or ref.vocab != space.vocab:
         raise ValidationError("the oracle's reference must be an n-gram over the space's vocab")
     rows = ref.batch_context_rows(prompt, np.pad(space.contexts, ((0, 0), (0, 1))))
@@ -165,9 +183,10 @@ def reference_table(space: EnumSpace, ref: NGramPolicy, prompt: TokenSeq = ()) -
     return ref.row_logprobs(rows[:, None], np.arange(space.vocab.size)[None, :])
 
 
-def ref_logmass(space: EnumSpace, ref, prompt: TokenSeq = ()) -> np.ndarray:
-    """Chain-rule log mass of every enumerated sequence under the reference."""
-    return np.sum(along_sequences(space, reference_table(space, ref, prompt)), axis=1)
+def ref_logmass(space: EnumSpace, ref_table) -> np.ndarray:
+    """Chain-rule log mass of every enumerated sequence under the reference
+    whose ``reference_table`` is ``ref_table``."""
+    return np.sum(along_sequences(space, _ref_table(space, ref_table)), axis=1)
 
 
 def random_reward(space: EnumSpace, rng, scale: float = 1.0) -> np.ndarray:
@@ -183,101 +202,78 @@ def random_prefix_reward(space: EnumSpace, rng, scale: float = 1.0) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def boltzmann_distribution(
-    space: EnumSpace,
-    reward,
-    ref,
-    beta: float,
-    prompt: TokenSeq = (),
-    logmass: np.ndarray | None = None,
-) -> np.ndarray:
-    """Distribution proportional to pi_ref(y) * exp(r(y) / beta) over the space.
+def boltzmann_distribution(space: EnumSpace, reward, ref_mass, beta: float) -> np.ndarray:
+    """Distribution proportional to pi_ref(y) * exp(r(y) / beta) over the
+    space, with ``ref_mass`` = ref_logmass(space, ref_table).
 
     This is the maximizer of kl_objective; normalization is exact over the
-    enumerated sequences. ``logmass`` may carry a precomputed
-    ref_logmass(space, ref, prompt).
+    enumerated sequences.
     """
     _check_beta(beta)
-    if logmass is None:
-        logmass = ref_logmass(space, ref, prompt)
-    logw = logmass + _vector(space, reward) / beta
+    logw = _ref_mass(space, ref_mass) + _vector(space, reward) / beta
     return np.exp(logw - logsumexp_values(logw))
 
 
-def kl_objective(
-    space: EnumSpace,
-    policy: np.ndarray,
-    reward,
-    ref,
-    beta: float,
-    prompt: TokenSeq = (),
-    logmass: np.ndarray | None = None,
-) -> float:
-    """Expected reward minus beta times KL(policy || reference), exactly.
-
-    ``logmass`` may carry precomputed ref_logmass(space, ref, prompt) when
-    the objective is evaluated for many policies on one space.
-    """
+def kl_objective(space: EnumSpace, policy, reward, ref_mass, beta: float) -> float:
+    """Expected reward minus beta times KL(policy || reference), exactly,
+    with ``ref_mass`` = ref_logmass(space, ref_table)."""
     _check_beta(beta)
     policy = _shaped("policy", policy, space.lengths.shape)
-    if abs(float(np.sum(policy)) - 1.0) > 1e-9:
-        raise ValidationError(
-            f"policy mass {float(np.sum(policy))!r} not normalized within 1e-9"
-        )
-    if np.any(policy < 0):
+    total = float(np.sum(policy))
+    # written so that NaN and infinite entries fail too
+    if not abs(total - 1.0) <= 1e-9:
+        raise ValidationError(f"policy mass {total!r} not normalized within 1e-9")
+    if not np.all(policy >= 0):
         raise ValidationError("policy has negative probabilities")
     r = _vector(space, reward)
-    if logmass is None:
-        logmass = ref_logmass(space, ref, prompt)
+    ref_mass = _ref_mass(space, ref_mass)
     live = policy > 0
-    kl = float(np.sum(policy[live] * (np.log(policy[live]) - logmass[live])))
+    kl = float(np.sum(policy[live] * (np.log(policy[live]) - ref_mass[live])))
     return float(np.sum(policy * r)) - beta * kl
 
 
-def random_policies(space: EnumSpace, n: int, rng) -> np.ndarray:
-    """Full-support random distributions: normalized exponentials of
-    Gaussian logits, one row per draw.
+def random_log_policies(space: EnumSpace, n: int, rng) -> np.ndarray:
+    """Full-support random distributions as log-probability rows: the
+    log-softmax of Gaussian logits, one row per draw.
 
-    The same values as exp(log_softmax_values(logits, axis=1)), computed in
-    place so a chunk of draws holds two (n, N) arrays at most.
+    Each call consumes exactly the ``rng`` stream of one
+    ``standard_normal((n, N))`` call, so draws taken in blocks equal one
+    large draw row for row.
     """
     logits = rng.standard_normal((n, len(space.sequences)))
     logits -= np.max(logits, axis=1, keepdims=True)
     logits -= np.log(np.sum(np.exp(logits), axis=1, keepdims=True))
-    return np.exp(logits, out=logits)
+    return logits
 
 
 def kl_objective_batch(
-    space: EnumSpace,
-    policies: np.ndarray,
-    reward,
-    ref,
-    beta: float,
-    prompt: TokenSeq = (),
-    logmass: np.ndarray | None = None,
+    space: EnumSpace, log_policies, reward, ref_mass, beta: float
 ) -> np.ndarray:
-    """kl_objective of many full-support policy rows at once.
+    """kl_objective of many full-support policies given as log-probability
+    rows, with ``ref_mass`` = ref_logmass(space, ref_table).
 
-    Agrees with kl_objective row by row; exists so sweeps over thousands of
-    policies stay fast on larger spaces.
+    Each row is exponentiated once, checked to be a normalized, strictly
+    positive distribution (NaN and infinite rows fail), and scored as
+    p . (r + beta * ref_mass) - beta * sum(p * log p): no log of an exp,
+    and no block-sized array besides p itself. This sums in another order
+    than kl_objective, so the two agree row by row to rounding. Callers
+    sweeping thousands of policies pass cache-sized blocks.
     """
     _check_beta(beta)
-    policies = np.asarray(policies, dtype=np.float64)
-    if policies.ndim != 2 or policies.shape[1] != len(space.sequences):
+    log_policies = np.asarray(log_policies, dtype=np.float64)
+    if log_policies.ndim != 2 or log_policies.shape[1] != len(space.sequences):
         raise ValidationError(
-            f"policies have shape {policies.shape}, expected (n, {len(space.sequences)})"
+            f"policies have shape {log_policies.shape}, expected (n, {len(space.sequences)})"
         )
-    if np.any(np.abs(np.sum(policies, axis=1) - 1.0) > 1e-9):
-        raise ValidationError("a policy row is not normalized within 1e-9")
-    if np.any(policies <= 0):
+    with np.errstate(over="ignore"):  # an overflow fails the mass check below
+        policies = np.exp(log_policies)
+    # min/max propagate NaN, and NaN fails both comparisons
+    if not np.max(np.abs(np.sum(policies, axis=1) - 1.0), initial=0.0) <= 1e-9:
+        raise ValidationError("a policy row is not finite or not normalized within 1e-9")
+    if not np.min(policies, initial=1.0) > 0:
         raise ValidationError("batch objective requires strictly positive rows")
-    r = _vector(space, reward)
-    if logmass is None:
-        logmass = ref_logmass(space, ref, prompt)
-    terms = np.log(policies)
-    terms -= logmass
-    terms *= policies
-    return policies @ r - beta * np.sum(terms, axis=1)
+    gain = _vector(space, reward) + beta * _ref_mass(space, ref_mass)
+    return policies @ gain - beta * np.einsum("ij,ij->i", policies, log_policies)
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +285,8 @@ def additive_decompose(
     space: EnumSpace,
     reward,
     scheme: str = "terminal",
-    ref=None,
+    ref_table=None,
     beta: float | None = None,
-    prompt: TokenSeq = (),
 ) -> np.ndarray:
     """Split a response-level reward into per-prefix contributions, a
     (contexts, vocab) table.
@@ -301,7 +296,7 @@ def additive_decompose(
                     prefixes and r(y) at the full response (canonical; the
                     round trip is exact).
       soft_value  - terminal mass re-shifted by a backward soft-value
-                    recursion against (ref, beta). Each prefix gains
+                    recursion against (ref_table, beta). Each prefix gains
                     V(prefix) - V(parent), which telescopes along any
                     response, so the one-step reparameterization of this
                     decomposition has an identically-zero per-context shift
@@ -315,11 +310,11 @@ def additive_decompose(
         return terminal
     if scheme != "soft_value":
         raise ValidationError(f"unknown decomposition scheme {scheme!r}")
-    if ref is None or beta is None:
-        raise ValidationError("soft_value decomposition needs ref and beta")
+    if ref_table is None or beta is None:
+        raise ValidationError("soft_value decomposition needs ref_table and beta")
     _check_beta(beta)
 
-    base = reference_table(space, ref, prompt)
+    base = _ref_table(space, ref_table)
     inner = space.child >= 0
     value = np.zeros(len(space.contexts))
     child_value = np.zeros(space.child.shape)
@@ -349,24 +344,12 @@ def decomposition_residual(space: EnumSpace, reward, rstar) -> float:
     return float(np.max(np.abs(totals - _vector(space, reward))))
 
 
-def energy_additivity_residual(
-    space: EnumSpace,
-    rstar,
-    ref,
-    beta: float,
-    prompt: TokenSeq = (),
-    table: np.ndarray | None = None,
-) -> float:
+def energy_additivity_residual(space: EnumSpace, rstar, ref_table, beta: float) -> float:
     """Summed prefix posterior energies vs. the response-level posterior
-    energy of the reward the decomposition induces.
-
-    ``table`` may carry a precomputed reference_table(space, ref, prompt).
-    """
+    energy of the reward the decomposition induces."""
     _check_beta(beta)
-    if table is None:
-        table = reference_table(space, ref, prompt)
     r = along_sequences(space, _table(space, rstar))
-    logps = along_sequences(space, table)
+    logps = along_sequences(space, _ref_table(space, ref_table))
     prefix_total = np.sum(-r / beta - logps, axis=1)
     whole = -np.sum(r, axis=1) / beta - np.sum(logps, axis=1)
     return float(np.max(np.abs(prefix_total - whole)))
@@ -391,9 +374,7 @@ class ReparamResult:
     max_residual: float
 
 
-def reparameterize(
-    space: EnumSpace, rstar, ref, beta: float, prompt: TokenSeq = ()
-) -> ReparamResult:
+def reparameterize(space: EnumSpace, rstar, ref_table, beta: float) -> ReparamResult:
     """Per-context Boltzmann policy pi(t|ctx) ~ pi_ref(t|ctx) exp(r*(ctx+t)/beta).
 
     The residual reports how far r* - shift lands from beta * log(pi/pi_ref)
@@ -401,7 +382,7 @@ def reparameterize(
     """
     _check_beta(beta)
     rstar = _table(space, rstar)
-    base = reference_table(space, ref, prompt)
+    base = _ref_table(space, ref_table)
     scores = base + rstar / beta
     lse = logsumexp_values(scores)[:, None]
     policy = scores - lse
@@ -411,40 +392,23 @@ def reparameterize(
 
 
 def shift_invariance_residual(
-    space: EnumSpace,
-    rstar,
-    ref,
-    beta: float,
-    rng,
-    scale: float = 1.0,
-    prompt: TokenSeq = (),
+    space: EnumSpace, rstar, ref_table, beta: float, rng, scale: float = 1.0
 ) -> float:
     """Max row change of the induced policy under a random per-context shift."""
     offsets = scale * rng.standard_normal(len(space.contexts))
-    base = reparameterize(space, rstar, ref, beta, prompt)
-    moved = reparameterize(space, _table(space, rstar) + offsets[:, None], ref, beta, prompt)
+    base = reparameterize(space, rstar, ref_table, beta)
+    moved = reparameterize(space, _table(space, rstar) + offsets[:, None], ref_table, beta)
     return float(np.max(np.abs(base.policy - moved.policy)))
 
 
-def reconstruction_spread(
-    space: EnumSpace,
-    reward,
-    ref,
-    beta: float,
-    prompt: TokenSeq = (),
-    logmass: np.ndarray | None = None,
-) -> float:
+def reconstruction_spread(space: EnumSpace, reward, ref_table, beta: float) -> float:
     """Full-pipeline check: decompose r, reparameterize, and measure how far
     beta * log(pi(y)/pi_ref(y)) - r(y) is from a single response-independent
     constant (max minus min of the deviation across the space)."""
-    rstar = additive_decompose(
-        space, reward, scheme="soft_value", ref=ref, beta=beta, prompt=prompt
-    )
-    rep = reparameterize(space, rstar, ref, beta, prompt)
-    if logmass is None:
-        logmass = ref_logmass(space, ref, prompt)
+    rstar = additive_decompose(space, reward, "soft_value", ref_table, beta)
+    rep = reparameterize(space, rstar, ref_table, beta)
     logp = np.sum(along_sequences(space, rep.policy), axis=1)
-    devs = beta * (logp - logmass) - _vector(space, reward)
+    devs = beta * (logp - ref_logmass(space, ref_table)) - _vector(space, reward)
     return float(np.max(devs) - np.min(devs))
 
 
@@ -481,17 +445,14 @@ def check_boltzmann(space: EnumSpace, seed: int, draws: int = 20) -> dict:
     """Normalization of the Boltzmann distribution plus the zero-reward
     limit (restriction-renormalization of the reference)."""
     rng = _rng(seed, 1)
-    ref = _reference(space, rng)
-    logmass = ref_logmass(space, ref)
+    logmass = ref_logmass(space, reference_table(space, _reference(space, rng)))
     residuals = []
     for i in range(draws):
         beta = (0.5, 1.0, 1.5)[i % 3]
-        p = boltzmann_distribution(
-            space, random_reward(space, rng), ref, beta, logmass=logmass
-        )
+        p = boltzmann_distribution(space, random_reward(space, rng), logmass, beta)
         residuals.append(abs(float(np.sum(p)) - 1.0))
     zero = np.zeros(len(space.sequences))
-    p0 = boltzmann_distribution(space, zero, ref, 1.0, logmass=logmass)
+    p0 = boltzmann_distribution(space, zero, logmass, 1.0)
     renorm = np.exp(logmass - logsumexp_values(logmass))
     residuals.append(np.max(np.abs(p0 - renorm)))
     worst = float(np.max(residuals))
@@ -505,27 +466,22 @@ def check_optimality(
     KL-constrained objective, and prefix posterior energies sum to the
     response-level posterior energy."""
     rng = _rng(seed, 2)
-    ref = _reference(space, rng)
+    table = reference_table(space, _reference(space, rng))
+    logmass = ref_logmass(space, table)
     reward = random_reward(space, rng)
     beta = 1.0
-    logmass = ref_logmass(space, ref)
-    optimum = boltzmann_distribution(space, reward, ref, beta, logmass=logmass)
-    best = kl_objective(space, optimum, reward, ref, beta, logmass=logmass)
+    optimum = boltzmann_distribution(space, reward, logmass, beta)
+    best = kl_objective(space, optimum, reward, logmass, beta)
+    # about 256 KiB of float64 per block, so every pass after the draw stays in cache
+    rows = max(1, 2**18 // (8 * len(space.sequences)))
     gaps = []
-    remaining = policies
-    while remaining > 0:
-        chunk = min(remaining, 1024)
-        # drawn inline, so no chunk outlives its objectives
-        objectives = kl_objective_batch(
-            space, random_policies(space, chunk, rng), reward, ref, beta, logmass=logmass
-        )
-        gaps.append(np.min(best - objectives))
-        remaining -= chunk
+    for start in range(0, policies, rows):
+        block = random_log_policies(space, min(rows, policies - start), rng)
+        gaps.append(np.min(best - kl_objective_batch(space, block, reward, logmass, beta)))
     residuals = [np.maximum(0.0, -np.min(gaps))]
-    table = reference_table(space, ref)
     for _ in range(draws):
         rstar = random_prefix_reward(space, rng)
-        residuals.append(energy_additivity_residual(space, rstar, ref, beta, table=table))
+        residuals.append(energy_additivity_residual(space, rstar, table, beta))
     worst = float(np.max(residuals))
     return _certificate("optimality", space, seed, worst, worst <= TOLERANCES["optimality"])
 
@@ -551,13 +507,13 @@ def check_reparam(space: EnumSpace, seed: int, draws: int = 20) -> dict:
     and invariance of the induced policy under per-context reward shifts
     at 1e-12."""
     rng = _rng(seed, 4)
-    ref = _reference(space, rng)
+    table = reference_table(space, _reference(space, rng))
     residuals, drifts = [], []
     for i in range(draws):
         beta = (0.5, 1.0, 1.5)[i % 3]
         rstar = random_prefix_reward(space, rng)
-        residuals.append(reparameterize(space, rstar, ref, beta).max_residual)
-        drifts.append(shift_invariance_residual(space, rstar, ref, beta, rng))
+        residuals.append(reparameterize(space, rstar, table, beta).max_residual)
+        drifts.append(shift_invariance_residual(space, rstar, table, beta, rng))
     residual, drift = float(np.max(residuals)), float(np.max(drifts))
     passed = residual <= TOLERANCES["reparam"] and drift <= 1e-12
     return _certificate("reparam", space, seed, np.max([residual, drift]), passed)
@@ -567,13 +523,12 @@ def check_theorem1(space: EnumSpace, seed: int, draws: int = 20) -> dict:
     """Decompose-then-reparameterize reconstructs every response-level
     reward from the policy/reference log-ratio up to one constant."""
     rng = _rng(seed, 5)
-    ref = _reference(space, rng)
-    logmass = ref_logmass(space, ref)
+    table = reference_table(space, _reference(space, rng))
     spreads = []
     for i in range(draws):
         beta = (0.5, 1.0, 1.5)[i % 3]
         reward = random_reward(space, rng)
-        spreads.append(reconstruction_spread(space, reward, ref, beta, logmass=logmass))
+        spreads.append(reconstruction_spread(space, reward, table, beta))
     worst = float(np.max(spreads))
     return _certificate("theorem1", space, seed, worst, worst <= TOLERANCES["theorem1"])
 

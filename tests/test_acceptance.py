@@ -139,13 +139,13 @@ class TestA4ReparameterizationCompleteness:
             mode = ("eos", "fixed")[i % 2]
             beta = (0.5, 1.0, 1.5)[i % 3]
             space = oracle.EnumSpace.build(v, length, mode=mode)
-            ref = lm.NGramPolicy.random(space.vocab, 2, rng)
+            table = oracle.reference_table(space, lm.NGramPolicy.random(space.vocab, 2, rng))
             rstar = oracle.random_prefix_reward(space, rng)
-            result = oracle.reparameterize(space, rstar, ref, beta)
+            result = oracle.reparameterize(space, rstar, table, beta)
             worst_resid = max(worst_resid, result.max_residual)
             worst_shift = max(
                 worst_shift,
-                oracle.shift_invariance_residual(space, rstar, ref, beta, rng),
+                oracle.shift_invariance_residual(space, rstar, table, beta, rng),
             )
         elapsed = time.perf_counter() - start
         ok = worst_resid <= 1e-10 and worst_shift <= 1e-12 and elapsed < 60.0
@@ -162,29 +162,26 @@ class TestA5KlOptimality:
         start = time.perf_counter()
         rng = np.random.default_rng(105)
         space = oracle.EnumSpace.build(4, 3, mode="eos")
-        ref = lm.NGramPolicy.random(space.vocab, 2, rng)
+        table = oracle.reference_table(space, lm.NGramPolicy.random(space.vocab, 2, rng))
         reward = oracle.random_reward(space, rng)
         beta = 1.0
-        logmass = oracle.ref_logmass(space, ref)
+        logmass = oracle.ref_logmass(space, table)
         best = oracle.kl_objective(
             space,
-            oracle.boltzmann_distribution(space, reward, ref, beta),
+            oracle.boltzmann_distribution(space, reward, logmass, beta),
             reward,
-            ref,
+            logmass,
             beta,
-            logmass=logmass,
         )
         min_gap = math.inf
-        for policy in oracle.random_policies(space, 10_000, rng):
-            gap = best - oracle.kl_objective(
-                space, policy, reward, ref, beta, logmass=logmass
-            )
+        for policy in np.exp(oracle.random_log_policies(space, 10_000, rng)):
+            gap = best - oracle.kl_objective(space, policy, reward, logmass, beta)
             min_gap = min(min_gap, gap)
         worst_energy = 0.0
         for _ in range(100):
             rstar = oracle.random_prefix_reward(space, rng)
             worst_energy = max(
-                worst_energy, oracle.energy_additivity_residual(space, rstar, ref, beta)
+                worst_energy, oracle.energy_additivity_residual(space, rstar, table, beta)
             )
         elapsed = time.perf_counter() - start
         ok = min_gap >= -1e-12 and worst_energy <= 1e-12 and elapsed < 60.0
@@ -201,12 +198,12 @@ class TestA6RewardReconstruction:
         start = time.perf_counter()
         rng = np.random.default_rng(106)
         space = oracle.EnumSpace.build(3, 3, mode="eos")
-        ref = lm.NGramPolicy.random(space.vocab, 2, rng)
+        table = oracle.reference_table(space, lm.NGramPolicy.random(space.vocab, 2, rng))
         worst = 0.0
         for i in range(100):
             beta = (0.5, 1.0, 1.5)[i % 3]
             reward = oracle.random_reward(space, rng)
-            worst = max(worst, oracle.reconstruction_spread(space, reward, ref, beta))
+            worst = max(worst, oracle.reconstruction_spread(space, reward, table, beta))
         elapsed = time.perf_counter() - start
         ok = worst <= 1e-9
         _report("A6", ok, f"max reconstruction spread = {worst:.3e}, {elapsed:.2f}s")

@@ -87,6 +87,15 @@ class TestGenData:
         assert "seed must be >= 0" in one_error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("temperature", ["NaN", "1e-320"])
+    def test_unusable_temperature_exits_2(self, tmp_path, capsys, temperature):
+        # NaN passes a `<= 0` check; 1e-320 overflows the background logits
+        out = tmp_path / "a.jsonl"
+        override = f'data={{"vocab_size":6,"temperature":{temperature}}}'
+        assert main(["gen-data", "--set", override, "--out", str(out)]) == 2
+        assert "temperature" in one_error_line(capsys)
+        assert not out.exists()
+
     def test_set_override(self, tmp_path):
         cfg = gen_config(tmp_path)
         out = tmp_path / "a.jsonl"

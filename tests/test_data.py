@@ -73,6 +73,43 @@ class TestGeneration:
         pairs = D.generate_dataset(task, 200)
         assert len(pairs) == 200
 
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf, -1.0, 0.0])
+    def test_unusable_temperature_rejected(self, vocab, temperature):
+        with pytest.raises(ValidationError, match="temperature"):
+            D.BigramMatchTask(vocab=vocab, temperature=temperature)
+
+    def test_background_must_be_finite(self, vocab):
+        task = D.BigramMatchTask(vocab=vocab, temperature=1e-320)
+        with pytest.raises(ValidationError, match="temperature"):
+            D.generate_dataset(task, 2)
+
+    @pytest.mark.parametrize("max_len,n_pairs", [(24, 64), (64, 128)])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_sampler_matches_rng_choice(self, vocab, tmp_path, monkeypatch, max_len, n_pairs, seed):
+        # the reference draws every background token with rng.choice, which
+        # re-validates p per call; the sampler must reproduce its stream
+        def choice_sample_response(task, prompt, rng, cdf):
+            background = task.background_probs()
+            content = task.vocab.content_ids()
+            u, v = task.target_bigram(prompt)
+            length = int(rng.integers(task.min_len, task.max_len + 1))
+            out = [int(content[rng.choice(len(content), p=background)])]
+            for _ in range(length - 1):
+                if rng.random() < task.bigram_rate:
+                    out.append(v if out[-1] == u else u)
+                else:
+                    out.append(int(content[rng.choice(len(content), p=background)]))
+            return tuple(out)
+
+        task = D.BigramMatchTask(vocab=vocab, max_len=max_len, seed=seed)
+        fast, slow = tmp_path / "fast.jsonl", tmp_path / "slow.jsonl"
+        for labeling in ("deterministic", "bt"):
+            D.save_jsonl(D.generate_dataset(task, n_pairs, labeling), fast)
+            with monkeypatch.context() as m:
+                m.setattr(D, "_sample_response", choice_sample_response)
+                D.save_jsonl(D.generate_dataset(task, n_pairs, labeling), slow)
+            assert fast.read_bytes() == slow.read_bytes()
+
     def test_n_pairs_validated(self, task):
         with pytest.raises(ValidationError):
             D.generate_dataset(task, 0)

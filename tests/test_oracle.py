@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,14 @@ def fixed_space(v=3, L=2):
 def reference(space, seed=0):
     rng = np.random.default_rng(seed)
     return NGramPolicy.random(space.vocab, 2, rng)
+
+
+def ref_table(space, seed=0):
+    return oracle.reference_table(space, reference(space, seed))
+
+
+def ref_mass(space, seed=0):
+    return oracle.ref_logmass(space, ref_table(space, seed))
 
 
 def seq_tuples(space):
@@ -133,7 +142,7 @@ class TestEnumSpace:
     def test_ref_logmass_matches_seq_logprob(self, v, L, mode):
         space = oracle.EnumSpace.build(v, L, mode=mode)
         ref = reference(space, seed=21)
-        logmass = oracle.ref_logmass(space, ref)
+        logmass = oracle.ref_logmass(space, oracle.reference_table(space, ref))
         # both sum the same token log-probs first position first: bitwise
         expected = [lm.seq_logprob(ref, (), y) for y in seq_tuples(space)]
         assert np.array_equal(logmass, expected)
@@ -141,69 +150,72 @@ class TestEnumSpace:
     def test_reference_must_be_ngram_over_the_vocab(self):
         space = eos_space(4, 3)
         with pytest.raises(ValidationError):
-            oracle.ref_logmass(space, NGramPolicy.uniform(lm.Vocab(5), 2))
+            oracle.reference_table(space, NGramPolicy.uniform(lm.Vocab(5), 2))
         neural = lm.NeuralPolicy.init(space.vocab, np.random.default_rng(0), context=2)
         with pytest.raises(ValidationError):
-            oracle.ref_logmass(space, neural)
+            oracle.reference_table(space, neural)
 
 
 class TestBoltzmann:
     def test_zero_reward_recovers_renormalized_reference(self):
         space = eos_space(4, 3)
-        ref = reference(space)
+        logmass = ref_mass(space)
         zero = np.zeros(len(space.sequences))
-        p = oracle.boltzmann_distribution(space, zero, ref, beta=1.0)
-        renorm = renormalized(oracle.ref_logmass(space, ref))
+        p = oracle.boltzmann_distribution(space, zero, logmass, beta=1.0)
+        renorm = renormalized(logmass)
         assert np.max(np.abs(p - renorm)) <= 1e-12
 
     def test_length_one_space_hand_value(self):
         # uniform reference over the three length-1 sequences, rewards
         # (0, 0, beta ln 3): weights 1 : 1 : 3
         space = oracle.EnumSpace.build(3, 1, "fixed")
-        ref = NGramPolicy.uniform(space.vocab, 2)
+        table = oracle.reference_table(space, NGramPolicy.uniform(space.vocab, 2))
         beta = 1.3
         reward = np.array([0.0, 0.0, beta * math.log(3.0)])
-        p = oracle.boltzmann_distribution(space, reward, ref, beta)
+        p = oracle.boltzmann_distribution(space, reward, oracle.ref_logmass(space, table), beta)
         assert np.allclose(p, [0.2, 0.2, 0.6], atol=1e-12)
 
     def test_normalization(self):
         space = eos_space(4, 3)
-        ref = reference(space)
+        logmass = ref_mass(space)
         rng = np.random.default_rng(1)
         for beta in (0.5, 1.0, 1.5):
             p = oracle.boltzmann_distribution(
-                space, oracle.random_reward(space, rng), ref, beta
+                space, oracle.random_reward(space, rng), logmass, beta
             )
             assert abs(float(np.sum(p)) - 1.0) <= 1e-12
 
     def test_large_beta_approaches_reference(self):
         space = eos_space(4, 3)
-        ref = reference(space)
+        logmass = ref_mass(space)
         rng = np.random.default_rng(2)
         reward = oracle.random_reward(space, rng)
-        p = oracle.boltzmann_distribution(space, reward, ref, beta=1e6)
-        renorm = renormalized(oracle.ref_logmass(space, ref))
+        p = oracle.boltzmann_distribution(space, reward, logmass, beta=1e6)
+        renorm = renormalized(logmass)
         assert np.max(np.abs(p - renorm)) <= 1e-5
 
     def test_beta_must_be_positive(self):
         space = eos_space()
         with pytest.raises(ValidationError):
-            oracle.boltzmann_distribution(space, np.zeros(len(space.sequences)), reference(space), 0.0)
+            oracle.boltzmann_distribution(space, np.zeros(len(space.sequences)), ref_mass(space), 0.0)
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
     def test_non_finite_beta_rejected(self, beta):
         space = eos_space(4, 3)
-        ref = reference(space)
+        table = ref_table(space)
+        logmass = oracle.ref_logmass(space, table)
         reward = np.zeros(len(space.sequences))
         rstar = np.zeros(space.child.shape)
-        policies = oracle.random_policies(space, 2, np.random.default_rng(0))
+        log_policies = oracle.random_log_policies(space, 2, np.random.default_rng(0))
         calls = [
-            lambda: oracle.boltzmann_distribution(space, reward, ref, beta),
-            lambda: oracle.kl_objective(space, policies[0], reward, ref, beta),
-            lambda: oracle.kl_objective_batch(space, policies, reward, ref, beta),
-            lambda: oracle.reparameterize(space, rstar, ref, beta),
-            lambda: oracle.additive_decompose(space, reward, "soft_value", ref, beta),
-            lambda: oracle.energy_additivity_residual(space, rstar, ref, beta),
+            lambda: oracle.boltzmann_distribution(space, reward, logmass, beta),
+            lambda: oracle.kl_objective(space, np.exp(log_policies[0]), reward, logmass, beta),
+            lambda: oracle.kl_objective_batch(space, log_policies, reward, logmass, beta),
+            lambda: oracle.reparameterize(space, rstar, table, beta),
+            lambda: oracle.additive_decompose(space, reward, "soft_value", table, beta),
+            lambda: oracle.energy_additivity_residual(space, rstar, table, beta),
+            lambda: oracle.shift_invariance_residual(space, rstar, table, beta, np.random.default_rng(0)),
+            lambda: oracle.reconstruction_spread(space, reward, table, beta),
         ]
         for call in calls:
             with pytest.raises(ValidationError):
@@ -211,54 +223,153 @@ class TestBoltzmann:
 
     def test_wrong_reward_shape_rejected(self):
         space = eos_space(4, 3)
+        table, logmass = ref_table(space), ref_mass(space)
         with pytest.raises(ValidationError):
-            oracle.boltzmann_distribution(space, np.zeros(3), reference(space), 1.0)
+            oracle.boltzmann_distribution(space, np.zeros(3), logmass, 1.0)
         with pytest.raises(ValidationError):
-            oracle.reparameterize(space, np.zeros(len(space.sequences)), reference(space), 1.0)
+            oracle.reparameterize(space, np.zeros(len(space.sequences)), table, 1.0)
+
+    def test_wrong_reference_shape_rejected(self):
+        # a table passed where the log mass belongs, and the other way round
+        space = eos_space(4, 3)
+        table, logmass = ref_table(space), ref_mass(space)
+        reward, rstar = np.zeros(len(space.sequences)), np.zeros(space.child.shape)
+        log_policy = np.log(renormalized(logmass))
+        calls = [
+            lambda: oracle.ref_logmass(space, logmass),
+            lambda: oracle.boltzmann_distribution(space, reward, table, 1.0),
+            lambda: oracle.kl_objective(space, renormalized(logmass), reward, table, 1.0),
+            lambda: oracle.kl_objective_batch(space, log_policy[None, :], reward, table, 1.0),
+            lambda: oracle.reparameterize(space, rstar, logmass, 1.0),
+            lambda: oracle.additive_decompose(space, reward, "soft_value", logmass, 1.0),
+            lambda: oracle.energy_additivity_residual(space, rstar, logmass, 1.0),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match="shape"):
+                call()
 
 
 class TestKlObjective:
     def test_reference_policy_gets_expected_reward(self):
         # fixed-length space: the chain-rule masses already sum to one
         space = fixed_space(3, 2)
-        ref = reference(space)
-        logmass = oracle.ref_logmass(space, ref)
+        logmass = ref_mass(space)
         masses = np.exp(logmass)
         assert abs(float(np.sum(masses)) - 1.0) <= 1e-12
         rng = np.random.default_rng(3)
         reward = oracle.random_reward(space, rng)
-        j = oracle.kl_objective(space, masses, reward, ref, beta=1.0)
+        j = oracle.kl_objective(space, masses, reward, logmass, beta=1.0)
         assert j == pytest.approx(float(masses @ reward), abs=1e-12)
         zero = np.zeros(len(space.sequences))
-        assert oracle.kl_objective(space, masses, zero, ref, 1.0) == pytest.approx(0.0, abs=1e-12)
+        assert oracle.kl_objective(space, masses, zero, logmass, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_unnormalized_policy_rejected(self):
         space = fixed_space(3, 2)
         bad = np.full(len(space.sequences), 0.2)
         with pytest.raises(ValidationError):
-            oracle.kl_objective(space, bad, np.zeros(len(space.sequences)), reference(space), 1.0)
+            oracle.kl_objective(space, bad, np.zeros(len(space.sequences)), ref_mass(space), 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_policy_rejected(self, bad):
+        # NaN compares False both ways, so it must fail by construction
+        space = eos_space(4, 3)
+        logmass = ref_mass(space)
+        reward = np.zeros(len(space.sequences))
+        log_policies = oracle.random_log_policies(space, 3, np.random.default_rng(0))
+        policy = np.exp(log_policies[0])
+        policy[1] = bad
+        with pytest.raises(ValidationError):
+            oracle.kl_objective(space, policy, reward, logmass, 1.0)
+        # an infinite log-probability is a zero or infinite probability
+        log_policies[2, 1] = bad
+        with pytest.raises(ValidationError):
+            oracle.kl_objective_batch(space, log_policies, reward, logmass, 1.0)
+        # an infinite probability from a finite log row: exp overflows
+        log_policies[2, 1] = 1000.0
+        with pytest.raises(ValidationError):
+            oracle.kl_objective_batch(space, log_policies, reward, logmass, 1.0)
+
+    def test_batch_rejects_unnormalized_and_misshaped_rows(self):
+        space = eos_space(4, 3)
+        logmass = ref_mass(space)
+        reward = np.zeros(len(space.sequences))
+        log_policies = oracle.random_log_policies(space, 3, np.random.default_rng(1))
+        with pytest.raises(ValidationError):
+            oracle.kl_objective_batch(space, log_policies + 0.1, reward, logmass, 1.0)
+        with pytest.raises(ValidationError):
+            oracle.kl_objective_batch(space, log_policies[0], reward, logmass, 1.0)
 
     def test_optimality_of_boltzmann(self):
         space = eos_space(4, 3)
-        ref = reference(space, seed=4)
+        logmass = ref_mass(space, seed=4)
         rng = np.random.default_rng(5)
         reward = oracle.random_reward(space, rng)
         beta = 1.0
         best = oracle.kl_objective(
-            space, oracle.boltzmann_distribution(space, reward, ref, beta), reward, ref, beta
+            space, oracle.boltzmann_distribution(space, reward, logmass, beta), reward, logmass, beta
         )
-        for policy in oracle.random_policies(space, 1000, rng):
-            assert best - oracle.kl_objective(space, policy, reward, ref, beta) >= -1e-12
+        for policy in np.exp(oracle.random_log_policies(space, 1000, rng)):
+            assert best - oracle.kl_objective(space, policy, reward, logmass, beta) >= -1e-12
 
     def test_batch_objective_matches_scalar(self):
-        space = eos_space(4, 3)
-        ref = reference(space, seed=6)
+        # the batch sums p . (r + beta logmass) - beta sum p log p, the scalar
+        # sum p r - beta sum p (log p - logmass): equal up to rounding
         rng = np.random.default_rng(7)
-        reward = oracle.random_reward(space, rng)
-        policies = oracle.random_policies(space, 50, rng)
-        batch = oracle.kl_objective_batch(space, policies, reward, ref, 1.0)
-        singles = [oracle.kl_objective(space, p, reward, ref, 1.0) for p in policies]
-        assert np.max(np.abs(batch - np.asarray(singles))) <= 1e-10
+        for space in (eos_space(4, 3), fixed_space(3, 4)):
+            logmass = ref_mass(space, seed=6)
+            reward = oracle.random_reward(space, rng)
+            log_policies = oracle.random_log_policies(space, 50, rng)
+            for beta in (0.5, 1.0, 1.5):
+                batch = oracle.kl_objective_batch(space, log_policies, reward, logmass, beta)
+                singles = [
+                    oracle.kl_objective(space, p, reward, logmass, beta)
+                    for p in np.exp(log_policies)
+                ]
+                assert np.max(np.abs(batch - np.asarray(singles))) <= 1e-12
+
+    @pytest.mark.parametrize("v,L,mode", [(6, 5, "eos"), (3, 5, "fixed"), (4, 4, "eos")])
+    def test_blocks_consume_one_draw_stream(self, monkeypatch, v, L, mode):
+        # 10,000 is not a multiple of these spaces' block rows
+        space = oracle.EnumSpace.build(v, L, mode)
+        n = len(space.sequences)
+        rows = max(1, 2**18 // (8 * n))
+        assert 10_000 % rows != 0
+        blocks, rstars = [], []
+        real_draw, real_prefix = oracle.random_log_policies, oracle.random_prefix_reward
+
+        def draw(space, k, rng):
+            blocks.append(real_draw(space, k, rng))
+            return blocks[-1]
+
+        def prefix(space, rng):
+            rstars.append(real_prefix(space, rng))
+            return rstars[-1]
+
+        monkeypatch.setattr(oracle, "random_log_policies", draw)
+        monkeypatch.setattr(oracle, "random_prefix_reward", prefix)
+        assert oracle.check_optimality(space, seed=3)["pass"]
+        assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        assert sum(len(b) for b in blocks) == 10_000
+        # replay the check's stream with one large draw
+        rng = oracle._rng(3, 2)
+        oracle._reference(space, rng)
+        oracle.random_reward(space, rng)
+        logits = rng.standard_normal((10_000, n))
+        assert np.array_equal(rstars[0], real_prefix(space, rng))
+        whole = logits - np.max(logits, axis=1, keepdims=True)
+        whole -= np.log(np.sum(np.exp(whole), axis=1, keepdims=True))
+        assert np.array_equal(np.concatenate(blocks), whole)
+
+    def test_blocked_sweep_stays_in_cache_sized_memory(self):
+        # the unblocked sweep held two 1024 x 3125 float64 arrays (51 MB)
+        space = fixed_space(5, 5)
+        tracemalloc.start()
+        try:
+            assert oracle.check_optimality(space, seed=0)["pass"]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestDecomposition:
@@ -295,11 +406,11 @@ class TestDecomposition:
 
     def test_soft_value_round_trips_up_to_constant(self):
         space = eos_space(3, 3)
-        ref = reference(space, seed=11)
+        table = ref_table(space, seed=11)
         rng = np.random.default_rng(11)
         reward = oracle.random_reward(space, rng)
         rstar = oracle.additive_decompose(
-            space, reward, scheme="soft_value", ref=ref, beta=1.0
+            space, reward, scheme="soft_value", ref_table=table, beta=1.0
         )
         deviations = []
         for k, n in enumerate(space.lengths):
@@ -313,14 +424,16 @@ class TestDecomposition:
         space = eos_space()
         with pytest.raises(ValidationError):
             oracle.additive_decompose(space, np.zeros(len(space.sequences)), scheme="magic")
+        with pytest.raises(ValidationError, match="needs ref_table and beta"):
+            oracle.additive_decompose(space, np.zeros(len(space.sequences)), "soft_value")
 
     def test_energy_additivity(self):
         space = eos_space(4, 3)
-        ref = reference(space, seed=12)
+        table = ref_table(space, seed=12)
         rng = np.random.default_rng(12)
         for _ in range(20):
             rstar = oracle.random_prefix_reward(space, rng)
-            assert oracle.energy_additivity_residual(space, rstar, ref, 1.0) <= 1e-12
+            assert oracle.energy_additivity_residual(space, rstar, table, 1.0) <= 1e-12
 
 
 class TestReparameterize:
@@ -328,17 +441,17 @@ class TestReparameterize:
         space = eos_space(3, 3)
         ref = reference(space, seed=13)
         rstar = np.zeros(space.child.shape)
-        result = oracle.reparameterize(space, rstar, ref, beta=1.0)
+        result = oracle.reparameterize(space, rstar, oracle.reference_table(space, ref), beta=1.0)
         for c, ctx in enumerate(ctx_tuples(space)):
             assert np.max(np.abs(result.policy[c] - ref.conditional_row((), ctx))) <= 1e-12
             assert abs(result.shift[c]) <= 1e-12
 
     def test_rows_normalize(self):
         space = eos_space(4, 3)
-        ref = reference(space, seed=14)
+        table = ref_table(space, seed=14)
         rng = np.random.default_rng(14)
         result = oracle.reparameterize(
-            space, oracle.random_prefix_reward(space, rng), ref, beta=0.7
+            space, oracle.random_prefix_reward(space, rng), table, beta=0.7
         )
         assert result.policy.shape == (len(space.contexts), space.vocab.size)
         for row in result.policy:
@@ -348,36 +461,36 @@ class TestReparameterize:
         rng = np.random.default_rng(15)
         for seed in range(10):
             space = eos_space(int(rng.integers(3, 6)), int(rng.integers(1, 5)))
-            ref = reference(space, seed=seed)
+            table = ref_table(space, seed=seed)
             rstar = oracle.random_prefix_reward(space, rng)
-            result = oracle.reparameterize(space, rstar, ref, beta=(0.5, 1.0, 1.5)[seed % 3])
+            result = oracle.reparameterize(space, rstar, table, beta=(0.5, 1.0, 1.5)[seed % 3])
             assert result.max_residual <= 1e-10
 
     def test_shift_invariance(self):
         space = eos_space(4, 3)
-        ref = reference(space, seed=16)
+        table = ref_table(space, seed=16)
         rng = np.random.default_rng(16)
         rstar = oracle.random_prefix_reward(space, rng)
-        assert oracle.shift_invariance_residual(space, rstar, ref, 1.0, rng) <= 1e-12
+        assert oracle.shift_invariance_residual(space, rstar, table, 1.0, rng) <= 1e-12
 
     def test_reconstruction_spread_small(self):
         for mode in ("eos", "fixed"):
             space = oracle.EnumSpace.build(3, 3, mode=mode)
-            ref = reference(space, seed=17)
+            table = ref_table(space, seed=17)
             rng = np.random.default_rng(17)
             for _ in range(20):
                 reward = oracle.random_reward(space, rng)
-                assert oracle.reconstruction_spread(space, reward, ref, 1.0) <= 1e-9
+                assert oracle.reconstruction_spread(space, reward, table, 1.0) <= 1e-9
 
     def test_nan_prefix_reward_gives_nan_residual(self):
         space = eos_space(4, 3)
-        ref = reference(space, seed=18)
+        table = ref_table(space, seed=18)
         rstar = oracle.random_prefix_reward(space, np.random.default_rng(18))
         # the last prefix of the last sequence: Python's max(0.0, nan) would
         # have hidden it behind the finite residuals before it
         rstar[space.seq_ctx[-1, -1], space.sequences[-1, -1]] = math.nan
-        assert math.isnan(oracle.reparameterize(space, rstar, ref, 1.0).max_residual)
-        assert math.isnan(oracle.energy_additivity_residual(space, rstar, ref, 1.0))
+        assert math.isnan(oracle.reparameterize(space, rstar, table, 1.0).max_residual)
+        assert math.isnan(oracle.energy_additivity_residual(space, rstar, table, 1.0))
         reward = np.zeros(len(space.sequences))
         assert math.isnan(oracle.decomposition_residual(space, reward, rstar))
 
@@ -398,6 +511,27 @@ class TestCertificates:
     def test_unknown_check_rejected(self):
         with pytest.raises(ValidationError):
             oracle.run_checks(3, 3, seed=0, which="everything")
+
+    @pytest.mark.parametrize("v,L,mode", [(4, 3, "eos"), (3, 3, "fixed")])
+    def test_each_check_builds_its_reference_table_once(self, monkeypatch, v, L, mode):
+        real = oracle.reference_table
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "reference_table", counted)
+        space = oracle.EnumSpace.build(v, L, mode)
+        counts = {}
+        for name, check in oracle.CHECKS.items():
+            calls.clear()
+            assert check(space, seed=0)["pass"]
+            counts[name] = len(calls)
+        # decompose splits rewards without any reference
+        assert counts == {
+            "boltzmann": 1, "optimality": 1, "decompose": 0, "reparam": 1, "theorem1": 1,
+        }
 
     def test_repeatable(self):
         a = oracle.run_checks(3, 3, seed=5, which="all")
