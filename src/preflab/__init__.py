@@ -6,6 +6,13 @@ reverse-mode autodiff core, with brute-force oracles that certify the
 underlying theory on enumerable token spaces.
 """
 
+import os
+
+# one BLAS thread, set before any submodule imports numpy (a value already set
+# wins): threaded BLAS sums in an order that depends on the thread count
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .composition import StrongComposition, segment_pair, xi_adaptive, xi_static
 from .data import BigramMatchTask, PreferencePair, generate_dataset, load_jsonl, save_jsonl
 from .lm import (

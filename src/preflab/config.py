@@ -253,28 +253,9 @@ def build_model(resolved: dict):
 
 
 def build_loss_config(resolved: dict) -> LossConfig:
-    loss = resolved.get("loss")
-    if loss is None:
-        return LossConfig().validate()
-    return LossConfig(
-        method=loss["method"],
-        family=loss["family"],
-        k=loss["k"],
-        m=loss["m"],
-        beta=loss["beta"],
-        weighted=loss["weighted"],
-    ).validate()
+    return LossConfig(**resolved.get("loss", {})).validate()
 
 
 def build_train_config(resolved: dict) -> TrainConfig:
     train = resolved.get("train", {f: field.default for f, field in _SCHEMA["train"].items()})
-    return TrainConfig(
-        loss=build_loss_config(resolved),
-        optimizer=train["optimizer"],
-        lr=train["lr"],
-        steps=train["steps"],
-        batch_size=train["batch_size"],
-        seed=resolved["seed"],
-        eval_every=train["eval_every"],
-        checkpoint_every=train["checkpoint_every"],
-    ).validate()
+    return TrainConfig(loss=build_loss_config(resolved), seed=resolved["seed"], **train).validate()

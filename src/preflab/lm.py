@@ -1,11 +1,14 @@
 """Tiny autoregressive policies.
 
-Two model families share one evaluation contract: a tabular n-gram policy
-(closed-form and enumerable, which the brute-force checks rely on) and a
-small windowed neural model (embedding -> tanh hidden layer -> vocab
-logits) for the trainer. Conditional rows always go through log-softmax,
-so they normalize by construction and every conditional probability is
-strictly positive.
+Two model families: a tabular n-gram policy (closed-form and enumerable,
+which the brute-force checks rely on) and a small windowed neural model
+(embedding -> tanh hidden layer -> vocab logits) for the trainer. A kind
+is its row encoding, ``stacked_rows`` (one context row and target id per
+response position), and its forward, ``rows_forward`` (log pi(target |
+row) as a graph node). All scoring is written once, below, and bound in
+both classes. Conditional rows always go through log-softmax, so they
+normalize by construction and every conditional probability is strictly
+positive.
 
 Prompt tokens are never scored; only response tokens produce
 log-probabilities. Every model conditions on a fixed-width window of the
@@ -124,12 +127,34 @@ def side_windows(vocab: Vocab, width: int, prompts, responses) -> tuple[np.ndarr
     return windows[first], stream[first + width]
 
 
-def _conditional_row(policy, prompt: Sequence[int], prefix: Sequence[int]) -> np.ndarray:
+def context_rows(policy, prompt: Sequence[int], response: Sequence[int]):
+    """Row encoding and target id of every position of one response."""
+    return policy.stacked_rows([prompt], [response])
+
+
+def row_logprobs(policy, rows, targets) -> np.ndarray:
+    """log pi(targets[i] | rows[i]) for every i: the policy's ``rows_forward``
+    on a throwaway graph, so untracked values are bit-identical to the
+    tracked training path."""
+    if len(targets) == 0:
+        return np.zeros(0)
+    graph = ad.Graph()
+    leaves = {name: graph.leaf(value) for name, value in policy.params.items()}
+    return policy.rows_forward(graph, leaves, rows, targets).value
+
+
+def vocab_logprobs(policy, rows) -> np.ndarray:
+    """(rows, vocab) table of log pi(t | row) for every row and every id t."""
+    size = policy.vocab.size
+    targets = np.tile(np.arange(size), len(rows))
+    return row_logprobs(policy, np.repeat(rows, size, axis=0), targets).reshape(-1, size)
+
+
+def conditional_row(policy, prompt: Sequence[int], prefix: Sequence[int]) -> np.ndarray:
     """Log-probability row over the vocab for the token after ``prefix``: the
     last context row of ``prefix`` plus any token, scored for every id."""
-    rows, _ = policy.context_rows(prompt, tuple(prefix) + (policy.vocab.bos,))
-    size = policy.vocab.size
-    return policy.row_logprobs(np.repeat(rows[-1:], size, axis=0), np.arange(size))
+    rows, _ = context_rows(policy, prompt, tuple(prefix) + (policy.vocab.bos,))
+    return vocab_logprobs(policy, rows[-1:])[0]
 
 
 def ngram_table_shape(vocab: Vocab, order: int) -> tuple[int, int]:
@@ -190,37 +215,14 @@ class NGramPolicy:
         powers = self.vocab.size ** np.arange(width - 1, -1, -1, dtype=np.intp)
         return windows @ powers, targets
 
-    def context_rows(
-        self, prompt: Sequence[int], response: Sequence[int]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Context-row index and target id for every response position."""
-        return self.stacked_rows([prompt], [response])
-
-    def batch_context_rows(
-        self, prompt: Sequence[int], responses: np.ndarray
-    ) -> np.ndarray:
-        """Context-row index of every position of equal-length responses.
-
-        ``responses`` is an (n, T) id array; the row at position i depends
-        only on the tokens before i, so columns past a shorter response's
-        end may hold any valid id.
-        """
-        responses = np.asarray(responses, dtype=np.intp)
-        prompt = np.asarray(prompt, dtype=np.intp)
-        prompts = np.broadcast_to(prompt, (len(responses), prompt.size))
-        rows, _ = self.stacked_rows(prompts, responses)
-        return rows.reshape(responses.shape)
-
     def rows_forward(self, graph: ad.Graph, leaves, rows, targets) -> ad.Node:
         table = ad.log_softmax(leaves["logits"], axis=1)
         picked = ad.embed_lookup(table, rows)
         return ad.gather(picked, targets)
 
-    def row_logprobs(self, rows, targets) -> np.ndarray:
-        table = ad.log_softmax_values(self.params["logits"], axis=1)
-        return table[np.asarray(rows, dtype=np.intp), np.asarray(targets, dtype=np.intp)]
-
-    conditional_row = _conditional_row
+    context_rows = context_rows
+    row_logprobs = row_logprobs
+    conditional_row = conditional_row
 
 
 def neural_param_count(vocab: Vocab, context: int, embed_dim: int, hidden_dim: int) -> int:
@@ -281,6 +283,9 @@ class NeuralPolicy:
                     f"parameter {name!r} has shape "
                     f"{None if got is None else got.shape}, expected {shape}"
                 )
+        unknown = sorted(self.params.keys() - expected.keys())
+        if unknown:
+            raise ValidationError(f"a neural model has no parameter {unknown[0]!r}")
 
     @classmethod
     def init(
@@ -313,12 +318,6 @@ class NeuralPolicy:
             "hidden_dim": self.hidden_dim,
         }
 
-    def context_rows(
-        self, prompt: Sequence[int], response: Sequence[int]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Context window and target id for every response position."""
-        return self.stacked_rows([prompt], [response])
-
     def stacked_rows(self, prompts, responses) -> tuple[np.ndarray, np.ndarray]:
         """Context window and target id of every response position of every
         side, stacked (see side_windows)."""
@@ -331,17 +330,9 @@ class NeuralPolicy:
         logits = ad.add_bias(ad.matmul(hidden, leaves["w2"]), leaves["b2"])
         return ad.gather(ad.log_softmax(logits, axis=1), targets)
 
-    def row_logprobs(self, rows, targets) -> np.ndarray:
-        # evaluate through a throwaway graph so untracked values are
-        # bit-identical to the tracked training path
-        if len(targets) == 0:
-            return np.zeros(0)
-        graph = ad.Graph()
-        leaves = {name: graph.leaf(value) for name, value in self.params.items()}
-        node = self.rows_forward(graph, leaves, rows, targets)
-        return node.value.copy()
-
-    conditional_row = _conditional_row
+    context_rows = context_rows
+    row_logprobs = row_logprobs
+    conditional_row = conditional_row
 
 
 Policy = NGramPolicy | NeuralPolicy
@@ -349,8 +340,7 @@ Policy = NGramPolicy | NeuralPolicy
 
 def token_logprobs(policy: Policy, prompt, response) -> np.ndarray:
     """Per-token conditional log-probabilities of the response."""
-    rows, targets = policy.context_rows(prompt, response)
-    return policy.row_logprobs(rows, targets)
+    return row_logprobs(policy, *context_rows(policy, prompt, response))
 
 
 def seq_logprob(policy: Policy, prompt, response) -> float:
@@ -423,9 +413,16 @@ def _policy_from_doc(doc) -> Policy:
         if not np.all(np.isfinite(params[name])):
             raise ValueError(f"parameter {name!r} holds non-finite values")
     if doc["kind"] == "ngram":
-        return NGramPolicy(vocab, hyper["order"], params["logits"])
-    if doc["kind"] == "neural":
-        return NeuralPolicy(
+        policy = NGramPolicy(vocab, hyper["order"], params["logits"])
+    elif doc["kind"] == "neural":
+        policy = NeuralPolicy(
             vocab, hyper["context"], hyper["embed_dim"], hyper["hidden_dim"], params
         )
-    raise ValidationError(f"unknown model kind {doc['kind']!r}")
+    else:
+        raise ValidationError(f"unknown model kind {doc['kind']!r}")
+    # a name the kind does not define would be dropped, or trained and saved
+    for section, known in (("hyper", policy.hyper), ("params", policy.params)):
+        unknown = sorted(doc[section].keys() - known.keys())
+        if unknown:
+            raise ValueError(f"{policy.kind} models define no {section} entry {unknown[0]!r}")
+    return policy

@@ -38,7 +38,7 @@ import numpy as np
 
 from .autodiff import logsumexp_values
 from .errors import ValidationError
-from .lm import NGramPolicy, TokenSeq, Vocab
+from .lm import NGramPolicy, TokenSeq, Vocab, vocab_logprobs
 from .seeds import seed_sequence
 
 MAX_VOCAB = 6
@@ -171,16 +171,18 @@ def along_sequences(space: EnumSpace, table: np.ndarray) -> np.ndarray:
 
 
 def reference_table(space: EnumSpace, ref: NGramPolicy, prompt: TokenSeq = ()) -> np.ndarray:
-    """log pi_ref(t | prompt + context) for every context and token: one
-    gather from the n-gram's log-softmax table at the rows ``lm`` assigns.
+    """log pi_ref(t | prompt + context) for every context and token: the
+    n-gram's ``lm.vocab_logprobs`` at the row of the slot after each context.
 
     The only function here that reads a policy; everything downstream takes
     this table, or its ``ref_logmass``, as data."""
     if not isinstance(ref, NGramPolicy) or ref.vocab != space.vocab:
         raise ValidationError("the oracle's reference must be an n-gram over the space's vocab")
-    rows = ref.batch_context_rows(prompt, np.pad(space.contexts, ((0, 0), (0, 1))))
-    rows = rows[np.arange(len(space.contexts)), space.ctx_len]
-    return ref.row_logprobs(rows[:, None], np.arange(space.vocab.size)[None, :])
+    contexts = np.pad(space.contexts, ((0, 0), (0, 1)))
+    prompts = np.broadcast_to(np.asarray(prompt, dtype=np.intp), (len(contexts), len(prompt)))
+    rows, _ = ref.stacked_rows(prompts, contexts)
+    rows = rows.reshape(contexts.shape)[np.arange(len(contexts)), space.ctx_len]
+    return vocab_logprobs(ref, rows)
 
 
 def ref_logmass(space: EnumSpace, ref_table) -> np.ndarray:

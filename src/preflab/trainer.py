@@ -41,9 +41,6 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
     optimizer: str = "adam"
     lr: float = 1e-2
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     steps: int = 2000
     batch_size: int = 32
     seed: int = 0
@@ -127,11 +124,12 @@ class SgdOptimizer:
 
 
 class AdamOptimizer:
-    def __init__(self, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -153,7 +151,7 @@ class AdamOptimizer:
 def make_optimizer(cfg: TrainConfig):
     if cfg.optimizer == "sgd":
         return SgdOptimizer(cfg.lr)
-    return AdamOptimizer(cfg.lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    return AdamOptimizer(cfg.lr)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +360,8 @@ def prefix_reward_profile(
     Position i (1-based) of a response of length n maps to i/n in (0, 1].
     Per bin: the population variance of all rewards (both sides) landing
     there, and the margin (chosen-minus-rejected reward sum, averaged over
-    pairs). Bins nothing landed in are omitted entirely.
+    pairs). Bins nothing landed in are omitted entirely, and never
+    allocated: time and memory grow with the tokens, not with ``bins``.
     """
     if not checkpoints:
         raise ValidationError("at least one checkpoint is required")
@@ -372,27 +371,22 @@ def prefix_reward_profile(
         raise ValidationError(f"beta must be finite and positive, got {beta}")
     plan = plan_dataset(dataset, LossConfig(method="dpo", beta=beta), ref)
     lengths = np.diff(plan.offsets)
+    if int(lengths.max()) * bins > np.iinfo(np.int64).max:
+        raise ValidationError(f"bins {bins} times the longest response overflows int64")
     # normalized position i/n of every stacked token; exact integer floor
     position = np.arange(1, plan.offsets[-1] + 1) - np.repeat(plan.offsets[:-1], lengths)
     bin_of = np.minimum(position * bins // np.repeat(lengths, lengths), bins - 1)
+    occupied, slot, counts = np.unique(bin_of, return_inverse=True, return_counts=True)
     sign = np.repeat(np.tile([1.0, -1.0], len(dataset)), lengths)
-    by_bin = np.argsort(bin_of, kind="stable")
-    bin_stops = np.cumsum(np.bincount(bin_of, minlength=bins))
+    by_bin = np.argsort(slot, kind="stable")
     rows: list[ProfileRow] = []
     for step, policy in checkpoints:
         _, log_ratios, _ = plan.log_ratios(policy, ad.Graph(), what=f"checkpoint {step}")
         rewards = beta * log_ratios.value
         # np.bincount adds in stack order, as a per-token loop over the pairs would
-        margin = np.bincount(bin_of, weights=sign * rewards, minlength=bins)
-        for b, values in enumerate(np.split(rewards[by_bin], bin_stops[:-1])):
-            if values.size:
-                rows.append(
-                    ProfileRow(
-                        checkpoint=step,
-                        bin_lo=b / bins,
-                        bin_hi=(b + 1) / bins,
-                        variance=float(np.var(values)),
-                        margin=float(margin[b] / len(dataset)),
-                    )
-                )
+        margin = np.bincount(slot, weights=sign * rewards)
+        groups = np.split(rewards[by_bin], np.cumsum(counts)[:-1])
+        for b, values, total in zip(occupied.tolist(), groups, margin):
+            variance, margin_per_pair = float(np.var(values)), float(total / len(dataset))
+            rows.append(ProfileRow(step, b / bins, (b + 1) / bins, variance, margin_per_pair))
     return rows

@@ -2,9 +2,13 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import preflab
 from preflab.cli import main
 
 
@@ -131,6 +135,35 @@ class TestTrain:
                 }
             )
         assert digests[0] == digests[1]
+
+    def test_blas_thread_variables_do_not_change_outputs(self, tmp_path):
+        # an A7-shaped run, cut to 100 steps, in fresh interpreters: one with
+        # the BLAS thread variables unset, one with them set to 1
+        data_path = tmp_path / "data.jsonl"
+        gen = write_config(tmp_path / "gen.json", {"seed": 0, "data": {"vocab_size": 12}})
+        assert main(["gen-data", "--config", gen, "--out", str(data_path)]) == 0
+        model = {"vocab_size": 12, "context": 26, "embed_dim": 8, "hidden_dim": 48}
+        train = {"optimizer": "adam", "lr": 5e-4, "steps": 100, "batch_size": 32,
+                 "eval_every": 50, "checkpoint_every": 0}
+        cfg = train_config(tmp_path, tmp_path / "run", data_path, seed=0, model=model,
+                           train=train, loss={"method": "adpo", "family": "static", "k": 1})
+        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        src = os.path.dirname(os.path.dirname(preflab.__file__))
+        outputs = []
+        for threads in (None, "1"):
+            env = {k: v for k, v in os.environ.items() if k not in blas}
+            env.update({var: threads for var in blas if threads})
+            env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+            out_dir = tmp_path / f"run_{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from preflab.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))", "train", "--config", cfg,
+                 "--set", f"output_dir={out_dir}"],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([(out_dir / f).read_bytes() for f in ("trainlog.csv", "final.json")])
+        assert outputs[0] == outputs[1]
 
     def test_output_dir_not_in_semantic_hash(self, tmp_path, dataset_path):
         # runs differing only in output_dir produce identical checkpoints
@@ -343,6 +376,18 @@ class TestEvalAnalyze:
         assert 1 <= len(lines) - 1 <= 2 * 20
         steps = {int(line.split(",")[0]) for line in lines[1:]}
         assert steps == {6, 12}
+
+
+    def test_analyze_bins_beyond_int64_exit_2(self, tmp_path, run_dir, dataset_path, capsys):
+        out = tmp_path / "profile.csv"
+        for bins in (2**62, 10**30):
+            argv = ["analyze", "--checkpoints", str(run_dir / "final.json"),
+                    "--ref", str(run_dir / "ref.json"), "--data", str(dataset_path),
+                    "--bins", str(bins), "--out", str(out)]
+            capsys.readouterr()
+            assert main(argv) == 2
+            assert "overflows int64" in one_error_line(capsys)
+            assert not out.exists()
 
 
 class TestOracleCheckCommand:

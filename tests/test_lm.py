@@ -81,21 +81,25 @@ class TestNGram:
         leaves = {"logits": graph.leaf(policy.params["logits"])}
         tracked = policy.rows_forward(graph, leaves, rows, targets)
         assert np.array_equal(plain, tracked.value)
+        # and both equal a plain lookup in the log-softmax table
+        table = ad.log_softmax_values(policy.params["logits"], axis=1)
+        assert np.array_equal(plain, table[rows, targets])
 
     def test_token_id_out_of_vocab(self, vocab):
         policy = lm.NGramPolicy.uniform(vocab, 2)
         with pytest.raises(lm.TokenIdError):
             lm.token_logprobs(policy, (3,), (4, 99))
         with pytest.raises(lm.TokenIdError):
-            policy.batch_context_rows((3,), np.array([[4, 5], [6, 0]]))
+            policy.stacked_rows(np.array([[3], [3]]), np.array([[4, 5], [6, 0]]))
 
     @pytest.mark.parametrize("order", [1, 2, 3])
-    def test_batch_context_rows_match_per_response_rows(self, vocab, order):
+    def test_array_stacked_rows_match_per_response_rows(self, vocab, order):
         policy = lm.NGramPolicy.uniform(vocab, order)
         responses = np.random.default_rng(4).integers(0, vocab.size, size=(7, 5))
         for prompt in ((), (4,), (3, 5, 4)):
-            batch = policy.batch_context_rows(prompt, responses)
-            for row, response in zip(batch, responses):
+            prompts = np.broadcast_to(np.asarray(prompt, dtype=np.intp), (7, len(prompt)))
+            batch, _ = policy.stacked_rows(prompts, responses)
+            for row, response in zip(batch.reshape(responses.shape), responses):
                 rows, _ = policy.context_rows(prompt, tuple(response))
                 assert np.array_equal(row, rows)
 
@@ -140,6 +144,30 @@ class TestNeural:
         policy = self.make(vocab)
         assert lm.token_logprobs(policy, (3,), ()).shape == (0,)
         assert lm.seq_logprob(policy, (3,), ()) == 0.0
+
+
+class TestSharedScoring:
+    """Scoring is written once: a kind adds only its rows and its forward."""
+
+    def policies(self, vocab):
+        yield lm.NGramPolicy.random(vocab, 3, np.random.default_rng(6))
+        yield lm.NeuralPolicy.init(vocab, child_rng(6, "init"), context=3)
+
+    def test_both_kinds_bind_the_module_functions(self):
+        for name in ("context_rows", "row_logprobs", "conditional_row"):
+            shared = getattr(lm, name)
+            assert lm.NGramPolicy.__dict__[name] is shared
+            assert lm.NeuralPolicy.__dict__[name] is shared
+
+    def test_vocab_logprobs_scores_every_id_of_every_row(self, vocab):
+        for policy in self.policies(vocab):
+            rows, _ = policy.stacked_rows([(3,), (4, 5)], [(5, 3, 4), (3,)])
+            table = lm.vocab_logprobs(policy, rows)
+            assert table.shape == (4, vocab.size)
+            for t in range(vocab.size):
+                one = lm.row_logprobs(policy, rows, np.full(4, t))
+                np.testing.assert_allclose(table[:, t], one, rtol=0, atol=1e-12)
+            assert lm.vocab_logprobs(policy, rows[:0]).shape == (0, vocab.size)
 
 
 class TestCloneFrozen:
@@ -196,8 +224,7 @@ def reference_table_per_row(space, ref, prompt):
         ctx = tuple(int(t) for t in context[:n])
         # the row of the position after the context (its target id is irrelevant)
         rows.append(codes_per_side(space.vocab, ref.order, prompt, ctx + (0,))[-1])
-    rows = np.asarray(rows, dtype=np.intp)
-    return ref.row_logprobs(rows[:, None], np.arange(space.vocab.size)[None, :])
+    return ad.log_softmax_values(ref.params["logits"], axis=1)[np.asarray(rows, dtype=np.intp)]
 
 
 class TestSideWindows:
@@ -403,15 +430,24 @@ class TestCheckpointBoundary:
             (("params", "w1", "shape"), [3, 3]),
             (("params", "b1", "data"), [None] * 4),
             (("params", "b2", "data"), [float("nan")] * 6),
+            # well-formed entries under names the model kind does not define
+            (("params", "w3"), {"shape": [2], "data": [0.0, 0.0]}),
+            (("hyper", "depth"), 2),
         ],
     )
     def test_mistyped_field(self, tmp_path, docs, path, value):
-        doc = docs[1]
-        node = doc
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
-        self.check_rejected(tmp_path, json.dumps(doc), "malformed")
+        # every document that has the edited entry's parent
+        edited = 0
+        for doc in docs:
+            node = doc
+            for key in path[:-1]:
+                node = node.get(key)
+            if node is None:
+                continue
+            node[path[-1]] = value
+            self.check_rejected(tmp_path, json.dumps(doc), "malformed")
+            edited += 1
+        assert edited >= 1
 
     def test_root_not_an_object(self, tmp_path):
         self.check_rejected(tmp_path, "[1, 2]", "malformed")

@@ -1,6 +1,7 @@
 """Unit tests for the training loop and diagnostics."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -180,6 +181,28 @@ class TestTrainBasics:
         assert result.log[-1].loss < result.log[0].loss
 
 
+class TestSgd:
+    def test_update_is_p_minus_lr_g_bitwise(self):
+        rng = np.random.default_rng(0)
+        params = {"w": rng.standard_normal((3, 4)), "b": rng.standard_normal(5)}
+        grads = {name: rng.standard_normal(p.shape) for name, p in params.items()}
+        want = {name: p - 0.3 * grads[name] for name, p in params.items()}
+        trainer.SgdOptimizer(0.3).update(params, grads)
+        for name in params:
+            assert np.array_equal(params[name], want[name])
+
+    def test_short_run_lowers_loss_and_reruns_identically(self):
+        runs = []
+        for _ in range(2):
+            _, dataset, policy = small_setup()
+            runs.append(trainer.train(dataset, policy, quick_config(optimizer="sgd", lr=0.5)))
+        first, second = runs
+        assert first.log[-1].loss < first.log[0].loss
+        assert trainer.trainlog_to_csv(first.log) == trainer.trainlog_to_csv(second.log)
+        for name, value in first.policy.params.items():
+            assert np.array_equal(value, second.policy.params[name])
+
+
 class TestEvalPairs:
     def test_identity_policy_metrics(self):
         _, dataset, policy = small_setup()
@@ -306,6 +329,23 @@ class TestPrefixRewardProfile:
         got = trainer.prefix_reward_profile(checkpoints, ref, dataset, beta=0.7, bins=bins)
         want = profile_by_token_loop(checkpoints, ref, dataset, beta=0.7, bins=bins)
         assert trainer.profile_to_csv(got) == trainer.profile_to_csv(want)
+
+    def test_huge_bin_count_costs_tokens_not_bins(self):
+        # 10**12 bins: one row per distinct i/n, and no array of 10**12 entries
+        _, dataset, policy = small_setup(min_len=2, max_len=13)
+        ref = lm.clone_frozen(policy)
+        bins = 10**12
+        rows = trainer.prefix_reward_profile([(0, policy)], ref, dataset, beta=1.0, bins=bins)
+        ratios = {
+            Fraction(i, len(side))
+            for p in dataset for side in (p.chosen, p.rejected) for i in range(1, len(side) + 1)
+        }
+        assert len(rows) == len(ratios)
+        assert [r.bin_lo for r in rows] == sorted(
+            min(q.numerator * bins // q.denominator, bins - 1) / bins for q in ratios
+        )
+        with pytest.raises(ValidationError, match="overflows int64"):
+            trainer.prefix_reward_profile([(0, policy)], ref, dataset, beta=1.0, bins=2**62)
 
     def test_requires_checkpoints_and_valid_bins(self):
         _, dataset, policy = small_setup()
