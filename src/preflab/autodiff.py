@@ -127,29 +127,6 @@ class Node:
     def grad(self, value) -> None:
         self._grad = value
 
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def item(self) -> float:
-        return float(self.value)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __repr__(self):
         return f"Node(shape={self.value.shape})"
 
@@ -173,11 +150,6 @@ class Graph:
     def leaf(self, value) -> Node:
         # copy so later edits to the caller's array cannot alias the tape
         return Node(self, np.array(value, dtype=np.float64))
-
-    def zero_grad(self) -> None:
-        for node in self._nodes:
-            if node._grad is not None:
-                node._grad[...] = 0.0
 
     def backward(self, root: Node) -> None:
         """Reverse sweep in exact reverse creation order.
@@ -239,18 +211,6 @@ def _accumulate(x, g) -> None:
 # ---------------------------------------------------------------------------
 
 
-def add(a, b) -> Node:
-    va, vb = _value(a), _value(b)
-    _check_elementwise("add", va, vb)
-    graph = _graph_of("add", a, b)
-
-    def backward(g):
-        _accumulate(a, g)
-        _accumulate(b, g)
-
-    return Node(graph, va + vb, (a, b), backward)
-
-
 def sub(a, b) -> Node:
     va, vb = _value(a), _value(b)
     _check_elementwise("sub", va, vb)
@@ -273,15 +233,6 @@ def mul(a, b) -> Node:
         _accumulate(b, g * va)
 
     return Node(graph, va * vb, (a, b), backward)
-
-
-def neg(a) -> Node:
-    graph = _graph_of("neg", a)
-
-    def backward(g):
-        _accumulate(a, -g)
-
-    return Node(graph, -a.value, (a,), backward)
 
 
 def sum(a, axis: int | None = None) -> Node:  # noqa: A001 - mirrors np.sum

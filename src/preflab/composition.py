@@ -102,24 +102,12 @@ class SegmentedPair:
     l_bounds: tuple[tuple[int, int], ...]
 
     @cached_property
-    def kept_segments(self) -> tuple[int, ...]:
-        """Indices of segments non-empty on at least one side.
-
-        A segment empty on both sides would contribute a constant with zero
-        gradient, so it is skipped.
-        """
-        return tuple(
-            i
-            for i, ((ws, we), (ls, le)) in enumerate(zip(self.w_bounds, self.l_bounds))
-            if we > ws or le > ls
-        )
-
-    @cached_property
     def kept_ranks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rank among ``kept_segments`` of every position's segment, per side.
+        """Rank of every position's segment among the kept segments, per side.
 
-        Segments that are not kept are empty on both sides, so no position
-        takes their rank.
+        A segment is kept when it is non-empty on at least one side; one
+        empty on both would contribute a constant with zero gradient, and no
+        position takes its rank.
         """
         w_sizes, l_sizes = (
             np.array([stop - start for start, stop in b], dtype=np.intp)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .autodiff import sigmoid_values
 from .errors import DataFormatError, ValidationError
-from .lm import NGramPolicy, TokenSeq, Vocab, check_tokens, token_logprobs
+from .lm import NGramPolicy, TokenSeq, Vocab, check_tokens, row_logprobs
 from .seeds import child_rng
 
 
@@ -75,6 +75,8 @@ class BigramMatchTask:
             raise ValidationError(
                 f"bad response length range [{self.min_len}, {self.max_len}]"
             )
+        if not math.isfinite(self.length_penalty):
+            raise ValidationError(f"length_penalty must be finite, got {self.length_penalty}")
         if not (0.0 <= self.bigram_rate <= 1.0):
             raise ValidationError(f"bigram_rate {self.bigram_rate} outside [0, 1]")
         if not (math.isfinite(self.temperature) and self.temperature > 0):
@@ -113,12 +115,11 @@ class BigramMatchTask:
         return probs
 
 
-def _sample_response(task: BigramMatchTask, prompt, rng, cdf) -> TokenSeq:
-    """One response. Each background token is the draw of
-    ``rng.choice(len(cdf), p=background)``, made as ``choice`` makes it
+def _sample_response(task: BigramMatchTask, prompt, rng, content, cdf) -> TokenSeq:
+    """One response. Each background token is ``content[i]`` for the draw i
+    of ``rng.choice(len(cdf), p=background)``, made as ``choice`` makes it
     (one ``rng.random()`` located in the cumulative table ``cdf``) but
     without re-validating ``p`` on every token."""
-    content = task.vocab.content_ids()
     u, v = task.target_bigram(prompt)
     length = int(rng.integers(task.min_len, task.max_len + 1))
     out = [int(content[cdf.searchsorted(rng.random(), side="right")])]
@@ -157,10 +158,10 @@ def generate_dataset(
         prompt = tuple(
             int(content[rng.integers(len(content))]) for _ in range(task.prompt_len)
         )
-        first = _sample_response(task, prompt, rng, cdf)
-        second = _sample_response(task, prompt, rng, cdf)
+        first = _sample_response(task, prompt, rng, content, cdf)
+        second = _sample_response(task, prompt, rng, content, cdf)
         while second == first:
-            second = _sample_response(task, prompt, rng, cdf)
+            second = _sample_response(task, prompt, rng, content, cdf)
         r_first = task.reward(prompt, first)
         r_second = task.reward(prompt, second)
         if labeling == "bt":
@@ -174,27 +175,20 @@ def generate_dataset(
     return pairs
 
 
-def compute_token_scores(pos_policy, neg_policy, pair: PreferencePair) -> np.ndarray:
-    """Criticality scores for rejected tokens in (0, 1).
-
-    s_j = sigmoid(log pi_neg - log pi_pos) at each rejected position: high
-    when the negative model favors the token relative to the positive one.
-    """
-    lp_pos = token_logprobs(pos_policy, pair.prompt, pair.rejected)
-    lp_neg = token_logprobs(neg_policy, pair.prompt, pair.rejected)
-    if lp_pos.shape != lp_neg.shape:
-        raise ValidationError(
-            f"policy log-prob lengths differ: {lp_pos.shape} vs {lp_neg.shape}"
-        )
-    return sigmoid_values(lp_neg - lp_pos)
-
-
 def attach_scores(pairs: list[PreferencePair], vocab: Vocab, seed: int) -> None:
-    """Attach token scores from two seeded auxiliary bigram policies."""
+    """Attach criticality scores in (0, 1) to every rejected token.
+
+    s_j = sigmoid(log pi_neg - log pi_pos) under two seeded auxiliary bigram
+    policies: high when the negative model favors the token relative to the
+    positive one. Both score the rows of every rejected side at once.
+    """
     pos = NGramPolicy.random(vocab, 2, child_rng(seed, "scores_pos"))
     neg = NGramPolicy.random(vocab, 2, child_rng(seed, "scores_neg"))
-    for pair in pairs:
-        pair.rejected_scores = compute_token_scores(pos, neg, pair)
+    rows, targets = pos.stacked_rows([p.prompt for p in pairs], [p.rejected for p in pairs])
+    scores = sigmoid_values(row_logprobs(neg, rows, targets) - row_logprobs(pos, rows, targets))
+    stops = np.cumsum([len(p.rejected) for p in pairs])
+    for pair, side_scores in zip(pairs, np.split(scores, stops[:-1])):
+        pair.rejected_scores = side_scores
 
 
 # ---------------------------------------------------------------------------

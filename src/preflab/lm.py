@@ -38,6 +38,8 @@ TokenSeq = tuple[int, ...]
 MAX_NGRAM_ENTRIES = 1 << 24
 # Largest neural model, in float64 parameters (128 MiB).
 MAX_NEURAL_PARAMS = 1 << 24
+# Largest vocab: no model kind fits a larger one within the bounds above.
+MAX_VOCAB = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,8 @@ class Vocab:
     def __post_init__(self):
         if self.size < 3:
             raise ValidationError(f"vocab size must be >= 3, got {self.size}")
+        if self.size > MAX_VOCAB:
+            raise ValidationError(f"vocab size must be <= {MAX_VOCAB}, got {self.size}")
         reserved = (self.bos, self.eos, self.pad)
         if len(set(reserved)) != 3:
             raise ValidationError(f"reserved ids must be distinct, got {reserved}")

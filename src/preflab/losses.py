@@ -13,14 +13,19 @@ divided by the number of pairs, with w_i = +1 on the chosen side and -1
   covers both whole sides (Corollary 1);
 * adpo_loss: the segments of a composition-module segmentation, summed
   outside the log-sigmoid;
-* cadpo_loss: adpo_loss with rejected-side weights -(1 - s_j).
+* cadpo_loss(batch, segmentation, rejected_scores): adpo_loss with
+  rejected-side weights -(1 - s_j).
 
-Every loss takes one ``SegmentedPair`` per pair (dpo builds its m=1
-segmentation; the trainer plans it once per dataset). One shared function
-reads each pair's cached kept-segment ranks as segment ids and turns them
-into a fixed five-node graph (a ``weighted_segment_sum`` over the whole
-batch, then scale, log-sigmoid, sum and mean) whatever the batch size.
-There is no length normalization.
+Which segment each token feeds, and its weight, depend only on the data
+and the config, never on the step. ``segment_layout`` turns one
+``SegmentedPair`` per pair (and the scores, if weighted) into a
+``SegmentLayout``: per position the kept-segment rank and the weight, per
+side the length, per pair the kept-segment count. The trainer builds it
+once per command and indexes it per batch. Each loss above builds one and
+calls ``batch_loss(batch, layout)``, the one loss body: a fixed five-node
+graph (a ``weighted_segment_sum`` over the whole batch, then scale,
+log-sigmoid, sum and mean) whatever the batch size. There is no length
+normalization.
 """
 
 from __future__ import annotations
@@ -71,7 +76,6 @@ class PairLogRatios:
 
     chosen: Node
     rejected: Node
-    rejected_scores: np.ndarray | None = None
 
 
 @dataclass
@@ -85,63 +89,82 @@ class LogRatioBatch:
         return self
 
 
-def _check_alignment(index: int, pair: PairLogRatios, seg: SegmentedPair) -> None:
-    want_w = seg.w_bounds[-1][1]
-    want_l = seg.l_bounds[-1][1]
-    got_w = pair.chosen.value.shape[0]
-    got_l = pair.rejected.value.shape[0]
-    if got_w != want_w or got_l != want_l:
-        raise ValidationError(
-            f"pair {index}: segmentation expects lengths ({want_w}, {want_l}) "
-            f"but log-ratio vectors have ({got_w}, {got_l})"
-        )
+@dataclass(frozen=True)
+class SegmentLayout:
+    """Where each position of a stack of sides (chosen then rejected, pair by
+    pair) enters the loss.
+
+    Per position: ``ranks``, the rank of its segment among its pair's kept
+    segments, and ``weights``, its w_i. Per side: ``lengths``. Per pair:
+    ``kept``, the number of kept segments.
+    """
+
+    ranks: np.ndarray
+    weights: np.ndarray
+    lengths: np.ndarray
+    kept: np.ndarray
 
 
-def _rejected_weights(index: int, pair: PairLogRatios, scores) -> np.ndarray:
-    """Per-position weights 1 - s_j on the rejected vector."""
-    if scores is None:
-        raise ValidationError(f"pair {index}: weighted loss requires rejected scores")
-    scores = np.asarray(scores, dtype=np.float64)
-    n_rejected = pair.rejected.value.shape[0]
-    if scores.shape != (n_rejected,):
-        raise ValidationError(
-            f"pair {index}: got {scores.shape[0] if scores.ndim == 1 else scores.shape} "
-            f"scores for {n_rejected} rejected tokens"
-        )
-    inside = (scores >= 0.0) & (scores <= 1.0)
-    if not np.all(inside):
-        raise ValidationError(f"pair {index}: score {scores[~inside][0]} outside [0, 1]")
-    return 1.0 - scores
+def segment_layout(segmentation: list[SegmentedPair], rejected_scores=None) -> SegmentLayout:
+    """The layout of one ``SegmentedPair`` per pair: weights +1 on the chosen
+    side and, on the rejected side, -(1 - s_j) from ``rejected_scores`` (one
+    vector per pair, each in [0, 1]) or -1 without them.
+    """
+    if not segmentation:
+        raise ValidationError("no pairs to segment")
+    sides = [ranks for seg in segmentation for ranks in seg.kept_ranks]
+    lengths = np.fromiter(map(len, sides), dtype=np.intp, count=len(sides))
+    ranks = np.concatenate(sides)
+    # ranks never fall along a side, and segment_pair leaves no side empty,
+    # so each side's last rank is its largest
+    last = ranks[np.cumsum(lengths) - 1]
+    rejected = np.repeat(np.tile([False, True], len(segmentation)), lengths)
+    weights = np.where(rejected, -1.0, 1.0)
+    if rejected_scores is not None:
+        if len(rejected_scores) != len(segmentation):
+            raise ValidationError(
+                f"{len(rejected_scores)} score vectors for {len(segmentation)} pairs"
+            )
+        parts = []
+        for i, (scores, n_rejected) in enumerate(zip(rejected_scores, lengths[1::2])):
+            if scores is None:
+                raise ValidationError(f"pair {i}: weighted loss requires rejected scores")
+            parts.append(np.asarray(scores, dtype=np.float64))
+            if parts[-1].shape != (n_rejected,):
+                raise ValidationError(
+                    f"pair {i}: got scores of shape {parts[-1].shape} "
+                    f"for {n_rejected} rejected tokens"
+                )
+        scores = np.concatenate(parts)
+        outside = np.flatnonzero(~((scores >= 0.0) & (scores <= 1.0)))
+        if outside.size:
+            pair = int(np.searchsorted(np.cumsum(lengths[1::2]), outside[0], side="right"))
+            raise ValidationError(f"pair {pair}: score {scores[outside[0]]} outside [0, 1]")
+        weights[rejected] = -(1.0 - scores)
+    return SegmentLayout(ranks, weights, lengths, np.maximum(last[0::2], last[1::2]) + 1)
 
 
-def _segment_loss(
-    batch: LogRatioBatch, segmentation: list[SegmentedPair], l_weights=None
-) -> Node:
+def batch_loss(batch: LogRatioBatch, layout: SegmentLayout) -> Node:
     """Mean over pairs of sum over kept segments of -log sigmoid(beta * z).
 
-    z is a segment's chosen sum minus its (weighted) rejected sum. Each
-    pair's ids are its segmentation's cached kept-segment ranks, offset by
-    the segments of the pairs before it; ``l_weights`` holds optional
-    per-pair rejected-side weights (default 1).
+    z is a segment's weighted sum over both sides. A position's segment id
+    is its rank, offset by the kept segments of the pairs before it.
     """
     batch.validate()
-    if len(segmentation) != len(batch.pairs):
+    sides = [side for pair in batch.pairs for side in (pair.chosen, pair.rejected)]
+    got = np.fromiter((side.value.shape[0] for side in sides), dtype=np.intp, count=len(sides))
+    if got.shape != layout.lengths.shape:
+        raise ValidationError(f"{len(layout.kept)} segmented pairs for {len(batch.pairs)} pairs")
+    misaligned = np.flatnonzero(got != layout.lengths)
+    if misaligned.size:
+        i = int(misaligned[0]) // 2
+        want, have = (tuple(n[2 * i : 2 * i + 2].tolist()) for n in (layout.lengths, got))
         raise ValidationError(
-            f"{len(segmentation)} segmentations for {len(batch.pairs)} pairs"
+            f"pair {i}: segmentation expects lengths {want} but log-ratio vectors have {have}"
         )
-    nodes, ids, weights = [], [], []
-    n_segments = 0
-    for i, (pair, seg) in enumerate(zip(batch.pairs, segmentation)):
-        _check_alignment(i, pair, seg)
-        w_rank, l_rank = seg.kept_ranks
-        nodes += [pair.chosen, pair.rejected]
-        ids += [w_rank + n_segments, l_rank + n_segments]
-        l_weight = np.ones(l_rank.size) if l_weights is None else l_weights[i]
-        weights += [np.ones(w_rank.size), -l_weight]
-        n_segments += len(seg.kept_segments)
-    logits = ad.weighted_segment_sum(
-        nodes, np.concatenate(ids), n_segments, np.concatenate(weights)
-    )
+    before = np.cumsum(layout.kept) - layout.kept
+    ids = layout.ranks + np.repeat(before, layout.lengths[0::2] + layout.lengths[1::2])
+    logits = ad.weighted_segment_sum(sides, ids, int(layout.kept.sum()), layout.weights)
     total = ad.sum(ad.log_sigmoid(ad.mul(logits, batch.beta)))
     return ad.mul(total, -1.0 / len(batch.pairs))
 
@@ -160,30 +183,17 @@ def dpo_loss(batch: LogRatioBatch) -> Node:
 
 def adpo_loss(batch: LogRatioBatch, segmentation: list[SegmentedPair]) -> Node:
     """Mean over pairs of sum over kept segments of -log sigmoid(beta * (S_w(i) - S_l(i)))."""
-    return _segment_loss(batch, segmentation)
+    return batch_loss(batch, segment_layout(segmentation))
 
 
 def cadpo_loss(
-    batch: LogRatioBatch,
-    segmentation: list[SegmentedPair],
-    rejected_scores: list | None = None,
+    batch: LogRatioBatch, segmentation: list[SegmentedPair], rejected_scores: list
 ) -> Node:
-    """adpo_loss with rejected log-ratios scaled by 1 - s_j per token.
-
-    Scores come from ``rejected_scores`` when given, otherwise from each
-    pair's own ``rejected_scores`` field. The chosen side is unweighted.
-    """
-    if rejected_scores is not None and len(rejected_scores) != len(batch.pairs):
-        raise ValidationError(
-            f"{len(rejected_scores)} score vectors for {len(batch.pairs)} pairs"
-        )
-    weights = [
-        _rejected_weights(
-            i, pair, rejected_scores[i] if rejected_scores is not None else pair.rejected_scores
-        )
-        for i, pair in enumerate(batch.pairs)
-    ]
-    return _segment_loss(batch, segmentation, weights)
+    """adpo_loss with rejected log-ratios scaled by 1 - s_j per token, from
+    one score vector per pair. The chosen side is unweighted."""
+    if rejected_scores is None:
+        raise ValidationError("cadpo_loss requires rejected scores")
+    return batch_loss(batch, segment_layout(segmentation, rejected_scores))
 
 
 def implicit_rewards(batch: LogRatioBatch) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -194,14 +204,3 @@ def implicit_rewards(batch: LogRatioBatch) -> list[tuple[np.ndarray, np.ndarray]
     """
     batch.validate()
     return [(batch.beta * p.chosen.value, batch.beta * p.rejected.value) for p in batch.pairs]
-
-
-def batch_loss(
-    batch: LogRatioBatch,
-    segmentation: list[SegmentedPair],
-    cfg: LossConfig,
-) -> Node:
-    """The configured loss over a planned segmentation (dpo: adaptive m=1)."""
-    if cfg.weighted:
-        return cadpo_loss(batch, segmentation)
-    return adpo_loss(batch, segmentation)

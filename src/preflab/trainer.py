@@ -3,9 +3,10 @@
 The trainer freezes a reference copy of the initial policy and plans the
 dataset once (``plan_dataset``): every side of every pair is stacked,
 chosen then rejected, with its context rows, targets, the reference's
-log-probs (forwarded once; they never change), the side offsets and one
-segmentation per pair (dpo as adaptive m=1). A train step indexes its
-pairs' positions in that stack; evaluation and the profile use it whole.
+log-probs (forwarded once; they never change), the side offsets and the
+segment layout of the loss (dpo as adaptive m=1). A train step indexes its
+pairs' positions in that stack and in the layout; evaluation and the
+profile use both whole.
 All reductions happen in fixed order, so identical (dataset, config, seed)
 produce bit-identical logs and checkpoints.
 
@@ -25,11 +26,18 @@ import numpy as np
 
 from . import autodiff as ad
 # unused pad_tokens kept: the benchmark's traced run wraps trainer.pad_tokens
-from .composition import SegmentedPair, pad_tokens, segment_pair  # noqa: F401
+from .composition import pad_tokens, segment_pair  # noqa: F401
 from .data import PreferencePair
 from .errors import TrainingDivergedError, ValidationError
 from .lm import Policy, clone_frozen
-from .losses import LogRatioBatch, LossConfig, PairLogRatios, batch_loss
+from .losses import (
+    LogRatioBatch,
+    LossConfig,
+    PairLogRatios,
+    SegmentLayout,
+    batch_loss,
+    segment_layout,
+)
 from .seeds import child_rng
 
 TRAINLOG_HEADER = "step,loss,chosen_logp,rejected_logp,margin,accuracy"
@@ -169,9 +177,10 @@ class DatasetPlan:
     """Every side of every pair stacked once: chosen then rejected, pair by pair.
 
     Side s covers positions [offsets[s], offsets[s + 1]) of ``rows``,
-    ``targets`` and ``ref_logp`` (the frozen reference's log-probs), so pair
-    j's sides are 2j and 2j + 1. The rows are the reference's, so the plan
-    serves only policies of the reference's kind, vocab and hyperparameters.
+    ``targets`` and ``ref_logp`` (the frozen reference's log-probs) and of
+    the loss's ``layout``, so pair j's sides are 2j and 2j + 1. The rows are
+    the reference's, so the plan serves only policies of the reference's
+    kind, vocab and hyperparameters.
     """
 
     reference: Policy
@@ -179,13 +188,12 @@ class DatasetPlan:
     targets: np.ndarray
     ref_logp: np.ndarray
     offsets: np.ndarray
-    segmentation: list[SegmentedPair]
-    scores: list
+    layout: SegmentLayout
 
     def log_ratios(self, policy: Policy, graph: ad.Graph, leaves=None, pair_ids=None,
                    what="the policy"):
         """Policy forward and log-ratio nodes over the positions of ``pair_ids``
-        (default: the whole stack, as it is), with their side offsets.
+        (default: the whole stack, as it is), with their segment layout.
 
         With ``leaves`` given, the policy side is tracked for gradients;
         otherwise fresh leaves of its current parameters are used.
@@ -195,18 +203,20 @@ class DatasetPlan:
             raise ValidationError(
                 f"{what} is a {_describe(policy)} but the reference is a {_describe(ref)}"
             )
-        rows, targets, ref_logp, offsets = self.rows, self.targets, self.ref_logp, self.offsets
+        rows, targets, ref_logp, layout = self.rows, self.targets, self.ref_logp, self.layout
         if pair_ids is not None:
             sides = (2 * np.asarray(pair_ids)[:, None] + (0, 1)).ravel()
-            lengths = np.diff(offsets)[sides]
-            start = offsets[sides]
+            lengths = layout.lengths[sides]
             offsets = np.concatenate(([0], np.cumsum(lengths)))
-            index = np.arange(offsets[-1]) + np.repeat(start - offsets[:-1], lengths)
+            index = np.arange(offsets[-1]) + np.repeat(self.offsets[sides] - offsets[:-1], lengths)
             rows, targets, ref_logp = rows[index], targets[index], ref_logp[index]
+            layout = SegmentLayout(
+                layout.ranks[index], layout.weights[index], lengths, layout.kept[pair_ids]
+            )
         if leaves is None:
             leaves = {name: graph.leaf(value) for name, value in policy.params.items()}
         theta = policy.rows_forward(graph, leaves, rows, targets)
-        return theta, ad.sub(theta, ref_logp), offsets
+        return theta, ad.sub(theta, ref_logp), layout
 
 
 def plan_dataset(dataset: list[PreferencePair], cfg: LossConfig, ref: Policy) -> DatasetPlan:
@@ -215,6 +225,7 @@ def plan_dataset(dataset: list[PreferencePair], cfg: LossConfig, ref: Policy) ->
     The context rows of every side come from one ``stacked_rows`` call
     (``lm.side_windows``). Each pair is segmented by the configured family;
     dpo is planned as its one-segment case, the adaptive family with m=1.
+    A weighted loss lays out every pair's rejected scores, which must exist.
     """
     if not dataset:
         raise ValidationError("dataset is empty")
@@ -222,35 +233,33 @@ def plan_dataset(dataset: list[PreferencePair], cfg: LossConfig, ref: Policy) ->
     responses = [side for p in dataset for side in (p.chosen, p.rejected)]
     prompts = [p.prompt for p in dataset for _ in (p.chosen, p.rejected)]
     rows, targets = ref.stacked_rows(prompts, responses)
+    layout = segment_layout(
+        [segment_pair((len(p.chosen), len(p.rejected)), family, param) for p in dataset],
+        [p.rejected_scores for p in dataset] if cfg.weighted else None,
+    )
     return DatasetPlan(
         reference=ref,
         rows=rows,
         targets=targets,
         ref_logp=ref.row_logprobs(rows, targets),
-        offsets=np.concatenate(([0], np.cumsum([len(side) for side in responses]))),
-        segmentation=[
-            segment_pair((len(p.chosen), len(p.rejected)), family, param) for p in dataset
-        ],
-        scores=[p.rejected_scores for p in dataset],
+        offsets=np.concatenate(([0], np.cumsum(layout.lengths))),
+        layout=layout,
     )
 
 
 def _build_batch(plan: DatasetPlan, policy: Policy, beta: float, graph: ad.Graph,
                  leaves=None, pair_ids=None):
     """Forward the pairs once and slice per-pair log-ratio vectors."""
-    theta, log_ratios, offsets = plan.log_ratios(policy, graph, leaves, pair_ids)
-    if pair_ids is None:
-        pair_ids = range(len(plan.segmentation))
+    theta, log_ratios, layout = plan.log_ratios(policy, graph, leaves, pair_ids)
+    offsets = np.concatenate(([0], np.cumsum(layout.lengths)))
     pairs = [
         PairLogRatios(
             chosen=ad.slice1d(log_ratios, offsets[2 * k], offsets[2 * k + 1]),
             rejected=ad.slice1d(log_ratios, offsets[2 * k + 1], offsets[2 * k + 2]),
-            rejected_scores=plan.scores[i],
         )
-        for k, i in enumerate(pair_ids)
+        for k in range(len(layout.kept))
     ]
-    segmentation = [plan.segmentation[i] for i in pair_ids]
-    return LogRatioBatch(pairs=pairs, beta=beta), segmentation, theta, offsets
+    return LogRatioBatch(pairs=pairs, beta=beta), layout, theta, offsets
 
 
 def eval_pairs(
@@ -271,8 +280,8 @@ def eval_pairs(
     if plan is None:
         plan = plan_dataset(dataset, loss_cfg, ref)
     graph = ad.Graph()
-    batch, segmentation, theta, offsets = _build_batch(plan, policy, loss_cfg.beta, graph)
-    loss = float(batch_loss(batch, segmentation, loss_cfg).value)
+    batch, layout, theta, offsets = _build_batch(plan, policy, loss_cfg.beta, graph)
+    loss = float(batch_loss(batch, layout).value)
     side_logp = [float(np.sum(theta.value[a:b])) for a, b in zip(offsets[:-1], offsets[1:])]
     margins = [
         batch.beta * (float(np.sum(p.chosen.value)) - float(np.sum(p.rejected.value)))
@@ -305,8 +314,6 @@ def train(dataset: list[PreferencePair], policy: Policy, cfg: TrainConfig) -> Tr
     cfg.validate()
     if getattr(policy, "frozen", False):
         raise ValidationError("cannot train a frozen policy")
-    if cfg.loss.weighted and any(p.rejected_scores is None for p in dataset):
-        raise ValidationError("weighted loss requires rejected_scores on every pair")
 
     ref = clone_frozen(policy)
     plan = plan_dataset(dataset, cfg.loss, ref)
@@ -324,10 +331,8 @@ def train(dataset: list[PreferencePair], policy: Policy, cfg: TrainConfig) -> Tr
 
         graph = ad.Graph()
         leaves = {name: graph.leaf(value) for name, value in policy.params.items()}
-        batch, segmentation, _, _ = _build_batch(
-            plan, policy, cfg.loss.beta, graph, leaves, batch_ids
-        )
-        loss = batch_loss(batch, segmentation, cfg.loss)
+        batch, layout, _, _ = _build_batch(plan, policy, cfg.loss.beta, graph, leaves, batch_ids)
+        loss = batch_loss(batch, layout)
         if not np.isfinite(loss.value):
             raise TrainingDivergedError(step, batch_ids.tolist())
         graph.backward(loss)

@@ -111,12 +111,12 @@ class TestA3GradientFidelity:
                 seg = segment_pair((lw, ll), family, param)
 
             def build(graph, leaves):
-                pair = losses.PairLogRatios(leaves[0], leaves[1], rejected_scores=scores)
+                pair = losses.PairLogRatios(leaves[0], leaves[1])
                 batch = losses.LogRatioBatch([pair], beta=beta)
                 if method == "dpo":
                     return losses.dpo_loss(batch)
                 if method == "cadpo":
-                    return losses.cadpo_loss(batch, [seg])
+                    return losses.cadpo_loss(batch, [seg], [scores])
                 return losses.adpo_loss(batch, [seg])
 
             params = [0.5 * rng.standard_normal(s) for s in (lw, ll)]
@@ -357,7 +357,10 @@ class TestA10CadpoLimits:
             unit_scores = float(
                 losses.cadpo_loss(batch, [seg], [np.ones(len(rejected))]).value
             )
-            kept = seg.kept_segments
+            kept = [
+                j for j, ((a, b), (c, d)) in enumerate(zip(seg.w_bounds, seg.l_bounds))
+                if b > a or d > c
+            ]
             s_w = np.array([np.sum(chosen[a:b]) for a, b in (seg.w_bounds[j] for j in kept)])
             rejected_free = float(np.sum(-ad.log_sigmoid_values(beta * s_w)))
             worst_unit = max(worst_unit, abs(unit_scores - rejected_free))

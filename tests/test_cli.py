@@ -100,6 +100,23 @@ class TestGenData:
         assert "temperature" in one_error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field,value,match",
+        [
+            ("length_penalty", float("nan"), "length_penalty must be finite"),
+            ("length_penalty", float("inf"), "length_penalty must be finite"),
+            ("vocab_size", 10**12, "vocab size must be <="),
+        ],
+    )
+    def test_unusable_task_number_exits_2(self, tmp_path, capsys, field, value, match):
+        # NaN rewards always pick the second response, infinite ones make every
+        # label a coin flip, and a huge vocab used to hang before any output
+        out = tmp_path / "a.jsonl"
+        override = "data=" + json.dumps({"vocab_size": 6, "n_pairs": 4, field: value})
+        assert main(["gen-data", "--set", override, "--out", str(out)]) == 2
+        assert match in one_error_line(capsys)
+        assert not out.exists()
+
     def test_set_override(self, tmp_path):
         cfg = gen_config(tmp_path)
         out = tmp_path / "a.jsonl"

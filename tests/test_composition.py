@@ -60,7 +60,7 @@ class TestSegmentPair:
         assert seg.n_segments == 1
         assert seg.w_bounds == ((0, 5),)
         assert seg.l_bounds == ((0, 7),)
-        assert seg.kept_segments == (0,)
+        assert [r.tolist() for r in seg.kept_ranks] == [[0] * 5, [0] * 7]
 
     def test_static_token_level_short_side_gets_empty_segments(self):
         seg = comp.segment_pair((3, 5), "static", 1)
@@ -69,7 +69,7 @@ class TestSegmentPair:
         assert seg.l_bounds == ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5))
         # segments 4-5 are empty on the chosen side but kept: the rejected
         # side still has content there
-        assert seg.kept_segments == (0, 1, 2, 3, 4)
+        assert [r.tolist() for r in seg.kept_ranks] == [[0, 1, 2], [0, 1, 2, 3, 4]]
 
     def test_adaptive_two_segments_both_sides(self):
         seg = comp.segment_pair((4, 6), "adaptive", 2)
@@ -78,8 +78,9 @@ class TestSegmentPair:
 
     def test_both_empty_segment_skipped(self):
         seg = comp.segment_pair((2, 2), "adaptive", 3)
-        # parts (0,1,1) on both sides: first segment empty on both
-        assert seg.kept_segments == (1, 2)
+        # parts (0,1,1) on both sides: first segment empty on both, so
+        # segments 1 and 2 take ranks 0 and 1
+        assert [r.tolist() for r in seg.kept_ranks] == [[0, 1], [0, 1]]
 
     def test_unknown_family(self):
         with pytest.raises(ValidationError):
@@ -100,7 +101,10 @@ class TestKeptRanks:
         for len_w in range(1, 8):
             for len_l in range(1, 8):
                 seg = comp.segment_pair((len_w, len_l), family, param)
-                kept = seg.kept_segments
+                kept = [
+                    i for i, ((a, b), (c, d)) in enumerate(zip(seg.w_bounds, seg.l_bounds))
+                    if b > a or d > c
+                ]
                 for bounds, ranks in zip((seg.w_bounds, seg.l_bounds), seg.kept_ranks):
                     direct = [kept.index(i) for i, (a, b) in enumerate(bounds) for _ in range(a, b)]
                     assert ranks.dtype == np.intp and ranks.tolist() == direct
@@ -166,4 +170,6 @@ class TestProperties:
             w_sizes = [b - a for a, b in seg.w_bounds]
             l_sizes = [b - a for a, b in seg.l_bounds]
             live = [i for i in range(seg.n_segments) if w_sizes[i] or l_sizes[i]]
-            assert seg.kept_segments == tuple(live)
+            for bounds, ranks in zip((seg.w_bounds, seg.l_bounds), seg.kept_ranks):
+                direct = [live.index(i) for i, (a, b) in enumerate(bounds) for _ in range(a, b)]
+                assert ranks.tolist() == direct

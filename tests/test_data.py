@@ -9,7 +9,8 @@ import pytest
 from preflab import data as D
 from preflab.autodiff import sigmoid_values
 from preflab.errors import DataFormatError, ValidationError
-from preflab.lm import NGramPolicy, Vocab
+from preflab.lm import NGramPolicy, Vocab, token_logprobs
+from preflab.seeds import child_rng
 
 
 @pytest.fixture
@@ -78,6 +79,12 @@ class TestGeneration:
         with pytest.raises(ValidationError, match="temperature"):
             D.BigramMatchTask(vocab=vocab, temperature=temperature)
 
+    @pytest.mark.parametrize("penalty", [math.nan, math.inf, -math.inf])
+    def test_non_finite_length_penalty_rejected(self, vocab, penalty):
+        # NaN rewards always pick the second response; infinite ones tie every pair
+        with pytest.raises(ValidationError, match="length_penalty must be finite"):
+            D.BigramMatchTask(vocab=vocab, length_penalty=penalty)
+
     def test_background_must_be_finite(self, vocab):
         task = D.BigramMatchTask(vocab=vocab, temperature=1e-320)
         with pytest.raises(ValidationError, match="temperature"):
@@ -88,7 +95,7 @@ class TestGeneration:
     def test_sampler_matches_rng_choice(self, vocab, tmp_path, monkeypatch, max_len, n_pairs, seed):
         # the reference draws every background token with rng.choice, which
         # re-validates p per call; the sampler must reproduce its stream
-        def choice_sample_response(task, prompt, rng, cdf):
+        def choice_sample_response(task, prompt, rng, _content, cdf):
             background = task.background_probs()
             content = task.vocab.content_ids()
             u, v = task.target_bigram(prompt)
@@ -144,27 +151,51 @@ class TestBTLabeling:
         assert higher_won / len(pairs) > 0.6
 
 
+def _attach_scores_with(monkeypatch, pos, neg, pairs, vocab):
+    # hand attach_scores the given auxiliary policies in place of its seeded draws
+    policies = {"scores_pos": pos, "scores_neg": neg}
+    monkeypatch.setattr(D, "child_rng", lambda _seed, label: label)
+    monkeypatch.setattr(
+        D, "NGramPolicy", type("Fixed", (), {"random": staticmethod(lambda _v, _o, label: policies[label])})
+    )
+    D.attach_scores(pairs, vocab, seed=0)
+
+
 class TestTokenScores:
-    def test_identical_policies_give_half(self, vocab, task):
+    def test_identical_policies_give_half(self, vocab, task, monkeypatch):
         pair = D.generate_dataset(task, 1)[0]
         policy = NGramPolicy.random(vocab, 2, np.random.default_rng(2))
-        scores = D.compute_token_scores(policy, policy, pair)
+        _attach_scores_with(monkeypatch, policy, policy, [pair], vocab)
+        scores = pair.rejected_scores
         assert np.allclose(scores, 0.5, atol=1e-15)
         assert scores.shape == (len(pair.rejected),)
 
-    def test_hand_built_log_ratio(self, vocab):
-        # neg assigns 3x the positive probability at one position: sigma(ln 3) = 0.75
+    def test_hand_built_log_ratio(self, vocab, monkeypatch):
+        # neg raises one bigram logit by ln 3; the score is sigmoid of the renormalised log ratio
         uniform = np.zeros((vocab.size, vocab.size))
         pos = NGramPolicy(vocab, 2, uniform)
         boosted = uniform.copy()
         boosted[3, 4] = math.log(3.0)
         neg = NGramPolicy(vocab, 2, boosted)
         pair = D.PreferencePair(prompt=(5, 3), chosen=(6, 6), rejected=(4, 5))
-        scores = D.compute_token_scores(pos, neg, pair)
+        _attach_scores_with(monkeypatch, pos, neg, [pair], vocab)
+        scores = pair.rejected_scores
         lp_pos = pos.conditional_row((5, 3), ())[4]
         lp_neg = neg.conditional_row((5, 3), ())[4]
         assert scores[0] == pytest.approx(float(sigmoid_values(lp_neg - lp_pos)), abs=1e-12)
         assert np.all((scores > 0) & (scores < 1))
+
+    def test_attach_scores_match_token_log_ratios(self, vocab, task):
+        # s_j = sigmoid(log pi_neg - log pi_pos), scored side by side as the
+        # two seeded auxiliary bigrams score one pair at a time
+        pairs = D.generate_dataset(task, 10)
+        D.attach_scores(pairs, vocab, seed=3)
+        pos = NGramPolicy.random(vocab, 2, child_rng(3, "scores_pos"))
+        neg = NGramPolicy.random(vocab, 2, child_rng(3, "scores_neg"))
+        for pair in pairs:
+            lp_pos = token_logprobs(pos, pair.prompt, pair.rejected)
+            lp_neg = token_logprobs(neg, pair.prompt, pair.rejected)
+            assert np.array_equal(pair.rejected_scores, sigmoid_values(lp_neg - lp_pos))
 
     def test_attach_scores_covers_every_pair(self, vocab, task):
         pairs = D.generate_dataset(task, 10)

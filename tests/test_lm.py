@@ -28,6 +28,13 @@ class TestVocab:
         with pytest.raises(ValidationError):
             lm.Vocab(4, bos=0, eos=1, pad=9)
 
+    def test_size_bounded_before_any_content_is_built(self):
+        # no model kind fits a larger vocab; content_ids would take O(size)
+        assert lm.Vocab(lm.MAX_VOCAB).size == lm.MAX_VOCAB
+        for size in (lm.MAX_VOCAB + 1, 10**12):
+            with pytest.raises(ValidationError, match=f"vocab size must be <= {lm.MAX_VOCAB}"):
+                lm.Vocab(size)
+
     def test_content_ids_exclude_reserved(self, vocab):
         assert vocab.content_ids() == (3, 4, 5)
 
@@ -503,5 +510,5 @@ class TestModelBounds:
         with pytest.raises(ValidationError, match="parameters, more than"):
             lm.neural_param_count(vocab, edge + 1, 1, 1)
         with pytest.raises(ValidationError, match="parameters, more than"):
-            lm.NeuralPolicy.init(lm.Vocab(10**9), self.UnusableRng())
+            lm.NeuralPolicy.init(lm.Vocab(lm.MAX_VOCAB), self.UnusableRng())
         assert lm.neural_param_count(vocab, 8, 8, 32) == 6 * 8 + 8 * 8 * 32 + 32 + 32 * 6 + 6

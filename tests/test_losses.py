@@ -11,11 +11,10 @@ from preflab.composition import segment_pair
 from preflab.errors import ValidationError
 
 
-def make_pair(graph, chosen, rejected, scores=None):
+def make_pair(graph, chosen, rejected):
     return losses.PairLogRatios(
         chosen=graph.leaf(np.asarray(chosen, dtype=np.float64)),
         rejected=graph.leaf(np.asarray(rejected, dtype=np.float64)),
-        rejected_scores=scores,
     )
 
 
@@ -161,10 +160,13 @@ class TestAdpoLoss:
         g = ad.Graph()
         batch = losses.LogRatioBatch([make_pair(g, [0.1, 0.2], [0.3])], beta=1.0)
         seg = segment_pair((5, 5), "adaptive", 2)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"pair 0: .* \(5, 5\) .* \(2, 1\)"):
             losses.adpo_loss(batch, [seg])
         with pytest.raises(ValidationError):
             losses.adpo_loss(batch, [])
+        two = [segment_pair((2, 1), "adaptive", 2)] * 2
+        with pytest.raises(ValidationError, match="2 segmented pairs for 1 pairs"):
+            losses.batch_loss(batch, losses.segment_layout(two))
 
 
 class TestCadpoLoss:
@@ -200,10 +202,10 @@ class TestCadpoLoss:
 
     def test_hand_computed_weighted_value(self):
         g = ad.Graph()
-        pair = make_pair(g, [0.4], [0.6], scores=np.array([0.5]))
+        pair = make_pair(g, [0.4], [0.6])
         batch = losses.LogRatioBatch([pair], beta=1.0)
         seg = segment_pair((1, 1), "adaptive", 1)
-        out = float(losses.cadpo_loss(batch, [seg]).value)
+        out = float(losses.cadpo_loss(batch, [seg], [np.array([0.5])]).value)
         # -log sigma(0.4 - 0.5 * 0.6) = -log sigma(0.1) = log(1 + e^-0.1)
         assert out == pytest.approx(0.6443966600735709, abs=1e-12)
 
@@ -220,6 +222,10 @@ class TestCadpoLoss:
             losses.cadpo_loss(batch, seg, [np.array([0.5, np.nan])])
         with pytest.raises(ValidationError):
             losses.cadpo_loss(batch, seg, None)
+        with pytest.raises(ValidationError, match="requires rejected scores"):
+            losses.cadpo_loss(batch, seg, [None])
+        with pytest.raises(ValidationError, match="2 score vectors for 1 pairs"):
+            losses.cadpo_loss(batch, seg, [np.zeros(2)] * 2)
 
 
 class TestImplicitRewards:
@@ -279,9 +285,9 @@ class TestLossGradients:
             )
 
         def cadpo_build(graph, leaves):
-            pair = losses.PairLogRatios(leaves[0], leaves[1], rejected_scores=scores)
+            pair = losses.PairLogRatios(leaves[0], leaves[1])
             return losses.cadpo_loss(
-                losses.LogRatioBatch([pair], beta=1.0), [seg_adaptive]
+                losses.LogRatioBatch([pair], beta=1.0), [seg_adaptive], [scores]
             )
 
         params = [rng.standard_normal(lw), rng.standard_normal(ll)]
@@ -331,22 +337,17 @@ class TestSingleLossNode:
     def nodes_added(cfg, n_pairs):
         rng = np.random.default_rng(12)
         g = ad.Graph()
-        pairs, segs = [], []
+        pairs, segs, scores = [], [], []
         for _ in range(n_pairs):
             lw, ll = (int(x) for x in rng.integers(1, 12, size=2))
-            pairs.append(
-                make_pair(
-                    g,
-                    rng.standard_normal(lw),
-                    rng.standard_normal(ll),
-                    scores=rng.uniform(0, 1, size=ll),
-                )
-            )
+            pairs.append(make_pair(g, rng.standard_normal(lw), rng.standard_normal(ll)))
+            scores.append(rng.uniform(0, 1, size=ll))
             # dpo is planned as the default adaptive family with m=1
             segs.append(segment_pair((lw, ll), cfg.family, cfg.segment_param() or 1))
         batch = losses.LogRatioBatch(pairs, beta=1.0)
+        layout = losses.segment_layout(segs, scores if cfg.weighted else None)
         before = len(g)
-        losses.batch_loss(batch, segs, cfg)
+        losses.batch_loss(batch, layout)
         return len(g) - before
 
     @pytest.mark.parametrize("name", list(CONFIGS))
@@ -389,12 +390,10 @@ class TestStaticWindowsReference:
             scores = rng.uniform(0.0, 1.0, size=ll)
             beta = (0.5, 1.0, 1.5)[trial % 3]
             g = ad.Graph()
-            batch = losses.LogRatioBatch(
-                [make_pair(g, chosen, rejected, scores=scores)], beta=beta
-            )
+            batch = losses.LogRatioBatch([make_pair(g, chosen, rejected)], beta=beta)
             seg = [segment_pair((lw, ll), "static", k)]
             if weighted:
-                got = float(losses.cadpo_loss(batch, seg).value)
+                got = float(losses.cadpo_loss(batch, seg, [scores]).value)
                 want = windowed_reference(chosen, rejected, k, beta, scores)
             else:
                 got = float(losses.adpo_loss(batch, seg).value)

@@ -1,6 +1,7 @@
 """Unit tests for the training loop and diagnostics."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from preflab import autodiff as ad
 from preflab import data as D
 from preflab import lm, losses, trainer
+from preflab.composition import segment_pair
 from preflab.errors import TrainingDivergedError, ValidationError
 from preflab.seeds import child_rng
 
@@ -77,10 +79,13 @@ class TestPlans:
     def test_dpo_is_planned_as_one_adaptive_segment(self):
         _, dataset, policy = small_setup()
         plan = trainer.plan_dataset(dataset, quick_config("dpo").loss, lm.clone_frozen(policy))
-        for pair, seg in zip(dataset, plan.segmentation):
-            assert (seg.family, seg.param) == ("adaptive", 1)
-            assert seg.w_bounds == ((0, len(pair.chosen)),)
-            assert seg.l_bounds == ((0, len(pair.rejected)),)
+        lengths = [len(s) for p in dataset for s in (p.chosen, p.rejected)]
+        # one segment per pair, covering both whole sides, chosen +1, rejected -1
+        assert plan.layout.lengths.tolist() == lengths
+        assert plan.layout.kept.tolist() == [1] * len(dataset)
+        assert not plan.layout.ranks.any()
+        sign = np.repeat(np.tile([1.0, -1.0], len(dataset)), lengths)
+        assert np.array_equal(plan.layout.weights, sign)
 
     def test_batch_positions_index_the_stack(self):
         # an n-gram forward is a table lookup, so sub-batches are exact slices
@@ -90,10 +95,77 @@ class TestPlans:
         policy.params["logits"] += np.random.default_rng(1).standard_normal((12, 12))
         _, whole, _ = plan.log_ratios(policy, ad.Graph())
         ids = np.array([5, 0, 17, 5])
-        _, part, offsets = plan.log_ratios(policy, ad.Graph(), pair_ids=ids)
-        want = [whole.value[plan.offsets[2 * i] : plan.offsets[2 * i + 2]] for i in ids]
-        assert np.array_equal(part.value, np.concatenate(want))
-        assert offsets[-1] == len(part.value) and len(offsets) == 2 * len(ids) + 1
+        _, part, layout = plan.log_ratios(policy, ad.Graph(), pair_ids=ids)
+        spans = [slice(plan.offsets[2 * i], plan.offsets[2 * i + 2]) for i in ids]
+        assert np.array_equal(part.value, np.concatenate([whole.value[s] for s in spans]))
+        for got, full in ((layout.ranks, plan.layout.ranks), (layout.weights, plan.layout.weights)):
+            assert np.array_equal(got, np.concatenate([full[s] for s in spans]))
+        sides = [2 * i + j for i in ids for j in (0, 1)]
+        assert np.array_equal(layout.lengths, plan.layout.lengths[sides])
+        assert np.array_equal(layout.kept, plan.layout.kept[ids])
+
+
+class TestPlannedLayout:
+    """The segment layout is planned once per command and selected per batch;
+    it must give what the losses give over the batch's own segmentation."""
+
+    CONFIGS = {
+        "dpo": losses.LossConfig(method="dpo"),
+        "static1": losses.LossConfig(method="adpo", family="static", k=1),
+        "static2": losses.LossConfig(method="adpo", family="static", k=2),
+        "adaptive3": losses.LossConfig(method="adpo", family="adaptive", m=3),
+        "cadpo": losses.LossConfig(method="adpo", family="static", k=2, weighted=True),
+    }
+
+    @staticmethod
+    def own_loss(cfg, batch, pairs):
+        if cfg.method == "dpo":
+            return losses.dpo_loss(batch)
+        segs = [
+            segment_pair((len(p.chosen), len(p.rejected)), cfg.family, cfg.segment_param())
+            for p in pairs
+        ]
+        if cfg.weighted:
+            return losses.cadpo_loss(batch, segs, [p.rejected_scores for p in pairs])
+        return losses.adpo_loss(batch, segs)
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_selected_layout_matches_own_segmentation_bitwise(self, name):
+        cfg = self.CONFIGS[name]
+        vocab, dataset, policy = small_setup()
+        D.attach_scores(dataset, vocab, seed=0)
+        plan = trainer.plan_dataset(dataset, cfg, lm.clone_frozen(policy))
+        rng = np.random.default_rng(14)
+        for param in policy.params.values():
+            param += 0.3 * rng.standard_normal(param.shape)
+        for _ in range(4):
+            ids = rng.integers(0, len(dataset), size=int(rng.integers(1, 12)))
+            runs = []
+            for planned in (True, False):
+                g = ad.Graph()
+                leaves = {n: g.leaf(v) for n, v in policy.params.items()}
+                batch, layout, _, _ = trainer._build_batch(plan, policy, cfg.beta, g, leaves, ids)
+                if planned:
+                    loss = losses.batch_loss(batch, layout)
+                else:
+                    loss = self.own_loss(cfg, batch, [dataset[i] for i in ids])
+                g.backward(loss)
+                runs.append([loss.value] + [leaves[n].grad for n in sorted(leaves)])
+            assert all(np.array_equal(a, b) for a, b in zip(*runs))
+
+    def test_misaligned_layout_names_the_pair(self):
+        _, dataset, policy = small_setup()
+        cfg = self.CONFIGS["static1"]
+        plan = trainer.plan_dataset(dataset, cfg, lm.clone_frozen(policy))
+        batch, _, _, _ = trainer._build_batch(plan, policy, 1.0, ad.Graph(), pair_ids=[0, 1, 2])
+        lengths = [(len(p.chosen), len(p.rejected)) for p in dataset]
+        other = next(n for n in lengths if n != lengths[2])
+        wrong = losses.segment_layout(
+            [segment_pair(n, "static", 1) for n in (lengths[0], lengths[1], other)]
+        )
+        named = re.escape(f"pair 2: segmentation expects lengths {other}")
+        with pytest.raises(ValidationError, match=named):
+            losses.batch_loss(batch, wrong)
 
 
 class TestPlanRefusesOtherModels:
@@ -212,12 +284,11 @@ class TestEvalPairs:
         assert row.margin == 0.0
         assert row.accuracy == 0.5
         # every pair contributes one ln 2 per kept segment
-        from preflab.composition import segment_pair
-
         expected = 0.0
         for pair in dataset:
             seg = segment_pair((len(pair.chosen), len(pair.rejected)), "adaptive", 3)
-            expected += len(seg.kept_segments) * math.log(2)
+            kept = sum(b > a or d > c for (a, b), (c, d) in zip(seg.w_bounds, seg.l_bounds))
+            expected += kept * math.log(2)
         expected /= len(dataset)
         assert row.loss == pytest.approx(expected, abs=1e-12)
 
@@ -365,7 +436,8 @@ def profile_by_token_loop(checkpoints, ref, dataset, beta, bins):
     plan = trainer.plan_dataset(dataset, losses.LossConfig(method="dpo", beta=beta), ref)
     rows = []
     for step, policy in checkpoints:
-        _, log_ratios, offsets = plan.log_ratios(policy, ad.Graph())
+        _, log_ratios, _ = plan.log_ratios(policy, ad.Graph())
+        offsets = plan.offsets
         bucket_rewards = [[] for _ in range(bins)]
         bucket_margin = np.zeros(bins)
         for side in range(len(offsets) - 1):
