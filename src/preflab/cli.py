@@ -9,23 +9,20 @@ byte-deterministic outputs, and uses the exit-code contract 0 = success,
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import re
 import sys
+from dataclasses import asdict
 
 from . import config as cfgmod
 from . import oracle
 from .data import check_dataset, load_jsonl, save_jsonl, write_manifest
 from .errors import PreflabError, ValidationError
 from .lm import load_checkpoint, save_checkpoint
-from .trainer import (
-    eval_pairs,
-    prefix_reward_profile,
-    profile_to_csv,
-    train,
-    trainlog_to_csv,
-)
+from .losses import LossConfig
+from .trainer import ProfileRow, TrainLogRow, eval_pairs, prefix_reward_profile, to_csv, train
 
 
 def _load_resolved(args) -> dict:
@@ -46,8 +43,8 @@ def cmd_gen_data(args) -> int:
     cfgmod.require_section(resolved, "data")
     if resolved["data"]["path"] is not None:
         raise ValidationError("gen-data generates from task parameters, not data.path")
-    pairs = cfgmod.build_dataset(resolved)
     task = cfgmod.build_task(resolved)
+    pairs = cfgmod.build_dataset(resolved, task)
     save_jsonl(pairs, args.out)
     stem, _ = os.path.splitext(args.out)
     write_manifest(
@@ -69,15 +66,16 @@ def cmd_train(args) -> int:
     check_dataset(dataset, policy.vocab)
     train_cfg = cfgmod.build_train_config(resolved)
 
+    # train a copy, so that a plan-time input error leaves no run directory
+    # and ``policy`` stays the initial weights, written as ref.json
+    result = train(dataset, copy.deepcopy(policy), train_cfg)
+
     os.makedirs(output_dir, exist_ok=True)
     cfgmod.write_resolved(resolved, output_dir)
     digest = cfgmod.config_hash(resolved)
     save_checkpoint(policy, os.path.join(output_dir, "ref.json"), digest)
-
-    result = train(dataset, policy, train_cfg)
-
     with open(os.path.join(output_dir, "trainlog.csv"), "w", encoding="utf-8") as fh:
-        fh.write(trainlog_to_csv(result.log))
+        fh.write(to_csv(TrainLogRow, result.log))
     for step, snapshot in result.checkpoints:
         save_checkpoint(
             snapshot, os.path.join(output_dir, f"checkpoint_{step:06d}.json"), digest
@@ -109,14 +107,8 @@ def cmd_eval(args) -> int:
     dataset = load_jsonl(args.data)
     check_dataset(dataset, policy.vocab)
     loss_cfg = _loss_config_near(args, args.checkpoint)
-    row = eval_pairs(policy, ref, dataset, loss_cfg)
-    doc = {
-        "loss": row.loss,
-        "chosen_logp": row.chosen_logp,
-        "rejected_logp": row.rejected_logp,
-        "margin": row.margin,
-        "accuracy": row.accuracy,
-    }
+    doc = asdict(eval_pairs(policy, ref, dataset, loss_cfg))
+    del doc["step"]
     print(json.dumps(doc, sort_keys=True))
     return 0
 
@@ -133,14 +125,14 @@ def cmd_analyze(args) -> int:
     beta = args.beta
     if beta is None:
         sibling = _sibling_resolved(args.checkpoints[0])
-        beta = sibling["loss"]["beta"] if sibling and "loss" in sibling else 1.0
+        beta = sibling["loss"]["beta"] if sibling and "loss" in sibling else LossConfig().beta
     checkpoints = [
         (_checkpoint_step(path, i), load_checkpoint(path))
         for i, path in enumerate(args.checkpoints)
     ]
     rows = prefix_reward_profile(checkpoints, ref, dataset, beta, bins=args.bins)
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(profile_to_csv(rows))
+        fh.write(to_csv(ProfileRow, rows))
     print(f"wrote {len(rows)} profile rows to {args.out}")
     return 0
 

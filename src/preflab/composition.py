@@ -25,6 +25,8 @@ import numpy as np
 
 from .errors import ValidationError
 
+FAMILIES = ("static", "adaptive")
+
 
 @dataclass(frozen=True)
 class StrongComposition:
@@ -95,8 +97,6 @@ class SegmentedPair:
     vector; a segment may be empty on one side.
     """
 
-    family: str
-    param: int
     n_segments: int
     w_bounds: tuple[tuple[int, int], ...]
     l_bounds: tuple[tuple[int, int], ...]
@@ -133,7 +133,7 @@ def segment_pair(lengths: tuple[int, int], family: str, param: int) -> Segmented
         comp_w, comp_l = xi_adaptive(len_w, param), xi_adaptive(len_l, param)
     else:
         raise ValidationError(f"unknown composition family {family!r}")
-    return SegmentedPair(family, param, len(comp_w.parts), comp_w.bounds(), comp_l.bounds())
+    return SegmentedPair(len(comp_w.parts), comp_w.bounds(), comp_l.bounds())
 
 
 def pad_tokens(tokens, length: int, pad_id: int) -> tuple[int, ...]:

@@ -4,6 +4,12 @@ Unknown keys are rejected outright, defaults are filled at resolve time,
 and every run writes its fully-resolved config next to its outputs, so a
 run directory is a complete reproducibility manifest. All randomness
 flows from the single top-level seed through named child streams.
+
+The ``loss`` and ``train`` sections and the task keys of ``data`` are read
+off the fields of ``LossConfig``, ``TrainConfig`` and ``BigramMatchTask``:
+each key takes its default and type from its field, and its choices from
+the tuple or table that the library itself checks against. The ``model``
+section and the other top-level and ``data`` keys are declared here.
 """
 
 from __future__ import annotations
@@ -12,14 +18,16 @@ import copy
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 
-from .data import BigramMatchTask, attach_scores, generate_dataset, load_jsonl
+from .composition import FAMILIES
+from .data import LABELINGS, BigramMatchTask, attach_scores, generate_dataset, load_jsonl
 from .errors import ValidationError
 from .lm import NeuralPolicy, NGramPolicy, Vocab
-from .losses import LossConfig
+from .losses import METHODS, LossConfig
 from .seeds import child_rng
-from .trainer import TrainConfig
+from .trainer import OPTIMIZERS, TrainConfig
 
 
 @dataclass(frozen=True)
@@ -31,6 +39,30 @@ class _Field:
     nullable: bool = False
 
 
+def _section(cls, *skip: str, **choices: tuple) -> dict[str, _Field]:
+    """A ``_Field`` per field of dataclass ``cls`` not in ``skip``, with the
+    field's default and its annotation's types (a ``float`` also accepts
+    ints, and ``X | None`` is nullable) and the given ``choices``."""
+    hints = typing.get_type_hints(cls)
+    out = {}
+    for f in fields(cls):
+        if f.name in skip:
+            continue
+        types = typing.get_args(hints[f.name]) or (hints[f.name],)
+        nullable = type(None) in types
+        types = tuple(t for t in types if t is not type(None))
+        out[f.name] = _Field(
+            default=f.default,
+            types=(int, float) if types == (float,) else types,
+            choices=choices.get(f.name),
+            nullable=nullable,
+        )
+    return out
+
+
+# the task parameters of the data section; build_task passes them through
+_TASK_FIELDS = _section(BigramMatchTask, "vocab", "seed")
+
 _SCHEMA: dict[str, dict[str, _Field]] = {
     "model": {
         "kind": _Field(default="neural", types=(str,), choices=("neural", "ngram")),
@@ -40,37 +72,14 @@ _SCHEMA: dict[str, dict[str, _Field]] = {
         "hidden_dim": _Field(default=32, types=(int,)),
         "order": _Field(default=2, types=(int,)),
     },
-    "loss": {
-        "method": _Field(default="dpo", types=(str,), choices=("dpo", "adpo")),
-        "family": _Field(
-            default="adaptive", types=(str,), choices=("static", "adaptive")
-        ),
-        "k": _Field(default=None, types=(int,), nullable=True),
-        "m": _Field(default=None, types=(int,), nullable=True),
-        "beta": _Field(default=1.0, types=(int, float)),
-        "weighted": _Field(default=False, types=(bool,)),
-    },
-    "train": {
-        "optimizer": _Field(default="adam", types=(str,), choices=("sgd", "adam")),
-        "lr": _Field(default=1e-2, types=(int, float)),
-        "steps": _Field(default=2000, types=(int,)),
-        "batch_size": _Field(default=32, types=(int,)),
-        "eval_every": _Field(default=50, types=(int,)),
-        "checkpoint_every": _Field(default=500, types=(int,)),
-    },
+    "loss": _section(LossConfig, method=METHODS, family=FAMILIES),
+    "train": _section(TrainConfig, "loss", "seed", optimizer=tuple(OPTIMIZERS)),
     "data": {
         "path": _Field(default=None, types=(str,), nullable=True),
         "n_pairs": _Field(default=256, types=(int,)),
         "vocab_size": _Field(default=None, types=(int,), nullable=True),
-        "prompt_len": _Field(default=2, types=(int,)),
-        "min_len": _Field(default=4, types=(int,)),
-        "max_len": _Field(default=24, types=(int,)),
-        "length_penalty": _Field(default=0.05, types=(int, float)),
-        "bigram_rate": _Field(default=0.5, types=(int, float)),
-        "temperature": _Field(default=1.0, types=(int, float)),
-        "labeling": _Field(
-            default="deterministic", types=(str,), choices=("deterministic", "bt")
-        ),
+        **_TASK_FIELDS,
+        "labeling": _Field(default="deterministic", types=(str,), choices=LABELINGS),
         "with_scores": _Field(default=False, types=(bool,)),
     },
 }
@@ -214,23 +223,17 @@ def build_task(resolved: dict) -> BigramMatchTask:
     if data["vocab_size"] is None:
         raise ValidationError("missing required field: data.vocab_size")
     return BigramMatchTask(
-        vocab=Vocab(data["vocab_size"]),
-        prompt_len=data["prompt_len"],
-        min_len=data["min_len"],
-        max_len=data["max_len"],
-        length_penalty=data["length_penalty"],
-        bigram_rate=data["bigram_rate"],
-        temperature=data["temperature"],
-        seed=resolved["seed"],
+        Vocab(data["vocab_size"]), seed=resolved["seed"], **{k: data[k] for k in _TASK_FIELDS}
     )
 
 
-def build_dataset(resolved: dict):
-    """Load the dataset from data.path or generate it from the task."""
+def build_dataset(resolved: dict, task: BigramMatchTask | None = None):
+    """Load the dataset from data.path or generate it from ``task`` (by
+    default ``build_task(resolved)``)."""
     data = require_section(resolved, "data")
     if data["path"] is not None:
         return load_jsonl(data["path"])
-    task = build_task(resolved)
+    task = task or build_task(resolved)
     pairs = generate_dataset(task, data["n_pairs"], data["labeling"])
     if data["with_scores"]:
         attach_scores(pairs, task.vocab, resolved["seed"])
@@ -257,5 +260,6 @@ def build_loss_config(resolved: dict) -> LossConfig:
 
 
 def build_train_config(resolved: dict) -> TrainConfig:
-    train = resolved.get("train", {f: field.default for f, field in _SCHEMA["train"].items()})
-    return TrainConfig(loss=build_loss_config(resolved), seed=resolved["seed"], **train).validate()
+    return TrainConfig(
+        loss=build_loss_config(resolved), seed=resolved["seed"], **resolved.get("train", {})
+    ).validate()

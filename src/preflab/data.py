@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from itertools import chain
 
 import numpy as np
@@ -19,6 +19,8 @@ from .autodiff import sigmoid_values
 from .errors import DataFormatError, ValidationError
 from .lm import NGramPolicy, TokenSeq, Vocab, check_tokens, row_logprobs
 from .seeds import child_rng
+
+LABELINGS = ("deterministic", "bt")
 
 
 @dataclass
@@ -83,7 +85,7 @@ class BigramMatchTask:
             raise ValidationError(
                 f"temperature must be finite and positive, got {self.temperature}"
             )
-        if not self.vocab.content_ids():
+        if not self.vocab.n_content:
             raise ValidationError("vocab has no content tokens")
 
     def target_bigram(self, prompt: TokenSeq) -> tuple[int, int]:
@@ -102,7 +104,7 @@ class BigramMatchTask:
         """Token distribution used when the generator is not emitting the
         target bigram; deterministic per task seed."""
         rng = child_rng(self.seed, "task")
-        bias = rng.standard_normal(len(self.vocab.content_ids()))
+        bias = rng.standard_normal(self.vocab.n_content)
         # a temperature near zero overflows the scaled logits to inf - inf
         with np.errstate(over="ignore", invalid="ignore"):
             scaled = bias / self.temperature
@@ -147,7 +149,7 @@ def generate_dataset(
     """
     if n_pairs < 1:
         raise ValidationError(f"n_pairs must be >= 1, got {n_pairs}")
-    if labeling not in ("deterministic", "bt"):
+    if labeling not in LABELINGS:
         raise ValidationError(f"unknown labeling {labeling!r}")
     rng = child_rng(task.seed, "data")
     cdf = np.cumsum(task.background_probs())
@@ -264,18 +266,11 @@ def load_jsonl(path) -> list[PreferencePair]:
 
 def write_manifest(path, task: BigramMatchTask, n_pairs: int, labeling: str) -> None:
     """Generation manifest recording the task parameters and seed."""
+    params = {f.name: getattr(task, f.name) for f in fields(task)}
+    vocab, seed = params.pop("vocab"), params.pop("seed")
     doc = {
-        "task": {
-            "kind": "bigram_match",
-            "vocab_size": task.vocab.size,
-            "prompt_len": task.prompt_len,
-            "min_len": task.min_len,
-            "max_len": task.max_len,
-            "length_penalty": task.length_penalty,
-            "bigram_rate": task.bigram_rate,
-            "temperature": task.temperature,
-        },
-        "seed": task.seed,
+        "task": {"kind": "bigram_match", "vocab_size": vocab.size, **params},
+        "seed": seed,
         "n_pairs": n_pairs,
         "labeling": labeling,
     }

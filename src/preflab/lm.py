@@ -65,6 +65,11 @@ class Vocab:
                     f"reserved id {rid} outside vocab of size {self.size}"
                 )
 
+    @property
+    def n_content(self) -> int:
+        """``len(content_ids())``: the three reserved ids are distinct and in range."""
+        return self.size - 3
+
     def content_ids(self) -> tuple[int, ...]:
         """Ids that are neither BOS, EOS, nor PAD."""
         reserved = {self.bos, self.eos, self.pad}

@@ -37,8 +37,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-from .composition import SegmentedPair, segment_pair
+from .composition import FAMILIES, SegmentedPair, segment_pair
 from .errors import ValidationError
+
+METHODS = ("dpo", "adpo")
 
 
 @dataclass
@@ -51,14 +53,16 @@ class LossConfig:
     weighted: bool = False
 
     def validate(self) -> "LossConfig":
-        if self.method not in ("dpo", "adpo"):
-            raise ValidationError(f"loss.method must be dpo or adpo, got {self.method!r}")
+        if self.method not in METHODS:
+            raise ValidationError(
+                f"loss.method must be {' or '.join(METHODS)}, got {self.method!r}"
+            )
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise ValidationError(f"loss.beta must be finite and positive, got {self.beta}")
         if self.method == "adpo":
-            if self.family not in ("static", "adaptive"):
+            if self.family not in FAMILIES:
                 raise ValidationError(
-                    f"loss.family must be static or adaptive, got {self.family!r}"
+                    f"loss.family must be {' or '.join(FAMILIES)}, got {self.family!r}"
                 )
             if self.family == "static" and (self.k is None or self.k < 1):
                 raise ValidationError("loss.k must be >= 1 for the static family")

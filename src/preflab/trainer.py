@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -40,10 +40,6 @@ from .losses import (
 )
 from .seeds import child_rng
 
-TRAINLOG_HEADER = "step,loss,chosen_logp,rejected_logp,margin,accuracy"
-PROFILE_HEADER = "checkpoint,bin_lo,bin_hi,variance,margin"
-
-
 @dataclass
 class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
@@ -57,8 +53,10 @@ class TrainConfig:
 
     def validate(self) -> "TrainConfig":
         self.loss.validate()
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValidationError(f"optimizer must be sgd or adam, got {self.optimizer!r}")
+        if self.optimizer not in OPTIMIZERS:
+            raise ValidationError(
+                f"optimizer must be {' or '.join(OPTIMIZERS)}, got {self.optimizer!r}"
+            )
         if not (math.isfinite(self.lr) and self.lr >= 0):
             raise ValidationError(f"lr must be finite and >= 0, got {self.lr}")
         if self.steps < 1:
@@ -100,20 +98,12 @@ class TrainResult:
     checkpoints: list[tuple[int, Policy]]
 
 
-def trainlog_to_csv(rows: list[TrainLogRow]) -> str:
-    lines = [TRAINLOG_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.step},{r.loss!r},{r.chosen_logp!r},{r.rejected_logp!r},"
-            f"{r.margin!r},{r.accuracy!r}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def profile_to_csv(rows: list[ProfileRow]) -> str:
-    lines = [PROFILE_HEADER]
-    for r in rows:
-        lines.append(f"{r.checkpoint},{r.bin_lo!r},{r.bin_hi!r},{r.variance!r},{r.margin!r}")
+def to_csv(cls, rows: list) -> str:
+    """CSV text of dataclass rows: a header of ``cls``'s field names, then one
+    line per row (``str`` of a float is its shortest round-trip repr)."""
+    names = [f.name for f in fields(cls)]
+    lines = [",".join(names)]
+    lines += [",".join(str(getattr(r, name)) for name in names) for r in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -156,10 +146,7 @@ class AdamOptimizer:
             p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def make_optimizer(cfg: TrainConfig):
-    if cfg.optimizer == "sgd":
-        return SgdOptimizer(cfg.lr)
-    return AdamOptimizer(cfg.lr)
+OPTIMIZERS = {"sgd": SgdOptimizer, "adam": AdamOptimizer}
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +304,7 @@ def train(dataset: list[PreferencePair], policy: Policy, cfg: TrainConfig) -> Tr
 
     ref = clone_frozen(policy)
     plan = plan_dataset(dataset, cfg.loss, ref)
-    optimizer = make_optimizer(cfg)
+    optimizer = OPTIMIZERS[cfg.optimizer](cfg.lr)
     rng = child_rng(cfg.seed, "shuffle")
 
     log = [eval_pairs(policy, ref, dataset, cfg.loss, step=0, plan=plan)]

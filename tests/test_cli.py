@@ -71,6 +71,21 @@ class TestGenData:
         manifest = json.loads((tmp_path / "a.manifest.json").read_text())
         assert manifest["n_pairs"] == 12 and manifest["seed"] == 1
 
+    def test_manifest_bytes(self, tmp_path):
+        # every task parameter off its default; temperature given as an int
+        cfg = gen_config(
+            tmp_path, vocab_size=9, n_pairs=5, prompt_len=3, min_len=2, max_len=7,
+            length_penalty=0.125, bigram_rate=0.25, temperature=2, labeling="bt",
+        )
+        out = tmp_path / "a.jsonl"
+        assert main(["gen-data", "--config", cfg, "--set", "seed=7", "--out", str(out)]) == 0
+        assert (tmp_path / "a.manifest.json").read_bytes() == (
+            b'{\n  "labeling": "bt",\n  "n_pairs": 5,\n  "seed": 7,\n  "task": {\n'
+            b'    "bigram_rate": 0.25,\n    "kind": "bigram_match",\n'
+            b'    "length_penalty": 0.125,\n    "max_len": 7,\n    "min_len": 2,\n'
+            b'    "prompt_len": 3,\n    "temperature": 2.0,\n    "vocab_size": 9\n  }\n}\n'
+        )
+
     def test_missing_vocab_size_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "bad.json", {"data": {"n_pairs": 4}})
         out = tmp_path / "a.jsonl"
@@ -263,6 +278,28 @@ class TestTrain:
         cfg = train_config(tmp_path, out_dir, dataset_path)
         assert main(["train", "--config", cfg, "--set", override.format(missing=missing)]) == 2
         assert match.format(missing=missing) in one_error_line(capsys)
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "override,match",
+        [
+            ('loss={"method": "adpo", "family": "static", "k": 1, "weighted": true}',
+             "weighted loss requires rejected scores"),
+            ("data.path={empty}", "dataset is empty"),
+        ],
+        ids=["weighted-without-scores", "empty-data"],
+    )
+    def test_plan_error_leaves_no_run_directory(
+        self, tmp_path, dataset_path, capsys, override, match
+    ):
+        # the dataset plan finds these only once training starts
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        out_dir = tmp_path / "run"
+        cfg = train_config(tmp_path, out_dir, dataset_path)
+        override = override.replace("{empty}", str(empty))
+        assert main(["train", "--config", cfg, "--set", override]) == 2
+        assert match in one_error_line(capsys)
         assert not out_dir.exists()
 
     def test_adaptive_one_equals_dpo_loss_column(self, tmp_path, dataset_path):

@@ -6,7 +6,10 @@ import pytest
 
 from preflab import config as cfgmod
 from preflab.errors import ValidationError
-from preflab.lm import NeuralPolicy, NGramPolicy
+from preflab.data import BigramMatchTask
+from preflab.lm import NeuralPolicy, NGramPolicy, Vocab
+from preflab.losses import LossConfig
+from preflab.trainer import TrainConfig
 
 
 def minimal_train_config(**extra):
@@ -155,6 +158,15 @@ class TestBuilders:
         cfg = cfgmod.build_train_config(cfgmod.resolve(minimal_train_config()))
         assert cfg.steps == 10 and cfg.seed == 3
         assert cfg.loss.method == "adpo" and cfg.loss.m == 4
+
+    def test_config_defaults_are_library_defaults(self):
+        resolved = cfgmod.resolve({"loss": {}, "train": {}, "data": {"vocab_size": 12}})
+        assert LossConfig(**resolved["loss"]) == LossConfig()
+        assert TrainConfig(**resolved["train"]) == TrainConfig()
+        assert cfgmod.build_task(resolved) == BigramMatchTask(Vocab(12))
+
+    def test_train_config_without_sections(self):
+        assert cfgmod.build_train_config(cfgmod.resolve({})) == TrainConfig()
 
     def test_missing_section_reported(self):
         with pytest.raises(ValidationError, match="model"):

@@ -90,6 +90,18 @@ class TestGeneration:
         with pytest.raises(ValidationError, match="temperature"):
             D.generate_dataset(task, 2)
 
+    @pytest.mark.parametrize(
+        "reserved", [{}, {"bos": 7, "eos": 3, "pad": 11}, {"bos": 9, "eos": 0, "pad": 4}]
+    )
+    def test_background_covers_content_ids(self, reserved):
+        vocab = Vocab(12, **reserved)
+        task = D.BigramMatchTask(vocab=vocab)
+        assert len(task.background_probs()) == len(vocab.content_ids())
+
+    def test_vocab_without_content_rejected(self):
+        with pytest.raises(ValidationError, match="no content tokens"):
+            D.BigramMatchTask(vocab=Vocab(3))
+
     @pytest.mark.parametrize("max_len,n_pairs", [(24, 64), (64, 128)])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_sampler_matches_rng_choice(self, vocab, tmp_path, monkeypatch, max_len, n_pairs, seed):

@@ -42,7 +42,7 @@ class TestDeterminism:
         for _ in range(2):
             _, dataset, policy = small_setup()
             result = trainer.train(dataset, policy, quick_config())
-            logs.append(trainer.trainlog_to_csv(result.log))
+            logs.append(trainer.to_csv(trainer.TrainLogRow, result.log))
         assert logs[0] == logs[1]
 
     def test_same_seed_bitwise_identical_params(self):
@@ -270,7 +270,8 @@ class TestSgd:
             runs.append(trainer.train(dataset, policy, quick_config(optimizer="sgd", lr=0.5)))
         first, second = runs
         assert first.log[-1].loss < first.log[0].loss
-        assert trainer.trainlog_to_csv(first.log) == trainer.trainlog_to_csv(second.log)
+        first_csv, second_csv = (trainer.to_csv(trainer.TrainLogRow, r.log) for r in runs)
+        assert first_csv == second_csv
         for name, value in first.policy.params.items():
             assert np.array_equal(value, second.policy.params[name])
 
@@ -399,7 +400,7 @@ class TestPrefixRewardProfile:
         ]
         got = trainer.prefix_reward_profile(checkpoints, ref, dataset, beta=0.7, bins=bins)
         want = profile_by_token_loop(checkpoints, ref, dataset, beta=0.7, bins=bins)
-        assert trainer.profile_to_csv(got) == trainer.profile_to_csv(want)
+        assert trainer.to_csv(trainer.ProfileRow, got) == trainer.to_csv(trainer.ProfileRow, want)
 
     def test_huge_bin_count_costs_tokens_not_bins(self):
         # 10**12 bins: one row per distinct i/n, and no array of 10**12 entries
@@ -462,7 +463,7 @@ class TestCsv:
     def test_trainlog_header_and_shape(self):
         _, dataset, policy = small_setup()
         result = trainer.train(dataset, policy, quick_config(steps=20))
-        text = trainer.trainlog_to_csv(result.log)
+        text = trainer.to_csv(trainer.TrainLogRow, result.log)
         lines = text.strip().split("\n")
         assert lines[0] == "step,loss,chosen_logp,rejected_logp,margin,accuracy"
         assert len(lines) == 1 + len(result.log)
@@ -480,7 +481,7 @@ class TestCsv:
         _, dataset, policy = small_setup()
         ref = lm.clone_frozen(policy)
         rows = trainer.prefix_reward_profile([(5, policy)], ref, dataset, beta=1.0, bins=4)
-        text = trainer.profile_to_csv(rows)
+        text = trainer.to_csv(trainer.ProfileRow, rows)
         assert text.startswith("checkpoint,bin_lo,bin_hi,variance,margin\n")
 
 
