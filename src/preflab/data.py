@@ -117,19 +117,20 @@ class BigramMatchTask:
         return probs
 
 
-def _sample_response(task: BigramMatchTask, prompt, rng, content, cdf) -> TokenSeq:
-    """One response. Each background token is ``content[i]`` for the draw i
+def _sample_response(task: BigramMatchTask, prompt, rng, cdf) -> TokenSeq:
+    """One response. Each background token is content id i for the draw i
     of ``rng.choice(len(cdf), p=background)``, made as ``choice`` makes it
     (one ``rng.random()`` located in the cumulative table ``cdf``) but
     without re-validating ``p`` on every token."""
     u, v = task.target_bigram(prompt)
+    content_id = task.vocab.content_id
     length = int(rng.integers(task.min_len, task.max_len + 1))
-    out = [int(content[cdf.searchsorted(rng.random(), side="right")])]
+    out = [content_id(cdf.searchsorted(rng.random(), side="right"))]
     for _ in range(length - 1):
         if rng.random() < task.bigram_rate:
             out.append(v if out[-1] == u else u)
         else:
-            out.append(int(content[cdf.searchsorted(rng.random(), side="right")]))
+            out.append(content_id(cdf.searchsorted(rng.random(), side="right")))
     return tuple(out)
 
 
@@ -154,16 +155,16 @@ def generate_dataset(
     rng = child_rng(task.seed, "data")
     cdf = np.cumsum(task.background_probs())
     cdf /= cdf[-1]
-    content = task.vocab.content_ids()
+    vocab = task.vocab
     pairs = []
     for _ in range(n_pairs):
         prompt = tuple(
-            int(content[rng.integers(len(content))]) for _ in range(task.prompt_len)
+            vocab.content_id(rng.integers(vocab.n_content)) for _ in range(task.prompt_len)
         )
-        first = _sample_response(task, prompt, rng, content, cdf)
-        second = _sample_response(task, prompt, rng, content, cdf)
+        first = _sample_response(task, prompt, rng, cdf)
+        second = _sample_response(task, prompt, rng, cdf)
         while second == first:
-            second = _sample_response(task, prompt, rng, content, cdf)
+            second = _sample_response(task, prompt, rng, cdf)
         r_first = task.reward(prompt, first)
         r_second = task.reward(prompt, second)
         if labeling == "bt":

@@ -24,6 +24,7 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Sequence
 
@@ -74,6 +75,19 @@ class Vocab:
         """Ids that are neither BOS, EOS, nor PAD."""
         reserved = {self.bos, self.eos, self.pad}
         return tuple(i for i in range(self.size) if i not in reserved)
+
+    def content_id(self, index: int) -> int:
+        """``content_ids()[index]`` for 0 <= index < n_content, without
+        building the tuple: step past each reserved id at or below the
+        running id, in ascending order."""
+        index = int(index)
+        for rid in self._reserved_ascending:
+            index += index >= rid
+        return index
+
+    @cached_property
+    def _reserved_ascending(self) -> tuple[int, ...]:
+        return tuple(sorted((self.bos, self.eos, self.pad)))
 
 
 class TokenIdError(ValidationError):
@@ -142,14 +156,23 @@ def context_rows(policy, prompt: Sequence[int], response: Sequence[int]):
 
 
 def row_logprobs(policy, rows, targets) -> np.ndarray:
-    """log pi(targets[i] | rows[i]) for every i: the policy's ``rows_forward``
-    on a throwaway graph, so untracked values are bit-identical to the
-    tracked training path."""
-    if len(targets) == 0:
+    """log pi(targets[i] | rows[i]) for every i, untracked: the policy's
+    ``rows_forward`` on a throwaway graph per block of ``policy.block_rows``
+    rows (None: the whole stack in one call), so untracked values are
+    bit-identical to the tracked training path. Each block's graph is
+    dropped before the next starts; the remainder joins the last block, so
+    no block is shorter than ``block_rows`` unless the whole stack is."""
+    n = len(targets)
+    if n == 0:
         return np.zeros(0)
-    graph = ad.Graph()
-    leaves = {name: graph.leaf(value) for name, value in policy.params.items()}
-    return policy.rows_forward(graph, leaves, rows, targets).value
+    size = policy.block_rows or n
+    bounds = [i * size for i in range(max(n // size, 1))] + [n]
+    out = np.empty(n)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        graph = ad.Graph()
+        leaves = {name: graph.leaf(value) for name, value in policy.params.items()}
+        out[lo:hi] = policy.rows_forward(graph, leaves, rows[lo:hi], targets[lo:hi]).value
+    return out
 
 
 def vocab_logprobs(policy, rows) -> np.ndarray:
@@ -188,6 +211,9 @@ class NGramPolicy:
     """Tabular order-n policy: one logit row per length-(n-1) context."""
 
     kind = "ngram"
+    # untracked scoring forwards the whole stack at once: every forward
+    # log-normalizes the entire table, whatever the number of rows
+    block_rows = None
 
     def __init__(self, vocab: Vocab, order: int, logits: np.ndarray, frozen=False):
         expected = ngram_table_shape(vocab, order)
@@ -261,6 +287,13 @@ class NeuralPolicy:
     """
 
     kind = "neural"
+    # untracked scoring forwards blocks of at least this many rows, so memory
+    # is bounded by the block, not the stack. OpenBLAS switches to a
+    # small-matrix kernel below about 1e6 multiply-adds; at 2,048 rows the
+    # output product of a 48-wide hidden layer over 12 tokens stays above
+    # that, so blocks equal a one-graph forward bit for bit at that shape
+    # (narrower models may move in the last bit)
+    block_rows = 2048
 
     def __init__(
         self,

@@ -5,8 +5,9 @@ dataset once (``plan_dataset``): every side of every pair is stacked,
 chosen then rejected, with its context rows, targets, the reference's
 log-probs (forwarded once; they never change), the side offsets and the
 segment layout of the loss (dpo as adaptive m=1). A train step indexes its
-pairs' positions in that stack and in the layout; evaluation and the
-profile use both whole.
+pairs' positions in that stack and in the layout and forwards them on its
+graph; evaluation and the profile score the whole stack untracked, block
+by block (``lm.row_logprobs``), and the profile plans no layout.
 All reductions happen in fixed order, so identical (dataset, config, seed)
 produce bit-identical logs and checkpoints.
 
@@ -29,7 +30,7 @@ from . import autodiff as ad
 from .composition import pad_tokens, segment_pair  # noqa: F401
 from .data import PreferencePair
 from .errors import TrainingDivergedError, ValidationError
-from .lm import Policy, clone_frozen
+from .lm import Policy, clone_frozen, row_logprobs
 from .losses import (
     LogRatioBatch,
     LossConfig,
@@ -165,9 +166,9 @@ class DatasetPlan:
 
     Side s covers positions [offsets[s], offsets[s + 1]) of ``rows``,
     ``targets`` and ``ref_logp`` (the frozen reference's log-probs) and of
-    the loss's ``layout``, so pair j's sides are 2j and 2j + 1. The rows are
-    the reference's, so the plan serves only policies of the reference's
-    kind, vocab and hyperparameters.
+    the loss's ``layout`` (None when no loss was planned), so pair j's sides
+    are 2j and 2j + 1. The rows are the reference's, so the plan serves only
+    policies of the reference's kind, vocab and hyperparameters.
     """
 
     reference: Policy
@@ -175,7 +176,7 @@ class DatasetPlan:
     targets: np.ndarray
     ref_logp: np.ndarray
     offsets: np.ndarray
-    layout: SegmentLayout
+    layout: SegmentLayout | None
 
     def log_ratios(self, policy: Policy, graph: ad.Graph, leaves=None, pair_ids=None,
                    what="the policy"):
@@ -183,7 +184,8 @@ class DatasetPlan:
         (default: the whole stack, as it is), with their segment layout.
 
         With ``leaves`` given, the policy side is tracked for gradients;
-        otherwise fresh leaves of its current parameters are used.
+        otherwise it is scored untracked, block by block, by the module
+        function ``lm.row_logprobs`` and enters ``graph`` as a leaf.
         """
         ref = self.reference
         if (policy.kind, policy.vocab, policy.hyper) != (ref.kind, ref.vocab, ref.hyper):
@@ -201,35 +203,45 @@ class DatasetPlan:
                 layout.ranks[index], layout.weights[index], lengths, layout.kept[pair_ids]
             )
         if leaves is None:
-            leaves = {name: graph.leaf(value) for name, value in policy.params.items()}
-        theta = policy.rows_forward(graph, leaves, rows, targets)
+            # the module function: a bound policy.row_logprobs call is what
+            # perfbench's traced run counts as a reference forward
+            theta = graph.leaf(row_logprobs(policy, rows, targets))
+        else:
+            theta = policy.rows_forward(graph, leaves, rows, targets)
         return theta, ad.sub(theta, ref_logp), layout
 
 
-def plan_dataset(dataset: list[PreferencePair], cfg: LossConfig, ref: Policy) -> DatasetPlan:
+def plan_dataset(
+    dataset: list[PreferencePair], cfg: LossConfig | None, ref: Policy
+) -> DatasetPlan:
     """Stack the dataset once and forward the frozen reference over it.
 
     The context rows of every side come from one ``stacked_rows`` call
     (``lm.side_windows``). Each pair is segmented by the configured family;
     dpo is planned as its one-segment case, the adaptive family with m=1.
     A weighted loss lays out every pair's rejected scores, which must exist.
+    Without a ``cfg`` no loss layout is planned: the plan then serves only
+    whole-stack scoring, as the reward profile needs.
     """
     if not dataset:
         raise ValidationError("dataset is empty")
-    family, param = (cfg.family, cfg.segment_param()) if cfg.method == "adpo" else ("adaptive", 1)
     responses = [side for p in dataset for side in (p.chosen, p.rejected)]
     prompts = [p.prompt for p in dataset for _ in (p.chosen, p.rejected)]
     rows, targets = ref.stacked_rows(prompts, responses)
-    layout = segment_layout(
-        [segment_pair((len(p.chosen), len(p.rejected)), family, param) for p in dataset],
-        [p.rejected_scores for p in dataset] if cfg.weighted else None,
-    )
+    layout = None
+    if cfg is not None:
+        adpo = cfg.method == "adpo"
+        family, param = (cfg.family, cfg.segment_param()) if adpo else ("adaptive", 1)
+        layout = segment_layout(
+            [segment_pair((len(p.chosen), len(p.rejected)), family, param) for p in dataset],
+            [p.rejected_scores for p in dataset] if cfg.weighted else None,
+        )
     return DatasetPlan(
         reference=ref,
         rows=rows,
         targets=targets,
         ref_logp=ref.row_logprobs(rows, targets),
-        offsets=np.concatenate(([0], np.cumsum(layout.lengths))),
+        offsets=np.concatenate(([0], np.cumsum([len(side) for side in responses]))),
         layout=layout,
     )
 
@@ -361,7 +373,7 @@ def prefix_reward_profile(
         raise ValidationError(f"bins must be >= 1, got {bins}")
     if not (math.isfinite(beta) and beta > 0):
         raise ValidationError(f"beta must be finite and positive, got {beta}")
-    plan = plan_dataset(dataset, LossConfig(method="dpo", beta=beta), ref)
+    plan = plan_dataset(dataset, None, ref)
     lengths = np.diff(plan.offsets)
     if int(lengths.max()) * bins > np.iinfo(np.int64).max:
         raise ValidationError(f"bins {bins} times the longest response overflows int64")

@@ -107,7 +107,7 @@ class TestGeneration:
     def test_sampler_matches_rng_choice(self, vocab, tmp_path, monkeypatch, max_len, n_pairs, seed):
         # the reference draws every background token with rng.choice, which
         # re-validates p per call; the sampler must reproduce its stream
-        def choice_sample_response(task, prompt, rng, _content, cdf):
+        def choice_sample_response(task, prompt, rng, _cdf):
             background = task.background_probs()
             content = task.vocab.content_ids()
             u, v = task.target_bigram(prompt)
@@ -128,6 +128,20 @@ class TestGeneration:
                 m.setattr(D, "_sample_response", choice_sample_response)
                 D.save_jsonl(D.generate_dataset(task, n_pairs, labeling), slow)
             assert fast.read_bytes() == slow.read_bytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_draws_map_to_content_ids_as_tuple_indexing_does(self, tmp_path, monkeypatch, seed):
+        # reserved ids at random places; the reference indexes the
+        # content_ids() tuple, and the generated bytes must not move
+        rng = np.random.default_rng(seed)
+        bos, eos, pad = (int(r) for r in rng.choice(12, 3, replace=False))
+        task = D.BigramMatchTask(vocab=Vocab(12, bos=bos, eos=eos, pad=pad), seed=seed)
+        fast, slow = tmp_path / "fast.jsonl", tmp_path / "slow.jsonl"
+        D.save_jsonl(D.generate_dataset(task, 64), fast)
+        with monkeypatch.context() as m:
+            m.setattr(Vocab, "content_id", lambda self, i: int(self.content_ids()[i]))
+            D.save_jsonl(D.generate_dataset(task, 64), slow)
+        assert fast.read_bytes() == slow.read_bytes()
 
     def test_n_pairs_validated(self, task):
         with pytest.raises(ValidationError):

@@ -38,6 +38,17 @@ class TestVocab:
     def test_content_ids_exclude_reserved(self, vocab):
         assert vocab.content_ids() == (3, 4, 5)
 
+    def test_content_id_matches_tuple_indexing(self):
+        rng = np.random.default_rng(0)
+        for size in (3, 4, 5, 12, 40):
+            for _ in range(20):
+                bos, eos, pad = (int(r) for r in rng.choice(size, 3, replace=False))
+                vocab = lm.Vocab(size, bos=bos, eos=eos, pad=pad)
+                for i, want in enumerate(vocab.content_ids()):
+                    for index in (i, np.intp(i)):
+                        got = vocab.content_id(index)
+                        assert got == want and type(got) is int
+
 
 class TestNGram:
     def test_uniform_rows(self):
@@ -175,6 +186,54 @@ class TestSharedScoring:
                 one = lm.row_logprobs(policy, rows, np.full(4, t))
                 np.testing.assert_allclose(table[:, t], one, rtol=0, atol=1e-12)
             assert lm.vocab_logprobs(policy, rows[:0]).shape == (0, vocab.size)
+
+
+class TestBlockScoring:
+    """Untracked scoring forwards a neural stack in blocks of at least
+    ``block_rows`` rows and an n-gram stack in one call."""
+
+    @staticmethod
+    def counted(policy):
+        calls = []
+        forward = policy.rows_forward
+
+        def rows_forward(graph, leaves, rows, targets):
+            calls.append(len(targets))
+            return forward(graph, leaves, rows, targets)
+
+        policy.rows_forward = rows_forward
+        return calls
+
+    @staticmethod
+    def one_graph(policy, rows, targets):
+        graph = ad.Graph()
+        leaves = {name: graph.leaf(value) for name, value in policy.params.items()}
+        return policy.rows_forward(graph, leaves, rows, targets).value
+
+    @pytest.mark.parametrize("n,blocks", [(2 * 2048 + 7, [2048, 2055]), (2047, [2047]),
+                                          (2048, [2048]), (2049, [2049]), (4096, [2048, 2048])])
+    def test_neural_blocks_join_the_remainder(self, n, blocks):
+        vocab = lm.Vocab(12)
+        policy = lm.NeuralPolicy.init(vocab, child_rng(2, "init"), context=5)
+        rng = np.random.default_rng(n)
+        rows, targets = rng.integers(0, 12, (n, 5)), rng.integers(0, 12, n)
+        whole = self.one_graph(policy, rows, targets)
+        calls = self.counted(policy)
+        blocked = lm.row_logprobs(policy, rows, targets)
+        assert calls == blocks
+        np.testing.assert_allclose(blocked, whole, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("n", [1, 2047, 2 * 2048 + 7])
+    def test_ngram_scores_any_stack_in_one_call(self, n):
+        vocab = lm.Vocab(12)
+        policy = lm.NGramPolicy.random(vocab, 3, np.random.default_rng(n))
+        rng = np.random.default_rng(n + 1)
+        rows, targets = rng.integers(0, 12 * 12, n), rng.integers(0, 12, n)
+        calls = self.counted(policy)
+        scored = lm.row_logprobs(policy, rows, targets)
+        assert calls == [n]
+        table = ad.log_softmax_values(policy.params["logits"], axis=1)
+        assert np.array_equal(scored, table[rows, targets])
 
 
 class TestCloneFrozen:

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -430,6 +431,48 @@ class TestPrefixRewardProfile:
             trainer.prefix_reward_profile([(0, policy)], ref, dataset, beta=math.nan)
         with pytest.raises(ValidationError):
             trainer.prefix_reward_profile([(0, policy)], ref, [], beta=1.0)
+
+
+class TestWholeStackMemory:
+    """Eval and the profile score the stack block by block: their traced peak
+    is bounded by a block's graph, not by one graph over every token."""
+
+    LIMIT = 64 * 2**20
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        vocab = lm.Vocab(12)
+        task = D.BigramMatchTask(vocab=vocab, max_len=64, seed=0)
+        dataset = D.generate_dataset(task, 1024)
+        policies = [
+            lm.NeuralPolicy.init(vocab, child_rng(i, "init"), context=26, embed_dim=8,
+                                 hidden_dim=48)
+            for i in range(3)
+        ]
+        return dataset, lm.clone_frozen(policies[0]), policies[1:]
+
+    @staticmethod
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_eval_pairs_peak(self, setup):
+        dataset, ref, policies = setup
+        cfg = losses.LossConfig(method="adpo", family="static", k=1)
+        peak = self.traced_peak(lambda: trainer.eval_pairs(policies[0], ref, dataset, cfg))
+        assert peak <= self.LIMIT
+
+    def test_two_checkpoint_profile_peak(self, setup):
+        dataset, ref, policies = setup
+        checkpoints = list(enumerate(policies, start=1))
+        peak = self.traced_peak(
+            lambda: trainer.prefix_reward_profile(checkpoints, ref, dataset, beta=1.0)
+        )
+        assert peak <= self.LIMIT
 
 
 def profile_by_token_loop(checkpoints, ref, dataset, beta, bins):
