@@ -200,12 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check", help="brute-force certification of the theory")
     p.add_argument("--space", required=True, metavar="V,L")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--check",
-        default="all",
-        choices=["all", "boltzmann", "optimality", "decompose", "reparam", "theorem1"],
-    )
-    p.add_argument("--mode", default="eos", choices=["eos", "fixed"])
+    p.add_argument("--check", default="all", choices=["all", *oracle.CHECKS])
+    p.add_argument("--mode", default="eos", choices=oracle.MODES)
     p.add_argument("--out", help="also write certificates to this JSON file")
     p.set_defaults(handler=cmd_oracle_check)
 

@@ -9,7 +9,9 @@ The ``loss`` and ``train`` sections and the task keys of ``data`` are read
 off the fields of ``LossConfig``, ``TrainConfig`` and ``BigramMatchTask``:
 each key takes its default and type from its field, and its choices from
 the tuple or table that the library itself checks against. The ``model``
-section and the other top-level and ``data`` keys are declared here.
+section takes its kinds and every kind's hyperparameters, with their
+defaults, from ``lm.KINDS``. The other top-level and ``data`` keys are
+declared here.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, fields
 from .composition import FAMILIES
 from .data import LABELINGS, BigramMatchTask, attach_scores, generate_dataset, load_jsonl
 from .errors import ValidationError
-from .lm import NeuralPolicy, NGramPolicy, Vocab
+from .lm import KINDS, Vocab
 from .losses import METHODS, LossConfig
 from .seeds import child_rng
 from .trainer import OPTIMIZERS, TrainConfig
@@ -65,12 +67,10 @@ _TASK_FIELDS = _section(BigramMatchTask, "vocab", "seed")
 
 _SCHEMA: dict[str, dict[str, _Field]] = {
     "model": {
-        "kind": _Field(default="neural", types=(str,), choices=("neural", "ngram")),
+        "kind": _Field(default="neural", types=(str,), choices=tuple(KINDS)),
         "vocab_size": _Field(required=True, types=(int,)),
-        "context": _Field(default=8, types=(int,)),
-        "embed_dim": _Field(default=8, types=(int,)),
-        "hidden_dim": _Field(default=32, types=(int,)),
-        "order": _Field(default=2, types=(int,)),
+        # one flat section: every kind's hyperparameters, each with its default
+        **{n: _Field(default=v, types=(int,)) for k in KINDS.values() for n, v in k.HYPER.items()},
     },
     "loss": _section(LossConfig, method=METHODS, family=FAMILIES),
     "train": _section(TrainConfig, "loss", "seed", optimizer=tuple(OPTIMIZERS)),
@@ -242,17 +242,9 @@ def build_dataset(resolved: dict, task: BigramMatchTask | None = None):
 
 def build_model(resolved: dict):
     model = require_section(resolved, "model")
-    vocab = Vocab(model["vocab_size"])
-    rng = child_rng(resolved["seed"], "init")
-    if model["kind"] == "ngram":
-        return NGramPolicy.random(vocab, model["order"], rng, scale=0.1)
-    return NeuralPolicy.init(
-        vocab,
-        rng,
-        context=model["context"],
-        embed_dim=model["embed_dim"],
-        hidden_dim=model["hidden_dim"],
-    )
+    kind = KINDS[model["kind"]]
+    hyper = {name: model[name] for name in kind.HYPER}
+    return kind.init(Vocab(model["vocab_size"]), child_rng(resolved["seed"], "init"), **hyper)
 
 
 def build_loss_config(resolved: dict) -> LossConfig:

@@ -104,12 +104,14 @@ class BigramMatchTask:
         """Token distribution used when the generator is not emitting the
         target bigram; deterministic per task seed."""
         rng = child_rng(self.seed, "task")
-        bias = rng.standard_normal(self.vocab.n_content)
+        # normalized in place: one array of n_content floats, whatever the vocab
+        probs = rng.standard_normal(self.vocab.n_content)
         # a temperature near zero overflows the scaled logits to inf - inf
         with np.errstate(over="ignore", invalid="ignore"):
-            scaled = bias / self.temperature
-            weights = np.exp(scaled - np.max(scaled))
-            probs = weights / np.sum(weights)
+            probs /= self.temperature
+            probs -= np.max(probs)
+            np.exp(probs, out=probs)
+            probs /= np.sum(probs)
         if not (np.all(np.isfinite(probs)) and abs(float(np.sum(probs)) - 1.0) <= 1e-8):
             raise ValidationError(
                 f"temperature {self.temperature} gives no finite background distribution"
@@ -153,7 +155,8 @@ def generate_dataset(
     if labeling not in LABELINGS:
         raise ValidationError(f"unknown labeling {labeling!r}")
     rng = child_rng(task.seed, "data")
-    cdf = np.cumsum(task.background_probs())
+    probs = task.background_probs()
+    cdf = np.cumsum(probs, out=probs)  # into the same array: no second vocab-sized copy
     cdf /= cdf[-1]
     vocab = task.vocab
     pairs = []

@@ -3,10 +3,13 @@
 Two model families: a tabular n-gram policy (closed-form and enumerable,
 which the brute-force checks rely on) and a small windowed neural model
 (embedding -> tanh hidden layer -> vocab logits) for the trainer. A kind
-is its row encoding, ``stacked_rows`` (one context row and target id per
-response position), and its forward, ``rows_forward`` (log pi(target |
-row) as a graph node). All scoring is written once, below, and bound in
-both classes. Conditional rows always go through log-softmax, so they
+is its ``KINDS`` entry, a class that declares its hyperparameters with
+their defaults (``HYPER``), its parameter shapes (``shapes``), its initial
+draw (``init``), its row encoding (``stacked_rows``: one context row and
+target id per response position) and its forward (``rows_forward``: log
+pi(target | row) as a graph node). The constructor, the ``hyper``
+property and all scoring are written once, below, and bound in both
+classes. Conditional rows always go through log-softmax, so they
 normalize by construction and every conditional probability is strictly
 positive.
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -35,11 +39,9 @@ from .errors import ValidationError
 
 TokenSeq = tuple[int, ...]
 
-# Largest n-gram logit table, in float64 entries (128 MiB).
-MAX_NGRAM_ENTRIES = 1 << 24
-# Largest neural model, in float64 parameters (128 MiB).
-MAX_NEURAL_PARAMS = 1 << 24
-# Largest vocab: no model kind fits a larger one within the bounds above.
+# Largest model of any kind, in float64 parameters (128 MiB).
+MAX_PARAMS = 1 << 24
+# Largest vocab: no model kind fits a larger one within MAX_PARAMS.
 MAX_VOCAB = 1 << 24
 
 
@@ -189,58 +191,81 @@ def conditional_row(policy, prompt: Sequence[int], prefix: Sequence[int]) -> np.
     return vocab_logprobs(policy, rows[-1:])[0]
 
 
-def ngram_table_shape(vocab: Vocab, order: int) -> tuple[int, int]:
-    """(contexts, vocab) shape of an order-n logit table, checked against
-    MAX_NGRAM_ENTRIES in integer arithmetic before anything is allocated."""
-    if order < 1:
-        raise ValidationError(f"n-gram order must be >= 1, got {order}")
-    rows = 1
-    for _ in range(order - 1):
-        rows *= vocab.size
-        if rows > MAX_NGRAM_ENTRIES:  # reached within log_3(MAX_NGRAM_ENTRIES) rounds
-            break
-    if rows * vocab.size > MAX_NGRAM_ENTRIES:
-        raise ValidationError(
-            f"an order-{order} n-gram over {vocab.size} tokens needs more than "
-            f"{MAX_NGRAM_ENTRIES} table entries"
-        )
-    return rows, vocab.size
+def _at_least_one(**widths) -> None:
+    for name, value in widths.items():
+        if value < 1:
+            raise ValidationError(f"{name} must be >= 1, got {value}")
+
+
+def _known(kind, hyper: dict) -> dict:
+    """``hyper``, checked to name only hyperparameters of ``kind``."""
+    unknown = sorted(hyper.keys() - kind.HYPER.keys())
+    if unknown:
+        raise ValidationError(f"{kind.kind} models define no hyper entry {unknown[0]!r}")
+    return hyper
+
+
+def _construct(self, vocab: Vocab, params: dict[str, np.ndarray], frozen=False, **hyper):
+    """Shared constructor: the hyperparameter names, then the size bound
+    (``shapes``), then the exact parameter names and shapes."""
+    expected = self.shapes(vocab, **_known(type(self), hyper))
+    params = {name: np.asarray(value, dtype=np.float64) for name, value in params.items()}
+    got = {name: value.shape for name, value in params.items()}
+    if got != expected:
+        raise ValidationError(f"{self.kind} parameter shapes {got}, expected {expected}")
+    vars(self).update(hyper)
+    self.vocab = vocab
+    self.params = params
+    self.frozen = frozen
+
+
+@property
+def _hyper(self) -> dict:
+    return {name: getattr(self, name) for name in self.HYPER}
 
 
 class NGramPolicy:
     """Tabular order-n policy: one logit row per length-(n-1) context."""
 
     kind = "ngram"
+    HYPER = {"order": 2}
     # untracked scoring forwards the whole stack at once: every forward
     # log-normalizes the entire table, whatever the number of rows
     block_rows = None
 
-    def __init__(self, vocab: Vocab, order: int, logits: np.ndarray, frozen=False):
-        expected = ngram_table_shape(vocab, order)
-        logits = np.asarray(logits, dtype=np.float64)
-        if logits.shape != expected:
+    @staticmethod
+    def shapes(vocab: Vocab, *, order: int) -> dict[str, tuple[int, ...]]:
+        """The (contexts, vocab) logit table, checked against MAX_PARAMS in
+        integer arithmetic before anything is allocated."""
+        _at_least_one(order=order)
+        rows = 1
+        for _ in range(order - 1):
+            rows *= vocab.size
+            if rows > MAX_PARAMS:  # reached within log_3(MAX_PARAMS) rounds
+                break
+        if rows * vocab.size > MAX_PARAMS:
             raise ValidationError(
-                f"n-gram logits shape {logits.shape} != expected {expected}"
+                f"an order-{order} n-gram over {vocab.size} tokens needs more than "
+                f"{MAX_PARAMS} table entries"
             )
-        self.vocab = vocab
-        self.order = order
-        self.params = {"logits": logits}
-        self.frozen = frozen
+        return {"logits": (rows, vocab.size)}
 
     @classmethod
-    def uniform(cls, vocab: Vocab, order: int = 2) -> "NGramPolicy":
-        return cls(vocab, order, np.zeros(ngram_table_shape(vocab, order)))
+    def init(cls, vocab: Vocab, rng: np.random.Generator, **hyper) -> "NGramPolicy":
+        """The trainer's initial draw: ``random`` logits at scale 0.1."""
+        return cls.random(vocab, {**cls.HYPER, **_known(cls, hyper)}["order"], rng, scale=0.1)
+
+    @classmethod
+    def uniform(cls, vocab: Vocab, order: int) -> "NGramPolicy":
+        shape = cls.shapes(vocab, order=order)["logits"]
+        return cls(vocab, {"logits": np.zeros(shape)}, order=order)
 
     @classmethod
     def random(
         cls, vocab: Vocab, order: int, rng: np.random.Generator, scale: float = 1.0
     ) -> "NGramPolicy":
-        shape = ngram_table_shape(vocab, order)
-        return cls(vocab, order, scale * rng.standard_normal(shape))
-
-    @property
-    def hyper(self) -> dict:
-        return {"order": self.order}
+        shape = cls.shapes(vocab, order=order)["logits"]
+        return cls(vocab, {"logits": scale * rng.standard_normal(shape)}, order=order)
 
     def stacked_rows(self, prompts, responses) -> tuple[np.ndarray, np.ndarray]:
         """Table row (the base-v code of the context window) and target id of
@@ -255,26 +280,11 @@ class NGramPolicy:
         picked = ad.embed_lookup(table, rows)
         return ad.gather(picked, targets)
 
+    __init__ = _construct
+    hyper = _hyper
     context_rows = context_rows
     row_logprobs = row_logprobs
     conditional_row = conditional_row
-
-
-def neural_param_count(vocab: Vocab, context: int, embed_dim: int, hidden_dim: int) -> int:
-    """Parameter count of a neural model, checked against MAX_NEURAL_PARAMS
-    in integer arithmetic before anything is allocated."""
-    widths = {"context": context, "embed_dim": embed_dim, "hidden_dim": hidden_dim}
-    for name, value in widths.items():
-        if value < 1:
-            raise ValidationError(f"{name} must be >= 1, got {value}")
-    v, c, e, h = (int(n) for n in (vocab.size, context, embed_dim, hidden_dim))
-    count = v * e + c * e * h + h + h * v + v
-    if count > MAX_NEURAL_PARAMS:
-        raise ValidationError(
-            f"a neural model with vocab {v}, context {c}, embed_dim {e} and "
-            f"hidden_dim {h} needs {count} parameters, more than {MAX_NEURAL_PARAMS}"
-        )
-    return count
 
 
 class NeuralPolicy:
@@ -287,6 +297,7 @@ class NeuralPolicy:
     """
 
     kind = "neural"
+    HYPER = {"context": 8, "embed_dim": 8, "hidden_dim": 32}
     # untracked scoring forwards blocks of at least this many rows, so memory
     # is bounded by the block, not the stack. OpenBLAS switches to a
     # small-matrix kernel below about 1e6 multiply-adds; at 2,048 rows the
@@ -295,70 +306,34 @@ class NeuralPolicy:
     # (narrower models may move in the last bit)
     block_rows = 2048
 
-    def __init__(
-        self,
-        vocab: Vocab,
-        context: int,
-        embed_dim: int,
-        hidden_dim: int,
-        params: dict[str, np.ndarray],
-        frozen=False,
-    ):
-        neural_param_count(vocab, context, embed_dim, hidden_dim)
-        self.vocab = vocab
-        self.context = context
-        self.embed_dim = embed_dim
-        self.hidden_dim = hidden_dim
-        self.params = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
-        self.frozen = frozen
-        expected = {
-            "emb": (vocab.size, embed_dim),
-            "w1": (context * embed_dim, hidden_dim),
-            "b1": (hidden_dim,),
-            "w2": (hidden_dim, vocab.size),
-            "b2": (vocab.size,),
-        }
-        for name, shape in expected.items():
-            if name not in self.params or self.params[name].shape != shape:
-                got = self.params.get(name)
-                raise ValidationError(
-                    f"parameter {name!r} has shape "
-                    f"{None if got is None else got.shape}, expected {shape}"
-                )
-        unknown = sorted(self.params.keys() - expected.keys())
-        if unknown:
-            raise ValidationError(f"a neural model has no parameter {unknown[0]!r}")
+    @staticmethod
+    def shapes(
+        vocab: Vocab, *, context: int, embed_dim: int, hidden_dim: int
+    ) -> dict[str, tuple[int, ...]]:
+        """Embeddings, hidden layer and output layer, their parameter count
+        checked against MAX_PARAMS in integer arithmetic before anything is
+        allocated."""
+        _at_least_one(context=context, embed_dim=embed_dim, hidden_dim=hidden_dim)
+        v, c, e, h = (int(n) for n in (vocab.size, context, embed_dim, hidden_dim))
+        shapes = {"emb": (v, e), "w1": (c * e, h), "b1": (h,), "w2": (h, v), "b2": (v,)}
+        count = sum(math.prod(shape) for shape in shapes.values())
+        if count > MAX_PARAMS:
+            raise ValidationError(
+                f"a neural model with vocab {v}, context {c}, embed_dim {e} and "
+                f"hidden_dim {h} needs {count} parameters, more than {MAX_PARAMS}"
+            )
+        return shapes
 
     @classmethod
-    def init(
-        cls,
-        vocab: Vocab,
-        rng: np.random.Generator,
-        context: int = 8,
-        embed_dim: int = 8,
-        hidden_dim: int = 32,
-    ) -> "NeuralPolicy":
-        neural_param_count(vocab, context, embed_dim, hidden_dim)
-
-        def uniform(shape):
-            return rng.uniform(-0.1, 0.1, size=shape)
-
+    def init(cls, vocab: Vocab, rng: np.random.Generator, **hyper) -> "NeuralPolicy":
+        """The trainer's initial draw: uniform in [-0.1, 0.1) for the
+        matrices, drawn in the order emb, w1, w2, and zero biases."""
+        hyper = {**cls.HYPER, **_known(cls, hyper)}
         params = {
-            "emb": uniform((vocab.size, embed_dim)),
-            "w1": uniform((context * embed_dim, hidden_dim)),
-            "b1": np.zeros(hidden_dim),
-            "w2": uniform((hidden_dim, vocab.size)),
-            "b2": np.zeros(vocab.size),
+            name: rng.uniform(-0.1, 0.1, size=shape) if len(shape) == 2 else np.zeros(shape)
+            for name, shape in cls.shapes(vocab, **hyper).items()
         }
-        return cls(vocab, context, embed_dim, hidden_dim, params)
-
-    @property
-    def hyper(self) -> dict:
-        return {
-            "context": self.context,
-            "embed_dim": self.embed_dim,
-            "hidden_dim": self.hidden_dim,
-        }
+        return cls(vocab, params, **hyper)
 
     def stacked_rows(self, prompts, responses) -> tuple[np.ndarray, np.ndarray]:
         """Context window and target id of every response position of every
@@ -372,9 +347,14 @@ class NeuralPolicy:
         logits = ad.add_bias(ad.matmul(hidden, leaves["w2"]), leaves["b2"])
         return ad.gather(ad.log_softmax(logits, axis=1), targets)
 
+    __init__ = _construct
+    hyper = _hyper
     context_rows = context_rows
     row_logprobs = row_logprobs
     conditional_row = conditional_row
+
+
+KINDS = {kind.kind: kind for kind in (NeuralPolicy, NGramPolicy)}
 
 
 Policy = NGramPolicy | NeuralPolicy
@@ -454,17 +434,11 @@ def _policy_from_doc(doc) -> Policy:
         params[name] = np.asarray(data, dtype=np.float64).reshape(shape)
         if not np.all(np.isfinite(params[name])):
             raise ValueError(f"parameter {name!r} holds non-finite values")
-    if doc["kind"] == "ngram":
-        policy = NGramPolicy(vocab, hyper["order"], params["logits"])
-    elif doc["kind"] == "neural":
-        policy = NeuralPolicy(
-            vocab, hyper["context"], hyper["embed_dim"], hyper["hidden_dim"], params
-        )
-    else:
+    kind = KINDS.get(doc["kind"])
+    if kind is None:
         raise ValidationError(f"unknown model kind {doc['kind']!r}")
-    # a name the kind does not define would be dropped, or trained and saved
-    for section, known in (("hyper", policy.hyper), ("params", policy.params)):
-        unknown = sorted(doc[section].keys() - known.keys())
-        if unknown:
-            raise ValueError(f"{policy.kind} models define no {section} entry {unknown[0]!r}")
-    return policy
+    missing = [name for name in kind.HYPER if name not in hyper]
+    if missing:
+        raise KeyError(missing[0])
+    # checked here too: an entry named ``frozen`` would reach the constructor as its flag
+    return kind(vocab, params, **_known(kind, hyper))

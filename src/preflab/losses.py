@@ -43,6 +43,12 @@ from .errors import ValidationError
 METHODS = ("dpo", "adpo")
 
 
+def check_beta(beta: float, name: str = "beta") -> None:
+    """Reject a beta that is not finite and positive; ``name`` leads the message."""
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValidationError(f"{name} must be finite and positive, got {beta}")
+
+
 @dataclass
 class LossConfig:
     method: str = "dpo"
@@ -57,8 +63,7 @@ class LossConfig:
             raise ValidationError(
                 f"loss.method must be {' or '.join(METHODS)}, got {self.method!r}"
             )
-        if not (math.isfinite(self.beta) and self.beta > 0):
-            raise ValidationError(f"loss.beta must be finite and positive, got {self.beta}")
+        check_beta(self.beta, "loss.beta")
         if self.method == "adpo":
             if self.family not in FAMILIES:
                 raise ValidationError(
@@ -88,8 +93,7 @@ class LogRatioBatch:
     beta: float
 
     def validate(self) -> "LogRatioBatch":
-        if not (math.isfinite(self.beta) and self.beta > 0):
-            raise ValidationError(f"beta must be finite and positive, got {self.beta}")
+        check_beta(self.beta)
         return self
 
 

@@ -39,10 +39,13 @@ import numpy as np
 from .autodiff import logsumexp_values
 from .errors import ValidationError
 from .lm import NGramPolicy, TokenSeq, Vocab, vocab_logprobs
+from .losses import check_beta
 from .seeds import seed_sequence
 
 MAX_VOCAB = 6
 MAX_LEN = 5
+# "eos": variable length, EOS-terminated; "fixed": every sequence max_len long
+MODES = ("eos", "fixed")
 
 TOLERANCES = {
     "boltzmann": 1e-12,
@@ -72,7 +75,7 @@ class EnumSpace:
 
     vocab: Vocab
     max_len: int
-    mode: str  # "eos" (variable length, EOS-terminated) or "fixed"
+    mode: str  # one of MODES
     sequences: np.ndarray
     lengths: np.ndarray
     seq_ctx: np.ndarray
@@ -89,13 +92,13 @@ class EnumSpace:
             )
         if not (1 <= max_len <= MAX_LEN):
             raise ValidationError(f"max length must be in [1, {MAX_LEN}], got {max_len}")
+        if mode not in MODES:
+            raise ValidationError(f"unknown space mode {mode!r}")
         vocab = Vocab(vocab_size)
         if mode == "eos":
             alphabet = np.array([t for t in range(vocab_size) if t != vocab.eos])
-        elif mode == "fixed":
-            alphabet = np.arange(vocab_size)
         else:
-            raise ValidationError(f"unknown space mode {mode!r}")
+            alphabet = np.arange(vocab_size)
         sizes = alphabet.size ** np.arange(max_len)
         offsets = np.concatenate([[0], np.cumsum(sizes)])
         ctx_len = np.repeat(np.arange(max_len), sizes)
@@ -158,11 +161,6 @@ def _ref_mass(space: EnumSpace, ref_mass) -> np.ndarray:
     return _shaped("reference log mass", ref_mass, space.lengths.shape)
 
 
-def _check_beta(beta) -> None:
-    if not (math.isfinite(beta) and beta > 0):
-        raise ValidationError(f"beta must be finite and positive, got {beta}")
-
-
 def along_sequences(space: EnumSpace, table: np.ndarray) -> np.ndarray:
     """The (N, L) entries a (contexts, vocab) table assigns to every
     position of every sequence; 0 past each sequence's end."""
@@ -211,7 +209,7 @@ def boltzmann_distribution(space: EnumSpace, reward, ref_mass, beta: float) -> n
     This is the maximizer of kl_objective; normalization is exact over the
     enumerated sequences.
     """
-    _check_beta(beta)
+    check_beta(beta)
     logw = _ref_mass(space, ref_mass) + _vector(space, reward) / beta
     return np.exp(logw - logsumexp_values(logw))
 
@@ -219,7 +217,7 @@ def boltzmann_distribution(space: EnumSpace, reward, ref_mass, beta: float) -> n
 def kl_objective(space: EnumSpace, policy, reward, ref_mass, beta: float) -> float:
     """Expected reward minus beta times KL(policy || reference), exactly,
     with ``ref_mass`` = ref_logmass(space, ref_table)."""
-    _check_beta(beta)
+    check_beta(beta)
     policy = _shaped("policy", policy, space.lengths.shape)
     total = float(np.sum(policy))
     # written so that NaN and infinite entries fail too
@@ -261,7 +259,7 @@ def kl_objective_batch(
     than kl_objective, so the two agree row by row to rounding. Callers
     sweeping thousands of policies pass cache-sized blocks.
     """
-    _check_beta(beta)
+    check_beta(beta)
     log_policies = np.asarray(log_policies, dtype=np.float64)
     if log_policies.ndim != 2 or log_policies.shape[1] != len(space.sequences):
         raise ValidationError(
@@ -314,7 +312,7 @@ def additive_decompose(
         raise ValidationError(f"unknown decomposition scheme {scheme!r}")
     if ref_table is None or beta is None:
         raise ValidationError("soft_value decomposition needs ref_table and beta")
-    _check_beta(beta)
+    check_beta(beta)
 
     base = _ref_table(space, ref_table)
     inner = space.child >= 0
@@ -349,7 +347,7 @@ def decomposition_residual(space: EnumSpace, reward, rstar) -> float:
 def energy_additivity_residual(space: EnumSpace, rstar, ref_table, beta: float) -> float:
     """Summed prefix posterior energies vs. the response-level posterior
     energy of the reward the decomposition induces."""
-    _check_beta(beta)
+    check_beta(beta)
     r = along_sequences(space, _table(space, rstar))
     logps = along_sequences(space, _ref_table(space, ref_table))
     prefix_total = np.sum(-r / beta - logps, axis=1)
@@ -382,7 +380,7 @@ def reparameterize(space: EnumSpace, rstar, ref_table, beta: float) -> ReparamRe
     The residual reports how far r* - shift lands from beta * log(pi/pi_ref)
     across every (context, token); it should sit at float rounding error.
     """
-    _check_beta(beta)
+    check_beta(beta)
     rstar = _table(space, rstar)
     base = _ref_table(space, ref_table)
     scores = base + rstar / beta

@@ -37,6 +37,7 @@ from .losses import (
     PairLogRatios,
     SegmentLayout,
     batch_loss,
+    check_beta,
     segment_layout,
 )
 from .seeds import child_rng
@@ -371,8 +372,7 @@ def prefix_reward_profile(
         raise ValidationError("at least one checkpoint is required")
     if bins < 1:
         raise ValidationError(f"bins must be >= 1, got {bins}")
-    if not (math.isfinite(beta) and beta > 0):
-        raise ValidationError(f"beta must be finite and positive, got {beta}")
+    check_beta(beta)
     plan = plan_dataset(dataset, None, ref)
     lengths = np.diff(plan.offsets)
     if int(lengths.max()) * bins > np.iinfo(np.int64).max:

@@ -450,6 +450,21 @@ class TestOracleCheckCommand:
         certs = json.loads(capsys.readouterr().out)
         assert len(certs) == 5 and all(c["pass"] for c in certs)
 
+    def test_choices_are_the_oracles(self, capsys):
+        from preflab import oracle
+        from preflab.cli import build_parser
+
+        parser = build_parser()
+        base = ["oracle-check", "--space", "3,2"]
+        for check in ["all", *oracle.CHECKS]:
+            assert parser.parse_args([*base, "--check", check]).check == check
+        for mode in oracle.MODES:
+            assert parser.parse_args([*base, "--mode", mode]).mode == mode
+        for flag in ("--check", "--mode"):
+            with pytest.raises(SystemExit):
+                parser.parse_args([*base, flag, "banana"])
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_cap_exceeded_exits_2(self):
         assert main(["oracle-check", "--space", "7,5"]) == 2
         assert main(["oracle-check", "--space", "3,9"]) == 2

@@ -7,8 +7,9 @@ import pytest
 from preflab import config as cfgmod
 from preflab.errors import ValidationError
 from preflab.data import BigramMatchTask
-from preflab.lm import NeuralPolicy, NGramPolicy, Vocab
+from preflab.lm import KINDS, NeuralPolicy, NGramPolicy, Vocab
 from preflab.losses import LossConfig
+from preflab.seeds import child_rng
 from preflab.trainer import TrainConfig
 
 
@@ -33,6 +34,19 @@ class TestResolve:
         assert resolved["loss"]["beta"] == 1.0
         assert resolved["train"]["optimizer"] == "adam"
         assert resolved["data"]["labeling"] == "deterministic"
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_model_section_is_read_off_the_kinds(self, kind):
+        doc = minimal_train_config()
+        doc["model"]["kind"] = kind
+        model = cfgmod.resolve(doc)["model"]
+        every_hyper = {n: v for cls in KINDS.values() for n, v in cls.HYPER.items()}
+        assert model == {"kind": kind, "vocab_size": 12, **every_hyper}
+        # the settable model keys stay those that run directories were written with
+        assert set(model) == {"kind", "vocab_size", "context", "embed_dim", "hidden_dim", "order"}
+        choices = r"model.kind must be one of \('neural', 'ngram'\)"
+        with pytest.raises(ValidationError, match=choices):
+            cfgmod.resolve(minimal_train_config(model={"vocab_size": 12, "kind": "rnn"}))
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ValidationError, match="unknown config key"):
@@ -135,6 +149,20 @@ class TestBuilders:
         doc = minimal_train_config()
         doc["model"]["kind"] = "ngram"
         assert isinstance(cfgmod.build_model(cfgmod.resolve(doc)), NGramPolicy)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_build_model_is_the_kinds_init(self, kind):
+        import numpy as np
+
+        cls = KINDS[kind]
+        hyper = {name: value + 1 for name, value in cls.HYPER.items()}
+        doc = minimal_train_config()
+        doc["model"].update(kind=kind, **hyper)
+        built = cfgmod.build_model(cfgmod.resolve(doc))
+        want = cls.init(Vocab(12), child_rng(3, "init"), **hyper)
+        assert type(built) is cls and built.hyper == hyper
+        for name, value in want.params.items():
+            assert np.array_equal(built.params[name], value)
 
     def test_build_model_seeded(self):
         import numpy as np

@@ -98,6 +98,31 @@ class TestGeneration:
         task = D.BigramMatchTask(vocab=vocab)
         assert len(task.background_probs()) == len(vocab.content_ids())
 
+    @pytest.mark.parametrize("temperature", [1.0, 0.3])
+    @pytest.mark.parametrize("size", [12, 40])
+    def test_background_equals_out_of_place_softmax(self, size, temperature):
+        # normalizing in place must not move a bit of the former formula
+        task = D.BigramMatchTask(vocab=Vocab(size), temperature=temperature, seed=size)
+        bias = child_rng(size, "task").standard_normal(size - 3)
+        scaled = bias / temperature
+        weights = np.exp(scaled - np.max(scaled))
+        assert np.array_equal(task.background_probs(), weights / np.sum(weights))
+
+    def test_generation_holds_one_vocab_sized_array(self):
+        # vocab 2**22: one float64 per content id is 32 MiB; the sampler's
+        # background weights and cumulative table share that one array
+        import tracemalloc
+
+        task = D.BigramMatchTask(vocab=Vocab(1 << 22), max_len=4)
+        one_array = 8 * task.vocab.n_content
+        tracemalloc.start()
+        try:
+            D.generate_dataset(task, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * one_array
+
     def test_vocab_without_content_rejected(self):
         with pytest.raises(ValidationError, match="no content tokens"):
             D.BigramMatchTask(vocab=Vocab(3))
@@ -199,10 +224,10 @@ class TestTokenScores:
     def test_hand_built_log_ratio(self, vocab, monkeypatch):
         # neg raises one bigram logit by ln 3; the score is sigmoid of the renormalised log ratio
         uniform = np.zeros((vocab.size, vocab.size))
-        pos = NGramPolicy(vocab, 2, uniform)
+        pos = NGramPolicy(vocab, {"logits": uniform}, order=2)
         boosted = uniform.copy()
         boosted[3, 4] = math.log(3.0)
-        neg = NGramPolicy(vocab, 2, boosted)
+        neg = NGramPolicy(vocab, {"logits": boosted}, order=2)
         pair = D.PreferencePair(prompt=(5, 3), chosen=(6, 6), rejected=(4, 5))
         _attach_scores_with(monkeypatch, pos, neg, [pair], vocab)
         scores = pair.rejected_scores

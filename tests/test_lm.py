@@ -60,7 +60,7 @@ class TestNGram:
         # put P(4|3) = 0.75 by storing exact log-probabilities as logits
         probs = np.full((vocab.size, vocab.size), 1.0 / vocab.size)
         probs[3] = [0.05, 0.05, 0.05, 0.05, 0.75, 0.05]
-        policy = lm.NGramPolicy(vocab, 2, np.log(probs))
+        policy = lm.NGramPolicy(vocab, {"logits": np.log(probs)}, order=2)
         out = lm.token_logprobs(policy, (3,), (4,))
         assert float(out[0]) == pytest.approx(math.log(0.75), abs=1e-12)
 
@@ -534,13 +534,27 @@ class TestModelBounds:
     def test_table_bound_checked_before_allocation(self, vocab):
         # vocab 6: order 10 is just over 2**24 entries; a huge order must
         # fail as fast, without building vocab**(order - 1)
-        assert 6**9 * 6 > lm.MAX_NGRAM_ENTRIES >= 6**8 * 6
+        assert 6**9 * 6 > lm.MAX_PARAMS >= 6**8 * 6
         for order in (10, 10**12):
-            with pytest.raises(ValidationError, match="table entries"):
+            with pytest.raises(ValidationError, match="table entries") as info:
                 lm.NGramPolicy.random(vocab, order, self.UnusableRng())
+            # the capped row product is never printed as the table's size
+            assert str(info.value) == (
+                f"an order-{order} n-gram over 6 tokens needs more than "
+                f"{lm.MAX_PARAMS} table entries"
+            )
             with pytest.raises(ValidationError, match="table entries"):
                 lm.NGramPolicy.uniform(vocab, order)
-        assert lm.ngram_table_shape(vocab, 9) == (6**8, 6)
+            with pytest.raises(ValidationError, match="table entries"):
+                lm.NGramPolicy.init(vocab, self.UnusableRng(), order=order)
+        assert lm.NGramPolicy.shapes(vocab, order=9) == {"logits": (6**8, 6)}
+
+    def test_table_bound_is_exact(self):
+        # an order-2 table over 2**12 tokens holds exactly 2**24 entries
+        assert lm.NGramPolicy.shapes(lm.Vocab(1 << 12), order=2) == {"logits": (1 << 12,) * 2}
+        assert (1 << 12) ** 2 == lm.MAX_PARAMS
+        with pytest.raises(ValidationError, match="table entries"):
+            lm.NGramPolicy.shapes(lm.Vocab((1 << 12) + 1), order=2)
 
     @pytest.mark.parametrize(
         "widths", [{"hidden_dim": 0}, {"embed_dim": 0}, {"embed_dim": 0, "hidden_dim": 0},
@@ -558,16 +572,108 @@ class TestModelBounds:
         with pytest.raises(ValidationError, match="parameters, more than"):
             lm.NeuralPolicy.init(vocab, self.UnusableRng(), **widths)
         # a checkpoint's hyperparameters are bounded before its params are read
-        shape = {"context": 8, "embed_dim": 8, "hidden_dim": 32, **widths}
         with pytest.raises(ValidationError, match="parameters, more than"):
-            lm.NeuralPolicy(vocab, params={}, **shape)
+            lm.NeuralPolicy(vocab, params={}, **{**lm.NeuralPolicy.HYPER, **widths})
 
     def test_neural_size_bound_is_exact(self, vocab):
         # vocab 6, embed 1, hidden 1: context + 19 parameters
-        edge = lm.MAX_NEURAL_PARAMS - 19
-        assert lm.neural_param_count(vocab, edge, 1, 1) == lm.MAX_NEURAL_PARAMS
+        def count(**hyper):
+            shapes = lm.NeuralPolicy.shapes(vocab, **hyper)
+            return sum(math.prod(shape) for shape in shapes.values())
+
+        edge = lm.MAX_PARAMS - 19
+        assert count(context=edge, embed_dim=1, hidden_dim=1) == lm.MAX_PARAMS
         with pytest.raises(ValidationError, match="parameters, more than"):
-            lm.neural_param_count(vocab, edge + 1, 1, 1)
+            count(context=edge + 1, embed_dim=1, hidden_dim=1)
         with pytest.raises(ValidationError, match="parameters, more than"):
             lm.NeuralPolicy.init(lm.Vocab(lm.MAX_VOCAB), self.UnusableRng())
-        assert lm.neural_param_count(vocab, 8, 8, 32) == 6 * 8 + 8 * 8 * 32 + 32 + 32 * 6 + 6
+        assert count(**lm.NeuralPolicy.HYPER) == 6 * 8 + 8 * 8 * 32 + 32 + 32 * 6 + 6
+
+
+KINDS = sorted(lm.KINDS)
+
+
+class TestKinds:
+    """Every kind is its KINDS entry: HYPER, shapes, init and one constructor."""
+
+    def test_table(self):
+        assert lm.KINDS == {"neural": lm.NeuralPolicy, "ngram": lm.NGramPolicy}
+        for kind, cls in lm.KINDS.items():
+            assert cls.kind == kind
+            assert cls.__init__ is lm.NGramPolicy.__init__
+            assert cls.__dict__["hyper"] is lm.NGramPolicy.__dict__["hyper"]
+
+    def test_no_two_kinds_share_a_hyperparameter(self):
+        # the config's flat model section holds every kind's names at once
+        names = [name for cls in lm.KINDS.values() for name in cls.HYPER]
+        assert len(names) == len(set(names))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_init_params_match_shapes(self, vocab, kind):
+        cls = lm.KINDS[kind]
+        policy = cls.init(vocab, np.random.default_rng(0))
+        assert policy.hyper == cls.HYPER
+        shapes = cls.shapes(vocab, **cls.HYPER)
+        assert list(policy.params) == list(shapes)
+        assert {name: value.shape for name, value in policy.params.items()} == shapes
+        assert all(value.dtype == np.float64 for value in policy.params.values())
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_init_draws_are_the_documented_ones(self, vocab, kind):
+        cls = lm.KINDS[kind]
+        policy = cls.init(vocab, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        for name, shape in cls.shapes(vocab, **cls.HYPER).items():
+            if kind == "ngram":
+                want = 0.1 * rng.standard_normal(shape)
+            elif len(shape) == 2:
+                want = rng.uniform(-0.1, 0.1, size=shape)
+            else:
+                want = np.zeros(shape)
+            assert np.array_equal(policy.params[name], want)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_checkpoint_round_trip(self, vocab, kind, tmp_path):
+        cls = lm.KINDS[kind]
+        hyper = {name: value + 1 for name, value in cls.HYPER.items()}
+        policy = cls.init(vocab, np.random.default_rng(1), **hyper)
+        lm.save_checkpoint(policy, tmp_path / "a.json")
+        loaded = lm.load_checkpoint(tmp_path / "a.json")
+        assert type(loaded) is cls and loaded.hyper == hyper and loaded.vocab == vocab
+        assert not loaded.frozen
+        lm.save_checkpoint(loaded, tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_width_at_least_one(self, vocab, kind):
+        cls = lm.KINDS[kind]
+        for name in cls.HYPER:
+            with pytest.raises(ValidationError, match=f"{name} must be >= 1"):
+                cls.init(vocab, TestModelBounds.UnusableRng(), **{name: 0})
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_unknown_names_rejected(self, vocab, kind):
+        cls = lm.KINDS[kind]
+        policy = cls.init(vocab, np.random.default_rng(2))
+        with pytest.raises(ValidationError, match=f"{kind} models define no hyper entry 'depth'"):
+            cls.init(vocab, TestModelBounds.UnusableRng(), depth=2)
+        with pytest.raises(ValidationError, match=f"{kind} models define no hyper entry 'depth'"):
+            cls(vocab, policy.params, depth=2, **policy.hyper)
+        # parameter names and shapes must match shapes() exactly
+        bad = [{**policy.params, "w3": np.zeros(2)}]
+        for name, shape in cls.shapes(vocab, **policy.hyper).items():
+            bad.append({k: v for k, v in policy.params.items() if k != name})
+            bad.append({**policy.params, name: np.zeros(shape + (1,))})
+        for params in bad:
+            with pytest.raises(ValidationError, match=f"{kind} parameter shapes .*, expected"):
+                cls(vocab, params, **policy.hyper)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_checkpoint_hyper_named_like_a_constructor_argument(self, vocab, kind, tmp_path):
+        policy = lm.KINDS[kind].init(vocab, np.random.default_rng(3))
+        doc = _saved_doc(policy, tmp_path)
+        doc["hyper"]["frozen"] = 1
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="malformed: .*no hyper entry 'frozen'"):
+            lm.load_checkpoint(path)

@@ -325,6 +325,26 @@ class TestNonFiniteBeta:
             losses.dpo_loss(batch)
 
 
+    @pytest.mark.parametrize("beta", [math.nan, -math.inf, -1.0, 0])
+    def test_every_site_keeps_its_message(self, beta):
+        # one check, four callers; each message reads as before
+        from preflab import oracle, trainer
+
+        space = oracle.EnumSpace.build(3, 2)
+        zeros = np.zeros(len(space.sequences))
+        sites = {
+            "loss.beta": lambda: losses.LossConfig(beta=beta).validate(),
+            "beta": lambda: losses.LogRatioBatch([], beta=beta).validate(),
+            "oracle": lambda: oracle.boltzmann_distribution(space, zeros, zeros, beta),
+            "profile": lambda: trainer.prefix_reward_profile([(0, None)], None, [], beta),
+        }
+        for name, call in sites.items():
+            with pytest.raises(ValidationError) as info:
+                call()
+            lead = "loss.beta" if name == "loss.beta" else "beta"
+            assert str(info.value) == f"{lead} must be finite and positive, got {beta}"
+
+
 class TestSingleLossNode:
     CONFIGS = {
         "dpo": losses.LossConfig(method="dpo"),

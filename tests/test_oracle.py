@@ -96,8 +96,10 @@ class TestEnumSpace:
             oracle.EnumSpace.build(7, 5)
         with pytest.raises(ValidationError):
             oracle.EnumSpace.build(4, 6)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="unknown space mode 'banana'"):
             oracle.EnumSpace.build(4, 3, mode="banana")
+        for mode in oracle.MODES:
+            assert oracle.EnumSpace.build(3, 2, mode).mode == mode
 
     def test_scoring_domain_covers_prefix_closure(self):
         # every nonempty prefix y[:i+1] is the table entry (seq_ctx[y, i], y[i])
