@@ -5,9 +5,8 @@ tape, and ``Graph.backward`` replays that tape in exact reverse creation
 order. Accumulation order is therefore deterministic, and two backward
 passes over identical graphs produce bit-identical gradients.
 
-Only scalar <-> array broadcasting is supported. Anything richer must be
-spelled out with explicit shapes (``reshape``, ``add_bias``, ``matmul``),
-which removes a whole class of silently misaligned operands.
+Only scalar <-> array broadcasting is supported, which removes a whole
+class of silently misaligned operands.
 
 Operands that are not ``Node`` instances are treated as untracked
 constants: they participate in the forward value but accumulate no
@@ -16,9 +15,14 @@ gradient.
 A graph owns its nodes; a node refers back to its graph only weakly, so a
 tape is freed by reference counting as soon as the caller drops it.
 
-Segment reductions (DPO, ADPO and cADPO logits alike) go through one op,
-``weighted_segment_sum``: a ``np.bincount`` over the concatenated side
-vectors of a whole batch, with per-position segment ids and weights.
+The ops: ``sub``, ``mul``, ``sum``, ``log_sigmoid``, ``log_softmax``,
+``gather``, ``embed_lookup``, ``slice1d`` and ``weighted_segment_sum``.
+Segment reductions (DPO, ADPO and cADPO logits alike) go through the last
+one: a ``np.bincount`` over the concatenated side vectors of a whole
+batch, with per-position segment ids and weights. A model may also record
+a whole forward as one ``Node`` with a hand-derived backward, built from
+the helpers ``check_bounds`` and ``id_row_sums`` (the windowed neural
+policy does, in ``lm``).
 """
 
 from __future__ import annotations
@@ -248,16 +252,6 @@ def sum(a, axis: int | None = None) -> Node:  # noqa: A001 - mirrors np.sum
     return Node(graph, value, (a,), backward)
 
 
-def tanh(a) -> Node:
-    graph = _graph_of("tanh", a)
-    value = np.tanh(a.value)
-
-    def backward(g):
-        a.grad += g * (1.0 - value * value)
-
-    return Node(graph, value, (a,), backward)
-
-
 def log_sigmoid(a) -> Node:
     """log(sigmoid(x)), computed as -softplus(-x); gradient sigmoid(-x)."""
     graph = _graph_of("log_sigmoid", a)
@@ -284,45 +278,23 @@ def log_softmax(a, axis: int = -1) -> Node:
 # ---------------------------------------------------------------------------
 
 
-def reshape(a, shape) -> Node:
-    graph = _graph_of("reshape", a)
-    original = a.value.shape
-
-    def backward(g):
-        a.grad += g.reshape(original)
-
-    return Node(graph, a.value.reshape(shape), (a,), backward)
+def check_bounds(op: str, idx: Array, size: int) -> None:
+    """Raise IndexBoundsError, naming ``op``, at the first index (in C
+    order) outside [0, size)."""
+    bad = (idx < 0) | (idx >= size)
+    if bad.any():
+        raise IndexBoundsError(op, int(idx[bad][0]), size)
 
 
-def matmul(a, b) -> Node:
-    va, vb = _value(a), _value(b)
-    if va.ndim != 2 or vb.ndim != 2 or va.shape[1] != vb.shape[0]:
-        raise ShapeMismatchError("matmul", va.shape, vb.shape)
-    graph = _graph_of("matmul", a, b)
-
-    def backward(g):
-        if isinstance(a, Node):
-            a.grad += g @ vb.T
-        if isinstance(b, Node):
-            b.grad += va.T @ g
-
-    return Node(graph, va @ vb, (a, b), backward)
-
-
-def add_bias(mat, bias) -> Node:
-    """Add a (k,) bias row-wise onto an (n, k) matrix."""
-    vm, vb = _value(mat), _value(bias)
-    if vm.ndim != 2 or vb.ndim != 1 or vm.shape[1] != vb.shape[0]:
-        raise ShapeMismatchError("add_bias", vm.shape, vb.shape)
-    graph = _graph_of("add_bias", mat, bias)
-
-    def backward(g):
-        if isinstance(mat, Node):
-            mat.grad += g
-        if isinstance(bias, Node):
-            bias.grad += np.sum(g, axis=0)
-
-    return Node(graph, vm + vb[None, :], (mat, bias), backward)
+def id_row_sums(ids: Array, g: Array, shape: tuple[int, int]) -> Array:
+    """The (v, d) table whose row t sums, in position order, the d-wide
+    rows of ``g`` (one per entry of ``ids``, in its order) looked up with
+    id t: all columns in one ``np.bincount`` over (id, column) bins, each
+    entry's bin gathered from a table of flat indices as a lookup gathers
+    its value."""
+    size = shape[0] * shape[1]
+    bins = np.take(np.arange(size).reshape(shape), ids, axis=0)
+    return np.bincount(bins.reshape(-1), weights=g.reshape(-1), minlength=size).reshape(shape)
 
 
 def gather(a, indices) -> Node:
@@ -331,10 +303,7 @@ def gather(a, indices) -> Node:
     idx = np.asarray(indices, dtype=np.intp)
     if va.ndim != 2 or idx.ndim != 1 or idx.shape[0] != va.shape[0]:
         raise ShapeMismatchError("gather", va.shape, idx.shape)
-    size = va.shape[1]
-    bad = (idx < 0) | (idx >= size)
-    if bad.any():
-        raise IndexBoundsError("gather", int(idx[bad][0]), size)
+    check_bounds("gather", idx, va.shape[1])
     rows = np.arange(va.shape[0])
     graph = _graph_of("gather", a)
 
@@ -346,28 +315,17 @@ def gather(a, indices) -> Node:
 
 
 def embed_lookup(table, ids) -> Node:
-    """Select rows of a (v, d) table by integer id; repeated ids accumulate.
-
-    Backward sums each id's gradient rows in position order, all columns in
-    one ``np.bincount`` over (id, column) bins (each entry's bin is gathered
-    from a table of flat indices, as the forward gathers its value), then
-    adds the sums to the table's gradient.
-    """
+    """Select rows of a (v, d) table by integer id; repeated ids accumulate
+    (backward: ``id_row_sums``)."""
     vt = table.value
     idx = np.asarray(ids, dtype=np.intp)
     if vt.ndim != 2:
         raise ShapeMismatchError("embed_lookup", vt.shape, idx.shape)
-    size = vt.shape[0]
-    bad = (idx < 0) | (idx >= size)
-    if bad.any():
-        raise IndexBoundsError("embed_lookup", int(idx[bad.nonzero()][0]), size)
+    check_bounds("embed_lookup", idx, vt.shape[0])
     graph = _graph_of("embed_lookup", table)
 
     def backward(g):
-        # bin of each gradient entry: the flat table index its value was read from
-        bins = np.take(np.arange(vt.size).reshape(vt.shape), idx, axis=0)
-        sums = np.bincount(bins.reshape(-1), weights=g.reshape(-1), minlength=vt.size)
-        table.grad += sums.reshape(vt.shape)
+        table.grad += id_row_sums(idx, g, vt.shape)
 
     return Node(graph, np.take(vt, idx, axis=0), (table,), backward)
 
@@ -404,9 +362,7 @@ def weighted_segment_sum(nodes: Sequence, ids, n_segments: int, weights=None) ->
     idx = np.asarray(ids, dtype=np.intp)
     if idx.shape != values.shape:
         raise ShapeMismatchError("weighted_segment_sum", values.shape, idx.shape)
-    bad = (idx < 0) | (idx >= n_segments)
-    if bad.any():
-        raise IndexBoundsError("weighted_segment_sum", int(idx[bad][0]), n_segments)
+    check_bounds("weighted_segment_sum", idx, n_segments)
     if weights is None:
         w = np.ones_like(values)
     else:

@@ -10,8 +10,9 @@ off the fields of ``LossConfig``, ``TrainConfig`` and ``BigramMatchTask``:
 each key takes its default and type from its field, and its choices from
 the tuple or table that the library itself checks against. The ``model``
 section takes its kinds and every kind's hyperparameters, with their
-defaults, from ``lm.KINDS``. The other top-level and ``data`` keys are
-declared here.
+defaults, from ``lm.KINDS``; a hyperparameter of a kind other than
+``model.kind`` must keep its default. The other top-level and ``data``
+keys are declared here.
 """
 
 from __future__ import annotations
@@ -179,6 +180,15 @@ def resolve(config: dict) -> dict:
     if data is not None and data["path"] is None and data["vocab_size"] is None:
         raise ValidationError("missing required field: data.vocab_size (or data.path)")
     model = resolved.get("model")
+    # another kind's hyperparameter would go unused; its default stays
+    # accepted, since every resolved config records every kind's keys
+    for other in KINDS.values() if model is not None else ():
+        for name, default in other.HYPER.items():
+            if other.kind != model["kind"] and model[name] != default:
+                raise ValidationError(
+                    f"field model.{name} applies to {other.kind} models only, "
+                    f"not to model.kind {model['kind']!r}"
+                )
     if (
         model is not None
         and data is not None

@@ -341,11 +341,37 @@ class NeuralPolicy:
         return side_windows(self.vocab, self.context, prompts, responses)
 
     def rows_forward(self, graph: ad.Graph, leaves, rows, targets) -> ad.Node:
-        emb = ad.embed_lookup(leaves["emb"], rows)
-        flat = ad.reshape(emb, (rows.shape[0], self.context * self.embed_dim))
-        hidden = ad.tanh(ad.add_bias(ad.matmul(flat, leaves["w1"]), leaves["b1"]))
-        logits = ad.add_bias(ad.matmul(hidden, leaves["w2"]), leaves["b2"])
-        return ad.gather(ad.log_softmax(logits, axis=1), targets)
+        """One node over the five leaves: embed the windows, flatten, tanh
+        hidden layer, output layer, log-softmax, pick each target. The
+        backward is derived by hand and adds straight into the leaves'
+        gradients, so no intermediate holds a gradient buffer."""
+        emb, w1, b1, w2, b2 = (leaves[name] for name in ("emb", "w1", "b1", "w2", "b2"))
+        rows, targets = np.asarray(rows, dtype=np.intp), np.asarray(targets, dtype=np.intp)
+        ad.check_bounds("embed_lookup", rows, self.vocab.size)
+        ad.check_bounds("gather", targets, self.vocab.size)
+        x = np.take(emb.value, rows, axis=0).reshape(len(rows), self.context * self.embed_dim)
+        hidden = x @ w1.value
+        hidden += b1.value
+        np.tanh(hidden, out=hidden)
+        logits = hidden @ w2.value
+        logits += b2.value
+        logp = ad.log_softmax_values(logits, axis=1)
+        picked = np.arange(len(targets)), targets
+
+        def backward(g):
+            # logits gradient: g * (one-hot(target) - softmax), row by row
+            d = np.exp(logp)
+            d *= -g[:, None]
+            d[picked] += g
+            b2.grad += np.sum(d, axis=0)
+            w2.grad += hidden.T @ d
+            dh = d @ w2.value.T
+            dh *= 1.0 - hidden * hidden
+            b1.grad += np.sum(dh, axis=0)
+            w1.grad += x.T @ dh
+            emb.grad += ad.id_row_sums(rows, dh @ w1.value.T, emb.value.shape)
+
+        return ad.Node(graph, logp[picked], (emb, w1, b1, w2, b2), backward)
 
     __init__ = _construct
     hyper = _hyper

@@ -139,13 +139,17 @@ class AdamOptimizer:
         for name, p in params.items():
             g = grads[name]
             if name not in self.m:
-                self.m[name] = np.zeros_like(p)
-                self.v[name] = np.zeros_like(p)
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            m_hat = self.m[name] / (1 - self.beta1**self.t)
-            v_hat = self.v[name] / (1 - self.beta2**self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                self.m[name], self.v[name] = np.zeros_like(p), np.zeros_like(p)
+            m, v = self.m[name], self.v[name]
+            # in place, in the operation order of lr * m_hat / (sqrt(v_hat) + eps)
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            v *= self.beta2
+            v += (1 - self.beta2) * g * g
+            step = m / (1 - self.beta1**self.t)
+            step *= self.lr
+            step /= np.sqrt(v / (1 - self.beta2**self.t)) + self.eps
+            p -= step
 
 
 OPTIMIZERS = {"sgd": SgdOptimizer, "adam": AdamOptimizer}

@@ -230,11 +230,15 @@ class TestTrain:
             (["model.hidden_dim=0"], "hidden_dim must be >= 1"),
             (["model.embed_dim=0"], "embed_dim must be >= 1"),
             (["model.embed_dim=0", "model.hidden_dim=0"], "embed_dim must be >= 1"),
-            (["model.kind=ngram", "model.order=0"], "order must be >= 1"),
-            (["model.kind=ngram", "model.order=1000000000000"], "table entries"),
+            (['model={"kind": "ngram", "vocab_size": 12, "order": 0}'], "order must be >= 1"),
+            (['model={"kind": "ngram", "vocab_size": 12, "order": 1000000000000}'],
+             "table entries"),
             (["model.context=1000000000000"], "parameters, more than"),
             (["model.embed_dim=1000000000000"], "parameters, more than"),
             (["model.hidden_dim=1000000000000"], "parameters, more than"),
+            (["model.order=5"], "model.order applies to ngram models only"),
+            (['model={"kind": "ngram", "vocab_size": 12, "hidden_dim": 4}'],
+             "model.hidden_dim applies to neural models only"),
         ],
     )
     def test_bad_model_or_loss_override_exits_2(

@@ -48,6 +48,26 @@ class TestResolve:
         with pytest.raises(ValidationError, match=choices):
             cfgmod.resolve(minimal_train_config(model={"vocab_size": 12, "kind": "rnn"}))
 
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_other_kinds_hyper_rejected_unless_default(self, kind):
+        # every resolved config records every kind's keys at their defaults,
+        # so those must re-resolve; any other value would be silently unused
+        doc = minimal_train_config()
+        doc["model"]["kind"] = kind
+        resolved = cfgmod.resolve(doc)
+        assert cfgmod.resolve(resolved) == resolved
+        for other in KINDS.values():
+            if other.kind == kind:
+                continue
+            for name, default in other.HYPER.items():
+                doc["model"][name] = default
+                assert cfgmod.resolve(doc) == resolved
+                doc["model"][name] = default + 1
+                named = rf"^field model.{name} applies to {other.kind} models only, not to model.kind '{kind}'$"
+                with pytest.raises(ValidationError, match=named):
+                    cfgmod.resolve(doc)
+                doc["model"][name] = default
+
     def test_unknown_top_level_key(self):
         with pytest.raises(ValidationError, match="unknown config key"):
             cfgmod.resolve({"sedd": 0})

@@ -164,6 +164,167 @@ class TestNeural:
         assert lm.seq_logprob(policy, (3,), ()) == 0.0
 
 
+NEURAL_NAMES = ("emb", "w1", "b1", "w2", "b2")
+
+
+def op_by_op(params, rows, targets, up):
+    """The windowed MLP as a chain of generic ops in plain numpy: forward
+    (lookup, flatten, matmul, bias, tanh, matmul, bias, log-softmax,
+    gather), then a reverse sweep that accumulates every op's gradient into
+    a zero-filled buffer per intermediate, the upstream gradient of the
+    picked log-probs being ``up``. Returns the picked values and the five
+    parameter gradients."""
+    emb, w1, b1, w2, b2 = (params[name] for name in NEURAL_NAMES)
+    n = len(targets)
+    looked = np.take(emb, rows, axis=0)
+    flat = looked.reshape(n, -1)
+    pre1 = flat @ w1
+    act1 = pre1 + b1[None, :]
+    hidden = np.tanh(act1)
+    pre2 = hidden @ w2
+    logits = pre2 + b2[None, :]
+    logp = ad.log_softmax_values(logits, axis=1)
+    picked = logp[np.arange(n), targets]
+
+    def zero(a):
+        return np.zeros_like(a)
+
+    g_logp = zero(logp)
+    g_logp[np.arange(n), targets] += up
+    g_logits = zero(logits)
+    g_logits += g_logp - np.exp(logp) * np.sum(g_logp, axis=1, keepdims=True)
+    g_pre2, g_b2 = zero(pre2), zero(b2)
+    g_pre2 += g_logits
+    g_b2 += np.sum(g_logits, axis=0)
+    g_hidden, g_w2 = zero(hidden), zero(w2)
+    g_hidden += g_pre2 @ w2.T
+    g_w2 += hidden.T @ g_pre2
+    g_act1 = zero(act1)
+    g_act1 += g_hidden * (1.0 - hidden * hidden)
+    g_pre1, g_b1 = zero(pre1), zero(b1)
+    g_pre1 += g_act1
+    g_b1 += np.sum(g_act1, axis=0)
+    g_flat, g_w1 = zero(flat), zero(w1)
+    g_flat += g_pre1 @ w1.T
+    g_w1 += flat.T @ g_pre1
+    g_looked = zero(looked)
+    g_looked += g_flat.reshape(looked.shape)
+    g_emb = zero(emb)
+    np.add.at(g_emb, rows.reshape(-1), g_looked.reshape(-1, emb.shape[1]))
+    return picked, dict(zip(NEURAL_NAMES, (g_emb, g_w1, g_b1, g_w2, g_b2)))
+
+
+def fused(policy, rows, targets, up):
+    """The policy's one-node forward and its backward under ``up``."""
+    graph = ad.Graph()
+    leaves = {name: graph.leaf(value) for name, value in policy.params.items()}
+    node = policy.rows_forward(graph, leaves, rows, targets)
+    graph.backward(ad.sum(ad.mul(node, up)))
+    return node, {name: leaf.grad for name, leaf in leaves.items()}
+
+
+class TestFusedNeuralForward:
+    """``NeuralPolicy.rows_forward`` is one node with a hand-derived
+    backward; it must equal the op-by-op chain it replaced, bit for bit."""
+
+    @staticmethod
+    def make(n, seed=0, vocab_size=12, scale=1.0, **hyper):
+        rng = np.random.default_rng(seed)
+        vocab = lm.Vocab(vocab_size)
+        policy = lm.NeuralPolicy.init(vocab, rng, **hyper)
+        for value in policy.params.values():
+            value += scale * rng.standard_normal(value.shape)
+        rows = rng.integers(0, vocab.size, size=(n, policy.context))
+        targets = rng.integers(0, vocab.size, size=n)
+        return policy, rows, targets, rng.standard_normal(n)
+
+    @pytest.mark.parametrize("n", [1, 7, 860, 2049])
+    @pytest.mark.parametrize("hyper", [dict(context=5, embed_dim=3, hidden_dim=7),
+                                       dict(context=26, embed_dim=8, hidden_dim=48)])
+    def test_values_and_grads_equal_the_op_chain_bitwise(self, n, hyper):
+        policy, rows, targets, up = self.make(n, **hyper)
+        node, grads = fused(policy, rows, targets, up)
+        picked, expected = op_by_op(policy.params, rows, targets, up)
+        assert np.array_equal(node.value, picked)
+        for name in NEURAL_NAMES:
+            assert np.array_equal(grads[name], expected[name]), name
+
+    def test_one_node_over_the_five_leaves(self):
+        policy, rows, targets, _ = self.make(9, context=4, embed_dim=2, hidden_dim=5)
+        graph = ad.Graph()
+        leaves = {name: graph.leaf(value) for name, value in policy.params.items()}
+        node = policy.rows_forward(graph, leaves, rows, targets)
+        assert len(graph) == len(leaves) + 1
+        assert node._parents == tuple(leaves[name] for name in NEURAL_NAMES)
+
+    def test_grad_check_every_parameter(self):
+        policy, rows, targets, up = self.make(4, vocab_size=5, scale=0.5,
+                                               context=2, embed_dim=3, hidden_dim=4)
+
+        def build(graph, params):
+            leaves = dict(zip(NEURAL_NAMES, params))
+            return ad.sum(ad.mul(policy.rows_forward(graph, leaves, rows, targets), up))
+
+        params = [policy.params[name] for name in NEURAL_NAMES]
+        assert ad.grad_check(build, params, h=1e-5, tol=1e-6).passed
+
+    @pytest.mark.parametrize("bad", [12, -1])
+    def test_out_of_range_ids_name_their_op(self, bad):
+        policy, rows, targets, up = self.make(3, context=4, embed_dim=2, hidden_dim=5)
+        graph = ad.Graph()
+        leaves = {name: graph.leaf(value) for name, value in policy.params.items()}
+        wrong_rows = rows.copy()
+        wrong_rows[1, 2] = bad
+        with pytest.raises(ad.IndexBoundsError, match="^embed_lookup: index") as err:
+            policy.rows_forward(graph, leaves, wrong_rows, targets)
+        assert (err.value.index, err.value.size) == (bad, 12)
+        wrong_targets = targets.copy()
+        wrong_targets[2] = bad
+        with pytest.raises(ad.IndexBoundsError, match="^gather: index") as err:
+            policy.rows_forward(graph, leaves, rows, wrong_targets)
+        assert (err.value.index, err.value.size) == (bad, 12)
+
+    def test_identity_layers_pass_the_embeddings_through(self):
+        # context * embed_dim == hidden_dim == vocab: identity weights and
+        # zero biases leave log_softmax(tanh(flattened embeddings))
+        policy, rows, targets, _ = self.make(5, vocab_size=6, context=2, embed_dim=3,
+                                              hidden_dim=6)
+        policy.params.update(w1=np.eye(6), b1=np.zeros(6), w2=np.eye(6), b2=np.zeros(6))
+        node, _ = fused(policy, rows, targets, np.ones(5))
+        flat = policy.params["emb"][rows].reshape(5, 6)
+        expected = ad.log_softmax_values(np.tanh(flat), axis=1)[np.arange(5), targets]
+        assert np.array_equal(node.value, expected)
+
+    def test_flattened_window_grads_return_to_their_positions(self):
+        # window position j holds id 3 + j in every row; with w1 reading only
+        # position j's block, only id 3 + j gets an embedding gradient
+        context, embed_dim = 3, 2
+        policy, _, targets, up = self.make(4, context=context, embed_dim=embed_dim,
+                                            hidden_dim=5)
+        rows = np.tile(3 + np.arange(context), (4, 1))
+        w1 = policy.params["w1"].copy()
+        for j in range(context):
+            block = np.zeros_like(w1)
+            block[j * embed_dim:(j + 1) * embed_dim] = w1[j * embed_dim:(j + 1) * embed_dim]
+            policy.params["w1"] = block
+            _, grads = fused(policy, rows, targets, up)
+            used = np.flatnonzero(np.any(grads["emb"] != 0.0, axis=1))
+            assert used.tolist() == [3 + j]
+
+    def test_biases_reduce_over_rows(self):
+        policy, rows, targets, up = self.make(6, context=4, embed_dim=2, hidden_dim=5)
+        _, grads = fused(policy, rows, targets, up)
+        one_at_a_time = [fused(policy, rows[i:i + 1], targets[i:i + 1], up[i:i + 1])[1]
+                         for i in range(6)]
+        for name in ("b1", "b2"):
+            np.testing.assert_allclose(
+                grads[name], np.sum([g[name] for g in one_at_a_time], axis=0),
+                rtol=0, atol=1e-14,
+            )
+        # softmax rows sum to one, so the output bias's gradient sums to zero
+        assert abs(float(np.sum(grads["b2"]))) <= 1e-14
+
+
 class TestSharedScoring:
     """Scoring is written once: a kind adds only its rows and its forward."""
 

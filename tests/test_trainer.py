@@ -253,6 +253,43 @@ class TestTrainBasics:
         result = trainer.train(dataset, policy, cfg)
         assert result.log[-1].loss < result.log[0].loss
 
+    @pytest.mark.parametrize("method", ["dpo", "adpo"])
+    def test_neural_step_records_one_policy_node(self, method):
+        # a train step's graph: the five leaves, one policy node, then the
+        # loss nodes, which an untracked forward (one leaf) records too
+        _, dataset, policy = small_setup()
+        cfg = quick_config(method).loss
+        plan = trainer.plan_dataset(dataset, cfg, lm.clone_frozen(policy))
+        ids = np.arange(8)
+        untracked = ad.Graph()
+        batch, layout, _, _ = trainer._build_batch(plan, policy, 1.0, untracked, pair_ids=ids)
+        losses.batch_loss(batch, layout)
+        graph = ad.Graph()
+        leaves = {name: graph.leaf(value) for name, value in policy.params.items()}
+        batch, layout, _, _ = trainer._build_batch(plan, policy, 1.0, graph, leaves, ids)
+        graph.backward(losses.batch_loss(batch, layout))
+        assert len(graph) == len(leaves) + 1 + (len(untracked) - 1)
+
+
+class TestAdam:
+    def test_update_is_the_adam_formula_bitwise(self):
+        rng = np.random.default_rng(1)
+        params = {"w": rng.standard_normal((3, 4)), "b": rng.standard_normal(5)}
+        want = {name: p.copy() for name, p in params.items()}
+        m = {name: np.zeros_like(p) for name, p in params.items()}
+        v = {name: np.zeros_like(p) for name, p in params.items()}
+        adam = trainer.AdamOptimizer(0.01)
+        b1, b2, eps = adam.beta1, adam.beta2, adam.eps
+        for t in range(1, 6):
+            grads = {name: rng.standard_normal(p.shape) for name, p in params.items()}
+            adam.update(params, grads)
+            for name, g in grads.items():
+                m[name] = b1 * m[name] + (1 - b1) * g
+                v[name] = b2 * v[name] + (1 - b2) * g * g
+                m_hat, v_hat = m[name] / (1 - b1**t), v[name] / (1 - b2**t)
+                want[name] -= 0.01 * m_hat / (np.sqrt(v_hat) + eps)
+                assert np.array_equal(params[name], want[name])
+
 
 class TestSgd:
     def test_update_is_p_minus_lr_g_bitwise(self):
