@@ -410,7 +410,7 @@ def grad_check(
     """
     if h <= 0:
         raise ValueError("grad_check: h must be positive")
-    base = [np.array(p, dtype=np.float64) for p in params]
+    base = [np.array(p, dtype=np.float64, order="C") for p in params]
     graph = Graph()
     leaves = [graph.leaf(p) for p in base]
     out = build(graph, leaves)

@@ -13,14 +13,15 @@ policy and the reference's conditionals are (contexts, vocab) tables whose
 entry [c, t] belongs to the prefix "context c, then token t". Every check
 is a gather from such a table at (seq_ctx, sequences) plus a masked sum
 over at most ``MAX_LEN`` positions, a row-wise log-softmax, or a soft-value
-recursion of ``MAX_LEN`` vectorized levels.
+recursion of ``MAX_LEN`` vectorized levels. Rewards and prefix tables may
+carry leading draw axes, over which every residual reduces too.
 
 The reference enters every check as data: ``reference_table`` is the one
 function that reads an ``NGramPolicy`` (and a prompt), and each
 certificate calls it once. Prefix-level functions take that table;
-response-level ones take its chain-rule sum, ``ref_logmass``. Random
-policies are drawn and scored in blocks of about 256 KiB, so every pass
-after the Gaussian draw runs in cache.
+response-level ones take its chain-rule sum, ``ref_logmass``. Every check
+draws and scores its random draws in blocks of about 256 KiB from one stream,
+so every pass after the Gaussian draw runs in cache.
 
 Spaces are hard-capped at vocab size 6 and length 5. Variable-length
 spaces are realized as EOS-terminated sequences, which makes the output
@@ -138,19 +139,19 @@ def _walk(alphabet, offsets, depth, index, width):
     return tokens, np.where(up >= 0, codes, -1)
 
 
-def _shaped(what: str, x, shape: tuple) -> np.ndarray:
+def _shaped(what: str, x, shape: tuple, lead: bool = False) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != shape:
-        raise ValidationError(f"{what} has shape {x.shape}, expected {shape}")
+    if (x.shape[max(0, x.ndim - len(shape)):] if lead else x.shape) != shape:
+        raise ValidationError(f"{what} has shape {x.shape}, expected {'(...) + ' * lead}{shape}")
     return x
 
 
-def _vector(space: EnumSpace, reward) -> np.ndarray:
-    return _shaped("reward", reward, space.lengths.shape)
+def _vector(space: EnumSpace, reward, lead: bool = True) -> np.ndarray:
+    return _shaped("reward", reward, space.lengths.shape, lead)
 
 
 def _table(space: EnumSpace, rstar) -> np.ndarray:
-    return _shaped("prefix reward", rstar, space.child.shape)
+    return _shaped("prefix reward", rstar, space.child.shape, lead=True)
 
 
 def _ref_table(space: EnumSpace, ref_table) -> np.ndarray:
@@ -162,10 +163,11 @@ def _ref_mass(space: EnumSpace, ref_mass) -> np.ndarray:
 
 
 def along_sequences(space: EnumSpace, table: np.ndarray) -> np.ndarray:
-    """The (N, L) entries a (contexts, vocab) table assigns to every
-    position of every sequence; 0 past each sequence's end."""
-    live = space.seq_ctx >= 0
-    return np.where(live, table[space.seq_ctx, space.sequences], 0.0)
+    """The (..., N, L) entries a (..., contexts, vocab) table assigns to
+    every position of every sequence; 0 past each sequence's end."""
+    at = space.seq_ctx * space.vocab.size + space.sequences  # flat index of [seq_ctx, sequences]
+    flat = np.take(table.reshape(*table.shape[:-2], -1), at, axis=-1)
+    return np.where(space.seq_ctx >= 0, flat, 0.0)
 
 
 def reference_table(space: EnumSpace, ref: NGramPolicy, prompt: TokenSeq = ()) -> np.ndarray:
@@ -189,12 +191,12 @@ def ref_logmass(space: EnumSpace, ref_table) -> np.ndarray:
     return np.sum(along_sequences(space, _ref_table(space, ref_table)), axis=1)
 
 
-def random_reward(space: EnumSpace, rng, scale: float = 1.0) -> np.ndarray:
-    return scale * rng.standard_normal(len(space.sequences))
+def random_reward(space: EnumSpace, rng, scale: float = 1.0, lead: tuple = ()) -> np.ndarray:
+    return scale * rng.standard_normal((*lead, len(space.sequences)))
 
 
-def random_prefix_reward(space: EnumSpace, rng, scale: float = 1.0) -> np.ndarray:
-    return scale * rng.standard_normal(space.child.shape)
+def random_prefix_reward(space: EnumSpace, rng, scale: float = 1.0, lead: tuple = ()) -> np.ndarray:
+    return scale * rng.standard_normal((*lead, *space.child.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -204,14 +206,14 @@ def random_prefix_reward(space: EnumSpace, rng, scale: float = 1.0) -> np.ndarra
 
 def boltzmann_distribution(space: EnumSpace, reward, ref_mass, beta: float) -> np.ndarray:
     """Distribution proportional to pi_ref(y) * exp(r(y) / beta) over the
-    space, with ``ref_mass`` = ref_logmass(space, ref_table).
+    space, one per reward row, with ``ref_mass`` = ref_logmass(space, ref_table).
 
     This is the maximizer of kl_objective; normalization is exact over the
     enumerated sequences.
     """
     check_beta(beta)
     logw = _ref_mass(space, ref_mass) + _vector(space, reward) / beta
-    return np.exp(logw - logsumexp_values(logw))
+    return np.exp(logw - logsumexp_values(logw)[..., None])
 
 
 def kl_objective(space: EnumSpace, policy, reward, ref_mass, beta: float) -> float:
@@ -225,7 +227,7 @@ def kl_objective(space: EnumSpace, policy, reward, ref_mass, beta: float) -> flo
         raise ValidationError(f"policy mass {total!r} not normalized within 1e-9")
     if not np.all(policy >= 0):
         raise ValidationError("policy has negative probabilities")
-    r = _vector(space, reward)
+    r = _vector(space, reward, lead=False)
     ref_mass = _ref_mass(space, ref_mass)
     live = policy > 0
     kl = float(np.sum(policy[live] * (np.log(policy[live]) - ref_mass[live])))
@@ -272,7 +274,7 @@ def kl_objective_batch(
         raise ValidationError("a policy row is not finite or not normalized within 1e-9")
     if not np.min(policies, initial=1.0) > 0:
         raise ValidationError("batch objective requires strictly positive rows")
-    gain = _vector(space, reward) + beta * _ref_mass(space, ref_mass)
+    gain = _vector(space, reward, lead=False) + beta * _ref_mass(space, ref_mass)
     return policies @ gain - beta * np.einsum("ij,ij->i", policies, log_policies)
 
 
@@ -303,9 +305,7 @@ def additive_decompose(
                     and reproduces r up to the single constant V(empty).
     """
     reward = _vector(space, reward)
-    terminal = np.zeros(space.child.shape)
-    ends = space.seq_at >= 0
-    terminal[ends] = reward[space.seq_at[ends]]
+    terminal = np.where(space.seq_at >= 0, reward[..., space.seq_at], 0.0)
     if scheme == "terminal":
         return terminal
     if scheme != "soft_value":
@@ -316,14 +316,14 @@ def additive_decompose(
 
     base = _ref_table(space, ref_table)
     inner = space.child >= 0
-    value = np.zeros(len(space.contexts))
-    child_value = np.zeros(space.child.shape)
+    value = np.zeros(reward.shape[:-1] + space.ctx_len.shape)
+    child_value = np.zeros_like(terminal)
     for level in range(space.max_len - 1, -1, -1):
-        block = space.ctx_len == level
-        child_value[block] = np.where(inner[block], value[space.child[block]], 0.0)
-        scores = base[block] + (terminal[block] + child_value[block]) / beta
-        value[block] = beta * logsumexp_values(scores)
-    return terminal + child_value - value[:, None]
+        block = slice(*np.searchsorted(space.ctx_len, [level, level + 1]))  # ordered by length
+        child_value[..., block, :] = np.where(inner[block], value[..., space.child[block]], 0.0)
+        scores = base[block] + (terminal[..., block, :] + child_value[..., block, :]) / beta
+        value[..., block] = beta * logsumexp_values(scores)
+    return terminal + child_value - value[..., None]
 
 
 def uniform_decomposition(space: EnumSpace, reward) -> np.ndarray:
@@ -335,12 +335,12 @@ def uniform_decomposition(space: EnumSpace, reward) -> np.ndarray:
     """
     reward = _vector(space, reward)
     share = reward / space.lengths
-    return np.where(space.seq_ctx >= 0, share[:, None], 0.0)
+    return np.where(space.seq_ctx >= 0, share[..., None], 0.0)
 
 
 def decomposition_residual(space: EnumSpace, reward, rstar) -> float:
     """Max |sum of prefix contributions - r(y)| over the space."""
-    totals = np.sum(along_sequences(space, _table(space, rstar)), axis=1)
+    totals = np.sum(along_sequences(space, _table(space, rstar)), axis=-1)
     return float(np.max(np.abs(totals - _vector(space, reward))))
 
 
@@ -350,8 +350,8 @@ def energy_additivity_residual(space: EnumSpace, rstar, ref_table, beta: float) 
     check_beta(beta)
     r = along_sequences(space, _table(space, rstar))
     logps = along_sequences(space, _ref_table(space, ref_table))
-    prefix_total = np.sum(-r / beta - logps, axis=1)
-    whole = -np.sum(r, axis=1) / beta - np.sum(logps, axis=1)
+    prefix_total = np.sum(-r / beta - logps, axis=-1)
+    whole = -np.sum(r, axis=-1) / beta - np.sum(logps, axis=-1)
     return float(np.max(np.abs(prefix_total - whole)))
 
 
@@ -365,8 +365,8 @@ class ReparamResult:
     """Token-level policy induced by a prefix-wise reward.
 
     policy holds one normalized log-probability row over the vocabulary per
-    context; shift holds the per-context normalizer beta * log Z whose
-    subtraction from the reward makes it exactly beta * log(pi / pi_ref).
+    context (and draw); shift holds the per-context normalizer beta * log Z
+    whose subtraction from the reward makes it exactly beta * log(pi / pi_ref).
     """
 
     policy: np.ndarray
@@ -384,32 +384,32 @@ def reparameterize(space: EnumSpace, rstar, ref_table, beta: float) -> ReparamRe
     rstar = _table(space, rstar)
     base = _ref_table(space, ref_table)
     scores = base + rstar / beta
-    lse = logsumexp_values(scores)[:, None]
+    lse = logsumexp_values(scores)[..., None]
     policy = scores - lse
     shift = beta * lse
     residual = np.max(np.abs((rstar - shift) - beta * (policy - base)))
-    return ReparamResult(policy=policy, shift=shift[:, 0], max_residual=float(residual))
+    return ReparamResult(policy=policy, shift=shift[..., 0], max_residual=float(residual))
 
 
-def shift_invariance_residual(
-    space: EnumSpace, rstar, ref_table, beta: float, rng, scale: float = 1.0
-) -> float:
-    """Max row change of the induced policy under a random per-context shift."""
-    offsets = scale * rng.standard_normal(len(space.contexts))
+def shift_invariance_residual(space: EnumSpace, rstar, ref_table, beta: float, offsets) -> float:
+    """Max row change of the induced policy when every context's reward row
+    moves by its entry of ``offsets``, shaped like rstar without the vocab axis."""
+    rstar = _table(space, rstar)
+    offsets = _shaped("offsets", offsets, rstar.shape[:-1])
     base = reparameterize(space, rstar, ref_table, beta)
-    moved = reparameterize(space, _table(space, rstar) + offsets[:, None], ref_table, beta)
+    moved = reparameterize(space, rstar + offsets[..., None], ref_table, beta)
     return float(np.max(np.abs(base.policy - moved.policy)))
 
 
 def reconstruction_spread(space: EnumSpace, reward, ref_table, beta: float) -> float:
     """Full-pipeline check: decompose r, reparameterize, and measure how far
     beta * log(pi(y)/pi_ref(y)) - r(y) is from a single response-independent
-    constant (max minus min of the deviation across the space)."""
+    constant (max minus min of the deviation across the space, per draw)."""
     rstar = additive_decompose(space, reward, "soft_value", ref_table, beta)
     rep = reparameterize(space, rstar, ref_table, beta)
-    logp = np.sum(along_sequences(space, rep.policy), axis=1)
+    logp = np.sum(along_sequences(space, rep.policy), axis=-1)
     devs = beta * (logp - ref_logmass(space, ref_table)) - _vector(space, reward)
-    return float(np.max(devs) - np.min(devs))
+    return float(np.max(np.max(devs, axis=-1) - np.min(devs, axis=-1)))
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +423,23 @@ def _rng(seed: int, salt: int) -> np.random.Generator:
 
 def _reference(space: EnumSpace, rng) -> NGramPolicy:
     return NGramPolicy.random(space.vocab, order=2, rng=rng)
+
+
+def _draw_floats(space: EnumSpace) -> int:
+    """Float64 entries of the largest array a reward or prefix-reward draw
+    builds: its (N, L) gather or its (contexts, vocab) table."""
+    return max(space.sequences.size, space.child.size)
+
+
+def _blocks(draws: int, floats: int) -> list:
+    """(first draw, count) per block of about 256 KiB of ``floats``-entry draws."""
+    rows = max(1, 2**18 // (8 * floats))
+    return [(start, min(rows, draws - start)) for start in range(0, draws, rows)]
+
+
+def _by_beta(start: int, block: np.ndarray) -> list:
+    """(beta, strided row view) per beta; draw i uses (0.5, 1.0, 1.5)[i % 3]."""
+    return [((0.5, 1.0, 1.5)[(start + k) % 3], block[k::3]) for k in range(min(3, len(block)))]
 
 
 def _certificate(
@@ -446,13 +463,13 @@ def check_boltzmann(space: EnumSpace, seed: int, draws: int = 20) -> dict:
     limit (restriction-renormalization of the reference)."""
     rng = _rng(seed, 1)
     logmass = ref_logmass(space, reference_table(space, _reference(space, rng)))
+    n = len(space.sequences)
     residuals = []
-    for i in range(draws):
-        beta = (0.5, 1.0, 1.5)[i % 3]
-        p = boltzmann_distribution(space, random_reward(space, rng), logmass, beta)
-        residuals.append(abs(float(np.sum(p)) - 1.0))
-    zero = np.zeros(len(space.sequences))
-    p0 = boltzmann_distribution(space, zero, logmass, 1.0)
+    for start, count in _blocks(draws, n):
+        for beta, rewards in _by_beta(start, random_reward(space, rng, lead=(count,))):
+            p = boltzmann_distribution(space, rewards, logmass, beta)
+            residuals.append(np.max(np.abs(np.sum(p, axis=-1) - 1.0)))
+    p0 = boltzmann_distribution(space, np.zeros(n), logmass, 1.0)
     renorm = np.exp(logmass - logsumexp_values(logmass))
     residuals.append(np.max(np.abs(p0 - renorm)))
     worst = float(np.max(residuals))
@@ -472,16 +489,14 @@ def check_optimality(
     beta = 1.0
     optimum = boltzmann_distribution(space, reward, logmass, beta)
     best = kl_objective(space, optimum, reward, logmass, beta)
-    # about 256 KiB of float64 per block, so every pass after the draw stays in cache
-    rows = max(1, 2**18 // (8 * len(space.sequences)))
     gaps = []
-    for start in range(0, policies, rows):
-        block = random_log_policies(space, min(rows, policies - start), rng)
+    for _, count in _blocks(policies, len(space.sequences)):
+        block = random_log_policies(space, count, rng)
         gaps.append(np.min(best - kl_objective_batch(space, block, reward, logmass, beta)))
     residuals = [np.maximum(0.0, -np.min(gaps))]
-    for _ in range(draws):
-        rstar = random_prefix_reward(space, rng)
-        residuals.append(energy_additivity_residual(space, rstar, table, beta))
+    for _, count in _blocks(draws, _draw_floats(space)):
+        rstars = random_prefix_reward(space, rng, lead=(count,))
+        residuals.append(energy_additivity_residual(space, rstars, table, beta))
     worst = float(np.max(residuals))
     return _certificate("optimality", space, seed, worst, worst <= TOLERANCES["optimality"])
 
@@ -491,13 +506,11 @@ def check_decompose(space: EnumSpace, seed: int, draws: int = 100) -> dict:
     decompositions."""
     rng = _rng(seed, 3)
     residuals = []
-    for _ in range(draws):
-        reward = random_reward(space, rng)
-        residuals.append(
-            decomposition_residual(space, reward, additive_decompose(space, reward))
-        )
-        totals = np.sum(uniform_decomposition(space, reward), axis=1)
-        residuals.append(np.max(np.abs(totals - reward)))
+    for _, count in _blocks(draws, _draw_floats(space)):
+        rewards = random_reward(space, rng, lead=(count,))
+        residuals.append(decomposition_residual(space, rewards, additive_decompose(space, rewards)))
+        totals = np.sum(uniform_decomposition(space, rewards), axis=-1)
+        residuals.append(np.max(np.abs(totals - rewards)))
     worst = float(np.max(residuals))
     return _certificate("decompose", space, seed, worst, worst <= TOLERANCES["decompose"])
 
@@ -508,12 +521,14 @@ def check_reparam(space: EnumSpace, seed: int, draws: int = 20) -> dict:
     at 1e-12."""
     rng = _rng(seed, 4)
     table = reference_table(space, _reference(space, rng))
+    # one row per draw: its prefix reward, then its per-context offsets
+    cut, width = space.child.size, space.child.size + len(space.contexts)
     residuals, drifts = [], []
-    for i in range(draws):
-        beta = (0.5, 1.0, 1.5)[i % 3]
-        rstar = random_prefix_reward(space, rng)
-        residuals.append(reparameterize(space, rstar, table, beta).max_residual)
-        drifts.append(shift_invariance_residual(space, rstar, table, beta, rng))
+    for start, count in _blocks(draws, width):
+        for beta, rows in _by_beta(start, rng.standard_normal((count, width))):
+            rstars = rows[:, :cut].reshape(-1, *space.child.shape)
+            residuals.append(reparameterize(space, rstars, table, beta).max_residual)
+            drifts.append(shift_invariance_residual(space, rstars, table, beta, rows[:, cut:]))
     residual, drift = float(np.max(residuals)), float(np.max(drifts))
     passed = residual <= TOLERANCES["reparam"] and drift <= 1e-12
     return _certificate("reparam", space, seed, np.max([residual, drift]), passed)
@@ -525,10 +540,9 @@ def check_theorem1(space: EnumSpace, seed: int, draws: int = 20) -> dict:
     rng = _rng(seed, 5)
     table = reference_table(space, _reference(space, rng))
     spreads = []
-    for i in range(draws):
-        beta = (0.5, 1.0, 1.5)[i % 3]
-        reward = random_reward(space, rng)
-        spreads.append(reconstruction_spread(space, reward, table, beta))
+    for start, count in _blocks(draws, _draw_floats(space)):
+        for beta, rewards in _by_beta(start, random_reward(space, rng, lead=(count,))):
+            spreads.append(reconstruction_spread(space, rewards, table, beta))
     worst = float(np.max(spreads))
     return _certificate("theorem1", space, seed, worst, worst <= TOLERANCES["theorem1"])
 

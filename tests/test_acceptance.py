@@ -143,9 +143,10 @@ class TestA4ReparameterizationCompleteness:
             rstar = oracle.random_prefix_reward(space, rng)
             result = oracle.reparameterize(space, rstar, table, beta)
             worst_resid = max(worst_resid, result.max_residual)
+            offsets = rng.standard_normal(len(space.contexts))
             worst_shift = max(
                 worst_shift,
-                oracle.shift_invariance_residual(space, rstar, table, beta, rng),
+                oracle.shift_invariance_residual(space, rstar, table, beta, offsets),
             )
         elapsed = time.perf_counter() - start
         ok = worst_resid <= 1e-10 and worst_shift <= 1e-12 and elapsed < 60.0

@@ -354,6 +354,12 @@ class TestGradCheck:
         )
         assert report.max_rel_error < 1e-9
 
+    def test_transposed_parameter(self):
+        # a Fortran-ordered copy would make the probes miss the evaluated values
+        m = np.arange(6.0).reshape(2, 3) / 7.0
+        report = ad.grad_check(lambda g, p: ad.sum(ad.mul(p[0], p[0])), [m.T], h=1e-5)
+        assert report.max_rel_error < 1e-8
+
     def test_h_must_be_positive(self):
         with pytest.raises(ValueError):
             ad.grad_check(lambda g, p: ad.sum(p[0]), [np.array([1.0])], h=0.0)

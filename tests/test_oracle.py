@@ -1,6 +1,7 @@
 """Unit tests for the brute-force theory oracle."""
 
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -8,8 +9,11 @@ import numpy as np
 import pytest
 
 from preflab import lm, oracle
+from preflab.autodiff import logsumexp_values
 from preflab.errors import ValidationError
 from preflab.lm import NGramPolicy
+
+REAL_RNG = oracle._rng
 
 
 def eos_space(v=3, L=3):
@@ -44,6 +48,148 @@ def ctx_tuples(space):
 def renormalized(logmass):
     m = np.max(logmass)
     return np.exp(logmass - (m + math.log(np.sum(np.exp(logmass - m)))))
+
+
+class RecordingRng:
+    """A check's generator that keeps a copy of every standard normal draw
+    and, if ``spoil`` names a call, sets one entry of that call's middle row
+    to NaN."""
+
+    def __init__(self, seed, salt, spoil=None):
+        self.seed, self.salt, self.spoil = seed, salt, spoil
+        self.rng = REAL_RNG(seed, salt)
+        self.calls = []
+
+    def standard_normal(self, size):
+        out = self.rng.standard_normal(size)
+        if self.spoil == len(self.calls):
+            out[len(out) // 2].flat[0] = math.nan
+        self.calls.append(out.copy())
+        return out
+
+    def replay(self, n):
+        """The same stream taken as one draw of ``n`` values."""
+        return REAL_RNG(self.seed, self.salt).standard_normal(n)
+
+
+def run_recorded(monkeypatch, check, space, seed, spoil=None):
+    rngs = []
+
+    def recorded(seed, salt):
+        rngs.append(RecordingRng(seed, salt, spoil))
+        return rngs[-1]
+
+    monkeypatch.setattr(oracle, "_rng", recorded)
+    certificate = check(space, seed)
+    monkeypatch.setattr(oracle, "_rng", REAL_RNG)
+    (rng,) = rngs
+    return certificate, rng
+
+
+# The per-draw loops the checks ran before they drew in blocks: the reference
+# the blocked checks must reproduce byte for byte.
+
+
+def per_draw_boltzmann(space, seed, draws=20):
+    rng = oracle._rng(seed, 1)
+    table = oracle.reference_table(space, oracle._reference(space, rng))
+    logmass = oracle.ref_logmass(space, table)
+    residuals = []
+    for i in range(draws):
+        beta = (0.5, 1.0, 1.5)[i % 3]
+        p = oracle.boltzmann_distribution(space, oracle.random_reward(space, rng), logmass, beta)
+        residuals.append(abs(float(np.sum(p)) - 1.0))
+    zero = np.zeros(len(space.sequences))
+    p0 = oracle.boltzmann_distribution(space, zero, logmass, 1.0)
+    renorm = np.exp(logmass - logsumexp_values(logmass))
+    residuals.append(np.max(np.abs(p0 - renorm)))
+    worst = float(np.max(residuals))
+    return oracle._certificate("boltzmann", space, seed, worst, worst <= oracle.TOLERANCES["boltzmann"])
+
+
+def per_draw_optimality(space, seed, policies=10_000, draws=20):
+    rng = oracle._rng(seed, 2)
+    table = oracle.reference_table(space, oracle._reference(space, rng))
+    logmass = oracle.ref_logmass(space, table)
+    reward = oracle.random_reward(space, rng)
+    beta = 1.0
+    optimum = oracle.boltzmann_distribution(space, reward, logmass, beta)
+    best = oracle.kl_objective(space, optimum, reward, logmass, beta)
+    rows = max(1, 2**18 // (8 * len(space.sequences)))
+    gaps = []
+    for start in range(0, policies, rows):
+        block = oracle.random_log_policies(space, min(rows, policies - start), rng)
+        gaps.append(np.min(best - oracle.kl_objective_batch(space, block, reward, logmass, beta)))
+    residuals = [np.maximum(0.0, -np.min(gaps))]
+    for _ in range(draws):
+        rstar = oracle.random_prefix_reward(space, rng)
+        residuals.append(oracle.energy_additivity_residual(space, rstar, table, beta))
+    worst = float(np.max(residuals))
+    return oracle._certificate("optimality", space, seed, worst, worst <= oracle.TOLERANCES["optimality"])
+
+
+def per_draw_decompose(space, seed, draws=100):
+    rng = oracle._rng(seed, 3)
+    residuals = []
+    for _ in range(draws):
+        reward = oracle.random_reward(space, rng)
+        rstar = oracle.additive_decompose(space, reward)
+        residuals.append(oracle.decomposition_residual(space, reward, rstar))
+        totals = np.sum(oracle.uniform_decomposition(space, reward), axis=1)
+        residuals.append(np.max(np.abs(totals - reward)))
+    worst = float(np.max(residuals))
+    return oracle._certificate("decompose", space, seed, worst, worst <= oracle.TOLERANCES["decompose"])
+
+
+def per_draw_reparam(space, seed, draws=20):
+    rng = oracle._rng(seed, 4)
+    table = oracle.reference_table(space, oracle._reference(space, rng))
+    residuals, drifts = [], []
+    for i in range(draws):
+        beta = (0.5, 1.0, 1.5)[i % 3]
+        rstar = oracle.random_prefix_reward(space, rng)
+        residuals.append(oracle.reparameterize(space, rstar, table, beta).max_residual)
+        offsets = rng.standard_normal(len(space.contexts))
+        drifts.append(oracle.shift_invariance_residual(space, rstar, table, beta, offsets))
+    residual, drift = float(np.max(residuals)), float(np.max(drifts))
+    passed = residual <= oracle.TOLERANCES["reparam"] and drift <= 1e-12
+    return oracle._certificate("reparam", space, seed, np.max([residual, drift]), passed)
+
+
+def per_draw_theorem1(space, seed, draws=20):
+    rng = oracle._rng(seed, 5)
+    table = oracle.reference_table(space, oracle._reference(space, rng))
+    spreads = []
+    for i in range(draws):
+        beta = (0.5, 1.0, 1.5)[i % 3]
+        reward = oracle.random_reward(space, rng)
+        spreads.append(oracle.reconstruction_spread(space, reward, table, beta))
+    worst = float(np.max(spreads))
+    return oracle._certificate("theorem1", space, seed, worst, worst <= oracle.TOLERANCES["theorem1"])
+
+
+PER_DRAW = {
+    "boltzmann": per_draw_boltzmann,
+    "optimality": per_draw_optimality,
+    "decompose": per_draw_decompose,
+    "reparam": per_draw_reparam,
+    "theorem1": per_draw_theorem1,
+}
+
+
+def block_plan(space, check):
+    """How a check draws: the number of single draws before its blocks, then
+    per blocked stream its draws, the shape of one draw and the float64
+    entries of the largest array one draw builds."""
+    n, width = len(space.sequences), space.child.size + len(space.contexts)
+    largest = oracle._draw_floats(space)
+    return {
+        "boltzmann": (1, [(20, (n,), n)]),
+        "optimality": (2, [(10_000, (n,), n), (20, space.child.shape, largest)]),
+        "decompose": (0, [(100, (n,), largest)]),
+        "reparam": (1, [(20, (width,), width)]),
+        "theorem1": (1, [(20, (n,), largest)]),
+    }[check]
 
 
 class TestEnumSpace:
@@ -216,7 +362,7 @@ class TestBoltzmann:
             lambda: oracle.reparameterize(space, rstar, table, beta),
             lambda: oracle.additive_decompose(space, reward, "soft_value", table, beta),
             lambda: oracle.energy_additivity_residual(space, rstar, table, beta),
-            lambda: oracle.shift_invariance_residual(space, rstar, table, beta, np.random.default_rng(0)),
+            lambda: oracle.shift_invariance_residual(space, rstar, table, beta, rstar[:, 0]),
             lambda: oracle.reconstruction_spread(space, reward, table, beta),
         ]
         for call in calls:
@@ -230,6 +376,19 @@ class TestBoltzmann:
             oracle.boltzmann_distribution(space, np.zeros(3), logmass, 1.0)
         with pytest.raises(ValidationError):
             oracle.reparameterize(space, np.zeros(len(space.sequences)), table, 1.0)
+        # leading draw axes are accepted only before the right trailing shape
+        with pytest.raises(ValidationError, match=r"expected \(\.\.\.\) \+ "):
+            oracle.boltzmann_distribution(space, np.zeros((2, 3)), logmass, 1.0)
+        rstars = np.zeros((2,) + space.child.shape)
+        with pytest.raises(ValidationError, match="offsets"):
+            oracle.shift_invariance_residual(space, rstars, table, 1.0, rstars[0, :, 0])
+        # the objective is one number per call: it takes exactly one reward
+        rewards = np.zeros((2, len(space.sequences)))
+        log_policy = np.log(renormalized(logmass))
+        with pytest.raises(ValidationError, match="reward"):
+            oracle.kl_objective(space, renormalized(logmass), rewards, logmass, 1.0)
+        with pytest.raises(ValidationError, match="reward"):
+            oracle.kl_objective_batch(space, log_policy[None, :], rewards, logmass, 1.0)
 
     def test_wrong_reference_shape_rejected(self):
         # a table passed where the log mass belongs, and the other way round
@@ -329,38 +488,56 @@ class TestKlObjective:
                 ]
                 assert np.max(np.abs(batch - np.asarray(singles))) <= 1e-12
 
-    @pytest.mark.parametrize("v,L,mode", [(6, 5, "eos"), (3, 5, "fixed"), (4, 4, "eos")])
+    @pytest.mark.parametrize(
+        "v,L,mode", [(6, 5, "eos"), (3, 5, "fixed"), (4, 4, "eos"), (6, 5, "fixed")]
+    )
     def test_blocks_consume_one_draw_stream(self, monkeypatch, v, L, mode):
-        # 10,000 is not a multiple of these spaces' block rows
+        # every check draws in blocks of at most 256 KiB of float64 in the
+        # largest array a draw builds (one draw when that array is larger:
+        # decompose and theorem1 on fixed 6,5), and its blocks together are
+        # one large draw of its stream
         space = oracle.EnumSpace.build(v, L, mode)
         n = len(space.sequences)
-        rows = max(1, 2**18 // (8 * n))
-        assert 10_000 % rows != 0
-        blocks, rstars = [], []
-        real_draw, real_prefix = oracle.random_log_policies, oracle.random_prefix_reward
+        policy_blocks = []
+        real_draw = oracle.random_log_policies
 
         def draw(space, k, rng):
-            blocks.append(real_draw(space, k, rng))
-            return blocks[-1]
-
-        def prefix(space, rng):
-            rstars.append(real_prefix(space, rng))
-            return rstars[-1]
+            policy_blocks.append(real_draw(space, k, rng))
+            return policy_blocks[-1]
 
         monkeypatch.setattr(oracle, "random_log_policies", draw)
-        monkeypatch.setattr(oracle, "random_prefix_reward", prefix)
-        assert oracle.check_optimality(space, seed=3)["pass"]
-        assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
-        assert sum(len(b) for b in blocks) == 10_000
-        # replay the check's stream with one large draw
-        rng = oracle._rng(3, 2)
-        oracle._reference(space, rng)
-        oracle.random_reward(space, rng)
-        logits = rng.standard_normal((10_000, n))
-        assert np.array_equal(rstars[0], real_prefix(space, rng))
-        whole = logits - np.max(logits, axis=1, keepdims=True)
-        whole -= np.log(np.sum(np.exp(whole), axis=1, keepdims=True))
-        assert np.array_equal(np.concatenate(blocks), whole)
+        for name, check in oracle.CHECKS.items():
+            if name == "optimality" and mode == "fixed" and v == 6:
+                continue  # a copy of its 10,000 policies' draws would take 622 MB
+            certificate, rng = run_recorded(monkeypatch, check, space, seed=3)
+            assert certificate["pass"]
+            singles, streams = block_plan(space, name)
+            calls = rng.calls[singles:]
+            for draws, shape, floats in streams:
+                rows = max(1, 2**18 // (8 * floats))
+                counts = []
+                while sum(counts) < draws:
+                    block = calls.pop(0)
+                    assert block.shape == (len(block), *shape)
+                    assert len(block) == 1 or len(block) * floats * 8 <= 2**18
+                    counts.append(len(block))
+                assert counts[:-1] == [rows] * (len(counts) - 1)
+                assert sum(counts) == draws
+                if draws == 10_000:
+                    # 10,000 is not a multiple of these spaces' policy block
+                    # rows, so the final partial block is exercised
+                    assert counts[-1] != rows
+            assert calls == []
+            # replay the check's stream with one large draw
+            stream = np.concatenate([c.ravel() for c in rng.calls])
+            assert np.array_equal(stream, rng.replay(stream.size))
+            if name == "optimality":
+                # after the reference's logits and the reward
+                skip = rng.calls[0].size + rng.calls[1].size
+                logits = stream[skip : skip + 10_000 * n].reshape(10_000, n)
+                whole = logits - np.max(logits, axis=1, keepdims=True)
+                whole -= np.log(np.sum(np.exp(whole), axis=1, keepdims=True))
+                assert np.array_equal(np.concatenate(policy_blocks), whole)
 
     def test_blocked_sweep_stays_in_cache_sized_memory(self):
         # the unblocked sweep held two 1024 x 3125 float64 arrays (51 MB)
@@ -372,6 +549,17 @@ class TestKlObjective:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    def test_every_check_stays_in_cache_sized_memory(self):
+        space = fixed_space(6, 5)
+        for name, check in oracle.CHECKS.items():
+            tracemalloc.start()
+            try:
+                assert check(space, seed=0)["pass"]
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20, name
 
 
 class TestDecomposition:
@@ -473,7 +661,8 @@ class TestReparameterize:
         table = ref_table(space, seed=16)
         rng = np.random.default_rng(16)
         rstar = oracle.random_prefix_reward(space, rng)
-        assert oracle.shift_invariance_residual(space, rstar, table, 1.0, rng) <= 1e-12
+        offsets = rng.standard_normal(len(space.contexts))
+        assert oracle.shift_invariance_residual(space, rstar, table, 1.0, offsets) <= 1e-12
 
     def test_reconstruction_spread_small(self):
         for mode in ("eos", "fixed"):
@@ -495,6 +684,43 @@ class TestReparameterize:
         assert math.isnan(oracle.energy_additivity_residual(space, rstar, table, 1.0))
         reward = np.zeros(len(space.sequences))
         assert math.isnan(oracle.decomposition_residual(space, reward, rstar))
+
+
+class TestDrawAxes:
+    @pytest.mark.parametrize("v,L,mode", [(4, 3, "eos"), (3, 3, "fixed")])
+    def test_leading_axes_equal_stacked_draws(self, v, L, mode):
+        # every function maps over leading draw axes bit for bit, and every
+        # residual is the largest of its draws' residuals
+        space = oracle.EnumSpace.build(v, L, mode)
+        table = ref_table(space, seed=22)
+        logmass = oracle.ref_logmass(space, table)
+        rng = np.random.default_rng(22)
+        lead, beta = (2, 3), 0.7
+        r = rng.standard_normal(lead + space.lengths.shape)
+        t = rng.standard_normal(lead + space.child.shape)
+        o = rng.standard_normal(lead + space.ctx_len.shape)
+        draws = list(np.ndindex(*lead))
+        maps = {
+            "along": lambda r, t, o: oracle.along_sequences(space, t),
+            "boltzmann": lambda r, t, o: oracle.boltzmann_distribution(space, r, logmass, beta),
+            "terminal": lambda r, t, o: oracle.additive_decompose(space, r),
+            "soft": lambda r, t, o: oracle.additive_decompose(space, r, "soft_value", table, beta),
+            "uniform": lambda r, t, o: oracle.uniform_decomposition(space, r),
+            "policy": lambda r, t, o: oracle.reparameterize(space, t, table, beta).policy,
+            "shift": lambda r, t, o: oracle.reparameterize(space, t, table, beta).shift,
+        }
+        for name, f in maps.items():
+            single = np.stack([f(r[i], t[i], o[i]) for i in draws])
+            assert np.array_equal(f(r, t, o), single.reshape(lead + single.shape[1:])), name
+        residuals = {
+            "decompose": lambda r, t, o: oracle.decomposition_residual(space, r, t),
+            "energy": lambda r, t, o: oracle.energy_additivity_residual(space, t, table, beta),
+            "reparam": lambda r, t, o: oracle.reparameterize(space, t, table, beta).max_residual,
+            "shift": lambda r, t, o: oracle.shift_invariance_residual(space, t, table, beta, o),
+            "spread": lambda r, t, o: oracle.reconstruction_spread(space, r, table, beta),
+        }
+        for name, f in residuals.items():
+            assert f(r, t, o) == max(f(r[i], t[i], o[i]) for i in draws), name
 
 
 class TestCertificates:
@@ -541,16 +767,29 @@ class TestCertificates:
         assert a == b
 
     def test_nan_residual_does_not_certify(self, monkeypatch):
-        real = oracle.reparameterize
-        calls = []
+        # a NaN in the middle draw of a check's last block: np.max propagates
+        # it where Python's max(0.0, nan) would drop it behind finite residuals
+        for v, L, mode in ((3, 2, "eos"), (3, 5, "fixed")):
+            space = oracle.EnumSpace.build(v, L, mode)
+            for name, check in oracle.CHECKS.items():
+                _, rng = run_recorded(monkeypatch, check, space, seed=0)
+                last = len(rng.calls) - 1
+                assert len(rng.calls[last]) > 1
+                cert, _ = run_recorded(monkeypatch, check, space, seed=0, spoil=last)
+                assert math.isnan(cert["max_residual"]) and cert["pass"] is False, name
 
-        def later_draw_nan(*args, **kwargs):
-            result = real(*args, **kwargs)
-            calls.append(None)
-            if len(calls) == 4:
-                result.max_residual = math.nan
-            return result
-
-        monkeypatch.setattr(oracle, "reparameterize", later_draw_nan)
-        cert = oracle.run_checks(3, 2, seed=0, which="reparam")[0]
-        assert math.isnan(cert["max_residual"]) and cert["pass"] is False
+    @pytest.mark.parametrize(
+        "v,L,mode",
+        [(3, 1, "eos"), (4, 3, "eos"), (3, 4, "fixed"),
+         (5, 4, "fixed"), (6, 5, "eos"), (6, 5, "fixed")],
+    )
+    def test_blocked_checks_equal_per_draw_loops(self, v, L, mode):
+        # optimality's 10,000-policy loop is the same code on both sides and
+        # its stream is replayed in test_blocks_consume_one_draw_stream, so
+        # the comparison sweeps 1,000 policies to keep the test short
+        space = oracle.EnumSpace.build(v, L, mode)
+        for seed in range(4):
+            for name, check in oracle.CHECKS.items():
+                kwargs = {"policies": 1_000} if name == "optimality" else {}
+                blocked = json.dumps(check(space, seed, **kwargs), sort_keys=True)
+                assert blocked == json.dumps(PER_DRAW[name](space, seed, **kwargs), sort_keys=True)
