@@ -14,14 +14,18 @@ entry [c, t] belongs to the prefix "context c, then token t". Every check
 is a gather from such a table at (seq_ctx, sequences) plus a masked sum
 over at most ``MAX_LEN`` positions, a row-wise log-softmax, or a soft-value
 recursion of ``MAX_LEN`` vectorized levels. Rewards and prefix tables may
-carry leading draw axes, over which every residual reduces too.
+carry leading draw axes, over which every residual reduces too. beta is
+one number or one per draw, shaped like those leading axes; only
+``kl_objective``, ``kl_objective_batch`` and ``energy_additivity_residual``
+take one number alone.
 
 The reference enters every check as data: ``reference_table`` is the one
 function that reads an ``NGramPolicy`` (and a prompt), and each
 certificate calls it once. Prefix-level functions take that table;
 response-level ones take its chain-rule sum, ``ref_logmass``. Every check
-draws and scores its random draws in blocks of about 256 KiB from one stream,
-so every pass after the Gaussian draw runs in cache.
+takes its random draws in blocks of about 256 KiB from one stream and scores
+each block in one call, the block's betas a draw axis (see ``_betas``), so
+every pass after the Gaussian draw runs in cache.
 
 Spaces are hard-capped at vocab size 6 and length 5. Variable-length
 spaces are realized as EOS-terminated sequences, which makes the output
@@ -162,6 +166,23 @@ def _ref_mass(space: EnumSpace, ref_mass) -> np.ndarray:
     return _shaped("reference log mass", ref_mass, space.lengths.shape)
 
 
+def _beta(beta, lead: tuple = ()) -> np.ndarray:
+    """beta as an array that broadcasts over draws with leading shape
+    ``lead``: one number, or one per draw shaped ``lead`` (no draws: one
+    number only). Elementwise it enters as ``beta[..., None]`` (per sequence
+    or context) or ``beta[..., None, None]`` (per table entry)."""
+    b = np.asarray(beta, dtype=np.float64)
+    if not b.ndim:
+        check_beta(beta)
+        return b
+    if b.shape != lead:
+        raise ValidationError(f"beta has shape {b.shape}, expected ()" + f" or {lead}" * bool(lead))
+    bad = b[~(np.isfinite(b) & (b > 0))]
+    if bad.size:
+        raise ValidationError(f"beta must be finite and positive, got {bad[0]}")
+    return b
+
+
 def along_sequences(space: EnumSpace, table: np.ndarray) -> np.ndarray:
     """The (..., N, L) entries a (..., contexts, vocab) table assigns to
     every position of every sequence; 0 past each sequence's end."""
@@ -178,7 +199,9 @@ def reference_table(space: EnumSpace, ref: NGramPolicy, prompt: TokenSeq = ()) -
     this table, or its ``ref_logmass``, as data."""
     if not isinstance(ref, NGramPolicy) or ref.vocab != space.vocab:
         raise ValidationError("the oracle's reference must be an n-gram over the space's vocab")
-    contexts = np.pad(space.contexts, ((0, 0), (0, 1)))
+    # one slot past the longest context, for the row after it
+    contexts = np.zeros((len(space.contexts), space.max_len), dtype=space.contexts.dtype)
+    contexts[:, :-1] = space.contexts
     prompts = np.broadcast_to(np.asarray(prompt, dtype=np.intp), (len(contexts), len(prompt)))
     rows, _ = ref.stacked_rows(prompts, contexts)
     rows = rows.reshape(contexts.shape)[np.arange(len(contexts)), space.ctx_len]
@@ -204,22 +227,23 @@ def random_prefix_reward(space: EnumSpace, rng, scale: float = 1.0, lead: tuple 
 # ---------------------------------------------------------------------------
 
 
-def boltzmann_distribution(space: EnumSpace, reward, ref_mass, beta: float) -> np.ndarray:
+def boltzmann_distribution(space: EnumSpace, reward, ref_mass, beta) -> np.ndarray:
     """Distribution proportional to pi_ref(y) * exp(r(y) / beta) over the
     space, one per reward row, with ``ref_mass`` = ref_logmass(space, ref_table).
 
     This is the maximizer of kl_objective; normalization is exact over the
     enumerated sequences.
     """
-    check_beta(beta)
-    logw = _ref_mass(space, ref_mass) + _vector(space, reward) / beta
+    reward = _vector(space, reward)
+    beta = _beta(beta, reward.shape[:-1])
+    logw = _ref_mass(space, ref_mass) + reward / beta[..., None]
     return np.exp(logw - logsumexp_values(logw)[..., None])
 
 
 def kl_objective(space: EnumSpace, policy, reward, ref_mass, beta: float) -> float:
     """Expected reward minus beta times KL(policy || reference), exactly,
     with ``ref_mass`` = ref_logmass(space, ref_table)."""
-    check_beta(beta)
+    _beta(beta)  # one number only
     policy = _shaped("policy", policy, space.lengths.shape)
     total = float(np.sum(policy))
     # written so that NaN and infinite entries fail too
@@ -261,7 +285,7 @@ def kl_objective_batch(
     than kl_objective, so the two agree row by row to rounding. Callers
     sweeping thousands of policies pass cache-sized blocks.
     """
-    check_beta(beta)
+    _beta(beta)  # one number only
     log_policies = np.asarray(log_policies, dtype=np.float64)
     if log_policies.ndim != 2 or log_policies.shape[1] != len(space.sequences):
         raise ValidationError(
@@ -288,7 +312,7 @@ def additive_decompose(
     reward,
     scheme: str = "terminal",
     ref_table=None,
-    beta: float | None = None,
+    beta=None,
 ) -> np.ndarray:
     """Split a response-level reward into per-prefix contributions, a
     (contexts, vocab) table.
@@ -312,7 +336,7 @@ def additive_decompose(
         raise ValidationError(f"unknown decomposition scheme {scheme!r}")
     if ref_table is None or beta is None:
         raise ValidationError("soft_value decomposition needs ref_table and beta")
-    check_beta(beta)
+    beta = _beta(beta, reward.shape[:-1])[..., None]  # per context
 
     base = _ref_table(space, ref_table)
     inner = space.child >= 0
@@ -321,8 +345,8 @@ def additive_decompose(
     for level in range(space.max_len - 1, -1, -1):
         block = slice(*np.searchsorted(space.ctx_len, [level, level + 1]))  # ordered by length
         child_value[..., block, :] = np.where(inner[block], value[..., space.child[block]], 0.0)
-        scores = base[block] + (terminal[..., block, :] + child_value[..., block, :]) / beta
-        value[..., block] = beta * logsumexp_values(scores)
+        rewards = terminal[..., block, :] + child_value[..., block, :]
+        value[..., block] = beta * logsumexp_values(base[block] + rewards / beta[..., None])
     return terminal + child_value - value[..., None]
 
 
@@ -347,7 +371,7 @@ def decomposition_residual(space: EnumSpace, reward, rstar) -> float:
 def energy_additivity_residual(space: EnumSpace, rstar, ref_table, beta: float) -> float:
     """Summed prefix posterior energies vs. the response-level posterior
     energy of the reward the decomposition induces."""
-    check_beta(beta)
+    _beta(beta)  # one number only
     r = along_sequences(space, _table(space, rstar))
     logps = along_sequences(space, _ref_table(space, ref_table))
     prefix_total = np.sum(-r / beta - logps, axis=-1)
@@ -374,14 +398,14 @@ class ReparamResult:
     max_residual: float
 
 
-def reparameterize(space: EnumSpace, rstar, ref_table, beta: float) -> ReparamResult:
+def reparameterize(space: EnumSpace, rstar, ref_table, beta) -> ReparamResult:
     """Per-context Boltzmann policy pi(t|ctx) ~ pi_ref(t|ctx) exp(r*(ctx+t)/beta).
 
     The residual reports how far r* - shift lands from beta * log(pi/pi_ref)
     across every (context, token); it should sit at float rounding error.
     """
-    check_beta(beta)
     rstar = _table(space, rstar)
+    beta = _beta(beta, rstar.shape[:-2])[..., None, None]
     base = _ref_table(space, ref_table)
     scores = base + rstar / beta
     lse = logsumexp_values(scores)[..., None]
@@ -391,24 +415,32 @@ def reparameterize(space: EnumSpace, rstar, ref_table, beta: float) -> ReparamRe
     return ReparamResult(policy=policy, shift=shift[..., 0], max_residual=float(residual))
 
 
-def shift_invariance_residual(space: EnumSpace, rstar, ref_table, beta: float, offsets) -> float:
+def shift_invariance_residual(
+    space: EnumSpace, rstar, ref_table, beta, offsets, base: ReparamResult | None = None
+) -> float:
     """Max row change of the induced policy when every context's reward row
-    moves by its entry of ``offsets``, shaped like rstar without the vocab axis."""
+    moves by its entry of ``offsets``, shaped like rstar without the vocab axis.
+    ``base``, if given, is reparameterize(space, rstar, ref_table, beta),
+    reused instead of recomputed."""
     rstar = _table(space, rstar)
     offsets = _shaped("offsets", offsets, rstar.shape[:-1])
-    base = reparameterize(space, rstar, ref_table, beta)
+    if base is None:
+        base = reparameterize(space, rstar, ref_table, beta)
     moved = reparameterize(space, rstar + offsets[..., None], ref_table, beta)
     return float(np.max(np.abs(base.policy - moved.policy)))
 
 
-def reconstruction_spread(space: EnumSpace, reward, ref_table, beta: float) -> float:
+def reconstruction_spread(space: EnumSpace, reward, ref_table, ref_mass, beta) -> float:
     """Full-pipeline check: decompose r, reparameterize, and measure how far
     beta * log(pi(y)/pi_ref(y)) - r(y) is from a single response-independent
-    constant (max minus min of the deviation across the space, per draw)."""
+    constant (max minus min of the deviation across the space, per draw),
+    with ``ref_mass`` = ref_logmass(space, ref_table)."""
+    reward = _vector(space, reward)
+    beta = _beta(beta, reward.shape[:-1])
     rstar = additive_decompose(space, reward, "soft_value", ref_table, beta)
     rep = reparameterize(space, rstar, ref_table, beta)
     logp = np.sum(along_sequences(space, rep.policy), axis=-1)
-    devs = beta * (logp - ref_logmass(space, ref_table)) - _vector(space, reward)
+    devs = beta[..., None] * (logp - _ref_mass(space, ref_mass)) - reward
     return float(np.max(np.max(devs, axis=-1) - np.min(devs, axis=-1)))
 
 
@@ -437,9 +469,10 @@ def _blocks(draws: int, floats: int) -> list:
     return [(start, min(rows, draws - start)) for start in range(0, draws, rows)]
 
 
-def _by_beta(start: int, block: np.ndarray) -> list:
-    """(beta, strided row view) per beta; draw i uses (0.5, 1.0, 1.5)[i % 3]."""
-    return [((0.5, 1.0, 1.5)[(start + k) % 3], block[k::3]) for k in range(min(3, len(block)))]
+def _betas(start: int, count: int) -> np.ndarray:
+    """The betas of draws start .. start + count - 1: draw i uses
+    (0.5, 1.0, 1.5)[i % 3]."""
+    return np.take((0.5, 1.0, 1.5), np.arange(start, start + count) % 3)
 
 
 def _certificate(
@@ -466,9 +499,9 @@ def check_boltzmann(space: EnumSpace, seed: int, draws: int = 20) -> dict:
     n = len(space.sequences)
     residuals = []
     for start, count in _blocks(draws, n):
-        for beta, rewards in _by_beta(start, random_reward(space, rng, lead=(count,))):
-            p = boltzmann_distribution(space, rewards, logmass, beta)
-            residuals.append(np.max(np.abs(np.sum(p, axis=-1) - 1.0)))
+        rewards = random_reward(space, rng, lead=(count,))
+        p = boltzmann_distribution(space, rewards, logmass, _betas(start, count))
+        residuals.append(np.max(np.abs(np.sum(p, axis=-1) - 1.0)))
     p0 = boltzmann_distribution(space, np.zeros(n), logmass, 1.0)
     renorm = np.exp(logmass - logsumexp_values(logmass))
     residuals.append(np.max(np.abs(p0 - renorm)))
@@ -525,10 +558,11 @@ def check_reparam(space: EnumSpace, seed: int, draws: int = 20) -> dict:
     cut, width = space.child.size, space.child.size + len(space.contexts)
     residuals, drifts = [], []
     for start, count in _blocks(draws, width):
-        for beta, rows in _by_beta(start, rng.standard_normal((count, width))):
-            rstars = rows[:, :cut].reshape(-1, *space.child.shape)
-            residuals.append(reparameterize(space, rstars, table, beta).max_residual)
-            drifts.append(shift_invariance_residual(space, rstars, table, beta, rows[:, cut:]))
+        rows, betas = rng.standard_normal((count, width)), _betas(start, count)
+        rstars = rows[:, :cut].reshape(-1, *space.child.shape)
+        base = reparameterize(space, rstars, table, betas)
+        residuals.append(base.max_residual)
+        drifts.append(shift_invariance_residual(space, rstars, table, betas, rows[:, cut:], base))
     residual, drift = float(np.max(residuals)), float(np.max(drifts))
     passed = residual <= TOLERANCES["reparam"] and drift <= 1e-12
     return _certificate("reparam", space, seed, np.max([residual, drift]), passed)
@@ -539,10 +573,11 @@ def check_theorem1(space: EnumSpace, seed: int, draws: int = 20) -> dict:
     reward from the policy/reference log-ratio up to one constant."""
     rng = _rng(seed, 5)
     table = reference_table(space, _reference(space, rng))
+    logmass = ref_logmass(space, table)
     spreads = []
     for start, count in _blocks(draws, _draw_floats(space)):
-        for beta, rewards in _by_beta(start, random_reward(space, rng, lead=(count,))):
-            spreads.append(reconstruction_spread(space, rewards, table, beta))
+        rewards = random_reward(space, rng, lead=(count,))
+        spreads.append(reconstruction_spread(space, rewards, table, logmass, _betas(start, count)))
     worst = float(np.max(spreads))
     return _certificate("theorem1", space, seed, worst, worst <= TOLERANCES["theorem1"])
 

@@ -200,11 +200,12 @@ class TestA6RewardReconstruction:
         rng = np.random.default_rng(106)
         space = oracle.EnumSpace.build(3, 3, mode="eos")
         table = oracle.reference_table(space, lm.NGramPolicy.random(space.vocab, 2, rng))
+        logmass = oracle.ref_logmass(space, table)
         worst = 0.0
         for i in range(100):
             beta = (0.5, 1.0, 1.5)[i % 3]
             reward = oracle.random_reward(space, rng)
-            worst = max(worst, oracle.reconstruction_spread(space, reward, table, beta))
+            worst = max(worst, oracle.reconstruction_spread(space, reward, table, logmass, beta))
         elapsed = time.perf_counter() - start
         ok = worst <= 1e-9
         _report("A6", ok, f"max reconstruction spread = {worst:.3e}, {elapsed:.2f}s")

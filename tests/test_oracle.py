@@ -159,11 +159,12 @@ def per_draw_reparam(space, seed, draws=20):
 def per_draw_theorem1(space, seed, draws=20):
     rng = oracle._rng(seed, 5)
     table = oracle.reference_table(space, oracle._reference(space, rng))
+    logmass = oracle.ref_logmass(space, table)
     spreads = []
     for i in range(draws):
         beta = (0.5, 1.0, 1.5)[i % 3]
         reward = oracle.random_reward(space, rng)
-        spreads.append(oracle.reconstruction_spread(space, reward, table, beta))
+        spreads.append(oracle.reconstruction_spread(space, reward, table, logmass, beta))
     worst = float(np.max(spreads))
     return oracle._certificate("theorem1", space, seed, worst, worst <= oracle.TOLERANCES["theorem1"])
 
@@ -347,26 +348,52 @@ class TestBoltzmann:
         with pytest.raises(ValidationError):
             oracle.boltzmann_distribution(space, np.zeros(len(space.sequences)), ref_mass(space), 0.0)
 
-    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
-    def test_non_finite_beta_rejected(self, beta):
+    @pytest.mark.parametrize(
+        "beta,per_draw_ok",
+        [
+            pytest.param(math.nan, False, id="nan"),
+            pytest.param(math.inf, False, id="inf"),
+            pytest.param(-math.inf, False, id="-inf"),
+            pytest.param(0.0, False, id="zero"),
+            # one beta per draw, for two draws
+            pytest.param([1.0, math.nan], False, id="draw-nan"),
+            pytest.param([math.inf, 1.0], False, id="draw-inf"),
+            pytest.param([1.0, -math.inf], False, id="draw--inf"),
+            pytest.param([0.5, 0.0], False, id="draw-zero"),
+            pytest.param([-1.0, 1.0], False, id="draw-negative"),
+            # shapes other than the draws' leading (2,)
+            pytest.param(np.ones(3), False, id="shape-3"),
+            pytest.param(np.ones((2, 1)), False, id="shape-2x1"),
+            pytest.param(np.ones((1, 2)), False, id="shape-1x2"),
+            # a good per-draw beta, which only the scalar-beta functions refuse
+            pytest.param([0.5, 1.5], True, id="draw-good"),
+        ],
+    )
+    def test_non_finite_beta_rejected(self, beta, per_draw_ok):
+        # bad beta, scalar or per draw, is a ValidationError naming beta, never
+        # a numpy broadcast error or a TypeError from math.isfinite
         space = eos_space(4, 3)
         table = ref_table(space)
         logmass = oracle.ref_logmass(space, table)
-        reward = np.zeros(len(space.sequences))
-        rstar = np.zeros(space.child.shape)
+        rewards = np.zeros((2, len(space.sequences)))
+        rstars = np.zeros((2,) + space.child.shape)
         log_policies = oracle.random_log_policies(space, 2, np.random.default_rng(0))
-        calls = [
-            lambda: oracle.boltzmann_distribution(space, reward, logmass, beta),
-            lambda: oracle.kl_objective(space, np.exp(log_policies[0]), reward, logmass, beta),
-            lambda: oracle.kl_objective_batch(space, log_policies, reward, logmass, beta),
-            lambda: oracle.reparameterize(space, rstar, table, beta),
-            lambda: oracle.additive_decompose(space, reward, "soft_value", table, beta),
-            lambda: oracle.energy_additivity_residual(space, rstar, table, beta),
-            lambda: oracle.shift_invariance_residual(space, rstar, table, beta, rstar[:, 0]),
-            lambda: oracle.reconstruction_spread(space, reward, table, beta),
+        per_draw = [
+            lambda: oracle.boltzmann_distribution(space, rewards, logmass, beta),
+            lambda: oracle.reparameterize(space, rstars, table, beta),
+            lambda: oracle.additive_decompose(space, rewards, "soft_value", table, beta),
+            lambda: oracle.shift_invariance_residual(space, rstars, table, beta, rstars[..., 0]),
+            lambda: oracle.reconstruction_spread(space, rewards, table, logmass, beta),
         ]
-        for call in calls:
-            with pytest.raises(ValidationError):
+        scalar_only = [
+            lambda: oracle.kl_objective(space, np.exp(log_policies[0]), rewards[0], logmass, beta),
+            lambda: oracle.kl_objective_batch(space, log_policies, rewards[0], logmass, beta),
+            lambda: oracle.energy_additivity_residual(space, rstars, table, beta),
+        ]
+        for call in per_draw if per_draw_ok else []:
+            call()
+        for call in scalar_only + ([] if per_draw_ok else per_draw):
+            with pytest.raises(ValidationError, match="beta"):
                 call()
 
     def test_wrong_reward_shape_rejected(self):
@@ -404,6 +431,8 @@ class TestBoltzmann:
             lambda: oracle.reparameterize(space, rstar, logmass, 1.0),
             lambda: oracle.additive_decompose(space, reward, "soft_value", logmass, 1.0),
             lambda: oracle.energy_additivity_residual(space, rstar, logmass, 1.0),
+            lambda: oracle.reconstruction_spread(space, reward, logmass, logmass, 1.0),
+            lambda: oracle.reconstruction_spread(space, reward, table, table, 1.0),
         ]
         for call in calls:
             with pytest.raises(ValidationError, match="shape"):
@@ -668,10 +697,11 @@ class TestReparameterize:
         for mode in ("eos", "fixed"):
             space = oracle.EnumSpace.build(3, 3, mode=mode)
             table = ref_table(space, seed=17)
+            logmass = oracle.ref_logmass(space, table)
             rng = np.random.default_rng(17)
             for _ in range(20):
                 reward = oracle.random_reward(space, rng)
-                assert oracle.reconstruction_spread(space, reward, table, 1.0) <= 1e-9
+                assert oracle.reconstruction_spread(space, reward, table, logmass, 1.0) <= 1e-9
 
     def test_nan_prefix_reward_gives_nan_residual(self):
         space = eos_space(4, 3)
@@ -689,38 +719,46 @@ class TestReparameterize:
 class TestDrawAxes:
     @pytest.mark.parametrize("v,L,mode", [(4, 3, "eos"), (3, 3, "fixed")])
     def test_leading_axes_equal_stacked_draws(self, v, L, mode):
-        # every function maps over leading draw axes bit for bit, and every
-        # residual is the largest of its draws' residuals
+        # every function maps over leading draw axes bit for bit, with beta
+        # one number or one per draw, and every residual is the largest of
+        # its draws' residuals
         space = oracle.EnumSpace.build(v, L, mode)
         table = ref_table(space, seed=22)
         logmass = oracle.ref_logmass(space, table)
         rng = np.random.default_rng(22)
-        lead, beta = (2, 3), 0.7
+        lead = (2, 3)
         r = rng.standard_normal(lead + space.lengths.shape)
         t = rng.standard_normal(lead + space.child.shape)
         o = rng.standard_normal(lead + space.ctx_len.shape)
         draws = list(np.ndindex(*lead))
         maps = {
-            "along": lambda r, t, o: oracle.along_sequences(space, t),
-            "boltzmann": lambda r, t, o: oracle.boltzmann_distribution(space, r, logmass, beta),
-            "terminal": lambda r, t, o: oracle.additive_decompose(space, r),
-            "soft": lambda r, t, o: oracle.additive_decompose(space, r, "soft_value", table, beta),
-            "uniform": lambda r, t, o: oracle.uniform_decomposition(space, r),
-            "policy": lambda r, t, o: oracle.reparameterize(space, t, table, beta).policy,
-            "shift": lambda r, t, o: oracle.reparameterize(space, t, table, beta).shift,
+            "along": lambda r, t, o, b: oracle.along_sequences(space, t),
+            "boltzmann": lambda r, t, o, b: oracle.boltzmann_distribution(space, r, logmass, b),
+            "terminal": lambda r, t, o, b: oracle.additive_decompose(space, r),
+            "soft": lambda r, t, o, b: oracle.additive_decompose(space, r, "soft_value", table, b),
+            "uniform": lambda r, t, o, b: oracle.uniform_decomposition(space, r),
+            "policy": lambda r, t, o, b: oracle.reparameterize(space, t, table, b).policy,
+            "shift": lambda r, t, o, b: oracle.reparameterize(space, t, table, b).shift,
         }
-        for name, f in maps.items():
-            single = np.stack([f(r[i], t[i], o[i]) for i in draws])
-            assert np.array_equal(f(r, t, o), single.reshape(lead + single.shape[1:])), name
         residuals = {
-            "decompose": lambda r, t, o: oracle.decomposition_residual(space, r, t),
-            "energy": lambda r, t, o: oracle.energy_additivity_residual(space, t, table, beta),
-            "reparam": lambda r, t, o: oracle.reparameterize(space, t, table, beta).max_residual,
-            "shift": lambda r, t, o: oracle.shift_invariance_residual(space, t, table, beta, o),
-            "spread": lambda r, t, o: oracle.reconstruction_spread(space, r, table, beta),
+            "decompose": lambda r, t, o, b: oracle.decomposition_residual(space, r, t),
+            # scalar beta only
+            "energy": lambda r, t, o, b: oracle.energy_additivity_residual(space, t, table, 0.7),
+            "reparam": lambda r, t, o, b: oracle.reparameterize(space, t, table, b).max_residual,
+            "shift": lambda r, t, o, b: oracle.shift_invariance_residual(space, t, table, b, o),
+            "shift given its base": lambda r, t, o, b: oracle.shift_invariance_residual(
+                space, t, table, b, o, oracle.reparameterize(space, t, table, b)
+            ),
+            "spread": lambda r, t, o, b: oracle.reconstruction_spread(space, r, table, logmass, b),
         }
-        for name, f in residuals.items():
-            assert f(r, t, o) == max(f(r[i], t[i], o[i]) for i in draws), name
+        for beta in (0.7, rng.uniform(0.3, 2.0, lead)):
+            b = np.broadcast_to(beta, lead)
+            for name, f in maps.items():
+                single = np.stack([f(r[i], t[i], o[i], b[i]) for i in draws])
+                single = single.reshape(lead + single.shape[1:])
+                assert np.array_equal(f(r, t, o, beta), single), name
+            for name, f in residuals.items():
+                assert f(r, t, o, beta) == max(f(r[i], t[i], o[i], b[i]) for i in draws), name
 
 
 class TestCertificates:
@@ -760,6 +798,37 @@ class TestCertificates:
         assert counts == {
             "boltzmann": 1, "optimality": 1, "decompose": 0, "reparam": 1, "theorem1": 1,
         }
+
+    @pytest.mark.parametrize("v,L,mode", [(4, 3, "eos"), (3, 3, "fixed"), (6, 5, "fixed")])
+    def test_each_block_is_scored_in_one_call(self, monkeypatch, v, L, mode):
+        # beta is a draw axis, so a block is one call, not one per beta; reparam
+        # reuses the block's policy for the shift drift: two reparameterize
+        # calls per block, the block and its shifted twin
+        space = oracle.EnumSpace.build(v, L, mode)
+        calls = []
+        for name in ("boltzmann_distribution", "reparameterize", "reconstruction_spread"):
+
+            def counted(*args, _real=getattr(oracle, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(oracle, name, counted)
+
+        def blocks(check):
+            ((draws, _, floats),) = block_plan(space, check)[1]
+            return math.ceil(draws / max(1, 2**18 // (8 * floats)))
+
+        expected = {
+            # and one more for the zero-reward limit
+            "boltzmann": {"boltzmann_distribution": blocks("boltzmann") + 1},
+            "reparam": {"reparameterize": 2 * blocks("reparam")},
+            "theorem1": {"reconstruction_spread": blocks("theorem1"),
+                         "reparameterize": blocks("theorem1")},
+        }
+        for name, counts in expected.items():
+            calls.clear()
+            assert oracle.CHECKS[name](space, seed=0)["pass"]
+            assert {fn: calls.count(fn) for fn in set(calls)} == counts, name
 
     def test_repeatable(self):
         a = oracle.run_checks(3, 3, seed=5, which="all")
