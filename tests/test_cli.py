@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -485,6 +486,20 @@ class TestOracleCheckCommand:
         first = capsys.readouterr().out
         assert main(["oracle-check", "--space", "3,2", "--seed", "4"]) == 0
         assert capsys.readouterr().out == first
+
+    def test_time_per_check_goes_to_stderr(self, capsys):
+        from preflab import oracle
+
+        outs = []
+        for _ in range(2):
+            assert main(["oracle-check", "--space", "3,2", "--seed", "4", "--check", "all"]) == 0
+            captured = capsys.readouterr()
+            lines = captured.err.splitlines()
+            assert [line.split()[1] for line in lines] == list(oracle.CHECKS)
+            assert all(re.fullmatch(r"# [a-z0-9]+ \d+\.\d ms", line) for line in lines)
+            outs.append(captured.out)
+        # wall time never enters a certificate
+        assert outs[0] == outs[1]
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "cert.json"

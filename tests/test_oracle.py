@@ -107,7 +107,7 @@ def per_draw_boltzmann(space, seed, draws=20):
     return oracle._certificate("boltzmann", space, seed, worst, worst <= oracle.TOLERANCES["boltzmann"])
 
 
-def per_draw_optimality(space, seed, policies=10_000, draws=20):
+def per_draw_optimality(space, seed, policies=64):
     rng = oracle._rng(seed, 2)
     table = oracle.reference_table(space, oracle._reference(space, rng))
     logmass = oracle.ref_logmass(space, table)
@@ -115,15 +115,18 @@ def per_draw_optimality(space, seed, policies=10_000, draws=20):
     beta = 1.0
     optimum = oracle.boltzmann_distribution(space, reward, logmass, beta)
     best = oracle.kl_objective(space, optimum, reward, logmass, beta)
-    rows = max(1, 2**18 // (8 * len(space.sequences)))
-    gaps = []
-    for start in range(0, policies, rows):
-        block = oracle.random_log_policies(space, min(rows, policies - start), rng)
-        gaps.append(np.min(best - oracle.kl_objective_batch(space, block, reward, logmass, beta)))
-    residuals = [np.maximum(0.0, -np.min(gaps))]
-    for _ in range(draws):
-        rstar = oracle.random_prefix_reward(space, rng)
-        residuals.append(oracle.energy_additivity_residual(space, rstar, table, beta))
+    residuals = []
+    for _ in range(policies):
+        (log_policy,) = oracle.random_log_policies(space, 1, rng)
+        policy = np.exp(log_policy)
+        gap = best - oracle.kl_objective(space, policy, reward, logmass, beta)
+        kl = np.sum(policy * (log_policy - np.log(optimum)))
+        residuals += [abs(gap - beta * kl) / max(1.0, abs(best)), max(0.0, -gap)]
+    # the chain-rule statement takes no draws: the same code on both sides
+    rstar = oracle.additive_decompose(space, reward, "soft_value", table, beta)
+    policy = oracle.reparameterize(space, rstar, table, beta).policy
+    logp = np.sum(oracle.along_sequences(space, policy), axis=-1)
+    residuals.append(np.max(np.abs(np.exp(logp - logsumexp_values(logp)) - optimum)))
     worst = float(np.max(residuals))
     return oracle._certificate("optimality", space, seed, worst, worst <= oracle.TOLERANCES["optimality"])
 
@@ -186,7 +189,7 @@ def block_plan(space, check):
     largest = oracle._draw_floats(space)
     return {
         "boltzmann": (1, [(20, (n,), n)]),
-        "optimality": (2, [(10_000, (n,), n), (20, space.child.shape, largest)]),
+        "optimality": (2, [(64, (n,), n)]),
         "decompose": (0, [(100, (n,), largest)]),
         "reparam": (1, [(20, (width,), width)]),
         "theorem1": (1, [(20, (n,), largest)]),
@@ -502,8 +505,7 @@ class TestKlObjective:
             assert best - oracle.kl_objective(space, policy, reward, logmass, beta) >= -1e-12
 
     def test_batch_objective_matches_scalar(self):
-        # the batch sums p . (r + beta logmass) - beta sum p log p, the scalar
-        # sum p r - beta sum p (log p - logmass): equal up to rounding
+        # one arithmetic in one order: equal bit for bit, row by row
         rng = np.random.default_rng(7)
         for space in (eos_space(4, 3), fixed_space(3, 4)):
             logmass = ref_mass(space, seed=6)
@@ -515,7 +517,7 @@ class TestKlObjective:
                     oracle.kl_objective(space, p, reward, logmass, beta)
                     for p in np.exp(log_policies)
                 ]
-                assert np.max(np.abs(batch - np.asarray(singles))) <= 1e-12
+                assert np.array_equal(batch, singles)
 
     @pytest.mark.parametrize(
         "v,L,mode", [(6, 5, "eos"), (3, 5, "fixed"), (4, 4, "eos"), (6, 5, "fixed")]
@@ -536,8 +538,6 @@ class TestKlObjective:
 
         monkeypatch.setattr(oracle, "random_log_policies", draw)
         for name, check in oracle.CHECKS.items():
-            if name == "optimality" and mode == "fixed" and v == 6:
-                continue  # a copy of its 10,000 policies' draws would take 622 MB
             certificate, rng = run_recorded(monkeypatch, check, space, seed=3)
             assert certificate["pass"]
             singles, streams = block_plan(space, name)
@@ -552,10 +552,9 @@ class TestKlObjective:
                     counts.append(len(block))
                 assert counts[:-1] == [rows] * (len(counts) - 1)
                 assert sum(counts) == draws
-                if draws == 10_000:
-                    # 10,000 is not a multiple of these spaces' policy block
-                    # rows, so the final partial block is exercised
-                    assert counts[-1] != rows
+                if name == "optimality" and (v, L, mode) == (6, 5, "eos"):
+                    # 41 policies per block: a full block, then a partial one
+                    assert counts == [rows, draws - rows]
             assert calls == []
             # replay the check's stream with one large draw
             stream = np.concatenate([c.ravel() for c in rng.calls])
@@ -563,7 +562,7 @@ class TestKlObjective:
             if name == "optimality":
                 # after the reference's logits and the reward
                 skip = rng.calls[0].size + rng.calls[1].size
-                logits = stream[skip : skip + 10_000 * n].reshape(10_000, n)
+                logits = stream[skip : skip + 64 * n].reshape(64, n)
                 whole = logits - np.max(logits, axis=1, keepdims=True)
                 whole -= np.log(np.sum(np.exp(whole), axis=1, keepdims=True))
                 assert np.array_equal(np.concatenate(policy_blocks), whole)
@@ -806,7 +805,8 @@ class TestCertificates:
         # calls per block, the block and its shifted twin
         space = oracle.EnumSpace.build(v, L, mode)
         calls = []
-        for name in ("boltzmann_distribution", "reparameterize", "reconstruction_spread"):
+        for name in ("boltzmann_distribution", "reparameterize", "reconstruction_spread",
+                     "kl_objective_batch"):
 
             def counted(*args, _real=getattr(oracle, name), _name=name, **kwargs):
                 calls.append(_name)
@@ -821,6 +821,9 @@ class TestCertificates:
         expected = {
             # and one more for the zero-reward limit
             "boltzmann": {"boltzmann_distribution": blocks("boltzmann") + 1},
+            # one optimum and one chain-rule policy per certificate
+            "optimality": {"boltzmann_distribution": 1, "reparameterize": 1,
+                           "kl_objective_batch": blocks("optimality")},
             "reparam": {"reparameterize": 2 * blocks("reparam")},
             "theorem1": {"reconstruction_spread": blocks("theorem1"),
                          "reparameterize": blocks("theorem1")},
@@ -844,8 +847,27 @@ class TestCertificates:
                 _, rng = run_recorded(monkeypatch, check, space, seed=0)
                 last = len(rng.calls) - 1
                 assert len(rng.calls[last]) > 1
+                if name == "optimality":
+                    # optimality's last block is its policies: kl_objective_batch
+                    # refuses the NaN row, so no certificate is issued at all
+                    with pytest.raises(ValidationError, match="not finite"):
+                        run_recorded(monkeypatch, check, space, seed=0, spoil=last)
+                    continue
                 cert, _ = run_recorded(monkeypatch, check, space, seed=0, spoil=last)
                 assert math.isnan(cert["max_residual"]) and cert["pass"] is False, name
+            # a NaN in one prefix reward of the soft-value split reaches only
+            # optimality's chain-rule statement
+            real = oracle.additive_decompose
+
+            def spoiled(*args, **kwargs):
+                rstar = real(*args, **kwargs)
+                rstar[-1, 0] = math.nan
+                return rstar
+
+            monkeypatch.setattr(oracle, "additive_decompose", spoiled)
+            cert = oracle.check_optimality(space, seed=0)
+            monkeypatch.setattr(oracle, "additive_decompose", real)
+            assert math.isnan(cert["max_residual"]) and cert["pass"] is False
 
     @pytest.mark.parametrize(
         "v,L,mode",
@@ -853,12 +875,73 @@ class TestCertificates:
          (5, 4, "fixed"), (6, 5, "eos"), (6, 5, "fixed")],
     )
     def test_blocked_checks_equal_per_draw_loops(self, v, L, mode):
-        # optimality's 10,000-policy loop is the same code on both sides and
-        # its stream is replayed in test_blocks_consume_one_draw_stream, so
-        # the comparison sweeps 1,000 policies to keep the test short
+        # optimality's reference scores one policy at a time with the scalar
+        # kl_objective, whose arithmetic kl_objective_batch repeats row by row
         space = oracle.EnumSpace.build(v, L, mode)
         for seed in range(4):
             for name, check in oracle.CHECKS.items():
-                kwargs = {"policies": 1_000} if name == "optimality" else {}
-                blocked = json.dumps(check(space, seed, **kwargs), sort_keys=True)
-                assert blocked == json.dumps(PER_DRAW[name](space, seed, **kwargs), sort_keys=True)
+                blocked = json.dumps(check(space, seed), sort_keys=True)
+                assert blocked == json.dumps(PER_DRAW[name](space, seed), sort_keys=True)
+
+
+SWEEP = [
+    oracle.EnumSpace.build(v, L, mode)
+    for mode in oracle.MODES
+    for v in range(3, oracle.MAX_VOCAB + 1)
+    for L in range(1, oracle.MAX_LEN + 1)
+]
+
+
+def optimality_failures(policies=64):
+    """(space, seed) cases of the sweep at seeds 0-3 whose optimality
+    certificate fails, and those whose space holds two sequences or more."""
+    failed, several = set(), set()
+    for space, seed in itertools.product(SWEEP, range(4)):
+        case = (space.vocab.size, space.max_len, space.mode, seed)
+        if not oracle.check_optimality(space, seed, policies)["pass"]:
+            failed.add(case)
+        if len(space.sequences) > 1:
+            several.add(case)
+    return failed, several
+
+
+def boltzmann_off_in_beta(real=oracle.boltzmann_distribution):
+    return lambda space, reward, ref_mass, beta: real(space, reward, ref_mass, 1.01 * beta)
+
+
+def noise_for_soft_value(real=oracle.additive_decompose):
+    rng = np.random.default_rng(0)
+
+    def decompose(space, reward, scheme="terminal", ref_table=None, beta=None):
+        if scheme != "soft_value":
+            return real(space, reward, scheme, ref_table, beta)
+        return rng.normal(0.0, 50.0, np.shape(reward)[:-1] + space.child.shape)
+
+    return decompose
+
+
+class TestPlantedBugs:
+    @pytest.mark.parametrize(
+        "target,bug",
+        [
+            pytest.param("boltzmann_distribution", boltzmann_off_in_beta, id="beta-times-1.01"),
+            pytest.param("additive_decompose", noise_for_soft_value, id="noise-for-soft-value"),
+        ],
+    )
+    def test_optimality_fails_on_every_space_with_two_sequences(self, monkeypatch, target, bug):
+        # the 4 eos L=1 spaces hold one sequence (EOS alone), so pi* is [1.0]
+        # and no bug can move it there; the other 36 spaces fail at every seed
+        monkeypatch.setattr(oracle, target, bug())
+        failed, several = optimality_failures()
+        assert len(several) == 36 * 4
+        assert failed == several
+
+    def test_gibbs_identity_alone_sees_a_wrong_objective(self, monkeypatch):
+        # J(pi*) off by its beta: pi* and the chain rule are right, so only the
+        # identity can fail, and one policy is enough on every space
+        real = oracle.kl_objective
+        monkeypatch.setattr(
+            oracle, "kl_objective", lambda space, p, r, m, beta: real(space, p, r, m, 1.001 * beta)
+        )
+        failed, _ = optimality_failures(policies=1)
+        assert len(failed) == len(SWEEP) * 4
