@@ -13,6 +13,7 @@ import copy
 import json
 import os
 import re
+import shutil
 import sys
 import time
 from dataclasses import asdict
@@ -78,10 +79,10 @@ def cmd_train(args) -> int:
     with open(os.path.join(output_dir, "trainlog.csv"), "w", encoding="utf-8") as fh:
         fh.write(to_csv(TrainLogRow, result.log))
     for step, snapshot in result.checkpoints:
-        save_checkpoint(
-            snapshot, os.path.join(output_dir, f"checkpoint_{step:06d}.json"), digest
-        )
-    save_checkpoint(result.policy, os.path.join(output_dir, "final.json"), digest)
+        path = os.path.join(output_dir, f"checkpoint_{step:06d}.json")
+        save_checkpoint(snapshot, path, digest)
+    # train always snapshots the final step: final.json is that file's bytes
+    shutil.copyfile(path, os.path.join(output_dir, "final.json"))
     last = result.log[-1]
     print(
         f"trained {train_cfg.steps} steps: loss {last.loss:.6f}, "
@@ -115,8 +116,9 @@ def cmd_eval(args) -> int:
 
 
 def _checkpoint_step(path: str, fallback: int) -> int:
-    match = re.search(r"(\d+)", os.path.splitext(os.path.basename(path))[0])
-    return int(match.group(1)) if match else fallback
+    """The step in a checkpoint's file name: its last run of digits."""
+    runs = re.findall(r"\d+", os.path.splitext(os.path.basename(path))[0])
+    return int(runs[-1]) if runs else fallback
 
 
 def cmd_analyze(args) -> int:

@@ -11,6 +11,7 @@ import pytest
 
 import preflab
 from preflab.cli import main
+from preflab.lm import load_checkpoint, save_checkpoint
 
 
 def write_config(path, doc):
@@ -153,6 +154,22 @@ class TestTrain:
         assert (out_dir / "final.json").exists()
         assert (out_dir / "checkpoint_000006.json").exists()
         assert (out_dir / "checkpoint_000012.json").exists()
+
+    @pytest.mark.parametrize("steps,every", [(12, 6), (10, 4), (10, 0)])
+    def test_final_is_the_last_checkpoints_bytes(self, tmp_path, dataset_path, steps, every):
+        # train snapshots the final step whatever the interval, so final.json
+        # is that checkpoint's file, and it loads as the trained policy
+        out_dir = tmp_path / "run"
+        train = {"steps": steps, "batch_size": 4, "eval_every": 4,
+                 "checkpoint_every": every, "lr": 0.01}
+        cfg = train_config(tmp_path, out_dir, dataset_path, train=train)
+        assert main(["train", "--config", cfg]) == 0
+        final = (out_dir / "final.json").read_bytes()
+        assert final == (out_dir / f"checkpoint_{steps:06d}.json").read_bytes()
+        policy = load_checkpoint(str(out_dir / "final.json"))
+        resaved = tmp_path / "resaved.json"
+        save_checkpoint(policy, str(resaved), json.loads(final)["config_hash"])
+        assert resaved.read_bytes() == final
 
     def test_byte_identical_reruns(self, tmp_path, dataset_path):
         # same config (same output_dir) run twice: every output byte-stable
@@ -436,6 +453,19 @@ class TestEvalAnalyze:
         steps = {int(line.split(",")[0]) for line in lines[1:]}
         assert steps == {6, 12}
 
+
+    def test_analyze_labels_a_checkpoint_by_the_last_digits_of_its_name(
+        self, tmp_path, run_dir, dataset_path
+    ):
+        # "v2_checkpoint_000006" is step 6, not 2
+        ckpt = tmp_path / "v2_checkpoint_000006.json"
+        ckpt.write_bytes((run_dir / "checkpoint_000006.json").read_bytes())
+        out = tmp_path / "profile.csv"
+        argv = ["analyze", "--checkpoints", str(ckpt), "--ref", str(run_dir / "ref.json"),
+                "--data", str(dataset_path), "--out", str(out)]
+        assert main(argv) == 0
+        lines = out.read_text().strip().split("\n")[1:]
+        assert lines and {int(line.split(",")[0]) for line in lines} == {6}
 
     def test_analyze_bins_beyond_int64_exit_2(self, tmp_path, run_dir, dataset_path, capsys):
         out = tmp_path / "profile.csv"

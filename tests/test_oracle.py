@@ -184,15 +184,17 @@ PER_DRAW = {
 def block_plan(space, check):
     """How a check draws: the number of single draws before its blocks, then
     per blocked stream its draws, the shape of one draw and the float64
-    entries of the largest array one draw builds."""
+    entries of the largest array one draw builds: decompose's uniform split
+    is (N, L), and theorem1 builds no array larger than its prefix table
+    with the one slot that sums along sequences read past an end."""
     n, width = len(space.sequences), space.child.size + len(space.contexts)
-    largest = oracle._draw_floats(space)
+    table = space.child.size + 1
     return {
         "boltzmann": (1, [(20, (n,), n)]),
         "optimality": (2, [(64, (n,), n)]),
-        "decompose": (0, [(100, (n,), largest)]),
+        "decompose": (0, [(100, (n,), max(space.sequences.size, table))]),
         "reparam": (1, [(20, (width,), width)]),
-        "theorem1": (1, [(20, (n,), largest)]),
+        "theorem1": (1, [(20, (n,), table)]),
     }[check]
 
 
@@ -239,7 +241,7 @@ class TestEnumSpace:
         # the empty prefix is context 0, and every sequence starts there
         space = eos_space()
         assert space.ctx_len[0] == 0
-        assert np.all(space.seq_ctx[:, 0] == 0)
+        assert np.array_equal(space.flat_at[0], space.sequences[:, 0])
 
     def test_caps_enforced(self):
         with pytest.raises(ValidationError):
@@ -252,13 +254,14 @@ class TestEnumSpace:
             assert oracle.EnumSpace.build(3, 2, mode).mode == mode
 
     def test_scoring_domain_covers_prefix_closure(self):
-        # every nonempty prefix y[:i+1] is the table entry (seq_ctx[y, i], y[i])
+        # every nonempty prefix y[:i+1] is the table entry (c, y[i]) at flat
+        # index flat_at[i, y], with c the code of y[:i]
         space = eos_space(3, 3)
         contexts = ctx_tuples(space)
         for k, y in enumerate(seq_tuples(space)):
             for i in range(len(y)):
-                c = space.seq_ctx[k, i]
-                assert contexts[c] == y[:i]
+                c, t = divmod(int(space.flat_at[i, k]), space.vocab.size)
+                assert contexts[c] == y[:i] and t == y[i]
                 if i + 1 < len(y):
                     assert contexts[space.child[c, y[i]]] == y[: i + 1]
                 else:
@@ -274,11 +277,13 @@ class TestEnumSpace:
                 for t in range(space.vocab.size):
                     assert space.child[c, t] == code.get(ctx + (t,), -1)
                     assert space.seq_at[c, t] == seqs.get(ctx + (t,), -1)
+            # position-major; past the end, the slot after the flattened table
+            assert space.flat_at.shape == (space.max_len, len(seqs))
             for y, k in seqs.items():
                 assert space.lengths[k] == len(y)
-                expected = [code[y[:i]] for i in range(len(y))]
-                expected += [-1] * (space.max_len - len(y))
-                assert space.seq_ctx[k].tolist() == expected
+                expected = [code[y[:i]] * space.vocab.size + y[i] for i in range(len(y))]
+                expected += [space.child.size] * (space.max_len - len(y))
+                assert space.flat_at[:, k].tolist() == expected
 
     @pytest.mark.parametrize("v,L,mode", [(4, 3, "eos"), (3, 3, "fixed")])
     def test_reference_table_matches_conditional_row(self, v, L, mode):
@@ -525,8 +530,8 @@ class TestKlObjective:
     def test_blocks_consume_one_draw_stream(self, monkeypatch, v, L, mode):
         # every check draws in blocks of at most 256 KiB of float64 in the
         # largest array a draw builds (one draw when that array is larger:
-        # decompose and theorem1 on fixed 6,5), and its blocks together are
-        # one large draw of its stream
+        # decompose on fixed 6,5), and its blocks together are one large
+        # draw of its stream
         space = oracle.EnumSpace.build(v, L, mode)
         n = len(space.sequences)
         policy_blocks = []
@@ -607,7 +612,7 @@ class TestDecomposition:
         ones = np.flatnonzero(space.lengths == 1)
         assert ones.size > 0
         for k in ones:
-            assert rstar[space.seq_ctx[k, 0], space.sequences[k, 0]] == reward[k]
+            assert rstar.flat[space.flat_at[0, k]] == reward[k]
 
     def test_uniform_round_trips_per_sequence(self):
         space = fixed_space(3, 3)
@@ -634,7 +639,7 @@ class TestDecomposition:
         for k, n in enumerate(space.lengths):
             total = 0.0
             for i in range(n):
-                total += rstar[space.seq_ctx[k, i], space.sequences[k, i]]
+                total += rstar.flat[space.flat_at[i, k]]
             deviations.append(total - reward[k])
         assert max(deviations) - min(deviations) <= 1e-10
 
@@ -708,7 +713,7 @@ class TestReparameterize:
         rstar = oracle.random_prefix_reward(space, np.random.default_rng(18))
         # the last prefix of the last sequence: Python's max(0.0, nan) would
         # have hidden it behind the finite residuals before it
-        rstar[space.seq_ctx[-1, -1], space.sequences[-1, -1]] = math.nan
+        rstar.flat[space.flat_at[-1, -1]] = math.nan
         assert math.isnan(oracle.reparameterize(space, rstar, table, 1.0).max_residual)
         assert math.isnan(oracle.energy_additivity_residual(space, rstar, table, 1.0))
         reward = np.zeros(len(space.sequences))
@@ -945,3 +950,48 @@ class TestPlantedBugs:
         )
         failed, _ = optimality_failures(policies=1)
         assert len(failed) == len(SWEEP) * 4
+
+
+class TestShortAxisReductions:
+    """The column-by-column reductions give the bits of the numpy reductions
+    they replace on every sweep space: with and without leading draw axes,
+    one column at L = 1, and eos sequences that end before L."""
+
+    LEADS = [(), (3,), (2, 3)]
+
+    @pytest.mark.parametrize("space", SWEEP, ids=lambda s: f"{s.mode}-{s.vocab.size},{s.max_len}")
+    def test_sequence_sums_equal_summed_gathers(self, space):
+        rng = np.random.default_rng(space.child.size)
+        for lead in self.LEADS:
+            t = 10.0 ** rng.integers(-3, 4) * rng.standard_normal(lead + space.child.shape)
+            gathered = oracle.along_sequences(space, t)
+            sums = oracle.sequence_sums(space, t)
+            assert sums.shape == lead + space.lengths.shape
+            assert sums.tobytes() == np.sum(gathered, axis=-1).tobytes()
+            r = rng.standard_normal(lead + space.lengths.shape)
+            uniform = oracle.uniform_decomposition(space, r)
+            assert oracle._sum_columns(uniform).tobytes() == np.sum(uniform, axis=-1).tobytes()
+
+    @pytest.mark.parametrize("space", SWEEP, ids=lambda s: f"{s.mode}-{s.vocab.size},{s.max_len}")
+    def test_vocab_logsumexp_equals_logsumexp_values(self, space):
+        # scored as reparameterize scores: reference plus reward over a beta
+        # that is one number or one per draw
+        rng = np.random.default_rng(space.child.size)
+        table = ref_table(space, seed=space.child.size)
+        for lead in self.LEADS:
+            for beta in (0.7, rng.uniform(0.01, 2.0, lead)):
+                rstar = 3.0 * rng.standard_normal(lead + space.child.shape)
+                z = table + rstar / np.asarray(beta)[..., None, None]
+                lse = oracle.vocab_logsumexp(z)
+                assert lse.shape == lead + space.ctx_len.shape
+                assert lse.tobytes() == logsumexp_values(z).tobytes()
+
+    def test_special_values_follow_the_numpy_reductions(self):
+        # NaN and infinities propagate as the row reductions propagate them,
+        # and an all-negative-zero sum is +0.0, as numpy's is
+        z = np.array([[0.0, -np.inf, 1.0], [np.nan, 0.0, 2.0], [-np.inf] * 3, [np.inf, 0.0, 1.0]])
+        with np.errstate(invalid="ignore"):
+            assert oracle.vocab_logsumexp(z).tobytes() == logsumexp_values(z).tobytes()
+        x = np.array([[-0.0, -0.0], [np.inf, -np.inf], [np.nan, 1.0]])
+        with np.errstate(invalid="ignore"):
+            assert oracle._sum_columns(x).tobytes() == np.sum(x, axis=-1).tobytes()
