@@ -24,6 +24,7 @@ from .data import check_dataset, load_jsonl, save_jsonl, write_manifest
 from .errors import PreflabError, ValidationError
 from .lm import load_checkpoint, save_checkpoint
 from .losses import LossConfig
+from .seeds import check_seed
 from .trainer import ProfileRow, TrainLogRow, eval_pairs, prefix_reward_profile, to_csv, train
 
 
@@ -74,13 +75,12 @@ def cmd_train(args) -> int:
 
     os.makedirs(output_dir, exist_ok=True)
     cfgmod.write_resolved(resolved, output_dir)
-    digest = cfgmod.config_hash(resolved)
-    save_checkpoint(policy, os.path.join(output_dir, "ref.json"), digest)
+    save_checkpoint(policy, os.path.join(output_dir, "ref.json"))
     with open(os.path.join(output_dir, "trainlog.csv"), "w", encoding="utf-8") as fh:
         fh.write(to_csv(TrainLogRow, result.log))
     for step, snapshot in result.checkpoints:
         path = os.path.join(output_dir, f"checkpoint_{step:06d}.json")
-        save_checkpoint(snapshot, path, digest)
+        save_checkpoint(snapshot, path)
     # train always snapshots the final step: final.json is that file's bytes
     shutil.copyfile(path, os.path.join(output_dir, "final.json"))
     last = result.log[-1]
@@ -148,12 +148,15 @@ def cmd_oracle_check(args) -> int:
         vocab_size, max_len = int(parts[0]), int(parts[1])
     except ValueError as err:
         raise ValidationError(f"--space expects integers, got {args.space!r}") from err
+    names, seed = oracle.check_names(args.check), check_seed(args.seed)
+    # wall time goes to stderr only: the certificates stay byte-deterministic
+    start = time.perf_counter()
     space = oracle.EnumSpace.build(vocab_size, max_len, args.mode)
+    sys.stderr.write(f"# build {1e3 * (time.perf_counter() - start):.2f} ms\n")
     certificates = []
-    for name in oracle.check_names(args.check):
-        # wall time goes to stderr only: the certificates stay byte-deterministic
+    for name in names:
         start = time.perf_counter()
-        certificates.append(oracle.CHECKS[name](space, args.seed))
+        certificates.append(oracle.CHECKS[name](space, seed))
         sys.stderr.write(f"# {name} {1e3 * (time.perf_counter() - start):.1f} ms\n")
     text = json.dumps(certificates, sort_keys=True, indent=2) + "\n"
     sys.stdout.write(text)

@@ -18,7 +18,6 @@ keys are declared here.
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
 import os
 import typing
@@ -206,13 +205,6 @@ def require_section(resolved: dict, section: str) -> dict:
     if section not in resolved:
         raise ValidationError(f"missing required config section: {section}")
     return resolved[section]
-
-
-def config_hash(resolved: dict) -> str:
-    """Digest of the semantic run config (output locations excluded)."""
-    semantic = {k: v for k, v in resolved.items() if k != "output_dir"}
-    canonical = json.dumps(semantic, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def write_resolved(resolved: dict, output_dir) -> str:

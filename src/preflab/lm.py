@@ -403,7 +403,7 @@ def clone_frozen(policy: Policy) -> Policy:
     return frozen
 
 
-def save_checkpoint(policy: Policy, path, config_hash: str = "") -> None:
+def save_checkpoint(policy: Policy, path) -> None:
     doc = {
         "kind": policy.kind,
         "vocab": {
@@ -417,7 +417,6 @@ def save_checkpoint(policy: Policy, path, config_hash: str = "") -> None:
             name: {"shape": list(value.shape), "data": value.reshape(-1).tolist()}
             for name, value in policy.params.items()
         },
-        "config_hash": config_hash,
     }
     # json.dumps runs the C encoder; json.dump the pure-Python one (same bytes)
     text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"

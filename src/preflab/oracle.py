@@ -32,7 +32,10 @@ take one number alone.
 
 The reference enters every check as data: ``reference_table`` is the one
 function that reads an ``NGramPolicy`` (and a prompt), and each
-certificate calls it once. Prefix-level functions take that table;
+certificate calls it once. It reads the n-gram's logits directly: the
+table row of each context follows from its parent's by the n-gram's state
+recursion, and the values are the log-softmax that ``lm``'s scoring path
+applies, bit for bit. Prefix-level functions take that table;
 response-level ones take its chain-rule sum, ``ref_logmass``. Every check
 takes its random draws in blocks of about 256 KiB from one stream and scores
 each block in one call, the block's betas a draw axis (see ``_betas``), so
@@ -52,9 +55,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import logsumexp_values
+from .autodiff import log_softmax_values, logsumexp_values
 from .errors import ValidationError
-from .lm import NGramPolicy, TokenSeq, Vocab, vocab_logprobs
+from .lm import NGramPolicy, TokenSeq, Vocab, check_tokens
 from .losses import check_beta
 from .seeds import seed_sequence
 
@@ -78,7 +81,10 @@ class EnumSpace:
 
     Sequences and contexts are both ordered by length, then
     lexicographically. A context is addressed by its code, its row in the
-    per-context arrays; id -1 means "none" throughout.
+    per-context arrays; id -1 means "none" throughout. Over an alphabet of
+    w tokens (eos mode leaves EOS out of the contexts), those codes number a
+    complete w-ary tree breadth first, so ``build`` writes every array in
+    closed form, one vectorized step per length.
 
     sequences  (N, L) token ids, 0 past each sequence's end
     lengths    (N,) sequence lengths
@@ -114,49 +120,56 @@ class EnumSpace:
         if mode not in MODES:
             raise ValidationError(f"unknown space mode {mode!r}")
         vocab = Vocab(vocab_size)
+        alphabet = np.arange(vocab_size)
         if mode == "eos":
-            alphabet = np.array([t for t in range(vocab_size) if t != vocab.eos])
-        else:
-            alphabet = np.arange(vocab_size)
-        sizes = alphabet.size ** np.arange(max_len)
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
+            alphabet = alphabet[alphabet != vocab.eos]
+        w = alphabet.size
+        # w^l contexts of each length l, from code offsets[l] on
+        sizes = [w**l for l in range(max_len)]
+        offsets = [(w**l - 1) // (w - 1) for l in range(max_len + 1)]
         ctx_len = np.repeat(np.arange(max_len), sizes)
-        ctx_index = np.arange(offsets[-1]) - offsets[ctx_len]
-        contexts, _ = _walk(alphabet, offsets, ctx_len, ctx_index, max_len - 1)
+        n_ctx, inner = offsets[-1], offsets[-2]
+        # the contexts of length l + 1 are those of length l, each followed
+        # by every token of the alphabet: context k of a length has the
+        # base-w digits of k as its tokens
+        contexts = np.zeros((n_ctx, max_len - 1), dtype=int)
+        for l in range(max_len - 1):
+            level = contexts[offsets[l + 1] : offsets[l + 2]].reshape(sizes[l], w, -1)
+            level[:, :, :l] = contexts[offsets[l] : offsets[l + 1], None, :l]
+            level[:, :, l] = alphabet
+        # codes follow a complete w-ary tree in breadth-first order, so the
+        # children of context c are c * w + 1 ... c * w + w
+        child = np.full((n_ctx, vocab_size), -1)
+        child[:inner, alphabet] = np.arange(1, inner * w + 1).reshape(inner, w)
+        seq_at = np.full((n_ctx, vocab_size), -1)
         if mode == "eos":
             # one sequence per context: its tokens, then EOS
-            sequences, seq_ctx = _walk(alphabet, offsets, ctx_len, ctx_index, max_len)
-            sequences[np.arange(ctx_len.size), ctx_len] = vocab.eos
+            sequences = np.zeros((n_ctx, max_len), dtype=int)
+            sequences[:, :-1] = contexts
+            sequences[np.arange(n_ctx), ctx_len] = vocab.eos
             lengths = ctx_len + 1
+            seq_at[:, vocab.eos] = np.arange(n_ctx)
         else:
-            n = alphabet.size**max_len
-            depth = np.full(n, max_len)
-            sequences, seq_ctx = _walk(alphabet, offsets, depth, np.arange(n), max_len)
-            lengths = depth
-        child = np.full((ctx_len.size, vocab_size), -1)
-        seq_at = np.full((ctx_len.size, vocab_size), -1)
-        ys, pos = np.nonzero(seq_ctx >= 0)
-        ctx, tok = seq_ctx[ys, pos], sequences[ys, pos]
-        end = pos == lengths[ys] - 1
-        seq_at[ctx[end], tok[end]] = ys[end]
-        child[ctx[~end], tok[~end]] = seq_ctx[ys[~end], pos[~end] + 1]
+            # every context of length max_len - 1, followed by every token
+            sequences = np.empty((sizes[-1], w, max_len), dtype=int)
+            sequences[:, :, :-1] = contexts[inner:, None, :]
+            sequences[:, :, -1] = alphabet
+            sequences = sequences.reshape(-1, max_len)
+            lengths = np.full(len(sequences), max_len)
+            seq_at[inner:] = np.arange(len(sequences)).reshape(-1, w)
+        # one walk down the tree: position i of a sequence is its prefix code
+        # times v plus its token; eos sequences alive at position i are the
+        # suffix from offsets[i] on, as they are ordered by length
         flat_at = np.full((max_len, len(sequences)), child.size)
-        flat_at[pos, ys] = ctx * vocab_size + tok
+        at = np.zeros(len(sequences), dtype=int)
+        for i in range(max_len):
+            live = slice(offsets[i] if mode == "eos" else 0, None)
+            tokens = sequences[live, i]
+            flat_at[i, live] = at[live] * vocab_size + tokens
+            at[live] = child[at[live], tokens]
         return cls(
             vocab, max_len, mode, sequences, lengths, flat_at, contexts, ctx_len, child, seq_at
         )
-
-
-def _walk(alphabet, offsets, depth, index, width):
-    """Tokens and prefix codes of the strings over ``alphabet`` given by
-    their length ``depth`` and lexicographic ``index`` among strings of that
-    length: token i (0 past the end) and the context code of the first i
-    tokens (-1 past the end) for positions i < width."""
-    w = alphabet.size
-    up = depth[:, None] - np.arange(width)[None, :]
-    tokens = np.where(up > 0, alphabet[index[:, None] // w ** np.maximum(up - 1, 0) % w], 0)
-    codes = offsets[:width] + index[:, None] // w ** np.maximum(up, 0)
-    return tokens, np.where(up >= 0, codes, -1)
 
 
 def _shaped(what: str, x, shape: tuple, lead: bool = False) -> np.ndarray:
@@ -244,19 +257,36 @@ def vocab_logsumexp(z: np.ndarray) -> np.ndarray:
 
 def reference_table(space: EnumSpace, ref: NGramPolicy, prompt: TokenSeq = ()) -> np.ndarray:
     """log pi_ref(t | prompt + context) for every context and token: the
-    n-gram's ``lm.vocab_logprobs`` at the row of the slot after each context.
+    n-gram's log-softmax table at the row of the slot after each context.
+
+    That row is the base-v code of the last order - 1 ids before the slot,
+    BOS-filled on the left. It starts from the row after the prompt, whose
+    ids are checked here, and follows the state recursion
+    row(c + t) = (row(c) * v + t) mod v^(order - 1) down ``space.child``,
+    one vectorized step per context length. The table is
+    ``autodiff.log_softmax_values`` of the logits, the function the n-gram's
+    ``rows_forward`` applies, so it equals ``lm``'s scoring path bit for bit.
 
     The only function here that reads a policy; everything downstream takes
     this table, or its ``ref_logmass``, as data."""
     if not isinstance(ref, NGramPolicy) or ref.vocab != space.vocab:
         raise ValidationError("the oracle's reference must be an n-gram over the space's vocab")
-    # one slot past the longest context, for the row after it
-    contexts = np.zeros((len(space.contexts), space.max_len), dtype=space.contexts.dtype)
-    contexts[:, :-1] = space.contexts
-    prompts = np.broadcast_to(np.asarray(prompt, dtype=np.intp), (len(contexts), len(prompt)))
-    rows, _ = ref.stacked_rows(prompts, contexts)
-    rows = rows.reshape(contexts.shape)[np.arange(len(contexts)), space.ctx_len]
-    return vocab_logprobs(ref, rows)
+    v, span = space.vocab.size, space.vocab.size ** (ref.order - 1)
+    row = 0
+    for t in (space.vocab.bos,) * (ref.order - 1) + check_tokens(space.vocab, prompt):
+        row = (row * v + t) % span
+    # one slot past the contexts takes the writes of the -1 children
+    rows = np.empty(len(space.contexts) + 1, dtype=np.intp)
+    rows[0] = row
+    # contexts are ordered by length, so each length is one run of codes
+    lo, hi = 0, 1
+    for _ in range(space.max_len - 1):
+        kids = space.child[lo:hi]
+        step = rows[lo:hi, None] * v + np.arange(v)
+        step %= span
+        rows[kids] = step
+        lo, hi = hi, hi + np.count_nonzero(kids >= 0)
+    return log_softmax_values(ref.params["logits"], axis=1)[rows[:-1]]
 
 
 def ref_logmass(space: EnumSpace, ref_table) -> np.ndarray:

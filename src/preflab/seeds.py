@@ -20,11 +20,16 @@ STREAMS = {
 }
 
 
-def seed_sequence(seed: int, key: int) -> np.random.SeedSequence:
-    """Child ``key`` of the root ``seed``; a negative seed is refused."""
+def check_seed(seed: int) -> int:
+    """``seed``, refused if negative."""
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-    return np.random.SeedSequence(seed, spawn_key=(key,))
+    return seed
+
+
+def seed_sequence(seed: int, key: int) -> np.random.SeedSequence:
+    """Child ``key`` of the root ``seed``; a negative seed is refused."""
+    return np.random.SeedSequence(check_seed(seed), spawn_key=(key,))
 
 
 def child_rng(seed: int, stream: str) -> np.random.Generator:

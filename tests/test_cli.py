@@ -168,7 +168,7 @@ class TestTrain:
         assert final == (out_dir / f"checkpoint_{steps:06d}.json").read_bytes()
         policy = load_checkpoint(str(out_dir / "final.json"))
         resaved = tmp_path / "resaved.json"
-        save_checkpoint(policy, str(resaved), json.loads(final)["config_hash"])
+        save_checkpoint(policy, str(resaved))
         assert resaved.read_bytes() == final
 
     def test_byte_identical_reruns(self, tmp_path, dataset_path):
@@ -521,11 +521,13 @@ class TestOracleCheckCommand:
         from preflab import oracle
 
         outs = []
-        for _ in range(2):
-            assert main(["oracle-check", "--space", "3,2", "--seed", "4", "--check", "all"]) == 0
+        for check in ("all", "all", "reparam"):
+            assert main(["oracle-check", "--space", "3,2", "--seed", "4", "--check", check]) == 0
             captured = capsys.readouterr()
-            lines = captured.err.splitlines()
-            assert [line.split()[1] for line in lines] == list(oracle.CHECKS)
+            # the space's build time first, then one line per check
+            build, *lines = captured.err.splitlines()
+            assert re.fullmatch(r"# build \d+\.\d\d ms", build)
+            assert [line.split()[1] for line in lines] == oracle.check_names(check)
             assert all(re.fullmatch(r"# [a-z0-9]+ \d+\.\d ms", line) for line in lines)
             outs.append(captured.out)
         # wall time never enters a certificate

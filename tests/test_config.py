@@ -149,13 +149,6 @@ class TestOverrides:
 
 
 class TestHashAndWrite:
-    def test_hash_stable_and_sensitive(self):
-        a = cfgmod.resolve(minimal_train_config())
-        b = cfgmod.resolve(minimal_train_config())
-        assert cfgmod.config_hash(a) == cfgmod.config_hash(b)
-        c = cfgmod.resolve(minimal_train_config(seed=4))
-        assert cfgmod.config_hash(a) != cfgmod.config_hash(c)
-
     def test_write_resolved_round_trips(self, tmp_path):
         resolved = cfgmod.resolve(minimal_train_config())
         path = cfgmod.write_resolved(resolved, tmp_path)

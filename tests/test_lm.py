@@ -549,7 +549,7 @@ class TestCheckpoint:
             lm.NeuralPolicy.init(vocab, child_rng(3, "init"), context=4),
         ):
             path = tmp_path / f"{policy.kind}.json"
-            lm.save_checkpoint(policy, path, config_hash="abc")
+            lm.save_checkpoint(policy, path)
             loaded = lm.load_checkpoint(path)
             assert loaded.kind == policy.kind
             assert loaded.vocab == policy.vocab
@@ -564,7 +564,7 @@ class TestCheckpoint:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_bytes_equal_the_json_dump_writer(self, vocab, tmp_path):
-        def json_dump_writer(policy, path, config_hash):
+        def json_dump_writer(policy, path):
             # the former writer: the same document through json.dump's
             # pure-Python encoder
             doc = {
@@ -576,7 +576,6 @@ class TestCheckpoint:
                     name: {"shape": list(value.shape), "data": value.reshape(-1).tolist()}
                     for name, value in policy.params.items()
                 },
-                "config_hash": config_hash,
             }
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
@@ -586,9 +585,29 @@ class TestCheckpoint:
             lm.NGramPolicy.random(vocab, 3, np.random.default_rng(7)),
             lm.NeuralPolicy.init(vocab, child_rng(7, "init"), context=5, hidden_dim=16),
         ):
-            lm.save_checkpoint(policy, tmp_path / "new.json", config_hash="0f" * 32)
-            json_dump_writer(policy, tmp_path / "old.json", "0f" * 32)
+            lm.save_checkpoint(policy, tmp_path / "new.json")
+            json_dump_writer(policy, tmp_path / "old.json")
             assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+    def test_checkpoint_with_a_config_hash_still_loads(self, vocab, tmp_path):
+        # files written before the field was dropped carry "config_hash";
+        # nothing reads it, and they load to the same policy
+        for policy in (
+            lm.NGramPolicy.random(vocab, 2, np.random.default_rng(8)),
+            lm.NeuralPolicy.init(vocab, child_rng(8, "init"), context=3),
+        ):
+            saved, old = tmp_path / "saved.json", tmp_path / "old.json"
+            lm.save_checkpoint(policy, saved)
+            doc = json.loads(saved.read_text())
+            assert "config_hash" not in doc
+            old.write_text(json.dumps({**doc, "config_hash": "0f" * 32}))
+            loaded = lm.load_checkpoint(old)
+            assert (loaded.kind, loaded.vocab, loaded.hyper) == (policy.kind, policy.vocab, policy.hyper)
+            assert loaded.params.keys() == policy.params.keys()
+            for name, value in policy.params.items():
+                assert loaded.params[name].tobytes() == value.tobytes()
+            lm.save_checkpoint(loaded, tmp_path / "resaved.json")
+            assert (tmp_path / "resaved.json").read_bytes() == saved.read_bytes()
 
     def test_unknown_kind_rejected(self, vocab, tmp_path):
         path = tmp_path / "bad.json"

@@ -268,21 +268,38 @@ class TestEnumSpace:
                     assert space.seq_at[c, y[i]] == k
 
     def test_tables_agree(self):
-        for space in (eos_space(4, 3), fixed_space(3, 3), eos_space(3, 1)):
+        # on every sweep space (SWEEP, below)
+        for space in SWEEP:
+            v, L = space.vocab.size, space.max_len
+            n, n_ctx = len(space.sequences), len(space.contexts)
+            w = v - (space.mode == "eos")
+            assert n_ctx == sum(w**length for length in range(L))
+            assert n == (n_ctx if space.mode == "eos" else v**L)
+            # every field a platform int, so no build can narrow one silently
+            shapes = {
+                "sequences": (n, L), "lengths": (n,), "flat_at": (L, n),
+                "contexts": (n_ctx, L - 1), "ctx_len": (n_ctx,), "child": (n_ctx, v),
+                "seq_at": (n_ctx, v),
+            }
+            for name, shape in shapes.items():
+                field = getattr(space, name)
+                assert (field.dtype, field.shape) == (np.dtype(np.intp), shape), name
+            # id 0 past every end
+            assert not np.any(space.sequences[np.arange(L) >= space.lengths[:, None]])
+            assert not np.any(space.contexts[np.arange(L - 1) >= space.ctx_len[:, None]])
             contexts = ctx_tuples(space)
             code = {c: i for i, c in enumerate(contexts)}
             seqs = {y: k for k, y in enumerate(seq_tuples(space))}
             assert np.array_equal(space.ctx_len, [len(c) for c in contexts])
             for c, ctx in enumerate(contexts):
-                for t in range(space.vocab.size):
+                for t in range(v):
                     assert space.child[c, t] == code.get(ctx + (t,), -1)
                     assert space.seq_at[c, t] == seqs.get(ctx + (t,), -1)
             # position-major; past the end, the slot after the flattened table
-            assert space.flat_at.shape == (space.max_len, len(seqs))
             for y, k in seqs.items():
                 assert space.lengths[k] == len(y)
-                expected = [code[y[:i]] * space.vocab.size + y[i] for i in range(len(y))]
-                expected += [space.child.size] * (space.max_len - len(y))
+                expected = [code[y[:i]] * v + y[i] for i in range(len(y))]
+                expected += [space.child.size] * (L - len(y))
                 assert space.flat_at[:, k].tolist() == expected
 
     @pytest.mark.parametrize("v,L,mode", [(4, 3, "eos"), (3, 3, "fixed")])
@@ -294,6 +311,33 @@ class TestEnumSpace:
             table = oracle.reference_table(space, ref, prompt)
             for c, ctx in enumerate(ctx_tuples(space)):
                 assert np.array_equal(table[c], ref.conditional_row(prompt, ctx))
+
+    def test_reference_table_equals_the_scoring_path(self):
+        # lm's scoring path: vocab_logprobs at the row stacked_rows gives the
+        # slot after each context
+        rng = np.random.default_rng(22)
+        for space in SWEEP:
+            n_ctx = len(space.contexts)
+            padded = np.zeros((n_ctx, space.max_len), dtype=np.intp)
+            padded[:, :-1] = space.contexts
+            for order, prompt in itertools.product((1, 2, 3), ((), (2,), (0, 2))):
+                ref = NGramPolicy.random(space.vocab, order, rng)
+                prompts = np.broadcast_to(np.asarray(prompt, dtype=np.intp), (n_ctx, len(prompt)))
+                rows, _ = ref.stacked_rows(prompts, padded)
+                rows = rows.reshape(padded.shape)[np.arange(n_ctx), space.ctx_len]
+                expected = lm.vocab_logprobs(ref, rows)
+                table = oracle.reference_table(space, ref, prompt)
+                assert (table.dtype, table.shape) == (expected.dtype, expected.shape)
+                assert table.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_reference_prompt_ids_are_checked(self, order):
+        space = eos_space(4, 3)
+        ref = NGramPolicy.random(space.vocab, order, np.random.default_rng(order))
+        for bad in (-1, space.vocab.size):
+            for prompt in ((bad,), (0, bad), (bad, 0, 0, 0)):
+                with pytest.raises(ValidationError, match=f"token id {bad} out of range"):
+                    oracle.reference_table(space, ref, prompt)
 
     @pytest.mark.parametrize("v,L,mode", [(4, 3, "eos"), (3, 3, "fixed")])
     def test_ref_logmass_matches_seq_logprob(self, v, L, mode):
