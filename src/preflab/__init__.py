@@ -22,7 +22,6 @@ from .lm import (
     clone_frozen,
     load_checkpoint,
     save_checkpoint,
-    seq_logprob,
     token_logprobs,
 )
 from .losses import (
@@ -74,7 +73,6 @@ __all__ = [
     "save_checkpoint",
     "save_jsonl",
     "segment_pair",
-    "seq_logprob",
     "token_logprobs",
     "train",
     "xi_adaptive",

@@ -15,14 +15,13 @@ gradient.
 A graph owns its nodes; a node refers back to its graph only weakly, so a
 tape is freed by reference counting as soon as the caller drops it.
 
-The ops: ``sub``, ``mul``, ``sum``, ``log_sigmoid``, ``log_softmax``,
-``gather``, ``embed_lookup``, ``slice1d`` and ``weighted_segment_sum``.
-Segment reductions (DPO, ADPO and cADPO logits alike) go through the last
-one: a ``np.bincount`` over the concatenated side vectors of a whole
-batch, with per-position segment ids and weights. A model may also record
-a whole forward as one ``Node`` with a hand-derived backward, built from
-the helpers ``check_bounds`` and ``id_row_sums`` (the windowed neural
-policy does, in ``lm``).
+The ops: ``sub``, ``mul``, ``sum``, ``log_sigmoid``, ``slice1d`` and
+``weighted_segment_sum``. Segment reductions (DPO, ADPO and cADPO logits
+alike) go through the last one: a ``np.bincount`` over the concatenated
+side vectors of a whole batch, with per-position segment ids and weights.
+A model records its whole forward as one ``Node`` with a hand-derived
+backward, built from ``log_softmax_values`` and the helpers
+``check_bounds`` and ``id_row_sums`` (both policies in ``lm`` do).
 """
 
 from __future__ import annotations
@@ -59,12 +58,6 @@ class IndexBoundsError(IndexError):
 # ---------------------------------------------------------------------------
 
 
-def softplus_values(z):
-    """Stable softplus: log(1 + exp(z)) without overflow for any float64."""
-    z = np.asarray(z, dtype=np.float64)
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-
-
 def sigmoid_values(z):
     """Stable logistic sigmoid."""
     z = np.asarray(z, dtype=np.float64)
@@ -73,8 +66,10 @@ def sigmoid_values(z):
 
 
 def log_sigmoid_values(z):
-    """Stable log-sigmoid: -softplus(-z)."""
-    return -softplus_values(-np.asarray(z, dtype=np.float64))
+    """Stable log-sigmoid: -softplus(-z), with softplus(x) = max(x, 0) +
+    log1p(exp(-|x|)), which no float64 overflows."""
+    x = -np.asarray(z, dtype=np.float64)
+    return -(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))))
 
 
 def logsumexp_values(z, axis: int = -1):
@@ -263,16 +258,6 @@ def log_sigmoid(a) -> Node:
     return Node(graph, log_sigmoid_values(va), (a,), backward)
 
 
-def log_softmax(a, axis: int = -1) -> Node:
-    graph = _graph_of("log_softmax", a)
-    value = log_softmax_values(a.value, axis=axis)
-
-    def backward(g):
-        a.grad += g - np.exp(value) * np.sum(g, axis=axis, keepdims=True)
-
-    return Node(graph, value, (a,), backward)
-
-
 # ---------------------------------------------------------------------------
 # structural ops
 # ---------------------------------------------------------------------------
@@ -295,39 +280,6 @@ def id_row_sums(ids: Array, g: Array, shape: tuple[int, int]) -> Array:
     size = shape[0] * shape[1]
     bins = np.take(np.arange(size).reshape(shape), ids, axis=0)
     return np.bincount(bins.reshape(-1), weights=g.reshape(-1), minlength=size).reshape(shape)
-
-
-def gather(a, indices) -> Node:
-    """Row-aligned selection from a 2-D array: out[i] = a[i, indices[i]]."""
-    va = a.value
-    idx = np.asarray(indices, dtype=np.intp)
-    if va.ndim != 2 or idx.ndim != 1 or idx.shape[0] != va.shape[0]:
-        raise ShapeMismatchError("gather", va.shape, idx.shape)
-    check_bounds("gather", idx, va.shape[1])
-    rows = np.arange(va.shape[0])
-    graph = _graph_of("gather", a)
-
-    def backward(g):
-        # one (row, index) pair per row: a plain fancy-index add is exact
-        a.grad[rows, idx] += g
-
-    return Node(graph, va[rows, idx], (a,), backward)
-
-
-def embed_lookup(table, ids) -> Node:
-    """Select rows of a (v, d) table by integer id; repeated ids accumulate
-    (backward: ``id_row_sums``)."""
-    vt = table.value
-    idx = np.asarray(ids, dtype=np.intp)
-    if vt.ndim != 2:
-        raise ShapeMismatchError("embed_lookup", vt.shape, idx.shape)
-    check_bounds("embed_lookup", idx, vt.shape[0])
-    graph = _graph_of("embed_lookup", table)
-
-    def backward(g):
-        table.grad += id_row_sums(idx, g, vt.shape)
-
-    return Node(graph, np.take(vt, idx, axis=0), (table,), backward)
 
 
 def slice1d(a, start: int, stop: int) -> Node:

@@ -77,6 +77,9 @@ class BigramMatchTask:
             raise ValidationError(
                 f"bad response length range [{self.min_len}, {self.max_len}]"
             )
+        # the generator draws a length in [min_len, max_len] as an int64
+        if self.max_len > np.iinfo(np.int64).max:
+            raise ValidationError(f"max_len {self.max_len} does not fit in int64")
         if not math.isfinite(self.length_penalty):
             raise ValidationError(f"length_penalty must be finite, got {self.length_penalty}")
         if not (0.0 <= self.bigram_rate <= 1.0):

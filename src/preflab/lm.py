@@ -7,11 +7,11 @@ is its ``KINDS`` entry, a class that declares its hyperparameters with
 their defaults (``HYPER``), its parameter shapes (``shapes``), its initial
 draw (``init``), its row encoding (``stacked_rows``: one context row and
 target id per response position) and its forward (``rows_forward``: log
-pi(target | row) as a graph node). The constructor, the ``hyper``
-property and all scoring are written once, below, and bound in both
-classes. Conditional rows always go through log-softmax, so they
-normalize by construction and every conditional probability is strictly
-positive.
+pi(target | row) as one graph node with a hand-derived backward). The
+constructor, the ``hyper`` property and untracked scoring are written
+once, below, and bound in both classes. Conditional rows always go
+through log-softmax, so they normalize by construction and every
+conditional probability is strictly positive.
 
 Prompt tokens are never scored; only response tokens produce
 log-probabilities. Every model conditions on a fixed-width window of the
@@ -19,7 +19,8 @@ ids before each response position, BOS-filled where the window starts
 before its side. ``side_windows`` builds the windows of any number of
 sides (a prompt and a response each) in one pass over one id stream, with
 one vectorized bounds check; the neural model reads the windows as they
-are, the n-gram reads each window's base-v code as its table row.
+are, the n-gram folds each window through its state recursion ``step``
+into its table row.
 """
 
 from __future__ import annotations
@@ -177,20 +178,6 @@ def row_logprobs(policy, rows, targets) -> np.ndarray:
     return out
 
 
-def vocab_logprobs(policy, rows) -> np.ndarray:
-    """(rows, vocab) table of log pi(t | row) for every row and every id t."""
-    size = policy.vocab.size
-    targets = np.tile(np.arange(size), len(rows))
-    return row_logprobs(policy, np.repeat(rows, size, axis=0), targets).reshape(-1, size)
-
-
-def conditional_row(policy, prompt: Sequence[int], prefix: Sequence[int]) -> np.ndarray:
-    """Log-probability row over the vocab for the token after ``prefix``: the
-    last context row of ``prefix`` plus any token, scored for every id."""
-    rows, _ = context_rows(policy, prompt, tuple(prefix) + (policy.vocab.bos,))
-    return vocab_logprobs(policy, rows[-1:])[0]
-
-
 def _at_least_one(**widths) -> None:
     for name, value in widths.items():
         if value < 1:
@@ -267,24 +254,53 @@ class NGramPolicy:
         shape = cls.shapes(vocab, order=order)["logits"]
         return cls(vocab, {"logits": scale * rng.standard_normal(shape)}, order=order)
 
+    def step(self, rows, tokens):
+        """The table row after ``tokens`` follow contexts whose rows are
+        ``rows``: the state recursion (row * v + t) mod v^(order - 1), which
+        keeps the base-v code of the last order - 1 ids."""
+        return (rows * self.vocab.size + tokens) % self.vocab.size ** (self.order - 1)
+
+    def start_row(self, prompt: Sequence[int]) -> int:
+        """The table row of the first response position after ``prompt``,
+        whose ids are checked: order - 1 BOS ids, then the prompt, folded
+        through ``step``."""
+        row = 0
+        for t in (self.vocab.bos,) * (self.order - 1) + check_tokens(self.vocab, prompt):
+            row = self.step(row, t)
+        return row
+
     def stacked_rows(self, prompts, responses) -> tuple[np.ndarray, np.ndarray]:
-        """Table row (the base-v code of the context window) and target id of
-        every response position of every side, stacked (see side_windows)."""
-        width = self.order - 1
-        windows, targets = side_windows(self.vocab, width, prompts, responses)
-        powers = self.vocab.size ** np.arange(width - 1, -1, -1, dtype=np.intp)
-        return windows @ powers, targets
+        """Table row (each context window's columns folded through ``step``)
+        and target id of every response position of every side, stacked (see
+        side_windows)."""
+        windows, targets = side_windows(self.vocab, self.order - 1, prompts, responses)
+        rows = np.zeros(len(targets), dtype=np.intp)
+        for column in windows.T:
+            rows = self.step(rows, column)
+        return rows, targets
 
     def rows_forward(self, graph: ad.Graph, leaves, rows, targets) -> ad.Node:
-        table = ad.log_softmax(leaves["logits"], axis=1)
-        picked = ad.embed_lookup(table, rows)
-        return ad.gather(picked, targets)
+        """One node over the logits leaf: log-softmax the table, pick entry
+        [row, target] of every position. The backward bins the upstream
+        gradient by table cell in position order, then applies the
+        log-softmax's backward to the whole table."""
+        logits = leaves["logits"]
+        rows, targets = np.asarray(rows, dtype=np.intp), np.asarray(targets, dtype=np.intp)
+        ad.check_bounds("embed_lookup", rows, len(logits.value))
+        ad.check_bounds("gather", targets, self.vocab.size)
+        table = ad.log_softmax_values(logits.value, axis=1)
+
+        def backward(g):
+            cell = rows * self.vocab.size + targets
+            cells = np.bincount(cell, weights=g, minlength=table.size).reshape(table.shape)
+            logits.grad += cells - np.exp(table) * cells.sum(axis=1, keepdims=True)
+
+        return ad.Node(graph, table[rows, targets], (logits,), backward)
 
     __init__ = _construct
     hyper = _hyper
     context_rows = context_rows
     row_logprobs = row_logprobs
-    conditional_row = conditional_row
 
 
 class NeuralPolicy:
@@ -377,7 +393,6 @@ class NeuralPolicy:
     hyper = _hyper
     context_rows = context_rows
     row_logprobs = row_logprobs
-    conditional_row = conditional_row
 
 
 KINDS = {kind.kind: kind for kind in (NeuralPolicy, NGramPolicy)}
@@ -389,11 +404,6 @@ Policy = NGramPolicy | NeuralPolicy
 def token_logprobs(policy: Policy, prompt, response) -> np.ndarray:
     """Per-token conditional log-probabilities of the response."""
     return row_logprobs(policy, *context_rows(policy, prompt, response))
-
-
-def seq_logprob(policy: Policy, prompt, response) -> float:
-    """Sequence log-probability: the sum of token_logprobs entries."""
-    return float(np.sum(token_logprobs(policy, prompt, response)))
 
 
 def clone_frozen(policy: Policy) -> Policy:

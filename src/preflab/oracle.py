@@ -26,20 +26,20 @@ a log-sum-exp over 4 x 1,555 rows of 6 takes 1.0 ms, against 0.39 ms
 (2 cores, numpy 2.4, BLAS 1 thread). For an axis shorter than 8 numpy adds
 in order from 0.0, so both give the same bits. Rewards and prefix tables may
 carry leading draw axes, over which every residual reduces too. beta is
-one number or one per draw, shaped like those leading axes; only
-``kl_objective``, ``kl_objective_batch`` and ``energy_additivity_residual``
-take one number alone.
+one number or one per draw, shaped like those leading axes; only the
+objective J (``kl_objective_batch``, and ``kl_objective``, its one-row
+call) and ``energy_additivity_residual`` take one number alone.
 
 The reference enters every check as data: ``reference_table`` is the one
 function that reads an ``NGramPolicy`` (and a prompt), and each
 certificate calls it once. It reads the n-gram's logits directly: the
 table row of each context follows from its parent's by the n-gram's state
-recursion, and the values are the log-softmax that ``lm``'s scoring path
-applies, bit for bit. Prefix-level functions take that table;
-response-level ones take its chain-rule sum, ``ref_logmass``. Every check
-takes its random draws in blocks of about 256 KiB from one stream and scores
-each block in one call, the block's betas a draw axis (see ``_betas``), so
-every pass after the Gaussian draw runs in cache.
+recursion ``NGramPolicy.step``, and the values are the log-softmax that
+the n-gram's forward applies, bit for bit. Prefix-level functions take
+that table; response-level ones take its chain-rule sum, ``ref_logmass``.
+Every check takes its random draws in blocks of about 256 KiB from one
+stream and scores each block in one call, the block's betas a draw axis
+(see ``_betas``), so every pass after the Gaussian draw runs in cache.
 
 Spaces are hard-capped at vocab size 6 and length 5. Variable-length
 spaces are realized as EOS-terminated sequences, which makes the output
@@ -57,7 +57,7 @@ import numpy as np
 
 from .autodiff import log_softmax_values, logsumexp_values
 from .errors import ValidationError
-from .lm import NGramPolicy, TokenSeq, Vocab, check_tokens
+from .lm import NGramPolicy, TokenSeq, Vocab
 from .losses import check_beta
 from .seeds import seed_sequence
 
@@ -173,26 +173,13 @@ class EnumSpace:
 
 
 def _shaped(what: str, x, shape: tuple, lead: bool = False) -> np.ndarray:
+    """``x`` as float64, checked to have ``shape``, after any leading draw
+    axes if ``lead``: a per-sequence vector has the shape of
+    ``space.lengths``, a (contexts, vocab) table that of ``space.child``."""
     x = np.asarray(x, dtype=np.float64)
     if (x.shape[max(0, x.ndim - len(shape)):] if lead else x.shape) != shape:
         raise ValidationError(f"{what} has shape {x.shape}, expected {'(...) + ' * lead}{shape}")
     return x
-
-
-def _vector(space: EnumSpace, reward, lead: bool = True) -> np.ndarray:
-    return _shaped("reward", reward, space.lengths.shape, lead)
-
-
-def _table(space: EnumSpace, rstar) -> np.ndarray:
-    return _shaped("prefix reward", rstar, space.child.shape, lead=True)
-
-
-def _ref_table(space: EnumSpace, ref_table) -> np.ndarray:
-    return _shaped("reference table", ref_table, space.child.shape)
-
-
-def _ref_mass(space: EnumSpace, ref_mass) -> np.ndarray:
-    return _shaped("reference log mass", ref_mass, space.lengths.shape)
 
 
 def _beta(beta, lead: tuple = ()) -> np.ndarray:
@@ -219,12 +206,6 @@ def _padded(table: np.ndarray) -> np.ndarray:
     return np.concatenate((table.reshape(*lead, -1), np.zeros((*lead, 1))), axis=-1)
 
 
-def along_sequences(space: EnumSpace, table: np.ndarray) -> np.ndarray:
-    """The (..., N, L) entries a (..., contexts, vocab) table assigns to
-    every position of every sequence; 0 past each sequence's end."""
-    return np.take(_padded(table), space.flat_at.T, axis=-1)
-
-
 def _sum_columns(x: np.ndarray) -> np.ndarray:
     """np.sum(x, axis=-1) for a last axis shorter than 8, bit for bit:
     numpy adds such an axis in order from 0.0, as this loop does."""
@@ -235,10 +216,10 @@ def _sum_columns(x: np.ndarray) -> np.ndarray:
 
 
 def sequence_sums(space: EnumSpace, table: np.ndarray) -> np.ndarray:
-    """np.sum(along_sequences(space, table), axis=-1), bit for bit: the
-    (..., N) sums of a (..., contexts, vocab) table along every sequence,
-    one gather per position added in position order, with no (..., N, L)
-    array built."""
+    """The (..., N) sums of a (..., contexts, vocab) table along every
+    sequence: one gather per position added in position order, from 0.0,
+    with no (..., N, L) array built. That is np.sum over the sequences'
+    (..., N, L) gathered entries, 0 past each end, bit for bit."""
     flat = _padded(table)
     total = np.zeros((*flat.shape[:-1], len(space.sequences)))
     for at in space.flat_at:
@@ -259,32 +240,25 @@ def reference_table(space: EnumSpace, ref: NGramPolicy, prompt: TokenSeq = ()) -
     """log pi_ref(t | prompt + context) for every context and token: the
     n-gram's log-softmax table at the row of the slot after each context.
 
-    That row is the base-v code of the last order - 1 ids before the slot,
-    BOS-filled on the left. It starts from the row after the prompt, whose
-    ids are checked here, and follows the state recursion
-    row(c + t) = (row(c) * v + t) mod v^(order - 1) down ``space.child``,
-    one vectorized step per context length. The table is
-    ``autodiff.log_softmax_values`` of the logits, the function the n-gram's
-    ``rows_forward`` applies, so it equals ``lm``'s scoring path bit for bit.
+    The row of the empty context is ``ref.start_row(prompt)``, which checks
+    the prompt's ids; each context's row follows from its parent's by
+    ``ref.step`` down ``space.child``, one vectorized step per context
+    length. The table is ``autodiff.log_softmax_values`` of the logits, the
+    function the n-gram's ``rows_forward`` applies, so it equals ``lm``'s
+    scoring path bit for bit.
 
     The only function here that reads a policy; everything downstream takes
     this table, or its ``ref_logmass``, as data."""
     if not isinstance(ref, NGramPolicy) or ref.vocab != space.vocab:
         raise ValidationError("the oracle's reference must be an n-gram over the space's vocab")
-    v, span = space.vocab.size, space.vocab.size ** (ref.order - 1)
-    row = 0
-    for t in (space.vocab.bos,) * (ref.order - 1) + check_tokens(space.vocab, prompt):
-        row = (row * v + t) % span
     # one slot past the contexts takes the writes of the -1 children
     rows = np.empty(len(space.contexts) + 1, dtype=np.intp)
-    rows[0] = row
+    rows[0] = ref.start_row(prompt)
     # contexts are ordered by length, so each length is one run of codes
     lo, hi = 0, 1
     for _ in range(space.max_len - 1):
         kids = space.child[lo:hi]
-        step = rows[lo:hi, None] * v + np.arange(v)
-        step %= span
-        rows[kids] = step
+        rows[kids] = ref.step(rows[lo:hi, None], np.arange(space.vocab.size))
         lo, hi = hi, hi + np.count_nonzero(kids >= 0)
     return log_softmax_values(ref.params["logits"], axis=1)[rows[:-1]]
 
@@ -292,15 +266,11 @@ def reference_table(space: EnumSpace, ref: NGramPolicy, prompt: TokenSeq = ()) -
 def ref_logmass(space: EnumSpace, ref_table) -> np.ndarray:
     """Chain-rule log mass of every enumerated sequence under the reference
     whose ``reference_table`` is ``ref_table``."""
-    return sequence_sums(space, _ref_table(space, ref_table))
+    return sequence_sums(space, _shaped("reference table", ref_table, space.child.shape))
 
 
 def random_reward(space: EnumSpace, rng, scale: float = 1.0, lead: tuple = ()) -> np.ndarray:
     return scale * rng.standard_normal((*lead, len(space.sequences)))
-
-
-def random_prefix_reward(space: EnumSpace, rng, scale: float = 1.0, lead: tuple = ()) -> np.ndarray:
-    return scale * rng.standard_normal((*lead, *space.child.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -315,28 +285,39 @@ def boltzmann_distribution(space: EnumSpace, reward, ref_mass, beta) -> np.ndarr
     This is the maximizer of kl_objective; normalization is exact over the
     enumerated sequences.
     """
-    reward = _vector(space, reward)
+    reward = _shaped("reward", reward, space.lengths.shape, lead=True)
     beta = _beta(beta, reward.shape[:-1])
-    logw = _ref_mass(space, ref_mass) + reward / beta[..., None]
+    logw = _shaped("reference log mass", ref_mass, space.lengths.shape) + reward / beta[..., None]
     return np.exp(logw - logsumexp_values(logw)[..., None])
 
 
-def kl_objective(space: EnumSpace, policy, reward, ref_mass, beta: float) -> float:
-    """Expected reward minus beta times KL(policy || reference), exactly,
-    with ``ref_mass`` = ref_logmass(space, ref_table)."""
+def kl_objective_batch(space: EnumSpace, policies, reward, ref_mass, beta: float) -> np.ndarray:
+    """J(pi) = E_pi[r] - beta * KL(pi || reference), exactly, of every
+    (..., N) probability row ``policies``, with ``ref_mass`` =
+    ref_logmass(space, ref_table); 0 log 0 counts as 0.
+
+    Shapes are checked first; then every row must be non-negative and sum
+    to 1 within 1e-9, so negative, NaN and infinite entries fail.
+    """
     _beta(beta)  # one number only
+    policies = _shaped("policies", policies, space.lengths.shape, lead=True)
+    reward = _shaped("reward", reward, space.lengths.shape)
+    ref_mass = _shaped("reference log mass", ref_mass, space.lengths.shape)
+    # min/max propagate NaN, and NaN fails both comparisons
+    if not np.max(np.abs(np.sum(policies, axis=-1) - 1.0), initial=0.0) <= 1e-9:
+        raise ValidationError("a policy row is not finite or not normalized within 1e-9")
+    if not np.min(policies, initial=0.0) >= 0:
+        raise ValidationError("a policy row has negative probabilities")
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 * log 0, replaced by 0
+        terms = policies * (np.log(policies) - ref_mass)
+    kl = np.sum(np.where(policies > 0, terms, 0.0), axis=-1)
+    return np.sum(policies * reward, axis=-1) - beta * kl
+
+
+def kl_objective(space: EnumSpace, policy, reward, ref_mass, beta: float) -> float:
+    """kl_objective_batch of the one probability row ``policy``."""
     policy = _shaped("policy", policy, space.lengths.shape)
-    total = float(np.sum(policy))
-    # written so that NaN and infinite entries fail too
-    if not abs(total - 1.0) <= 1e-9:
-        raise ValidationError(f"policy mass {total!r} not normalized within 1e-9")
-    if not np.all(policy >= 0):
-        raise ValidationError("policy has negative probabilities")
-    r = _vector(space, reward, lead=False)
-    ref_mass = _ref_mass(space, ref_mass)
-    live = policy > 0
-    kl = float(np.sum(policy[live] * (np.log(policy[live]) - ref_mass[live])))
-    return float(np.sum(policy * r)) - beta * kl
+    return float(kl_objective_batch(space, policy, reward, ref_mass, beta))
 
 
 def random_log_policies(space: EnumSpace, n: int, rng) -> np.ndarray:
@@ -351,34 +332,6 @@ def random_log_policies(space: EnumSpace, n: int, rng) -> np.ndarray:
     logits -= np.max(logits, axis=1, keepdims=True)
     logits -= np.log(np.sum(np.exp(logits), axis=1, keepdims=True))
     return logits
-
-
-def kl_objective_batch(
-    space: EnumSpace, log_policies, reward, ref_mass, beta: float
-) -> np.ndarray:
-    """kl_objective of many full-support policies given as log-probability
-    rows, with ``ref_mass`` = ref_logmass(space, ref_table).
-
-    Each row is exponentiated, checked to be a normalized, strictly
-    positive distribution (NaN and infinite rows fail), and scored with
-    kl_objective's arithmetic in kl_objective's order, so row by row the
-    two are equal bit for bit.
-    """
-    _beta(beta)  # one number only
-    log_policies = np.asarray(log_policies, dtype=np.float64)
-    if log_policies.ndim != 2 or log_policies.shape[1] != len(space.sequences):
-        raise ValidationError(
-            f"policies have shape {log_policies.shape}, expected (n, {len(space.sequences)})"
-        )
-    with np.errstate(over="ignore"):  # an overflow fails the mass check below
-        policies = np.exp(log_policies)
-    # min/max propagate NaN, and NaN fails both comparisons
-    if not np.max(np.abs(np.sum(policies, axis=1) - 1.0), initial=0.0) <= 1e-9:
-        raise ValidationError("a policy row is not finite or not normalized within 1e-9")
-    if not np.min(policies, initial=1.0) > 0:
-        raise ValidationError("batch objective requires strictly positive rows")
-    kl = np.sum(policies * (np.log(policies) - _ref_mass(space, ref_mass)), axis=1)
-    return np.sum(policies * _vector(space, reward, lead=False), axis=1) - beta * kl
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +360,7 @@ def additive_decompose(
                     decomposition has an identically-zero per-context shift
                     and reproduces r up to the single constant V(empty).
     """
-    reward = _vector(space, reward)
+    reward = _shaped("reward", reward, space.lengths.shape, lead=True)
     terminal = np.where(space.seq_at >= 0, reward[..., space.seq_at], 0.0)
     if scheme == "terminal":
         return terminal
@@ -417,7 +370,7 @@ def additive_decompose(
         raise ValidationError("soft_value decomposition needs ref_table and beta")
     beta = _beta(beta, reward.shape[:-1])[..., None]  # per context
 
-    base = _ref_table(space, ref_table)
+    base = _shaped("reference table", ref_table, space.child.shape)
     inner = space.child >= 0
     value = np.zeros(reward.shape[:-1] + space.ctx_len.shape)
     child_value = np.zeros_like(terminal)
@@ -436,15 +389,15 @@ def uniform_decomposition(space: EnumSpace, reward) -> np.ndarray:
     prefix table, because distinct responses sharing a prefix would assign
     it different values.
     """
-    reward = _vector(space, reward)
+    reward = _shaped("reward", reward, space.lengths.shape, lead=True)
     share = reward / space.lengths
     return np.where(space.flat_at.T < space.child.size, share[..., None], 0.0)
 
 
 def decomposition_residual(space: EnumSpace, reward, rstar) -> float:
     """Max |sum of prefix contributions - r(y)| over the space."""
-    totals = sequence_sums(space, _table(space, rstar))
-    return float(np.max(np.abs(totals - _vector(space, reward))))
+    totals = sequence_sums(space, _shaped("prefix reward", rstar, space.child.shape, lead=True))
+    return float(np.max(np.abs(totals - _shaped("reward", reward, space.lengths.shape, lead=True))))
 
 
 def energy_additivity_residual(space: EnumSpace, rstar, ref_table, beta: float) -> float:
@@ -453,10 +406,10 @@ def energy_additivity_residual(space: EnumSpace, rstar, ref_table, beta: float) 
     sum, so this reads rounding error for any input; no certificate gates
     it."""
     _beta(beta)  # one number only
-    r = along_sequences(space, _table(space, rstar))
-    logps = along_sequences(space, _ref_table(space, ref_table))
-    prefix_total = np.sum(-r / beta - logps, axis=-1)
-    whole = -np.sum(r, axis=-1) / beta - np.sum(logps, axis=-1)
+    r = _shaped("prefix reward", rstar, space.child.shape, lead=True)
+    logps = _shaped("reference table", ref_table, space.child.shape)
+    prefix_total = sequence_sums(space, -r / beta - logps)
+    whole = -sequence_sums(space, r) / beta - sequence_sums(space, logps)
     return float(np.max(np.abs(prefix_total - whole)))
 
 
@@ -485,9 +438,9 @@ def reparameterize(space: EnumSpace, rstar, ref_table, beta) -> ReparamResult:
     The residual reports how far r* - shift lands from beta * log(pi/pi_ref)
     across every (context, token); it should sit at float rounding error.
     """
-    rstar = _table(space, rstar)
+    rstar = _shaped("prefix reward", rstar, space.child.shape, lead=True)
     beta = _beta(beta, rstar.shape[:-2])[..., None, None]
-    base = _ref_table(space, ref_table)
+    base = _shaped("reference table", ref_table, space.child.shape)
     # in place where the values stay the same, so that fewer block-sized
     # temporaries are alive at once
     policy = base + rstar / beta
@@ -507,7 +460,7 @@ def shift_invariance_residual(
     moves by its entry of ``offsets``, shaped like rstar without the vocab axis.
     ``base``, if given, is reparameterize(space, rstar, ref_table, beta),
     reused instead of recomputed."""
-    rstar = _table(space, rstar)
+    rstar = _shaped("prefix reward", rstar, space.child.shape, lead=True)
     offsets = _shaped("offsets", offsets, rstar.shape[:-1])
     if base is None:
         base = reparameterize(space, rstar, ref_table, beta)
@@ -520,12 +473,13 @@ def reconstruction_spread(space: EnumSpace, reward, ref_table, ref_mass, beta) -
     beta * log(pi(y)/pi_ref(y)) - r(y) is from a single response-independent
     constant (max minus min of the deviation across the space, per draw),
     with ``ref_mass`` = ref_logmass(space, ref_table)."""
-    reward = _vector(space, reward)
+    reward = _shaped("reward", reward, space.lengths.shape, lead=True)
     beta = _beta(beta, reward.shape[:-1])
     rstar = additive_decompose(space, reward, "soft_value", ref_table, beta)
     rep = reparameterize(space, rstar, ref_table, beta)
     logp = sequence_sums(space, rep.policy)
-    devs = beta[..., None] * (logp - _ref_mass(space, ref_mass)) - reward
+    ref_mass = _shaped("reference log mass", ref_mass, space.lengths.shape)
+    devs = beta[..., None] * (logp - ref_mass) - reward
     return float(np.max(np.max(devs, axis=-1) - np.min(devs, axis=-1)))
 
 
@@ -620,8 +574,9 @@ def check_optimality(space: EnumSpace, seed: int, policies: int = 64) -> dict:
     residuals = []
     for _, count in _blocks(policies, len(space.sequences)):
         block = random_log_policies(space, count, rng)
-        gaps = best - kl_objective_batch(space, block, reward, logmass, beta)
-        kl = np.sum(np.exp(block) * (block - log_optimum), axis=1)
+        probs = np.exp(block)
+        gaps = best - kl_objective_batch(space, probs, reward, logmass, beta)
+        kl = np.sum(probs * (block - log_optimum), axis=1)
         residuals.append(np.max(np.abs(gaps - beta * kl)) / max(1.0, abs(best)))
         residuals.append(np.maximum(0.0, -np.min(gaps)))
     rstar = additive_decompose(space, reward, "soft_value", table, beta)

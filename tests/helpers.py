@@ -1,0 +1,44 @@
+"""Scoring and draws that only tests use.
+
+The scoring here is the tests' independent path to a policy's
+conditionals: it calls the public ``row_logprobs`` once per id and row,
+whereas the oracle reads an n-gram's table through its state recursion,
+so each can be checked against the other.
+"""
+
+import numpy as np
+
+from preflab import lm
+
+
+def vocab_logprobs(policy, rows) -> np.ndarray:
+    """(rows, vocab) table of log pi(t | row) for every row and every id t."""
+    size = policy.vocab.size
+    targets = np.tile(np.arange(size), len(rows))
+    return lm.row_logprobs(policy, np.repeat(rows, size, axis=0), targets).reshape(-1, size)
+
+
+def conditional_row(policy, prompt, prefix) -> np.ndarray:
+    """Log-probability row over the vocab for the token after ``prefix``: the
+    last context row of ``prefix`` plus any token, scored for every id."""
+    rows, _ = policy.context_rows(prompt, tuple(prefix) + (policy.vocab.bos,))
+    return vocab_logprobs(policy, rows[-1:])[0]
+
+
+def seq_logprob(policy, prompt, response) -> float:
+    """Sequence log-probability: the sum of token_logprobs entries."""
+    return float(np.sum(lm.token_logprobs(policy, prompt, response)))
+
+
+def random_prefix_reward(space, rng, scale: float = 1.0, lead: tuple = ()) -> np.ndarray:
+    """Gaussian (..., contexts, vocab) prefix rewards over an oracle space."""
+    return scale * rng.standard_normal((*lead, *space.child.shape))
+
+
+def along_sequences(space, table) -> np.ndarray:
+    """The (..., N, L) entries a (..., contexts, vocab) table assigns to
+    every position of every sequence of an oracle space; 0 past each end."""
+    table = np.asarray(table, dtype=np.float64)
+    lead = table.shape[:-2]
+    flat = np.concatenate((table.reshape(*lead, -1), np.zeros((*lead, 1))), axis=-1)
+    return np.take(flat, space.flat_at.T, axis=-1)

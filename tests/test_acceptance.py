@@ -21,6 +21,8 @@ from preflab.cli import main as cli_main
 from preflab.composition import segment_pair
 from preflab.seeds import child_rng
 
+from helpers import random_prefix_reward
+
 
 def _report(name: str, ok: bool, detail: str) -> None:
     print(f"[{name}] {'PASS' if ok else 'FAIL'} ({detail})")
@@ -140,7 +142,7 @@ class TestA4ReparameterizationCompleteness:
             beta = (0.5, 1.0, 1.5)[i % 3]
             space = oracle.EnumSpace.build(v, length, mode=mode)
             table = oracle.reference_table(space, lm.NGramPolicy.random(space.vocab, 2, rng))
-            rstar = oracle.random_prefix_reward(space, rng)
+            rstar = random_prefix_reward(space, rng)
             result = oracle.reparameterize(space, rstar, table, beta)
             worst_resid = max(worst_resid, result.max_residual)
             offsets = rng.standard_normal(len(space.contexts))
@@ -180,7 +182,7 @@ class TestA5KlOptimality:
             min_gap = min(min_gap, gap)
         worst_energy = 0.0
         for _ in range(100):
-            rstar = oracle.random_prefix_reward(space, rng)
+            rstar = random_prefix_reward(space, rng)
             worst_energy = max(
                 worst_energy, oracle.energy_additivity_residual(space, rstar, table, beta)
             )

@@ -106,58 +106,65 @@ class TestLogSigmoid:
 
 class TestLogSoftmax:
     def test_symmetric_two_way(self):
-        g = ad.Graph()
-        out = ad.log_softmax(g.leaf([[0.0, 0.0]]), axis=1)
-        assert np.allclose(out.value, -math.log(2), atol=1e-15)
+        out = ad.log_softmax_values([[0.0, 0.0]], axis=1)
+        assert np.allclose(out, -math.log(2), atol=1e-15)
 
     def test_hand_normalized(self):
-        g = ad.Graph()
-        out = ad.log_softmax(g.leaf([[0.0, math.log(3.0)]]), axis=1)
-        assert np.allclose(out.value, [np.log(0.25), np.log(0.75)], atol=1e-12)
+        out = ad.log_softmax_values([[0.0, math.log(3.0)]], axis=1)
+        assert np.allclose(out, [np.log(0.25), np.log(0.75)], atol=1e-12)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(0)
         v = rng.standard_normal((4, 7))
-        g = ad.Graph()
-        a = ad.log_softmax(g.leaf(v), axis=1).value
-        b = ad.log_softmax(g.leaf(v + 123.456), axis=1).value
+        a = ad.log_softmax_values(v, axis=1)
+        b = ad.log_softmax_values(v + 123.456, axis=1)
         assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_exp_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
             v = rng.standard_normal((3, 9)) * rng.uniform(0.1, 50)
-            g = ad.Graph()
-            out = ad.log_softmax(g.leaf(v), axis=1)
-            sums = np.sum(np.exp(out.value), axis=1)
+            sums = np.sum(np.exp(ad.log_softmax_values(v, axis=1)), axis=1)
             assert np.max(np.abs(sums - 1.0)) <= 1e-12
 
 
+def ngram_node(logits, rows, targets, up=None):
+    """An n-gram's one-node forward over ``logits`` (order 2, vocab the
+    table's width) and, given ``up``, its logits gradient under it."""
+    policy = lm.NGramPolicy(lm.Vocab(logits.shape[1]), {"logits": logits}, order=2)
+    g = ad.Graph()
+    leaf = g.leaf(logits)
+    node = policy.rows_forward(g, {"logits": leaf}, np.asarray(rows), np.asarray(targets))
+    if up is not None:
+        g.backward(ad.sum(ad.mul(node, up)))
+    return node, leaf.grad
+
+
 class TestStructural:
+    """The index arithmetic of the one-node forwards: the n-gram's pick of
+    [row, target] and its per-cell scatter, the neural model's id_row_sums."""
+
     def test_gather_one_hot_equals_dot(self):
         rng = np.random.default_rng(2)
-        row = rng.standard_normal(6)
-        g = ad.Graph()
-        a = g.leaf(row[None, :])
-        picked = ad.gather(a, np.array([4]))
+        logits = rng.standard_normal((6, 6))
+        picked, _ = ngram_node(logits, [3], [4])
         one_hot = np.zeros(6)
         one_hot[4] = 1.0
-        assert float(picked.value[0]) == float(row @ one_hot)
+        assert float(picked.value[0]) == float(ad.log_softmax_values(logits, axis=1)[3] @ one_hot)
 
     def test_gather_out_of_bounds_reports_index(self):
-        g = ad.Graph()
-        a = g.leaf(np.zeros((2, 3)))
-        with pytest.raises(ad.IndexBoundsError) as err:
-            ad.gather(a, np.array([0, 5]))
+        with pytest.raises(ad.IndexBoundsError, match="^gather: index") as err:
+            ngram_node(np.zeros((3, 3)), [0, 1], [0, 5])
         assert err.value.index == 5
 
     def test_embed_lookup_repeated_index_accumulates(self):
-        g = ad.Graph()
-        table = g.leaf(np.arange(6, dtype=float).reshape(3, 2))
-        out = ad.embed_lookup(table, np.array([1, 1, 2]))
-        g.backward(ad.sum(out))
-        # row 1 referenced twice: gradient 2 per entry; row 2 once; row 0 never
-        assert np.array_equal(table.grad, [[0, 0], [2, 2], [1, 1]])
+        logits = np.arange(9, dtype=float).reshape(3, 3)
+        _, grad = ngram_node(logits, [1, 1, 2], [0, 0, 2], np.ones(3))
+        _, once = ngram_node(logits, [1], [0], np.ones(1))
+        # row 1 referenced twice: twice one position's gradient; row 0 never
+        assert np.array_equal(grad[0], np.zeros(3))
+        assert np.array_equal(grad[1], 2.0 * once[1])
+        assert np.any(grad[2] != 0.0)
 
     def test_scatter_backward_bitwise_equals_add_at(self):
         # A7-sized ids: repeated ids sum in position order, as np.add.at does
@@ -166,29 +173,25 @@ class TestStructural:
         for (v, d), id_shape in (((12, 8), (640, 26)), ((144, 12), (900,))):
             ids = rng.integers(0, v, size=id_shape)
             up = rng.standard_normal(id_shape + (d,))
-            g = ad.Graph()
-            table = g.leaf(rng.standard_normal((v, d)))
-            picked = ad.embed_lookup(table, ids)
-            assert np.array_equal(picked.value, table.value[ids])
-            g.backward(ad.sum(ad.mul(picked, up)))
             expected = np.zeros((v, d))
             np.add.at(expected, ids.reshape(-1), up.reshape(-1, d))
-            assert np.array_equal(table.grad, expected)
+            assert np.array_equal(ad.id_row_sums(ids, up, (v, d)), expected)
 
-        idx = rng.integers(0, 12, size=640)
+        # the n-gram's cells: one (row, target) pair per position
+        rows, targets = rng.integers(0, 12, size=640), rng.integers(0, 12, size=640)
         up = rng.standard_normal(640)
-        g = ad.Graph()
-        a = g.leaf(rng.standard_normal((640, 12)))
-        g.backward(ad.sum(ad.mul(ad.gather(a, idx), up)))
-        expected = np.zeros((640, 12))
-        np.add.at(expected, (np.arange(640), idx), up)
-        assert np.array_equal(a.grad, expected)
+        logits = rng.standard_normal((12, 12))
+        picked, grad = ngram_node(logits, rows, targets, up)
+        table = ad.log_softmax_values(logits, axis=1)
+        assert np.array_equal(picked.value, table[rows, targets])
+        cells = np.zeros((12, 12))
+        np.add.at(cells, (rows, targets), up)
+        assert np.array_equal(grad, cells - np.exp(table) * np.sum(cells, axis=1, keepdims=True))
 
     def test_embed_lookup_bounds(self):
-        g = ad.Graph()
-        table = g.leaf(np.zeros((3, 2)))
-        with pytest.raises(ad.IndexBoundsError):
-            ad.embed_lookup(table, np.array([[0, 3]]))
+        with pytest.raises(ad.IndexBoundsError, match="^embed_lookup: index") as err:
+            ngram_node(np.zeros((3, 3)), [0, 3], [0, 0])
+        assert err.value.index == 3
 
     def test_slice1d_roundtrip_grads(self):
         g = ad.Graph()
@@ -307,14 +310,19 @@ def _op_cases(rng):
     mat = rng.standard_normal((3, 4))
     mat2 = rng.standard_normal((4, 2))
     bias = rng.standard_normal(2)
-    table = rng.standard_normal((4, 3))
+    # an order-1 n-gram over vocab 12: all twelve positions read its one row
+    ngram_logits = rng.standard_normal((1, 12))
     ids = rng.integers(0, 4, size=(3, 2))
     idx1 = rng.integers(0, 4, size=3)
     seg_ids = rng.integers(0, 3, size=2 * n)  # segment 3 stays empty
     seg_w = rng.standard_normal(2 * n)
     flat_const = rng.standard_normal(12)
     seg_const = rng.standard_normal(4)
-    gather_mat = rng.standard_normal((3, 4))
+    # twelve draws here and twelve for the logits above: the neural
+    # parameters below keep the draws their 300-seed bound was measured on
+    ngram_up = rng.standard_normal(12)
+    ngram = lm.NGramPolicy(lm.Vocab(12), {"logits": ngram_logits}, order=1)
+    ngram_targets = np.concatenate([ids.reshape(-1), idx1, seg_ids[:3]])
     # the neural policy's one-node forward: vocab 4, window 2, embed 3, hidden 2.
     # Its parameters are halved: at unit scale a coordinate of this composite
     # can be as small as 1e-5, where the central difference itself errs by
@@ -330,9 +338,9 @@ def _op_cases(rng):
         ("mul", lambda g, p: ad.sum(ad.mul(p[0], p[1])), [v, w]),
         ("sum_axis", lambda g, p: ad.sum(ad.sum(p[0], axis=0)), [mat]),
         ("log_sigmoid", lambda g, p: ad.sum(ad.log_sigmoid(p[0])), [v]),
-        ("log_softmax", lambda g, p: ad.sum(ad.mul(ad.log_softmax(p[0], axis=1), mat)), [mat]),
-        ("gather", lambda g, p: ad.sum(ad.gather(p[0], idx1)), [gather_mat]),
-        ("embed_lookup", lambda g, p: ad.sum(ad.embed_lookup(p[0], ids)), [table]),
+        ("ngram_rows_forward", lambda g, p: ad.sum(ad.mul(ngram.rows_forward(
+            g, {"logits": p[0]}, np.zeros(12, dtype=int), ngram_targets), ngram_up)),
+         [ngram_logits]),
         ("neural_rows_forward", lambda g, p: ad.sum(neural.rows_forward(
             g, dict(zip(names, p)), ids, idx1)), neural_params),
         ("slice1d", lambda g, p: ad.sum(ad.slice1d(p[0], 1, 4)), [v]),

@@ -134,6 +134,20 @@ class TestGenData:
         assert match in one_error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    def test_max_len_beyond_int64_exits_2(self, tmp_path, capsys, command):
+        # the generator draws each response length as an int64
+        out = tmp_path / "out"
+        argv = [command, "--set", "data.vocab_size=8", "--set", "data.max_len=" + "9" * 20]
+        if command == "gen-data":
+            argv += ["--out", str(out)]
+        else:
+            doc = {"output_dir": str(out), "model": {"vocab_size": 8}}
+            argv += ["--config", write_config(tmp_path / "train.json", doc)]
+        assert main(argv) == 2
+        assert "max_len 99999999999999999999 does not fit in int64" in one_error_line(capsys)
+        assert not out.exists()
+
     def test_set_override(self, tmp_path):
         cfg = gen_config(tmp_path)
         out = tmp_path / "a.jsonl"

@@ -12,6 +12,8 @@ from preflab.errors import DataFormatError, ValidationError
 from preflab.lm import NGramPolicy, Vocab, token_logprobs
 from preflab.seeds import child_rng
 
+from helpers import conditional_row
+
 
 @pytest.fixture
 def vocab():
@@ -231,8 +233,8 @@ class TestTokenScores:
         pair = D.PreferencePair(prompt=(5, 3), chosen=(6, 6), rejected=(4, 5))
         _attach_scores_with(monkeypatch, pos, neg, [pair], vocab)
         scores = pair.rejected_scores
-        lp_pos = pos.conditional_row((5, 3), ())[4]
-        lp_neg = neg.conditional_row((5, 3), ())[4]
+        lp_pos = conditional_row(pos, (5, 3), ())[4]
+        lp_neg = conditional_row(neg, (5, 3), ())[4]
         assert scores[0] == pytest.approx(float(sigmoid_values(lp_neg - lp_pos)), abs=1e-12)
         assert np.all((scores > 0) & (scores < 1))
 

@@ -13,6 +13,8 @@ from preflab.errors import ValidationError
 from preflab.losses import LossConfig
 from preflab.seeds import child_rng
 
+from helpers import conditional_row, seq_logprob, vocab_logprobs
+
 
 @pytest.fixture
 def vocab():
@@ -68,7 +70,7 @@ class TestNGram:
         rng = np.random.default_rng(0)
         policy = lm.NGramPolicy.random(vocab, 2, rng)
         prompt, response = (3, 4), (5, 3, 3, 4, 5)
-        total = lm.seq_logprob(policy, prompt, response)
+        total = seq_logprob(policy, prompt, response)
         assert total == float(np.sum(lm.token_logprobs(policy, prompt, response)))
 
     def test_manual_chain_recomputation(self, vocab):
@@ -78,9 +80,9 @@ class TestNGram:
         response = tuple(rng.integers(0, vocab.size, size=8))
         expected = 0.0
         for i in range(len(response)):
-            row = policy.conditional_row(prompt, response[:i])
+            row = conditional_row(policy, prompt, response[:i])
             expected += row[response[i]]
-        assert lm.seq_logprob(policy, prompt, response) == pytest.approx(expected, abs=1e-12)
+        assert seq_logprob(policy, prompt, response) == pytest.approx(expected, abs=1e-12)
 
     def test_rows_normalize_and_stay_positive(self, vocab):
         rng = np.random.default_rng(2)
@@ -133,13 +135,13 @@ class TestNeural:
 
     def test_rows_normalize(self, vocab):
         policy = self.make(vocab)
-        row = policy.conditional_row((3, 4), (5,))
+        row = conditional_row(policy, (3, 4), (5,))
         assert abs(float(np.sum(np.exp(row))) - 1.0) <= 1e-12
 
     def test_chain_rule_identity(self, vocab):
         policy = self.make(vocab)
         prompt, response = (3,), (4, 5, 3, 4)
-        assert lm.seq_logprob(policy, prompt, response) == float(
+        assert seq_logprob(policy, prompt, response) == float(
             np.sum(lm.token_logprobs(policy, prompt, response))
         )
 
@@ -161,7 +163,7 @@ class TestNeural:
     def test_empty_response(self, vocab):
         policy = self.make(vocab)
         assert lm.token_logprobs(policy, (3,), ()).shape == (0,)
-        assert lm.seq_logprob(policy, (3,), ()) == 0.0
+        assert seq_logprob(policy, (3,), ()) == 0.0
 
 
 NEURAL_NAMES = ("emb", "w1", "b1", "w2", "b2")
@@ -325,6 +327,145 @@ class TestFusedNeuralForward:
         assert abs(float(np.sum(grads["b2"]))) <= 1e-14
 
 
+def ngram_chain(logits, rows, targets, up):
+    """The n-gram forward as the chain of generic ops it once was, in plain
+    numpy: log-softmax of the table, lookup of each position's row, pick of
+    its target; then a reverse sweep into a zero-filled buffer per
+    intermediate (the lookup's by np.add.at in position order), the upstream
+    gradient of the picked log-probs being ``up``. Returns the picked values
+    and the logits gradient."""
+    n = len(targets)
+    table = ad.log_softmax_values(logits, axis=1)
+    looked = np.take(table, rows, axis=0)
+    picked = looked[np.arange(n), targets]
+    g_looked = np.zeros_like(looked)
+    g_looked[np.arange(n), targets] += up
+    g_table = np.zeros_like(table)
+    np.add.at(g_table, rows, g_looked)
+    g_logits = np.zeros_like(logits)
+    g_logits += g_table - np.exp(table) * np.sum(g_table, axis=1, keepdims=True)
+    return picked, g_logits
+
+
+def ngram_fused(policy, rows, targets, up):
+    """The n-gram's one-node forward and its logits gradient under ``up``."""
+    node, grads = fused(policy, rows, targets, up)
+    return node, grads["logits"]
+
+
+class TestFusedNGramForward:
+    """``NGramPolicy.rows_forward`` is one node over the logits leaf; it must
+    equal the three-op chain it replaced, bit for bit."""
+
+    @staticmethod
+    def make(rng, vocab_size, order, n, distinct=None):
+        policy = lm.NGramPolicy.random(lm.Vocab(vocab_size), order, rng, scale=3.0)
+        table_rows = len(policy.params["logits"])
+        # ``distinct`` rows at most, so that rows repeat
+        pool = rng.integers(0, table_rows, size=distinct or table_rows)
+        rows = rng.choice(pool, size=n)
+        return policy, rows, rng.integers(0, vocab_size, size=n), rng.standard_normal(n)
+
+    def test_values_and_grads_equal_the_op_chain_bitwise(self):
+        rng = np.random.default_rng(30)
+        for case in range(300):
+            v, order = int(rng.integers(3, 40)), 1 + case % 3
+            n = int(rng.integers(1, 200))
+            policy, rows, targets, up = self.make(rng, v, order, n, distinct=int(rng.integers(1, 9)))
+            node, grad = ngram_fused(policy, rows, targets, up)
+            picked, expected = ngram_chain(policy.params["logits"], rows, targets, up)
+            assert np.array_equal(node.value, picked)
+            assert np.array_equal(grad, expected), (v, order, n)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_scored_sides_equal_the_op_chain_bitwise(self, vocab, order):
+        # rows as the trainer stacks them, from the windows of real sides
+        policy = lm.NGramPolicy.random(vocab, order, np.random.default_rng(order))
+        rows, targets = policy.stacked_rows([(3, 4), (5,), (4, 4)], [(5, 3, 4, 4), (3,), (5, 5)])
+        up = np.random.default_rng(order + 10).standard_normal(len(targets))
+        node, grad = ngram_fused(policy, rows, targets, up)
+        picked, expected = ngram_chain(policy.params["logits"], rows, targets, up)
+        assert np.array_equal(node.value, picked) and np.array_equal(grad, expected)
+
+    def test_repeated_rows_accumulate_in_position_order(self):
+        # one (row, target) cell hit by every position: its upstream values
+        # add one after another from 0.0, as np.add.at adds them
+        rng = np.random.default_rng(31)
+        policy = lm.NGramPolicy.random(lm.Vocab(5), 2, rng)
+        up = 10.0 ** rng.integers(-8, 9, size=50) * rng.standard_normal(50)
+        _, grad = ngram_fused(policy, np.full(50, 3), np.full(50, 2), up)
+        total = 0.0
+        for g in up:
+            total += g
+        probs = np.exp(ad.log_softmax_values(policy.params["logits"], axis=1))
+        cells = np.zeros((5, 5))
+        cells[3, 2] = total
+        assert np.array_equal(grad, cells - probs * np.sum(cells, axis=1, keepdims=True))
+        assert not np.any(grad[[0, 1, 2, 4]])
+
+    def test_one_node_over_the_logits_leaf(self):
+        policy, rows, targets, _ = self.make(np.random.default_rng(32), 6, 3, 9)
+        graph = ad.Graph()
+        leaves = {"logits": graph.leaf(policy.params["logits"])}
+        node = policy.rows_forward(graph, leaves, rows, targets)
+        assert len(graph) == 2 and node._parents == (leaves["logits"],)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_grad_check_the_logits(self, order):
+        policy, rows, targets, up = self.make(np.random.default_rng(order), 3, order, 12, 4)
+        logits = 0.5 * policy.params["logits"]
+
+        def build(graph, params):
+            leaves = {"logits": params[0]}
+            return ad.sum(ad.mul(policy.rows_forward(graph, leaves, rows, targets), up))
+
+        assert ad.grad_check(build, [logits], h=1e-5, tol=1e-6).passed
+
+    @pytest.mark.parametrize("bad", [6, -1])
+    def test_out_of_range_ids_name_their_op(self, bad):
+        policy, rows, targets, _ = self.make(np.random.default_rng(33), 6, 2, 4)
+        graph = ad.Graph()
+        leaves = {"logits": graph.leaf(policy.params["logits"])}
+        wrong_targets = targets.copy()
+        wrong_targets[2] = bad
+        with pytest.raises(ad.IndexBoundsError, match="^gather: index") as err:
+            policy.rows_forward(graph, leaves, rows, wrong_targets)
+        assert (err.value.index, err.value.size) == (bad, 6)
+        # a row is checked against the table's rows, and before any target
+        wrong_rows = rows.copy()
+        wrong_rows[1] = bad
+        with pytest.raises(ad.IndexBoundsError, match="^embed_lookup: index") as err:
+            policy.rows_forward(graph, leaves, wrong_rows, wrong_targets)
+        assert (err.value.index, err.value.size) == (bad, 6)
+
+
+class TestNGramState:
+    """``step`` and ``start_row``: the n-gram's row recursion, written once."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_start_row_is_the_first_response_row(self, vocab, order):
+        policy = lm.NGramPolicy.uniform(vocab, order)
+        for prompt in ((), (4,), (3, 5, 4, 5)):
+            rows, _ = policy.context_rows(prompt, (3,))
+            assert policy.start_row(prompt) == rows[0]
+            assert type(policy.start_row(prompt)) is int
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_step_moves_the_window_by_one_token(self, vocab, order):
+        policy = lm.NGramPolicy.uniform(vocab, order)
+        response = (3, 5, 0, 4, 4, 2, 1)
+        rows, _ = policy.context_rows((4, 5), response)
+        # scalar and vectorized steps alike
+        assert [policy.step(r, t) for r, t in zip(rows[:-1], response)] == rows[1:].tolist()
+        assert np.array_equal(policy.step(rows[:-1], np.asarray(response[:-1])), rows[1:])
+
+    def test_start_row_checks_the_prompt_ids(self, vocab):
+        policy = lm.NGramPolicy.uniform(vocab, 2)
+        for bad in (-1, vocab.size, 2**70):
+            with pytest.raises(lm.TokenIdError, match=f"token id {bad} out of range"):
+                policy.start_row((3, bad))
+
+
 class TestSharedScoring:
     """Scoring is written once: a kind adds only its rows and its forward."""
 
@@ -333,7 +474,7 @@ class TestSharedScoring:
         yield lm.NeuralPolicy.init(vocab, child_rng(6, "init"), context=3)
 
     def test_both_kinds_bind_the_module_functions(self):
-        for name in ("context_rows", "row_logprobs", "conditional_row"):
+        for name in ("context_rows", "row_logprobs"):
             shared = getattr(lm, name)
             assert lm.NGramPolicy.__dict__[name] is shared
             assert lm.NeuralPolicy.__dict__[name] is shared
@@ -341,12 +482,12 @@ class TestSharedScoring:
     def test_vocab_logprobs_scores_every_id_of_every_row(self, vocab):
         for policy in self.policies(vocab):
             rows, _ = policy.stacked_rows([(3,), (4, 5)], [(5, 3, 4), (3,)])
-            table = lm.vocab_logprobs(policy, rows)
+            table = vocab_logprobs(policy, rows)
             assert table.shape == (4, vocab.size)
             for t in range(vocab.size):
                 one = lm.row_logprobs(policy, rows, np.full(4, t))
                 np.testing.assert_allclose(table[:, t], one, rtol=0, atol=1e-12)
-            assert lm.vocab_logprobs(policy, rows[:0]).shape == (0, vocab.size)
+            assert vocab_logprobs(policy, rows[:0]).shape == (0, vocab.size)
 
 
 class TestBlockScoring:

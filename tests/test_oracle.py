@@ -13,6 +13,8 @@ from preflab.autodiff import logsumexp_values
 from preflab.errors import ValidationError
 from preflab.lm import NGramPolicy
 
+from helpers import along_sequences, conditional_row, random_prefix_reward, seq_logprob, vocab_logprobs
+
 REAL_RNG = oracle._rng
 
 
@@ -125,7 +127,7 @@ def per_draw_optimality(space, seed, policies=64):
     # the chain-rule statement takes no draws: the same code on both sides
     rstar = oracle.additive_decompose(space, reward, "soft_value", table, beta)
     policy = oracle.reparameterize(space, rstar, table, beta).policy
-    logp = np.sum(oracle.along_sequences(space, policy), axis=-1)
+    logp = np.sum(along_sequences(space, policy), axis=-1)
     residuals.append(np.max(np.abs(np.exp(logp - logsumexp_values(logp)) - optimum)))
     worst = float(np.max(residuals))
     return oracle._certificate("optimality", space, seed, worst, worst <= oracle.TOLERANCES["optimality"])
@@ -150,7 +152,7 @@ def per_draw_reparam(space, seed, draws=20):
     residuals, drifts = [], []
     for i in range(draws):
         beta = (0.5, 1.0, 1.5)[i % 3]
-        rstar = oracle.random_prefix_reward(space, rng)
+        rstar = random_prefix_reward(space, rng)
         residuals.append(oracle.reparameterize(space, rstar, table, beta).max_residual)
         offsets = rng.standard_normal(len(space.contexts))
         drifts.append(oracle.shift_invariance_residual(space, rstar, table, beta, offsets))
@@ -310,11 +312,11 @@ class TestEnumSpace:
             ref = NGramPolicy.random(space.vocab, order, rng)
             table = oracle.reference_table(space, ref, prompt)
             for c, ctx in enumerate(ctx_tuples(space)):
-                assert np.array_equal(table[c], ref.conditional_row(prompt, ctx))
+                assert np.array_equal(table[c], conditional_row(ref, prompt, ctx))
 
     def test_reference_table_equals_the_scoring_path(self):
-        # lm's scoring path: vocab_logprobs at the row stacked_rows gives the
-        # slot after each context
+        # the n-gram's scoring path: vocab_logprobs at the row stacked_rows
+        # gives the slot after each context
         rng = np.random.default_rng(22)
         for space in SWEEP:
             n_ctx = len(space.contexts)
@@ -325,7 +327,7 @@ class TestEnumSpace:
                 prompts = np.broadcast_to(np.asarray(prompt, dtype=np.intp), (n_ctx, len(prompt)))
                 rows, _ = ref.stacked_rows(prompts, padded)
                 rows = rows.reshape(padded.shape)[np.arange(n_ctx), space.ctx_len]
-                expected = lm.vocab_logprobs(ref, rows)
+                expected = vocab_logprobs(ref, rows)
                 table = oracle.reference_table(space, ref, prompt)
                 assert (table.dtype, table.shape) == (expected.dtype, expected.shape)
                 assert table.tobytes() == expected.tobytes()
@@ -345,7 +347,7 @@ class TestEnumSpace:
         ref = reference(space, seed=21)
         logmass = oracle.ref_logmass(space, oracle.reference_table(space, ref))
         # both sum the same token log-probs first position first: bitwise
-        expected = [lm.seq_logprob(ref, (), y) for y in seq_tuples(space)]
+        expected = [seq_logprob(ref, (), y) for y in seq_tuples(space)]
         assert np.array_equal(logmass, expected)
 
     def test_reference_must_be_ngram_over_the_vocab(self):
@@ -429,7 +431,7 @@ class TestBoltzmann:
         logmass = oracle.ref_logmass(space, table)
         rewards = np.zeros((2, len(space.sequences)))
         rstars = np.zeros((2,) + space.child.shape)
-        log_policies = oracle.random_log_policies(space, 2, np.random.default_rng(0))
+        policies = np.exp(oracle.random_log_policies(space, 2, np.random.default_rng(0)))
         per_draw = [
             lambda: oracle.boltzmann_distribution(space, rewards, logmass, beta),
             lambda: oracle.reparameterize(space, rstars, table, beta),
@@ -438,8 +440,8 @@ class TestBoltzmann:
             lambda: oracle.reconstruction_spread(space, rewards, table, logmass, beta),
         ]
         scalar_only = [
-            lambda: oracle.kl_objective(space, np.exp(log_policies[0]), rewards[0], logmass, beta),
-            lambda: oracle.kl_objective_batch(space, log_policies, rewards[0], logmass, beta),
+            lambda: oracle.kl_objective(space, policies[0], rewards[0], logmass, beta),
+            lambda: oracle.kl_objective_batch(space, policies, rewards[0], logmass, beta),
             lambda: oracle.energy_additivity_residual(space, rstars, table, beta),
         ]
         for call in per_draw if per_draw_ok else []:
@@ -463,23 +465,25 @@ class TestBoltzmann:
             oracle.shift_invariance_residual(space, rstars, table, 1.0, rstars[0, :, 0])
         # the objective is one number per call: it takes exactly one reward
         rewards = np.zeros((2, len(space.sequences)))
-        log_policy = np.log(renormalized(logmass))
+        policy = renormalized(logmass)
         with pytest.raises(ValidationError, match="reward"):
-            oracle.kl_objective(space, renormalized(logmass), rewards, logmass, 1.0)
+            oracle.kl_objective(space, policy, rewards, logmass, 1.0)
         with pytest.raises(ValidationError, match="reward"):
-            oracle.kl_objective_batch(space, log_policy[None, :], rewards, logmass, 1.0)
+            oracle.kl_objective_batch(space, policy[None, :], rewards, logmass, 1.0)
 
     def test_wrong_reference_shape_rejected(self):
         # a table passed where the log mass belongs, and the other way round
         space = eos_space(4, 3)
         table, logmass = ref_table(space), ref_mass(space)
         reward, rstar = np.zeros(len(space.sequences)), np.zeros(space.child.shape)
-        log_policy = np.log(renormalized(logmass))
+        policy = renormalized(logmass)
         calls = [
             lambda: oracle.ref_logmass(space, logmass),
             lambda: oracle.boltzmann_distribution(space, reward, table, 1.0),
-            lambda: oracle.kl_objective(space, renormalized(logmass), reward, table, 1.0),
-            lambda: oracle.kl_objective_batch(space, log_policy[None, :], reward, table, 1.0),
+            lambda: oracle.kl_objective(space, policy, reward, table, 1.0),
+            lambda: oracle.kl_objective_batch(space, policy[None, :], reward, table, 1.0),
+            # shapes before the mass: an unnormalized row of the wrong width
+            lambda: oracle.kl_objective_batch(space, policy[None, :-1], reward, logmass, 1.0),
             lambda: oracle.reparameterize(space, rstar, logmass, 1.0),
             lambda: oracle.additive_decompose(space, reward, "soft_value", logmass, 1.0),
             lambda: oracle.energy_additivity_residual(space, rstar, logmass, 1.0),
@@ -508,38 +512,52 @@ class TestKlObjective:
     def test_unnormalized_policy_rejected(self):
         space = fixed_space(3, 2)
         bad = np.full(len(space.sequences), 0.2)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="not normalized"):
             oracle.kl_objective(space, bad, np.zeros(len(space.sequences)), ref_mass(space), 1.0)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_point_mass_scores_its_reward_and_reference_mass(self):
+        # J of a point mass on y: r(y) - beta * (1 * log 1 - log pi_ref(y)),
+        # every other term 0 * log 0 = 0
+        space = fixed_space(3, 2)
+        logmass = ref_mass(space, seed=8)
+        reward = oracle.random_reward(space, np.random.default_rng(8))
+        for y in range(len(space.sequences)):
+            point = np.zeros(len(space.sequences))
+            point[y] = 1.0
+            for beta in (0.5, 1.0, 1.5):
+                j = oracle.kl_objective(space, point, reward, logmass, beta)
+                assert j == reward[y] + beta * logmass[y]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.25])
     def test_non_finite_policy_rejected(self, bad):
-        # NaN compares False both ways, so it must fail by construction
+        # NaN compares False both ways, so it must fail by construction; a
+        # negative entry fails even in a row that sums to one
         space = eos_space(4, 3)
         logmass = ref_mass(space)
         reward = np.zeros(len(space.sequences))
-        log_policies = oracle.random_log_policies(space, 3, np.random.default_rng(0))
-        policy = np.exp(log_policies[0])
-        policy[1] = bad
-        with pytest.raises(ValidationError):
-            oracle.kl_objective(space, policy, reward, logmass, 1.0)
-        # an infinite log-probability is a zero or infinite probability
-        log_policies[2, 1] = bad
-        with pytest.raises(ValidationError):
-            oracle.kl_objective_batch(space, log_policies, reward, logmass, 1.0)
-        # an infinite probability from a finite log row: exp overflows
-        log_policies[2, 1] = 1000.0
-        with pytest.raises(ValidationError):
-            oracle.kl_objective_batch(space, log_policies, reward, logmass, 1.0)
+        policies = np.exp(oracle.random_log_policies(space, 3, np.random.default_rng(0)))
+        policies[1, 1] += bad
+        policies[1, 2] -= bad if math.isfinite(bad) else 0.0
+        with pytest.raises(ValidationError, match="not finite|negative"):
+            oracle.kl_objective(space, policies[1], reward, logmass, 1.0)
+        with pytest.raises(ValidationError, match="not finite|negative"):
+            oracle.kl_objective_batch(space, policies, reward, logmass, 1.0)
+        # finite entries whose sum overflows to infinity
+        policies[2, :2] = 1e308
+        with np.errstate(over="ignore"), pytest.raises(ValidationError, match="not finite"):
+            oracle.kl_objective_batch(space, policies[2:], reward, logmass, 1.0)
 
     def test_batch_rejects_unnormalized_and_misshaped_rows(self):
         space = eos_space(4, 3)
         logmass = ref_mass(space)
         reward = np.zeros(len(space.sequences))
-        log_policies = oracle.random_log_policies(space, 3, np.random.default_rng(1))
-        with pytest.raises(ValidationError):
-            oracle.kl_objective_batch(space, log_policies + 0.1, reward, logmass, 1.0)
-        with pytest.raises(ValidationError):
-            oracle.kl_objective_batch(space, log_policies[0], reward, logmass, 1.0)
+        policies = np.exp(oracle.random_log_policies(space, 3, np.random.default_rng(1)))
+        with pytest.raises(ValidationError, match="not normalized"):
+            oracle.kl_objective_batch(space, policies * 1.1, reward, logmass, 1.0)
+        with pytest.raises(ValidationError, match="shape"):
+            oracle.kl_objective_batch(space, policies[:, 1:], reward, logmass, 1.0)
+        with pytest.raises(ValidationError, match="shape"):
+            oracle.kl_objective(space, policies, reward, logmass, 1.0)
 
     def test_optimality_of_boltzmann(self):
         space = eos_space(4, 3)
@@ -554,19 +572,27 @@ class TestKlObjective:
             assert best - oracle.kl_objective(space, policy, reward, logmass, beta) >= -1e-12
 
     def test_batch_objective_matches_scalar(self):
-        # one arithmetic in one order: equal bit for bit, row by row
+        # one arithmetic in one order: equal bit for bit, row by row, also
+        # on rows with zeros and under leading draw axes
         rng = np.random.default_rng(7)
         for space in (eos_space(4, 3), fixed_space(3, 4)):
             logmass = ref_mass(space, seed=6)
             reward = oracle.random_reward(space, rng)
-            log_policies = oracle.random_log_policies(space, 50, rng)
+            policies = np.exp(oracle.random_log_policies(space, 50, rng))
+            # the first 25 rows keep a growing share of their entries
+            for k, p in enumerate(policies[:25]):
+                keep = rng.random(len(p)) < (k + 1) / 26
+                keep[rng.integers(len(p))] = True
+                policies[k] = np.where(keep, p, 0.0) / np.sum(np.where(keep, p, 0.0))
+            assert np.sum(policies == 0.0) > len(space.sequences)
             for beta in (0.5, 1.0, 1.5):
-                batch = oracle.kl_objective_batch(space, log_policies, reward, logmass, beta)
-                singles = [
-                    oracle.kl_objective(space, p, reward, logmass, beta)
-                    for p in np.exp(log_policies)
-                ]
-                assert np.array_equal(batch, singles)
+                batch = oracle.kl_objective_batch(space, policies, reward, logmass, beta)
+                singles = [oracle.kl_objective(space, p, reward, logmass, beta) for p in policies]
+                assert np.all(np.isfinite(batch)) and np.array_equal(batch, singles)
+                lead = oracle.kl_objective_batch(
+                    space, policies.reshape(2, 25, -1), reward, logmass, beta
+                )
+                assert np.array_equal(lead, batch.reshape(2, 25))
 
     @pytest.mark.parametrize(
         "v,L,mode", [(6, 5, "eos"), (3, 5, "fixed"), (4, 4, "eos"), (6, 5, "fixed")]
@@ -699,7 +725,7 @@ class TestDecomposition:
         table = ref_table(space, seed=12)
         rng = np.random.default_rng(12)
         for _ in range(20):
-            rstar = oracle.random_prefix_reward(space, rng)
+            rstar = random_prefix_reward(space, rng)
             assert oracle.energy_additivity_residual(space, rstar, table, 1.0) <= 1e-12
 
 
@@ -710,7 +736,7 @@ class TestReparameterize:
         rstar = np.zeros(space.child.shape)
         result = oracle.reparameterize(space, rstar, oracle.reference_table(space, ref), beta=1.0)
         for c, ctx in enumerate(ctx_tuples(space)):
-            assert np.max(np.abs(result.policy[c] - ref.conditional_row((), ctx))) <= 1e-12
+            assert np.max(np.abs(result.policy[c] - conditional_row(ref, (), ctx))) <= 1e-12
             assert abs(result.shift[c]) <= 1e-12
 
     def test_rows_normalize(self):
@@ -718,7 +744,7 @@ class TestReparameterize:
         table = ref_table(space, seed=14)
         rng = np.random.default_rng(14)
         result = oracle.reparameterize(
-            space, oracle.random_prefix_reward(space, rng), table, beta=0.7
+            space, random_prefix_reward(space, rng), table, beta=0.7
         )
         assert result.policy.shape == (len(space.contexts), space.vocab.size)
         for row in result.policy:
@@ -729,7 +755,7 @@ class TestReparameterize:
         for seed in range(10):
             space = eos_space(int(rng.integers(3, 6)), int(rng.integers(1, 5)))
             table = ref_table(space, seed=seed)
-            rstar = oracle.random_prefix_reward(space, rng)
+            rstar = random_prefix_reward(space, rng)
             result = oracle.reparameterize(space, rstar, table, beta=(0.5, 1.0, 1.5)[seed % 3])
             assert result.max_residual <= 1e-10
 
@@ -737,7 +763,7 @@ class TestReparameterize:
         space = eos_space(4, 3)
         table = ref_table(space, seed=16)
         rng = np.random.default_rng(16)
-        rstar = oracle.random_prefix_reward(space, rng)
+        rstar = random_prefix_reward(space, rng)
         offsets = rng.standard_normal(len(space.contexts))
         assert oracle.shift_invariance_residual(space, rstar, table, 1.0, offsets) <= 1e-12
 
@@ -754,7 +780,7 @@ class TestReparameterize:
     def test_nan_prefix_reward_gives_nan_residual(self):
         space = eos_space(4, 3)
         table = ref_table(space, seed=18)
-        rstar = oracle.random_prefix_reward(space, np.random.default_rng(18))
+        rstar = random_prefix_reward(space, np.random.default_rng(18))
         # the last prefix of the last sequence: Python's max(0.0, nan) would
         # have hidden it behind the finite residuals before it
         rstar.flat[space.flat_at[-1, -1]] = math.nan
@@ -780,7 +806,7 @@ class TestDrawAxes:
         o = rng.standard_normal(lead + space.ctx_len.shape)
         draws = list(np.ndindex(*lead))
         maps = {
-            "along": lambda r, t, o, b: oracle.along_sequences(space, t),
+            "sums": lambda r, t, o, b: oracle.sequence_sums(space, t),
             "boltzmann": lambda r, t, o, b: oracle.boltzmann_distribution(space, r, logmass, b),
             "terminal": lambda r, t, o, b: oracle.additive_decompose(space, r),
             "soft": lambda r, t, o, b: oracle.additive_decompose(space, r, "soft_value", table, b),
@@ -871,8 +897,9 @@ class TestCertificates:
             # and one more for the zero-reward limit
             "boltzmann": {"boltzmann_distribution": blocks("boltzmann") + 1},
             # one optimum and one chain-rule policy per certificate
+            # and J(pi*), kl_objective being kl_objective_batch's one-row call
             "optimality": {"boltzmann_distribution": 1, "reparameterize": 1,
-                           "kl_objective_batch": blocks("optimality")},
+                           "kl_objective_batch": blocks("optimality") + 1},
             "reparam": {"reparameterize": 2 * blocks("reparam")},
             "theorem1": {"reconstruction_spread": blocks("theorem1"),
                          "reparameterize": blocks("theorem1")},
@@ -924,8 +951,8 @@ class TestCertificates:
          (5, 4, "fixed"), (6, 5, "eos"), (6, 5, "fixed")],
     )
     def test_blocked_checks_equal_per_draw_loops(self, v, L, mode):
-        # optimality's reference scores one policy at a time with the scalar
-        # kl_objective, whose arithmetic kl_objective_batch repeats row by row
+        # optimality's reference scores one policy at a time with
+        # kl_objective, the one-row call of kl_objective_batch
         space = oracle.EnumSpace.build(v, L, mode)
         for seed in range(4):
             for name, check in oracle.CHECKS.items():
@@ -1008,7 +1035,7 @@ class TestShortAxisReductions:
         rng = np.random.default_rng(space.child.size)
         for lead in self.LEADS:
             t = 10.0 ** rng.integers(-3, 4) * rng.standard_normal(lead + space.child.shape)
-            gathered = oracle.along_sequences(space, t)
+            gathered = along_sequences(space, t)
             sums = oracle.sequence_sums(space, t)
             assert sums.shape == lead + space.lengths.shape
             assert sums.tobytes() == np.sum(gathered, axis=-1).tobytes()

@@ -15,6 +15,8 @@ from preflab.composition import segment_pair
 from preflab.errors import TrainingDivergedError, ValidationError
 from preflab.seeds import child_rng
 
+from helpers import seq_logprob
+
 
 def small_setup(seed=0, n_pairs=24, **task_kw):
     vocab = lm.Vocab(12)
@@ -336,7 +338,7 @@ class TestEvalPairs:
         ref = lm.clone_frozen(policy)
         row = trainer.eval_pairs(policy, ref, dataset, losses.LossConfig(method="dpo"))
         direct = float(
-            np.mean([lm.seq_logprob(policy, p.prompt, p.chosen) for p in dataset])
+            np.mean([seq_logprob(policy, p.prompt, p.chosen) for p in dataset])
         )
         assert row.chosen_logp == pytest.approx(direct, abs=1e-12)
 
@@ -349,10 +351,10 @@ class TestEvalPairs:
         row = trainer.eval_pairs(result.policy, ref, dataset, losses.LossConfig(method="dpo"))
         if row.accuracy == 1.0:
             assert all(
-                lm.seq_logprob(result.policy, p.prompt, p.chosen)
-                - lm.seq_logprob(ref, p.prompt, p.chosen)
-                - lm.seq_logprob(result.policy, p.prompt, p.rejected)
-                + lm.seq_logprob(ref, p.prompt, p.rejected)
+                seq_logprob(result.policy, p.prompt, p.chosen)
+                - seq_logprob(ref, p.prompt, p.chosen)
+                - seq_logprob(result.policy, p.prompt, p.rejected)
+                + seq_logprob(ref, p.prompt, p.rejected)
                 > 0
                 for p in dataset
             )
