@@ -19,7 +19,7 @@ import time
 from dataclasses import asdict
 
 from . import config as cfgmod
-from . import oracle
+from . import oracle, trainer
 from .data import check_dataset, load_jsonl, save_jsonl, write_manifest
 from .errors import PreflabError, ValidationError
 from .lm import load_checkpoint, save_checkpoint
@@ -109,8 +109,11 @@ def cmd_eval(args) -> int:
     dataset = load_jsonl(args.data)
     check_dataset(dataset, policy.vocab)
     loss_cfg = _loss_config_near(args, args.checkpoint)
-    doc = asdict(eval_pairs(policy, ref, dataset, loss_cfg))
+    # on the module, where the benchmark's traced run wraps it
+    plan = trainer.plan_dataset(dataset, loss_cfg, ref)
+    doc = asdict(eval_pairs(policy, ref, dataset, loss_cfg, plan=plan))
     del doc["step"]
+    doc.update(plan.length_measures())
     print(json.dumps(doc, sort_keys=True))
     return 0
 

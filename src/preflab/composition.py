@@ -10,8 +10,21 @@ contiguous segments. Two families are provided:
   its own length (segments may be empty when the side is shorter than
   ``m``).
 
-A ``SegmentedPair`` caches, per side, the rank of every position's
-segment among the kept (non-empty) segments: the ids the loss sums by.
+``xi_static`` and ``xi_adaptive`` define the segments. A ``SegmentedPair``
+records only what defines a pair's segmentation (family, parameter and
+the two side lengths) and derives its bounds from them on demand.
+``stacked_ranks`` gives, for every position of a whole list of pairs, the
+rank of its segment among its pair's kept (non-empty) segments, the ids
+the loss sums by, in closed form from the length arrays:
+
+* static: position i is in window i // k, and no window is empty on both
+  sides, so the window is the rank;
+* adaptive: position i of a side of length n is in segment
+  ((i + 1)·m − 1) // n. Segments empty on both sides exist only when the
+  longer side is shorter than ``m``, and only those pairs are compacted.
+
+k is clamped at the longer side and m at len_w·len_l; past those the
+ranks no longer change, so no work or array is sized by k or m.
 Pure functions throughout; safe to call from any thread.
 """
 
@@ -48,6 +61,23 @@ class StrongComposition:
         return tuple(zip((0,) + stops[:-1], stops))
 
 
+def _check_window(k: int) -> None:
+    if k < 1:
+        raise ValidationError(f"static window size must be >= 1, got {k}")
+
+
+def _check_count(m: int) -> None:
+    if m < 1:
+        raise ValidationError(f"adaptive segment count must be >= 1, got {m}")
+
+
+def _check_sides(len_w: int, len_l: int) -> None:
+    if len_w < 1 or len_l < 1:
+        raise ValidationError(
+            f"both sides must be non-empty, got lengths ({len_w}, {len_l})"
+        )
+
+
 def xi_static(
     len_w: int, len_l: int, k: int
 ) -> tuple[StrongComposition, StrongComposition]:
@@ -57,12 +87,8 @@ def xi_static(
     length; there are ceil(max(len_w, len_l) / k) windows, so the windows
     past the end of the shorter side are empty on that side.
     """
-    if k < 1:
-        raise ValidationError(f"static window size must be >= 1, got {k}")
-    if len_w < 1 or len_l < 1:
-        raise ValidationError(
-            f"both sides must be non-empty, got lengths ({len_w}, {len_l})"
-        )
+    _check_window(k)
+    _check_sides(len_w, len_l)
     n_windows = -(-max(len_w, len_l) // k)
 
     def clipped(length: int) -> StrongComposition:
@@ -80,8 +106,7 @@ def xi_adaptive(length: int, m: int) -> StrongComposition:
     either floor(length/m) or ceil(length/m); sizes may be 0 when
     length < m.
     """
-    if m < 1:
-        raise ValidationError(f"adaptive segment count must be >= 1, got {m}")
+    _check_count(m)
     if length < 0:
         raise ValidationError(f"length must be >= 0, got {length}")
     parts = tuple(length * (i + 1) // m - length * i // m for i in range(m))
@@ -90,16 +115,39 @@ def xi_adaptive(length: int, m: int) -> StrongComposition:
 
 @dataclass(frozen=True)
 class SegmentedPair:
-    """Aligned segmentation of one preference pair.
+    """Aligned segmentation of one preference pair, by what defines it.
 
     Segment i of the chosen side is compared against segment i of the
     rejected side. Each side's bounds tile that side's own token-logprob
-    vector; a segment may be empty on one side.
+    vector; a segment may be empty on one side. The bounds are built by
+    ``xi_static`` or ``xi_adaptive`` only when asked for, one entry per
+    segment; the kept ranks are the closed form of ``stacked_ranks``.
     """
 
-    n_segments: int
-    w_bounds: tuple[tuple[int, int], ...]
-    l_bounds: tuple[tuple[int, int], ...]
+    family: str
+    param: int
+    len_w: int
+    len_l: int
+
+    @cached_property
+    def _compositions(self) -> tuple[StrongComposition, StrongComposition]:
+        if self.family == "static":
+            return xi_static(self.len_w, self.len_l, self.param)
+        return xi_adaptive(self.len_w, self.param), xi_adaptive(self.len_l, self.param)
+
+    @property
+    def n_segments(self) -> int:
+        if self.family == "static":
+            return -(-max(self.len_w, self.len_l) // self.param)
+        return self.param
+
+    @property
+    def w_bounds(self) -> tuple[tuple[int, int], ...]:
+        return self._compositions[0].bounds()
+
+    @property
+    def l_bounds(self) -> tuple[tuple[int, int], ...]:
+        return self._compositions[1].bounds()
 
     @cached_property
     def kept_ranks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -109,31 +157,70 @@ class SegmentedPair:
         empty on both would contribute a constant with zero gradient, and no
         position takes its rank.
         """
-        w_sizes, l_sizes = (
-            np.array([stop - start for start, stop in b], dtype=np.intp)
-            for b in (self.w_bounds, self.l_bounds)
-        )
-        rank = np.cumsum(w_sizes + l_sizes > 0) - 1
-        return np.repeat(rank, w_sizes), np.repeat(rank, l_sizes)
+        ranks, _ = stacked_ranks([self])
+        return ranks[: self.len_w], ranks[self.len_w :]
 
 
 def segment_pair(lengths: tuple[int, int], family: str, param: int) -> SegmentedPair:
     """Segment both sides of a pair by one composition family.
 
     ``lengths`` are the token counts of the chosen and rejected responses.
+    Validates as ``xi_static`` or ``xi_adaptive`` would, in O(1).
     """
     len_w, len_l = lengths
     if family == "static":
-        comp_w, comp_l = xi_static(len_w, len_l, param)
+        _check_window(param)
+        _check_sides(len_w, len_l)
     elif family == "adaptive":
-        if len_w < 1 or len_l < 1:
-            raise ValidationError(
-                f"both sides must be non-empty, got lengths ({len_w}, {len_l})"
-            )
-        comp_w, comp_l = xi_adaptive(len_w, param), xi_adaptive(len_l, param)
+        _check_sides(len_w, len_l)
+        _check_count(param)
     else:
         raise ValidationError(f"unknown composition family {family!r}")
-    return SegmentedPair(len(comp_w.parts), comp_w.bounds(), comp_l.bounds())
+    return SegmentedPair(family, param, len_w, len_l)
+
+
+def stacked_ranks(segmentation: list[SegmentedPair]) -> tuple[np.ndarray, np.ndarray]:
+    """Kept-segment rank of every position of the stacked sides (chosen then
+    rejected, pair by pair), and the side lengths, in one pass over the
+    length arrays. Pairs may mix families and parameters.
+    """
+    n = len(segmentation)
+    static = np.fromiter((s.family == "static" for s in segmentation), dtype=bool, count=n)
+    lengths = np.fromiter(
+        (side for s in segmentation for side in (s.len_w, s.len_l)), dtype=np.intp, count=2 * n
+    )
+    len_w, len_l = lengths[0::2], lengths[1::2]
+    longer = np.maximum(len_w, len_l)
+    # past these caps the ranks do not change; clamped before int64 arithmetic
+    cap = np.where(static, longer, len_w * len_l).tolist()
+    param = np.fromiter(
+        (min(s.param, c) for s, c in zip(segmentation, cap)), dtype=np.intp, count=n
+    )
+    if int(longer.max()) * int(param.max()) > np.iinfo(np.int64).max:  # (i + 1)·m below
+        raise ValidationError(
+            f"segment ids of sides up to {int(longer.max())} tokens overflow int64"
+        )
+    starts = np.cumsum(lengths) - lengths
+    position = np.arange(int(lengths.sum())) - np.repeat(starts, lengths)
+    side_param = np.repeat(np.repeat(param, 2), lengths)
+    ranks = np.where(
+        np.repeat(np.repeat(static, 2), lengths),
+        position // side_param,
+        ((position + 1) * side_param - 1) // np.repeat(lengths, lengths),
+    )
+    compact = ~static & (longer < param)
+    if compact.any():
+        # dense rank of the segment ids within each compacted pair
+        pair_len = len_w + len_l
+        at = np.flatnonzero(np.repeat(compact, pair_len))
+        pair = np.repeat(np.arange(n), pair_len)[at]
+        order = np.lexsort((ranks[at], pair))
+        at, pair, seg = at[order], pair[order], ranks[at][order]
+        first = np.ones(at.size, dtype=bool)
+        first[1:] = pair[1:] != pair[:-1]
+        dense = np.cumsum(first | np.r_[True, seg[1:] != seg[:-1]]) - 1
+        ranks[at] = dense - np.maximum.accumulate(np.where(first, dense, 0))
+    return ranks, lengths
 
 
 def pad_tokens(tokens, length: int, pad_id: int) -> tuple[int, ...]:

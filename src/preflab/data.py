@@ -21,6 +21,10 @@ from .lm import NGramPolicy, TokenSeq, Vocab, check_tokens, row_logprobs
 from .seeds import child_rng
 
 LABELINGS = ("deterministic", "bt")
+# Most tokens a generated dataset may need: two responses of up to max_len
+# tokens per pair. Checked in integer arithmetic before any draw, since the
+# generator builds every response token by token.
+MAX_TOKENS = 1 << 24
 
 
 @dataclass
@@ -31,9 +35,9 @@ class PreferencePair:
     rejected_scores: np.ndarray | None = None
 
     def __post_init__(self):
-        self.prompt = tuple(int(t) for t in self.prompt)
-        self.chosen = tuple(int(t) for t in self.chosen)
-        self.rejected = tuple(int(t) for t in self.rejected)
+        self.prompt = tuple(map(int, self.prompt))
+        self.chosen = tuple(map(int, self.chosen))
+        self.rejected = tuple(map(int, self.rejected))
         if not self.prompt or not self.chosen or not self.rejected:
             raise ValidationError("prompt, chosen, and rejected must be non-empty")
         if self.chosen == self.rejected:
@@ -157,6 +161,12 @@ def generate_dataset(
         raise ValidationError(f"n_pairs must be >= 1, got {n_pairs}")
     if labeling not in LABELINGS:
         raise ValidationError(f"unknown labeling {labeling!r}")
+    worst = n_pairs * 2 * task.max_len
+    if worst > MAX_TOKENS:
+        raise ValidationError(
+            f"{n_pairs} pairs of responses up to {task.max_len} tokens may need "
+            f"{worst} tokens, more than {MAX_TOKENS}"
+        )
     rng = child_rng(task.seed, "data")
     probs = task.background_probs()
     cdf = np.cumsum(probs, out=probs)  # into the same array: no second vocab-sized copy
@@ -223,20 +233,21 @@ def save_jsonl(pairs: list[PreferencePair], path) -> None:
             fh.write("\n")
 
 
-def _int_list(doc: dict, name: str, lineno: int) -> tuple[int, ...]:
+def _int_list(doc: dict, name: str, lineno: int) -> list[int]:
     if name not in doc:
         raise DataFormatError(f"line {lineno}: missing required field {name!r}")
     value = doc[name]
-    if not isinstance(value, list) or not all(type(t) is int for t in value):
+    # one pass over the types: bool and float ids are not ints here
+    if not isinstance(value, list) or not set(map(type, value)) <= {int}:
         raise DataFormatError(f"line {lineno}: field {name!r} must be a list of ints")
-    return tuple(value)
+    return value
 
 
 def _scores(doc: dict, lineno: int) -> list | None:
     value = doc.get("rejected_scores")
     if value is None:
         return None
-    if not isinstance(value, list) or not all(type(s) in (int, float) for s in value):
+    if not isinstance(value, list) or not set(map(type, value)) <= {int, float}:
         raise DataFormatError(f"line {lineno}: field 'rejected_scores' must be a list of numbers")
     return value
 

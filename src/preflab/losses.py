@@ -20,7 +20,10 @@ Which segment each token feeds, and its weight, depend only on the data
 and the config, never on the step. ``segment_layout`` turns one
 ``SegmentedPair`` per pair (and the scores, if weighted) into a
 ``SegmentLayout``: per position the kept-segment rank and the weight, per
-side the length, per pair the kept-segment count. The trainer builds it
+side the length, per pair the kept-segment count. It ranks every position
+of the whole list in one vectorized pass over the side lengths
+(``composition.stacked_ranks``), whatever k or m; no pair's segment
+bounds are built. The trainer builds it
 once per command and indexes it per batch. Each loss above builds one and
 calls ``batch_loss(batch, layout)``, the one loss body: a fixed five-node
 graph (a ``weighted_segment_sum`` over the whole batch, then scale,
@@ -37,7 +40,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-from .composition import FAMILIES, SegmentedPair, segment_pair
+from .composition import FAMILIES, SegmentedPair, segment_pair, stacked_ranks
 from .errors import ValidationError
 
 METHODS = ("dpo", "adpo")
@@ -120,9 +123,7 @@ def segment_layout(segmentation: list[SegmentedPair], rejected_scores=None) -> S
     """
     if not segmentation:
         raise ValidationError("no pairs to segment")
-    sides = [ranks for seg in segmentation for ranks in seg.kept_ranks]
-    lengths = np.fromiter(map(len, sides), dtype=np.intp, count=len(sides))
-    ranks = np.concatenate(sides)
+    ranks, lengths = stacked_ranks(segmentation)
     # ranks never fall along a side, and segment_pair leaves no side empty,
     # so each side's last rank is its largest
     last = ranks[np.cumsum(lengths) - 1]

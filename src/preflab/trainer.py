@@ -215,6 +215,17 @@ class DatasetPlan:
             theta = policy.rows_forward(graph, leaves, rows, targets)
         return theta, ad.sub(theta, ref_logp), layout
 
+    def length_measures(self) -> dict[str, float]:
+        """The paper's two length measures, averaged over the pairs: the token
+        length mu of each side and the feedback length mu_prime, the kept
+        segments (comparisons) per pair of the planned loss."""
+        lengths, n = np.diff(self.offsets), len(self.layout.kept)
+        return {
+            "mu_chosen": float(np.sum(lengths[0::2]) / n),
+            "mu_rejected": float(np.sum(lengths[1::2]) / n),
+            "mu_prime": float(np.sum(self.layout.kept) / n),
+        }
+
 
 def plan_dataset(
     dataset: list[PreferencePair], cfg: LossConfig | None, ref: Policy

@@ -1,9 +1,12 @@
-"""Scoring and draws that only tests use.
+"""Scoring, draws and reference segmentations that only tests use.
 
 The scoring here is the tests' independent path to a policy's
 conditionals: it calls the public ``row_logprobs`` once per id and row,
 whereas the oracle reads an n-gram's table through its state recursion,
-so each can be checked against the other.
+so each can be checked against the other. Likewise the kept ranks here
+come from a pair's segment bounds (``xi_static`` and ``xi_adaptive``),
+whereas ``composition.stacked_ranks`` computes them in closed form from
+the side lengths.
 """
 
 import numpy as np
@@ -42,3 +45,27 @@ def along_sequences(space, table) -> np.ndarray:
     lead = table.shape[:-2]
     flat = np.concatenate((table.reshape(*lead, -1), np.zeros((*lead, 1))), axis=-1)
     return np.take(flat, space.flat_at.T, axis=-1)
+
+
+def bounds_kept_ranks(seg) -> tuple[np.ndarray, np.ndarray]:
+    """Per side, the rank of every position's segment among the segments
+    non-empty on at least one side, read off the pair's bounds."""
+    w_sizes, l_sizes = (
+        np.array([stop - start for start, stop in b], dtype=np.intp)
+        for b in (seg.w_bounds, seg.l_bounds)
+    )
+    rank = np.cumsum(w_sizes + l_sizes > 0) - 1
+    return np.repeat(rank, w_sizes), np.repeat(rank, l_sizes)
+
+
+def python_kept_ranks(family, param, len_w, len_l) -> tuple[list, list]:
+    """The kept ranks in Python integers from each position's segment id
+    (i // k, or ((i + 1)·m − 1) // n on a side of n tokens), for any size
+    of k or m."""
+    if family == "static":
+        ids = [[i // param for i in range(n)] for n in (len_w, len_l)]
+    else:
+        ids = [[((i + 1) * param - 1) // n for i in range(n)] for n in (len_w, len_l)]
+    kept = sorted(set(ids[0]) | set(ids[1]))
+    rank = {seg: r for r, seg in enumerate(kept)}
+    return [rank[s] for s in ids[0]], [rank[s] for s in ids[1]]

@@ -148,6 +148,15 @@ class TestGenData:
         assert "max_len 99999999999999999999 does not fit in int64" in one_error_line(capsys)
         assert not out.exists()
 
+    def test_huge_max_len_exits_2_before_generating(self, tmp_path, capsys):
+        # two pairs of responses up to 2**63 - 1 tokens used to generate for minutes
+        out = tmp_path / "a.jsonl"
+        argv = ["gen-data", "--set", "data.vocab_size=8", "--set",
+                "data.max_len=9223372036854775807", "--set", "data.n_pairs=2"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert f"more than {preflab.data.MAX_TOKENS}" in one_error_line(capsys)
+        assert not out.exists()
+
     def test_set_override(self, tmp_path):
         cfg = gen_config(tmp_path)
         out = tmp_path / "a.jsonl"
@@ -369,8 +378,39 @@ class TestEvalAnalyze:
         before = hashlib.sha256(ckpt.read_bytes()).hexdigest()
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset_path)]) == 0
         doc = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
-        assert set(doc) == {"loss", "chosen_logp", "rejected_logp", "margin", "accuracy"}
+        assert set(doc) == {
+            "loss", "chosen_logp", "rejected_logp", "margin", "accuracy",
+            "mu_chosen", "mu_rejected", "mu_prime",
+        }
         assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == before
+
+    @pytest.mark.parametrize(
+        "loss,mu_prime",
+        [
+            ({"method": "dpo"}, 1.0),
+            # the longer side of each pair: 3, 4, 2, 1
+            ({"method": "adpo", "family": "static", "k": 1}, 10 / 4),
+            # kept of the 3 near-equal segments: (2, 3) all 3; (4, 1) all 3
+            # on the longer side; (2, 2) parts (0, 1, 1) on both, 2; (1, 1) 1
+            ({"method": "adpo", "family": "adaptive", "m": 3}, 9 / 4),
+        ],
+        ids=["dpo", "static1", "adaptive3"],
+    )
+    def test_eval_reports_token_and_feedback_lengths(
+        self, tmp_path, run_dir, capsys, loss, mu_prime
+    ):
+        sides = [((3, 4), (5, 6, 7)), ((3, 4, 5, 6), (7,)), ((8, 9), (9, 8)), ((10,), (11,))]
+        data = tmp_path / "hand.jsonl"
+        data.write_text("".join(
+            json.dumps({"prompt": [3, 4], "chosen": list(w), "rejected": list(l)}) + "\n"
+            for w, l in sides
+        ))
+        cfg = write_config(tmp_path / "loss.json", {"seed": 0, "loss": {**loss, "beta": 1.0}})
+        ckpt = str(run_dir / "final.json")
+        assert main(["eval", "--checkpoint", ckpt, "--data", str(data), "--config", cfg]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["mu_chosen"], doc["mu_rejected"]) == (9 / 4, 7 / 4)
+        assert doc["mu_prime"] == mu_prime
 
     def test_eval_missing_ref_exits_2(self, tmp_path, dataset_path, run_dir):
         lone = tmp_path / "lone.json"

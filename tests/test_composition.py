@@ -1,12 +1,17 @@
 """Unit tests for strong-composition segmentation."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from preflab import composition as comp
+from preflab import losses
 from preflab.errors import ValidationError
+
+from helpers import bounds_kept_ranks, python_kept_ranks
 
 
 class TestStatic:
@@ -109,6 +114,115 @@ class TestKeptRanks:
                     direct = [kept.index(i) for i, (a, b) in enumerate(bounds) for _ in range(a, b)]
                     assert ranks.dtype == np.intp and ranks.tolist() == direct
                 assert seg.kept_ranks is seg.kept_ranks
+
+    @pytest.mark.parametrize(
+        "lengths,family,param,message",
+        [
+            ((3, 5), "static", 0, "static window size must be >= 1, got 0"),
+            ((0, 5), "static", 2, "both sides must be non-empty, got lengths (0, 5)"),
+            ((3, 0), "static", 0, "static window size must be >= 1, got 0"),
+            ((3, 5), "adaptive", 0, "adaptive segment count must be >= 1, got 0"),
+            ((0, 5), "adaptive", 0, "both sides must be non-empty, got lengths (0, 5)"),
+        ],
+    )
+    def test_segment_pair_validates_eagerly(self, lengths, family, param, message):
+        # the checks and their order of xi_static, and of xi_adaptive after
+        # the pair's own non-empty check
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            comp.segment_pair(lengths, family, param)
+
+
+# every pair of side lengths up to 40 under every k and m from 1 to 12
+GRID = [
+    (family, param, len_w, len_l)
+    for family in comp.FAMILIES
+    for param in range(1, 13)
+    for len_w in range(1, 41)
+    for len_l in range(1, 41)
+]
+
+
+@pytest.fixture(scope="module")
+def bounds_reference():
+    """Per grid entry: the bounds-based ranks of each side and the number of
+    segments non-empty on at least one side."""
+    out = {}
+    for family, param, len_w, len_l in GRID:
+        seg = comp.segment_pair((len_w, len_l), family, param)
+        kept = sum(b > a or d > c for (a, b), (c, d) in zip(seg.w_bounds, seg.l_bounds))
+        out[family, param, len_w, len_l] = (*bounds_kept_ranks(seg), kept)
+    return out
+
+
+class TestClosedFormLayout:
+    """``segment_layout`` ranks a whole list in closed form; it must give
+    what each pair's own bounds give."""
+
+    def assert_layout_matches(self, reference, keys, with_scores):
+        segmentation = [comp.segment_pair((lw, ll), f, p) for f, p, lw, ll in keys]
+        scores = None
+        if with_scores:
+            rng = np.random.default_rng(len(keys))
+            scores = [rng.uniform(size=ll) for _, _, _, ll in keys]
+        layout = losses.segment_layout(segmentation, scores)
+        want = [reference[key] for key in keys]
+        sides = [ranks for w, l, _ in want for ranks in (w, l)]
+        assert layout.ranks.dtype == np.intp
+        assert np.array_equal(layout.ranks, np.concatenate(sides))
+        assert layout.lengths.tolist() == [len(r) for r in sides]
+        assert layout.kept.tolist() == [kept for _, _, kept in want]
+        rejected = [
+            -(1.0 - scores[i]) if with_scores else -np.ones(ll)
+            for i, (_, _, _, ll) in enumerate(keys)
+        ]
+        weights = [w for (_, _, lw, _), r in zip(keys, rejected) for w in (np.ones(lw), r)]
+        assert np.array_equal(layout.weights, np.concatenate(weights))
+
+    @pytest.mark.parametrize("with_scores", [False, True], ids=["unweighted", "scored"])
+    def test_each_parameter_alone(self, bounds_reference, with_scores):
+        for family in comp.FAMILIES:
+            for param in range(1, 13):
+                keys = [key for key in GRID if key[:2] == (family, param)]
+                self.assert_layout_matches(bounds_reference, keys, with_scores)
+
+    @pytest.mark.parametrize("with_scores", [False, True], ids=["unweighted", "scored"])
+    def test_families_and_parameters_mixed_in_one_list(self, bounds_reference, with_scores):
+        order = np.random.default_rng(7).permutation(len(GRID))
+        keys = [GRID[i] for i in order]
+        self.assert_layout_matches(bounds_reference, keys, with_scores)
+
+    def test_adaptive_ranks_do_not_depend_on_m_past_the_side_product(self):
+        rng = np.random.default_rng(3)
+        for len_w in range(1, 13):
+            for len_l in range(1, 13):
+                cap = len_w * len_l
+                seg = comp.segment_pair((len_w, len_l), "adaptive", cap)
+                want = [r.tolist() for r in bounds_kept_ranks(seg)]
+                assert [r.tolist() for r in seg.kept_ranks] == want
+                for m in (cap + 1, 2 * cap + 1, int(rng.integers(cap, 8 * cap + 50))):
+                    wider = comp.segment_pair((len_w, len_l), "adaptive", m)
+                    assert [r.tolist() for r in bounds_kept_ranks(wider)] == want
+                    assert [r.tolist() for r in wider.kept_ranks] == want
+                for m in (10**18, 10**40):
+                    huge = comp.segment_pair((len_w, len_l), "adaptive", m)
+                    assert list(python_kept_ranks("adaptive", m, len_w, len_l)) == want
+                    assert [r.tolist() for r in huge.kept_ranks] == want
+
+    def test_segment_pair_records_only_what_defines_it(self):
+        # O(1) whatever m: nothing is sized by the parameter until bounds are asked for
+        seg = comp.segment_pair((5, 7), "adaptive", 10**12)
+        assert (seg.family, seg.param, seg.len_w, seg.len_l) == ("adaptive", 10**12, 5, 7)
+        assert seg.n_segments == 10**12
+        assert [r.tolist() for r in seg.kept_ranks] == list(
+            python_kept_ranks("adaptive", 10**12, 5, 7)
+        )
+        assert comp.segment_pair((5, 7), "static", 10**30).n_segments == 1
+
+    def test_ids_beyond_int64_rejected_before_any_array(self):
+        # (i + 1)·m at m = len_w·len_l reaches the cube of the side length
+        side = 1 << 22
+        with pytest.raises(ValidationError, match="overflow int64"):
+            losses.segment_layout([comp.segment_pair((side, side - 1), "adaptive", 10**40)])
 
 
 def assert_partition(parts, length):

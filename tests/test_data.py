@@ -176,6 +176,18 @@ class TestGeneration:
         with pytest.raises(ValidationError):
             D.generate_dataset(task, 5, labeling="majority")
 
+    def test_token_bound_checked_before_any_draw(self, vocab):
+        # 1024 pairs of up to 64 tokens (the benchmark's eval data) fit easily
+        assert 1024 * 2 * 64 <= D.MAX_TOKENS
+        task = D.BigramMatchTask(vocab=vocab, max_len=D.MAX_TOKENS // 2, temperature=1e-320)
+        with pytest.raises(ValidationError, match="temperature"):  # the bound admits it
+            D.generate_dataset(task, 1)
+        with pytest.raises(ValidationError, match=f"more than {D.MAX_TOKENS}"):
+            D.generate_dataset(task, 2)
+        task = D.BigramMatchTask(vocab=vocab, max_len=np.iinfo(np.int64).max)
+        with pytest.raises(ValidationError, match=f"more than {D.MAX_TOKENS}"):
+            D.generate_dataset(task, 2)
+
 
 class TestBTLabeling:
     def test_equal_rewards_fair_coin(self):
@@ -354,6 +366,18 @@ class TestJsonl:
                 "line 2: field 'rejected_scores' must be a list of numbers",
             ),
             ('{"prompt": [3], "chosen": [true], "rejected": [5]}', "line 2: field 'chosen'"),
+            (
+                '{"prompt": [3], "chosen": [4, 5.0], "rejected": [5]}',
+                "line 2: field 'chosen' must be a list of ints",
+            ),
+            (
+                '{"prompt": 3, "chosen": [4], "rejected": [5]}',
+                "line 2: field 'prompt' must be a list of ints",
+            ),
+            (
+                '{"prompt": [3], "chosen": [4], "rejected": [5], "rejected_scores": [true]}',
+                "line 2: field 'rejected_scores' must be a list of numbers",
+            ),
             ("null", "line 2: expected a JSON object, got NoneType"),
         ],
     )

@@ -10,12 +10,12 @@ import pytest
 
 from preflab import autodiff as ad
 from preflab import data as D
-from preflab import lm, losses, trainer
+from preflab import composition, lm, losses, trainer
 from preflab.composition import segment_pair
 from preflab.errors import TrainingDivergedError, ValidationError
 from preflab.seeds import child_rng
 
-from helpers import seq_logprob
+from helpers import python_kept_ranks, seq_logprob
 
 
 def small_setup(seed=0, n_pairs=24, **task_kw):
@@ -106,6 +106,24 @@ class TestPlans:
         sides = [2 * i + j for i in ids for j in (0, 1)]
         assert np.array_equal(layout.lengths, plan.layout.lengths[sides])
         assert np.array_equal(layout.kept, plan.layout.kept[ids])
+
+    @pytest.mark.parametrize("family,param", [("adaptive", 10**12), ("static", 10**30)])
+    def test_plan_cost_does_not_depend_on_k_or_m(self, monkeypatch, family, param):
+        # the plan ranks in closed form: building any segment bounds (O(k) or
+        # O(m) each) raises, and k beyond int64 still plans
+        def no_bounds(*args):
+            raise AssertionError("the plan built segment bounds")
+
+        monkeypatch.setattr(composition, "xi_static", no_bounds)
+        monkeypatch.setattr(composition, "xi_adaptive", no_bounds)
+        _, dataset, policy = small_setup()
+        size = {"k": param} if family == "static" else {"m": param}
+        cfg = losses.LossConfig(method="adpo", family=family, **size)
+        plan = trainer.plan_dataset(dataset, cfg.validate(), lm.clone_frozen(policy))
+        want = [python_kept_ranks(family, param, len(p.chosen), len(p.rejected)) for p in dataset]
+        assert plan.layout.ranks.tolist() == [r for pair in want for side in pair for r in side]
+        assert plan.layout.kept.tolist() == [max(w[-1], l[-1]) + 1 for w, l in want]
+        assert plan.length_measures()["mu_prime"] == float(np.mean(plan.layout.kept))
 
 
 class TestPlannedLayout:
