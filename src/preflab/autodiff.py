@@ -5,8 +5,8 @@ tape, and ``Graph.backward`` replays that tape in exact reverse creation
 order. Accumulation order is therefore deterministic, and two backward
 passes over identical graphs produce bit-identical gradients.
 
-Only scalar <-> array broadcasting is supported, which removes a whole
-class of silently misaligned operands.
+Elementwise operands must have equal shapes: nothing broadcasts, which
+removes a whole class of silently misaligned operands.
 
 Operands that are not ``Node`` instances are treated as untracked
 constants: they participate in the forward value but accumulate no
@@ -15,13 +15,11 @@ gradient.
 A graph owns its nodes; a node refers back to its graph only weakly, so a
 tape is freed by reference counting as soon as the caller drops it.
 
-The ops: ``sub``, ``mul``, ``sum``, ``log_sigmoid``, ``slice1d`` and
-``weighted_segment_sum``. Segment reductions (DPO, ADPO and cADPO logits
-alike) go through the last one: a ``np.bincount`` over the concatenated
-side vectors of a whole batch, with per-position segment ids and weights.
-A model records its whole forward as one ``Node`` with a hand-derived
-backward, built from ``log_softmax_values`` and the helpers
-``check_bounds`` and ``id_row_sums`` (both policies in ``lm`` do).
+The generic ops are ``sub`` and ``slice1d``. Everything else records
+itself as one ``Node`` with a hand-derived backward: each policy's
+forward in ``lm`` (built from ``log_softmax_values`` and the helpers
+``check_bounds`` and ``id_row_sums``) and the preference loss in
+``losses`` (built from ``log_sigmoid_values`` and ``sigmoid_values``).
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ Array = np.ndarray
 
 
 class ShapeMismatchError(ValueError):
-    """Operand shapes neither match nor qualify for scalar broadcasting."""
+    """Two operands, or an operand and its index or weight vector, differ in shape."""
 
     def __init__(self, op: str, a: tuple, b: tuple):
         super().__init__(f"{op}: incompatible shapes {a} and {b}")
@@ -44,7 +42,7 @@ class ShapeMismatchError(ValueError):
 
 
 class IndexBoundsError(IndexError):
-    """A gather/lookup index fell outside its axis."""
+    """A gather, lookup, slice or segment index fell outside its axis."""
 
     def __init__(self, op: str, index: int, size: int):
         super().__init__(f"{op}: index {index} out of bounds for size {size}")
@@ -174,7 +172,9 @@ def _value(x) -> Array:
     return np.asarray(x, dtype=np.float64)
 
 
-def _graph_of(op: str, *operands) -> Graph:
+def graph_of(op: str, *operands) -> Graph:
+    """The one graph the ``Node`` operands belong to; raises ValueError,
+    naming ``op``, if there is none, it was freed, or there are two."""
     graph = None
     for x in operands:
         if isinstance(x, Node):
@@ -190,72 +190,25 @@ def _graph_of(op: str, *operands) -> Graph:
     return graph
 
 
-def _check_elementwise(op: str, va: Array, vb: Array) -> None:
-    if va.shape != vb.shape and va.ndim != 0 and vb.ndim != 0:
-        raise ShapeMismatchError(op, va.shape, vb.shape)
-
-
-def _accumulate(x, g) -> None:
-    """Add ``g`` into x's gradient, reducing a scalar-broadcast operand."""
-    if not isinstance(x, Node):
-        return
-    if x.value.ndim == 0 and np.ndim(g) != 0:
-        x.grad += np.sum(g)
-    else:
-        x.grad += g
-
-
 # ---------------------------------------------------------------------------
 # elementwise ops
 # ---------------------------------------------------------------------------
 
 
 def sub(a, b) -> Node:
+    """a - b over operands of one shape."""
     va, vb = _value(a), _value(b)
-    _check_elementwise("sub", va, vb)
-    graph = _graph_of("sub", a, b)
+    if va.shape != vb.shape:
+        raise ShapeMismatchError("sub", va.shape, vb.shape)
+    graph = graph_of("sub", a, b)
 
     def backward(g):
-        _accumulate(a, g)
-        _accumulate(b, -g)
+        if isinstance(a, Node):
+            a.grad += g
+        if isinstance(b, Node):
+            b.grad -= g
 
     return Node(graph, va - vb, (a, b), backward)
-
-
-def mul(a, b) -> Node:
-    va, vb = _value(a), _value(b)
-    _check_elementwise("mul", va, vb)
-    graph = _graph_of("mul", a, b)
-
-    def backward(g):
-        _accumulate(a, g * vb)
-        _accumulate(b, g * va)
-
-    return Node(graph, va * vb, (a, b), backward)
-
-
-def sum(a, axis: int | None = None) -> Node:  # noqa: A001 - mirrors np.sum
-    graph = _graph_of("sum", a)
-    value = np.sum(a.value, axis=axis)
-
-    def backward(g):
-        if axis is None:
-            a.grad += g
-        else:
-            a.grad += np.expand_dims(g, axis)
-
-    return Node(graph, value, (a,), backward)
-
-
-def log_sigmoid(a) -> Node:
-    """log(sigmoid(x)), computed as -softplus(-x); gradient sigmoid(-x)."""
-    graph = _graph_of("log_sigmoid", a)
-    va = a.value
-
-    def backward(g):
-        a.grad += g * sigmoid_values(-va)
-
-    return Node(graph, log_sigmoid_values(va), (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -287,51 +240,12 @@ def slice1d(a, start: int, stop: int) -> Node:
     va = a.value
     if va.ndim != 1 or not (0 <= start <= stop <= va.shape[0]):
         raise IndexBoundsError("slice1d", stop, va.shape[0])
-    graph = _graph_of("slice1d", a)
+    graph = graph_of("slice1d", a)
 
     def backward(g):
         a.grad[start:stop] += g
 
     return Node(graph, va[start:stop].copy(), (a,), backward)
-
-
-def weighted_segment_sum(nodes: Sequence, ids, n_segments: int, weights=None) -> Node:
-    """out[s] = sum of w[i] * x[i] over positions i with ids[i] == s.
-
-    ``nodes`` are 1-D vectors read as one concatenation; ``ids`` (and
-    ``weights``, default all ones) give one entry per position of that
-    concatenation; ids must lie in [0, n_segments). A segment no position
-    maps to sums to 0. Positions are accumulated in order (``np.bincount``),
-    so the result is deterministic.
-    """
-    if not nodes:
-        raise ValueError("weighted_segment_sum: empty node list")
-    parts = [_value(x) for x in nodes]
-    for v in parts:
-        if v.ndim != 1:
-            raise ShapeMismatchError("weighted_segment_sum", v.shape, ())
-    values = np.concatenate(parts)
-    idx = np.asarray(ids, dtype=np.intp)
-    if idx.shape != values.shape:
-        raise ShapeMismatchError("weighted_segment_sum", values.shape, idx.shape)
-    check_bounds("weighted_segment_sum", idx, n_segments)
-    if weights is None:
-        w = np.ones_like(values)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != values.shape:
-            raise ShapeMismatchError("weighted_segment_sum", values.shape, w.shape)
-    out = np.bincount(idx, weights=w * values, minlength=n_segments)
-    stops = np.cumsum([v.shape[0] for v in parts])
-    graph = _graph_of("weighted_segment_sum", *nodes)
-
-    def backward(g):
-        per_position = g[idx] * w
-        for x, stop, v in zip(nodes, stops, parts):
-            if isinstance(x, Node):
-                x.grad += per_position[stop - v.shape[0] : stop]
-
-    return Node(graph, out, tuple(nodes), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -57,11 +57,22 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+def _check_output_dir(path: str) -> None:
+    """Refuse, before any work, a run directory that cannot be made: its
+    nearest existing path (itself or an ancestor) is not a directory."""
+    existing = os.path.abspath(path)
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ValidationError(f"output_dir {path}: {existing} is not a directory")
+
+
 def cmd_train(args) -> int:
     resolved = _load_resolved(args)
     output_dir = resolved.get("output_dir")
     if not output_dir:
         raise ValidationError("missing required field: output_dir")
+    _check_output_dir(output_dir)
     cfgmod.require_section(resolved, "model")
     cfgmod.require_section(resolved, "data")
     dataset = cfgmod.build_dataset(resolved)

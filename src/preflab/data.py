@@ -21,9 +21,10 @@ from .lm import NGramPolicy, TokenSeq, Vocab, check_tokens, row_logprobs
 from .seeds import child_rng
 
 LABELINGS = ("deterministic", "bt")
-# Most tokens a generated dataset may need: two responses of up to max_len
-# tokens per pair. Checked in integer arithmetic before any draw, since the
-# generator builds every response token by token.
+# Most tokens a generated dataset may need: a prompt of prompt_len tokens
+# and two responses of up to max_len tokens per pair. Checked in integer
+# arithmetic before any draw, since the generator builds every prompt and
+# response token by token.
 MAX_TOKENS = 1 << 24
 
 
@@ -161,11 +162,11 @@ def generate_dataset(
         raise ValidationError(f"n_pairs must be >= 1, got {n_pairs}")
     if labeling not in LABELINGS:
         raise ValidationError(f"unknown labeling {labeling!r}")
-    worst = n_pairs * 2 * task.max_len
+    worst = n_pairs * (task.prompt_len + 2 * task.max_len)
     if worst > MAX_TOKENS:
         raise ValidationError(
-            f"{n_pairs} pairs of responses up to {task.max_len} tokens may need "
-            f"{worst} tokens, more than {MAX_TOKENS}"
+            f"{n_pairs} pairs of a {task.prompt_len}-token prompt and two responses "
+            f"up to {task.max_len} tokens may need {worst} tokens, more than {MAX_TOKENS}"
         )
     rng = child_rng(task.seed, "data")
     probs = task.background_probs()

@@ -118,28 +118,21 @@ def side_windows(vocab: Vocab, width: int, prompts, responses) -> tuple[np.ndarr
     """The ``width`` ids before every response position of every side, and
     the id at that position, stacked side by side.
 
-    Side s is ``prompts[s]`` followed by ``responses[s]``: two lists of id
-    sequences, or two 2-D id arrays for sides of equal lengths. Its windows
-    are BOS-filled where they start before the side. Every id is checked
-    once, in side order, prompt before response; the first out of range
-    raises TokenIdError.
+    Side s is ``prompts[s]`` followed by ``responses[s]``, from two lists of
+    id sequences. Its windows are BOS-filled where they start before the
+    side. Every id is checked once, in side order, prompt before response;
+    the first out of range raises TokenIdError.
     """
-    if isinstance(responses, np.ndarray):
-        n = len(responses)
-        p_len, r_len = np.full(n, prompts.shape[1]), np.full(n, responses.shape[1])
-        fill = np.full((n, width), vocab.bos)
-        stream = np.concatenate([fill, prompts, responses], axis=1, dtype=np.intp).reshape(-1)
-    else:
-        p_len, r_len = _lengths(prompts), _lengths(responses)
-        fill = (vocab.bos,) * width
-        ids = chain.from_iterable(x for side in zip(prompts, responses) for x in (fill, *side))
-        count = int(width * len(p_len) + p_len.sum() + r_len.sum())
-        try:
-            stream = np.fromiter(ids, dtype=np.intp, count=count)
-        except OverflowError:  # an id beyond the machine's integers: name it
-            for seq in chain.from_iterable(zip(prompts, responses)):
-                check_tokens(vocab, seq)
-            raise
+    p_len, r_len = _lengths(prompts), _lengths(responses)
+    fill = (vocab.bos,) * width
+    ids = chain.from_iterable(x for side in zip(prompts, responses) for x in (fill, *side))
+    count = int(width * len(p_len) + p_len.sum() + r_len.sum())
+    try:
+        stream = np.fromiter(ids, dtype=np.intp, count=count)
+    except OverflowError:  # an id beyond the machine's integers: name it
+        for seq in chain.from_iterable(zip(prompts, responses)):
+            check_tokens(vocab, seq)
+        raise
     bad = (stream < 0) | (stream >= vocab.size)
     if bad.any():
         raise TokenIdError(int(stream[bad][0]), vocab.size)

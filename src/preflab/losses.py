@@ -25,10 +25,10 @@ of the whole list in one vectorized pass over the side lengths
 (``composition.stacked_ranks``), whatever k or m; no pair's segment
 bounds are built. The trainer builds it
 once per command and indexes it per batch. Each loss above builds one and
-calls ``batch_loss(batch, layout)``, the one loss body: a fixed five-node
-graph (a ``weighted_segment_sum`` over the whole batch, then scale,
-log-sigmoid, sum and mean) whatever the batch size. There is no length
-normalization.
+calls ``batch_loss(batch, layout)``, the one loss body: one graph node
+whatever the batch size, whose value takes every segment's z in one
+``np.bincount`` over the whole batch and whose backward is the loss's
+closed-form gradient. There is no length normalization.
 """
 
 from __future__ import annotations
@@ -154,10 +154,13 @@ def segment_layout(segmentation: list[SegmentedPair], rejected_scores=None) -> S
 
 
 def batch_loss(batch: LogRatioBatch, layout: SegmentLayout) -> Node:
-    """Mean over pairs of sum over kept segments of -log sigmoid(beta * z).
+    """Mean over pairs of sum over kept segments of -log sigmoid(beta * z),
+    as one graph node whose parents are the batch's sides.
 
-    z is a segment's weighted sum over both sides. A position's segment id
-    is its rank, offset by the kept segments of the pairs before it.
+    z is a segment's weighted sum over both sides, accumulated in position
+    order (``np.bincount``). A position's segment id is its rank, offset by
+    the kept segments of the pairs before it. The backward is the closed
+    form dL/dz = -(beta / B) * sigmoid(-beta * z), times w_i at position i.
     """
     batch.validate()
     sides = [side for pair in batch.pairs for side in (pair.chosen, pair.rejected)]
@@ -171,11 +174,26 @@ def batch_loss(batch: LogRatioBatch, layout: SegmentLayout) -> Node:
         raise ValidationError(
             f"pair {i}: segmentation expects lengths {want} but log-ratio vectors have {have}"
         )
+    x = np.concatenate([side.value for side in sides])
+    w = layout.weights
+    for per_position in (layout.ranks, w):
+        if per_position.shape != x.shape:
+            raise ad.ShapeMismatchError("batch_loss", x.shape, per_position.shape)
     before = np.cumsum(layout.kept) - layout.kept
     ids = layout.ranks + np.repeat(before, layout.lengths[0::2] + layout.lengths[1::2])
-    logits = ad.weighted_segment_sum(sides, ids, int(layout.kept.sum()), layout.weights)
-    total = ad.sum(ad.log_sigmoid(ad.mul(logits, batch.beta)))
-    return ad.mul(total, -1.0 / len(batch.pairs))
+    n_segments = int(layout.kept.sum())
+    ad.check_bounds("batch_loss", ids, n_segments)
+    beta_z = np.bincount(ids, weights=w * x, minlength=n_segments) * batch.beta
+    scale = -1.0 / len(batch.pairs)
+    stops = np.cumsum(got)
+
+    def backward(g):
+        grad = (((g * scale) * ad.sigmoid_values(-beta_z)) * batch.beta)[ids] * w
+        for side, stop, n in zip(sides, stops, got):
+            side.grad += grad[stop - n : stop]
+
+    value = np.sum(ad.log_sigmoid_values(beta_z)) * scale
+    return Node(ad.graph_of("batch_loss", *sides), value, tuple(sides), backward)
 
 
 def dpo_loss(batch: LogRatioBatch) -> Node:

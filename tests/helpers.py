@@ -1,6 +1,7 @@
 """Scoring, draws and reference segmentations that only tests use.
 
-The scoring here is the tests' independent path to a policy's
+``scalar_root`` turns a vector node into the scalar a backward pass
+starts from. The scoring here is the tests' independent path to a policy's
 conditionals: it calls the public ``row_logprobs`` once per id and row,
 whereas the oracle reads an n-gram's table through its state recursion,
 so each can be checked against the other. Likewise the kept ranks here
@@ -11,7 +12,20 @@ the side lengths.
 
 import numpy as np
 
+from preflab import autodiff as ad
 from preflab import lm
+
+
+def scalar_root(node, up=None):
+    """A scalar root over ``node`` for ``Graph.backward``: the sum of its
+    entries times ``up`` (default all ones), so ``up`` is the gradient the
+    backward sends into ``node``."""
+    up = np.ones_like(node.value) if up is None else np.asarray(up, dtype=np.float64)
+
+    def backward(g):
+        node.grad += g * up
+
+    return ad.Node(node.graph, np.sum(node.value * up), (node,), backward)
 
 
 def vocab_logprobs(policy, rows) -> np.ndarray:

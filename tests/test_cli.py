@@ -4,12 +4,14 @@ import hashlib
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 
 import pytest
 
 import preflab
+from preflab import cli
 from preflab.cli import main
 from preflab.lm import load_checkpoint, save_checkpoint
 
@@ -157,6 +159,28 @@ class TestGenData:
         assert f"more than {preflab.data.MAX_TOKENS}" in one_error_line(capsys)
         assert not out.exists()
 
+    def test_huge_prompt_len_exits_2_before_generating(self, tmp_path):
+        # one pair with a 10**9-token prompt used to generate until killed.
+        # A fresh interpreter under a time and address-space limit turns such
+        # a regression into a failure instead of a hung, swelling suite.
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        out = tmp_path / "a.jsonl"
+        src = os.path.dirname(os.path.dirname(preflab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from preflab.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "gen-data", "--set", "data.vocab_size=8",
+             "--set", "data.n_pairs=1", "--set", "data.prompt_len=1000000000",
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=30, preexec_fn=limit_memory,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert f"1000000048 tokens, more than {preflab.data.MAX_TOKENS}" in proc.stderr
+        assert not out.exists()
+
     def test_set_override(self, tmp_path):
         cfg = gen_config(tmp_path)
         out = tmp_path / "a.jsonl"
@@ -167,6 +191,25 @@ class TestGenData:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("below", [(), ("run",)])
+    def test_output_dir_on_a_file_exits_2_before_training(
+        self, tmp_path, dataset_path, capsys, monkeypatch, below
+    ):
+        # the file itself, or a directory under it: both used to fail with
+        # exit 1 only after every training step
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        cfg = train_config(tmp_path, taken.joinpath(*below), dataset_path)
+
+        def must_not_train(*args):
+            raise AssertionError("train ran")
+
+        monkeypatch.setattr(cli, "train", must_not_train)
+        capsys.readouterr()
+        assert main(["train", "--config", cfg]) == 2
+        assert f"{taken} is not a directory" in one_error_line(capsys)
+        assert taken.read_text() == "keep\n"
+
     def test_outputs_written(self, tmp_path, dataset_path):
         out_dir = tmp_path / "run"
         cfg = train_config(tmp_path, out_dir, dataset_path)

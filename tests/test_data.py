@@ -178,8 +178,9 @@ class TestGeneration:
 
     def test_token_bound_checked_before_any_draw(self, vocab):
         # 1024 pairs of up to 64 tokens (the benchmark's eval data) fit easily
-        assert 1024 * 2 * 64 <= D.MAX_TOKENS
-        task = D.BigramMatchTask(vocab=vocab, max_len=D.MAX_TOKENS // 2, temperature=1e-320)
+        assert 1024 * (2 + 2 * 64) <= D.MAX_TOKENS
+        # one pair of a 2-token prompt and two responses fills the bound exactly
+        task = D.BigramMatchTask(vocab=vocab, max_len=(D.MAX_TOKENS - 2) // 2, temperature=1e-320)
         with pytest.raises(ValidationError, match="temperature"):  # the bound admits it
             D.generate_dataset(task, 1)
         with pytest.raises(ValidationError, match=f"more than {D.MAX_TOKENS}"):

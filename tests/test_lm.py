@@ -13,7 +13,7 @@ from preflab.errors import ValidationError
 from preflab.losses import LossConfig
 from preflab.seeds import child_rng
 
-from helpers import conditional_row, seq_logprob, vocab_logprobs
+from helpers import conditional_row, scalar_root, seq_logprob, vocab_logprobs
 
 
 @pytest.fixture
@@ -110,15 +110,14 @@ class TestNGram:
         with pytest.raises(lm.TokenIdError):
             lm.token_logprobs(policy, (3,), (4, 99))
         with pytest.raises(lm.TokenIdError):
-            policy.stacked_rows(np.array([[3], [3]]), np.array([[4, 5], [6, 0]]))
+            policy.stacked_rows([(3,), (3,)], [(4, 5), (6, 0)])
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_array_stacked_rows_match_per_response_rows(self, vocab, order):
         policy = lm.NGramPolicy.uniform(vocab, order)
         responses = np.random.default_rng(4).integers(0, vocab.size, size=(7, 5))
         for prompt in ((), (4,), (3, 5, 4)):
-            prompts = np.broadcast_to(np.asarray(prompt, dtype=np.intp), (7, len(prompt)))
-            batch, _ = policy.stacked_rows(prompts, responses)
+            batch, _ = policy.stacked_rows([prompt] * 7, [tuple(r) for r in responses.tolist()])
             for row, response in zip(batch.reshape(responses.shape), responses):
                 rows, _ = policy.context_rows(prompt, tuple(response))
                 assert np.array_equal(row, rows)
@@ -221,7 +220,7 @@ def fused(policy, rows, targets, up):
     graph = ad.Graph()
     leaves = {name: graph.leaf(value) for name, value in policy.params.items()}
     node = policy.rows_forward(graph, leaves, rows, targets)
-    graph.backward(ad.sum(ad.mul(node, up)))
+    graph.backward(scalar_root(node, up))
     return node, {name: leaf.grad for name, leaf in leaves.items()}
 
 
@@ -265,7 +264,7 @@ class TestFusedNeuralForward:
 
         def build(graph, params):
             leaves = dict(zip(NEURAL_NAMES, params))
-            return ad.sum(ad.mul(policy.rows_forward(graph, leaves, rows, targets), up))
+            return scalar_root(policy.rows_forward(graph, leaves, rows, targets), up)
 
         params = [policy.params[name] for name in NEURAL_NAMES]
         assert ad.grad_check(build, params, h=1e-5, tol=1e-6).passed
@@ -417,7 +416,7 @@ class TestFusedNGramForward:
 
         def build(graph, params):
             leaves = {"logits": params[0]}
-            return ad.sum(ad.mul(policy.rows_forward(graph, leaves, rows, targets), up))
+            return scalar_root(policy.rows_forward(graph, leaves, rows, targets), up)
 
         assert ad.grad_check(build, [logits], h=1e-5, tol=1e-6).passed
 

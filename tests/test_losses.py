@@ -29,21 +29,27 @@ def random_batch(graph, rng, n_pairs, beta=1.0, max_len=12, scale=1.0):
     return losses.LogRatioBatch(pairs=pairs, beta=beta)
 
 
-def segment_sums(graph, values, bounds):
-    """Per-segment sums of one side vector through the batched segment op."""
+def segment_sums(values, bounds):
+    """Per-segment sums of one side vector, in numpy: one ``np.bincount`` in
+    position order, as the loss node takes them."""
     sizes = [stop - start for start, stop in bounds]
     ids = np.repeat(np.arange(len(bounds)), sizes)
-    return ad.weighted_segment_sum([graph.leaf(values)], ids, len(bounds)).value
+    return np.bincount(ids, weights=np.asarray(values, dtype=np.float64), minlength=len(bounds))
 
 
 class TestSegmentLogRatio:
     def test_zero_log_ratios_give_zero(self):
-        g = ad.Graph()
-        assert segment_sums(g, np.zeros(5), [(0, 1), (1, 4), (4, 5)])[1] == 0.0
+        assert segment_sums(np.zeros(5), [(0, 1), (1, 4), (4, 5)])[1] == 0.0
 
     def test_single_token_segment(self):
+        values = [0.3, -1.2, 0.9]
+        sums = segment_sums(values, [(0, 1), (1, 2), (2, 3)])
+        assert sums[1] == -1.2
+        # the loss node's segments under static k = 1 are these sums
         g = ad.Graph()
-        assert segment_sums(g, [0.3, -1.2, 0.9], [(0, 1), (1, 2), (2, 3)])[1] == -1.2
+        batch = losses.LogRatioBatch([make_pair(g, values, np.zeros(3))], beta=1.0)
+        out = losses.adpo_loss(batch, [segment_pair((3, 3), "static", 1)])
+        assert out.value.tobytes() == (np.sum(ad.log_sigmoid_values(sums)) * -1.0).tobytes()
 
 
 class TestDpoLoss:
@@ -121,11 +127,10 @@ class TestAdpoLoss:
         beta = 1.3
         seg = segment_pair((6, 9), "adaptive", 4)
         swapped = segment_pair((9, 6), "adaptive", 4)
-        g = ad.Graph()
-        s_w = segment_sums(g, chosen, seg.w_bounds)
-        s_l = segment_sums(g, rejected, seg.l_bounds)
-        s_w2 = segment_sums(g, rejected, swapped.w_bounds)
-        s_l2 = segment_sums(g, chosen, swapped.l_bounds)
+        s_w = segment_sums(chosen, seg.w_bounds)
+        s_l = segment_sums(rejected, seg.l_bounds)
+        s_w2 = segment_sums(rejected, swapped.w_bounds)
+        s_l2 = segment_sums(chosen, swapped.l_bounds)
         forward = beta * (s_w - s_l)
         backward = beta * (s_w2 - s_l2)
         assert np.allclose(forward, -backward, atol=1e-15)
@@ -373,7 +378,79 @@ class TestSingleLossNode:
     @pytest.mark.parametrize("name", list(CONFIGS))
     def test_node_count_independent_of_batch_size(self, name):
         cfg = self.CONFIGS[name].validate()
-        assert self.nodes_added(cfg, 1) == self.nodes_added(cfg, 32) == 5
+        assert self.nodes_added(cfg, 1) == self.nodes_added(cfg, 32) == 1
+
+
+def five_node_reference(sides, layout, beta):
+    """Value, segment sums z and per-side gradients of the loss as the five
+    generic nodes it replaced computed them, in numpy: a weighted segment
+    sum over the stacked sides, times beta, log-sigmoid, sum, times -1/B.
+    The backward replays their gradients in reverse, each node's added into
+    a zero buffer."""
+    values = np.concatenate(sides)
+    n_pairs, n_segments = len(layout.kept), int(layout.kept.sum())
+    before = np.cumsum(layout.kept) - layout.kept
+    ids = layout.ranks + np.repeat(before, layout.lengths[0::2] + layout.lengths[1::2])
+    z = np.bincount(ids, weights=layout.weights * values, minlength=n_segments)
+    scaled = z * np.float64(beta)
+    value = np.sum(ad.log_sigmoid_values(scaled)) * np.float64(-1.0 / n_pairs)
+    g_total = np.zeros(()) + np.ones(()) * (-1.0 / n_pairs)
+    g_log_sigmoid = np.zeros(n_segments) + g_total
+    g_scaled = np.zeros(n_segments) + g_log_sigmoid * ad.sigmoid_values(-scaled)
+    g_z = np.zeros(n_segments) + g_scaled * beta
+    per_position = g_z[ids] * layout.weights
+    stops = np.cumsum(layout.lengths)
+    grads = [np.zeros(n) + per_position[stop - n : stop] for stop, n in zip(stops, layout.lengths)]
+    return value, z, grads
+
+
+class TestFusedLossNode:
+    """``batch_loss`` is one node with the closed-form gradient; its value
+    and the gradient it leaves in every side equal the five-node chain's,
+    byte for byte, on sides sliced from one stacked leaf as the trainer's
+    are."""
+
+    CONFIGS = {
+        "dpo": ("adaptive", 1, False),
+        "static1": ("static", 1, False),
+        "static2": ("static", 2, False),
+        "adaptive3": ("adaptive", 3, False),
+        "cadpo": ("static", 1, True),
+    }
+
+    @pytest.mark.parametrize("n_pairs", [1, 7, 32])
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_bitwise_equal_to_five_node_chain(self, name, n_pairs):
+        family, param, weighted = self.CONFIGS[name]
+        rng = np.random.default_rng(14)
+        for beta in (0.5, 1.0, 1.5):
+            lengths = rng.integers(1, 25, size=2 * n_pairs)
+            segs = [segment_pair((int(lw), int(ll)), family, param)
+                    for lw, ll in zip(lengths[0::2], lengths[1::2])]
+            scores = None
+            if weighted:
+                scores = [rng.uniform(0.0, 1.0, size=ll) for ll in lengths[1::2]]
+                scores[0][0] = 1.0  # a dropped token: weight -(1 - 1) = -0.0
+            layout = losses.segment_layout(segs, scores)
+            values = rng.standard_normal(int(lengths.sum()))
+            _, z, _ = five_node_reference([values], layout, beta)
+            # unit-scale draws, then the same draws rescaled so the largest
+            # |beta * z| is 800, where sigmoid(-|beta * z|) underflows to 0
+            for values in (values, values * (800.0 / np.max(np.abs(beta * z)))):
+                g = ad.Graph()
+                stacked = g.leaf(values)
+                offsets = np.concatenate(([0], np.cumsum(lengths)))
+                sides = [ad.slice1d(stacked, a, b) for a, b in zip(offsets[:-1], offsets[1:])]
+                pairs = [losses.PairLogRatios(w, l) for w, l in zip(sides[0::2], sides[1::2])]
+                out = losses.batch_loss(losses.LogRatioBatch(pairs, beta=beta), layout)
+                g.backward(out)
+                want, z, grads = five_node_reference([values], layout, beta)
+                assert out.value.tobytes() == want.tobytes()
+                for side, grad in zip(sides, grads):
+                    assert side.grad.tobytes() == grad.tobytes()
+                assert stacked.grad.tobytes() == np.concatenate(grads).tobytes()
+            assert np.max(np.abs(beta * z)) >= 799.0
+            assert np.any(ad.sigmoid_values(-np.abs(beta * z)) == 0.0)
 
 
 def windowed_reference(chosen, rejected, k, beta, scores=None):

@@ -324,8 +324,7 @@ class TestEnumSpace:
             padded[:, :-1] = space.contexts
             for order, prompt in itertools.product((1, 2, 3), ((), (2,), (0, 2))):
                 ref = NGramPolicy.random(space.vocab, order, rng)
-                prompts = np.broadcast_to(np.asarray(prompt, dtype=np.intp), (n_ctx, len(prompt)))
-                rows, _ = ref.stacked_rows(prompts, padded)
+                rows, _ = ref.stacked_rows([prompt] * n_ctx, [tuple(r) for r in padded.tolist()])
                 rows = rows.reshape(padded.shape)[np.arange(n_ctx), space.ctx_len]
                 expected = vocab_logprobs(ref, rows)
                 table = oracle.reference_table(space, ref, prompt)
