@@ -42,6 +42,7 @@ def _sibling_resolved(path) -> dict | None:
 
 
 def cmd_gen_data(args) -> int:
+    _check_output_path(args.out, "--out")
     resolved = _load_resolved(args)
     cfgmod.require_section(resolved, "data")
     if resolved["data"]["path"] is not None:
@@ -57,14 +58,22 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _check_output_dir(path: str) -> None:
-    """Refuse, before any work, a run directory that cannot be made: its
-    nearest existing path (itself or an ancestor) is not a directory."""
+def _check_output_path(path: str, what: str, makes_dirs: bool = False) -> None:
+    """Refuse, before any work, an output path that cannot be written. A
+    file's directory must exist; a run directory (``makes_dirs``) is made
+    with its missing parents, so its nearest existing path, itself or an
+    ancestor, must be a directory."""
     existing = os.path.abspath(path)
-    while not os.path.lexists(existing):
+    if makes_dirs:
+        while not os.path.lexists(existing):
+            existing = os.path.dirname(existing)
+    elif os.path.isdir(existing):
+        raise ValidationError(f"{what} {path} is a directory")
+    else:
         existing = os.path.dirname(existing)
     if not os.path.isdir(existing):
-        raise ValidationError(f"output_dir {path}: {existing} is not a directory")
+        problem = "is not a directory" if os.path.lexists(existing) else "does not exist"
+        raise ValidationError(f"{what} {path}: {existing} {problem}")
 
 
 def cmd_train(args) -> int:
@@ -72,7 +81,7 @@ def cmd_train(args) -> int:
     output_dir = resolved.get("output_dir")
     if not output_dir:
         raise ValidationError("missing required field: output_dir")
-    _check_output_dir(output_dir)
+    _check_output_path(output_dir, "output_dir", makes_dirs=True)
     cfgmod.require_section(resolved, "model")
     cfgmod.require_section(resolved, "data")
     dataset = cfgmod.build_dataset(resolved)
@@ -136,6 +145,7 @@ def _checkpoint_step(path: str, fallback: int) -> int:
 
 
 def cmd_analyze(args) -> int:
+    _check_output_path(args.out, "--out")
     ref = load_checkpoint(args.ref)
     dataset = load_jsonl(args.data)
     check_dataset(dataset, ref.vocab)
@@ -155,6 +165,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    if args.out:
+        _check_output_path(args.out, "--out")
     parts = args.space.split(",")
     if len(parts) != 2:
         raise ValidationError(f"--space expects 'v,L', got {args.space!r}")

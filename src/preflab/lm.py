@@ -6,19 +6,24 @@ which the brute-force checks rely on) and a small windowed neural model
 is its ``KINDS`` entry, a class that declares its hyperparameters with
 their defaults (``HYPER``), its parameter shapes (``shapes``), its initial
 draw (``init``), its row encoding (``stacked_rows``: one context row and
-target id per response position) and its forward (``rows_forward``: log
-pi(target | row) as one graph node with a hand-derived backward). The
-constructor, the ``hyper`` property and untracked scoring are written
-once, below, and bound in both classes. Conditional rows always go
-through log-softmax, so they normalize by construction and every
-conditional probability is strictly positive.
+target id per response position) and its forward: ``forward_values``
+computes log pi(target | row) from the parameter arrays, and
+``rows_forward`` records that as one graph node with a hand-derived
+backward. The constructor, the ``hyper`` property and untracked scoring
+are written once, below, and bound in both classes. Untracked scoring
+builds no graph: it runs ``forward_values`` block by block, on every CPU
+the process may use once each thread gets at least two blocks; a block's
+arithmetic does not depend on the thread count, so neither do its bytes.
+Conditional rows always go through log-softmax, so they normalize by
+construction and every conditional probability is strictly positive.
 
 Prompt tokens are never scored; only response tokens produce
 log-probabilities. Every model conditions on a fixed-width window of the
 ids before each response position, BOS-filled where the window starts
 before its side. ``side_windows`` builds the windows of any number of
 sides (a prompt and a response each) in one pass over one id stream, with
-one vectorized bounds check; the neural model reads the windows as they
+one vectorized bounds check, and stores them in the smallest unsigned
+type that holds a vocab id; the neural model reads the windows as they
 are, the n-gram folds each window through its state recursion ``step``
 into its table row.
 """
@@ -28,6 +33,8 @@ from __future__ import annotations
 import copy
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -120,8 +127,11 @@ def side_windows(vocab: Vocab, width: int, prompts, responses) -> tuple[np.ndarr
 
     Side s is ``prompts[s]`` followed by ``responses[s]``, from two lists of
     id sequences. Its windows are BOS-filled where they start before the
-    side. Every id is checked once, in side order, prompt before response;
-    the first out of range raises TokenIdError.
+    side, and held in the smallest unsigned type that holds ``vocab.size -
+    1`` (uint8 up to 256 ids), since a stack has ``width`` of them per
+    position; the targets stay intp. Every id is checked once, in side
+    order, prompt before response; the first out of range raises
+    TokenIdError.
     """
     p_len, r_len = _lengths(prompts), _lengths(responses)
     fill = (vocab.bos,) * width
@@ -141,8 +151,9 @@ def side_windows(vocab: Vocab, width: int, prompts, responses) -> tuple[np.ndarr
     ends = np.cumsum(width + p_len + r_len)
     skip = ends - np.cumsum(r_len) - width
     first = np.arange(int(r_len.sum())) + np.repeat(skip, r_len)
-    shape = (max(stream.size - width + 1, 0), width)
-    windows = np.lib.stride_tricks.as_strided(stream, shape, stream.strides * 2, writeable=False)
+    compact = stream.astype(np.min_scalar_type(vocab.size - 1))
+    shape = (max(compact.size - width + 1, 0), width)
+    windows = np.lib.stride_tricks.as_strided(compact, shape, compact.strides * 2, writeable=False)
     return windows[first], stream[first + width]
 
 
@@ -151,23 +162,68 @@ def context_rows(policy, prompt: Sequence[int], response: Sequence[int]):
     return policy.stacked_rows([prompt], [response])
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def row_logprobs(policy, rows, targets) -> np.ndarray:
     """log pi(targets[i] | rows[i]) for every i, untracked: the policy's
-    ``rows_forward`` on a throwaway graph per block of ``policy.block_rows``
-    rows (None: the whole stack in one call), so untracked values are
-    bit-identical to the tracked training path. Each block's graph is
-    dropped before the next starts; the remainder joins the last block, so
-    no block is shorter than ``block_rows`` unless the whole stack is."""
+    ``forward_values`` per block of ``policy.block_rows`` rows (None: the
+    whole stack in one call), with no graph, so untracked values are
+    bit-identical to the tracked training path. The remainder joins the
+    last block, so no block is shorter than ``block_rows`` unless the whole
+    stack is.
+
+    Blocks are taken in order from one shared list by the calling thread
+    and, when the stack gives every thread at least two blocks, by one
+    helper thread per further CPU of the process; each block is written
+    to its own slice of the output, computed exactly as alone, so the
+    bytes do not depend on the thread count. The helpers are joined before
+    this returns. A block that raises stops the taking of further blocks,
+    and the error of the earliest failed block is raised here, as a
+    block-by-block loop would raise it.
+    """
     n = len(targets)
     if n == 0:
         return np.zeros(0)
     size = policy.block_rows or n
     bounds = [i * size for i in range(max(n // size, 1))] + [n]
+    pending = list(zip(bounds[:-1], bounds[1:]))[::-1]  # popped from the end, in order
+    forward, params = policy.forward_values, policy.params
     out = np.empty(n)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        graph = ad.Graph()
-        leaves = {name: graph.leaf(value) for name, value in policy.params.items()}
-        out[lo:hi] = policy.rows_forward(graph, leaves, rows[lo:hi], targets[lo:hi]).value
+    lock = threading.Lock()
+    errors: dict[int, Exception] = {}
+
+    def drain() -> None:
+        while True:
+            with lock:
+                if not pending:
+                    return
+                lo, hi = pending.pop()
+            try:
+                # [0]: the block's intermediates are dropped before the next block
+                out[lo:hi] = forward(params, rows[lo:hi], targets[lo:hi])[0]
+            except Exception as err:  # re-raised by the caller's thread
+                with lock:
+                    pending.clear()
+                    errors[lo] = err
+
+    threads = min(_cpu_count(), len(pending) // 2)
+    helpers = [threading.Thread(target=drain) for _ in range(threads - 1)]
+    for thread in helpers:
+        thread.start()
+    try:
+        drain()
+    finally:
+        with lock:  # on an interrupt, the helpers finish their blocks and stop
+            pending.clear()
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
     return out
 
 
@@ -272,23 +328,32 @@ class NGramPolicy:
             rows = self.step(rows, column)
         return rows, targets
 
-    def rows_forward(self, graph: ad.Graph, leaves, rows, targets) -> ad.Node:
-        """One node over the logits leaf: log-softmax the table, pick entry
-        [row, target] of every position. The backward bins the upstream
-        gradient by table cell in position order, then applies the
-        log-softmax's backward to the whole table."""
-        logits = leaves["logits"]
+    def forward_values(self, params, rows, targets):
+        """log pi(target | row) of every position from the parameter arrays
+        ``params``: log-softmax the table, pick entry [row, target]; with
+        what the backward reads (the ids as intp and the normalized table)."""
+        logits = params["logits"]
         rows, targets = np.asarray(rows, dtype=np.intp), np.asarray(targets, dtype=np.intp)
-        ad.check_bounds("embed_lookup", rows, len(logits.value))
+        ad.check_bounds("embed_lookup", rows, len(logits))
         ad.check_bounds("gather", targets, self.vocab.size)
-        table = ad.log_softmax_values(logits.value, axis=1)
+        table = ad.log_softmax_values(logits, axis=1)
+        return table[rows, targets], (rows, targets, table)
+
+    def rows_forward(self, graph: ad.Graph, leaves, rows, targets) -> ad.Node:
+        """``forward_values`` as one node over the logits leaf. The backward
+        bins the upstream gradient by table cell in position order, then
+        applies the log-softmax's backward to the whole table."""
+        logits = leaves["logits"]
+        values, (rows, targets, table) = self.forward_values(
+            {"logits": logits.value}, rows, targets
+        )
 
         def backward(g):
             cell = rows * self.vocab.size + targets
             cells = np.bincount(cell, weights=g, minlength=table.size).reshape(table.shape)
             logits.grad += cells - np.exp(table) * cells.sum(axis=1, keepdims=True)
 
-        return ad.Node(graph, table[rows, targets], (logits,), backward)
+        return ad.Node(graph, values, (logits,), backward)
 
     __init__ = _construct
     hyper = _hyper
@@ -308,11 +373,13 @@ class NeuralPolicy:
     kind = "neural"
     HYPER = {"context": 8, "embed_dim": 8, "hidden_dim": 32}
     # untracked scoring forwards blocks of at least this many rows, so memory
-    # is bounded by the block, not the stack. OpenBLAS switches to a
-    # small-matrix kernel below about 1e6 multiply-adds; at 2,048 rows the
-    # output product of a 48-wide hidden layer over 12 tokens stays above
-    # that, so blocks equal a one-graph forward bit for bit at that shape
-    # (narrower models may move in the last bit)
+    # is bounded by the blocks in flight (one per scoring thread), not by the
+    # stack; threads beyond the caller's start only at two blocks per thread.
+    # OpenBLAS switches to a small-matrix kernel below about 1e6
+    # multiply-adds; at 2,048 rows the output product of a 48-wide hidden
+    # layer over 12 tokens stays above that, so blocks equal a one-graph
+    # forward bit for bit at that shape (narrower models may move in the
+    # last bit)
     block_rows = 2048
 
     @staticmethod
@@ -349,23 +416,35 @@ class NeuralPolicy:
         side, stacked (see side_windows)."""
         return side_windows(self.vocab, self.context, prompts, responses)
 
-    def rows_forward(self, graph: ad.Graph, leaves, rows, targets) -> ad.Node:
-        """One node over the five leaves: embed the windows, flatten, tanh
-        hidden layer, output layer, log-softmax, pick each target. The
-        backward is derived by hand and adds straight into the leaves'
-        gradients, so no intermediate holds a gradient buffer."""
-        emb, w1, b1, w2, b2 = (leaves[name] for name in ("emb", "w1", "b1", "w2", "b2"))
+    def forward_values(self, params, rows, targets):
+        """log pi(target | row) of every position from the parameter arrays
+        ``params``: embed the windows, flatten, tanh hidden layer, output
+        layer, log-softmax, pick each target; with what the backward reads
+        (the ids as intp, the flattened embeddings, the hidden layer and
+        the log-softmax)."""
+        emb, w1, b1, w2, b2 = (params[name] for name in ("emb", "w1", "b1", "w2", "b2"))
         rows, targets = np.asarray(rows, dtype=np.intp), np.asarray(targets, dtype=np.intp)
         ad.check_bounds("embed_lookup", rows, self.vocab.size)
         ad.check_bounds("gather", targets, self.vocab.size)
-        x = np.take(emb.value, rows, axis=0).reshape(len(rows), self.context * self.embed_dim)
-        hidden = x @ w1.value
-        hidden += b1.value
+        x = np.take(emb, rows, axis=0).reshape(len(rows), self.context * self.embed_dim)
+        hidden = x @ w1
+        hidden += b1
         np.tanh(hidden, out=hidden)
-        logits = hidden @ w2.value
-        logits += b2.value
+        logits = hidden @ w2
+        logits += b2
         logp = ad.log_softmax_values(logits, axis=1)
         picked = np.arange(len(targets)), targets
+        return logp[picked], (rows, picked, x, hidden, logp)
+
+    def rows_forward(self, graph: ad.Graph, leaves, rows, targets) -> ad.Node:
+        """``forward_values`` as one node over the five leaves. The backward
+        is derived by hand and adds straight into the leaves' gradients, so
+        no intermediate holds a gradient buffer."""
+        names = ("emb", "w1", "b1", "w2", "b2")
+        emb, w1, b1, w2, b2 = (leaves[name] for name in names)
+        values, (rows, picked, x, hidden, logp) = self.forward_values(
+            {name: leaves[name].value for name in names}, rows, targets
+        )
 
         def backward(g):
             # logits gradient: g * (one-hot(target) - softmax), row by row
@@ -380,7 +459,7 @@ class NeuralPolicy:
             w1.grad += x.T @ dh
             emb.grad += ad.id_row_sums(rows, dh @ w1.value.T, emb.value.shape)
 
-        return ad.Node(graph, logp[picked], (emb, w1, b1, w2, b2), backward)
+        return ad.Node(graph, values, (emb, w1, b1, w2, b2), backward)
 
     __init__ = _construct
     hyper = _hyper

@@ -6,8 +6,10 @@ chosen then rejected, with its context rows, targets, the reference's
 log-probs (forwarded once; they never change), the side offsets and the
 segment layout of the loss (dpo as adaptive m=1). A train step indexes its
 pairs' positions in that stack and in the layout and forwards them on its
-graph; evaluation and the profile score the whole stack untracked, block
-by block (``lm.row_logprobs``), and the profile plans no layout.
+graph; evaluation and the profile score the whole stack untracked, with
+no graph, in blocks spread over the process's CPUs (``lm.row_logprobs``;
+the bytes do not depend on the thread count), and the profile plans no
+layout.
 All reductions happen in fixed order, so identical (dataset, config, seed)
 produce bit-identical logs and checkpoints.
 
@@ -189,7 +191,7 @@ class DatasetPlan:
         (default: the whole stack, as it is), with their segment layout.
 
         With ``leaves`` given, the policy side is tracked for gradients;
-        otherwise it is scored untracked, block by block, by the module
+        otherwise it is scored untracked, without a graph, by the module
         function ``lm.row_logprobs`` and enters ``graph`` as a leaf.
         """
         ref = self.reference

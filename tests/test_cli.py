@@ -576,6 +576,46 @@ class TestEvalAnalyze:
             assert not out.exists()
 
 
+class TestOutputPath:
+    """A file output whose directory is missing or is not a directory, or
+    which is a directory itself, exits 2 with one error line before any
+    work (it used to exit 1 after all of it), and writes nothing."""
+
+    COMMANDS = {
+        "gen-data": lambda tmp: ["gen-data", "--config", gen_config(tmp)],
+        "analyze": lambda tmp: [
+            "analyze", "--checkpoints", str(tmp / "checkpoint_000001.json"),
+            "--ref", str(tmp / "ref.json"), "--data", str(tmp / "data.jsonl"),
+        ],
+        "oracle-check": lambda tmp: ["oracle-check", "--space", "3,2"],
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("case", ["missing", "file", "directory"])
+    def test_unwritable_out_exits_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, case
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli.cfgmod, "build_task", must_not_run)
+        monkeypatch.setattr(cli, "load_checkpoint", must_not_run)
+        monkeypatch.setattr(cli.oracle.EnumSpace, "build", must_not_run)
+        argv = self.COMMANDS[command](tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        out, expected = {
+            "missing": (tmp_path / "absent" / "out", f"{tmp_path / 'absent'} does not exist"),
+            "file": (taken / "out", f"{taken} is not a directory"),
+            "directory": (tmp_path, f"--out {tmp_path} is a directory"),
+        }[case]
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 2
+        assert expected in one_error_line(capsys)
+        assert sorted(tmp_path.rglob("*")) == before and taken.read_text() == "keep\n"
+
+
 class TestOracleCheckCommand:
     def test_small_space_passes(self, capsys):
         assert main(["oracle-check", "--space", "3,3", "--seed", "0"]) == 0

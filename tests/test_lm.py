@@ -3,6 +3,8 @@
 import copy
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -495,14 +497,16 @@ class TestBlockScoring:
 
     @staticmethod
     def counted(policy):
+        """Sizes of the blocks ``forward_values`` is called on; helper
+        threads may append them out of block order."""
         calls = []
-        forward = policy.rows_forward
+        forward = policy.forward_values
 
-        def rows_forward(graph, leaves, rows, targets):
+        def forward_values(params, rows, targets):
             calls.append(len(targets))
-            return forward(graph, leaves, rows, targets)
+            return forward(params, rows, targets)
 
-        policy.rows_forward = rows_forward
+        policy.forward_values = forward_values
         return calls
 
     @staticmethod
@@ -512,8 +516,11 @@ class TestBlockScoring:
         return policy.rows_forward(graph, leaves, rows, targets).value
 
     @pytest.mark.parametrize("n,blocks", [(2 * 2048 + 7, [2048, 2055]), (2047, [2047]),
-                                          (2048, [2048]), (2049, [2049]), (4096, [2048, 2048])])
-    def test_neural_blocks_join_the_remainder(self, n, blocks):
+                                          (2048, [2048]), (2049, [2049]), (4096, [2048, 2048]),
+                                          (5 * 2048 + 3, [2048] * 4 + [2051])])
+    def test_neural_blocks_join_the_remainder(self, n, blocks, monkeypatch):
+        # two CPUs: the five-block stack is scored on two threads
+        monkeypatch.setattr(lm, "_cpu_count", lambda: 2)
         vocab = lm.Vocab(12)
         policy = lm.NeuralPolicy.init(vocab, child_rng(2, "init"), context=5)
         rng = np.random.default_rng(n)
@@ -521,7 +528,7 @@ class TestBlockScoring:
         whole = self.one_graph(policy, rows, targets)
         calls = self.counted(policy)
         blocked = lm.row_logprobs(policy, rows, targets)
-        assert calls == blocks
+        assert sorted(calls) == blocks
         np.testing.assert_allclose(blocked, whole, rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("n", [1, 2047, 2 * 2048 + 7])
@@ -535,6 +542,105 @@ class TestBlockScoring:
         assert calls == [n]
         table = ad.log_softmax_values(policy.params["logits"], axis=1)
         assert np.array_equal(scored, table[rows, targets])
+
+
+class TestThreadedScoring:
+    """A neural stack of at least two blocks per thread is scored by the
+    caller and one helper thread per further CPU; the bytes do not depend
+    on the thread count, and no thread outlives the call."""
+
+    BLOCKS = 6
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """Counts the threads started while the test runs."""
+        count = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                count.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+        return count
+
+    @staticmethod
+    def stack(blocks, seed=3):
+        vocab = lm.Vocab(12)
+        policy = lm.NeuralPolicy.init(vocab, child_rng(seed, "init"), context=26, hidden_dim=48)
+        rng = np.random.default_rng(seed)
+        for value in policy.params.values():
+            value += rng.standard_normal(value.shape)
+        n = blocks * policy.block_rows + 11
+        windows = rng.integers(0, 12, (n, 26)).astype(np.uint8)
+        return policy, windows, rng.integers(0, 12, n)
+
+    def per_block(self, policy, rows, targets):
+        """Each block through the tracked forward, on its own graph."""
+        size = policy.block_rows
+        bounds = [i * size for i in range(len(targets) // size)] + [len(targets)]
+        return np.concatenate([TestBlockScoring.one_graph(policy, rows[lo:hi], targets[lo:hi])
+                               for lo, hi in zip(bounds[:-1], bounds[1:])])
+
+    def test_same_bytes_at_any_thread_count(self, monkeypatch, started):
+        policy, rows, targets = self.stack(self.BLOCKS)
+        expected = self.per_block(policy, rows, targets).tobytes()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for threads in (1, 2, 3):
+                monkeypatch.setattr(lm, "_cpu_count", lambda: threads)
+                before = len(started)
+                assert lm.row_logprobs(policy, rows, targets).tobytes() == expected, threads
+                assert len(started) - before == threads - 1
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in started)
+
+    @pytest.mark.parametrize("blocks,helpers", [(1, 0), (3, 0), (4, 1), (5, 1), (6, 2)])
+    def test_every_thread_gets_two_blocks(self, monkeypatch, started, blocks, helpers):
+        monkeypatch.setattr(lm, "_cpu_count", lambda: 8)
+        policy, rows, targets = self.stack(blocks)
+        lm.row_logprobs(policy, rows, targets)
+        assert len(started) == helpers
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_bad_id_in_a_late_block_raises_on_the_callers_thread(self, monkeypatch, threads):
+        monkeypatch.setattr(lm, "_cpu_count", lambda: threads)
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        policy, rows, targets = self.stack(self.BLOCKS)
+        size = policy.block_rows
+        late = slice(4 * size, 5 * size)
+        wrong_rows = rows.astype(np.intp)
+        wrong_rows[5 * size + 3, 7] = 12
+        wrong_targets = targets.copy()
+        wrong_targets[4 * size + 9] = -1
+        active = threading.active_count()
+        # the expected texts: the same blocks through the tracked forward
+        with pytest.raises(ad.IndexBoundsError) as alone:
+            TestBlockScoring.one_graph(policy, wrong_rows[late], wrong_targets[late])
+        for bad_targets in (wrong_targets, targets):
+            # with blocks 4 and 5 both bad, block 4's error is raised
+            with pytest.raises(ad.IndexBoundsError) as err:
+                lm.row_logprobs(policy, wrong_rows, bad_targets)
+            if bad_targets is wrong_targets:
+                assert str(err.value) == str(alone.value)
+                assert str(err.value).startswith("gather: index -1")
+            else:
+                assert str(err.value).startswith("embed_lookup: index 12")
+        assert threading.active_count() == active
+        assert hooked == []
+
+    def test_bad_token_id_raises_before_any_scoring(self, monkeypatch, started):
+        monkeypatch.setattr(lm, "_cpu_count", lambda: 3)
+        vocab = lm.Vocab(12)
+        policy = lm.NeuralPolicy.init(vocab, child_rng(3, "init"), context=26)
+        pairs = [data.PreferencePair((3, 4), (4, 5) * 600, (5, 3) * 600) for _ in range(16)]
+        pairs[-1] = data.PreferencePair((3, 4), (4, 5), (5, 12))
+        with pytest.raises(lm.TokenIdError, match="^token id 12 out of range for vocab size 12$"):
+            trainer.plan_dataset(pairs, LossConfig(method="dpo"), policy)
+        assert started == []
 
 
 class TestCloneFrozen:
@@ -622,11 +728,24 @@ class TestSideWindows:
         for policy in self.policies(vocab):
             rows, targets = policy.stacked_rows(prompts, responses)
             expected = np.concatenate([self.reference(policy, p, r) for p, r in self.SIDES])
-            assert np.array_equal(rows, expected) and rows.dtype == np.intp
+            assert np.array_equal(rows, expected)
+            # neural windows: the smallest unsigned type holding a vocab id
+            # (uint8 here); n-gram rows are table rows, intp
+            assert rows.dtype == (np.uint8 if policy.kind == "neural" else np.intp)
             assert targets.tolist() == [t for r in responses for t in r]
             for prompt, response in self.SIDES:
                 one, _ = policy.context_rows(prompt, response)
                 assert np.array_equal(one, self.reference(policy, prompt, response))
+
+    @pytest.mark.parametrize("size,dtype", [(256, np.uint8), (257, np.uint16),
+                                            (65536, np.uint16), (65537, np.uint32)])
+    def test_windows_take_the_smallest_type_holding_a_vocab_id(self, size, dtype):
+        vocab = lm.Vocab(size)
+        top = size - 1
+        windows, targets = lm.side_windows(vocab, 3, [(top, 3)], [(top, 4, top)])
+        assert windows.dtype == dtype and targets.dtype == np.intp
+        assert windows.tolist() == [[0, top, 3], [top, 3, top], [3, top, 4]]
+        assert targets.tolist() == [top, 4, top]
 
     def test_empty_response(self, vocab):
         for policy in self.policies(vocab):
