@@ -31,7 +31,6 @@ from .losses import (
     adpo_loss,
     cadpo_loss,
     dpo_loss,
-    implicit_rewards,
 )
 from .oracle import (
     EnumSpace,
@@ -64,7 +63,6 @@ __all__ = [
     "dpo_loss",
     "eval_pairs",
     "generate_dataset",
-    "implicit_rewards",
     "kl_objective",
     "load_checkpoint",
     "load_jsonl",

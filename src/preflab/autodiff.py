@@ -20,6 +20,9 @@ itself as one ``Node`` with a hand-derived backward: each policy's
 forward in ``lm`` (built from ``log_softmax_values`` and the helpers
 ``check_bounds`` and ``id_row_sums``) and the preference loss in
 ``losses`` (built from ``log_sigmoid_values`` and ``sigmoid_values``).
+In the package only the trainer's train step records nodes: evaluation,
+the reward profile and the oracle compute on plain arrays, with the value
+helpers below.
 """
 
 from __future__ import annotations

@@ -23,22 +23,23 @@ from . import oracle, trainer
 from .data import check_dataset, load_jsonl, save_jsonl, write_manifest
 from .errors import PreflabError, ValidationError
 from .lm import load_checkpoint, save_checkpoint
-from .losses import LossConfig
 from .seeds import check_seed
 from .trainer import ProfileRow, TrainLogRow, eval_pairs, prefix_reward_profile, to_csv, train
 
 
-def _load_resolved(args) -> dict:
-    raw = cfgmod.load_config(args.config) if args.config else {}
+def _load_resolved(args, raw: dict | None = None) -> dict:
+    """``--set`` applied over ``raw`` (default: the ``--config`` file, or
+    nothing), then resolved."""
+    if raw is None:
+        raw = cfgmod.load_config(args.config) if args.config else {}
     raw = cfgmod.apply_overrides(raw, args.set or [])
     return cfgmod.resolve(raw)
 
 
-def _sibling_resolved(path) -> dict | None:
+def _sibling_config(path) -> dict:
+    """The ``config.resolved.json`` next to ``path``, unresolved; empty if absent."""
     candidate = os.path.join(os.path.dirname(os.path.abspath(path)), "config.resolved.json")
-    if os.path.exists(candidate):
-        return cfgmod.resolve(cfgmod.load_config(candidate))
-    return None
+    return cfgmod.load_config(candidate) if os.path.exists(candidate) else {}
 
 
 def cmd_gen_data(args) -> int:
@@ -111,15 +112,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _loss_config_near(args, checkpoint_path):
-    if args.config:
-        return cfgmod.build_loss_config(_load_resolved(args))
-    sibling = _sibling_resolved(checkpoint_path)
-    if sibling is not None:
-        return cfgmod.build_loss_config(sibling)
-    return cfgmod.build_loss_config({"seed": 0})
-
-
 def cmd_eval(args) -> int:
     policy = load_checkpoint(args.checkpoint)
     ref_path = args.ref or os.path.join(
@@ -128,10 +120,12 @@ def cmd_eval(args) -> int:
     ref = load_checkpoint(ref_path)
     dataset = load_jsonl(args.data)
     check_dataset(dataset, policy.vocab)
-    loss_cfg = _loss_config_near(args, args.checkpoint)
+    # --set applies over --config, else the checkpoint's sibling config
+    raw = None if args.config else _sibling_config(args.checkpoint)
+    loss_cfg = cfgmod.build_loss_config(_load_resolved(args, raw))
     # on the module, where the benchmark's traced run wraps it
     plan = trainer.plan_dataset(dataset, loss_cfg, ref)
-    doc = asdict(eval_pairs(policy, ref, dataset, loss_cfg, plan=plan))
+    doc = asdict(eval_pairs(policy, plan, loss_cfg.beta))
     del doc["step"]
     doc.update(plan.length_measures())
     print(json.dumps(doc, sort_keys=True))
@@ -151,8 +145,8 @@ def cmd_analyze(args) -> int:
     check_dataset(dataset, ref.vocab)
     beta = args.beta
     if beta is None:
-        sibling = _sibling_resolved(args.checkpoints[0])
-        beta = sibling["loss"]["beta"] if sibling and "loss" in sibling else LossConfig().beta
+        sibling = cfgmod.resolve(_sibling_config(args.checkpoints[0]))
+        beta = cfgmod.build_loss_config(sibling).beta
     checkpoints = [
         (_checkpoint_step(path, i), load_checkpoint(path))
         for i, path in enumerate(args.checkpoints)

@@ -1,4 +1,5 @@
-"""Preference losses as differentiable scalar graphs over token log-ratios.
+"""Preference losses over token log-ratios: one value function, and its
+graph node for the train step.
 
 Every loss consumes per-token log-ratios log(pi_theta / pi_ref), not
 policies, so reference log-probabilities can be precomputed. All three
@@ -24,11 +25,15 @@ side the length, per pair the kept-segment count. It ranks every position
 of the whole list in one vectorized pass over the side lengths
 (``composition.stacked_ranks``), whatever k or m; no pair's segment
 bounds are built. The trainer builds it
-once per command and indexes it per batch. Each loss above builds one and
-calls ``batch_loss(batch, layout)``, the one loss body: one graph node
-whatever the batch size, whose value takes every segment's z in one
-``np.bincount`` over the whole batch and whose backward is the loss's
-closed-form gradient. There is no length normalization.
+once per command and indexes it per batch.
+
+``segment_loss(x, layout, beta)`` is the one loss value, on a plain
+log-ratio vector and without a graph: it takes every segment's z in one
+``np.bincount`` over the whole stack. Evaluation calls it directly. Each
+loss above builds a layout and calls ``batch_loss(batch, layout)``, which
+records ``segment_loss`` as one graph node whatever the batch size, with
+the loss's closed-form gradient as its backward; only the train step
+calls it. There is no length normalization.
 """
 
 from __future__ import annotations
@@ -95,10 +100,6 @@ class LogRatioBatch:
     pairs: list[PairLogRatios]
     beta: float
 
-    def validate(self) -> "LogRatioBatch":
-        check_beta(self.beta)
-        return self
-
 
 @dataclass(frozen=True)
 class SegmentLayout:
@@ -153,16 +154,37 @@ def segment_layout(segmentation: list[SegmentedPair], rejected_scores=None) -> S
     return SegmentLayout(ranks, weights, lengths, np.maximum(last[0::2], last[1::2]) + 1)
 
 
-def batch_loss(batch: LogRatioBatch, layout: SegmentLayout) -> Node:
+def segment_loss(x: np.ndarray, layout: SegmentLayout, beta: float):
     """Mean over pairs of sum over kept segments of -log sigmoid(beta * z),
-    as one graph node whose parents are the batch's sides.
+    on the plain log-ratio vector ``x`` of a stack of sides laid out by
+    ``layout``; no graph.
 
     z is a segment's weighted sum over both sides, accumulated in position
     order (``np.bincount``). A position's segment id is its rank, offset by
-    the kept segments of the pairs before it. The backward is the closed
-    form dL/dz = -(beta / B) * sigmoid(-beta * z), times w_i at position i.
+    the kept segments of the pairs before it. Returns the loss value, beta
+    times every segment's z, and every position's segment id: what the
+    gradient reads.
     """
-    batch.validate()
+    check_beta(beta)
+    for per_position in (layout.ranks, layout.weights):
+        if per_position.shape != x.shape:
+            raise ad.ShapeMismatchError("batch_loss", x.shape, per_position.shape)
+    before = np.cumsum(layout.kept) - layout.kept
+    ids = layout.ranks + np.repeat(before, layout.lengths[0::2] + layout.lengths[1::2])
+    n_segments = int(layout.kept.sum())
+    ad.check_bounds("batch_loss", ids, n_segments)
+    beta_z = np.bincount(ids, weights=layout.weights * x, minlength=n_segments) * beta
+    value = np.sum(ad.log_sigmoid_values(beta_z)) * (-1.0 / len(layout.kept))
+    return value, beta_z, ids
+
+
+def batch_loss(batch: LogRatioBatch, layout: SegmentLayout) -> Node:
+    """``segment_loss`` over the batch's sides, as one graph node whose
+    parents are those sides.
+
+    The backward is the closed form dL/dz = -(beta / B) * sigmoid(-beta * z),
+    times w_i at position i.
+    """
     sides = [side for pair in batch.pairs for side in (pair.chosen, pair.rejected)]
     got = np.fromiter((side.value.shape[0] for side in sides), dtype=np.intp, count=len(sides))
     if got.shape != layout.lengths.shape:
@@ -175,24 +197,15 @@ def batch_loss(batch: LogRatioBatch, layout: SegmentLayout) -> Node:
             f"pair {i}: segmentation expects lengths {want} but log-ratio vectors have {have}"
         )
     x = np.concatenate([side.value for side in sides])
-    w = layout.weights
-    for per_position in (layout.ranks, w):
-        if per_position.shape != x.shape:
-            raise ad.ShapeMismatchError("batch_loss", x.shape, per_position.shape)
-    before = np.cumsum(layout.kept) - layout.kept
-    ids = layout.ranks + np.repeat(before, layout.lengths[0::2] + layout.lengths[1::2])
-    n_segments = int(layout.kept.sum())
-    ad.check_bounds("batch_loss", ids, n_segments)
-    beta_z = np.bincount(ids, weights=w * x, minlength=n_segments) * batch.beta
+    value, beta_z, ids = segment_loss(x, layout, batch.beta)
     scale = -1.0 / len(batch.pairs)
     stops = np.cumsum(got)
 
     def backward(g):
-        grad = (((g * scale) * ad.sigmoid_values(-beta_z)) * batch.beta)[ids] * w
+        grad = (((g * scale) * ad.sigmoid_values(-beta_z)) * batch.beta)[ids] * layout.weights
         for side, stop, n in zip(sides, stops, got):
             side.grad += grad[stop - n : stop]
 
-    value = np.sum(ad.log_sigmoid_values(beta_z)) * scale
     return Node(ad.graph_of("batch_loss", *sides), value, tuple(sides), backward)
 
 
@@ -222,12 +235,3 @@ def cadpo_loss(
         raise ValidationError("cadpo_loss requires rejected scores")
     return batch_loss(batch, segment_layout(segmentation, rejected_scores))
 
-
-def implicit_rewards(batch: LogRatioBatch) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-position rewards beta * log-ratio.
-
-    Returns one (chosen, rejected) array pair per batch pair; entries line
-    up with the tokens of each side.
-    """
-    batch.validate()
-    return [(batch.beta * p.chosen.value, batch.beta * p.rejected.value) for p in batch.pairs]

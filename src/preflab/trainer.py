@@ -4,12 +4,14 @@ The trainer freezes a reference copy of the initial policy and plans the
 dataset once (``plan_dataset``): every side of every pair is stacked,
 chosen then rejected, with its context rows, targets, the reference's
 log-probs (forwarded once; they never change), the side offsets and the
-segment layout of the loss (dpo as adaptive m=1). A train step indexes its
-pairs' positions in that stack and in the layout and forwards them on its
-graph; evaluation and the profile score the whole stack untracked, with
-no graph, in blocks spread over the process's CPUs (``lm.row_logprobs``;
-the bytes do not depend on the thread count), and the profile plans no
-layout.
+segment layout of the loss (dpo as adaptive m=1). Only a train step
+records autodiff nodes: it indexes its pairs' positions in that stack and
+in the layout and forwards them on its graph. Evaluation and the profile
+take no gradient: they score the whole stack untracked, as plain arrays,
+in blocks spread over the process's CPUs (``lm.row_logprobs``; the bytes
+do not depend on the thread count). Evaluation computes its loss with
+``losses.segment_loss``, the value the train step's loss node records,
+and the profile plans no layout.
 All reductions happen in fixed order, so identical (dataset, config, seed)
 produce bit-identical logs and checkpoints.
 
@@ -41,6 +43,7 @@ from .losses import (
     batch_loss,
     check_beta,
     segment_layout,
+    segment_loss,
 )
 from .seeds import child_rng
 
@@ -185,37 +188,20 @@ class DatasetPlan:
     offsets: np.ndarray
     layout: SegmentLayout | None
 
-    def log_ratios(self, policy: Policy, graph: ad.Graph, leaves=None, pair_ids=None,
-                   what="the policy"):
-        """Policy forward and log-ratio nodes over the positions of ``pair_ids``
-        (default: the whole stack, as it is), with their segment layout.
-
-        With ``leaves`` given, the policy side is tracked for gradients;
-        otherwise it is scored untracked, without a graph, by the module
-        function ``lm.row_logprobs`` and enters ``graph`` as a leaf.
+    def log_ratios(self, policy: Policy, what="the policy"):
+        """The policy's log-probs ``theta`` and log-ratios ``theta - ref_logp``
+        over the whole stack, as arrays: scored untracked, without a graph, by
+        the module function ``lm.row_logprobs``.
         """
         ref = self.reference
         if (policy.kind, policy.vocab, policy.hyper) != (ref.kind, ref.vocab, ref.hyper):
             raise ValidationError(
                 f"{what} is a {_describe(policy)} but the reference is a {_describe(ref)}"
             )
-        rows, targets, ref_logp, layout = self.rows, self.targets, self.ref_logp, self.layout
-        if pair_ids is not None:
-            sides = (2 * np.asarray(pair_ids)[:, None] + (0, 1)).ravel()
-            lengths = layout.lengths[sides]
-            offsets = np.concatenate(([0], np.cumsum(lengths)))
-            index = np.arange(offsets[-1]) + np.repeat(self.offsets[sides] - offsets[:-1], lengths)
-            rows, targets, ref_logp = rows[index], targets[index], ref_logp[index]
-            layout = SegmentLayout(
-                layout.ranks[index], layout.weights[index], lengths, layout.kept[pair_ids]
-            )
-        if leaves is None:
-            # the module function: a bound policy.row_logprobs call is what
-            # perfbench's traced run counts as a reference forward
-            theta = graph.leaf(row_logprobs(policy, rows, targets))
-        else:
-            theta = policy.rows_forward(graph, leaves, rows, targets)
-        return theta, ad.sub(theta, ref_logp), layout
+        # the module function: a bound policy.row_logprobs call is what
+        # perfbench's traced run counts as a reference forward
+        theta = row_logprobs(policy, self.rows, self.targets)
+        return theta, theta - self.ref_logp
 
     def length_measures(self) -> dict[str, float]:
         """The paper's two length measures, averaged over the pairs: the token
@@ -264,11 +250,19 @@ def plan_dataset(
     )
 
 
-def _build_batch(plan: DatasetPlan, policy: Policy, beta: float, graph: ad.Graph,
-                 leaves=None, pair_ids=None):
-    """Forward the pairs once and slice per-pair log-ratio vectors."""
-    theta, log_ratios, layout = plan.log_ratios(policy, graph, leaves, pair_ids)
-    offsets = np.concatenate(([0], np.cumsum(layout.lengths)))
+def _build_batch(plan: DatasetPlan, policy: Policy, beta: float, graph: ad.Graph, leaves,
+                 pair_ids):
+    """The tracked policy forward over the positions of ``pair_ids``, sliced
+    into per-pair log-ratio vectors, with their segment layout."""
+    sides = (2 * np.asarray(pair_ids)[:, None] + (0, 1)).ravel()
+    lengths = plan.layout.lengths[sides]
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    index = np.arange(offsets[-1]) + np.repeat(plan.offsets[sides] - offsets[:-1], lengths)
+    layout = SegmentLayout(
+        plan.layout.ranks[index], plan.layout.weights[index], lengths, plan.layout.kept[pair_ids]
+    )
+    theta = policy.rows_forward(graph, leaves, plan.rows[index], plan.targets[index])
+    log_ratios = ad.sub(theta, plan.ref_logp[index])
     pairs = [
         PairLogRatios(
             chosen=ad.slice1d(log_ratios, offsets[2 * k], offsets[2 * k + 1]),
@@ -276,36 +270,27 @@ def _build_batch(plan: DatasetPlan, policy: Policy, beta: float, graph: ad.Graph
         )
         for k in range(len(layout.kept))
     ]
-    return LogRatioBatch(pairs=pairs, beta=beta), layout, theta, offsets
+    return LogRatioBatch(pairs=pairs, beta=beta), layout
 
 
-def eval_pairs(
-    policy: Policy,
-    ref: Policy,
-    dataset: list[PreferencePair],
-    loss_cfg: LossConfig,
-    step: int = 0,
-    plan: DatasetPlan | None = None,
-) -> TrainLogRow:
-    """One diagnostics row over the full dataset; mutates nothing.
+def eval_pairs(policy: Policy, plan: DatasetPlan, beta: float, step: int = 0) -> TrainLogRow:
+    """One diagnostics row over every pair of ``plan`` (from ``plan_dataset``
+    with a loss config); mutates nothing and builds no graph.
 
-    ``plan`` (from ``plan_dataset`` with the same config and reference)
-    skips re-planning and re-forwarding the reference. A policy of another
-    kind, vocab or shape than the reference raises ValidationError.
+    The loss is ``segment_loss``, the train step's loss value. A policy of
+    another kind, vocab or shape than the plan's reference raises
+    ValidationError.
     """
-    loss_cfg.validate()
-    if plan is None:
-        plan = plan_dataset(dataset, loss_cfg, ref)
-    graph = ad.Graph()
-    batch, layout, theta, offsets = _build_batch(plan, policy, loss_cfg.beta, graph)
-    loss = float(batch_loss(batch, layout).value)
-    side_logp = [float(np.sum(theta.value[a:b])) for a, b in zip(offsets[:-1], offsets[1:])]
+    theta, log_ratios = plan.log_ratios(policy)
+    loss = float(segment_loss(log_ratios, plan.layout, beta)[0])
+    offsets = plan.offsets
+    side_logp = [float(np.sum(theta[a:b])) for a, b in zip(offsets[:-1], offsets[1:])]
     margins = [
-        batch.beta * (float(np.sum(p.chosen.value)) - float(np.sum(p.rejected.value)))
-        for p in batch.pairs
+        beta * (float(np.sum(log_ratios[a:b])) - float(np.sum(log_ratios[b:c])))
+        for a, b, c in zip(offsets[0::2], offsets[1::2], offsets[2::2])
     ]
     hits = [1.0 if m > 0 else (0.5 if m == 0 else 0.0) for m in margins]
-    n = len(batch.pairs)
+    n = len(margins)
     return TrainLogRow(
         step=step,
         loss=loss,
@@ -337,7 +322,7 @@ def train(dataset: list[PreferencePair], policy: Policy, cfg: TrainConfig) -> Tr
     optimizer = OPTIMIZERS[cfg.optimizer](cfg.lr)
     rng = child_rng(cfg.seed, "shuffle")
 
-    log = [eval_pairs(policy, ref, dataset, cfg.loss, step=0, plan=plan)]
+    log = [eval_pairs(policy, plan, cfg.loss.beta)]
     checkpoints: list[tuple[int, Policy]] = []
 
     order = np.empty(0, dtype=np.intp)
@@ -348,7 +333,7 @@ def train(dataset: list[PreferencePair], policy: Policy, cfg: TrainConfig) -> Tr
 
         graph = ad.Graph()
         leaves = {name: graph.leaf(value) for name, value in policy.params.items()}
-        batch, layout, _, _ = _build_batch(plan, policy, cfg.loss.beta, graph, leaves, batch_ids)
+        batch, layout = _build_batch(plan, policy, cfg.loss.beta, graph, leaves, batch_ids)
         loss = batch_loss(batch, layout)
         if not np.isfinite(loss.value):
             raise TrainingDivergedError(step, batch_ids.tolist())
@@ -357,7 +342,7 @@ def train(dataset: list[PreferencePair], policy: Policy, cfg: TrainConfig) -> Tr
         optimizer.update(policy.params, grads)
 
         if step % cfg.eval_every == 0 or step == cfg.steps:
-            log.append(eval_pairs(policy, ref, dataset, cfg.loss, step=step, plan=plan))
+            log.append(eval_pairs(policy, plan, cfg.loss.beta, step))
         at_interval = cfg.checkpoint_every > 0 and step % cfg.checkpoint_every == 0
         if at_interval or step == cfg.steps:
             checkpoints.append((step, copy.deepcopy(policy)))
@@ -402,8 +387,8 @@ def prefix_reward_profile(
     by_bin = np.argsort(slot, kind="stable")
     rows: list[ProfileRow] = []
     for step, policy in checkpoints:
-        _, log_ratios, _ = plan.log_ratios(policy, ad.Graph(), what=f"checkpoint {step}")
-        rewards = beta * log_ratios.value
+        _, log_ratios = plan.log_ratios(policy, what=f"checkpoint {step}")
+        rewards = beta * log_ratios
         # np.bincount adds in stack order, as a per-token loop over the pairs would
         margin = np.bincount(slot, weights=sign * rewards)
         groups = np.split(rewards[by_bin], np.cumsum(counts)[:-1])

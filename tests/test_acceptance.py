@@ -281,20 +281,20 @@ class TestA8MarginDecomposition:
         result = trainer.train(dataset, policy, cfg)
         ref = lm.NeuralPolicy.init(vocab, child_rng(1, "init"))
         beta = 1.5
+        # per-token implicit rewards: beta times the plan's untracked log-ratios
+        plan = trainer.plan_dataset(dataset, None, ref)
+        _, log_ratios = plan.log_ratios(result.policy)
         worst = 0.0
-        for lo in range(0, len(dataset), 32):
-            batch_pairs = dataset[lo : lo + 32]
-            for pair in batch_pairs:
-                lw = lm.token_logprobs(result.policy, pair.prompt, pair.chosen) - \
-                    lm.token_logprobs(ref, pair.prompt, pair.chosen)
-                ll = lm.token_logprobs(result.policy, pair.prompt, pair.rejected) - \
-                    lm.token_logprobs(ref, pair.prompt, pair.rejected)
-                g = ad.Graph()
-                batch = one_pair_batch(g, lw, ll, beta)
-                (r_w, r_l), = losses.implicit_rewards(batch)
-                reward_sum = float(np.sum(r_w) - np.sum(r_l))
-                dpo_logit = beta * (float(np.sum(lw)) - float(np.sum(ll)))
-                worst = max(worst, abs(reward_sum - dpo_logit))
+        for j, pair in enumerate(dataset):
+            lw = lm.token_logprobs(result.policy, pair.prompt, pair.chosen) - \
+                lm.token_logprobs(ref, pair.prompt, pair.chosen)
+            ll = lm.token_logprobs(result.policy, pair.prompt, pair.rejected) - \
+                lm.token_logprobs(ref, pair.prompt, pair.rejected)
+            a, b, c = plan.offsets[2 * j : 2 * j + 3]
+            r_w, r_l = beta * log_ratios[a:b], beta * log_ratios[b:c]
+            reward_sum = float(np.sum(r_w) - np.sum(r_l))
+            dpo_logit = beta * (float(np.sum(lw)) - float(np.sum(ll)))
+            worst = max(worst, abs(reward_sum - dpo_logit))
         ok = worst <= 1e-9
         _report("A8", ok, f"max margin-decomposition residual = {worst:.3e}")
 

@@ -455,6 +455,29 @@ class TestEvalAnalyze:
         assert (doc["mu_chosen"], doc["mu_rejected"]) == (9 / 4, 7 / 4)
         assert doc["mu_prime"] == mu_prime
 
+    @pytest.mark.parametrize("config", ["sibling", "none"])
+    def test_eval_set_beta_zero_exits_2(self, tmp_path, dataset_path, run_dir, capsys, config):
+        # --set applies over the sibling config.resolved.json, or over nothing
+        ckpt = run_dir / "final.json"
+        if config == "none":
+            ckpt = tmp_path / "lone.json"
+            ckpt.write_bytes((run_dir / "final.json").read_bytes())
+        argv = ["eval", "--checkpoint", str(ckpt), "--ref", str(run_dir / "ref.json"),
+                "--data", str(dataset_path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main([*argv, "--set", "loss.beta=0"]) == 2
+        assert "loss.beta must be finite and positive" in one_error_line(capsys)
+
+    def test_eval_set_loss_moves_feedback_length(self, run_dir, dataset_path, capsys):
+        argv = ["eval", "--checkpoint", str(run_dir / "final.json"), "--data", str(dataset_path)]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["mu_prime"] == 1.0
+        token_level = ["--set", "loss.method=adpo", "--set", "loss.family=static",
+                       "--set", "loss.k=1"]
+        assert main([*argv, *token_level]) == 0
+        assert json.loads(capsys.readouterr().out)["mu_prime"] > 1.0
+
     def test_eval_missing_ref_exits_2(self, tmp_path, dataset_path, run_dir):
         lone = tmp_path / "lone.json"
         lone.write_bytes((run_dir / "final.json").read_bytes())

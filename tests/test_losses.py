@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from preflab import autodiff as ad
-from preflab import losses
+from preflab import data, lm, losses, trainer
 from preflab.composition import segment_pair
 from preflab.errors import ValidationError
+from preflab.seeds import child_rng
 
 
 def make_pair(graph, chosen, rejected):
@@ -234,35 +235,52 @@ class TestCadpoLoss:
 
 
 class TestImplicitRewards:
+    """Per-token implicit rewards are beta times the plan's untracked
+    log-ratios, side by side; token_logprobs differences are the reference."""
+
+    @staticmethod
+    def setup(perturb=True, cfg=None):
+        vocab = lm.Vocab(12)
+        dataset = data.generate_dataset(data.BigramMatchTask(vocab=vocab, seed=3), 6)
+        policy = lm.NeuralPolicy.init(vocab, child_rng(3, "init"), context=6, embed_dim=4,
+                                      hidden_dim=12)
+        ref = lm.clone_frozen(policy)
+        if perturb:
+            rng = np.random.default_rng(8)
+            for param in policy.params.values():
+                param += 0.3 * rng.standard_normal(param.shape)
+        plan = trainer.plan_dataset(dataset, cfg, ref)
+        _, log_ratios = plan.log_ratios(policy)
+        sides = np.split(log_ratios, plan.offsets[1:-1])
+        return dataset, policy, ref, list(zip(sides[0::2], sides[1::2]))
+
     def test_zero_for_identical_policies(self):
-        g = ad.Graph()
-        batch = losses.LogRatioBatch([make_pair(g, np.zeros(4), np.zeros(5))], beta=2.0)
-        rewards = losses.implicit_rewards(batch)
-        assert np.all(rewards[0][0] == 0.0) and np.all(rewards[0][1] == 0.0)
+        _, _, _, pairs = self.setup(perturb=False)
+        for chosen, rejected in pairs:
+            assert np.all(2.0 * chosen == 0.0) and np.all(2.0 * rejected == 0.0)
 
     def test_sum_matches_dpo_logit(self):
-        rng = np.random.default_rng(8)
-        g = ad.Graph()
+        dataset, policy, ref, pairs = self.setup()
         beta = 1.5
-        batch = random_batch(g, rng, 6, beta=beta)
-        rewards = losses.implicit_rewards(batch)
-        for pair, (r_w, r_l) in zip(batch.pairs, rewards):
-            logit = beta * (
-                float(np.sum(pair.chosen.value)) - float(np.sum(pair.rejected.value))
+        for pair, (chosen, rejected) in zip(dataset, pairs):
+            r_w, r_l = beta * chosen, beta * rejected
+            lw, ll = (
+                lm.token_logprobs(policy, pair.prompt, side)
+                - lm.token_logprobs(ref, pair.prompt, side)
+                for side in (pair.chosen, pair.rejected)
             )
+            assert r_w.shape == lw.shape and r_l.shape == ll.shape
+            logit = beta * (float(np.sum(lw)) - float(np.sum(ll)))
             assert float(np.sum(r_w) - np.sum(r_l)) == pytest.approx(logit, abs=1e-9)
 
     def test_linear_in_beta(self):
-        rng = np.random.default_rng(9)
-        chosen, rejected = rng.standard_normal(4), rng.standard_normal(4)
-        g = ad.Graph()
-        one = losses.implicit_rewards(
-            losses.LogRatioBatch([make_pair(g, chosen, rejected)], beta=1.0)
+        # the plan's log-ratios do not depend on the planned loss's beta
+        (_, _, _, one), (_, _, _, two) = (
+            self.setup(cfg=losses.LossConfig(method="dpo", beta=beta)) for beta in (1.0, 2.0)
         )
-        two = losses.implicit_rewards(
-            losses.LogRatioBatch([make_pair(g, chosen, rejected)], beta=2.0)
-        )
-        assert np.allclose(2 * one[0][0], two[0][0], atol=1e-15)
+        for (chosen_1, rejected_1), (chosen_2, rejected_2) in zip(one, two):
+            assert np.allclose(2 * (1.0 * chosen_1), 2.0 * chosen_2, atol=1e-15)
+            assert np.allclose(2 * (1.0 * rejected_1), 2.0 * rejected_2, atol=1e-15)
 
 
 class TestLossGradients:
@@ -333,13 +351,14 @@ class TestNonFiniteBeta:
     @pytest.mark.parametrize("beta", [math.nan, -math.inf, -1.0, 0])
     def test_every_site_keeps_its_message(self, beta):
         # one check, four callers; each message reads as before
-        from preflab import oracle, trainer
+        from preflab import oracle
 
         space = oracle.EnumSpace.build(3, 2)
         zeros = np.zeros(len(space.sequences))
+        one_pair = losses.segment_layout([segment_pair((1, 1), "static", 1)])
         sites = {
             "loss.beta": lambda: losses.LossConfig(beta=beta).validate(),
-            "beta": lambda: losses.LogRatioBatch([], beta=beta).validate(),
+            "beta": lambda: losses.segment_loss(np.zeros(2), one_pair, beta),
             "oracle": lambda: oracle.boltzmann_distribution(space, zeros, zeros, beta),
             "profile": lambda: trainer.prefix_reward_profile([(0, None)], None, [], beta),
         }

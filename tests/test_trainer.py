@@ -28,6 +28,18 @@ def small_setup(seed=0, n_pairs=24, **task_kw):
     return vocab, dataset, policy
 
 
+def eval_row(policy, ref, dataset, cfg):
+    """``eval_pairs`` over a fresh plan of ``dataset`` for the loss ``cfg``."""
+    return trainer.eval_pairs(policy, trainer.plan_dataset(dataset, cfg, ref), cfg.beta)
+
+
+def tracked_batch(plan, policy, beta, pair_ids):
+    """A train step's batch and layout over ``pair_ids``, on a fresh graph."""
+    graph = ad.Graph()
+    leaves = {name: graph.leaf(value) for name, value in policy.params.items()}
+    return trainer._build_batch(plan, policy, beta, graph, leaves, pair_ids)
+
+
 def quick_config(method="dpo", steps=30, **kw):
     loss = losses.LossConfig(method=method, family="static", k=1, beta=1.0)
     if method == "dpo":
@@ -91,16 +103,18 @@ class TestPlans:
         assert np.array_equal(plan.layout.weights, sign)
 
     def test_batch_positions_index_the_stack(self):
-        # an n-gram forward is a table lookup, so sub-batches are exact slices
+        # an n-gram forward is a table lookup, so the tracked sub-batch's
+        # log-ratios are exact slices of the untracked whole stack's
         vocab, dataset, _ = small_setup()
         policy = lm.NGramPolicy.random(vocab, 2, np.random.default_rng(0))
         plan = trainer.plan_dataset(dataset, quick_config("adpo").loss, lm.clone_frozen(policy))
         policy.params["logits"] += np.random.default_rng(1).standard_normal((12, 12))
-        _, whole, _ = plan.log_ratios(policy, ad.Graph())
+        _, whole = plan.log_ratios(policy)
         ids = np.array([5, 0, 17, 5])
-        _, part, layout = plan.log_ratios(policy, ad.Graph(), pair_ids=ids)
+        batch, layout = tracked_batch(plan, policy, 1.0, ids)
+        part = np.concatenate([side.value for p in batch.pairs for side in (p.chosen, p.rejected)])
         spans = [slice(plan.offsets[2 * i], plan.offsets[2 * i + 2]) for i in ids]
-        assert np.array_equal(part.value, np.concatenate([whole.value[s] for s in spans]))
+        assert np.array_equal(part, np.concatenate([whole[s] for s in spans]))
         for got, full in ((layout.ranks, plan.layout.ranks), (layout.weights, plan.layout.weights)):
             assert np.array_equal(got, np.concatenate([full[s] for s in spans]))
         sides = [2 * i + j for i in ids for j in (0, 1)]
@@ -165,7 +179,7 @@ class TestPlannedLayout:
             for planned in (True, False):
                 g = ad.Graph()
                 leaves = {n: g.leaf(v) for n, v in policy.params.items()}
-                batch, layout, _, _ = trainer._build_batch(plan, policy, cfg.beta, g, leaves, ids)
+                batch, layout = trainer._build_batch(plan, policy, cfg.beta, g, leaves, ids)
                 if planned:
                     loss = losses.batch_loss(batch, layout)
                 else:
@@ -178,7 +192,7 @@ class TestPlannedLayout:
         _, dataset, policy = small_setup()
         cfg = self.CONFIGS["static1"]
         plan = trainer.plan_dataset(dataset, cfg, lm.clone_frozen(policy))
-        batch, _, _, _ = trainer._build_batch(plan, policy, 1.0, ad.Graph(), pair_ids=[0, 1, 2])
+        batch, _ = tracked_batch(plan, policy, 1.0, [0, 1, 2])
         lengths = [(len(p.chosen), len(p.rejected)) for p in dataset]
         other = next(n for n in lengths if n != lengths[2])
         wrong = losses.segment_layout(
@@ -205,7 +219,7 @@ class TestPlanRefusesOtherModels:
                 context=3 if other == "context" else 6, embed_dim=4, hidden_dim=12,
             )
         with pytest.raises(ValidationError, match="but the reference is a neural model"):
-            trainer.eval_pairs(stranger, ref, dataset, losses.LossConfig(method="dpo"))
+            eval_row(stranger, ref, dataset, losses.LossConfig(method="dpo"))
         with pytest.raises(ValidationError, match="^checkpoint 7 is a"):
             trainer.prefix_reward_profile([(0, policy), (7, stranger)], ref, dataset, beta=1.0)
 
@@ -274,21 +288,28 @@ class TestTrainBasics:
         assert result.log[-1].loss < result.log[0].loss
 
     @pytest.mark.parametrize("method", ["dpo", "adpo"])
-    def test_neural_step_records_one_policy_node(self, method):
+    def test_neural_step_records_one_policy_node(self, method, monkeypatch):
         # a train step's graph: the five leaves, one policy node, then the
-        # loss nodes, which an untracked forward (one leaf) records too
+        # loss nodes: one sub, one slice per side and the loss node
         _, dataset, policy = small_setup()
         cfg = quick_config(method).loss
         plan = trainer.plan_dataset(dataset, cfg, lm.clone_frozen(policy))
         ids = np.arange(8)
-        untracked = ad.Graph()
-        batch, layout, _, _ = trainer._build_batch(plan, policy, 1.0, untracked, pair_ids=ids)
-        losses.batch_loss(batch, layout)
+        forward, recorded = policy.rows_forward, []
+
+        def counted_forward(graph, *args):
+            before = len(graph)
+            out = forward(graph, *args)
+            recorded.append(len(graph) - before)
+            return out
+
+        monkeypatch.setattr(policy, "rows_forward", counted_forward)
         graph = ad.Graph()
         leaves = {name: graph.leaf(value) for name, value in policy.params.items()}
-        batch, layout, _, _ = trainer._build_batch(plan, policy, 1.0, graph, leaves, ids)
+        batch, layout = trainer._build_batch(plan, policy, 1.0, graph, leaves, ids)
         graph.backward(losses.batch_loss(batch, layout))
-        assert len(graph) == len(leaves) + 1 + (len(untracked) - 1)
+        assert recorded == [1]
+        assert len(graph) == len(leaves) + 1 + (1 + 2 * len(ids) + 1)
 
 
 class TestAdam:
@@ -339,7 +360,7 @@ class TestEvalPairs:
         _, dataset, policy = small_setup()
         ref = lm.clone_frozen(policy)
         cfg = losses.LossConfig(method="adpo", family="adaptive", m=3, beta=1.0)
-        row = trainer.eval_pairs(policy, ref, dataset, cfg)
+        row = eval_row(policy, ref, dataset, cfg)
         assert row.margin == 0.0
         assert row.accuracy == 0.5
         # every pair contributes one ln 2 per kept segment
@@ -354,7 +375,7 @@ class TestEvalPairs:
     def test_chosen_logp_matches_seq_logprob_mean(self):
         _, dataset, policy = small_setup()
         ref = lm.clone_frozen(policy)
-        row = trainer.eval_pairs(policy, ref, dataset, losses.LossConfig(method="dpo"))
+        row = eval_row(policy, ref, dataset, losses.LossConfig(method="dpo"))
         direct = float(
             np.mean([seq_logprob(policy, p.prompt, p.chosen) for p in dataset])
         )
@@ -366,7 +387,7 @@ class TestEvalPairs:
         ref = lm.clone_frozen(lm.NeuralPolicy.init(
             lm.Vocab(12), child_rng(0, "init"), context=6, embed_dim=4, hidden_dim=12
         ))
-        row = trainer.eval_pairs(result.policy, ref, dataset, losses.LossConfig(method="dpo"))
+        row = eval_row(result.policy, ref, dataset, losses.LossConfig(method="dpo"))
         if row.accuracy == 1.0:
             assert all(
                 seq_logprob(result.policy, p.prompt, p.chosen)
@@ -378,28 +399,55 @@ class TestEvalPairs:
             )
 
     def test_margin_decomposition_identity(self):
-        # per-pair sum of implicit-reward differences equals the scaled
-        # total log-ratio difference
+        # per-pair sum of implicit-reward differences (beta times the plan's
+        # untracked log-ratios) equals the scaled total log-ratio difference
         _, dataset, policy = small_setup()
         result = trainer.train(dataset, policy, quick_config(steps=100, lr=1e-2))
         ref = lm.NeuralPolicy.init(
             lm.Vocab(12), child_rng(0, "init"), context=6, embed_dim=4, hidden_dim=12
         )
         beta = 1.7
-        for pair in dataset[:8]:
+        plan = trainer.plan_dataset(dataset, None, ref)
+        _, log_ratios = plan.log_ratios(result.policy)
+        for j, pair in enumerate(dataset[:8]):
             lw = lm.token_logprobs(result.policy, pair.prompt, pair.chosen) - lm.token_logprobs(
                 ref, pair.prompt, pair.chosen
             )
             ll = lm.token_logprobs(result.policy, pair.prompt, pair.rejected) - lm.token_logprobs(
                 ref, pair.prompt, pair.rejected
             )
-            g = ad.Graph()
-            pair_ratios = losses.PairLogRatios(g.leaf(lw), g.leaf(ll))
-            batch = losses.LogRatioBatch([pair_ratios], beta=beta)
-            (r_w, r_l), = losses.implicit_rewards(batch)
+            a, b, c = plan.offsets[2 * j : 2 * j + 3]
+            r_w, r_l = beta * log_ratios[a:b], beta * log_ratios[b:c]
             total = float(np.sum(r_w) - np.sum(r_l))
             logit = beta * (float(np.sum(lw)) - float(np.sum(ll)))
             assert abs(total - logit) <= 1e-9
+
+
+class TestUntrackedScoring:
+    def test_eval_and_profile_build_no_graph(self, monkeypatch):
+        # only the train step records nodes: with Graph and Node refusing to
+        # be built, eval and the profile return the rows they returned before
+        _, dataset, policy = small_setup()
+        ref = lm.clone_frozen(policy)
+        trained = trainer.train(dataset, policy, quick_config("adpo", steps=20)).policy
+        cfg = quick_config("adpo").loss
+
+        def rows():
+            return (
+                eval_row(trained, ref, dataset, cfg),
+                trainer.prefix_reward_profile([(20, trained)], ref, dataset, beta=1.3, bins=7),
+            )
+
+        before = rows()
+
+        def no_graph(*args, **kwargs):
+            raise AssertionError("untracked scoring built a graph")
+
+        monkeypatch.setattr(ad.Graph, "__init__", no_graph)
+        monkeypatch.setattr(ad.Node, "__init__", no_graph)
+        with pytest.raises(AssertionError, match="built a graph"):
+            ad.Graph()
+        assert rows() == before
 
 
 class TestPrefixRewardProfile:
@@ -492,7 +540,7 @@ class TestPrefixRewardProfile:
 
 class TestWholeStackMemory:
     """Eval and the profile score the stack block by block: their traced peak
-    is bounded by a block's graph, not by one graph over every token."""
+    is bounded by a block's working set, not by one forward over every token."""
 
     LIMIT = 64 * 2**20
 
@@ -520,7 +568,7 @@ class TestWholeStackMemory:
     def test_eval_pairs_peak(self, setup):
         dataset, ref, policies = setup
         cfg = losses.LossConfig(method="adpo", family="static", k=1)
-        peak = self.traced_peak(lambda: trainer.eval_pairs(policies[0], ref, dataset, cfg))
+        peak = self.traced_peak(lambda: eval_row(policies[0], ref, dataset, cfg))
         assert peak <= self.LIMIT
 
     def test_two_checkpoint_profile_peak(self, setup):
@@ -537,13 +585,13 @@ def profile_by_token_loop(checkpoints, ref, dataset, beta, bins):
     plan = trainer.plan_dataset(dataset, losses.LossConfig(method="dpo", beta=beta), ref)
     rows = []
     for step, policy in checkpoints:
-        _, log_ratios, _ = plan.log_ratios(policy, ad.Graph())
+        _, log_ratios = plan.log_ratios(policy)
         offsets = plan.offsets
         bucket_rewards = [[] for _ in range(bins)]
         bucket_margin = np.zeros(bins)
         for side in range(len(offsets) - 1):
             sign = 1.0 if side % 2 == 0 else -1.0
-            values = beta * log_ratios.value[offsets[side] : offsets[side + 1]]
+            values = beta * log_ratios[offsets[side] : offsets[side + 1]]
             n = values.shape[0]
             for i, r in enumerate(values, start=1):
                 b = min(i * bins // n, bins - 1)
