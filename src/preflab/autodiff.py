@@ -22,14 +22,13 @@ forward in ``lm`` (built from ``log_softmax_values`` and the helpers
 ``losses`` (built from ``log_sigmoid_values`` and ``sigmoid_values``).
 In the package only the trainer's train step records nodes: evaluation,
 the reward profile and the oracle compute on plain arrays, with the value
-helpers below.
+helpers below. The tests check every node's backward against central
+finite differences (``grad_check`` in ``tests/helpers.py``).
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -249,61 +248,3 @@ def slice1d(a, start: int, stop: int) -> Node:
         a.grad[start:stop] += g
 
     return Node(graph, va[start:stop].copy(), (a,), backward)
-
-
-# ---------------------------------------------------------------------------
-# finite-difference checking
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class GradCheckReport:
-    max_rel_error: float
-    h: float
-    tol: float
-    passed: bool
-
-
-def grad_check(
-    build: Callable[[Graph, list[Node]], Node],
-    params: Sequence,
-    h: float = 1e-5,
-    tol: float = 1e-6,
-) -> GradCheckReport:
-    """Compare analytic gradients of a scalar graph against central differences.
-
-    ``build(graph, leaves)`` must construct and return a scalar Node from
-    the given leaves; it is re-invoked for every probe and must be pure.
-    The relative error of each coordinate uses the denominator
-    max(|analytic|, |numeric|, 1e-8).
-    """
-    if h <= 0:
-        raise ValueError("grad_check: h must be positive")
-    base = [np.array(p, dtype=np.float64, order="C") for p in params]
-    graph = Graph()
-    leaves = [graph.leaf(p) for p in base]
-    out = build(graph, leaves)
-    graph.backward(out)
-    analytic = [leaf.grad.copy() for leaf in leaves]
-
-    def evaluate(values) -> float:
-        g = Graph()
-        return float(build(g, [g.leaf(v) for v in values]).value)
-
-    max_rel = 0.0
-    for pi, p in enumerate(base):
-        flat = p.reshape(-1)
-        grad_flat = analytic[pi].reshape(-1)
-        for j in range(flat.size):
-            keep = flat[j]
-            flat[j] = keep + h
-            f_plus = evaluate(base)
-            flat[j] = keep - h
-            f_minus = evaluate(base)
-            flat[j] = keep
-            numeric = (f_plus - f_minus) / (2.0 * h)
-            a = float(grad_flat[j])
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            if rel > max_rel:
-                max_rel = rel
-    return GradCheckReport(max_rel_error=max_rel, h=h, tol=tol, passed=max_rel <= tol)

@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoints", nargs="+", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--beta", type=float, default=None)
+    p.add_argument("--beta", type=float, help="reward scale (default: the sibling loss.beta)")
     p.add_argument("--bins", type=int, default=20)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_analyze)

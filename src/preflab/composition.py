@@ -14,8 +14,9 @@ contiguous segments. Two families are provided:
 records only what defines a pair's segmentation (family, parameter and
 the two side lengths) and derives its bounds from them on demand.
 ``stacked_ranks`` gives, for every position of a whole list of pairs, the
-rank of its segment among its pair's kept (non-empty) segments, the ids
-the loss sums by, in closed form from the length arrays:
+rank of its segment among its pair's kept segments (those non-empty on at
+least one side), the ids the loss sums by, in closed form from the length
+arrays:
 
 * static: position i is in window i // k, and no window is empty on both
   sides, so the window is the rank;
@@ -50,10 +51,6 @@ class StrongComposition:
     def __post_init__(self):
         if self.parts and min(self.parts) < 0:
             raise ValidationError(f"negative segment size in {self.parts}")
-
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
 
     def bounds(self) -> tuple[tuple[int, int], ...]:
         """Half-open [start, stop) ranges of each segment, 0-based."""
@@ -121,7 +118,7 @@ class SegmentedPair:
     rejected side. Each side's bounds tile that side's own token-logprob
     vector; a segment may be empty on one side. The bounds are built by
     ``xi_static`` or ``xi_adaptive`` only when asked for, one entry per
-    segment; the kept ranks are the closed form of ``stacked_ranks``.
+    segment; ``stacked_ranks`` gives the kept ranks in closed form.
     """
 
     family: str
@@ -148,17 +145,6 @@ class SegmentedPair:
     @property
     def l_bounds(self) -> tuple[tuple[int, int], ...]:
         return self._compositions[1].bounds()
-
-    @cached_property
-    def kept_ranks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rank of every position's segment among the kept segments, per side.
-
-        A segment is kept when it is non-empty on at least one side; one
-        empty on both would contribute a constant with zero gradient, and no
-        position takes its rank.
-        """
-        ranks, _ = stacked_ranks([self])
-        return ranks[: self.len_w], ranks[self.len_w :]
 
 
 def segment_pair(lengths: tuple[int, int], family: str, param: int) -> SegmentedPair:

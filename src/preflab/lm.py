@@ -36,7 +36,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from typing import Sequence
 
@@ -55,49 +54,27 @@ MAX_VOCAB = 1 << 24
 
 @dataclass(frozen=True)
 class Vocab:
-    """Token alphabet with reserved BOS/EOS/PAD ids (PAD distinct from EOS)."""
+    """Token alphabet of ``size`` ids: the reserved BOS, EOS and PAD are the
+    fixed ids 0, 1 and 2, and the content ids follow them."""
 
     size: int
-    bos: int = 0
-    eos: int = 1
-    pad: int = 2
+    BOS = 0
+    EOS = 1
+    PAD = 2
 
     def __post_init__(self):
         if self.size < 3:
             raise ValidationError(f"vocab size must be >= 3, got {self.size}")
         if self.size > MAX_VOCAB:
             raise ValidationError(f"vocab size must be <= {MAX_VOCAB}, got {self.size}")
-        reserved = (self.bos, self.eos, self.pad)
-        if len(set(reserved)) != 3:
-            raise ValidationError(f"reserved ids must be distinct, got {reserved}")
-        for rid in reserved:
-            if not (0 <= rid < self.size):
-                raise ValidationError(
-                    f"reserved id {rid} outside vocab of size {self.size}"
-                )
 
     @property
     def n_content(self) -> int:
-        """``len(content_ids())``: the three reserved ids are distinct and in range."""
         return self.size - 3
 
-    def content_ids(self) -> tuple[int, ...]:
-        """Ids that are neither BOS, EOS, nor PAD."""
-        reserved = {self.bos, self.eos, self.pad}
-        return tuple(i for i in range(self.size) if i not in reserved)
-
     def content_id(self, index: int) -> int:
-        """``content_ids()[index]`` for 0 <= index < n_content, without
-        building the tuple: step past each reserved id at or below the
-        running id, in ascending order."""
-        index = int(index)
-        for rid in self._reserved_ascending:
-            index += index >= rid
-        return index
-
-    @cached_property
-    def _reserved_ascending(self) -> tuple[int, ...]:
-        return tuple(sorted((self.bos, self.eos, self.pad)))
+        """The id of content token ``index``, 0 <= index < n_content."""
+        return int(index) + 3
 
 
 class TokenIdError(ValidationError):
@@ -134,7 +111,7 @@ def side_windows(vocab: Vocab, width: int, prompts, responses) -> tuple[np.ndarr
     TokenIdError.
     """
     p_len, r_len = _lengths(prompts), _lengths(responses)
-    fill = (vocab.bos,) * width
+    fill = (vocab.BOS,) * width
     ids = chain.from_iterable(x for side in zip(prompts, responses) for x in (fill, *side))
     count = int(width * len(p_len) + p_len.sum() + r_len.sum())
     try:
@@ -241,9 +218,10 @@ def _known(kind, hyper: dict) -> dict:
     return hyper
 
 
-def _construct(self, vocab: Vocab, params: dict[str, np.ndarray], frozen=False, **hyper):
-    """Shared constructor: the hyperparameter names, then the size bound
-    (``shapes``), then the exact parameter names and shapes."""
+def _construct(self, vocab: Vocab, params: dict[str, np.ndarray], /, **hyper):
+    """Shared constructor: the hyperparameter names (every keyword: vocab
+    and params are positional-only), then the size bound (``shapes``), then
+    the exact parameter names and shapes."""
     expected = self.shapes(vocab, **_known(type(self), hyper))
     params = {name: np.asarray(value, dtype=np.float64) for name, value in params.items()}
     got = {name: value.shape for name, value in params.items()}
@@ -252,7 +230,7 @@ def _construct(self, vocab: Vocab, params: dict[str, np.ndarray], frozen=False, 
     vars(self).update(hyper)
     self.vocab = vocab
     self.params = params
-    self.frozen = frozen
+    self.frozen = False
 
 
 @property
@@ -314,7 +292,7 @@ class NGramPolicy:
         whose ids are checked: order - 1 BOS ids, then the prompt, folded
         through ``step``."""
         row = 0
-        for t in (self.vocab.bos,) * (self.order - 1) + check_tokens(self.vocab, prompt):
+        for t in (self.vocab.BOS,) * (self.order - 1) + check_tokens(self.vocab, prompt):
             row = self.step(row, t)
         return row
 
@@ -485,15 +463,15 @@ def clone_frozen(policy: Policy) -> Policy:
     return frozen
 
 
+def _vocab_doc(size: int) -> dict:
+    """A checkpoint's ``vocab`` entry: the size and the fixed reserved ids."""
+    return {"size": size, "bos": Vocab.BOS, "eos": Vocab.EOS, "pad": Vocab.PAD}
+
+
 def save_checkpoint(policy: Policy, path) -> None:
     doc = {
         "kind": policy.kind,
-        "vocab": {
-            "size": policy.vocab.size,
-            "bos": policy.vocab.bos,
-            "eos": policy.vocab.eos,
-            "pad": policy.vocab.pad,
-        },
+        "vocab": _vocab_doc(policy.vocab.size),
         "hyper": policy.hyper,
         "params": {
             name: {"shape": list(value.shape), "data": value.reshape(-1).tolist()}
@@ -529,7 +507,10 @@ def _policy_from_doc(doc) -> Policy:
     for section in ("vocab", "hyper"):
         if not all(type(v) is int for v in doc[section].values()):
             raise TypeError(f"{section!r} entries must be integers")
-    vocab = Vocab(**doc["vocab"])
+    vocab = Vocab(doc["vocab"]["size"])
+    want = _vocab_doc(vocab.size)
+    if doc["vocab"] != want:
+        raise ValueError(f"the reserved ids are fixed: vocab {doc['vocab']} is not {want}")
     hyper = doc["hyper"]
     params = {}
     for name, spec in doc["params"].items():
@@ -547,5 +528,4 @@ def _policy_from_doc(doc) -> Policy:
     missing = [name for name in kind.HYPER if name not in hyper]
     if missing:
         raise KeyError(missing[0])
-    # checked here too: an entry named ``frozen`` would reach the constructor as its flag
-    return kind(vocab, params, **_known(kind, hyper))
+    return kind(vocab, params, **hyper)

@@ -122,7 +122,7 @@ class EnumSpace:
         vocab = Vocab(vocab_size)
         alphabet = np.arange(vocab_size)
         if mode == "eos":
-            alphabet = alphabet[alphabet != vocab.eos]
+            alphabet = alphabet[alphabet != vocab.EOS]
         w = alphabet.size
         # w^l contexts of each length l, from code offsets[l] on
         sizes = [w**l for l in range(max_len)]
@@ -146,9 +146,9 @@ class EnumSpace:
             # one sequence per context: its tokens, then EOS
             sequences = np.zeros((n_ctx, max_len), dtype=int)
             sequences[:, :-1] = contexts
-            sequences[np.arange(n_ctx), ctx_len] = vocab.eos
+            sequences[np.arange(n_ctx), ctx_len] = vocab.EOS
             lengths = ctx_len + 1
-            seq_at[:, vocab.eos] = np.arange(n_ctx)
+            seq_at[:, vocab.EOS] = np.arange(n_ctx)
         else:
             # every context of length max_len - 1, followed by every token
             sequences = np.empty((sizes[-1], w, max_len), dtype=int)
@@ -328,10 +328,7 @@ def random_log_policies(space: EnumSpace, n: int, rng) -> np.ndarray:
     ``standard_normal((n, N))`` call, so draws taken in blocks equal one
     large draw row for row.
     """
-    logits = rng.standard_normal((n, len(space.sequences)))
-    logits -= np.max(logits, axis=1, keepdims=True)
-    logits -= np.log(np.sum(np.exp(logits), axis=1, keepdims=True))
-    return logits
+    return log_softmax_values(rng.standard_normal((n, len(space.sequences))), axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -277,19 +277,18 @@ def eval_pairs(policy: Policy, plan: DatasetPlan, beta: float, step: int = 0) ->
     """One diagnostics row over every pair of ``plan`` (from ``plan_dataset``
     with a loss config); mutates nothing and builds no graph.
 
-    The loss is ``segment_loss``, the train step's loss value. A policy of
-    another kind, vocab or shape than the plan's reference raises
-    ValidationError.
+    The loss is ``segment_loss``, the train step's loss value; the side sums
+    are one ``np.bincount`` each, in position order. A policy of another
+    kind, vocab or shape than the plan's reference raises ValidationError.
     """
     theta, log_ratios = plan.log_ratios(policy)
     loss = float(segment_loss(log_ratios, plan.layout, beta)[0])
-    offsets = plan.offsets
-    side_logp = [float(np.sum(theta[a:b])) for a, b in zip(offsets[:-1], offsets[1:])]
-    margins = [
-        beta * (float(np.sum(log_ratios[a:b])) - float(np.sum(log_ratios[b:c])))
-        for a, b, c in zip(offsets[0::2], offsets[1::2], offsets[2::2])
-    ]
-    hits = [1.0 if m > 0 else (0.5 if m == 0 else 0.0) for m in margins]
+    lengths = np.diff(plan.offsets)
+    side = np.repeat(np.arange(len(lengths)), lengths)
+    side_logp = np.bincount(side, weights=theta, minlength=len(lengths))
+    ratio = np.bincount(side, weights=log_ratios, minlength=len(lengths))
+    margins = beta * (ratio[0::2] - ratio[1::2])
+    hits = (margins > 0) + 0.5 * (margins == 0)
     n = len(margins)
     return TrainLogRow(
         step=step,

@@ -1,7 +1,9 @@
-"""Scoring, draws and reference segmentations that only tests use.
+"""Gradient checking, scoring, draws and reference segmentations that
+only tests use.
 
-``scalar_root`` turns a vector node into the scalar a backward pass
-starts from. The scoring here is the tests' independent path to a policy's
+``grad_check`` compares a graph's analytic gradients against central
+finite differences; ``scalar_root`` turns a vector node into the scalar a
+backward pass starts from. The scoring here is the tests' independent path to a policy's
 conditionals: it calls the public ``row_logprobs`` once per id and row,
 whereas the oracle reads an n-gram's table through its state recursion,
 so each can be checked against the other. Likewise the kept ranks here
@@ -10,10 +12,66 @@ whereas ``composition.stacked_ranks`` computes them in closed form from
 the side lengths.
 """
 
+from dataclasses import dataclass
+from typing import Callable, Sequence
+
 import numpy as np
 
 from preflab import autodiff as ad
 from preflab import lm
+
+
+@dataclass
+class GradCheckReport:
+    max_rel_error: float
+    h: float
+    tol: float
+    passed: bool
+
+
+def grad_check(
+    build: Callable[[ad.Graph, list[ad.Node]], ad.Node],
+    params: Sequence,
+    h: float = 1e-5,
+    tol: float = 1e-6,
+) -> GradCheckReport:
+    """Compare analytic gradients of a scalar graph against central differences.
+
+    ``build(graph, leaves)`` must construct and return a scalar Node from
+    the given leaves; it is re-invoked for every probe and must be pure.
+    The relative error of each coordinate uses the denominator
+    max(|analytic|, |numeric|, 1e-8).
+    """
+    if h <= 0:
+        raise ValueError("grad_check: h must be positive")
+    base = [np.array(p, dtype=np.float64, order="C") for p in params]
+    graph = ad.Graph()
+    leaves = [graph.leaf(p) for p in base]
+    out = build(graph, leaves)
+    graph.backward(out)
+    analytic = [leaf.grad.copy() for leaf in leaves]
+
+    def evaluate(values) -> float:
+        g = ad.Graph()
+        return float(build(g, [g.leaf(v) for v in values]).value)
+
+    max_rel = 0.0
+    for pi, p in enumerate(base):
+        flat = p.reshape(-1)
+        grad_flat = analytic[pi].reshape(-1)
+        for j in range(flat.size):
+            keep = flat[j]
+            flat[j] = keep + h
+            f_plus = evaluate(base)
+            flat[j] = keep - h
+            f_minus = evaluate(base)
+            flat[j] = keep
+            numeric = (f_plus - f_minus) / (2.0 * h)
+            a = float(grad_flat[j])
+            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+            if rel > max_rel:
+                max_rel = rel
+    return GradCheckReport(max_rel_error=max_rel, h=h, tol=tol, passed=max_rel <= tol)
 
 
 def scalar_root(node, up=None):
@@ -38,7 +96,7 @@ def vocab_logprobs(policy, rows) -> np.ndarray:
 def conditional_row(policy, prompt, prefix) -> np.ndarray:
     """Log-probability row over the vocab for the token after ``prefix``: the
     last context row of ``prefix`` plus any token, scored for every id."""
-    rows, _ = policy.context_rows(prompt, tuple(prefix) + (policy.vocab.bos,))
+    rows, _ = policy.context_rows(prompt, tuple(prefix) + (policy.vocab.BOS,))
     return vocab_logprobs(policy, rows[-1:])[0]
 
 

@@ -21,7 +21,7 @@ from preflab.cli import main as cli_main
 from preflab.composition import segment_pair
 from preflab.seeds import child_rng
 
-from helpers import random_prefix_reward
+from helpers import grad_check, random_prefix_reward
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -122,7 +122,7 @@ class TestA3GradientFidelity:
                 return losses.adpo_loss(batch, [seg])
 
             params = [0.5 * rng.standard_normal(s) for s in (lw, ll)]
-            report = ad.grad_check(build, params, h=1e-5, tol=1e-6)
+            report = grad_check(build, params, h=1e-5, tol=1e-6)
             worst = max(worst, report.max_rel_error)
         elapsed = time.perf_counter() - start
         ok = worst <= 1e-6 and elapsed < 30.0

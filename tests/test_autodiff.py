@@ -11,7 +11,7 @@ from preflab import autodiff as ad
 from preflab import lm, losses
 from preflab.composition import segment_pair
 
-from helpers import scalar_root
+from helpers import grad_check, scalar_root
 
 
 def sum_of_squares(node):
@@ -377,12 +377,12 @@ def _op_cases(rng):
 
 class TestGradCheck:
     def test_square_at_three(self):
-        report = ad.grad_check(lambda g, p: sum_of_squares(p[0]), [np.array([3.0])], h=1e-5)
+        report = grad_check(lambda g, p: sum_of_squares(p[0]), [np.array([3.0])], h=1e-5)
         assert report.max_rel_error < 1e-8
 
     def test_log_sigmoid_at_zero(self):
         # -log sigmoid(x - y) at x = y = 0: the dpo loss of one one-token pair
-        report = ad.grad_check(
+        report = grad_check(
             lambda g, p: loss_node([p[0]], [p[1]], ([0, 0], [1.0, -1.0], [1])),
             [np.array([0.0]), np.array([0.0])], h=1e-5,
         )
@@ -391,19 +391,19 @@ class TestGradCheck:
     def test_transposed_parameter(self):
         # a Fortran-ordered copy would make the probes miss the evaluated values
         m = np.arange(6.0).reshape(2, 3) / 7.0
-        report = ad.grad_check(lambda g, p: sum_of_squares(p[0]), [m.T], h=1e-5)
+        report = grad_check(lambda g, p: sum_of_squares(p[0]), [m.T], h=1e-5)
         assert report.max_rel_error < 1e-8
 
     def test_h_must_be_positive(self):
         with pytest.raises(ValueError):
-            ad.grad_check(lambda g, p: scalar_root(p[0]), [np.array([1.0])], h=0.0)
+            grad_check(lambda g, p: scalar_root(p[0]), [np.array([1.0])], h=0.0)
 
     def test_every_registered_op_over_100_seeds(self):
         worst = 0.0
         for seed in range(100):
             rng = np.random.default_rng(seed)
             for name, build, params in _op_cases(rng):
-                report = ad.grad_check(build, params, h=1e-5, tol=1e-6)
+                report = grad_check(build, params, h=1e-5, tol=1e-6)
                 worst = max(worst, report.max_rel_error)
                 assert report.passed, f"{name} failed at seed {seed}: {report}"
         assert worst <= 1e-6

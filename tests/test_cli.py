@@ -514,6 +514,11 @@ class TestEvalAnalyze:
             ("not json", "not valid JSON"),
             ('{"kind": "neural"}', "lacks key 'vocab'"),
             ('{"kind": "neural", "vocab": {"size": "12"}, "hyper": {}, "params": {}}', "malformed"),
+            (
+                '{"kind": "neural", "vocab": {"size": 12, "bos": 3, "eos": 1, "pad": 2}, '
+                '"hyper": {}, "params": {}}',
+                "the reserved ids are fixed",
+            ),
         ],
     )
     def test_malformed_checkpoint_exits_2(
@@ -596,6 +601,32 @@ class TestEvalAnalyze:
             capsys.readouterr()
             assert main(argv) == 2
             assert "overflows int64" in one_error_line(capsys)
+            assert not out.exists()
+
+    def test_analyze_beta_scales_every_reward(self, tmp_path, run_dir, dataset_path, capsys):
+        # scaling by 2 is exact in float64: twice each margin, four times
+        # each variance
+        out = tmp_path / "profile.csv"
+
+        def analyze(beta):
+            argv = ["analyze", "--checkpoints", str(run_dir / "final.json"),
+                    "--ref", str(run_dir / "ref.json"), "--data", str(dataset_path),
+                    "--beta", beta, "--out", str(out)]
+            return main(argv)
+
+        profiles = {}
+        for beta in ("1", "2"):
+            assert analyze(beta) == 0
+            lines = out.read_text().strip().split("\n")
+            profiles[beta] = [[float(x) for x in line.split(",")] for line in lines[1:]]
+            out.unlink()
+        assert profiles["1"] and len(profiles["1"]) == len(profiles["2"])
+        for (step, lo, hi, variance, margin), row in zip(profiles["1"], profiles["2"]):
+            assert row == [step, lo, hi, 4 * variance, 2 * margin]
+        for beta in ("0", "nan", "inf"):
+            capsys.readouterr()
+            assert analyze(beta) == 2
+            assert "beta must be finite and positive" in one_error_line(capsys)
             assert not out.exists()
 
 

@@ -47,7 +47,7 @@ class TestGeneration:
             )
 
     def test_sequences_stay_in_content_alphabet(self, task, vocab):
-        reserved = {vocab.bos, vocab.eos, vocab.pad}
+        reserved = {vocab.BOS, vocab.EOS, vocab.PAD}
         for pair in D.generate_dataset(task, 100):
             for seq in (pair.prompt, pair.chosen, pair.rejected):
                 assert all(0 <= t < vocab.size for t in seq)
@@ -96,9 +96,17 @@ class TestGeneration:
         "reserved", [{}, {"bos": 7, "eos": 3, "pad": 11}, {"bos": 9, "eos": 0, "pad": 4}]
     )
     def test_background_covers_content_ids(self, reserved):
-        vocab = Vocab(12, **reserved)
+        # the reserved ids are the constants 0, 1 and 2: a vocab that places
+        # them elsewhere cannot be built, and the background spans the ids
+        # after them whatever placement was asked for
+        if reserved:
+            with pytest.raises(TypeError):
+                Vocab(12, **reserved)
+        vocab = Vocab(12)
         task = D.BigramMatchTask(vocab=vocab)
-        assert len(task.background_probs()) == len(vocab.content_ids())
+        content = [vocab.content_id(i) for i in range(vocab.n_content)]
+        assert content == list(range(3, 12))
+        assert len(task.background_probs()) == len(content)
 
     @pytest.mark.parametrize("temperature", [1.0, 0.3])
     @pytest.mark.parametrize("size", [12, 40])
@@ -136,7 +144,7 @@ class TestGeneration:
         # re-validates p per call; the sampler must reproduce its stream
         def choice_sample_response(task, prompt, rng, _cdf):
             background = task.background_probs()
-            content = task.vocab.content_ids()
+            content = range(3, task.vocab.size)
             u, v = task.target_bigram(prompt)
             length = int(rng.integers(task.min_len, task.max_len + 1))
             out = [int(content[rng.choice(len(content), p=background)])]
@@ -158,15 +166,13 @@ class TestGeneration:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_draws_map_to_content_ids_as_tuple_indexing_does(self, tmp_path, monkeypatch, seed):
-        # reserved ids at random places; the reference indexes the
-        # content_ids() tuple, and the generated bytes must not move
-        rng = np.random.default_rng(seed)
-        bos, eos, pad = (int(r) for r in rng.choice(12, 3, replace=False))
-        task = D.BigramMatchTask(vocab=Vocab(12, bos=bos, eos=eos, pad=pad), seed=seed)
+        # the reference indexes the tuple of content ids, and the generated
+        # bytes must not move
+        task = D.BigramMatchTask(vocab=Vocab(12), seed=seed)
         fast, slow = tmp_path / "fast.jsonl", tmp_path / "slow.jsonl"
         D.save_jsonl(D.generate_dataset(task, 64), fast)
         with monkeypatch.context() as m:
-            m.setattr(Vocab, "content_id", lambda self, i: int(self.content_ids()[i]))
+            m.setattr(Vocab, "content_id", lambda self, i: tuple(range(3, self.size))[i])
             D.save_jsonl(D.generate_dataset(task, 64), slow)
         assert fast.read_bytes() == slow.read_bytes()
 

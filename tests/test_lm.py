@@ -15,7 +15,7 @@ from preflab.errors import ValidationError
 from preflab.losses import LossConfig
 from preflab.seeds import child_rng
 
-from helpers import conditional_row, scalar_root, seq_logprob, vocab_logprobs
+from helpers import conditional_row, grad_check, scalar_root, seq_logprob, vocab_logprobs
 
 
 @pytest.fixture
@@ -25,33 +25,31 @@ def vocab():
 
 class TestVocab:
     def test_reserved_ids_distinct_and_in_range(self):
-        with pytest.raises(ValidationError):
+        # fixed at 0, 1 and 2, so every vocab of at least 3 ids holds them
+        assert (lm.Vocab.BOS, lm.Vocab.EOS, lm.Vocab.PAD) == (0, 1, 2)
+        assert lm.Vocab(3).n_content == 0
+        with pytest.raises(ValidationError, match="vocab size must be >= 3, got 2"):
             lm.Vocab(2)
-        with pytest.raises(ValidationError):
-            lm.Vocab(6, bos=0, eos=0, pad=2)
-        with pytest.raises(ValidationError):
-            lm.Vocab(4, bos=0, eos=1, pad=9)
 
     def test_size_bounded_before_any_content_is_built(self):
-        # no model kind fits a larger vocab; content_ids would take O(size)
+        # no model kind fits a larger vocab
         assert lm.Vocab(lm.MAX_VOCAB).size == lm.MAX_VOCAB
         for size in (lm.MAX_VOCAB + 1, 10**12):
             with pytest.raises(ValidationError, match=f"vocab size must be <= {lm.MAX_VOCAB}"):
                 lm.Vocab(size)
 
     def test_content_ids_exclude_reserved(self, vocab):
-        assert vocab.content_ids() == (3, 4, 5)
+        assert [vocab.content_id(i) for i in range(vocab.n_content)] == [3, 4, 5]
 
     def test_content_id_matches_tuple_indexing(self):
-        rng = np.random.default_rng(0)
         for size in (3, 4, 5, 12, 40):
-            for _ in range(20):
-                bos, eos, pad = (int(r) for r in rng.choice(size, 3, replace=False))
-                vocab = lm.Vocab(size, bos=bos, eos=eos, pad=pad)
-                for i, want in enumerate(vocab.content_ids()):
-                    for index in (i, np.intp(i)):
-                        got = vocab.content_id(index)
-                        assert got == want and type(got) is int
+            vocab = lm.Vocab(size)
+            content = tuple(i for i in range(size) if i not in (0, 1, 2))
+            assert len(content) == vocab.n_content
+            for i, want in enumerate(content):
+                for index in (i, np.intp(i)):
+                    got = vocab.content_id(index)
+                    assert got == want and type(got) is int
 
 
 class TestNGram:
@@ -157,8 +155,8 @@ class TestNeural:
         policy = self.make(vocab, context=4)
         rows, targets = policy.context_rows((3, 4), (5, 3))
         assert rows.shape == (2, 4)
-        assert rows[0].tolist() == [vocab.bos, vocab.bos, 3, 4]
-        assert rows[1].tolist() == [vocab.bos, 3, 4, 5]
+        assert rows[0].tolist() == [vocab.BOS, vocab.BOS, 3, 4]
+        assert rows[1].tolist() == [vocab.BOS, 3, 4, 5]
         assert targets.tolist() == [5, 3]
 
     def test_empty_response(self, vocab):
@@ -269,7 +267,7 @@ class TestFusedNeuralForward:
             return scalar_root(policy.rows_forward(graph, leaves, rows, targets), up)
 
         params = [policy.params[name] for name in NEURAL_NAMES]
-        assert ad.grad_check(build, params, h=1e-5, tol=1e-6).passed
+        assert grad_check(build, params, h=1e-5, tol=1e-6).passed
 
     @pytest.mark.parametrize("bad", [12, -1])
     def test_out_of_range_ids_name_their_op(self, bad):
@@ -420,7 +418,7 @@ class TestFusedNGramForward:
             leaves = {"logits": params[0]}
             return scalar_root(policy.rows_forward(graph, leaves, rows, targets), up)
 
-        assert ad.grad_check(build, [logits], h=1e-5, tol=1e-6).passed
+        assert grad_check(build, [logits], h=1e-5, tol=1e-6).passed
 
     @pytest.mark.parametrize("bad", [6, -1])
     def test_out_of_range_ids_name_their_op(self, bad):
@@ -672,7 +670,7 @@ class TestCloneFrozen:
 def windows_per_side(vocab, width, prompt, response):
     """Reference: the BOS-filled window before every response position of one
     side, cut from a sliding window over that side alone."""
-    history = np.asarray((vocab.bos,) * width + tuple(prompt) + tuple(response), dtype=np.intp)
+    history = np.asarray((vocab.BOS,) * width + tuple(prompt) + tuple(response), dtype=np.intp)
     view = np.lib.stride_tricks.sliding_window_view(history, width)
     return view[len(prompt) : len(prompt) + len(response)]
 
@@ -680,7 +678,7 @@ def windows_per_side(vocab, width, prompt, response):
 def codes_per_side(vocab, order, prompt, response):
     """Reference: each n-gram row as the base-v code of its window, by hand."""
     width = order - 1
-    history = (vocab.bos,) * width + tuple(prompt) + tuple(response)
+    history = (vocab.BOS,) * width + tuple(prompt) + tuple(response)
     codes = []
     for i in range(len(response)):
         code = 0
@@ -794,7 +792,7 @@ class TestSideWindows:
         space = oracle.EnumSpace.build(v, n, mode)
         for order in range(1, n + 2):
             ref = lm.NGramPolicy.random(space.vocab, order, np.random.default_rng(order))
-            for prompt in ((), (space.vocab.eos,), (v - 1, 2, v - 1)):
+            for prompt in ((), (space.vocab.EOS,), (v - 1, 2, v - 1)):
                 assert np.array_equal(
                     oracle.reference_table(space, ref, prompt),
                     reference_table_per_row(space, ref, prompt),
@@ -828,8 +826,7 @@ class TestCheckpoint:
             # pure-Python encoder
             doc = {
                 "kind": policy.kind,
-                "vocab": {"size": policy.vocab.size, "bos": policy.vocab.bos,
-                          "eos": policy.vocab.eos, "pad": policy.vocab.pad},
+                "vocab": {"size": policy.vocab.size, "bos": 0, "eos": 1, "pad": 2},
                 "hyper": policy.hyper,
                 "params": {
                     name: {"shape": list(value.shape), "data": value.reshape(-1).tolist()}
@@ -938,6 +935,10 @@ class TestCheckpointBoundary:
             # well-formed entries under names the model kind does not define
             (("params", "w3"), {"shape": [2], "data": [0.0, 0.0]}),
             (("hyper", "depth"), 2),
+            # reserved ids other than the fixed ones, or a vocab entry beside them
+            (("vocab", "bos"), 3),
+            (("vocab", "pad"), 0),
+            (("vocab", "unk"), 3),
         ],
     )
     def test_mistyped_field(self, tmp_path, docs, path, value):
@@ -1012,7 +1013,7 @@ class TestModelBounds:
             lm.NeuralPolicy.init(vocab, self.UnusableRng(), **widths)
         # a checkpoint's hyperparameters are bounded before its params are read
         with pytest.raises(ValidationError, match="parameters, more than"):
-            lm.NeuralPolicy(vocab, params={}, **{**lm.NeuralPolicy.HYPER, **widths})
+            lm.NeuralPolicy(vocab, {}, **{**lm.NeuralPolicy.HYPER, **widths})
 
     def test_neural_size_bound_is_exact(self, vocab):
         # vocab 6, embed 1, hidden 1: context + 19 parameters
@@ -1109,10 +1110,13 @@ class TestKinds:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_checkpoint_hyper_named_like_a_constructor_argument(self, vocab, kind, tmp_path):
+        # the constructor takes vocab and params by position only, so every
+        # entry reaches its hyperparameter check
         policy = lm.KINDS[kind].init(vocab, np.random.default_rng(3))
-        doc = _saved_doc(policy, tmp_path)
-        doc["hyper"]["frozen"] = 1
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match="malformed: .*no hyper entry 'frozen'"):
-            lm.load_checkpoint(path)
+        for name in ("frozen", "vocab", "params"):
+            doc = _saved_doc(policy, tmp_path)
+            doc["hyper"][name] = 1
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValidationError, match=f"malformed: .*no hyper entry '{name}'"):
+                lm.load_checkpoint(path)

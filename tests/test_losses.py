@@ -11,6 +11,8 @@ from preflab.composition import segment_pair
 from preflab.errors import ValidationError
 from preflab.seeds import child_rng
 
+from helpers import grad_check
+
 
 def make_pair(graph, chosen, rejected):
     return losses.PairLogRatios(
@@ -315,7 +317,7 @@ class TestLossGradients:
 
         params = [rng.standard_normal(lw), rng.standard_normal(ll)]
         for build in (dpo_build, adpo_build, adpo_static_build, cadpo_build):
-            report = ad.grad_check(build, params, h=1e-5, tol=1e-6)
+            report = grad_check(build, params, h=1e-5, tol=1e-6)
             assert report.passed, report
 
     def test_grad_check_two_pair_batch(self):
@@ -330,7 +332,7 @@ class TestLossGradients:
         params = []
         for lw, ll in lens:
             params.extend([rng.standard_normal(lw), rng.standard_normal(ll)])
-        report = ad.grad_check(build, params, h=1e-5, tol=1e-6)
+        report = grad_check(build, params, h=1e-5, tol=1e-6)
         assert report.max_rel_error < 1e-6
 
 

@@ -205,8 +205,8 @@ class TestEnumSpace:
         space = eos_space(3, 3)
         # interiors over 2 non-EOS ids: 1 + 2 + 4 EOS-terminated sequences
         assert len(space.sequences) == 7
-        assert all(y[-1] == space.vocab.eos for y in seq_tuples(space))
-        assert all(space.vocab.eos not in y[:-1] for y in seq_tuples(space))
+        assert all(y[-1] == space.vocab.EOS for y in seq_tuples(space))
+        assert all(space.vocab.EOS not in y[:-1] for y in seq_tuples(space))
 
     def test_fixed_mode_counts(self):
         space = fixed_space(3, 2)
@@ -229,10 +229,10 @@ class TestEnumSpace:
         # length-major then lexicographic, the order random draws are laid in
         for v, L in ((3, 3), (5, 4)):
             space = eos_space(v, L)
-            interiors = [t for t in range(v) if t != space.vocab.eos]
+            interiors = [t for t in range(v) if t != space.vocab.EOS]
             contexts = [c for n in range(L) for c in itertools.product(interiors, repeat=n)]
             assert ctx_tuples(space) == contexts
-            assert seq_tuples(space) == [c + (space.vocab.eos,) for c in contexts]
+            assert seq_tuples(space) == [c + (space.vocab.EOS,) for c in contexts]
             space = fixed_space(v, L)
             assert seq_tuples(space) == list(itertools.product(range(v), repeat=L))
             assert ctx_tuples(space) == [

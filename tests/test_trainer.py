@@ -89,7 +89,7 @@ class TestPlans:
         lengths = [len(s) for p in dataset for s in (p.chosen, p.rejected)]
         assert np.diff(plan.offsets).tolist() == lengths
         assert len(plan.targets) == sum(lengths)
-        assert policy.vocab.pad not in plan.targets.tolist()
+        assert policy.vocab.PAD not in plan.targets.tolist()
 
     def test_dpo_is_planned_as_one_adaptive_segment(self):
         _, dataset, policy = small_setup()
@@ -421,6 +421,48 @@ class TestEvalPairs:
             total = float(np.sum(r_w) - np.sum(r_l))
             logit = beta * (float(np.sum(lw)) - float(np.sum(ll)))
             assert abs(total - logit) <= 1e-9
+
+    def test_side_sums_agree_with_one_sum_per_slice(self):
+        # eval sums every side with one np.bincount, in position order; the
+        # former path took one np.sum per side slice, which adds a side
+        # longer than 8 tokens pairwise. Sums move by rounding only, and the
+        # loss and accuracy not at all
+        vocab = lm.Vocab(12)
+        task = D.BigramMatchTask(vocab=vocab, min_len=9, max_len=64, seed=5)
+        dataset = D.generate_dataset(task, 256)
+        ref, policy = (
+            lm.NeuralPolicy.init(vocab, child_rng(seed, "init"), context=6, embed_dim=4,
+                                 hidden_dim=12)
+            for seed in (5, 6)
+        )
+        cfg = losses.LossConfig(method="adpo", family="static", k=1, beta=1.3)
+        plan = trainer.plan_dataset(dataset, cfg, ref)
+        assert np.diff(plan.offsets).min() > 8
+        row = trainer.eval_pairs(policy, plan, cfg.beta)
+        want = per_slice_eval(policy, plan, cfg.beta)
+        for name in ("chosen_logp", "rejected_logp", "margin"):
+            assert getattr(row, name) == pytest.approx(want[name], rel=1e-12, abs=0)
+        assert (row.loss, row.accuracy) == (want["loss"], want["accuracy"])
+
+
+def per_slice_eval(policy, plan, beta) -> dict:
+    """The former ``eval_pairs`` arithmetic: one ``np.sum`` per side slice."""
+    theta, log_ratios = plan.log_ratios(policy)
+    offsets = plan.offsets
+    side_logp = [float(np.sum(theta[a:b])) for a, b in zip(offsets[:-1], offsets[1:])]
+    margins = [
+        beta * (float(np.sum(log_ratios[a:b])) - float(np.sum(log_ratios[b:c])))
+        for a, b, c in zip(offsets[0::2], offsets[1::2], offsets[2::2])
+    ]
+    hits = [1.0 if m > 0 else (0.5 if m == 0 else 0.0) for m in margins]
+    n = len(margins)
+    return {
+        "loss": float(losses.segment_loss(log_ratios, plan.layout, beta)[0]),
+        "chosen_logp": float(np.sum(side_logp[0::2]) / n),
+        "rejected_logp": float(np.sum(side_logp[1::2]) / n),
+        "margin": float(np.sum(margins) / n),
+        "accuracy": float(np.sum(hits) / n),
+    }
 
 
 class TestUntrackedScoring:
