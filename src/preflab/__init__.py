@@ -19,7 +19,6 @@ from .lm import (
     NeuralPolicy,
     NGramPolicy,
     Vocab,
-    clone_frozen,
     load_checkpoint,
     save_checkpoint,
     token_logprobs,
@@ -36,7 +35,6 @@ from .oracle import (
     EnumSpace,
     additive_decompose,
     boltzmann_distribution,
-    kl_objective,
     reparameterize,
 )
 from .trainer import TrainConfig, eval_pairs, prefix_reward_profile, train
@@ -59,11 +57,9 @@ __all__ = [
     "adpo_loss",
     "boltzmann_distribution",
     "cadpo_loss",
-    "clone_frozen",
     "dpo_loss",
     "eval_pairs",
     "generate_dataset",
-    "kl_objective",
     "load_checkpoint",
     "load_jsonl",
     "prefix_reward_profile",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import re
 import shutil
@@ -112,6 +113,14 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_finite(what: str, values: dict) -> None:
+    """Refuse to report a non-finite number: overflow in a checkpoint's
+    scores is a runtime failure, named with ``what`` and the quantity."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise PreflabError(f"{what}: {name} is {value}, not a finite number")
+
+
 def cmd_eval(args) -> int:
     policy = load_checkpoint(args.checkpoint)
     ref_path = args.ref or os.path.join(
@@ -128,6 +137,7 @@ def cmd_eval(args) -> int:
     doc = asdict(eval_pairs(policy, plan, loss_cfg.beta))
     del doc["step"]
     doc.update(plan.length_measures())
+    _check_finite(f"checkpoint {args.checkpoint}", doc)
     print(json.dumps(doc, sort_keys=True))
     return 0
 
@@ -152,6 +162,11 @@ def cmd_analyze(args) -> int:
         for i, path in enumerate(args.checkpoints)
     ]
     rows = prefix_reward_profile(checkpoints, ref, dataset, beta, bins=args.bins)
+    # every checkpoint has a row for each bin its tokens land in
+    per = len(rows) // len(checkpoints)
+    for i, row in enumerate(rows):
+        what = f"checkpoint {args.checkpoints[i // per]}, bin {row.bin_lo:g}-{row.bin_hi:g}"
+        _check_finite(what, asdict(row))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(to_csv(ProfileRow, rows))
     print(f"wrote {len(rows)} profile rows to {args.out}")

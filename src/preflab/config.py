@@ -126,7 +126,7 @@ def apply_overrides(config: dict, sets: list[str]) -> dict:
 
 def _check_field(path: str, field: _Field, value):
     if value is None:
-        if field.nullable or field.default is None and not field.required:
+        if field.nullable:
             return None
         raise ValidationError(f"field {path} must not be null")
     if bool in field.types:
@@ -222,8 +222,6 @@ def write_resolved(resolved: dict, output_dir) -> str:
 
 def build_task(resolved: dict) -> BigramMatchTask:
     data = require_section(resolved, "data")
-    if data["vocab_size"] is None:
-        raise ValidationError("missing required field: data.vocab_size")
     return BigramMatchTask(
         Vocab(data["vocab_size"]), seed=resolved["seed"], **{k: data[k] for k in _TASK_FIELDS}
     )

@@ -30,7 +30,6 @@ into its table row.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import os
@@ -230,7 +229,6 @@ def _construct(self, vocab: Vocab, params: dict[str, np.ndarray], /, **hyper):
     vars(self).update(hyper)
     self.vocab = vocab
     self.params = params
-    self.frozen = False
 
 
 @property
@@ -268,11 +266,6 @@ class NGramPolicy:
     def init(cls, vocab: Vocab, rng: np.random.Generator, **hyper) -> "NGramPolicy":
         """The trainer's initial draw: ``random`` logits at scale 0.1."""
         return cls.random(vocab, {**cls.HYPER, **_known(cls, hyper)}["order"], rng, scale=0.1)
-
-    @classmethod
-    def uniform(cls, vocab: Vocab, order: int) -> "NGramPolicy":
-        shape = cls.shapes(vocab, order=order)["logits"]
-        return cls(vocab, {"logits": np.zeros(shape)}, order=order)
 
     @classmethod
     def random(
@@ -454,13 +447,6 @@ Policy = NGramPolicy | NeuralPolicy
 def token_logprobs(policy: Policy, prompt, response) -> np.ndarray:
     """Per-token conditional log-probabilities of the response."""
     return row_logprobs(policy, *context_rows(policy, prompt, response))
-
-
-def clone_frozen(policy: Policy) -> Policy:
-    """Deep-copied reference policy; training never touches the copy."""
-    frozen = copy.deepcopy(policy)
-    frozen.frozen = True
-    return frozen
 
 
 def _vocab_doc(size: int) -> dict:

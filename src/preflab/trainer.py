@@ -34,7 +34,7 @@ from . import autodiff as ad
 from .composition import pad_tokens, segment_pair  # noqa: F401
 from .data import PreferencePair
 from .errors import TrainingDivergedError, ValidationError
-from .lm import Policy, clone_frozen, row_logprobs
+from .lm import Policy, row_logprobs
 from .losses import (
     LogRatioBatch,
     LossConfig,
@@ -313,11 +313,7 @@ def train(dataset: list[PreferencePair], policy: Policy, cfg: TrainConfig) -> Tr
     intermediate snapshots) plus always at the final step.
     """
     cfg.validate()
-    if getattr(policy, "frozen", False):
-        raise ValidationError("cannot train a frozen policy")
-
-    ref = clone_frozen(policy)
-    plan = plan_dataset(dataset, cfg.loss, ref)
+    plan = plan_dataset(dataset, cfg.loss, copy.deepcopy(policy))
     optimizer = OPTIMIZERS[cfg.optimizer](cfg.lr)
     rng = child_rng(cfg.seed, "shuffle")
 

@@ -1,5 +1,5 @@
-"""Gradient checking, scoring, draws and reference segmentations that
-only tests use.
+"""Gradient checking, scoring, policies, draws and reference segmentations
+that only tests use.
 
 ``grad_check`` compares a graph's analytic gradients against central
 finite differences; ``scalar_root`` turns a vector node into the scalar a
@@ -103,6 +103,13 @@ def conditional_row(policy, prompt, prefix) -> np.ndarray:
 def seq_logprob(policy, prompt, response) -> float:
     """Sequence log-probability: the sum of token_logprobs entries."""
     return float(np.sum(lm.token_logprobs(policy, prompt, response)))
+
+
+def uniform_ngram(vocab, order: int) -> lm.NGramPolicy:
+    """The order-``order`` n-gram with all-zero logits: uniform over the vocab
+    after every context."""
+    shape = lm.NGramPolicy.shapes(vocab, order=order)["logits"]
+    return lm.NGramPolicy(vocab, {"logits": np.zeros(shape)}, order=order)
 
 
 def random_prefix_reward(space, rng, scale: float = 1.0, lead: tuple = ()) -> np.ndarray:

@@ -557,6 +557,26 @@ class TestEvalAnalyze:
         assert "cannot read " in one_error_line(capsys)
         assert not out.exists()
 
+    def test_overflowing_checkpoint_exits_1_without_output(
+        self, tmp_path, run_dir, dataset_path, capsys
+    ):
+        # one w2 entry at 1e308 overflows the scores: eval printed an
+        # infinite loss and analyze wrote inf variances; both refuse instead
+        policy = load_checkpoint(run_dir / "final.json")
+        policy.params["w2"][0, 0] = 1e308
+        ckpt = tmp_path / "checkpoint_000012.json"
+        save_checkpoint(policy, ckpt)
+        base = ["--ref", str(run_dir / "ref.json"), "--data", str(dataset_path)]
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), *base]) == 1
+        err = one_error_line(capsys)
+        assert err.startswith(f"error: checkpoint {ckpt}: ") and "not a finite number" in err
+        out = tmp_path / "profile.csv"
+        assert main(["analyze", "--checkpoints", str(ckpt), *base, "--out", str(out)]) == 1
+        err = one_error_line(capsys)
+        assert err.startswith(f"error: checkpoint {ckpt}, bin ") and "not a finite number" in err
+        assert not out.exists()
+
     def test_analyze_writes_profile(self, tmp_path, run_dir, dataset_path):
         out = tmp_path / "profile.csv"
         code = main(

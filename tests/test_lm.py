@@ -15,7 +15,9 @@ from preflab.errors import ValidationError
 from preflab.losses import LossConfig
 from preflab.seeds import child_rng
 
-from helpers import conditional_row, grad_check, scalar_root, seq_logprob, vocab_logprobs
+from helpers import (
+    conditional_row, grad_check, scalar_root, seq_logprob, uniform_ngram, vocab_logprobs,
+)
 
 
 @pytest.fixture
@@ -54,7 +56,7 @@ class TestVocab:
 
 class TestNGram:
     def test_uniform_rows(self):
-        policy = lm.NGramPolicy.uniform(lm.Vocab(4), order=2)
+        policy = uniform_ngram(lm.Vocab(4), order=2)
         out = lm.token_logprobs(policy, (3,), (3, 3, 3))
         assert np.allclose(out, -math.log(4), atol=1e-15)
 
@@ -106,7 +108,7 @@ class TestNGram:
         assert np.array_equal(plain, table[rows, targets])
 
     def test_token_id_out_of_vocab(self, vocab):
-        policy = lm.NGramPolicy.uniform(vocab, 2)
+        policy = uniform_ngram(vocab, 2)
         with pytest.raises(lm.TokenIdError):
             lm.token_logprobs(policy, (3,), (4, 99))
         with pytest.raises(lm.TokenIdError):
@@ -114,7 +116,7 @@ class TestNGram:
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_array_stacked_rows_match_per_response_rows(self, vocab, order):
-        policy = lm.NGramPolicy.uniform(vocab, order)
+        policy = uniform_ngram(vocab, order)
         responses = np.random.default_rng(4).integers(0, vocab.size, size=(7, 5))
         for prompt in ((), (4,), (3, 5, 4)):
             batch, _ = policy.stacked_rows([prompt] * 7, [tuple(r) for r in responses.tolist()])
@@ -443,7 +445,7 @@ class TestNGramState:
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_start_row_is_the_first_response_row(self, vocab, order):
-        policy = lm.NGramPolicy.uniform(vocab, order)
+        policy = uniform_ngram(vocab, order)
         for prompt in ((), (4,), (3, 5, 4, 5)):
             rows, _ = policy.context_rows(prompt, (3,))
             assert policy.start_row(prompt) == rows[0]
@@ -451,7 +453,7 @@ class TestNGramState:
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_step_moves_the_window_by_one_token(self, vocab, order):
-        policy = lm.NGramPolicy.uniform(vocab, order)
+        policy = uniform_ngram(vocab, order)
         response = (3, 5, 0, 4, 4, 2, 1)
         rows, _ = policy.context_rows((4, 5), response)
         # scalar and vectorized steps alike
@@ -459,7 +461,7 @@ class TestNGramState:
         assert np.array_equal(policy.step(rows[:-1], np.asarray(response[:-1])), rows[1:])
 
     def test_start_row_checks_the_prompt_ids(self, vocab):
-        policy = lm.NGramPolicy.uniform(vocab, 2)
+        policy = uniform_ngram(vocab, 2)
         for bad in (-1, vocab.size, 2**70):
             with pytest.raises(lm.TokenIdError, match=f"token id {bad} out of range"):
                 policy.start_row((3, bad))
@@ -642,28 +644,29 @@ class TestThreadedScoring:
 
 
 class TestCloneFrozen:
+    """The trainer's frozen reference is a deep copy of the initial policy."""
+
     def test_bitwise_equal_at_copy_time(self, vocab):
         policy = lm.NeuralPolicy.init(vocab, child_rng(1, "init"))
-        frozen = lm.clone_frozen(policy)
+        ref = copy.deepcopy(policy)
         a = lm.token_logprobs(policy, (3,), (4, 5))
-        b = lm.token_logprobs(frozen, (3,), (4, 5))
+        b = lm.token_logprobs(ref, (3,), (4, 5))
         assert np.array_equal(a, b)
-        assert frozen.frozen
 
     def test_mutating_original_leaves_clone_unchanged(self, vocab):
         policy = lm.NGramPolicy.random(vocab, 2, np.random.default_rng(4))
-        frozen = lm.clone_frozen(policy)
-        before = lm.token_logprobs(frozen, (3,), (4, 5, 3)).copy()
+        ref = copy.deepcopy(policy)
+        before = lm.token_logprobs(ref, (3,), (4, 5, 3)).copy()
         for _ in range(100):
             policy.params["logits"] += 0.05
-        after = lm.token_logprobs(frozen, (3,), (4, 5, 3))
+        after = lm.token_logprobs(ref, (3,), (4, 5, 3))
         assert np.array_equal(before, after)
 
     def test_log_ratio_of_clone_is_zero(self, vocab):
         policy = lm.NeuralPolicy.init(vocab, child_rng(2, "init"))
-        frozen = lm.clone_frozen(policy)
+        ref = copy.deepcopy(policy)
         a = lm.token_logprobs(policy, (3, 4), (5, 3, 4, 5))
-        b = lm.token_logprobs(frozen, (3, 4), (5, 3, 4, 5))
+        b = lm.token_logprobs(ref, (3, 4), (5, 3, 4, 5))
         assert np.array_equal(a, b)
 
 
@@ -781,7 +784,7 @@ class TestSideWindows:
             with pytest.raises(lm.TokenIdError, match=f"token id {bad} "):
                 ref.context_rows(pairs[2].prompt, response)
         with pytest.raises(lm.TokenIdError, match=f"token id {2**70} "):
-            lm.token_logprobs(lm.NGramPolicy.uniform(vocab, 2), (3,), (4, 2**70))
+            lm.token_logprobs(uniform_ngram(vocab, 2), (3,), (4, 2**70))
 
     @pytest.mark.parametrize(
         "v,n,mode",
@@ -984,7 +987,7 @@ class TestModelBounds:
                 f"{lm.MAX_PARAMS} table entries"
             )
             with pytest.raises(ValidationError, match="table entries"):
-                lm.NGramPolicy.uniform(vocab, order)
+                uniform_ngram(vocab, order)
             with pytest.raises(ValidationError, match="table entries"):
                 lm.NGramPolicy.init(vocab, self.UnusableRng(), order=order)
         assert lm.NGramPolicy.shapes(vocab, order=9) == {"logits": (6**8, 6)}
@@ -1080,7 +1083,6 @@ class TestKinds:
         lm.save_checkpoint(policy, tmp_path / "a.json")
         loaded = lm.load_checkpoint(tmp_path / "a.json")
         assert type(loaded) is cls and loaded.hyper == hyper and loaded.vocab == vocab
-        assert not loaded.frozen
         lm.save_checkpoint(loaded, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 

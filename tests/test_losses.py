@@ -1,5 +1,6 @@
 """Unit tests for the preference losses."""
 
+import copy
 import math
 
 import numpy as np
@@ -246,7 +247,7 @@ class TestImplicitRewards:
         dataset = data.generate_dataset(data.BigramMatchTask(vocab=vocab, seed=3), 6)
         policy = lm.NeuralPolicy.init(vocab, child_rng(3, "init"), context=6, embed_dim=4,
                                       hidden_dim=12)
-        ref = lm.clone_frozen(policy)
+        ref = copy.deepcopy(policy)
         if perturb:
             rng = np.random.default_rng(8)
             for param in policy.params.values():

@@ -4,8 +4,9 @@ every method and property of its classes, has a caller.
 A name counts as used when ``src/`` refers to it outside its own
 definition, when ``perfbench/`` names it (string constants included, as the
 traced run wraps functions by name), or when ``preflab.__all__`` exports
-it. Dunder methods are called by Python itself and are exempt. Code that
-only tests call lives in ``tests/helpers.py``.
+it. Dunder methods are called by Python itself and are exempt. A draw
+such as ``rng.uniform`` is numpy's, so an attribute of a name ``rng`` is
+not a use. Code that only tests call lives in ``tests/helpers.py``.
 """
 
 import ast
@@ -28,12 +29,13 @@ ALLOWED = {
 
 
 def _names(tree, strings: bool = False, bare: bool = True) -> Counter:
-    """Identifiers read in ``tree``: attributes, bare names unless ``bare``
-    is false, and string constants if ``strings``."""
+    """Identifiers read in ``tree``: attributes but those of a name ``rng``,
+    bare names unless ``bare`` is false, and string constants if ``strings``."""
     found = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
-            found[node.attr] += 1
+            rng = isinstance(node.value, ast.Name) and node.value.id == "rng"
+            found[node.attr] += not rng
         elif bare and isinstance(node, ast.Name):
             found[node.id] += 1
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -41,25 +43,32 @@ def _names(tree, strings: bool = False, bare: bool = True) -> Counter:
     return found
 
 
-def _definitions():
+def _sources() -> dict:
+    """The text of every module of ``src/preflab``, by module name."""
+    return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+
+def _definitions(sources):
     """(qualified name, node, whether it is a method) of every module-level
     function and class, and of every method and property of those classes
     but dunders."""
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+    for stem, text in sources.items():
+        for node in ast.parse(text).body:
             if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
-                yield f"{path.stem}.{node.name}", node, False
+                yield f"{stem}.{node.name}", node, False
             if isinstance(node, ast.ClassDef):
                 for member in node.body:
                     if isinstance(member, FUNCTIONS) and not member.name.startswith("__"):
-                        yield f"{path.stem}.{node.name}.{member.name}", member, True
+                        yield f"{stem}.{node.name}.{member.name}", member, True
 
 
-def unused_definitions(allowed) -> list:
-    """Qualified name of every definition that nothing uses and ``allowed``
-    does not name. A method or property is used only as an attribute, so a
-    bare name of the same spelling (a local variable) does not count."""
-    trees = [ast.parse(path.read_text()) for path in SRC.glob("*.py")]
+def unused_definitions(allowed, sources=None) -> list:
+    """Qualified name of every definition of ``sources`` (default: the
+    modules of ``src/preflab``) that nothing uses and ``allowed`` does not
+    name. A method or property is used only as an attribute, so a bare name
+    of the same spelling (a local variable) does not count."""
+    sources = sources or _sources()
+    trees = [ast.parse(text) for text in sources.values()]
     used = {bare: sum((_names(tree, bare=bare) for tree in trees), Counter())
             for bare in (True, False)}
     named = Counter()
@@ -67,7 +76,7 @@ def unused_definitions(allowed) -> list:
         named += _names(ast.parse(path.read_text()), strings=True)
     return [
         qualified
-        for qualified, node, method in _definitions()
+        for qualified, node, method in _definitions(sources)
         if used[not method][node.name] <= _names(node, bare=not method)[node.name]
         and not named[node.name]
         and node.name not in preflab.__all__
@@ -86,6 +95,17 @@ def test_allow_list_names_only_definitions_without_a_caller():
 
 def test_methods_are_scanned():
     # a method is a definition of its own, named with its class
-    found = {qualified for qualified, _, _ in _definitions()}
+    found = {qualified for qualified, _, _ in _definitions(_sources())}
     assert {"lm.Vocab.content_id", "trainer.DatasetPlan.log_ratios"} <= found
     assert "lm.Vocab.__post_init__" not in found
+
+
+def test_a_draw_of_the_same_name_is_not_a_use():
+    # NeuralPolicy.init draws with rng.uniform, which hid a test-only
+    # NGramPolicy.uniform from the scan
+    sources = _sources()
+    anchor = "    @classmethod\n    def random("
+    assert "rng.uniform(" in sources["lm"] and sources["lm"].count(anchor) == 1
+    uniform = "    @classmethod\n    def uniform(cls, vocab, order):\n        return cls\n\n"
+    sources["lm"] = sources["lm"].replace(anchor, uniform + anchor)
+    assert unused_definitions(ALLOWED, sources) == ["lm.NGramPolicy.uniform"]

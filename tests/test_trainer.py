@@ -1,5 +1,6 @@
 """Unit tests for the training loop and diagnostics."""
 
+import copy
 import math
 import re
 import tracemalloc
@@ -73,7 +74,7 @@ class TestDeterminism:
         # dpo (planned as adaptive m=1) and adpo static k=1
         for method in ("dpo", "adpo"):
             _, dataset, policy = small_setup()
-            ref = lm.clone_frozen(policy)
+            ref = copy.deepcopy(policy)
             plan = trainer.plan_dataset(dataset, quick_config(method).loss, ref)
             sides = [ref.context_rows(p.prompt, s) for p in dataset for s in (p.chosen, p.rejected)]
             rows = np.concatenate([r for r, _ in sides])
@@ -85,7 +86,7 @@ class TestDeterminism:
 class TestPlans:
     def test_static_plans_forward_only_response_tokens(self):
         _, dataset, policy = small_setup()
-        plan = trainer.plan_dataset(dataset, quick_config("adpo").loss, lm.clone_frozen(policy))
+        plan = trainer.plan_dataset(dataset, quick_config("adpo").loss, copy.deepcopy(policy))
         lengths = [len(s) for p in dataset for s in (p.chosen, p.rejected)]
         assert np.diff(plan.offsets).tolist() == lengths
         assert len(plan.targets) == sum(lengths)
@@ -93,7 +94,7 @@ class TestPlans:
 
     def test_dpo_is_planned_as_one_adaptive_segment(self):
         _, dataset, policy = small_setup()
-        plan = trainer.plan_dataset(dataset, quick_config("dpo").loss, lm.clone_frozen(policy))
+        plan = trainer.plan_dataset(dataset, quick_config("dpo").loss, copy.deepcopy(policy))
         lengths = [len(s) for p in dataset for s in (p.chosen, p.rejected)]
         # one segment per pair, covering both whole sides, chosen +1, rejected -1
         assert plan.layout.lengths.tolist() == lengths
@@ -107,7 +108,7 @@ class TestPlans:
         # log-ratios are exact slices of the untracked whole stack's
         vocab, dataset, _ = small_setup()
         policy = lm.NGramPolicy.random(vocab, 2, np.random.default_rng(0))
-        plan = trainer.plan_dataset(dataset, quick_config("adpo").loss, lm.clone_frozen(policy))
+        plan = trainer.plan_dataset(dataset, quick_config("adpo").loss, copy.deepcopy(policy))
         policy.params["logits"] += np.random.default_rng(1).standard_normal((12, 12))
         _, whole = plan.log_ratios(policy)
         ids = np.array([5, 0, 17, 5])
@@ -133,7 +134,7 @@ class TestPlans:
         _, dataset, policy = small_setup()
         size = {"k": param} if family == "static" else {"m": param}
         cfg = losses.LossConfig(method="adpo", family=family, **size)
-        plan = trainer.plan_dataset(dataset, cfg.validate(), lm.clone_frozen(policy))
+        plan = trainer.plan_dataset(dataset, cfg.validate(), copy.deepcopy(policy))
         want = [python_kept_ranks(family, param, len(p.chosen), len(p.rejected)) for p in dataset]
         assert plan.layout.ranks.tolist() == [r for pair in want for side in pair for r in side]
         assert plan.layout.kept.tolist() == [max(w[-1], l[-1]) + 1 for w, l in want]
@@ -169,7 +170,7 @@ class TestPlannedLayout:
         cfg = self.CONFIGS[name]
         vocab, dataset, policy = small_setup()
         D.attach_scores(dataset, vocab, seed=0)
-        plan = trainer.plan_dataset(dataset, cfg, lm.clone_frozen(policy))
+        plan = trainer.plan_dataset(dataset, cfg, copy.deepcopy(policy))
         rng = np.random.default_rng(14)
         for param in policy.params.values():
             param += 0.3 * rng.standard_normal(param.shape)
@@ -191,7 +192,7 @@ class TestPlannedLayout:
     def test_misaligned_layout_names_the_pair(self):
         _, dataset, policy = small_setup()
         cfg = self.CONFIGS["static1"]
-        plan = trainer.plan_dataset(dataset, cfg, lm.clone_frozen(policy))
+        plan = trainer.plan_dataset(dataset, cfg, copy.deepcopy(policy))
         batch, _ = tracked_batch(plan, policy, 1.0, [0, 1, 2])
         lengths = [(len(p.chosen), len(p.rejected)) for p in dataset]
         other = next(n for n in lengths if n != lengths[2])
@@ -210,7 +211,7 @@ class TestPlanRefusesOtherModels:
     @pytest.mark.parametrize("other", ["context", "vocab", "kind"])
     def test_eval_and_profile_refuse(self, other):
         vocab, dataset, policy = small_setup()
-        ref = lm.clone_frozen(policy)
+        ref = copy.deepcopy(policy)
         if other == "kind":
             stranger = lm.NGramPolicy.random(vocab, 2, np.random.default_rng(0))
         else:
@@ -236,18 +237,24 @@ class TestTrainBasics:
         result = trainer.train(dataset, policy, quick_config(steps=200, lr=1e-2))
         assert result.log[-1].loss < result.log[0].loss
 
-    def test_reference_immutable_bitwise(self):
+    def test_reference_immutable_bitwise(self, monkeypatch):
+        # the reference train plans against, and its log-probs, stay the
+        # initial policy's bit for bit while the policy itself moves
         _, dataset, policy = small_setup()
-        ref = lm.clone_frozen(policy)
-        before = {k: v.copy() for k, v in ref.params.items()}
-        trainer.train(dataset, policy, quick_config(steps=100, lr=1e-2))
-        for name, value in ref.params.items():
-            assert np.array_equal(before[name], value)
+        initial = copy.deepcopy(policy)
+        plans, real = [], trainer.plan_dataset
 
-    def test_frozen_policy_rejected(self):
-        _, dataset, policy = small_setup()
-        with pytest.raises(ValidationError):
-            trainer.train(dataset, lm.clone_frozen(policy), quick_config())
+        def captured(*args):
+            plans.append(real(*args))
+            return plans[-1]
+
+        monkeypatch.setattr(trainer, "plan_dataset", captured)
+        trained = trainer.train(dataset, policy, quick_config(steps=100, lr=1e-2)).policy
+        (plan,) = plans
+        assert not np.array_equal(trained.params["w2"], initial.params["w2"])
+        for name, value in initial.params.items():
+            assert np.array_equal(plan.reference.params[name], value), name
+        assert np.array_equal(plan.ref_logp, initial.row_logprobs(plan.rows, plan.targets))
 
     def test_empty_dataset_rejected(self):
         _, _, policy = small_setup()
@@ -293,7 +300,7 @@ class TestTrainBasics:
         # loss nodes: one sub, one slice per side and the loss node
         _, dataset, policy = small_setup()
         cfg = quick_config(method).loss
-        plan = trainer.plan_dataset(dataset, cfg, lm.clone_frozen(policy))
+        plan = trainer.plan_dataset(dataset, cfg, copy.deepcopy(policy))
         ids = np.arange(8)
         forward, recorded = policy.rows_forward, []
 
@@ -358,7 +365,7 @@ class TestSgd:
 class TestEvalPairs:
     def test_identity_policy_metrics(self):
         _, dataset, policy = small_setup()
-        ref = lm.clone_frozen(policy)
+        ref = copy.deepcopy(policy)
         cfg = losses.LossConfig(method="adpo", family="adaptive", m=3, beta=1.0)
         row = eval_row(policy, ref, dataset, cfg)
         assert row.margin == 0.0
@@ -374,7 +381,7 @@ class TestEvalPairs:
 
     def test_chosen_logp_matches_seq_logprob_mean(self):
         _, dataset, policy = small_setup()
-        ref = lm.clone_frozen(policy)
+        ref = copy.deepcopy(policy)
         row = eval_row(policy, ref, dataset, losses.LossConfig(method="dpo"))
         direct = float(
             np.mean([seq_logprob(policy, p.prompt, p.chosen) for p in dataset])
@@ -384,9 +391,9 @@ class TestEvalPairs:
     def test_accuracy_one_iff_all_margins_positive(self):
         _, dataset, policy = small_setup()
         result = trainer.train(dataset, policy, quick_config(steps=300, lr=1e-2))
-        ref = lm.clone_frozen(lm.NeuralPolicy.init(
+        ref = lm.NeuralPolicy.init(
             lm.Vocab(12), child_rng(0, "init"), context=6, embed_dim=4, hidden_dim=12
-        ))
+        )
         row = eval_row(result.policy, ref, dataset, losses.LossConfig(method="dpo"))
         if row.accuracy == 1.0:
             assert all(
@@ -470,7 +477,7 @@ class TestUntrackedScoring:
         # only the train step records nodes: with Graph and Node refusing to
         # be built, eval and the profile return the rows they returned before
         _, dataset, policy = small_setup()
-        ref = lm.clone_frozen(policy)
+        ref = copy.deepcopy(policy)
         trained = trainer.train(dataset, policy, quick_config("adpo", steps=20)).policy
         cfg = quick_config("adpo").loss
 
@@ -495,7 +502,7 @@ class TestUntrackedScoring:
 class TestPrefixRewardProfile:
     def test_identity_policy_flat_profile(self):
         _, dataset, policy = small_setup()
-        ref = lm.clone_frozen(policy)
+        ref = copy.deepcopy(policy)
         rows = trainer.prefix_reward_profile([(0, policy)], ref, dataset, beta=1.0, bins=10)
         assert rows
         for row in rows:
@@ -531,7 +538,7 @@ class TestPrefixRewardProfile:
     def test_empty_bins_absent(self):
         # length-4 responses only occupy 4 of 20 normalized-position bins
         _, dataset, policy = small_setup(min_len=4, max_len=4)
-        ref = lm.clone_frozen(policy)
+        ref = copy.deepcopy(policy)
         rows = trainer.prefix_reward_profile([(0, policy)], ref, dataset, beta=1.0, bins=20)
         assert 0 < len(rows) < 20
 
@@ -539,7 +546,7 @@ class TestPrefixRewardProfile:
     def test_matches_per_token_loop(self, bins):
         _, dataset, policy = small_setup(min_len=2, max_len=13)
         assert any(len(p.chosen) != len(p.rejected) for p in dataset)
-        ref = lm.clone_frozen(policy)
+        ref = copy.deepcopy(policy)
         checkpoints = [
             (step, lm.NeuralPolicy.init(
                 lm.Vocab(12), child_rng(step, "init"), context=6, embed_dim=4, hidden_dim=12
@@ -553,7 +560,7 @@ class TestPrefixRewardProfile:
     def test_huge_bin_count_costs_tokens_not_bins(self):
         # 10**12 bins: one row per distinct i/n, and no array of 10**12 entries
         _, dataset, policy = small_setup(min_len=2, max_len=13)
-        ref = lm.clone_frozen(policy)
+        ref = copy.deepcopy(policy)
         bins = 10**12
         rows = trainer.prefix_reward_profile([(0, policy)], ref, dataset, beta=1.0, bins=bins)
         ratios = {
@@ -569,7 +576,7 @@ class TestPrefixRewardProfile:
 
     def test_requires_checkpoints_and_valid_bins(self):
         _, dataset, policy = small_setup()
-        ref = lm.clone_frozen(policy)
+        ref = copy.deepcopy(policy)
         with pytest.raises(ValidationError):
             trainer.prefix_reward_profile([], ref, dataset, beta=1.0)
         with pytest.raises(ValidationError):
@@ -596,7 +603,7 @@ class TestWholeStackMemory:
                                  hidden_dim=48)
             for i in range(3)
         ]
-        return dataset, lm.clone_frozen(policies[0]), policies[1:]
+        return dataset, policies[0], policies[1:]
 
     @staticmethod
     def traced_peak(call):
@@ -669,7 +676,7 @@ class TestCsv:
 
     def test_profile_header(self):
         _, dataset, policy = small_setup()
-        ref = lm.clone_frozen(policy)
+        ref = copy.deepcopy(policy)
         rows = trainer.prefix_reward_profile([(5, policy)], ref, dataset, beta=1.0, bins=4)
         text = trainer.to_csv(trainer.ProfileRow, rows)
         assert text.startswith("checkpoint,bin_lo,bin_hi,variance,margin\n")
