@@ -11,9 +11,10 @@ computes log pi(target | row) from the parameter arrays, and
 ``rows_forward`` records that as one graph node with a hand-derived
 backward. The constructor, the ``hyper`` property and untracked scoring
 are written once, below, and bound in both classes. Untracked scoring
-builds no graph: it runs ``forward_values`` block by block, on every CPU
-the process may use once each thread gets at least two blocks; a block's
-arithmetic does not depend on the thread count, so neither do its bytes.
+builds no graph: it runs ``forward_values`` block by block, in a thread
+pool over every CPU the process may use once each thread gets at least two
+blocks; a block's arithmetic does not depend on the thread count, so
+neither do its bytes.
 Conditional rows always go through log-softmax, so they normalize by
 construction and every conditional probability is strictly positive.
 
@@ -33,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
@@ -153,53 +154,35 @@ def row_logprobs(policy, rows, targets) -> np.ndarray:
     last block, so no block is shorter than ``block_rows`` unless the whole
     stack is.
 
-    Blocks are taken in order from one shared list by the calling thread
-    and, when the stack gives every thread at least two blocks, by one
-    helper thread per further CPU of the process; each block is written
-    to its own slice of the output, computed exactly as alone, so the
-    bytes do not depend on the thread count. The helpers are joined before
-    this returns. A block that raises stops the taking of further blocks,
-    and the error of the earliest failed block is raised here, as a
-    block-by-block loop would raise it.
+    A stack that gives every thread at least two blocks is scored by a
+    thread pool of one worker per CPU of the process (at most half the
+    blocks); a shorter one on the calling thread alone. Each block is
+    written to its own slice of the output, computed exactly as alone, so
+    the bytes do not depend on the thread count. The pool hands back the
+    blocks in order, so the error of the earliest failed block is raised
+    here, as a block-by-block loop would raise it; the blocks not yet
+    started are cancelled and the workers joined before this returns.
     """
     n = len(targets)
     if n == 0:
         return np.zeros(0)
     size = policy.block_rows or n
     bounds = [i * size for i in range(max(n // size, 1))] + [n]
-    pending = list(zip(bounds[:-1], bounds[1:]))[::-1]  # popped from the end, in order
     forward, params = policy.forward_values, policy.params
     out = np.empty(n)
-    lock = threading.Lock()
-    errors: dict[int, Exception] = {}
 
-    def drain() -> None:
-        while True:
-            with lock:
-                if not pending:
-                    return
-                lo, hi = pending.pop()
-            try:
-                # [0]: the block's intermediates are dropped before the next block
-                out[lo:hi] = forward(params, rows[lo:hi], targets[lo:hi])[0]
-            except Exception as err:  # re-raised by the caller's thread
-                with lock:
-                    pending.clear()
-                    errors[lo] = err
+    def score(lo: int, hi: int) -> None:
+        # [0]: the block's intermediates are dropped before the next block
+        out[lo:hi] = forward(params, rows[lo:hi], targets[lo:hi])[0]
 
-    threads = min(_cpu_count(), len(pending) // 2)
-    helpers = [threading.Thread(target=drain) for _ in range(threads - 1)]
-    for thread in helpers:
-        thread.start()
-    try:
-        drain()
-    finally:
-        with lock:  # on an interrupt, the helpers finish their blocks and stop
-            pending.clear()
-        for thread in helpers:
-            thread.join()
-    if errors:
-        raise errors[min(errors)]
+    threads = min(_cpu_count(), (len(bounds) - 1) // 2)
+    if threads < 2:
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            score(lo, hi)
+        return out
+    with ThreadPoolExecutor(threads) as pool:
+        for _ in pool.map(score, bounds[:-1], bounds[1:]):
+            pass
     return out
 
 
@@ -344,8 +327,8 @@ class NeuralPolicy:
     kind = "neural"
     HYPER = {"context": 8, "embed_dim": 8, "hidden_dim": 32}
     # untracked scoring forwards blocks of at least this many rows, so memory
-    # is bounded by the blocks in flight (one per scoring thread), not by the
-    # stack; threads beyond the caller's start only at two blocks per thread.
+    # is bounded by the blocks in flight (one per pool worker), not by the
+    # stack; the pool starts only at two blocks per worker.
     # OpenBLAS switches to a small-matrix kernel below about 1e6
     # multiply-adds; at 2,048 rows the output product of a 48-wide hidden
     # layer over 12 tokens stays above that, so blocks equal a one-graph

@@ -443,18 +443,6 @@ def reparameterize(space: EnumSpace, rstar, ref_table, beta) -> ReparamResult:
     return ReparamResult(policy=policy, shift=shift[..., 0], max_residual=float(residual))
 
 
-def shift_invariance_residual(
-    space: EnumSpace, rstar, ref_table, beta, offsets, base: ReparamResult
-) -> float:
-    """Max row change of the induced policy when every context's reward row
-    moves by its entry of ``offsets``, shaped like rstar without the vocab axis.
-    ``base`` is reparameterize(space, rstar, ref_table, beta)."""
-    rstar = _shaped("prefix reward", rstar, space.child.shape, lead=True)
-    offsets = _shaped("offsets", offsets, rstar.shape[:-1])
-    moved = reparameterize(space, rstar + offsets[..., None], ref_table, beta)
-    return float(np.max(np.abs(base.policy - moved.policy)))
-
-
 def reconstruction_spread(space: EnumSpace, reward, ref_table, ref_mass, beta) -> float:
     """Full-pipeline check: decompose r, reparameterize, and measure how far
     beta * log(pi(y)/pi_ref(y)) - r(y) is from a single response-independent
@@ -602,7 +590,8 @@ def check_reparam(space: EnumSpace, seed: int) -> dict:
         rstars = rows[:, :cut].reshape(-1, *space.child.shape)
         base = reparameterize(space, rstars, table, betas)
         residuals.append(base.max_residual)
-        drifts.append(shift_invariance_residual(space, rstars, table, betas, rows[:, cut:], base))
+        moved = reparameterize(space, rstars + rows[:, cut:, None], table, betas)
+        drifts.append(np.max(np.abs(base.policy - moved.policy)))
     return _certificate("reparam", space, seed, residuals + drifts, np.max(drifts) <= 1e-12)
 
 

@@ -9,7 +9,8 @@ whereas the oracle reads an n-gram's table through its state recursion,
 so each can be checked against the other. Likewise the kept ranks here
 come from a pair's segment bounds (``xi_static`` and ``xi_adaptive``),
 whereas ``composition.stacked_ranks`` computes them in closed form from
-the side lengths.
+the side lengths. ``shift_drift`` is the shift-invariance residual of the
+oracle's reparameterization, from two ``reparameterize`` calls of its own.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from preflab import autodiff as ad
-from preflab import lm
+from preflab import lm, oracle
 
 
 @dataclass
@@ -115,6 +116,15 @@ def uniform_ngram(vocab, order: int) -> lm.NGramPolicy:
 def random_prefix_reward(space, rng, scale: float = 1.0, lead: tuple = ()) -> np.ndarray:
     """Gaussian (..., contexts, vocab) prefix rewards over an oracle space."""
     return scale * rng.standard_normal((*lead, *space.child.shape))
+
+
+def shift_drift(space, rstar, ref_table, beta, offsets) -> float:
+    """Max row change of the induced policy when every context's reward row
+    moves by its entry of ``offsets``, shaped like rstar without the vocab
+    axis: two ``reparameterize`` calls, before and after the shift."""
+    base = oracle.reparameterize(space, rstar, ref_table, beta)
+    moved = oracle.reparameterize(space, rstar + np.asarray(offsets)[..., None], ref_table, beta)
+    return float(np.max(np.abs(base.policy - moved.policy)))
 
 
 def along_sequences(space, table) -> np.ndarray:

@@ -5,6 +5,7 @@ import json
 import math
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -545,24 +546,25 @@ class TestBlockScoring:
 
 
 class TestThreadedScoring:
-    """A neural stack of at least two blocks per thread is scored by the
-    caller and one helper thread per further CPU; the bytes do not depend
-    on the thread count, and no thread outlives the call."""
+    """A neural stack of at least two blocks per thread is scored by a
+    thread pool of one worker per CPU (at most half the blocks); the bytes
+    do not depend on the worker count, and no thread outlives the call."""
 
     BLOCKS = 6
 
     @pytest.fixture
-    def started(self, monkeypatch):
-        """Counts the threads started while the test runs."""
-        count = []
+    def pools(self, monkeypatch):
+        """The ``max_workers`` of every pool made while the test runs, so no
+        count depends on how fast the pool starts its threads."""
+        sizes = []
 
-        class Counted(threading.Thread):
-            def start(self):
-                count.append(self)
-                super().start()
+        class Recorded(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
 
-        monkeypatch.setattr(threading, "Thread", Counted)
-        return count
+        monkeypatch.setattr(lm, "ThreadPoolExecutor", Recorded)
+        return sizes
 
     @staticmethod
     def stack(blocks, seed=3):
@@ -582,27 +584,29 @@ class TestThreadedScoring:
         return np.concatenate([TestBlockScoring.one_graph(policy, rows[lo:hi], targets[lo:hi])
                                for lo, hi in zip(bounds[:-1], bounds[1:])])
 
-    def test_same_bytes_at_any_thread_count(self, monkeypatch, started):
+    def test_same_bytes_at_any_thread_count(self, monkeypatch, pools):
         policy, rows, targets = self.stack(self.BLOCKS)
         expected = self.per_block(policy, rows, targets).tobytes()
+        active = threading.active_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as possible
         try:
             for threads in (1, 2, 3):
                 monkeypatch.setattr(lm, "_cpu_count", lambda: threads)
-                before = len(started)
                 assert lm.row_logprobs(policy, rows, targets).tobytes() == expected, threads
-                assert len(started) - before == threads - 1
         finally:
             sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in started)
+        # at one thread the caller scores alone, with no pool
+        assert pools == [2, 3]
+        assert threading.active_count() == active
 
-    @pytest.mark.parametrize("blocks,helpers", [(1, 0), (3, 0), (4, 1), (5, 1), (6, 2)])
-    def test_every_thread_gets_two_blocks(self, monkeypatch, started, blocks, helpers):
+    # workers: min(CPUs, blocks // 2), and no pool below two
+    @pytest.mark.parametrize("blocks,workers", [(1, 0), (3, 0), (4, 2), (5, 2), (6, 3)])
+    def test_every_thread_gets_two_blocks(self, monkeypatch, pools, blocks, workers):
         monkeypatch.setattr(lm, "_cpu_count", lambda: 8)
         policy, rows, targets = self.stack(blocks)
         lm.row_logprobs(policy, rows, targets)
-        assert len(started) == helpers
+        assert pools == ([workers] if workers else [])
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_bad_id_in_a_late_block_raises_on_the_callers_thread(self, monkeypatch, threads):
@@ -632,7 +636,7 @@ class TestThreadedScoring:
         assert threading.active_count() == active
         assert hooked == []
 
-    def test_bad_token_id_raises_before_any_scoring(self, monkeypatch, started):
+    def test_bad_token_id_raises_before_any_scoring(self, monkeypatch, pools):
         monkeypatch.setattr(lm, "_cpu_count", lambda: 3)
         vocab = lm.Vocab(12)
         policy = lm.NeuralPolicy.init(vocab, child_rng(3, "init"), context=26)
@@ -640,7 +644,7 @@ class TestThreadedScoring:
         pairs[-1] = data.PreferencePair((3, 4), (4, 5), (5, 12))
         with pytest.raises(lm.TokenIdError, match="^token id 12 out of range for vocab size 12$"):
             trainer.plan_dataset(pairs, LossConfig(method="dpo"), policy)
-        assert started == []
+        assert pools == []
 
 
 class TestCloneFrozen:

@@ -14,8 +14,8 @@ from preflab.errors import ValidationError
 from preflab.lm import NGramPolicy
 
 from helpers import (
-    along_sequences, conditional_row, random_prefix_reward, seq_logprob, uniform_ngram,
-    vocab_logprobs,
+    along_sequences, conditional_row, random_prefix_reward, seq_logprob, shift_drift,
+    uniform_ngram, vocab_logprobs,
 )
 
 REAL_RNG = oracle._rng
@@ -153,10 +153,9 @@ def per_draw_reparam(space, seed, draws=20):
     for i in range(draws):
         beta = (0.5, 1.0, 1.5)[i % 3]
         rstar = random_prefix_reward(space, rng)
-        base = oracle.reparameterize(space, rstar, table, beta)
-        residuals.append(base.max_residual)
+        residuals.append(oracle.reparameterize(space, rstar, table, beta).max_residual)
         offsets = rng.standard_normal(len(space.contexts))
-        drifts.append(oracle.shift_invariance_residual(space, rstar, table, beta, offsets, base))
+        drifts.append(shift_drift(space, rstar, table, beta, offsets))
     # the representative identity at the check's tolerance, the drift at 1e-12
     residual, drift = float(np.max(residuals)), float(np.max(drifts))
     return oracle._certificate("reparam", space, seed, [residual, drift], drift <= 1e-12)
@@ -431,15 +430,10 @@ class TestBoltzmann:
         rewards = np.zeros((2, len(space.sequences)))
         rstars = np.zeros((2,) + space.child.shape)
         policies = np.exp(oracle.random_log_policies(space, 2, np.random.default_rng(0)))
-        # a base of a good beta, so that the shifted twin meets the bad one
-        base = oracle.reparameterize(space, rstars, table, 1.0)
         per_draw = [
             lambda: oracle.boltzmann_distribution(space, rewards, logmass, beta),
             lambda: oracle.reparameterize(space, rstars, table, beta),
             lambda: oracle.additive_decompose(space, rewards, "soft_value", table, beta),
-            lambda: oracle.shift_invariance_residual(
-                space, rstars, table, beta, rstars[..., 0], base
-            ),
             lambda: oracle.reconstruction_spread(space, rewards, table, logmass, beta),
         ]
         scalar_only = [
@@ -463,10 +457,6 @@ class TestBoltzmann:
         # leading draw axes are accepted only before the right trailing shape
         with pytest.raises(ValidationError, match=r"expected \(\.\.\.\) \+ "):
             oracle.boltzmann_distribution(space, np.zeros((2, 3)), logmass, 1.0)
-        rstars = np.zeros((2,) + space.child.shape)
-        base = oracle.reparameterize(space, rstars, table, 1.0)
-        with pytest.raises(ValidationError, match="offsets"):
-            oracle.shift_invariance_residual(space, rstars, table, 1.0, rstars[0, :, 0], base)
         # the objective takes exactly one reward, for one row or many
         rewards = np.zeros((2, len(space.sequences)))
         policy = renormalized(logmass)
@@ -773,8 +763,7 @@ class TestReparameterize:
         rng = np.random.default_rng(16)
         rstar = random_prefix_reward(space, rng)
         offsets = rng.standard_normal(len(space.contexts))
-        base = oracle.reparameterize(space, rstar, table, 1.0)
-        assert oracle.shift_invariance_residual(space, rstar, table, 1.0, offsets, base) <= 1e-12
+        assert shift_drift(space, rstar, table, 1.0, offsets) <= 1e-12
 
     def test_reconstruction_spread_small(self):
         for mode in ("eos", "fixed"):
@@ -828,9 +817,7 @@ class TestDrawAxes:
             # scalar beta only
             "energy": lambda r, t, o, b: oracle.energy_additivity_residual(space, t, table, 0.7),
             "reparam": lambda r, t, o, b: oracle.reparameterize(space, t, table, b).max_residual,
-            "shift": lambda r, t, o, b: oracle.shift_invariance_residual(
-                space, t, table, b, o, oracle.reparameterize(space, t, table, b)
-            ),
+            "shift": lambda r, t, o, b: shift_drift(space, t, table, b, o),
             "spread": lambda r, t, o, b: oracle.reconstruction_spread(space, r, table, logmass, b),
         }
         for beta in (0.7, rng.uniform(0.3, 2.0, lead)):
