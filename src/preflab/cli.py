@@ -9,7 +9,6 @@ byte-deterministic outputs, and uses the exit-code contract 0 = success,
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import math
 import os
@@ -91,13 +90,13 @@ def cmd_train(args) -> int:
     check_dataset(dataset, policy.vocab)
     train_cfg = cfgmod.build_train_config(resolved)
 
-    # train a copy, so that a plan-time input error leaves no run directory
-    # and ``policy`` stays the initial weights, written as ref.json
-    result = train(dataset, copy.deepcopy(policy), train_cfg)
+    # trained before the run directory is made, so that a plan-time input
+    # error leaves none
+    result = train(dataset, policy, train_cfg)
 
     os.makedirs(output_dir, exist_ok=True)
     cfgmod.write_resolved(resolved, output_dir)
-    save_checkpoint(policy, os.path.join(output_dir, "ref.json"))
+    save_checkpoint(result.reference, os.path.join(output_dir, "ref.json"))
     with open(os.path.join(output_dir, "trainlog.csv"), "w", encoding="utf-8") as fh:
         fh.write(to_csv(TrainLogRow, result.log))
     for step, snapshot in result.checkpoints:
@@ -257,15 +256,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ValidationError as err:
+    except (PreflabError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except PreflabError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(err, ValidationError) else 1
 
 
 if __name__ == "__main__":

@@ -73,7 +73,7 @@ _SCHEMA: dict[str, dict[str, _Field]] = {
         **{n: _Field(default=v, types=(int,)) for k in KINDS.values() for n, v in k.HYPER.items()},
     },
     "loss": _section(LossConfig, method=METHODS, family=FAMILIES),
-    "train": _section(TrainConfig, "loss", "seed", optimizer=tuple(OPTIMIZERS)),
+    "train": _section(TrainConfig, "loss", "seed", optimizer=OPTIMIZERS),
     "data": {
         "path": _Field(default=None, types=(str,), nullable=True),
         "n_pairs": _Field(default=256, types=(int,)),

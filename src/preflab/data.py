@@ -11,13 +11,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from itertools import chain
 
 import numpy as np
 
 from .autodiff import sigmoid_values
 from .errors import DataFormatError, ValidationError
-from .lm import NGramPolicy, TokenSeq, Vocab, check_tokens, row_logprobs
+from .lm import NGramPolicy, TokenIdError, TokenSeq, Vocab, id_stream, row_logprobs
 from .seeds import child_rng
 
 LABELINGS = ("deterministic", "bt")
@@ -299,19 +298,9 @@ def write_manifest(path, task: BigramMatchTask, n_pairs: int, labeling: str) -> 
 
 
 def check_dataset(pairs: list[PreferencePair], vocab: Vocab) -> None:
-    """Validate every token id against the vocab in one vectorized check;
-    only when it fails are the pairs walked, to name the first bad one."""
-    sides = (side for p in pairs for side in (p.prompt, p.chosen, p.rejected))
+    """Validate every token id against the vocab (``lm.id_stream`` over each
+    pair's prompt, chosen and rejected); the first bad id names its pair."""
     try:
-        ids = np.fromiter(chain.from_iterable(sides), dtype=np.intp)
-        if not np.any((ids < 0) | (ids >= vocab.size)):
-            return
-    except OverflowError:  # an id beyond the machine's integers, named below
-        pass
-    for i, pair in enumerate(pairs):
-        try:
-            check_tokens(vocab, pair.prompt)
-            check_tokens(vocab, pair.chosen)
-            check_tokens(vocab, pair.rejected)
-        except ValidationError as err:
-            raise ValidationError(f"pair {i}: {err}") from err
+        id_stream(vocab, [side for p in pairs for side in (p.prompt, p.chosen, p.rejected)])
+    except TokenIdError as err:
+        raise ValidationError(f"pair {err.seq // 3}: {err}") from err

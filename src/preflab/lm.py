@@ -23,10 +23,10 @@ log-probabilities. Every model conditions on a fixed-width window of the
 ids before each response position, BOS-filled where the window starts
 before its side. ``side_windows`` builds the windows of any number of
 sides (a prompt and a response each) in one pass over one id stream, with
-one vectorized bounds check, and stores them in the smallest unsigned
-type that holds a vocab id; the neural model reads the windows as they
-are, the n-gram folds each window through its state recursion ``step``
-into its table row.
+the one token-id check (``id_stream``, which ``data.check_dataset`` also
+uses), and stores them in the smallest unsigned type that holds a vocab
+id; the neural model reads the windows as they are, the n-gram folds each
+window through its state recursion ``step`` into its table row.
 """
 
 from __future__ import annotations
@@ -78,7 +78,8 @@ class Vocab:
 
 
 class TokenIdError(ValidationError):
-    """A token id fell outside the vocabulary."""
+    """A token id fell outside the vocabulary. ``id_stream`` sets ``seq``, the
+    index of the id's sequence among those it checked."""
 
     def __init__(self, token: int, size: int):
         super().__init__(f"token id {token} out of range for vocab size {size}")
@@ -86,16 +87,32 @@ class TokenIdError(ValidationError):
         self.size = size
 
 
-def check_tokens(vocab: Vocab, tokens: Sequence[int]) -> TokenSeq:
-    out = tuple(int(t) for t in tokens)
-    for t in out:
-        if not (0 <= t < vocab.size):
-            raise TokenIdError(t, vocab.size)
-    return out
-
-
 def _lengths(sides) -> np.ndarray:
     return np.fromiter(map(len, sides), dtype=np.intp, count=len(sides))
+
+
+def id_stream(vocab: Vocab, seqs) -> np.ndarray:
+    """The ids of the list of sequences ``seqs``, one after another, as one
+    intp array: the one token-id check. Every id is compared with the vocab
+    once, vectorized, and the first out of range raises TokenIdError naming
+    its sequence; an id beyond the machine's integers is found by walking
+    the sequences in order."""
+    try:
+        stream = np.fromiter(chain.from_iterable(seqs), dtype=np.intp, count=sum(map(len, seqs)))
+    except OverflowError:
+        token, seq = next(
+            (int(t), s) for s, ids in enumerate(seqs) for t in ids if not 0 <= t < vocab.size
+        )
+    else:
+        bad = (stream < 0) | (stream >= vocab.size)
+        if not bad.any():
+            return stream
+        at = int(bad.argmax())
+        ends = np.cumsum(_lengths(seqs))
+        token, seq = int(stream[at]), int(np.searchsorted(ends, at, side="right"))
+    err = TokenIdError(token, vocab.size)
+    err.seq = seq
+    raise err
 
 
 def side_windows(vocab: Vocab, width: int, prompts, responses) -> tuple[np.ndarray, np.ndarray]:
@@ -106,31 +123,21 @@ def side_windows(vocab: Vocab, width: int, prompts, responses) -> tuple[np.ndarr
     id sequences. Its windows are BOS-filled where they start before the
     side, and held in the smallest unsigned type that holds ``vocab.size -
     1`` (uint8 up to 256 ids), since a stack has ``width`` of them per
-    position; the targets stay intp. Every id is checked once, in side
-    order, prompt before response; the first out of range raises
+    position; the targets stay intp. ``id_stream`` checks every id once, in
+    side order, prompt before response; the first out of range raises
     TokenIdError.
     """
     p_len, r_len = _lengths(prompts), _lengths(responses)
     fill = (vocab.BOS,) * width
-    ids = chain.from_iterable(x for side in zip(prompts, responses) for x in (fill, *side))
-    count = int(width * len(p_len) + p_len.sum() + r_len.sum())
-    try:
-        stream = np.fromiter(ids, dtype=np.intp, count=count)
-    except OverflowError:  # an id beyond the machine's integers: name it
-        for seq in chain.from_iterable(zip(prompts, responses)):
-            check_tokens(vocab, seq)
-        raise
-    bad = (stream < 0) | (stream >= vocab.size)
-    if bad.any():
-        raise TokenIdError(int(stream[bad][0]), vocab.size)
-    # stream: (width BOS, prompt, response) per side; position i of a side's
-    # response has its window at stream[first : first + width]
-    ends = np.cumsum(width + p_len + r_len)
-    skip = ends - np.cumsum(r_len) - width
+    stream = id_stream(vocab, [x for side in zip(prompts, responses) for x in (fill, *side)])
+    # stream: (width BOS, prompt, response) per side. A response id sits at
+    # its index among all response ids plus the fill and prompt ids of its
+    # side and the earlier ones; its window starts width ids before it
+    skip = np.cumsum(width + p_len) - width
     first = np.arange(int(r_len.sum())) + np.repeat(skip, r_len)
     compact = stream.astype(np.min_scalar_type(vocab.size - 1))
     shape = (max(compact.size - width + 1, 0), width)
-    windows = np.lib.stride_tricks.as_strided(compact, shape, compact.strides * 2, writeable=False)
+    windows = np.ndarray(shape, compact.dtype, compact, strides=compact.strides * 2)
     return windows[first], stream[first + width]
 
 
@@ -262,15 +269,6 @@ class NGramPolicy:
         ``rows``: the state recursion (row * v + t) mod v^(order - 1), which
         keeps the base-v code of the last order - 1 ids."""
         return (rows * self.vocab.size + tokens) % self.vocab.size ** (self.order - 1)
-
-    def start_row(self, prompt: Sequence[int]) -> int:
-        """The table row of the first response position after ``prompt``,
-        whose ids are checked: order - 1 BOS ids, then the prompt, folded
-        through ``step``."""
-        row = 0
-        for t in (self.vocab.BOS,) * (self.order - 1) + check_tokens(self.vocab, prompt):
-            row = self.step(row, t)
-        return row
 
     def stacked_rows(self, prompts, responses) -> tuple[np.ndarray, np.ndarray]:
         """Table row (each context window's columns folded through ``step``)

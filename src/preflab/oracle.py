@@ -192,9 +192,8 @@ def _beta(beta, lead: tuple = ()) -> np.ndarray:
         return b
     if b.shape != lead:
         raise ValidationError(f"beta has shape {b.shape}, expected ()" + f" or {lead}" * bool(lead))
-    bad = b[~(np.isfinite(b) & (b > 0))]
-    if bad.size:
-        raise ValidationError(f"beta must be finite and positive, got {bad[0]}")
+    for draw in b.flat:
+        check_beta(draw)
     return b
 
 
@@ -239,10 +238,10 @@ def reference_table(space: EnumSpace, ref: NGramPolicy, prompt: TokenSeq = ()) -
     """log pi_ref(t | prompt + context) for every context and token: the
     n-gram's log-softmax table at the row of the slot after each context.
 
-    The row of the empty context is ``ref.start_row(prompt)``, which checks
-    the prompt's ids; each context's row follows from its parent's by
-    ``ref.step`` down ``space.child``, one vectorized step per context
-    length. The table is ``autodiff.log_softmax_values`` of the logits, the
+    The row of the empty context is ``ref.stacked_rows``' first response
+    row after ``prompt``, whose ids it checks; each context's row follows
+    from its parent's by ``ref.step`` down ``space.child``, one vectorized
+    step per context length. The table is ``autodiff.log_softmax_values`` of the logits, the
     function the n-gram's ``rows_forward`` applies, so it equals ``lm``'s
     scoring path bit for bit.
 
@@ -252,7 +251,7 @@ def reference_table(space: EnumSpace, ref: NGramPolicy, prompt: TokenSeq = ()) -
         raise ValidationError("the oracle's reference must be an n-gram over the space's vocab")
     # one slot past the contexts takes the writes of the -1 children
     rows = np.empty(len(space.contexts) + 1, dtype=np.intp)
-    rows[0] = ref.start_row(prompt)
+    rows[0] = ref.stacked_rows([prompt], [(Vocab.BOS,)])[0][0]
     # contexts are ordered by length, so each length is one run of codes
     lo, hi = 0, 1
     for _ in range(space.max_len - 1):
@@ -577,9 +576,9 @@ def check_decompose(space: EnumSpace, seed: int) -> dict:
 
 
 def check_reparam(space: EnumSpace, seed: int) -> dict:
-    """Representative identity r* - shift = beta * log(pi/pi_ref) at 1e-10,
-    and invariance of the induced policy under per-context reward shifts
-    at 1e-12."""
+    """Representative identity r* - shift = beta * log(pi/pi_ref) and
+    normalization of the induced policy at 1e-10, and invariance of the
+    induced policy under per-context reward shifts at 1e-12."""
     rng = _rng(seed, 4)
     table = reference_table(space, _reference(space, rng))
     # one row per draw: its prefix reward, then its per-context offsets
@@ -590,6 +589,8 @@ def check_reparam(space: EnumSpace, seed: int) -> dict:
         rstars = rows[:, :cut].reshape(-1, *space.child.shape)
         base = reparameterize(space, rstars, table, betas)
         residuals.append(base.max_residual)
+        # summed apart from vocab_logsumexp, whose errors cancel in the identity
+        residuals.append(np.max(np.abs(np.sum(np.exp(base.policy), axis=-1) - 1.0)))
         moved = reparameterize(space, rstars + rows[:, cut:, None], table, betas)
         drifts.append(np.max(np.abs(base.policy - moved.policy)))
     return _certificate("reparam", space, seed, residuals + drifts, np.max(drifts) <= 1e-12)

@@ -101,6 +101,7 @@ class ProfileRow:
 @dataclass
 class TrainResult:
     policy: Policy
+    reference: Policy  # the plan's frozen copy of the initial policy
     log: list[TrainLogRow]
     checkpoints: list[tuple[int, Policy]]
 
@@ -117,15 +118,6 @@ def to_csv(cls, rows: list) -> str:
 # ---------------------------------------------------------------------------
 # optimizers
 # ---------------------------------------------------------------------------
-
-
-class SgdOptimizer:
-    def __init__(self, lr: float):
-        self.lr = lr
-
-    def update(self, params: dict, grads: dict) -> None:
-        for name, p in params.items():
-            p -= self.lr * grads[name]
 
 
 class AdamOptimizer:
@@ -157,7 +149,7 @@ class AdamOptimizer:
             p -= step
 
 
-OPTIMIZERS = {"sgd": SgdOptimizer, "adam": AdamOptimizer}
+OPTIMIZERS = ("adam",)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +298,7 @@ def eval_pairs(policy: Policy, plan: DatasetPlan, beta: float, step: int = 0) ->
 
 
 def train(dataset: list[PreferencePair], policy: Policy, cfg: TrainConfig) -> TrainResult:
-    """Optimize the policy against its frozen initial copy.
+    """Optimize the policy, in place, against its frozen initial copy.
 
     Logs a diagnostics row at step 0 and every ``eval_every`` updates;
     snapshots checkpoints every ``checkpoint_every`` updates (0 disables
@@ -314,7 +306,7 @@ def train(dataset: list[PreferencePair], policy: Policy, cfg: TrainConfig) -> Tr
     """
     cfg.validate()
     plan = plan_dataset(dataset, cfg.loss, copy.deepcopy(policy))
-    optimizer = OPTIMIZERS[cfg.optimizer](cfg.lr)
+    optimizer = AdamOptimizer(cfg.lr)
     rng = child_rng(cfg.seed, "shuffle")
 
     log = [eval_pairs(policy, plan, cfg.loss.beta)]
@@ -342,7 +334,7 @@ def train(dataset: list[PreferencePair], policy: Policy, cfg: TrainConfig) -> Tr
         if at_interval or step == cfg.steps:
             checkpoints.append((step, copy.deepcopy(policy)))
 
-    return TrainResult(policy=policy, log=log, checkpoints=checkpoints)
+    return TrainResult(policy=policy, reference=plan.reference, log=log, checkpoints=checkpoints)
 
 
 # ---------------------------------------------------------------------------

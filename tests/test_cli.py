@@ -12,6 +12,7 @@ import pytest
 
 import preflab
 from preflab import cli
+from preflab import config as cfgmod
 from preflab.cli import main
 from preflab.lm import load_checkpoint, save_checkpoint
 
@@ -221,6 +222,15 @@ class TestTrain:
         assert (out_dir / "checkpoint_000006.json").exists()
         assert (out_dir / "checkpoint_000012.json").exists()
 
+    def test_ref_is_the_initial_model_of_the_resolved_config(self, tmp_path, dataset_path):
+        # ref.json is the trainer's frozen copy, the model before any step
+        out_dir = tmp_path / "run"
+        cfg = train_config(tmp_path, out_dir, dataset_path)
+        assert main(["train", "--config", cfg]) == 0
+        initial = tmp_path / "initial.json"
+        save_checkpoint(cfgmod.build_model(cfgmod.resolve(cfgmod.load_config(cfg))), initial)
+        assert (out_dir / "ref.json").read_bytes() == initial.read_bytes()
+
     @pytest.mark.parametrize("steps,every", [(12, 6), (10, 4), (10, 0)])
     def test_final_is_the_last_checkpoints_bytes(self, tmp_path, dataset_path, steps, every):
         # train snapshots the final step whatever the interval, so final.json
@@ -323,6 +333,8 @@ class TestTrain:
             (["model.order=5"], "model.order applies to ngram models only"),
             (['model={"kind": "ngram", "vocab_size": 12, "hidden_dim": 4}'],
              "model.hidden_dim applies to neural models only"),
+            # Adam is the one optimizer
+            (["train.optimizer=sgd"], "train.optimizer must be one of ('adam',), got 'sgd'"),
         ],
     )
     def test_bad_model_or_loss_override_exits_2(

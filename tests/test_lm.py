@@ -442,15 +442,9 @@ class TestFusedNGramForward:
 
 
 class TestNGramState:
-    """``step`` and ``start_row``: the n-gram's row recursion, written once."""
-
-    @pytest.mark.parametrize("order", [1, 2, 3, 4])
-    def test_start_row_is_the_first_response_row(self, vocab, order):
-        policy = uniform_ngram(vocab, order)
-        for prompt in ((), (4,), (3, 5, 4, 5)):
-            rows, _ = policy.context_rows(prompt, (3,))
-            assert policy.start_row(prompt) == rows[0]
-            assert type(policy.start_row(prompt)) is int
+    """``step``: the n-gram's row recursion, written once. The oracle's
+    reference table starts from the first response row ``stacked_rows``
+    folds after the prompt, and continues with ``step``."""
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_step_moves_the_window_by_one_token(self, vocab, order):
@@ -461,11 +455,41 @@ class TestNGramState:
         assert [policy.step(r, t) for r, t in zip(rows[:-1], response)] == rows[1:].tolist()
         assert np.array_equal(policy.step(rows[:-1], np.asarray(response[:-1])), rows[1:])
 
-    def test_start_row_checks_the_prompt_ids(self, vocab):
+    def test_reference_table_checks_the_prompt_ids(self, vocab):
         policy = uniform_ngram(vocab, 2)
+        space = oracle.EnumSpace.build(vocab.size, 2)
         for bad in (-1, vocab.size, 2**70):
             with pytest.raises(lm.TokenIdError, match=f"token id {bad} out of range"):
-                policy.start_row((3, bad))
+                oracle.reference_table(space, policy, (3, bad))
+
+
+class TestIdStream:
+    """``id_stream``: the one token-id check, which names the sequence of the
+    first bad id."""
+
+    def test_ids_in_sequence_order(self, vocab):
+        stream = lm.id_stream(vocab, [(3, 4), (), (5,), [0, 1, 2]])
+        assert stream.dtype == np.intp
+        assert stream.tolist() == [3, 4, 5, 0, 1, 2]
+        assert lm.id_stream(vocab, []).tolist() == []
+
+    @pytest.mark.parametrize("bad", [6, -1, 2**70, -(2**70)])
+    @pytest.mark.parametrize(
+        "where,seq,later",
+        [("start", 0, 99), ("start", 0, 2**70), ("middle", 2, 99), ("middle", 2, 2**70),
+         ("end", 4, None)],
+    )
+    def test_names_the_sequence_of_the_first_bad_id(self, vocab, where, seq, later, bad):
+        # an empty sequence sits before the middle one; a later bad id, of
+        # either size, must not be the one named
+        seqs = [(3, 4), (), (5, 3), (4,), (3, 5)]
+        seqs[seq] = {"start": (bad, 3, 4), "middle": (5, bad, 3), "end": (3, 5, bad)}[where]
+        if later is not None:
+            seqs[3] = (4, later)
+        with pytest.raises(lm.TokenIdError) as info:
+            lm.id_stream(vocab, seqs)
+        assert (info.value.token, info.value.seq) == (bad, seq)
+        assert str(info.value) == f"token id {bad} out of range for vocab size {vocab.size}"
 
 
 class TestSharedScoring:

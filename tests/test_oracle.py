@@ -153,10 +153,13 @@ def per_draw_reparam(space, seed, draws=20):
     for i in range(draws):
         beta = (0.5, 1.0, 1.5)[i % 3]
         rstar = random_prefix_reward(space, rng)
-        residuals.append(oracle.reparameterize(space, rstar, table, beta).max_residual)
+        result = oracle.reparameterize(space, rstar, table, beta)
+        residuals.append(result.max_residual)
+        residuals.append(np.max(np.abs(np.exp(result.policy).sum(axis=1) - 1.0)))
         offsets = rng.standard_normal(len(space.contexts))
         drifts.append(shift_drift(space, rstar, table, beta, offsets))
-    # the representative identity at the check's tolerance, the drift at 1e-12
+    # the representative identity and the normalization at the check's
+    # tolerance, the drift at 1e-12
     residual, drift = float(np.max(residuals)), float(np.max(drifts))
     return oracle._certificate("reparam", space, seed, [residual, drift], drift <= 1e-12)
 
@@ -991,6 +994,19 @@ def noise_for_soft_value(real=oracle.additive_decompose):
     return decompose
 
 
+def logsumexp_plus_tenth(real=oracle.vocab_logsumexp):
+    return lambda z: real(z) + 0.1
+
+
+def policy_plus_tenth(real=oracle.reparameterize):
+    def reparameterize(*args):
+        result = real(*args)
+        result.policy = result.policy + 0.1
+        return result
+
+    return reparameterize
+
+
 class TestPlantedBugs:
     @pytest.mark.parametrize(
         "target,bug",
@@ -1019,6 +1035,20 @@ class TestPlantedBugs:
         monkeypatch.setattr(oracle, "kl_objective_batch", objective)
         failed, _ = optimality_failures(policies=1)
         assert len(failed) == len(SWEEP) * 4
+
+    @pytest.mark.parametrize(
+        "target,bug",
+        [
+            pytest.param("vocab_logsumexp", logsumexp_plus_tenth, id="logsumexp-plus-0.1"),
+            pytest.param("reparameterize", policy_plus_tenth, id="policy-plus-0.1"),
+        ],
+    )
+    def test_reparam_sees_an_unnormalized_policy_on_every_space(self, monkeypatch, target, bug):
+        # both keep the representative identity and the shift drift at
+        # rounding error, so only the normalization residual can fail them
+        monkeypatch.setattr(oracle, target, bug())
+        certificates = [oracle.check_reparam(space, seed) for space in SWEEP for seed in (0, 1)]
+        assert not any(c["pass"] for c in certificates)
 
 
 class TestShortAxisReductions:

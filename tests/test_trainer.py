@@ -339,29 +339,6 @@ class TestAdam:
                 assert np.array_equal(params[name], want[name])
 
 
-class TestSgd:
-    def test_update_is_p_minus_lr_g_bitwise(self):
-        rng = np.random.default_rng(0)
-        params = {"w": rng.standard_normal((3, 4)), "b": rng.standard_normal(5)}
-        grads = {name: rng.standard_normal(p.shape) for name, p in params.items()}
-        want = {name: p - 0.3 * grads[name] for name, p in params.items()}
-        trainer.SgdOptimizer(0.3).update(params, grads)
-        for name in params:
-            assert np.array_equal(params[name], want[name])
-
-    def test_short_run_lowers_loss_and_reruns_identically(self):
-        runs = []
-        for _ in range(2):
-            _, dataset, policy = small_setup()
-            runs.append(trainer.train(dataset, policy, quick_config(optimizer="sgd", lr=0.5)))
-        first, second = runs
-        assert first.log[-1].loss < first.log[0].loss
-        first_csv, second_csv = (trainer.to_csv(trainer.TrainLogRow, r.log) for r in runs)
-        assert first_csv == second_csv
-        for name, value in first.policy.params.items():
-            assert np.array_equal(value, second.policy.params[name])
-
-
 class TestEvalPairs:
     def test_identity_policy_metrics(self):
         _, dataset, policy = small_setup()
