@@ -8,10 +8,10 @@ underlying theory on enumerable token spaces.
 
 import os
 
-# one BLAS thread, set before any submodule imports numpy (a value already set
-# wins): threaded BLAS sums in an order that depends on the thread count
+# one BLAS thread, assigned over any inherited value before a submodule imports
+# numpy: threaded BLAS sums in an order that depends on the thread count
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+    os.environ[_var] = "1"
 
 from .composition import StrongComposition, segment_pair, xi_adaptive, xi_static
 from .data import BigramMatchTask, PreferencePair, generate_dataset, load_jsonl, save_jsonl

@@ -4,6 +4,7 @@ The default task rewards occurrences of a prompt-determined bigram minus
 a small length penalty, which is separable enough that every loss in this
 package reaches high pairwise accuracy within seconds of training.
 Datasets round-trip losslessly through JSONL, one pair per line.
+``check_scores`` is the one check of a rejected side's scores.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .autodiff import sigmoid_values
-from .errors import DataFormatError, ValidationError
+from .errors import DataFormatError, ValidationError, at_least_one
 from .lm import NGramPolicy, TokenIdError, TokenSeq, Vocab, id_stream, row_logprobs
 from .seeds import child_rng
 
@@ -43,15 +44,21 @@ class PreferencePair:
         if self.chosen == self.rejected:
             raise ValidationError("chosen and rejected responses are identical")
         if self.rejected_scores is not None:
-            scores = np.asarray(self.rejected_scores, dtype=np.float64)
-            if scores.shape != (len(self.rejected),):
-                raise ValidationError(
-                    f"{scores.size} rejected_scores for "
-                    f"{len(self.rejected)} rejected tokens"
-                )
-            if not np.all((scores >= 0.0) & (scores <= 1.0)):
-                raise ValidationError("rejected_scores must lie in [0, 1]")
-            self.rejected_scores = scores
+            self.rejected_scores = check_scores(self.rejected_scores, len(self.rejected))
+
+
+def check_scores(scores, n_rejected: int) -> np.ndarray:
+    """One rejected side's scores as float64: one per rejected token, each in
+    [0, 1] (so not NaN), or ValidationError."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != (n_rejected,):
+        raise ValidationError(
+            f"got scores of shape {scores.shape} for {n_rejected} rejected tokens"
+        )
+    inside = (scores >= 0.0) & (scores <= 1.0)
+    if not inside.all():
+        raise ValidationError(f"score {scores[inside.argmin()]} outside [0, 1]")
+    return scores
 
 
 @dataclass(frozen=True)
@@ -157,8 +164,7 @@ def generate_dataset(
     broken by a fair coin. bt: the first response wins with probability
     sigmoid(reward difference).
     """
-    if n_pairs < 1:
-        raise ValidationError(f"n_pairs must be >= 1, got {n_pairs}")
+    at_least_one(n_pairs=n_pairs)
     if labeling not in LABELINGS:
         raise ValidationError(f"unknown labeling {labeling!r}")
     worst = n_pairs * (task.prompt_len + 2 * task.max_len)

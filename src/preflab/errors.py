@@ -1,4 +1,4 @@
-"""Shared exception types.
+"""Shared exception types, and the one check that a count is at least one.
 
 The CLI maps ValidationError, and so DataFormatError, to exit code 2 (bad
 input/config) and every other failure to exit code 1.
@@ -15,6 +15,13 @@ class ValidationError(PreflabError, ValueError):
 
 class DataFormatError(ValidationError):
     """A dataset file is malformed; message carries the line number."""
+
+
+def at_least_one(**counts) -> None:
+    """Raise ValidationError naming the first of ``counts`` that is below 1."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValidationError(f"{name} must be >= 1, got {value}")
 
 
 class TrainingDivergedError(PreflabError, RuntimeError):

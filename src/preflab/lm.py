@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ValidationError
+from .errors import ValidationError, at_least_one
 
 TokenSeq = tuple[int, ...]
 
@@ -193,12 +193,6 @@ def row_logprobs(policy, rows, targets) -> np.ndarray:
     return out
 
 
-def _at_least_one(**widths) -> None:
-    for name, value in widths.items():
-        if value < 1:
-            raise ValidationError(f"{name} must be >= 1, got {value}")
-
-
 def _known(kind, hyper: dict) -> dict:
     """``hyper``, checked to name only hyperparameters of ``kind``."""
     unknown = sorted(hyper.keys() - kind.HYPER.keys())
@@ -239,7 +233,7 @@ class NGramPolicy:
     def shapes(vocab: Vocab, *, order: int) -> dict[str, tuple[int, ...]]:
         """The (contexts, vocab) logit table, checked against MAX_PARAMS in
         integer arithmetic before anything is allocated."""
-        _at_least_one(order=order)
+        at_least_one(order=order)
         rows = 1
         for _ in range(order - 1):
             rows *= vocab.size
@@ -341,7 +335,7 @@ class NeuralPolicy:
         """Embeddings, hidden layer and output layer, their parameter count
         checked against MAX_PARAMS in integer arithmetic before anything is
         allocated."""
-        _at_least_one(context=context, embed_dim=embed_dim, hidden_dim=hidden_dim)
+        at_least_one(context=context, embed_dim=embed_dim, hidden_dim=hidden_dim)
         v, c, e, h = (int(n) for n in (vocab.size, context, embed_dim, hidden_dim))
         shapes = {"emb": (v, e), "w1": (c * e, h), "b1": (h,), "w2": (h, v), "b2": (v,)}
         count = sum(math.prod(shape) for shape in shapes.values())

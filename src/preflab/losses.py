@@ -10,8 +10,9 @@ objectives are one formula, a sum over segments of
 divided by the number of pairs, with w_i = +1 on the chosen side and -1
 (cADPO: -(1 - s_j)) on the rejected side:
 
-* dpo_loss: adpo_loss with one adaptive segment per side (m=1), which
-  covers both whole sides (Corollary 1);
+* dpo_loss: adpo_loss with one adaptive segment per side, ``DPO_SEGMENTS``,
+  which covers both whole sides (Corollary 1); the trainer plans dpo with
+  the same constant, through ``LossConfig.segment_rule``;
 * adpo_loss: the segments of a composition-module segmentation, summed
   outside the log-sigmoid;
 * cadpo_loss(batch, segmentation, rejected_scores): adpo_loss with
@@ -19,13 +20,13 @@ divided by the number of pairs, with w_i = +1 on the chosen side and -1
 
 Which segment each token feeds, and its weight, depend only on the data
 and the config, never on the step. ``segment_layout`` turns one
-``SegmentedPair`` per pair (and the scores, if weighted) into a
-``SegmentLayout``: per position the kept-segment rank and the weight, per
-side the length, per pair the kept-segment count. It ranks every position
-of the whole list in one vectorized pass over the side lengths
-(``composition.stacked_ranks``), whatever k or m; no pair's segment
-bounds are built. The trainer builds it
-once per command and indexes it per batch.
+``SegmentedPair`` per pair (and the scores, if weighted, each checked by
+``data.check_scores``) into a ``SegmentLayout``: per position the
+kept-segment rank and the weight, per side the length, per pair the
+kept-segment count. It ranks every position of the whole list in one
+vectorized pass over the side lengths (``composition.stacked_ranks``),
+whatever k or m; no pair's segment bounds are built. The trainer builds
+it once per command and indexes it per batch.
 
 ``segment_loss(x, layout, beta)`` is the one loss value, on a plain
 log-ratio vector and without a graph: it takes every segment's z in one
@@ -46,9 +47,12 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node
 from .composition import FAMILIES, SegmentedPair, segment_pair, stacked_ranks
+from .data import check_scores
 from .errors import ValidationError
 
 METHODS = ("dpo", "adpo")
+# Corollary 1: DPO is ADPO with one adaptive segment per side
+DPO_SEGMENTS = ("adaptive", 1)
 
 
 def check_beta(beta: float, name: str = "beta") -> None:
@@ -83,8 +87,11 @@ class LossConfig:
                 raise ValidationError("loss.m must be >= 1 for the adaptive family")
         return self
 
-    def segment_param(self) -> int:
-        return self.k if self.family == "static" else self.m
+    def segment_rule(self) -> tuple[str, int]:
+        """The (family, parameter) of ``segment_pair``; ``DPO_SEGMENTS`` for dpo."""
+        if self.method == "dpo":
+            return DPO_SEGMENTS
+        return self.family, self.k if self.family == "static" else self.m
 
 
 @dataclass
@@ -139,18 +146,11 @@ def segment_layout(segmentation: list[SegmentedPair], rejected_scores=None) -> S
         for i, (scores, n_rejected) in enumerate(zip(rejected_scores, lengths[1::2])):
             if scores is None:
                 raise ValidationError(f"pair {i}: weighted loss requires rejected scores")
-            parts.append(np.asarray(scores, dtype=np.float64))
-            if parts[-1].shape != (n_rejected,):
-                raise ValidationError(
-                    f"pair {i}: got scores of shape {parts[-1].shape} "
-                    f"for {n_rejected} rejected tokens"
-                )
-        scores = np.concatenate(parts)
-        outside = np.flatnonzero(~((scores >= 0.0) & (scores <= 1.0)))
-        if outside.size:
-            pair = int(np.searchsorted(np.cumsum(lengths[1::2]), outside[0], side="right"))
-            raise ValidationError(f"pair {pair}: score {scores[outside[0]]} outside [0, 1]")
-        weights[rejected] = -(1.0 - scores)
+            try:
+                parts.append(check_scores(scores, n_rejected))
+            except ValidationError as err:
+                raise ValidationError(f"pair {i}: {err}") from err
+        weights[rejected] = -(1.0 - np.concatenate(parts))
     return SegmentLayout(ranks, weights, lengths, np.maximum(last[0::2], last[1::2]) + 1)
 
 
@@ -212,13 +212,8 @@ def batch_loss(batch: LogRatioBatch, layout: SegmentLayout) -> Node:
 def dpo_loss(batch: LogRatioBatch) -> Node:
     """Mean over pairs of -log sigmoid(beta * (total_w - total_l)): adpo_loss
     with one adaptive segment per side (Corollary 1)."""
-    return adpo_loss(
-        batch,
-        [
-            segment_pair((p.chosen.value.shape[0], p.rejected.value.shape[0]), "adaptive", 1)
-            for p in batch.pairs
-        ],
-    )
+    sides = [(p.chosen.value.shape[0], p.rejected.value.shape[0]) for p in batch.pairs]
+    return adpo_loss(batch, [segment_pair(n, *DPO_SEGMENTS) for n in sides])
 
 
 def adpo_loss(batch: LogRatioBatch, segmentation: list[SegmentedPair]) -> Node:

@@ -4,15 +4,15 @@ The trainer freezes a reference copy of the initial policy and plans the
 dataset once (``plan_dataset``): every side of every pair is stacked,
 chosen then rejected, with its context rows, targets, the reference's
 log-probs (forwarded once; they never change), the side offsets and the
-segment layout of the loss (dpo as adaptive m=1). Only a train step
-records autodiff nodes: it indexes its pairs' positions in that stack and
-in the layout and forwards them on its graph. Evaluation and the profile
-take no gradient: they score the whole stack untracked, as plain arrays,
-in blocks spread over the process's CPUs (``lm.row_logprobs``; the bytes
-do not depend on the thread count). Evaluation computes its loss with
-``losses.segment_loss``, the value the train step's loss node records,
-and the profile plans no layout.
-All reductions happen in fixed order, so identical (dataset, config, seed)
+loss's segment layout (dpo as ``losses.DPO_SEGMENTS``, its one segment).
+Only a train step records autodiff nodes: it indexes its pairs' positions
+in that stack and in the layout and forwards them on its graph.
+Evaluation and the profile take no gradient: they score the whole stack
+untracked, as plain arrays, in blocks spread over the process's CPUs
+(``lm.row_logprobs``; the bytes do not depend on the thread count).
+Evaluation computes its loss with ``losses.segment_loss``, the value the
+train step's loss node records, and the profile plans no layout. All
+reductions happen in fixed order, so identical (dataset, config, seed)
 produce bit-identical logs and checkpoints.
 
 Diagnostics cover the usual training curves (chosen/rejected sequence
@@ -33,7 +33,7 @@ from . import autodiff as ad
 # unused pad_tokens kept: the benchmark's traced run wraps trainer.pad_tokens
 from .composition import pad_tokens, segment_pair  # noqa: F401
 from .data import PreferencePair
-from .errors import TrainingDivergedError, ValidationError
+from .errors import TrainingDivergedError, ValidationError, at_least_one
 from .lm import Policy, row_logprobs
 from .losses import (
     LogRatioBatch,
@@ -66,12 +66,7 @@ class TrainConfig:
             )
         if not (math.isfinite(self.lr) and self.lr >= 0):
             raise ValidationError(f"lr must be finite and >= 0, got {self.lr}")
-        if self.steps < 1:
-            raise ValidationError(f"steps must be >= 1, got {self.steps}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.eval_every < 1:
-            raise ValidationError(f"eval_every must be >= 1, got {self.eval_every}")
+        at_least_one(steps=self.steps, batch_size=self.batch_size, eval_every=self.eval_every)
         if self.checkpoint_every < 0:
             raise ValidationError(
                 f"checkpoint_every must be >= 0, got {self.checkpoint_every}"
@@ -213,8 +208,8 @@ def plan_dataset(
     """Stack the dataset once and forward the frozen reference over it.
 
     The context rows of every side come from one ``stacked_rows`` call
-    (``lm.side_windows``). Each pair is segmented by the configured family;
-    dpo is planned as its one-segment case, the adaptive family with m=1.
+    (``lm.side_windows``). Each pair is segmented by ``cfg.segment_rule()``:
+    the configured family, or dpo's one segment (``losses.DPO_SEGMENTS``).
     A weighted loss lays out every pair's rejected scores, which must exist.
     Without a ``cfg`` no loss layout is planned: the plan then serves only
     whole-stack scoring, as the reward profile needs.
@@ -226,10 +221,9 @@ def plan_dataset(
     rows, targets = ref.stacked_rows(prompts, responses)
     layout = None
     if cfg is not None:
-        adpo = cfg.method == "adpo"
-        family, param = (cfg.family, cfg.segment_param()) if adpo else ("adaptive", 1)
+        rule = cfg.segment_rule()
         layout = segment_layout(
-            [segment_pair((len(p.chosen), len(p.rejected)), family, param) for p in dataset],
+            [segment_pair((len(p.chosen), len(p.rejected)), *rule) for p in dataset],
             [p.rejected_scores for p in dataset] if cfg.weighted else None,
         )
     return DatasetPlan(
@@ -359,8 +353,7 @@ def prefix_reward_profile(
     """
     if not checkpoints:
         raise ValidationError("at least one checkpoint is required")
-    if bins < 1:
-        raise ValidationError(f"bins must be >= 1, got {bins}")
+    at_least_one(bins=bins)
     check_beta(beta)
     plan = plan_dataset(dataset, None, ref)
     lengths = np.diff(plan.offsets)

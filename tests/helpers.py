@@ -11,6 +11,8 @@ come from a pair's segment bounds (``xi_static`` and ``xi_adaptive``),
 whereas ``composition.stacked_ranks`` computes them in closed form from
 the side lengths. ``shift_drift`` is the shift-invariance residual of the
 oracle's reparameterization, from two ``reparameterize`` calls of its own.
+``reference_dpo`` is DPO written out with ``np.sum`` per side, apart from
+the segment layout that every loss in ``losses`` shares.
 """
 
 from dataclasses import dataclass
@@ -85,6 +87,15 @@ def scalar_root(node, up=None):
         node.grad += g * up
 
     return ad.Node(node.graph, np.sum(node.value * up), (node,), backward)
+
+
+def reference_dpo(pairs, beta: float) -> float:
+    """The DPO loss (Rafailov et al., 2023) of (chosen, rejected) log-ratio
+    vectors: the mean over pairs of -log sigmoid(beta * (sum chosen - sum
+    rejected)), each side summed by ``np.sum``, and -log sigmoid(x) taken
+    as ``np.logaddexp(0, -x)``."""
+    margins = np.array([beta * (np.sum(chosen) - np.sum(rejected)) for chosen, rejected in pairs])
+    return float(np.mean(np.logaddexp(0.0, -margins)))
 
 
 def vocab_logprobs(policy, rows) -> np.ndarray:

@@ -360,12 +360,14 @@ def _op_cases(rng):
     neural = lm.NeuralPolicy(lm.Vocab(4), dict(zip(names, neural_params)),
                              context=2, embed_dim=3, hidden_dim=2)
     return [
-        ("sub", lambda g, p: scalar_root(ad.sub(p[0], p[1])), [v, w]),
+        # sub's and neural_rows_forward's cotangents vary by entry and change
+        # sign, so a backward that drops or flips the upstream gradient
+        # fails; they take no draw
+        ("sub", lambda g, p: scalar_root(ad.sub(p[0], p[1]), np.linspace(-1.0, 2.0, n)),
+         [v, w]),
         ("ngram_rows_forward", lambda g, p: scalar_root(ngram.rows_forward(
             g, {"logits": p[0]}, np.zeros(12, dtype=int), ngram_targets), ngram_up),
          [ngram_logits]),
-        # a cotangent that varies by row and changes sign, so a backward
-        # that drops or flips the upstream gradient fails; it takes no draw
         ("neural_rows_forward", lambda g, p: scalar_root(neural.rows_forward(
             g, dict(zip(names, p)), ids, idx1), np.linspace(-1.0, 2.0, 3)), neural_params),
         ("slice1d", lambda g, p: scalar_root(ad.slice1d(p[0], 1, 4)), [v]),

@@ -264,7 +264,8 @@ class TestTrain:
 
     def test_blas_thread_variables_do_not_change_outputs(self, tmp_path):
         # an A7-shaped run, cut to 100 steps, in fresh interpreters: one with
-        # the BLAS thread variables unset, one with them set to 1
+        # the BLAS thread variables unset, one with them set to 1, and one
+        # inheriting 2, which preflab's import overrides
         data_path = tmp_path / "data.jsonl"
         gen = write_config(tmp_path / "gen.json", {"seed": 0, "data": {"vocab_size": 12}})
         assert main(["gen-data", "--config", gen, "--out", str(data_path)]) == 0
@@ -276,7 +277,7 @@ class TestTrain:
         blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
         src = os.path.dirname(os.path.dirname(preflab.__file__))
         outputs = []
-        for threads in (None, "1"):
+        for threads in (None, "1", "2"):
             env = {k: v for k, v in os.environ.items() if k not in blas}
             env.update({var: threads for var in blas if threads})
             env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
@@ -289,7 +290,7 @@ class TestTrain:
             )
             assert proc.returncode == 0, proc.stderr
             outputs.append([(out_dir / f).read_bytes() for f in ("trainlog.csv", "final.json")])
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_output_dir_not_in_semantic_hash(self, tmp_path, dataset_path):
         # runs differing only in output_dir produce identical checkpoints

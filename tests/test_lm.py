@@ -1,6 +1,5 @@
 """Unit tests for the tiny autoregressive policies."""
 
-import copy
 import json
 import math
 import sys
@@ -669,33 +668,6 @@ class TestThreadedScoring:
         with pytest.raises(lm.TokenIdError, match="^token id 12 out of range for vocab size 12$"):
             trainer.plan_dataset(pairs, LossConfig(method="dpo"), policy)
         assert pools == []
-
-
-class TestCloneFrozen:
-    """The trainer's frozen reference is a deep copy of the initial policy."""
-
-    def test_bitwise_equal_at_copy_time(self, vocab):
-        policy = lm.NeuralPolicy.init(vocab, child_rng(1, "init"))
-        ref = copy.deepcopy(policy)
-        a = lm.token_logprobs(policy, (3,), (4, 5))
-        b = lm.token_logprobs(ref, (3,), (4, 5))
-        assert np.array_equal(a, b)
-
-    def test_mutating_original_leaves_clone_unchanged(self, vocab):
-        policy = lm.NGramPolicy.random(vocab, 2, np.random.default_rng(4))
-        ref = copy.deepcopy(policy)
-        before = lm.token_logprobs(ref, (3,), (4, 5, 3)).copy()
-        for _ in range(100):
-            policy.params["logits"] += 0.05
-        after = lm.token_logprobs(ref, (3,), (4, 5, 3))
-        assert np.array_equal(before, after)
-
-    def test_log_ratio_of_clone_is_zero(self, vocab):
-        policy = lm.NeuralPolicy.init(vocab, child_rng(2, "init"))
-        ref = copy.deepcopy(policy)
-        a = lm.token_logprobs(policy, (3, 4), (5, 3, 4, 5))
-        b = lm.token_logprobs(ref, (3, 4), (5, 3, 4, 5))
-        assert np.array_equal(a, b)
 
 
 def windows_per_side(vocab, width, prompt, response):

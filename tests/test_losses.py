@@ -12,7 +12,7 @@ from preflab.composition import segment_pair
 from preflab.errors import ValidationError
 from preflab.seeds import child_rng
 
-from helpers import grad_check
+from helpers import grad_check, reference_dpo
 
 
 def make_pair(graph, chosen, rejected):
@@ -31,6 +31,11 @@ def random_batch(graph, rng, n_pairs, beta=1.0, max_len=12, scale=1.0):
             make_pair(graph, scale * rng.standard_normal(lw), scale * rng.standard_normal(ll))
         )
     return losses.LogRatioBatch(pairs=pairs, beta=beta)
+
+
+def sides(batch):
+    """The (chosen, rejected) log-ratio arrays of every pair of ``batch``."""
+    return [(p.chosen.value, p.rejected.value) for p in batch.pairs]
 
 
 def segment_sums(values, bounds):
@@ -94,7 +99,8 @@ class TestAdpoLoss:
             ]
             a = float(losses.adpo_loss(batch, segs).value)
             d = float(losses.dpo_loss(batch).value)
-            assert abs(a - d) <= 1e-12
+            want = reference_dpo(sides(batch), beta)
+            assert abs(a - want) <= 1e-12 and abs(d - want) <= 1e-12
 
     def test_token_level_hand_value(self):
         g = ad.Graph()
@@ -122,8 +128,7 @@ class TestAdpoLoss:
             for p in batch.pairs
         ]
         a = float(losses.adpo_loss(batch, segs).value)
-        d = float(losses.dpo_loss(batch).value)
-        assert abs(a - d) <= 1e-12
+        assert abs(a - reference_dpo(sides(batch), batch.beta)) <= 1e-12
 
     def test_swap_antisymmetry_of_segment_logits(self):
         rng = np.random.default_rng(3)
@@ -389,8 +394,7 @@ class TestSingleLossNode:
             lw, ll = (int(x) for x in rng.integers(1, 12, size=2))
             pairs.append(make_pair(g, rng.standard_normal(lw), rng.standard_normal(ll)))
             scores.append(rng.uniform(0, 1, size=ll))
-            # dpo is planned as the default adaptive family with m=1
-            segs.append(segment_pair((lw, ll), cfg.family, cfg.segment_param() or 1))
+            segs.append(segment_pair((lw, ll), *cfg.segment_rule()))
         batch = losses.LogRatioBatch(pairs, beta=1.0)
         layout = losses.segment_layout(segs, scores if cfg.weighted else None)
         before = len(g)

@@ -158,7 +158,7 @@ class TestPlannedLayout:
         if cfg.method == "dpo":
             return losses.dpo_loss(batch)
         segs = [
-            segment_pair((len(p.chosen), len(p.rejected)), cfg.family, cfg.segment_param())
+            segment_pair((len(p.chosen), len(p.rejected)), *cfg.segment_rule())
             for p in pairs
         ]
         if cfg.weighted:
