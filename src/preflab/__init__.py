@@ -13,7 +13,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-from .composition import StrongComposition, segment_pair, xi_adaptive, xi_static
+from .composition import segment_pair
 from .data import BigramMatchTask, PreferencePair, generate_dataset, load_jsonl, save_jsonl
 from .lm import (
     NeuralPolicy,
@@ -50,7 +50,6 @@ __all__ = [
     "NeuralPolicy",
     "PairLogRatios",
     "PreferencePair",
-    "StrongComposition",
     "TrainConfig",
     "Vocab",
     "additive_decompose",
@@ -69,6 +68,4 @@ __all__ = [
     "segment_pair",
     "token_logprobs",
     "train",
-    "xi_adaptive",
-    "xi_static",
 ]

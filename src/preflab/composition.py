@@ -10,13 +10,12 @@ contiguous segments. Two families are provided:
   its own length (segments may be empty when the side is shorter than
   ``m``).
 
-``xi_static`` and ``xi_adaptive`` define the segments. A ``SegmentedPair``
-records only what defines a pair's segmentation (family, parameter and
-the two side lengths) and derives its bounds from them on demand.
-``stacked_ranks`` gives, for every position of a whole list of pairs, the
-rank of its segment among its pair's kept segments (those non-empty on at
-least one side), the ids the loss sums by, in closed form from the length
-arrays:
+A ``SegmentedPair`` records only what defines a pair's segmentation
+(family, parameter and the two side lengths). ``stacked_ranks`` is the
+definition in use: for every position of a whole list of pairs it gives
+the rank of its segment among its pair's kept segments (those non-empty
+on at least one side), the ids the loss sums by, in closed form from the
+length arrays:
 
 * static: position i is in window i // k, and no window is empty on both
   sides, so the window is the rank;
@@ -32,8 +31,6 @@ Pure functions throughout; safe to call from any thread.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 
@@ -43,82 +40,12 @@ FAMILIES = ("static", "adaptive")
 
 
 @dataclass(frozen=True)
-class StrongComposition:
-    """Ordered segment sizes that sum to the decomposed length."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.parts and min(self.parts) < 0:
-            raise ValidationError(f"negative segment size in {self.parts}")
-
-    def bounds(self) -> tuple[tuple[int, int], ...]:
-        """Half-open [start, stop) ranges of each segment, 0-based."""
-        stops = tuple(accumulate(self.parts))
-        return tuple(zip((0,) + stops[:-1], stops))
-
-
-def _check_window(k: int) -> None:
-    if k < 1:
-        raise ValidationError(f"static window size must be >= 1, got {k}")
-
-
-def _check_count(m: int) -> None:
-    if m < 1:
-        raise ValidationError(f"adaptive segment count must be >= 1, got {m}")
-
-
-def _check_sides(len_w: int, len_l: int) -> None:
-    if len_w < 1 or len_l < 1:
-        raise ValidationError(
-            f"both sides must be non-empty, got lengths ({len_w}, {len_l})"
-        )
-
-
-def xi_static(
-    len_w: int, len_l: int, k: int
-) -> tuple[StrongComposition, StrongComposition]:
-    """Fixed windows of ``k`` tokens at the same absolute positions on both sides.
-
-    Window i covers positions [i*k, (i+1)*k), clipped to each side's own
-    length; there are ceil(max(len_w, len_l) / k) windows, so the windows
-    past the end of the shorter side are empty on that side.
-    """
-    _check_window(k)
-    _check_sides(len_w, len_l)
-    n_windows = -(-max(len_w, len_l) // k)
-
-    def clipped(length: int) -> StrongComposition:
-        full, rest = divmod(length, k)
-        parts = (k,) * full + ((rest,) if rest else ())
-        return StrongComposition(parts + (0,) * (n_windows - len(parts)))
-
-    return clipped(len_w), clipped(len_l)
-
-
-def xi_adaptive(length: int, m: int) -> StrongComposition:
-    """Split ``length`` positions into exactly ``m`` near-uniform segments.
-
-    Segment sizes are floor(i*length/m) - floor((i-1)*length/m), so each is
-    either floor(length/m) or ceil(length/m); sizes may be 0 when
-    length < m.
-    """
-    _check_count(m)
-    if length < 0:
-        raise ValidationError(f"length must be >= 0, got {length}")
-    parts = tuple(length * (i + 1) // m - length * i // m for i in range(m))
-    return StrongComposition(parts)
-
-
-@dataclass(frozen=True)
 class SegmentedPair:
     """Aligned segmentation of one preference pair, by what defines it.
 
     Segment i of the chosen side is compared against segment i of the
-    rejected side. Each side's bounds tile that side's own token-logprob
-    vector; a segment may be empty on one side. The bounds are built by
-    ``xi_static`` or ``xi_adaptive`` only when asked for, one entry per
-    segment; ``stacked_ranks`` gives the kept ranks in closed form.
+    rejected side; a segment may be empty on one side. ``stacked_ranks``
+    gives every position's kept rank in closed form from these four fields.
     """
 
     family: str
@@ -126,42 +53,24 @@ class SegmentedPair:
     len_w: int
     len_l: int
 
-    @cached_property
-    def _compositions(self) -> tuple[StrongComposition, StrongComposition]:
-        if self.family == "static":
-            return xi_static(self.len_w, self.len_l, self.param)
-        return xi_adaptive(self.len_w, self.param), xi_adaptive(self.len_l, self.param)
-
-    @property
-    def n_segments(self) -> int:
-        if self.family == "static":
-            return -(-max(self.len_w, self.len_l) // self.param)
-        return self.param
-
-    @property
-    def w_bounds(self) -> tuple[tuple[int, int], ...]:
-        return self._compositions[0].bounds()
-
-    @property
-    def l_bounds(self) -> tuple[tuple[int, int], ...]:
-        return self._compositions[1].bounds()
-
 
 def segment_pair(lengths: tuple[int, int], family: str, param: int) -> SegmentedPair:
     """Segment both sides of a pair by one composition family.
 
     ``lengths`` are the token counts of the chosen and rejected responses.
-    Validates as ``xi_static`` or ``xi_adaptive`` would, in O(1).
+    Checks the parameter and that both sides are non-empty, in O(1).
     """
     len_w, len_l = lengths
-    if family == "static":
-        _check_window(param)
-        _check_sides(len_w, len_l)
-    elif family == "adaptive":
-        _check_sides(len_w, len_l)
-        _check_count(param)
-    else:
+    if family not in FAMILIES:
         raise ValidationError(f"unknown composition family {family!r}")
+    if family == "static" and param < 1:
+        raise ValidationError(f"static window size must be >= 1, got {param}")
+    if len_w < 1 or len_l < 1:
+        raise ValidationError(
+            f"both sides must be non-empty, got lengths ({len_w}, {len_l})"
+        )
+    if family == "adaptive" and param < 1:
+        raise ValidationError(f"adaptive segment count must be >= 1, got {param}")
     return SegmentedPair(family, param, len_w, len_l)
 
 

@@ -1,15 +1,16 @@
 """Gradient checking, scoring, policies, draws and reference segmentations
 that only tests use.
 
-``grad_check`` compares a graph's analytic gradients against central
-finite differences; ``scalar_root`` turns a vector node into the scalar a
+``grad_check`` compares a graph's analytic gradients against extrapolated
+central differences; ``scalar_root`` turns a vector node into the scalar a
 backward pass starts from. The scoring here is the tests' independent path to a policy's
 conditionals: it calls the public ``row_logprobs`` once per id and row,
 whereas the oracle reads an n-gram's table through its state recursion,
-so each can be checked against the other. Likewise the kept ranks here
-come from a pair's segment bounds (``xi_static`` and ``xi_adaptive``),
-whereas ``composition.stacked_ranks`` computes them in closed form from
-the side lengths. ``shift_drift`` is the shift-invariance residual of the
+so each can be checked against the other. Likewise ``segment_bounds`` is
+the paper's definition of a pair's segments, written from the segment
+sizes, and the kept ranks here are read off those bounds, whereas
+``composition.stacked_ranks`` computes them in closed form from each
+position. ``shift_drift`` is the shift-invariance residual of the
 oracle's reparameterization, from two ``reparameterize`` calls of its own.
 ``reference_dpo`` is DPO written out with ``np.sum`` per side, apart from
 the segment layout that every loss in ``losses`` shares.
@@ -38,7 +39,11 @@ def grad_check(
     h: float = 1e-5,
     tol: float = 1e-6,
 ) -> GradCheckReport:
-    """Compare analytic gradients of a scalar graph against central differences.
+    """Compare analytic gradients of a scalar graph against finite differences.
+
+    Each numeric derivative is the Richardson extrapolation
+    (4·D(h/2) − D(h))/3 of the central differences D at ±h and ±h/2, whose
+    h² error terms cancel, leaving an error of order h⁴.
 
     ``build(graph, leaves)`` must construct and return a scalar Node from
     the given leaves; it is re-invoked for every probe and must be pure.
@@ -58,18 +63,21 @@ def grad_check(
         g = ad.Graph()
         return float(build(g, [g.leaf(v) for v in values]).value)
 
+    def central(flat, j, step) -> float:
+        keep = flat[j]
+        flat[j] = keep + step
+        f_plus = evaluate(base)
+        flat[j] = keep - step
+        f_minus = evaluate(base)
+        flat[j] = keep
+        return (f_plus - f_minus) / (2.0 * step)
+
     max_rel = 0.0
     for pi, p in enumerate(base):
         flat = p.reshape(-1)
         grad_flat = analytic[pi].reshape(-1)
         for j in range(flat.size):
-            keep = flat[j]
-            flat[j] = keep + h
-            f_plus = evaluate(base)
-            flat[j] = keep - h
-            f_minus = evaluate(base)
-            flat[j] = keep
-            numeric = (f_plus - f_minus) / (2.0 * h)
+            numeric = (4.0 * central(flat, j, h / 2) - central(flat, j, h)) / 3.0
             a = float(grad_flat[j])
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
             if rel > max_rel:
@@ -147,12 +155,24 @@ def along_sequences(space, table) -> np.ndarray:
     return np.take(flat, space.flat_at.T, axis=-1)
 
 
+def segment_bounds(seg) -> tuple[list, list]:
+    """The paper's segments of a ``SegmentedPair``, per side, as half-open
+    [start, stop) bounds from the segment sizes: static window i is
+    [i·k, (i+1)·k) clipped to the side's length, with ⌈max(len_w, len_l)/k⌉
+    windows; adaptive segment i of a side of n tokens is
+    [⌊i·n/m⌋, ⌊(i+1)·n/m⌋)."""
+    p, sides = seg.param, (seg.len_w, seg.len_l)
+    if seg.family == "static":
+        count = -(-max(sides) // p)
+        return tuple([(min(i * p, n), min((i + 1) * p, n)) for i in range(count)] for n in sides)
+    return tuple([(i * n // p, (i + 1) * n // p) for i in range(p)] for n in sides)
+
+
 def bounds_kept_ranks(seg) -> tuple[np.ndarray, np.ndarray]:
     """Per side, the rank of every position's segment among the segments
-    non-empty on at least one side, read off the pair's bounds."""
+    non-empty on at least one side, read off ``segment_bounds``."""
     w_sizes, l_sizes = (
-        np.array([stop - start for start, stop in b], dtype=np.intp)
-        for b in (seg.w_bounds, seg.l_bounds)
+        np.array([stop - start for start, stop in b], dtype=np.intp) for b in segment_bounds(seg)
     )
     rank = np.cumsum(w_sizes + l_sizes > 0) - 1
     return np.repeat(rank, w_sizes), np.repeat(rank, l_sizes)

@@ -333,7 +333,6 @@ def _op_cases(rng):
     n = 5
     v = rng.standard_normal(n)
     w = rng.standard_normal(n)
-    rng.standard_normal((3, 4))  # drawn only to keep every later draw in place
     mat2 = rng.standard_normal((4, 2))
     bias = rng.standard_normal(2)
     # an order-1 n-gram over vocab 12: all twelve positions read its one row
@@ -343,17 +342,14 @@ def _op_cases(rng):
     seg_ids = rng.integers(0, 3, size=2 * n)  # the second pair's segment 3 stays empty
     seg_w = rng.standard_normal(2 * n)
     flat_const = rng.standard_normal(12)
-    rng.standard_normal(4)  # drawn only to keep every later draw in place
-    # twelve draws here and twelve for the logits above: the neural
-    # parameters below keep the draws their 300-seed bound was measured on
     ngram_up = rng.standard_normal(12)
     ngram = lm.NGramPolicy(lm.Vocab(12), {"logits": ngram_logits}, order=1)
     ngram_targets = np.concatenate([ids.reshape(-1), idx1, seg_ids[:3]])
     # the neural policy's one-node forward: vocab 4, window 2, embed 3, hidden 2.
-    # Its parameters are halved: at unit scale a coordinate of this composite
-    # can be as small as 1e-5, where the central difference itself errs by
-    # more than 1e-6 relative (the error shrinks as h^2, so the analytic
-    # value is the right one); at half scale 300 seeds stay below 4e-7
+    # Its parameters are halved: at unit scale a gradient coordinate can be
+    # near 1e-5, where even the extrapolated difference at h = 1e-3 errs by
+    # more than 1e-6 relative (5 of 1,000 seeds, up to 9.5e-5); at half
+    # scale 1,000 seeds stay below 2.7e-7
     names = ("emb", "w1", "b1", "w2", "b2")
     neural_params = [0.5 * p for p in (rng.standard_normal((4, 3)), flat_const.reshape(6, 2),
                                        bias, mat2.T.copy(), rng.standard_normal(4))]
@@ -407,7 +403,7 @@ class TestGradCheck:
         for seed in range(100):
             rng = np.random.default_rng(seed)
             for name, build, params in _op_cases(rng):
-                report = grad_check(build, params, h=1e-5, tol=1e-6)
+                report = grad_check(build, params, h=1e-3, tol=1e-6)
                 worst = max(worst, report.max_rel_error)
                 assert report.passed, f"{name} failed at seed {seed}: {report}"
         assert worst <= 1e-6

@@ -336,6 +336,11 @@ class TestTrain:
              "model.hidden_dim applies to neural models only"),
             # Adam is the one optimizer
             (["train.optimizer=sgd"], "train.optimizer must be one of ('adam',), got 'sgd'"),
+            (["loss.method=adpo", "loss.family=static"],
+             "loss.k must be >= 1 for the static family"),
+            (["loss.method=adpo", "loss.family=adaptive", "loss.m=0"],
+             "loss.m must be >= 1 for the adaptive family"),
+            (["train.checkpoint_every=-1"], "checkpoint_every must be >= 0, got -1"),
         ],
     )
     def test_bad_model_or_loss_override_exits_2(

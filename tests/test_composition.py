@@ -11,7 +11,7 @@ from preflab import composition as comp
 from preflab import losses
 from preflab.errors import ValidationError
 
-from helpers import bounds_kept_ranks, python_kept_ranks
+from helpers import bounds_kept_ranks, python_kept_ranks, segment_bounds
 
 
 def kept_ranks(seg):
@@ -20,72 +20,74 @@ def kept_ranks(seg):
     return ranks[: seg.len_w], ranks[seg.len_w :]
 
 
+def assert_ranks_match_bounds(seg):
+    assert [r.tolist() for r in kept_ranks(seg)] == [r.tolist() for r in bounds_kept_ranks(seg)]
+
+
+def kept_sizes(seg):
+    """Per side, the token count of each kept segment, from the closed form."""
+    w, l = kept_ranks(seg)
+    kept = int(max(w.max(), l.max())) + 1
+    return tuple(np.bincount(r, minlength=kept).tolist() for r in (w, l))
+
+
 class TestStatic:
     def test_window_four_over_ten(self):
-        c_w, c_l = comp.xi_static(10, 10, 4)
-        assert c_w.parts == (4, 4, 2)
-        assert c_l.parts == c_w.parts
+        seg = comp.segment_pair((10, 10), "static", 4)
+        assert kept_sizes(seg) == ([4, 4, 2], [4, 4, 2])
+        assert segment_bounds(seg)[0] == [(0, 4), (4, 8), (8, 10)]
 
     def test_window_one_is_token_level(self):
-        c_w, _ = comp.xi_static(10, 10, 1)
-        assert c_w.parts == (1,) * 10
+        assert kept_sizes(comp.segment_pair((10, 10), "static", 1))[0] == [1] * 10
 
     def test_giant_window_collapses_to_one_segment(self):
-        c_w, c_l = comp.xi_static(7, 5, 100)
-        assert c_w.parts == (7,)
-        assert c_l.parts == (5,)
+        seg = comp.segment_pair((7, 5), "static", 100)
+        assert kept_sizes(seg) == ([7], [5])
+        assert segment_bounds(seg) == ([(0, 7)], [(0, 5)])
 
     def test_short_side_windows_clip_to_its_length(self):
-        c_w, c_l = comp.xi_static(3, 5, 2)
+        seg = comp.segment_pair((3, 5), "static", 2)
         # windows [0,2), [2,4), [4,6) clipped to each side
-        assert c_w.parts == (2, 1, 0)
-        assert c_l.parts == (2, 2, 1)
-
-    def test_bad_window_rejected(self):
-        with pytest.raises(ValidationError):
-            comp.xi_static(3, 5, 0)
-        with pytest.raises(ValidationError):
-            comp.xi_static(0, 5, 2)
+        assert kept_sizes(seg) == ([2, 1, 0], [2, 2, 1])
+        assert segment_bounds(seg) == ([(0, 2), (2, 3), (3, 3)], [(0, 2), (2, 4), (4, 5)])
 
 
 class TestAdaptive:
     def test_ten_into_three(self):
-        assert comp.xi_adaptive(10, 3).parts == (3, 3, 4)
+        seg = comp.segment_pair((10, 10), "adaptive", 3)
+        assert kept_sizes(seg)[0] == [3, 3, 4]
+        assert segment_bounds(seg)[0] == [(0, 3), (3, 6), (6, 10)]
 
     def test_single_segment_is_whole_response(self):
-        assert comp.xi_adaptive(5, 1).parts == (5,)
+        assert kept_sizes(comp.segment_pair((5, 5), "adaptive", 1))[0] == [5]
 
     def test_short_response_gets_empty_segments(self):
-        assert comp.xi_adaptive(2, 3).parts == (0, 1, 1)
-
-    def test_bad_count_rejected(self):
-        with pytest.raises(ValidationError):
-            comp.xi_adaptive(5, 0)
-        with pytest.raises(ValidationError):
-            comp.xi_adaptive(-1, 2)
+        # the rejected side has content in all three segments, so all are kept
+        seg = comp.segment_pair((2, 3), "adaptive", 3)
+        assert kept_sizes(seg) == ([0, 1, 1], [1, 1, 1])
+        assert segment_bounds(seg)[0] == [(0, 0), (0, 1), (1, 2)]
 
 
 class TestSegmentPair:
     def test_adaptive_one_segment_spans_everything(self):
         seg = comp.segment_pair((5, 7), "adaptive", 1)
-        assert seg.n_segments == 1
-        assert seg.w_bounds == ((0, 5),)
-        assert seg.l_bounds == ((0, 7),)
+        assert segment_bounds(seg) == ([(0, 5)], [(0, 7)])
         assert [r.tolist() for r in kept_ranks(seg)] == [[0] * 5, [0] * 7]
 
     def test_static_token_level_short_side_gets_empty_segments(self):
         seg = comp.segment_pair((3, 5), "static", 1)
-        assert seg.n_segments == 5
-        assert seg.w_bounds == ((0, 1), (1, 2), (2, 3), (3, 3), (3, 3))
-        assert seg.l_bounds == ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5))
+        assert segment_bounds(seg) == (
+            [(0, 1), (1, 2), (2, 3), (3, 3), (3, 3)],
+            [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],
+        )
         # segments 4-5 are empty on the chosen side but kept: the rejected
         # side still has content there
         assert [r.tolist() for r in kept_ranks(seg)] == [[0, 1, 2], [0, 1, 2, 3, 4]]
 
     def test_adaptive_two_segments_both_sides(self):
         seg = comp.segment_pair((4, 6), "adaptive", 2)
-        assert seg.w_bounds == ((0, 2), (2, 4))
-        assert seg.l_bounds == ((0, 3), (3, 6))
+        assert segment_bounds(seg) == ([(0, 2), (2, 4)], [(0, 3), (3, 6)])
+        assert [r.tolist() for r in kept_ranks(seg)] == [[0, 0, 1, 1], [0, 0, 0, 1, 1, 1]]
 
     def test_both_empty_segment_skipped(self):
         seg = comp.segment_pair((2, 2), "adaptive", 3)
@@ -112,12 +114,10 @@ class TestKeptRanks:
         for len_w in range(1, 8):
             for len_l in range(1, 8):
                 seg = comp.segment_pair((len_w, len_l), family, param)
-                kept = [
-                    i for i, ((a, b), (c, d)) in enumerate(zip(seg.w_bounds, seg.l_bounds))
-                    if b > a or d > c
-                ]
-                for bounds, ranks in zip((seg.w_bounds, seg.l_bounds), kept_ranks(seg)):
-                    direct = [kept.index(i) for i, (a, b) in enumerate(bounds) for _ in range(a, b)]
+                bounds = segment_bounds(seg)
+                kept = [i for i, ((a, b), (c, d)) in enumerate(zip(*bounds)) if b > a or d > c]
+                for side, ranks in zip(bounds, kept_ranks(seg)):
+                    direct = [kept.index(i) for i, (a, b) in enumerate(side) for _ in range(a, b)]
                     assert ranks.dtype == np.intp and ranks.tolist() == direct
 
     @pytest.mark.parametrize(
@@ -131,8 +131,7 @@ class TestKeptRanks:
         ],
     )
     def test_segment_pair_validates_eagerly(self, lengths, family, param, message):
-        # the checks and their order of xi_static, and of xi_adaptive after
-        # the pair's own non-empty check
+        # static checks its window before the sides, adaptive its count after
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             comp.segment_pair(lengths, family, param)
 
@@ -154,14 +153,14 @@ def bounds_reference():
     out = {}
     for family, param, len_w, len_l in GRID:
         seg = comp.segment_pair((len_w, len_l), family, param)
-        kept = sum(b > a or d > c for (a, b), (c, d) in zip(seg.w_bounds, seg.l_bounds))
+        kept = sum(b > a or d > c for (a, b), (c, d) in zip(*segment_bounds(seg)))
         out[family, param, len_w, len_l] = (*bounds_kept_ranks(seg), kept)
     return out
 
 
 class TestClosedFormLayout:
     """``segment_layout`` ranks a whole list in closed form; it must give
-    what each pair's own bounds give."""
+    what each pair's reference bounds give."""
 
     def assert_layout_matches(self, reference, keys, with_scores):
         segmentation = [comp.segment_pair((lw, ll), f, p) for f, p, lw, ll in keys]
@@ -214,14 +213,15 @@ class TestClosedFormLayout:
                     assert [r.tolist() for r in kept_ranks(huge)] == want
 
     def test_segment_pair_records_only_what_defines_it(self):
-        # O(1) whatever m: nothing is sized by the parameter until bounds are asked for
+        # O(1) whatever m: nothing is sized by the parameter
         seg = comp.segment_pair((5, 7), "adaptive", 10**12)
         assert (seg.family, seg.param, seg.len_w, seg.len_l) == ("adaptive", 10**12, 5, 7)
-        assert seg.n_segments == 10**12
         assert [r.tolist() for r in kept_ranks(seg)] == list(
             python_kept_ranks("adaptive", 10**12, 5, 7)
         )
-        assert comp.segment_pair((5, 7), "static", 10**30).n_segments == 1
+        giant = comp.segment_pair((5, 7), "static", 10**30)
+        assert_ranks_match_bounds(giant)
+        assert len(segment_bounds(giant)[0]) == 1
 
     def test_ids_beyond_int64_rejected_before_any_array(self):
         # (i + 1)·m at m = len_w·len_l reaches the cube of the side length
@@ -230,8 +230,7 @@ class TestClosedFormLayout:
             losses.segment_layout([comp.segment_pair((side, side - 1), "adaptive", 10**40)])
 
 
-def assert_partition(parts, length):
-    bounds = comp.StrongComposition(tuple(parts)).bounds()
+def assert_partition(bounds, length):
     covered = []
     for start, stop in bounds:
         assert 0 <= start <= stop <= length
@@ -249,29 +248,37 @@ class TestProperties:
     def test_static_partitions_padded_grid(self, len_w, len_l, k):
         # the windows of the shared grid 0..max(len_w, len_l), each side
         # clipped to its own length
-        c_w, c_l = comp.xi_static(len_w, len_l, k)
+        seg = comp.segment_pair((len_w, len_l), "static", k)
+        bounds = segment_bounds(seg)
         grid = max(len_w, len_l)
         n = -(-grid // k)
-        for c, length in ((c_w, len_w), (c_l, len_l)):
-            assert len(c.parts) == n
-            assert_partition(c.parts, length)
-            for i, (start, stop) in enumerate(c.bounds()):
-                assert (start, stop) == (min(i * k, length), min((i + 1) * k, length))
-        assert all(max(a, b) >= 1 for a, b in zip(c_w.parts, c_l.parts))
+        for side, length, ranks in zip(bounds, (len_w, len_l), kept_ranks(seg)):
+            assert len(side) == n
+            assert_partition(side, length)
+            position = np.arange(length)
+            assert np.all(ranks * k <= position) and np.all(position < (ranks + 1) * k)
+        assert all(b > a or d > c for (a, b), (c, d) in zip(*bounds))
+        assert_ranks_match_bounds(seg)
         if k >= grid:
             assert n == 1
 
-    @given(length=st.integers(0, 512), m=st.integers(1, 512))
+    @given(length=st.integers(1, 512), m=st.integers(1, 512))
     @settings(max_examples=200, deadline=None)
     def test_adaptive_partitions_uniformly(self, length, m):
-        c = comp.xi_adaptive(length, m)
-        assert len(c.parts) == m
-        assert sum(c.parts) == length
-        assert_partition(c.parts, length)
+        seg = comp.segment_pair((length, length), "adaptive", m)
+        side = segment_bounds(seg)[0]
+        sizes = [stop - start for start, stop in side]
+        assert len(side) == m
+        assert sum(sizes) == length
+        assert_partition(side, length)
         lo, hi = length // m, -(-length // m)
-        assert all(p in (lo, hi) for p in c.parts)
+        assert all(p in (lo, hi) for p in sizes)
+        # kept segments are the non-empty ones, so the closed form's sizes
+        # are near-uniform too
+        assert all(p in (lo, hi) for p in kept_sizes(seg)[0])
+        assert_ranks_match_bounds(seg)
         if m == 1:
-            assert c.parts == (length,)
+            assert side == [(0, length)]
 
     @given(
         len_w=st.integers(1, 64),
@@ -282,13 +289,14 @@ class TestProperties:
     def test_segment_pair_alignment(self, len_w, len_l, m):
         for family in ("adaptive", "static"):
             seg = comp.segment_pair((len_w, len_l), family, m)
-            assert len(seg.w_bounds) == len(seg.l_bounds) == seg.n_segments
+            w_bounds, l_bounds = segment_bounds(seg)
+            assert len(w_bounds) == len(l_bounds)
             if family == "adaptive":
-                assert seg.n_segments == m
-            assert seg.w_bounds[-1][1] == len_w and seg.l_bounds[-1][1] == len_l
-            w_sizes = [b - a for a, b in seg.w_bounds]
-            l_sizes = [b - a for a, b in seg.l_bounds]
-            live = [i for i in range(seg.n_segments) if w_sizes[i] or l_sizes[i]]
-            for bounds, ranks in zip((seg.w_bounds, seg.l_bounds), kept_ranks(seg)):
+                assert len(w_bounds) == m
+            assert w_bounds[-1][1] == len_w and l_bounds[-1][1] == len_l
+            w_sizes = [b - a for a, b in w_bounds]
+            l_sizes = [b - a for a, b in l_bounds]
+            live = [i for i in range(len(w_bounds)) if w_sizes[i] or l_sizes[i]]
+            for bounds, ranks in zip((w_bounds, l_bounds), kept_ranks(seg)):
                 direct = [live.index(i) for i, (a, b) in enumerate(bounds) for _ in range(a, b)]
                 assert ranks.tolist() == direct

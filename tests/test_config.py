@@ -1,6 +1,7 @@
 """Unit tests for run-config loading, validation, and builders."""
 
 import json
+import re
 
 import pytest
 
@@ -127,6 +128,21 @@ class TestResolve:
     def test_choice_errors(self):
         with pytest.raises(ValidationError, match="loss.method"):
             cfgmod.resolve({"loss": {"method": "ppo"}})
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: LossConfig(method="x"), "loss.method must be dpo or adpo, got 'x'"),
+            (lambda: LossConfig(method="adpo", family="x"),
+             "loss.family must be static or adaptive, got 'x'"),
+            (lambda: TrainConfig(optimizer="sgd"), "optimizer must be adam, got 'sgd'"),
+        ],
+        ids=["method", "family", "optimizer"],
+    )
+    def test_library_configs_check_their_choices(self, build, message):
+        # the choices above stop these values before a library config is built
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build().validate()
 
 
 class TestOverrides:

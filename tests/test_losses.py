@@ -12,7 +12,7 @@ from preflab.composition import segment_pair
 from preflab.errors import ValidationError
 from preflab.seeds import child_rng
 
-from helpers import grad_check, reference_dpo
+from helpers import grad_check, reference_dpo, segment_bounds
 
 
 def make_pair(graph, chosen, rejected):
@@ -136,10 +136,11 @@ class TestAdpoLoss:
         beta = 1.3
         seg = segment_pair((6, 9), "adaptive", 4)
         swapped = segment_pair((9, 6), "adaptive", 4)
-        s_w = segment_sums(chosen, seg.w_bounds)
-        s_l = segment_sums(rejected, seg.l_bounds)
-        s_w2 = segment_sums(rejected, swapped.w_bounds)
-        s_l2 = segment_sums(chosen, swapped.l_bounds)
+        (w_bounds, l_bounds), (w_bounds2, l_bounds2) = map(segment_bounds, (seg, swapped))
+        s_w = segment_sums(chosen, w_bounds)
+        s_l = segment_sums(rejected, l_bounds)
+        s_w2 = segment_sums(rejected, w_bounds2)
+        s_l2 = segment_sums(chosen, l_bounds2)
         forward = beta * (s_w - s_l)
         backward = beta * (s_w2 - s_l2)
         assert np.allclose(forward, -backward, atol=1e-15)
@@ -153,7 +154,7 @@ class TestAdpoLoss:
         loss = float(losses.adpo_loss(batch, [seg]).value)
         prob = math.exp(-loss)
         expected = 1.0
-        for (ws, we), (ls, le) in zip(seg.w_bounds, seg.l_bounds):
+        for (ws, we), (ls, le) in zip(*segment_bounds(seg)):
             delta = np.sum(chosen[ws:we]) - np.sum(rejected[ls:le])
             expected *= float(ad.sigmoid_values(delta))
         assert 0.0 < prob < 1.0
@@ -209,7 +210,7 @@ class TestCadpoLoss:
         c = float(losses.cadpo_loss(batch, segs, ones).value)
         expected = 0.0
         for p, seg in zip(batch.pairs, segs):
-            s_w = np.array([np.sum(p.chosen.value[a:b]) for a, b in seg.w_bounds])
+            s_w = np.array([np.sum(p.chosen.value[a:b]) for a, b in segment_bounds(seg)[0]])
             expected += float(np.sum(-ad.log_sigmoid_values(batch.beta * s_w)))
         expected /= len(batch.pairs)
         assert abs(c - expected) <= 1e-12

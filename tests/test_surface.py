@@ -19,14 +19,6 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "preflab"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-# definition -> why it stays without a caller in src/, perfbench/ or __all__
-# (the definitional segments are the reference stacked_ranks is tested against)
-ALLOWED = {
-    "composition.SegmentedPair.n_segments": "segment count of the definitional segments",
-    "composition.SegmentedPair.w_bounds": "chosen-side bounds of the definitional segments",
-    "composition.SegmentedPair.l_bounds": "rejected-side bounds of the definitional segments",
-}
-
 
 def _names(tree, strings: bool = False, bare: bool = True) -> Counter:
     """Identifiers read in ``tree``: attributes but those of a name ``rng``,
@@ -62,11 +54,11 @@ def _definitions(sources):
                         yield f"{stem}.{node.name}.{member.name}", member, True
 
 
-def unused_definitions(allowed, sources=None) -> list:
+def unused_definitions(sources=None) -> list:
     """Qualified name of every definition of ``sources`` (default: the
-    modules of ``src/preflab``) that nothing uses and ``allowed`` does not
-    name. A method or property is used only as an attribute, so a bare name
-    of the same spelling (a local variable) does not count."""
+    modules of ``src/preflab``) that nothing uses. A method or property is
+    used only as an attribute, so a bare name of the same spelling (a local
+    variable) does not count."""
     sources = sources or _sources()
     trees = [ast.parse(text) for text in sources.values()]
     used = {bare: sum((_names(tree, bare=bare) for tree in trees), Counter())
@@ -80,17 +72,11 @@ def unused_definitions(allowed, sources=None) -> list:
         if used[not method][node.name] <= _names(node, bare=not method)[node.name]
         and not named[node.name]
         and node.name not in preflab.__all__
-        and qualified not in allowed
     ]
 
 
 def test_every_definition_has_a_caller():
-    assert unused_definitions(ALLOWED) == []
-
-
-def test_allow_list_names_only_definitions_without_a_caller():
-    # an allowed name that gains a caller leaves the list
-    assert set(unused_definitions(allowed=())) == set(ALLOWED)
+    assert unused_definitions() == []
 
 
 def test_methods_are_scanned():
@@ -108,4 +94,4 @@ def test_a_draw_of_the_same_name_is_not_a_use():
     assert "rng.uniform(" in sources["lm"] and sources["lm"].count(anchor) == 1
     uniform = "    @classmethod\n    def uniform(cls, vocab, order):\n        return cls\n\n"
     sources["lm"] = sources["lm"].replace(anchor, uniform + anchor)
-    assert unused_definitions(ALLOWED, sources) == ["lm.NGramPolicy.uniform"]
+    assert unused_definitions(sources) == ["lm.NGramPolicy.uniform"]
