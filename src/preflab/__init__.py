@@ -13,7 +13,6 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-from .composition import segment_pair
 from .data import BigramMatchTask, PreferencePair, generate_dataset, load_jsonl, save_jsonl
 from .lm import (
     NeuralPolicy,
@@ -30,6 +29,7 @@ from .losses import (
     adpo_loss,
     cadpo_loss,
     dpo_loss,
+    segment_pair,
 )
 from .oracle import (
     EnumSpace,

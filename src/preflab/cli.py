@@ -3,7 +3,7 @@
 Commands: gen-data, train, eval, analyze, oracle-check. Every command is
 driven by one JSON config (plus --set key=value overrides), writes
 byte-deterministic outputs, and uses the exit-code contract 0 = success,
-1 = runtime failure, 2 = invalid input or config.
+1 = runtime failure, 2 = invalid arguments, input or config.
 """
 
 from __future__ import annotations
@@ -200,8 +200,14 @@ def cmd_oracle_check(args) -> int:
     return 0 if all(c["pass"] for c in certificates) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Raise, so that a bad argument leaves through ``main``'s one ``error:`` line."""
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="preflab",
         description="Desk-scale preference-optimization laboratory",
     )
@@ -253,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except (PreflabError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -23,11 +23,10 @@ import os
 import typing
 from dataclasses import dataclass, fields
 
-from .composition import FAMILIES
 from .data import LABELINGS, BigramMatchTask, attach_scores, generate_dataset, load_jsonl
 from .errors import ValidationError
 from .lm import KINDS, Vocab
-from .losses import METHODS, LossConfig
+from .losses import FAMILIES, METHODS, LossConfig
 from .seeds import child_rng
 from .trainer import OPTIMIZERS, TrainConfig
 

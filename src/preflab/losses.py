@@ -1,5 +1,33 @@
-"""Preference losses over token log-ratios: one value function, and its
-graph node for the train step.
+"""Strong-composition segmentation of paired responses, and the preference
+losses over it: one value function, and its graph node for the train step.
+
+A strong composition splits the positions 1..n of a sequence into ordered
+contiguous segments. Two families are provided:
+
+* static: fixed windows of ``k`` tokens at the same absolute positions on
+  both sides of a pair, each clipped to its own side's length (windows
+  past the end of the shorter side are empty there);
+* adaptive: each side is split into exactly ``m`` near-equal segments of
+  its own length (segments may be empty when the side is shorter than
+  ``m``).
+
+``check_rule`` is the one check of a (family, parameter) rule. A
+``SegmentedPair`` records only what defines a pair's segmentation
+(family, parameter and the two side lengths) and runs it, so every record
+is valid. ``stacked_ranks`` is the definition in use: for every
+position of a whole list of pairs it gives the rank of its segment among
+its pair's kept segments (those non-empty on at least one side), the ids
+the loss sums by, in closed form from the length arrays:
+
+* static: position i is in window i // k, and no window is empty on both
+  sides, so the window is the rank;
+* adaptive: position i of a side of length n is in segment
+  ((i + 1)·m − 1) // n. Segments empty on both sides exist only when the
+  longer side is shorter than ``m``, and only those pairs are compacted.
+
+k is clamped at the longer side and m at len_w·len_l; past those the
+ranks no longer change, so no work or array is sized by k or m. The
+segmentation functions are pure and safe to call from any thread.
 
 Every loss consumes per-token log-ratios log(pi_theta / pi_ref), not
 policies, so reference log-probabilities can be precomputed. All three
@@ -13,7 +41,7 @@ divided by the number of pairs, with w_i = +1 on the chosen side and -1
 * dpo_loss: adpo_loss with one adaptive segment per side, ``DPO_SEGMENTS``,
   which covers both whole sides (Corollary 1); the trainer plans dpo with
   the same constant, through ``LossConfig.segment_rule``;
-* adpo_loss: the segments of a composition-module segmentation, summed
+* adpo_loss: the segments of a strong-composition segmentation, summed
   outside the log-sigmoid;
 * cadpo_loss(batch, segmentation, rejected_scores): adpo_loss with
   rejected-side weights -(1 - s_j).
@@ -22,11 +50,9 @@ Which segment each token feeds, and its weight, depend only on the data
 and the config, never on the step. ``segment_layout`` turns one
 ``SegmentedPair`` per pair (and the scores, if weighted, each checked by
 ``data.check_scores``) into a ``SegmentLayout``: per position the
-kept-segment rank and the weight, per side the length, per pair the
-kept-segment count. It ranks every position of the whole list in one
-vectorized pass over the side lengths (``composition.stacked_ranks``),
-whatever k or m; no pair's segment bounds are built. The trainer builds
-it once per command and indexes it per batch.
+kept-segment rank (``stacked_ranks``; no pair's segment bounds are built)
+and the weight, per side the length, per pair the kept-segment count. The
+trainer builds it once per command and indexes it per batch.
 
 ``segment_loss(x, layout, beta)`` is the one loss value, on a plain
 log-ratio vector and without a graph: it takes every segment's z in one
@@ -46,13 +72,102 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-from .composition import FAMILIES, SegmentedPair, segment_pair, stacked_ranks
 from .data import check_scores
 from .errors import ValidationError
 
 METHODS = ("dpo", "adpo")
+FAMILIES = ("static", "adaptive")
 # Corollary 1: DPO is ADPO with one adaptive segment per side
 DPO_SEGMENTS = ("adaptive", 1)
+
+
+def check_rule(family: str, param: int | None) -> None:
+    """Reject a family not in ``FAMILIES``, and a k or m that is None or below 1."""
+    if family not in FAMILIES:
+        raise ValidationError(f"unknown composition family {family!r}")
+    if param is None or param < 1:
+        what = "static window size" if family == "static" else "adaptive segment count"
+        raise ValidationError(f"{what} must be >= 1, got {param}")
+
+
+@dataclass(frozen=True)
+class SegmentedPair:
+    """Aligned segmentation of one preference pair, by what defines it.
+
+    Segment i of the chosen side is compared against segment i of the
+    rejected side; a segment may be empty on one side. ``stacked_ranks``
+    gives every position's kept rank in closed form from these four fields.
+    Construction checks the rule, then that both sides are non-empty.
+    """
+
+    family: str
+    param: int
+    len_w: int
+    len_l: int
+
+    def __post_init__(self):
+        check_rule(self.family, self.param)
+        if self.len_w < 1 or self.len_l < 1:
+            raise ValidationError(
+                f"both sides must be non-empty, got lengths ({self.len_w}, {self.len_l})"
+            )
+
+
+def segment_pair(lengths: tuple[int, int], family: str, param: int) -> SegmentedPair:
+    """Segment a pair whose chosen and rejected responses have ``lengths`` tokens."""
+    return SegmentedPair(family, param, *lengths)
+
+
+def stacked_ranks(segmentation: list[SegmentedPair]) -> tuple[np.ndarray, np.ndarray]:
+    """Kept-segment rank of every position of the stacked sides (chosen then
+    rejected, pair by pair), and the side lengths, in one pass over the
+    length arrays. Pairs may mix families and parameters.
+    """
+    n = len(segmentation)
+    static = np.fromiter((s.family == "static" for s in segmentation), dtype=bool, count=n)
+    lengths = np.fromiter(
+        (side for s in segmentation for side in (s.len_w, s.len_l)), dtype=np.intp, count=2 * n
+    )
+    len_w, len_l = lengths[0::2], lengths[1::2]
+    longer = np.maximum(len_w, len_l)
+    # past these caps the ranks do not change; clamped before int64 arithmetic
+    cap = np.where(static, longer, len_w * len_l).tolist()
+    param = np.fromiter(
+        (min(s.param, c) for s, c in zip(segmentation, cap)), dtype=np.intp, count=n
+    )
+    if int(longer.max()) * int(param.max()) > np.iinfo(np.int64).max:  # (i + 1)·m below
+        raise ValidationError(
+            f"segment ids of sides up to {int(longer.max())} tokens overflow int64"
+        )
+    starts = np.cumsum(lengths) - lengths
+    position = np.arange(int(lengths.sum())) - np.repeat(starts, lengths)
+    side_param = np.repeat(np.repeat(param, 2), lengths)
+    ranks = np.where(
+        np.repeat(np.repeat(static, 2), lengths),
+        position // side_param,
+        ((position + 1) * side_param - 1) // np.repeat(lengths, lengths),
+    )
+    compact = ~static & (longer < param)
+    if compact.any():
+        # dense rank of the segment ids within each compacted pair
+        pair_len = len_w + len_l
+        at = np.flatnonzero(np.repeat(compact, pair_len))
+        pair = np.repeat(np.arange(n), pair_len)[at]
+        order = np.lexsort((ranks[at], pair))
+        at, pair, seg = at[order], pair[order], ranks[at][order]
+        first = np.ones(at.size, dtype=bool)
+        first[1:] = pair[1:] != pair[:-1]
+        dense = np.cumsum(first | np.r_[True, seg[1:] != seg[:-1]]) - 1
+        ranks[at] = dense - np.maximum.accumulate(np.where(first, dense, 0))
+    return ranks, lengths
+
+
+def pad_tokens(tokens, length: int, pad_id: int) -> tuple[int, ...]:
+    """Right-pad a token sequence to ``length`` with the PAD id."""
+    tokens = tuple(tokens)
+    if len(tokens) > length:
+        raise ValidationError(f"sequence of length {len(tokens)} longer than {length}")
+    return tokens + (pad_id,) * (length - len(tokens))
 
 
 def check_beta(beta: float, name: str = "beta") -> None:
@@ -77,14 +192,12 @@ class LossConfig:
             )
         check_beta(self.beta, "loss.beta")
         if self.method == "adpo":
-            if self.family not in FAMILIES:
-                raise ValidationError(
-                    f"loss.family must be {' or '.join(FAMILIES)}, got {self.family!r}"
-                )
-            if self.family == "static" and (self.k is None or self.k < 1):
-                raise ValidationError("loss.k must be >= 1 for the static family")
-            if self.family == "adaptive" and (self.m is None or self.m < 1):
-                raise ValidationError("loss.m must be >= 1 for the adaptive family")
+            # the key of the value that check_rule rejects first
+            key = {"static": "k", "adaptive": "m"}.get(self.family, "family")
+            try:
+                check_rule(*self.segment_rule())
+            except ValidationError as err:
+                raise ValidationError(f"loss.{key}: {err}") from err
         return self
 
     def segment_rule(self) -> tuple[str, int]:
@@ -132,7 +245,7 @@ def segment_layout(segmentation: list[SegmentedPair], rejected_scores=None) -> S
     if not segmentation:
         raise ValidationError("no pairs to segment")
     ranks, lengths = stacked_ranks(segmentation)
-    # ranks never fall along a side, and segment_pair leaves no side empty,
+    # ranks never fall along a side, and no SegmentedPair has an empty side,
     # so each side's last rank is its largest
     last = ranks[np.cumsum(lengths) - 1]
     rejected = np.repeat(np.tile([False, True], len(segmentation)), lengths)

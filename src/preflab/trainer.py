@@ -30,8 +30,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import autodiff as ad
-# unused pad_tokens kept: the benchmark's traced run wraps trainer.pad_tokens
-from .composition import pad_tokens, segment_pair  # noqa: F401
 from .data import PreferencePair
 from .errors import TrainingDivergedError, ValidationError, at_least_one
 from .lm import Policy, row_logprobs
@@ -42,8 +40,10 @@ from .losses import (
     SegmentLayout,
     batch_loss,
     check_beta,
+    pad_tokens,  # noqa: F401 - unused; the benchmark's traced run wraps trainer.pad_tokens
     segment_layout,
     segment_loss,
+    segment_pair,
 )
 from .seeds import child_rng
 

@@ -9,7 +9,7 @@ whereas the oracle reads an n-gram's table through its state recursion,
 so each can be checked against the other. Likewise ``segment_bounds`` is
 the paper's definition of a pair's segments, written from the segment
 sizes, and the kept ranks here are read off those bounds, whereas
-``composition.stacked_ranks`` computes them in closed form from each
+``losses.stacked_ranks`` computes them in closed form from each
 position. ``shift_drift`` is the shift-invariance residual of the
 oracle's reparameterization, from two ``reparameterize`` calls of its own.
 ``reference_dpo`` is DPO written out with ``np.sum`` per side, apart from

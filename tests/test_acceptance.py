@@ -17,7 +17,7 @@ from preflab import autodiff as ad
 from preflab import data as D
 from preflab import lm, losses, oracle, trainer
 from preflab.cli import main as cli_main
-from preflab.composition import segment_pair
+from preflab.losses import segment_pair
 from preflab.seeds import child_rng
 
 from helpers import grad_check, random_prefix_reward, reference_dpo, segment_bounds, shift_drift
@@ -103,25 +103,25 @@ class TestA3GradientFidelity:
         worst = 0.0
         for i in range(50):
             method, family, param = self.VARIANTS[i % len(self.VARIANTS)]
-            lw = int(rng.integers(1, 11))
-            ll = int(rng.integers(1, 11))
+            # two to four pairs, so that the backward's 1/B scale is checked
+            lengths = rng.integers(1, 11, size=(int(rng.integers(2, 5)), 2)).tolist()
             beta = (0.5, 1.0, 1.5)[i % 3]
-            scores = rng.uniform(0.0, 1.0, size=ll)
+            scores = [rng.uniform(0.0, 1.0, size=ll) for _, ll in lengths]
             if method == "dpo":
-                seg = None
+                segs = None
             else:
-                seg = segment_pair((lw, ll), family, param)
+                segs = [segment_pair(n, family, param) for n in lengths]
 
             def build(graph, leaves):
-                pair = losses.PairLogRatios(leaves[0], leaves[1])
-                batch = losses.LogRatioBatch([pair], beta=beta)
+                pairs = [losses.PairLogRatios(w, l) for w, l in zip(leaves[0::2], leaves[1::2])]
+                batch = losses.LogRatioBatch(pairs, beta=beta)
                 if method == "dpo":
                     return losses.dpo_loss(batch)
                 if method == "cadpo":
-                    return losses.cadpo_loss(batch, [seg], [scores])
-                return losses.adpo_loss(batch, [seg])
+                    return losses.cadpo_loss(batch, segs, scores)
+                return losses.adpo_loss(batch, segs)
 
-            params = [0.5 * rng.standard_normal(s) for s in (lw, ll)]
+            params = [0.5 * rng.standard_normal(n) for pair in lengths for n in pair]
             report = grad_check(build, params, h=1e-5, tol=1e-6)
             worst = max(worst, report.max_rel_error)
         elapsed = time.perf_counter() - start

@@ -9,7 +9,7 @@ import pytest
 
 from preflab import autodiff as ad
 from preflab import lm, losses
-from preflab.composition import segment_pair
+from preflab.losses import segment_pair
 
 from helpers import grad_check, scalar_root
 

@@ -61,6 +61,34 @@ def dataset_path(tmp_path):
     return out
 
 
+class TestArguments:
+    @pytest.mark.parametrize(
+        "argv,match",
+        [
+            (["oracle-check", "--space", "3,3", "--check", "nope"],
+             "preflab oracle-check: argument --check: invalid choice: 'nope'"),
+            (["analyze", "--checkpoints", "c.json", "--ref", "r.json", "--data", "d.jsonl",
+              "--out", "p.csv", "--bins", "x"],
+             "preflab analyze: argument --bins: invalid int value: 'x'"),
+            (["eval", "--data", "x"],
+             "preflab eval: the following arguments are required: --checkpoint"),
+            (["train", "--bogus"], "preflab: unrecognized arguments: --bogus"),
+            (["nope"], "preflab: argument command: invalid choice: 'nope'"),
+            ([], "preflab: the following arguments are required: command"),
+        ],
+        ids=["choice", "type", "required", "unrecognized", "command", "no-command"],
+    )
+    def test_bad_arguments_exit_2_with_one_error_line(self, capsys, argv, match):
+        assert main(argv) == 2
+        assert match in one_error_line(capsys)
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: preflab train")
+
+
 class TestGenData:
     def test_reproducible_bytes(self, tmp_path):
         cfg = gen_config(tmp_path)
@@ -337,9 +365,9 @@ class TestTrain:
             # Adam is the one optimizer
             (["train.optimizer=sgd"], "train.optimizer must be one of ('adam',), got 'sgd'"),
             (["loss.method=adpo", "loss.family=static"],
-             "loss.k must be >= 1 for the static family"),
+             "loss.k: static window size must be >= 1, got None"),
             (["loss.method=adpo", "loss.family=adaptive", "loss.m=0"],
-             "loss.m must be >= 1 for the adaptive family"),
+             "loss.m: adaptive segment count must be >= 1, got 0"),
             (["train.checkpoint_every=-1"], "checkpoint_every must be >= 0, got -1"),
         ],
     )
@@ -725,9 +753,8 @@ class TestOracleCheckCommand:
         for mode in oracle.MODES:
             assert parser.parse_args([*base, "--mode", mode]).mode == mode
         for flag in ("--check", "--mode"):
-            with pytest.raises(SystemExit):
-                parser.parse_args([*base, flag, "banana"])
-        assert "invalid choice" in capsys.readouterr().err
+            assert main([*base, flag, "banana"]) == 2
+            assert "invalid choice: 'banana'" in one_error_line(capsys)
 
     def test_cap_exceeded_exits_2(self):
         assert main(["oracle-check", "--space", "7,5"]) == 2

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from preflab import composition as comp
 from preflab import losses
 from preflab.errors import ValidationError
 
@@ -16,7 +15,7 @@ from helpers import bounds_kept_ranks, python_kept_ranks, segment_bounds
 
 def kept_ranks(seg):
     """Per side, the closed-form kept ranks of one pair."""
-    ranks, _ = comp.stacked_ranks([seg])
+    ranks, _ = losses.stacked_ranks([seg])
     return ranks[: seg.len_w], ranks[seg.len_w :]
 
 
@@ -33,20 +32,20 @@ def kept_sizes(seg):
 
 class TestStatic:
     def test_window_four_over_ten(self):
-        seg = comp.segment_pair((10, 10), "static", 4)
+        seg = losses.segment_pair((10, 10), "static", 4)
         assert kept_sizes(seg) == ([4, 4, 2], [4, 4, 2])
         assert segment_bounds(seg)[0] == [(0, 4), (4, 8), (8, 10)]
 
     def test_window_one_is_token_level(self):
-        assert kept_sizes(comp.segment_pair((10, 10), "static", 1))[0] == [1] * 10
+        assert kept_sizes(losses.segment_pair((10, 10), "static", 1))[0] == [1] * 10
 
     def test_giant_window_collapses_to_one_segment(self):
-        seg = comp.segment_pair((7, 5), "static", 100)
+        seg = losses.segment_pair((7, 5), "static", 100)
         assert kept_sizes(seg) == ([7], [5])
         assert segment_bounds(seg) == ([(0, 7)], [(0, 5)])
 
     def test_short_side_windows_clip_to_its_length(self):
-        seg = comp.segment_pair((3, 5), "static", 2)
+        seg = losses.segment_pair((3, 5), "static", 2)
         # windows [0,2), [2,4), [4,6) clipped to each side
         assert kept_sizes(seg) == ([2, 1, 0], [2, 2, 1])
         assert segment_bounds(seg) == ([(0, 2), (2, 3), (3, 3)], [(0, 2), (2, 4), (4, 5)])
@@ -54,28 +53,28 @@ class TestStatic:
 
 class TestAdaptive:
     def test_ten_into_three(self):
-        seg = comp.segment_pair((10, 10), "adaptive", 3)
+        seg = losses.segment_pair((10, 10), "adaptive", 3)
         assert kept_sizes(seg)[0] == [3, 3, 4]
         assert segment_bounds(seg)[0] == [(0, 3), (3, 6), (6, 10)]
 
     def test_single_segment_is_whole_response(self):
-        assert kept_sizes(comp.segment_pair((5, 5), "adaptive", 1))[0] == [5]
+        assert kept_sizes(losses.segment_pair((5, 5), "adaptive", 1))[0] == [5]
 
     def test_short_response_gets_empty_segments(self):
         # the rejected side has content in all three segments, so all are kept
-        seg = comp.segment_pair((2, 3), "adaptive", 3)
+        seg = losses.segment_pair((2, 3), "adaptive", 3)
         assert kept_sizes(seg) == ([0, 1, 1], [1, 1, 1])
         assert segment_bounds(seg)[0] == [(0, 0), (0, 1), (1, 2)]
 
 
 class TestSegmentPair:
     def test_adaptive_one_segment_spans_everything(self):
-        seg = comp.segment_pair((5, 7), "adaptive", 1)
+        seg = losses.segment_pair((5, 7), "adaptive", 1)
         assert segment_bounds(seg) == ([(0, 5)], [(0, 7)])
         assert [r.tolist() for r in kept_ranks(seg)] == [[0] * 5, [0] * 7]
 
     def test_static_token_level_short_side_gets_empty_segments(self):
-        seg = comp.segment_pair((3, 5), "static", 1)
+        seg = losses.segment_pair((3, 5), "static", 1)
         assert segment_bounds(seg) == (
             [(0, 1), (1, 2), (2, 3), (3, 3), (3, 3)],
             [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],
@@ -85,24 +84,24 @@ class TestSegmentPair:
         assert [r.tolist() for r in kept_ranks(seg)] == [[0, 1, 2], [0, 1, 2, 3, 4]]
 
     def test_adaptive_two_segments_both_sides(self):
-        seg = comp.segment_pair((4, 6), "adaptive", 2)
+        seg = losses.segment_pair((4, 6), "adaptive", 2)
         assert segment_bounds(seg) == ([(0, 2), (2, 4)], [(0, 3), (3, 6)])
         assert [r.tolist() for r in kept_ranks(seg)] == [[0, 0, 1, 1], [0, 0, 0, 1, 1, 1]]
 
     def test_both_empty_segment_skipped(self):
-        seg = comp.segment_pair((2, 2), "adaptive", 3)
+        seg = losses.segment_pair((2, 2), "adaptive", 3)
         # parts (0,1,1) on both sides: first segment empty on both, so
         # segments 1 and 2 take ranks 0 and 1
         assert [r.tolist() for r in kept_ranks(seg)] == [[0, 1], [0, 1]]
 
     def test_unknown_family(self):
         with pytest.raises(ValidationError):
-            comp.segment_pair((3, 3), "semantic", 2)
+            losses.segment_pair((3, 3), "semantic", 2)
 
     def test_pad_tokens(self):
-        assert comp.pad_tokens((3, 4), 4, pad_id=2) == (3, 4, 2, 2)
+        assert losses.pad_tokens((3, 4), 4, pad_id=2) == (3, 4, 2, 2)
         with pytest.raises(ValidationError):
-            comp.pad_tokens((3, 4, 5), 2, pad_id=2)
+            losses.pad_tokens((3, 4, 5), 2, pad_id=2)
 
 
 class TestKeptRanks:
@@ -113,7 +112,7 @@ class TestKeptRanks:
         # m=9 exceeds every length here: segments empty on both sides are dropped
         for len_w in range(1, 8):
             for len_l in range(1, 8):
-                seg = comp.segment_pair((len_w, len_l), family, param)
+                seg = losses.segment_pair((len_w, len_l), family, param)
                 bounds = segment_bounds(seg)
                 kept = [i for i, ((a, b), (c, d)) in enumerate(zip(*bounds)) if b > a or d > c]
                 for side, ranks in zip(bounds, kept_ranks(seg)):
@@ -127,19 +126,35 @@ class TestKeptRanks:
             ((0, 5), "static", 2, "both sides must be non-empty, got lengths (0, 5)"),
             ((3, 0), "static", 0, "static window size must be >= 1, got 0"),
             ((3, 5), "adaptive", 0, "adaptive segment count must be >= 1, got 0"),
-            ((0, 5), "adaptive", 0, "both sides must be non-empty, got lengths (0, 5)"),
+            ((0, 5), "adaptive", 0, "adaptive segment count must be >= 1, got 0"),
+            ((2, 3), "static", None, "static window size must be >= 1, got None"),
         ],
     )
     def test_segment_pair_validates_eagerly(self, lengths, family, param, message):
-        # static checks its window before the sides, adaptive its count after
+        # the rule is checked before the sides
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            comp.segment_pair(lengths, family, param)
+            losses.segment_pair(lengths, family, param)
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: losses.stacked_ranks([losses.SegmentedPair("static", 0, 3, 4)]),
+             "static window size must be >= 1, got 0"),
+            (lambda: losses.SegmentedPair("bogus", 2, 3, 4), "unknown composition family 'bogus'"),
+            (lambda: losses.SegmentedPair("adaptive", 2, 3, 0),
+             "both sides must be non-empty, got lengths (3, 0)"),
+        ],
+        ids=["stacked-ranks", "unknown-family", "empty-side"],
+    )
+    def test_a_record_built_directly_is_checked(self, build, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 # every pair of side lengths up to 40 under every k and m from 1 to 12
 GRID = [
     (family, param, len_w, len_l)
-    for family in comp.FAMILIES
+    for family in losses.FAMILIES
     for param in range(1, 13)
     for len_w in range(1, 41)
     for len_l in range(1, 41)
@@ -152,7 +167,7 @@ def bounds_reference():
     segments non-empty on at least one side."""
     out = {}
     for family, param, len_w, len_l in GRID:
-        seg = comp.segment_pair((len_w, len_l), family, param)
+        seg = losses.segment_pair((len_w, len_l), family, param)
         kept = sum(b > a or d > c for (a, b), (c, d) in zip(*segment_bounds(seg)))
         out[family, param, len_w, len_l] = (*bounds_kept_ranks(seg), kept)
     return out
@@ -163,7 +178,7 @@ class TestClosedFormLayout:
     what each pair's reference bounds give."""
 
     def assert_layout_matches(self, reference, keys, with_scores):
-        segmentation = [comp.segment_pair((lw, ll), f, p) for f, p, lw, ll in keys]
+        segmentation = [losses.segment_pair((lw, ll), f, p) for f, p, lw, ll in keys]
         scores = None
         if with_scores:
             rng = np.random.default_rng(len(keys))
@@ -184,7 +199,7 @@ class TestClosedFormLayout:
 
     @pytest.mark.parametrize("with_scores", [False, True], ids=["unweighted", "scored"])
     def test_each_parameter_alone(self, bounds_reference, with_scores):
-        for family in comp.FAMILIES:
+        for family in losses.FAMILIES:
             for param in range(1, 13):
                 keys = [key for key in GRID if key[:2] == (family, param)]
                 self.assert_layout_matches(bounds_reference, keys, with_scores)
@@ -200,26 +215,26 @@ class TestClosedFormLayout:
         for len_w in range(1, 13):
             for len_l in range(1, 13):
                 cap = len_w * len_l
-                seg = comp.segment_pair((len_w, len_l), "adaptive", cap)
+                seg = losses.segment_pair((len_w, len_l), "adaptive", cap)
                 want = [r.tolist() for r in bounds_kept_ranks(seg)]
                 assert [r.tolist() for r in kept_ranks(seg)] == want
                 for m in (cap + 1, 2 * cap + 1, int(rng.integers(cap, 8 * cap + 50))):
-                    wider = comp.segment_pair((len_w, len_l), "adaptive", m)
+                    wider = losses.segment_pair((len_w, len_l), "adaptive", m)
                     assert [r.tolist() for r in bounds_kept_ranks(wider)] == want
                     assert [r.tolist() for r in kept_ranks(wider)] == want
                 for m in (10**18, 10**40):
-                    huge = comp.segment_pair((len_w, len_l), "adaptive", m)
+                    huge = losses.segment_pair((len_w, len_l), "adaptive", m)
                     assert list(python_kept_ranks("adaptive", m, len_w, len_l)) == want
                     assert [r.tolist() for r in kept_ranks(huge)] == want
 
     def test_segment_pair_records_only_what_defines_it(self):
         # O(1) whatever m: nothing is sized by the parameter
-        seg = comp.segment_pair((5, 7), "adaptive", 10**12)
+        seg = losses.segment_pair((5, 7), "adaptive", 10**12)
         assert (seg.family, seg.param, seg.len_w, seg.len_l) == ("adaptive", 10**12, 5, 7)
         assert [r.tolist() for r in kept_ranks(seg)] == list(
             python_kept_ranks("adaptive", 10**12, 5, 7)
         )
-        giant = comp.segment_pair((5, 7), "static", 10**30)
+        giant = losses.segment_pair((5, 7), "static", 10**30)
         assert_ranks_match_bounds(giant)
         assert len(segment_bounds(giant)[0]) == 1
 
@@ -227,7 +242,7 @@ class TestClosedFormLayout:
         # (i + 1)·m at m = len_w·len_l reaches the cube of the side length
         side = 1 << 22
         with pytest.raises(ValidationError, match="overflow int64"):
-            losses.segment_layout([comp.segment_pair((side, side - 1), "adaptive", 10**40)])
+            losses.segment_layout([losses.segment_pair((side, side - 1), "adaptive", 10**40)])
 
 
 def assert_partition(bounds, length):
@@ -248,7 +263,7 @@ class TestProperties:
     def test_static_partitions_padded_grid(self, len_w, len_l, k):
         # the windows of the shared grid 0..max(len_w, len_l), each side
         # clipped to its own length
-        seg = comp.segment_pair((len_w, len_l), "static", k)
+        seg = losses.segment_pair((len_w, len_l), "static", k)
         bounds = segment_bounds(seg)
         grid = max(len_w, len_l)
         n = -(-grid // k)
@@ -265,7 +280,7 @@ class TestProperties:
     @given(length=st.integers(1, 512), m=st.integers(1, 512))
     @settings(max_examples=200, deadline=None)
     def test_adaptive_partitions_uniformly(self, length, m):
-        seg = comp.segment_pair((length, length), "adaptive", m)
+        seg = losses.segment_pair((length, length), "adaptive", m)
         side = segment_bounds(seg)[0]
         sizes = [stop - start for start, stop in side]
         assert len(side) == m
@@ -288,7 +303,7 @@ class TestProperties:
     @settings(max_examples=100, deadline=None)
     def test_segment_pair_alignment(self, len_w, len_l, m):
         for family in ("adaptive", "static"):
-            seg = comp.segment_pair((len_w, len_l), family, m)
+            seg = losses.segment_pair((len_w, len_l), family, m)
             w_bounds, l_bounds = segment_bounds(seg)
             assert len(w_bounds) == len(l_bounds)
             if family == "adaptive":

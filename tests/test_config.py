@@ -134,7 +134,7 @@ class TestResolve:
         [
             (lambda: LossConfig(method="x"), "loss.method must be dpo or adpo, got 'x'"),
             (lambda: LossConfig(method="adpo", family="x"),
-             "loss.family must be static or adaptive, got 'x'"),
+             "loss.family: unknown composition family 'x'"),
             (lambda: TrainConfig(optimizer="sgd"), "optimizer must be adam, got 'sgd'"),
         ],
         ids=["method", "family", "optimizer"],

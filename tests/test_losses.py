@@ -8,8 +8,8 @@ import pytest
 
 from preflab import autodiff as ad
 from preflab import data, lm, losses, trainer
-from preflab.composition import segment_pair
 from preflab.errors import ValidationError
+from preflab.losses import segment_pair
 from preflab.seeds import child_rng
 
 from helpers import grad_check, reference_dpo, segment_bounds

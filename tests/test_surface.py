@@ -4,12 +4,15 @@ every method and property of its classes, has a caller.
 A name counts as used when ``src/`` refers to it outside its own
 definition, when ``perfbench/`` names it (string constants included, as the
 traced run wraps functions by name), or when ``preflab.__all__`` exports
-it. Dunder methods are called by Python itself and are exempt. A draw
+it. Dunder methods are called by Python itself and are exempt, and so is
+a method that overrides one of a base class from outside ``preflab``,
+which that base's own code calls (``argparse`` calls ``error``). A draw
 such as ``rng.uniform`` is numpy's, so an attribute of a name ``rng`` is
 not a use. Code that only tests call lives in ``tests/helpers.py``.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -54,6 +57,14 @@ def _definitions(sources):
                         yield f"{stem}.{node.name}.{member.name}", member, True
 
 
+def _overrides_foreign(qualified: str) -> bool:
+    """Whether method ``module.Class.name`` overrides a method of a base
+    class defined outside ``preflab``."""
+    stem, cls, name = qualified.split(".")
+    bases = getattr(importlib.import_module(f"preflab.{stem}"), cls).__mro__[1:]
+    return any(hasattr(b, name) for b in bases if not b.__module__.startswith("preflab"))
+
+
 def unused_definitions(sources=None) -> list:
     """Qualified name of every definition of ``sources`` (default: the
     modules of ``src/preflab``) that nothing uses. A method or property is
@@ -72,6 +83,7 @@ def unused_definitions(sources=None) -> list:
         if used[not method][node.name] <= _names(node, bare=not method)[node.name]
         and not named[node.name]
         and node.name not in preflab.__all__
+        and not (method and _overrides_foreign(qualified))
     ]
 
 
@@ -95,3 +107,14 @@ def test_a_draw_of_the_same_name_is_not_a_use():
     uniform = "    @classmethod\n    def uniform(cls, vocab, order):\n        return cls\n\n"
     sources["lm"] = sources["lm"].replace(anchor, uniform + anchor)
     assert unused_definitions(sources) == ["lm.NGramPolicy.uniform"]
+
+
+def test_only_an_override_of_a_foreign_method_is_exempt():
+    # the CLI's parser overrides argparse's error, which argparse calls; a
+    # method of the same class that argparse does not define stays reported
+    sources = _sources()
+    anchor = "    def error(self, message):\n"
+    assert sources["cli"].count(anchor) == 1
+    extra = "    def usage_line(self):\n        return self.prog\n\n"
+    sources["cli"] = sources["cli"].replace(anchor, extra + anchor)
+    assert unused_definitions(sources) == ["cli._Parser.usage_line"]

@@ -12,8 +12,8 @@ import pytest
 from preflab import autodiff as ad
 from preflab import data as D
 from preflab import lm, losses, trainer
-from preflab.composition import segment_pair
 from preflab.errors import TrainingDivergedError, ValidationError
+from preflab.losses import segment_pair
 from preflab.seeds import child_rng
 
 from helpers import python_kept_ranks, segment_bounds, seq_logprob
@@ -121,6 +121,13 @@ class TestPlans:
         sides = [2 * i + j for i in ids for j in (0, 1)]
         assert np.array_equal(layout.lengths, plan.layout.lengths[sides])
         assert np.array_equal(layout.kept, plan.layout.kept[ids])
+
+    def test_unvalidated_rule_is_refused_by_the_records(self):
+        # a library caller may skip LossConfig.validate; each pair's record checks the rule
+        _, dataset, policy = small_setup()
+        cfg = losses.LossConfig(method="adpo", family="static")
+        with pytest.raises(ValidationError, match=r"^static window size must be >= 1, got None$"):
+            trainer.plan_dataset(dataset, cfg, copy.deepcopy(policy))
 
     @pytest.mark.parametrize("family,param", [("adaptive", 10**12), ("static", 10**30)])
     def test_plan_cost_does_not_depend_on_k_or_m(self, family, param):
