@@ -20,11 +20,13 @@ from dataclasses import asdict
 
 from . import config as cfgmod
 from . import oracle, trainer
-from .data import check_dataset, load_jsonl, save_jsonl, write_manifest
+from .data import check_dataset, load_jsonl, save_jsonl
 from .errors import PreflabError, ValidationError
 from .lm import load_checkpoint, save_checkpoint
 from .seeds import check_seed
 from .trainer import ProfileRow, TrainLogRow, eval_pairs, prefix_reward_profile, to_csv, train
+
+RESOLVED_CONFIG = "config.resolved.json"
 
 
 def _load_resolved(args, raw: dict | None = None) -> dict:
@@ -37,24 +39,22 @@ def _load_resolved(args, raw: dict | None = None) -> dict:
 
 
 def _sibling_config(path) -> dict:
-    """The ``config.resolved.json`` next to ``path``, unresolved; empty if absent."""
-    candidate = os.path.join(os.path.dirname(os.path.abspath(path)), "config.resolved.json")
+    """The ``RESOLVED_CONFIG`` next to ``path``, unresolved; empty if absent."""
+    candidate = os.path.join(os.path.dirname(os.path.abspath(path)), RESOLVED_CONFIG)
     return cfgmod.load_config(candidate) if os.path.exists(candidate) else {}
 
 
 def cmd_gen_data(args) -> int:
+    manifest = f"{os.path.splitext(args.out)[0]}.manifest.json"
     _check_output_path(args.out, "--out")
+    _check_output_path(manifest, "manifest")
     resolved = _load_resolved(args)
-    cfgmod.require_section(resolved, "data")
-    if resolved["data"]["path"] is not None:
+    data = cfgmod.require_section(resolved, "data")
+    if data["path"] is not None:
         raise ValidationError("gen-data generates from task parameters, not data.path")
-    task = cfgmod.build_task(resolved)
-    pairs = cfgmod.build_dataset(resolved, task)
+    pairs = cfgmod.build_dataset(resolved)
     save_jsonl(pairs, args.out)
-    stem, _ = os.path.splitext(args.out)
-    write_manifest(
-        f"{stem}.manifest.json", task, resolved["data"]["n_pairs"], resolved["data"]["labeling"]
-    )
+    cfgmod.write_resolved({"seed": resolved["seed"], "data": data}, manifest)
     print(f"wrote {len(pairs)} pairs to {args.out}")
     return 0
 
@@ -95,7 +95,7 @@ def cmd_train(args) -> int:
     result = train(dataset, policy, train_cfg)
 
     os.makedirs(output_dir, exist_ok=True)
-    cfgmod.write_resolved(resolved, output_dir)
+    cfgmod.write_resolved(resolved, os.path.join(output_dir, RESOLVED_CONFIG))
     save_checkpoint(result.reference, os.path.join(output_dir, "ref.json"))
     with open(os.path.join(output_dir, "trainlog.csv"), "w", encoding="utf-8") as fh:
         fh.write(to_csv(TrainLogRow, result.log))

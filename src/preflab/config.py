@@ -1,9 +1,11 @@
 """Run configuration: one JSON document drives every command.
 
 Unknown keys are rejected outright, defaults are filled at resolve time,
-and every run writes its fully-resolved config next to its outputs, so a
-run directory is a complete reproducibility manifest. All randomness
-flows from the single top-level seed through named child streams.
+and ``write_resolved`` writes a resolved config next to the outputs it
+made: ``train``'s whole config into its run directory, and ``gen-data``'s
+``seed`` and ``data`` beside its file as the manifest that ``gen-data
+--config`` reads back. All randomness flows from the single top-level
+seed through named child streams.
 
 The ``loss`` and ``train`` sections and the task keys of ``data`` are read
 off the fields of ``LossConfig``, ``TrainConfig`` and ``BigramMatchTask``:
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import copy
 import json
-import os
 import typing
 from dataclasses import dataclass, fields
 
@@ -206,12 +207,11 @@ def require_section(resolved: dict, section: str) -> dict:
     return resolved[section]
 
 
-def write_resolved(resolved: dict, output_dir) -> str:
-    path = os.path.join(output_dir, "config.resolved.json")
+def write_resolved(resolved: dict, path) -> None:
+    """Write ``resolved`` to the file ``path`` as sorted, indented JSON."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(resolved, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +226,12 @@ def build_task(resolved: dict) -> BigramMatchTask:
     )
 
 
-def build_dataset(resolved: dict, task: BigramMatchTask | None = None):
-    """Load the dataset from data.path or generate it from ``task`` (by
-    default ``build_task(resolved)``)."""
+def build_dataset(resolved: dict):
+    """Load the dataset from data.path, or generate it from the data section."""
     data = require_section(resolved, "data")
     if data["path"] is not None:
         return load_jsonl(data["path"])
-    task = task or build_task(resolved)
+    task = build_task(resolved)
     pairs = generate_dataset(task, data["n_pairs"], data["labeling"])
     if data["with_scores"]:
         attach_scores(pairs, task.vocab, resolved["seed"])

@@ -3,7 +3,9 @@
 The default task rewards occurrences of a prompt-determined bigram minus
 a small length penalty, which is separable enough that every loss in this
 package reaches high pairwise accuracy within seconds of training.
-Datasets round-trip losslessly through JSONL, one pair per line.
+Datasets round-trip losslessly through JSONL, one pair per line. A
+generated file has no header: the manifest that ``gen-data`` writes beside
+it is the resolved config that made it (``config.write_resolved``).
 ``check_scores`` is the one check of a rejected side's scores.
 """
 
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -286,21 +288,6 @@ def load_jsonl(path) -> list[PreferencePair]:
             except ValidationError as err:
                 raise DataFormatError(f"line {lineno}: {err}") from err
     return pairs
-
-
-def write_manifest(path, task: BigramMatchTask, n_pairs: int, labeling: str) -> None:
-    """Generation manifest recording the task parameters and seed."""
-    params = {f.name: getattr(task, f.name) for f in fields(task)}
-    vocab, seed = params.pop("vocab"), params.pop("seed")
-    doc = {
-        "task": {"kind": "bigram_match", "vocab_size": vocab.size, **params},
-        "seed": seed,
-        "n_pairs": n_pairs,
-        "labeling": labeling,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def check_dataset(pairs: list[PreferencePair], vocab: Vocab) -> None:

@@ -62,14 +62,15 @@ class TrainConfig:
         self.loss.validate()
         if self.optimizer not in OPTIMIZERS:
             raise ValidationError(
-                f"optimizer must be {' or '.join(OPTIMIZERS)}, got {self.optimizer!r}"
+                f"train.optimizer must be {' or '.join(OPTIMIZERS)}, got {self.optimizer!r}"
             )
         if not (math.isfinite(self.lr) and self.lr >= 0):
-            raise ValidationError(f"lr must be finite and >= 0, got {self.lr}")
-        at_least_one(steps=self.steps, batch_size=self.batch_size, eval_every=self.eval_every)
+            raise ValidationError(f"train.lr must be finite and >= 0, got {self.lr}")
+        counts = ("steps", "batch_size", "eval_every")
+        at_least_one(**{f"train.{name}": getattr(self, name) for name in counts})
         if self.checkpoint_every < 0:
             raise ValidationError(
-                f"checkpoint_every must be >= 0, got {self.checkpoint_every}"
+                f"train.checkpoint_every must be >= 0, got {self.checkpoint_every}"
             )
         return self
 

@@ -102,22 +102,40 @@ class TestGenData:
         out = tmp_path / "a.jsonl"
         main(["gen-data", "--config", cfg, "--out", str(out)])
         manifest = json.loads((tmp_path / "a.manifest.json").read_text())
-        assert manifest["n_pairs"] == 12 and manifest["seed"] == 1
+        assert manifest["data"]["n_pairs"] == 12 and manifest["seed"] == 1
+
+    # every task parameter off its default; temperature given as an int
+    OFF_DEFAULT = dict(
+        vocab_size=9, n_pairs=5, prompt_len=3, min_len=2, max_len=7,
+        length_penalty=0.125, bigram_rate=0.25, temperature=2, labeling="bt",
+    )
 
     def test_manifest_bytes(self, tmp_path):
-        # every task parameter off its default; temperature given as an int
-        cfg = gen_config(
-            tmp_path, vocab_size=9, n_pairs=5, prompt_len=3, min_len=2, max_len=7,
-            length_penalty=0.125, bigram_rate=0.25, temperature=2, labeling="bt",
-        )
+        # the resolved seed and data section, and nothing else
+        cfg = gen_config(tmp_path, **self.OFF_DEFAULT)
         out = tmp_path / "a.jsonl"
         assert main(["gen-data", "--config", cfg, "--set", "seed=7", "--out", str(out)]) == 0
         assert (tmp_path / "a.manifest.json").read_bytes() == (
-            b'{\n  "labeling": "bt",\n  "n_pairs": 5,\n  "seed": 7,\n  "task": {\n'
-            b'    "bigram_rate": 0.25,\n    "kind": "bigram_match",\n'
+            b'{\n  "data": {\n    "bigram_rate": 0.25,\n    "labeling": "bt",\n'
             b'    "length_penalty": 0.125,\n    "max_len": 7,\n    "min_len": 2,\n'
-            b'    "prompt_len": 3,\n    "temperature": 2.0,\n    "vocab_size": 9\n  }\n}\n'
+            b'    "n_pairs": 5,\n    "path": null,\n    "prompt_len": 3,\n'
+            b'    "temperature": 2.0,\n    "vocab_size": 9,\n    "with_scores": false\n'
+            b'  },\n  "seed": 7\n}\n'
         )
+
+    @pytest.mark.parametrize(
+        "data", [{}, {"with_scores": True}, OFF_DEFAULT], ids=["plain", "scores", "bt"]
+    )
+    def test_manifest_regenerates_its_file(self, tmp_path, data):
+        first, again = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        cfg = gen_config(tmp_path, **data)
+        assert main(["gen-data", "--config", cfg, "--set", "seed=7", "--out", str(first)]) == 0
+        manifest = str(tmp_path / "a.manifest.json")
+        assert main(["gen-data", "--config", manifest, "--out", str(again)]) == 0
+        assert again.read_bytes() == first.read_bytes()
+        assert (tmp_path / "b.manifest.json").read_bytes() == (
+            tmp_path / "a.manifest.json"
+        ).read_bytes()
 
     def test_missing_vocab_size_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "bad.json", {"data": {"n_pairs": 4}})
@@ -379,6 +397,27 @@ class TestTrain:
         sets = [arg for item in overrides for arg in ("--set", item)]
         assert main(["train", "--config", cfg, *sets]) == 2
         assert match in one_error_line(capsys)
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "override,message",
+        [
+            ("train.steps=0", "train.steps must be >= 1, got 0"),
+            ("train.batch_size=0", "train.batch_size must be >= 1, got 0"),
+            ("train.eval_every=0", "train.eval_every must be >= 1, got 0"),
+            ("train.lr=-1", "train.lr must be finite and >= 0, got -1.0"),
+            ("train.checkpoint_every=-1", "train.checkpoint_every must be >= 0, got -1"),
+        ],
+        ids=["steps", "batch_size", "eval_every", "lr", "checkpoint_every"],
+    )
+    def test_bad_train_value_names_its_key(
+        self, tmp_path, dataset_path, capsys, override, message
+    ):
+        # train.<key>, as the loss section's messages name loss.<key>
+        out_dir = tmp_path / "run"
+        cfg = train_config(tmp_path, out_dir, dataset_path)
+        assert main(["train", "--config", cfg, "--set", override]) == 2
+        assert one_error_line(capsys) == f"error: {message}\n"
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
@@ -734,6 +773,20 @@ class TestOutputPath:
         assert main([*argv, "--out", str(out)]) == 2
         assert expected in one_error_line(capsys)
         assert sorted(tmp_path.rglob("*")) == before and taken.read_text() == "keep\n"
+
+    def test_manifest_directory_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # a dataset is never written without its manifest
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli.cfgmod, "build_task", must_not_run)
+        cfg = gen_config(tmp_path)
+        manifest = tmp_path / "m.manifest.json"
+        manifest.mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "m.jsonl")]) == 2
+        assert f"manifest {manifest} is a directory" in one_error_line(capsys)
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestOracleCheckCommand:

@@ -135,7 +135,7 @@ class TestResolve:
             (lambda: LossConfig(method="x"), "loss.method must be dpo or adpo, got 'x'"),
             (lambda: LossConfig(method="adpo", family="x"),
              "loss.family: unknown composition family 'x'"),
-            (lambda: TrainConfig(optimizer="sgd"), "optimizer must be adam, got 'sgd'"),
+            (lambda: TrainConfig(optimizer="sgd"), "train.optimizer must be adam, got 'sgd'"),
         ],
         ids=["method", "family", "optimizer"],
     )
@@ -143,6 +143,21 @@ class TestResolve:
         # the choices above stop these values before a library config is built
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             build().validate()
+
+    @pytest.mark.parametrize(
+        "values,message",
+        [
+            ({"steps": 0}, "train.steps must be >= 1, got 0"),
+            ({"batch_size": 0}, "train.batch_size must be >= 1, got 0"),
+            ({"eval_every": 0}, "train.eval_every must be >= 1, got 0"),
+            ({"lr": -1.0}, "train.lr must be finite and >= 0, got -1.0"),
+            ({"checkpoint_every": -1}, "train.checkpoint_every must be >= 0, got -1"),
+        ],
+        ids=["steps", "batch_size", "eval_every", "lr", "checkpoint_every"],
+    )
+    def test_train_config_names_its_keys(self, values, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            TrainConfig(**values).validate()
 
 
 class TestOverrides:
@@ -167,8 +182,9 @@ class TestOverrides:
 class TestHashAndWrite:
     def test_write_resolved_round_trips(self, tmp_path):
         resolved = cfgmod.resolve(minimal_train_config())
-        path = cfgmod.write_resolved(resolved, tmp_path)
-        assert json.loads(open(path).read()) == resolved
+        path = tmp_path / "run.json"
+        cfgmod.write_resolved(resolved, path)
+        assert json.loads(path.read_text()) == resolved
 
 
 class TestBuilders:

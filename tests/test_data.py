@@ -1,6 +1,5 @@
 """Unit tests for synthetic dataset generation and JSONL persistence."""
 
-import json
 import math
 
 import numpy as np
@@ -399,11 +398,3 @@ class TestJsonl:
         path.write_bytes(b'{"prompt": [3], "chosen": [4], "rejected": [5]}\n\xff\xfe\n')
         with pytest.raises(DataFormatError, match="line 2: not UTF-8"):
             D.load_jsonl(path)
-
-    def test_manifest_contents(self, task, tmp_path):
-        path = tmp_path / "data.manifest.json"
-        D.write_manifest(path, task, 10, "deterministic")
-        doc = json.loads(path.read_text())
-        assert doc["seed"] == task.seed
-        assert doc["task"]["vocab_size"] == task.vocab.size
-        assert doc["n_pairs"] == 10

@@ -1,5 +1,6 @@
 """Dead-code guard: every module-level function or class of ``preflab``, and
-every method and property of its classes, has a caller.
+every method and property of its classes, has a caller, and every
+module-level import of a module but ``__init__`` is read.
 
 A name counts as used when ``src/`` refers to it outside its own
 definition, when ``perfbench/`` names it (string constants included, as the
@@ -9,6 +10,10 @@ a method that overrides one of a base class from outside ``preflab``,
 which that base's own code calls (``argparse`` calls ``error``). A draw
 such as ``rng.uniform`` is numpy's, so an attribute of a name ``rng`` is
 not a use. Code that only tests call lives in ``tests/helpers.py``.
+
+An import counts as read when its module refers to the bound name, or when
+``perfbench/`` names it as an attribute or a string (the traced run wraps
+``trainer.pad_tokens``). ``__init__`` imports to export.
 """
 
 import ast
@@ -65,6 +70,42 @@ def _overrides_foreign(qualified: str) -> bool:
     return any(hasattr(b, name) for b in bases if not b.__module__.startswith("preflab"))
 
 
+def _perfbench_names(bare: bool = True) -> Counter:
+    """Identifiers and string constants of ``perfbench/``; bare names
+    unless ``bare`` is false."""
+    named = Counter()
+    for path in (ROOT / "perfbench").glob("*.py"):
+        named += _names(ast.parse(path.read_text()), strings=True, bare=bare)
+    return named
+
+
+def _imported(tree):
+    """The name each module-level import of ``tree`` binds, ``__future__`` aside."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def unused_imports(sources=None) -> list:
+    """``module.name`` of every module-level import of ``sources`` (default:
+    the modules of ``src/preflab``) that its module never reads, ``__init__``
+    aside. A bare name in ``perfbench/`` does not count, so perfbench's own
+    ``import os`` does not excuse one in ``src``."""
+    sources = sources or _sources()
+    named = _perfbench_names(bare=False)
+    unused = []
+    for stem, text in sources.items():
+        if stem == "__init__":
+            continue
+        tree = ast.parse(text)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{stem}.{name}" for name in _imported(tree)
+                   if name not in read and not named[name]]
+    return unused
+
+
 def unused_definitions(sources=None) -> list:
     """Qualified name of every definition of ``sources`` (default: the
     modules of ``src/preflab``) that nothing uses. A method or property is
@@ -74,9 +115,7 @@ def unused_definitions(sources=None) -> list:
     trees = [ast.parse(text) for text in sources.values()]
     used = {bare: sum((_names(tree, bare=bare) for tree in trees), Counter())
             for bare in (True, False)}
-    named = Counter()
-    for path in (ROOT / "perfbench").glob("*.py"):
-        named += _names(ast.parse(path.read_text()), strings=True)
+    named = _perfbench_names()
     return [
         qualified
         for qualified, node, method in _definitions(sources)
@@ -118,3 +157,16 @@ def test_only_an_override_of_a_foreign_method_is_exempt():
     extra = "    def usage_line(self):\n        return self.prog\n\n"
     sources["cli"] = sources["cli"].replace(anchor, extra + anchor)
     assert unused_definitions(sources) == ["cli._Parser.usage_line"]
+
+
+def test_every_import_is_read():
+    assert unused_imports() == []
+
+
+def test_an_unread_import_is_reported():
+    # an import that only perfbench's own code reads is still unread here
+    sources = _sources()
+    anchor = "from __future__ import annotations\n"
+    assert sources["seeds"].count(anchor) == 1 and "import os" not in sources["seeds"]
+    sources["seeds"] = sources["seeds"].replace(anchor, anchor + "import os\n")
+    assert unused_imports(sources) == ["seeds.os"]
