@@ -95,19 +95,19 @@ def log_softmax_values(z, axis: int = -1):
 
 
 class Node:
-    """One value in a computation graph plus a same-shape gradient buffer.
+    """One value in a computation graph, a same-shape gradient buffer, and
+    the backward that adds the buffer into the operands it closes over.
 
     The gradient buffer materializes lazily (all-zeros on first access), so
     forward-only graphs never allocate one.
     """
 
-    __slots__ = ("value", "_grad", "_graph", "_parents", "_backward")
+    __slots__ = ("value", "_grad", "_graph", "_backward")
 
-    def __init__(self, graph: "Graph", value, parents=(), backward=None):
+    def __init__(self, graph: "Graph", value, backward=None):
         self.value = np.asarray(value, dtype=np.float64)
         self._grad = None
         self._graph = weakref.ref(graph)
-        self._parents = parents
         self._backward = backward
         graph._nodes.append(self)
 
@@ -210,7 +210,7 @@ def sub(a, b) -> Node:
         if isinstance(b, Node):
             b.grad -= g
 
-    return Node(graph, va - vb, (a, b), backward)
+    return Node(graph, va - vb, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -247,4 +247,4 @@ def slice1d(a, start: int, stop: int) -> Node:
     def backward(g):
         a.grad[start:stop] += g
 
-    return Node(graph, va[start:stop].copy(), (a,), backward)
+    return Node(graph, va[start:stop].copy(), backward)

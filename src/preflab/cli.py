@@ -45,7 +45,7 @@ def _sibling_config(path) -> dict:
 
 
 def cmd_gen_data(args) -> int:
-    manifest = f"{os.path.splitext(args.out)[0]}.manifest.json"
+    manifest = f"{args.out}.manifest.json"
     _check_output_path(args.out, "--out")
     _check_output_path(manifest, "manifest")
     resolved = _load_resolved(args)

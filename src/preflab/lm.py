@@ -299,7 +299,7 @@ class NGramPolicy:
             cells = np.bincount(cell, weights=g, minlength=table.size).reshape(table.shape)
             logits.grad += cells - np.exp(table) * cells.sum(axis=1, keepdims=True)
 
-        return ad.Node(graph, values, (logits,), backward)
+        return ad.Node(graph, values, backward)
 
     __init__ = _construct
     hyper = _hyper
@@ -405,7 +405,7 @@ class NeuralPolicy:
             w1.grad += x.T @ dh
             emb.grad += ad.id_row_sums(rows, dh @ w1.value.T, emb.value.shape)
 
-        return ad.Node(graph, values, (emb, w1, b1, w2, b2), backward)
+        return ad.Node(graph, values, backward)
 
     __init__ = _construct
     hyper = _hyper

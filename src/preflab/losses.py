@@ -293,7 +293,7 @@ def segment_loss(x: np.ndarray, layout: SegmentLayout, beta: float):
 
 def batch_loss(batch: LogRatioBatch, layout: SegmentLayout) -> Node:
     """``segment_loss`` over the batch's sides, as one graph node whose
-    parents are those sides.
+    backward adds into those sides.
 
     The backward is the closed form dL/dz = -(beta / B) * sigmoid(-beta * z),
     times w_i at position i.
@@ -319,7 +319,7 @@ def batch_loss(batch: LogRatioBatch, layout: SegmentLayout) -> Node:
         for side, stop, n in zip(sides, stops, got):
             side.grad += grad[stop - n : stop]
 
-    return Node(ad.graph_of("batch_loss", *sides), value, tuple(sides), backward)
+    return Node(ad.graph_of("batch_loss", *sides), value, backward)
 
 
 def dpo_loss(batch: LogRatioBatch) -> Node:

@@ -51,12 +51,13 @@ spaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .autodiff import log_softmax_values, logsumexp_values
 from .errors import ValidationError
-from .lm import NGramPolicy, TokenSeq, Vocab
+from .lm import NGramPolicy, TokenSeq, Vocab, id_stream
 from .losses import check_beta
 from .seeds import seed_sequence
 
@@ -238,12 +239,12 @@ def reference_table(space: EnumSpace, ref: NGramPolicy, prompt: TokenSeq = ()) -
     """log pi_ref(t | prompt + context) for every context and token: the
     n-gram's log-softmax table at the row of the slot after each context.
 
-    The row of the empty context is ``ref.stacked_rows``' first response
-    row after ``prompt``, whose ids it checks; each context's row follows
-    from its parent's by ``ref.step`` down ``space.child``, one vectorized
-    step per context length. The table is ``autodiff.log_softmax_values`` of the logits, the
-    function the n-gram's ``rows_forward`` applies, so it equals ``lm``'s
-    scoring path bit for bit.
+    The empty context's row folds ``prompt``'s ids, checked by
+    ``lm.id_stream``, through ``ref.step`` from row 0 (the all-BOS window);
+    each context's row follows from its parent's by ``ref.step`` down
+    ``space.child``, one vectorized step per context length. The table is
+    ``autodiff.log_softmax_values`` of the logits, the function the n-gram's
+    ``rows_forward`` applies, so it equals ``lm``'s scoring path bit for bit.
 
     The only function here that reads a policy; everything downstream takes
     this table, or its ``ref_logmass``, as data."""
@@ -251,7 +252,7 @@ def reference_table(space: EnumSpace, ref: NGramPolicy, prompt: TokenSeq = ()) -
         raise ValidationError("the oracle's reference must be an n-gram over the space's vocab")
     # one slot past the contexts takes the writes of the -1 children
     rows = np.empty(len(space.contexts) + 1, dtype=np.intp)
-    rows[0] = ref.stacked_rows([prompt], [(Vocab.BOS,)])[0][0]
+    rows[0] = reduce(ref.step, id_stream(ref.vocab, [prompt]).tolist(), 0)
     # contexts are ordered by length, so each length is one run of codes
     lo, hi = 0, 1
     for _ in range(space.max_len - 1):
@@ -510,19 +511,14 @@ def _certificate(
 
 
 def check_boltzmann(space: EnumSpace, seed: int) -> dict:
-    """Normalization of the Boltzmann distribution plus the zero-reward
-    limit (restriction-renormalization of the reference)."""
+    """Normalization of the Boltzmann distribution."""
     rng = _rng(seed, 1)
     logmass = ref_logmass(space, reference_table(space, _reference(space, rng)))
-    n = len(space.sequences)
     residuals = []
-    for start, count in _blocks(20, n):
+    for start, count in _blocks(20, len(space.sequences)):
         rewards = random_reward(space, rng, lead=(count,))
         p = boltzmann_distribution(space, rewards, logmass, _betas(start, count))
         residuals.append(np.max(np.abs(np.sum(p, axis=-1) - 1.0)))
-    p0 = boltzmann_distribution(space, np.zeros(n), logmass, 1.0)
-    renorm = np.exp(logmass - logsumexp_values(logmass))
-    residuals.append(np.max(np.abs(p0 - renorm)))
     return _certificate("boltzmann", space, seed, residuals)
 
 

@@ -94,7 +94,7 @@ def scalar_root(node, up=None):
     def backward(g):
         node.grad += g * up
 
-    return ad.Node(node.graph, np.sum(node.value * up), (node,), backward)
+    return ad.Node(node.graph, np.sum(node.value * up), backward)
 
 
 def reference_dpo(pairs, beta: float) -> float:

@@ -22,7 +22,7 @@ def sum_of_squares(node):
     def backward(g):
         node.grad += 2.0 * v * g
 
-    return ad.Node(node.graph, np.sum(v * v), (node,), backward)
+    return ad.Node(node.graph, np.sum(v * v), backward)
 
 
 def loss_node(chosen, rejected, layout, beta=1.0):

@@ -101,7 +101,7 @@ class TestGenData:
         cfg = gen_config(tmp_path)
         out = tmp_path / "a.jsonl"
         main(["gen-data", "--config", cfg, "--out", str(out)])
-        manifest = json.loads((tmp_path / "a.manifest.json").read_text())
+        manifest = json.loads((tmp_path / "a.jsonl.manifest.json").read_text())
         assert manifest["data"]["n_pairs"] == 12 and manifest["seed"] == 1
 
     # every task parameter off its default; temperature given as an int
@@ -115,7 +115,7 @@ class TestGenData:
         cfg = gen_config(tmp_path, **self.OFF_DEFAULT)
         out = tmp_path / "a.jsonl"
         assert main(["gen-data", "--config", cfg, "--set", "seed=7", "--out", str(out)]) == 0
-        assert (tmp_path / "a.manifest.json").read_bytes() == (
+        assert (tmp_path / "a.jsonl.manifest.json").read_bytes() == (
             b'{\n  "data": {\n    "bigram_rate": 0.25,\n    "labeling": "bt",\n'
             b'    "length_penalty": 0.125,\n    "max_len": 7,\n    "min_len": 2,\n'
             b'    "n_pairs": 5,\n    "path": null,\n    "prompt_len": 3,\n'
@@ -130,12 +130,26 @@ class TestGenData:
         first, again = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         cfg = gen_config(tmp_path, **data)
         assert main(["gen-data", "--config", cfg, "--set", "seed=7", "--out", str(first)]) == 0
-        manifest = str(tmp_path / "a.manifest.json")
+        manifest = str(tmp_path / "a.jsonl.manifest.json")
         assert main(["gen-data", "--config", manifest, "--out", str(again)]) == 0
         assert again.read_bytes() == first.read_bytes()
-        assert (tmp_path / "b.manifest.json").read_bytes() == (
-            tmp_path / "a.manifest.json"
+        assert (tmp_path / "b.jsonl.manifest.json").read_bytes() == (
+            tmp_path / "a.jsonl.manifest.json"
         ).read_bytes()
+
+    def test_outputs_that_share_a_stem_keep_their_own_manifests(self, tmp_path):
+        # s.jsonl and s.json, one after the other in one directory
+        cfg = gen_config(tmp_path)
+        outs = {"s.jsonl": 12, "s.json": 8}
+        for name, n in outs.items():
+            argv = ["gen-data", "--config", cfg, "--set", f"data.n_pairs={n}"]
+            assert main([*argv, "--out", str(tmp_path / name)]) == 0
+        for name, n in outs.items():
+            manifest = tmp_path / f"{name}.manifest.json"
+            assert json.loads(manifest.read_text())["data"]["n_pairs"] == n
+            again = tmp_path / f"again-{name}"
+            assert main(["gen-data", "--config", str(manifest), "--out", str(again)]) == 0
+            assert again.read_bytes() == (tmp_path / name).read_bytes()
 
     def test_missing_vocab_size_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "bad.json", {"data": {"n_pairs": 4}})
@@ -781,7 +795,7 @@ class TestOutputPath:
 
         monkeypatch.setattr(cli.cfgmod, "build_task", must_not_run)
         cfg = gen_config(tmp_path)
-        manifest = tmp_path / "m.manifest.json"
+        manifest = tmp_path / "m.jsonl.manifest.json"
         manifest.mkdir()
         before = sorted(tmp_path.rglob("*"))
         assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "m.jsonl")]) == 2

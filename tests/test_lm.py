@@ -253,12 +253,16 @@ class TestFusedNeuralForward:
             assert np.array_equal(grads[name], expected[name]), name
 
     def test_one_node_over_the_five_leaves(self):
-        policy, rows, targets, _ = self.make(9, context=4, embed_dim=2, hidden_dim=5)
+        policy, rows, targets, up = self.make(9, context=4, embed_dim=2, hidden_dim=5)
         graph = ad.Graph()
         leaves = {name: graph.leaf(value) for name, value in policy.params.items()}
+        other = graph.leaf(np.ones(3))
         node = policy.rows_forward(graph, leaves, rows, targets)
-        assert len(graph) == len(leaves) + 1
-        assert node._parents == tuple(leaves[name] for name in NEURAL_NAMES)
+        assert len(graph) == len(leaves) + 2
+        # its backward reaches the five leaves and nothing else on the graph
+        graph.backward(scalar_root(node, up))
+        assert all(np.any(leaves[name].grad) for name in NEURAL_NAMES)
+        assert not np.any(other.grad)
 
     def test_grad_check_every_parameter(self):
         policy, rows, targets, up = self.make(4, vocab_size=5, scale=0.5,
@@ -405,11 +409,15 @@ class TestFusedNGramForward:
         assert not np.any(grad[[0, 1, 2, 4]])
 
     def test_one_node_over_the_logits_leaf(self):
-        policy, rows, targets, _ = self.make(np.random.default_rng(32), 6, 3, 9)
+        policy, rows, targets, up = self.make(np.random.default_rng(32), 6, 3, 9)
         graph = ad.Graph()
         leaves = {"logits": graph.leaf(policy.params["logits"])}
+        other = graph.leaf(np.ones(3))
         node = policy.rows_forward(graph, leaves, rows, targets)
-        assert len(graph) == 2 and node._parents == (leaves["logits"],)
+        assert len(graph) == 3
+        # its backward reaches the logits leaf and nothing else on the graph
+        graph.backward(scalar_root(node, up))
+        assert np.any(leaves["logits"].grad) and not np.any(other.grad)
 
     @pytest.mark.parametrize("order", [2, 3])
     def test_grad_check_the_logits(self, order):
@@ -442,8 +450,8 @@ class TestFusedNGramForward:
 
 class TestNGramState:
     """``step``: the n-gram's row recursion, written once. The oracle's
-    reference table starts from the first response row ``stacked_rows``
-    folds after the prompt, and continues with ``step``."""
+    reference table folds the prompt through ``step`` from row 0, the
+    all-BOS window, and continues down the contexts with ``step``."""
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_step_moves_the_window_by_one_token(self, vocab, order):

@@ -104,10 +104,6 @@ def per_draw_boltzmann(space, seed, draws=20):
         beta = (0.5, 1.0, 1.5)[i % 3]
         p = oracle.boltzmann_distribution(space, oracle.random_reward(space, rng), logmass, beta)
         residuals.append(abs(float(np.sum(p)) - 1.0))
-    zero = np.zeros(len(space.sequences))
-    p0 = oracle.boltzmann_distribution(space, zero, logmass, 1.0)
-    renorm = np.exp(logmass - logsumexp_values(logmass))
-    residuals.append(np.max(np.abs(p0 - renorm)))
     return oracle._certificate("boltzmann", space, seed, residuals)
 
 
@@ -892,8 +888,7 @@ class TestCertificates:
             return math.ceil(draws / max(1, 2**18 // (8 * floats)))
 
         expected = {
-            # and one more for the zero-reward limit
-            "boltzmann": {"boltzmann_distribution": blocks("boltzmann") + 1},
+            "boltzmann": {"boltzmann_distribution": blocks("boltzmann")},
             # one optimum and one chain-rule policy per certificate
             # and J(pi*), a one-row kl_objective_batch call
             "optimality": {"boltzmann_distribution": 1, "reparameterize": 1,
@@ -1048,6 +1043,13 @@ class TestPlantedBugs:
         # rounding error, so only the normalization residual can fail them
         monkeypatch.setattr(oracle, target, bug())
         certificates = [oracle.check_reparam(space, seed) for space in SWEEP for seed in (0, 1)]
+        assert not any(c["pass"] for c in certificates)
+
+    def test_boltzmann_sees_an_unnormalized_distribution_on_every_space(self, monkeypatch):
+        # a normalizer 0.1 too large: every Boltzmann row sums to exp(-0.1)
+        real = oracle.logsumexp_values
+        monkeypatch.setattr(oracle, "logsumexp_values", lambda z, axis=-1: real(z, axis) + 0.1)
+        certificates = [oracle.check_boltzmann(space, seed) for space in SWEEP for seed in (0, 1)]
         assert not any(c["pass"] for c in certificates)
 
 
